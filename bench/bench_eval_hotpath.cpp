@@ -2,19 +2,11 @@
 // A/B/C over one accuracy-vs-vdd sweep (the Fig. 8/9 workload shape) on the
 // Table-I topology:
 //
-//   * "pr3"    — frozen replica of the pipeline as it stood before the
-//                delta-fault rework: per chip, construct SynapticMemory,
+//   * "reference" — core::evaluate_chip: per chip, construct SynapticMemory,
 //                store/load the full ~1.4M-word image, dequantize into a
-//                fresh Mlp and run the pre-rework unblocked i-p-j GEMM
-//                forward over the test slice. This is the headline baseline
-//                ("legacy path"): the in-tree legacy path silently inherits
-//                the new blocked kernels, so only a frozen copy isolates
-//                what this PR actually changed end to end.
-//   * "legacy" — today's core::EvalPath::legacy (full rebuild per chip, but
-//                the shared blocked GEMM): isolates the delta/workspace
-//                contribution from the kernel contribution.
-//   * "delta"  — core::EvalPath::delta + ann::EvalWorkspace (the PR-4
-//                per-chip hot path).
+//                fresh Mlp and run the forward pass over the test slice.
+//   * "delta"  — per-chip delta-fault evaluation (EvalContext::
+//                evaluate_chip + ann::EvalWorkspace).
 //   * "fused"  — delta + fused multi-chip batches (EvalContext::
 //                evaluate_chips): all chips in a group share one traversal
 //                of the weight matrices per mini-batch, reference backend.
@@ -54,7 +46,6 @@
 #include "common.hpp"
 #include "core/delta_eval.hpp"
 #include "core/experiments.hpp"
-#include "core/synaptic_memory.hpp"
 #include "data/digits.hpp"
 #include "mc/failure_table.hpp"
 #include "util/parallel.hpp"
@@ -64,79 +55,6 @@ namespace {
 
 using namespace hynapse;
 using Clock = std::chrono::steady_clock;
-
-// ---------------------------------------------------------------------------
-// Frozen PR-3 forward pass (the pre-rework matrix.cpp gemm, verbatim loop
-// structure): i-p-j with a zero skip, no tiling, no restrict. Kept local to
-// the bench so the baseline cannot drift when the shared kernels improve.
-
-void gemm_pr3(const ann::Matrix& a, const ann::Matrix& b, ann::Matrix& c) {
-  const std::size_t m = a.rows();
-  const std::size_t k = a.cols();
-  const std::size_t n = b.cols();
-  const auto body = [&](std::size_t r0, std::size_t r1) {
-    for (std::size_t i = r0; i < r1; ++i) {
-      float* ci = c.row(i);
-      std::fill(ci, ci + n, 0.0f);
-      const float* ai = a.row(i);
-      for (std::size_t p = 0; p < k; ++p) {
-        const float aip = ai[p];
-        if (aip == 0.0f) continue;
-        const float* bp = b.row(p);
-        for (std::size_t j = 0; j < n; ++j) ci[j] += aip * bp[j];
-      }
-    }
-  };
-  if (m >= 64) {
-    util::parallel_for_chunks(m, body);
-  } else {
-    body(0, m);
-  }
-}
-
-double accuracy_pr3(const ann::Mlp& net, const ann::Matrix& input,
-                    std::span<const std::uint8_t> labels) {
-  // PR-3 Mlp::accuracy: whole-set activations, freshly allocated per call.
-  std::vector<ann::Matrix> acts(net.layer_sizes().size());
-  acts[0] = input;
-  for (std::size_t l = 0; l + 1 < net.layer_sizes().size(); ++l) {
-    ann::Matrix& out = acts[l + 1];
-    out = ann::Matrix{input.rows(), net.layer_sizes()[l + 1]};
-    gemm_pr3(acts[l], net.weight(l), out);
-    ann::add_row_bias(out, net.bias(l));
-    if (l + 2 < net.layer_sizes().size()) {
-      ann::activate_inplace(out, net.hidden_activation());
-    } else {
-      ann::softmax_rows_inplace(out);
-    }
-  }
-  const ann::Matrix& out = acts.back();
-  std::size_t hits = 0;
-  for (std::size_t i = 0; i < out.rows(); ++i) {
-    const float* r = out.row(i);
-    const auto pred =
-        static_cast<std::uint8_t>(std::max_element(r, r + out.cols()) - r);
-    if (pred == labels[i]) ++hits;
-  }
-  return static_cast<double>(hits) / static_cast<double>(labels.size());
-}
-
-double evaluate_chip_pr3(const core::QuantizedNetwork& qnet,
-                         const core::MemoryConfig& config,
-                         const core::FaultModel& model,
-                         const data::Dataset& test, std::uint64_t eval_seed,
-                         std::size_t chip) {
-  const std::uint64_t chip_seed =
-      eval_seed ^ (0x9e3779b97f4a7c15ull * (chip + 1));
-  core::SynapticMemory memory{config, model, chip_seed};
-  memory.store_network(qnet);
-  util::Rng read_rng{chip_seed ^ 0x5555aaaa5555aaaaull};
-  const core::QuantizedNetwork faulted = memory.load_network(qnet, read_rng);
-  const ann::Mlp net = faulted.dequantize();
-  return accuracy_pr3(net, test.images, test.labels);
-}
-
-// ---------------------------------------------------------------------------
 
 /// Fig. 5-shaped synthetic failure table: 6T rates fall off exponentially
 /// with vdd (read dominant, write ~1/3, disturb ~1/10), 8T cells are
@@ -184,7 +102,7 @@ int main(int argc, char** argv) {
       parse_flag(argc, argv, "--fuse", 0));  // 0 = auto group sizing
 
   bench::print_header(
-      "Chip-evaluation hot path: legacy full-rebuild vs delta+workspace",
+      "Chip-evaluation hot path: reference full-rebuild vs delta+workspace",
       "Section V simulation framework; Fig. 8/9 sweep workload");
 
   const ann::Mlp net{core::table1_layer_sizes(), 5};
@@ -234,19 +152,13 @@ int main(int argc, char** argv) {
     return arm;
   };
 
-  std::printf("[pr3]    full rebuild + pre-rework unblocked GEMM...\n");
-  const ArmResult pr3 = run_arm([&](const core::FaultModel& model,
-                                    std::size_t chip) {
-    return evaluate_chip_pr3(qnet, config, model, test, eval.seed, chip);
-  });
-
-  std::printf("[legacy] full rebuild + blocked GEMM (EvalPath::legacy)...\n");
-  const ArmResult legacy = run_arm([&](const core::FaultModel& model,
-                                       std::size_t chip) {
+  std::printf("[reference] full rebuild per chip (core::evaluate_chip)...\n");
+  const ArmResult reference = run_arm([&](const core::FaultModel& model,
+                                          std::size_t chip) {
     return core::evaluate_chip(qnet, config, model, test, eval.seed, chip);
   });
 
-  std::printf("[delta]  delta-fault + workspace (EvalPath::delta)...\n");
+  std::printf("[delta]  delta-fault + workspace, per chip...\n");
   core::EvalContextPool contexts;
   const std::uint64_t qnet_fp = core::network_fingerprint(qnet);
   const ArmResult delta = run_arm([&](const core::FaultModel& model,
@@ -307,8 +219,7 @@ int main(int argc, char** argv) {
 
   bool identical = true;
   for (std::size_t v = 0; v < vdds.size(); ++v) {
-    identical &= pr3.per_point[v] == delta.per_point[v];
-    identical &= legacy.per_point[v] == delta.per_point[v];
+    identical &= reference.per_point[v] == delta.per_point[v];
     identical &= fused.per_point[v] == delta.per_point[v];
     if (have_simd) identical &= fused_simd.per_point[v] == delta.per_point[v];
   }
@@ -317,10 +228,9 @@ int main(int argc, char** argv) {
   const auto row = [&](const char* name, const ArmResult& arm) {
     out.add_row({name, util::Table::num(arm.seconds, 2),
                  util::Table::num(arm.chips_per_sec, 1),
-                 util::Table::num(pr3.seconds / arm.seconds, 2) + "x"});
+                 util::Table::num(reference.seconds / arm.seconds, 2) + "x"});
   };
-  row("pr3 (pre-rework)", pr3);
-  row("legacy (rebuild, new kernels)", legacy);
+  row("reference (full rebuild)", reference);
   row("delta+workspace", delta);
   row("fused (reference backend)", fused);
   if (have_simd) row("fused (simd backend)", fused_simd);
@@ -339,14 +249,12 @@ int main(int argc, char** argv) {
        << "  \"threads\": "
        << (opts.threads == 0 ? util::default_thread_count() : opts.threads)
        << ",\n"
-       << "  \"pr3_seconds\": " << pr3.seconds << ",\n"
-       << "  \"pr3_chips_per_sec\": " << pr3.chips_per_sec << ",\n"
-       << "  \"legacy_seconds\": " << legacy.seconds << ",\n"
-       << "  \"legacy_chips_per_sec\": " << legacy.chips_per_sec << ",\n"
+       << "  \"reference_seconds\": " << reference.seconds << ",\n"
+       << "  \"reference_chips_per_sec\": " << reference.chips_per_sec
+       << ",\n"
        << "  \"delta_seconds\": " << delta.seconds << ",\n"
        << "  \"delta_chips_per_sec\": " << delta.chips_per_sec << ",\n"
-       << "  \"speedup_vs_pr3\": " << pr3.seconds / delta.seconds << ",\n"
-       << "  \"speedup_vs_legacy\": " << legacy.seconds / delta.seconds
+       << "  \"speedup_vs_reference\": " << reference.seconds / delta.seconds
        << ",\n"
        << "  \"fused_group\": " << group << ",\n"
        << "  \"fused_seconds\": " << fused.seconds << ",\n"

@@ -1,9 +1,10 @@
-// bench_serve_throughput: replays a mixed 200-request trace against
-// serve::EvalService three ways -- naive mode (no request coalescing: every
-// dispatch builds its own failure table, no batch fusion), coalesced mode
-// (fingerprint single-flight + batch fusion), and socket mode (the same
-// coalesced service behind serve::TcpServer, the trace sent as JSONL over
-// loopback TCP by serve::TcpClient) -- and reports wall time, requests/sec
+// bench_serve_throughput: replays a mixed 200-request trace three ways --
+// naive (outside the service: every request builds its own failure table
+// and is evaluated alone, on two workers like the service's two
+// dispatchers), coalesced serve::EvalService (fingerprint single-flight +
+// batch fusion), and socket mode (the same coalesced service behind
+// serve::TcpServer, the trace sent as JSONL over loopback TCP by
+// serve::TcpClient) -- and reports wall time, requests/sec
 // and the number of Monte-Carlo table builds each mode paid for. The socket
 // arm prices the transport: codec + TCP + per-connection session on top of
 // the coalesced in-process path. The trace mixes 4 table provenances,
@@ -24,10 +25,12 @@
 // --latency-json PATH (write the saturation sweep as
 // BENCH_serve_latency.json).
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <exception>
 #include <fstream>
 #include <optional>
 #include <string>
@@ -35,8 +38,13 @@
 #include <vector>
 
 #include "ann/trainer.hpp"
+#include "circuit/reference.hpp"
 #include "common.hpp"
 #include "data/digits.hpp"
+#include "engine/experiment_runner.hpp"
+#include "mc/criteria.hpp"
+#include "mc/failure_table.hpp"
+#include "mc/variation.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "serve/eval_service.hpp"
@@ -87,18 +95,86 @@ struct ModeResult {
   std::uint64_t failed = 0;
 };
 
-ModeResult run_mode(const core::QuantizedNetwork& qnet,
-                    const data::Dataset& test,
-                    const std::vector<serve::Request>& trace, bool coalesce,
-                    std::size_t samples, std::size_t threads) {
+serve::ServiceOptions service_options(std::size_t samples,
+                                      std::size_t threads) {
   serve::ServiceOptions options;
-  options.coalesce = coalesce;
   options.queue_capacity = kRequests + 8;
   options.dispatchers = 2;
   options.threads = threads;
   options.vdd_grid = {0.60, 0.70};
   options.default_samples = samples;
-  serve::EvalService service{qnet, test, options};
+  return options;
+}
+
+/// Naive arm, computed outside the service: two worker threads (the
+/// service's two dispatchers) each take the next request, build its failure
+/// table from scratch and evaluate it alone -- no table sharing, no batch
+/// fusion. The provenance and eval options are the ones the coalesced
+/// service derives, so both arms do the same work per request.
+ModeResult run_naive(const core::QuantizedNetwork& qnet,
+                     const data::Dataset& test,
+                     const std::vector<serve::Request>& trace,
+                     std::size_t samples, std::size_t threads) {
+  const serve::ServiceOptions options = service_options(samples, threads);
+  const circuit::Technology tech = circuit::ptm22();
+  const circuit::Sizing6T s6 = circuit::reference_sizing_6t(tech);
+  const circuit::Sizing8T s8 = circuit::reference_sizing_8t(tech);
+  const sram::SubArrayModel array{tech, sram::SubArrayGeometry{}, s6};
+  const sram::CycleModel cycle{tech, array, circuit::Bitcell6T{tech, s6}};
+  const mc::VariationSampler sampler{tech, s6, s8};
+  const mc::FailureCriteria criteria{tech, cycle, s6, s8};
+  mc::AnalyzerOptions ao;
+  ao.mc_samples = samples;
+  ao.is_samples = std::max<std::size_t>(samples / 2, 200);
+  ao.threads = threads;
+  const mc::FailureAnalyzer analyzer{criteria, sampler, ao};
+  const engine::ExperimentRunner runner{threads};
+
+  std::atomic<std::size_t> next{0};
+  std::atomic<std::uint64_t> failed{0};
+  const auto worker = [&] {
+    for (std::size_t i = next++; i < trace.size(); i = next++) {
+      const serve::Request& r = trace[i];
+      try {
+        const mc::FailureTable table =
+            mc::FailureTable::build(analyzer, options.vdd_grid, r.table_seed);
+        core::EvalOptions eval;
+        eval.chips = r.chips;
+        eval.seed = options.default_eval_seed;
+        std::vector<engine::SweepPoint> points;
+        for (const serve::ConfigSpec& cfg : r.configs) {
+          for (const double vdd : r.vdds) {
+            points.push_back({cfg.materialize(qnet.bank_words()), vdd});
+          }
+        }
+        (void)runner.run(
+            qnet, engine::EvalJob::sweep(points, eval).against(table), test);
+      } catch (const std::exception&) {
+        ++failed;
+      }
+    }
+  };
+
+  const auto t0 = std::chrono::steady_clock::now();
+  std::thread second{worker};
+  worker();
+  second.join();
+  const auto t1 = std::chrono::steady_clock::now();
+
+  ModeResult out;
+  out.seconds = std::chrono::duration<double>{t1 - t0}.count();
+  out.requests_per_sec = static_cast<double>(kRequests) / out.seconds;
+  out.table_builds = trace.size();
+  out.batches = trace.size();
+  out.failed = failed;
+  return out;
+}
+
+ModeResult run_coalesced(const core::QuantizedNetwork& qnet,
+                         const data::Dataset& test,
+                         const std::vector<serve::Request>& trace,
+                         std::size_t samples, std::size_t threads) {
+  serve::EvalService service{qnet, test, service_options(samples, threads)};
 
   const auto t0 = std::chrono::steady_clock::now();
   for (const serve::Request& r : trace) service.submit(r);
@@ -125,14 +201,7 @@ ModeResult run_socket_mode(const core::QuantizedNetwork& qnet,
                            const data::Dataset& test,
                            const std::vector<serve::Request>& trace,
                            std::size_t samples, std::size_t threads) {
-  serve::ServiceOptions options;
-  options.coalesce = true;
-  options.queue_capacity = kRequests + 8;
-  options.dispatchers = 2;
-  options.threads = threads;
-  options.vdd_grid = {0.60, 0.70};
-  options.default_samples = samples;
-  serve::EvalService service{qnet, test, options};
+  serve::EvalService service{qnet, test, service_options(samples, threads)};
   serve::TcpServer server{service};  // ephemeral loopback port
 
   std::optional<serve::TcpClient> client =
@@ -199,13 +268,8 @@ struct LatencyResult {
 LatencyResult run_latency_sweep(const core::QuantizedNetwork& qnet,
                                 const data::Dataset& test,
                                 std::size_t samples, std::size_t threads) {
-  serve::ServiceOptions options;
-  options.coalesce = true;
+  serve::ServiceOptions options = service_options(samples, threads);
   options.max_batch = 1;
-  options.dispatchers = 2;
-  options.threads = threads;
-  options.vdd_grid = {0.60, 0.70};
-  options.default_samples = samples;
   options.queue_capacity = 4096;  // open-loop overload must queue, not block
   serve::EvalService service{qnet, test, options};
 
@@ -327,12 +391,11 @@ int main(int argc, char** argv) {
       "%zu MC samples/mechanism)...\n",
       kRequests, static_cast<unsigned long long>(kProvenances), samples);
 
-  std::printf("  naive (no coalescing)...\n");
-  const ModeResult naive =
-      run_mode(qnet, test, trace, false, samples, opts.threads);
+  std::printf("  naive (one build + one dispatch per request)...\n");
+  const ModeResult naive = run_naive(qnet, test, trace, samples, opts.threads);
   std::printf("  coalesced...\n");
   const ModeResult coal =
-      run_mode(qnet, test, trace, true, samples, opts.threads);
+      run_coalesced(qnet, test, trace, samples, opts.threads);
   std::printf("  socket (coalesced over loopback TCP)...\n");
   const ModeResult socket =
       run_socket_mode(qnet, test, trace, samples, opts.threads);

@@ -380,9 +380,9 @@ int cmd_stats(const std::string& endpoint_text, const std::string& mode) {
     const serve::HealthSummary& h = *response->health;
     std::printf("health of %s:%u (up %.1fs)\n", endpoint->host.c_str(),
                 endpoint->port, h.uptime_s);
-    std::printf("  queue %zu/%zu  dispatchers %zu  backend %s  path %s\n",
+    std::printf("  queue %zu/%zu  dispatchers %zu  backend %s\n",
                 h.queue_depth, h.queue_capacity, h.dispatchers,
-                h.backend.c_str(), h.eval_path.c_str());
+                h.backend.c_str());
     if (!h.cache_dir.empty()) {
       std::printf("  cache %s: %zu tables, %llu bytes\n", h.cache_dir.c_str(),
                   h.cache_tables,

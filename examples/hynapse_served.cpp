@@ -16,7 +16,6 @@
 //     --dispatchers N  service dispatcher threads              [2]
 //     --cache DIR      failure-table CSV cache directory
 //                      [$HYNAPSE_CACHE_DIR, else .hynapse_cache]
-//     --naive          disable request coalescing (baseline mode)
 //     --per-chip       emit per-chip accuracies in responses
 //     --listen [PORT]  serve the JSONL protocol over TCP instead of stdin
 //                      (PORT 0/omitted = ephemeral; Ctrl-C stops)
@@ -75,7 +74,6 @@ struct Cli {
   std::size_t dispatchers = 2;
   std::size_t fuse = 0;  // fused chip-group size (0 = auto)
   std::string cache_dir;
-  bool naive = false;
   bool per_chip = false;
   bool listen = false;
   std::size_t listen_port = 0;
@@ -130,8 +128,6 @@ Cli parse_cli(int argc, char** argv) {
     } else if (arg == "--cache") {
       cli.ok = cli.ok && i + 1 < argc;
       if (cli.ok) cli.cache_dir = argv[++i];
-    } else if (arg == "--naive") {
-      cli.naive = true;
     } else if (arg == "--per-chip") {
       cli.per_chip = true;
     } else if (arg == "--metrics-prometheus") {
@@ -429,7 +425,7 @@ int usage() {
       stderr,
       "usage: hynapse_served [--threads N] [--backend reference|simd]\n"
       "                      [--chips N] [--samples N] [--dispatchers N]\n"
-      "                      [--fuse N] [--cache DIR] [--naive]\n"
+      "                      [--fuse N] [--cache DIR]\n"
       "                      [--per-chip] [--listen [PORT]]\n"
       "                      [--metrics-prometheus PATH]\n"
       "                      [--journal PATH] [--recover] [--admission]\n"
@@ -464,7 +460,6 @@ int main(int argc, char** argv) {
   options.default_samples = cli.samples;
   options.dispatchers = cli.dispatchers;
   options.cache_dir = cli.cache_dir;
-  options.coalesce = !cli.naive;
   options.fuse_chips = cli.fuse;
   options.journal.path = cli.journal_path;
   options.admission.enabled = cli.admission;
@@ -534,9 +529,8 @@ int main(int argc, char** argv) {
   }
   std::fprintf(stderr,
                "[served] ready (chips=%zu samples=%zu dispatchers=%zu "
-               "coalesce=%s backend=%s cache=%s)\n",
+               "backend=%s cache=%s)\n",
                cli.chips, cli.samples, cli.dispatchers,
-               cli.naive ? "off" : "on",
                std::string{ann::backends::backend_name(options.backend)}
                    .c_str(),
                cli.cache_dir.c_str());

@@ -89,12 +89,6 @@ EXTRACTORS = {
         "chips/s",
         True,
     ),
-    "eval speedup vs pre-rework": (
-        "BENCH_eval_hotpath",
-        lambda d: d.get("speedup_vs_pr3"),
-        "x",
-        True,
-    ),
     "shard scatter/merge (best)": (
         "BENCH_shard_scaling",
         lambda d: d.get("best_sharded_seconds"),

@@ -6,12 +6,13 @@
 #   * the fig5 adaptive-MC arm (BENCH_fig5_adaptive_mc.json): CI-targeted
 #     sampling vs the fixed-sample oracle at the paper-default budget --
 #     sample reduction, oracle agreement, and fixed-path bit-identity.
-#   * bench_serve_throughput: the 200-request mixed trace through
-#     serve::EvalService, naive vs coalesced (requests/sec + table builds),
-#     plus the offered-load saturation sweep (BENCH_serve_latency.json:
+#   * bench_serve_throughput: the 200-request mixed trace, naive (one
+#     table build and one evaluation per request, outside the service) vs
+#     coalesced serve::EvalService (requests/sec + table builds), plus the
+#     offered-load saturation sweep (BENCH_serve_latency.json:
 #     p50/p95/p99 latency per load level around the measured capacity).
 #   * bench_eval_hotpath: chips/sec through the ANN fault-injection hot
-#     path, pre-rework baseline vs full-rebuild vs delta+workspace.
+#     path, full-rebuild reference vs delta+workspace vs fused groups.
 #   * bench_shard_scaling: monolithic vs sharded (scatter/merge) failure-
 #     table builds over the {1,2,5} shard x {1,3,8} thread matrix, with
 #     bit-identity asserted.
@@ -25,8 +26,8 @@
 #                                   timing run (default 12000; the paper
 #                                   default 40000 is too slow for CI).
 #      HYNAPSE_SERVE_BENCH_SAMPLES  MC samples per table build in the serve
-#                                   trace (default 300: the trace pays for
-#                                   hundreds of builds in naive mode).
+#                                   trace (default 300: the naive arm pays
+#                                   for one build per request).
 #      HYNAPSE_EVAL_BENCH_CHIPS     chips per sweep point for the hot-path
 #                                   A/B (default 24).
 #      HYNAPSE_SHARD_BENCH_SAMPLES  MC samples per mechanism for the shard
@@ -127,7 +128,7 @@ serve_samples=${HYNAPSE_SERVE_BENCH_SAMPLES:-300}
   --json "${out_dir}/BENCH_serve_throughput.json" \
   --latency-json "${out_dir}/BENCH_serve_latency.json"
 
-echo "== bench_eval_hotpath: legacy rebuild vs delta+workspace =="
+echo "== bench_eval_hotpath: reference rebuild vs delta+workspace vs fused =="
 eval_chips=${HYNAPSE_EVAL_BENCH_CHIPS:-24}
 "${build_dir}/bench/bench_eval_hotpath" \
   --chips "${eval_chips}" \

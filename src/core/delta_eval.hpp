@@ -1,5 +1,5 @@
 // Delta-fault chip evaluation: the allocation-free fast path behind
-// core::evaluate_accuracy (EvalPath::delta).
+// core::evaluate_accuracy and engine::ExperimentRunner.
 //
 // A simulated chip's faulted network differs from the clean dequantized
 // baseline only at defect-touched words — every other synapse survives the
@@ -14,7 +14,7 @@
 //    touched word,
 //  * applies the deltas to a shared clean baseline Mlp, runs the workspace
 //    forward pass, and reverts them.
-// Results are bit-identical to the legacy evaluate_chip for all three
+// Results are bit-identical to the reference core::evaluate_chip for all three
 // ReadFaultPolicy modes (tests/test_core_delta_eval.cpp pins this); the
 // determinism contract (docs/engine.md) carries over unchanged because a
 // context is fully re-derived from (network, config, model, seed, chip) on

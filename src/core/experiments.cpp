@@ -46,35 +46,24 @@ AccuracyResult evaluate_accuracy(const QuantizedNetwork& qnet,
   const FaultModel model{failures, vdd, options.policy};
   AccuracyResult result;
   result.per_chip.resize(options.chips);
-  if (options.path == EvalPath::legacy) {
-    util::parallel_for(
-        options.chips,
-        [&](std::size_t chip) {
-          result.per_chip[chip] =
-              evaluate_chip(qnet, config, model, test, options.seed, chip);
-        },
-        options.threads);
-  } else {
-    EvalContextPool local_pool;
-    EvalContextPool& pool = contexts != nullptr ? *contexts : local_pool;
-    const std::uint64_t qnet_fp = network_fingerprint(qnet);
-    const std::size_t group =
-        fused_group_size(options.fuse_chips, options.chips, options.threads);
-    const std::size_t num_groups = (options.chips + group - 1) / group;
-    util::parallel_for(
-        num_groups,
-        [&](std::size_t g) {
-          const std::size_t begin = g * group;
-          const std::size_t count =
-              std::min(group, options.chips - begin);
-          EvalContextPool::Lease lease{pool};
-          lease.context().evaluate_chips(
-              qnet, qnet_fp, config, model, test, options.seed, begin, count,
-              std::span<double>{result.per_chip}.subspan(begin, count),
-              options.backend);
-        },
-        options.threads);
-  }
+  EvalContextPool local_pool;
+  EvalContextPool& pool = contexts != nullptr ? *contexts : local_pool;
+  const std::uint64_t qnet_fp = network_fingerprint(qnet);
+  const std::size_t group =
+      fused_group_size(options.fuse_chips, options.chips, options.threads);
+  const std::size_t num_groups = (options.chips + group - 1) / group;
+  util::parallel_for(
+      num_groups,
+      [&](std::size_t g) {
+        const std::size_t begin = g * group;
+        const std::size_t count = std::min(group, options.chips - begin);
+        EvalContextPool::Lease lease{pool};
+        lease.context().evaluate_chips(
+            qnet, qnet_fp, config, model, test, options.seed, begin, count,
+            std::span<double>{result.per_chip}.subspan(begin, count),
+            options.backend);
+      },
+      options.threads);
   result.mean = util::mean(result.per_chip);
   result.stddev = util::stddev(result.per_chip);
   return result;

@@ -24,19 +24,6 @@ struct AccuracyResult {
   std::vector<double> per_chip;
 };
 
-/// Chip-evaluation implementation. Both produce bit-identical results for
-/// every ReadFaultPolicy (pinned by tests/test_core_delta_eval.cpp).
-enum class EvalPath : std::uint8_t {
-  /// Sparse-delta fast path (default): chips are evaluated as per-defect
-  /// deltas over a shared clean baseline with preallocated forward-pass
-  /// workspaces — no per-chip memory-image rebuild (docs/performance.md).
-  delta,
-  /// Reference path: full SynapticMemory store/load round trip and a fresh
-  /// dequantized network per chip. Kept as the bit-exact oracle and the
-  /// bench_eval_hotpath baseline.
-  legacy,
-};
-
 struct EvalOptions {
   std::size_t chips = 5;           ///< independent chip instances
   std::uint64_t seed = 2024;
@@ -44,15 +31,14 @@ struct EvalOptions {
   /// Parallelism cap for the chip loop (0 = util::default_thread_count(),
   /// 1 = serial). Results are bit-identical for any value.
   std::size_t threads = 0;
-  EvalPath path = EvalPath::delta;
-  /// GEMM kernel backend for the forward passes (delta path). Every backend
-  /// is bit-identical (ann/backends/backend.hpp); the default follows the
+  /// GEMM kernel backend for the forward passes. Every backend is
+  /// bit-identical (ann/backends/backend.hpp); the default follows the
   /// process-wide --backend selection.
   ann::backends::Backend backend = ann::backends::default_backend();
-  /// Fused-evaluation group size for the delta path: how many chips share
-  /// one batched forward pass (weight matrices streamed once per group
-  /// instead of once per chip). 0 = auto (fused_group_size), 1 = per-chip,
-  /// N = fixed groups of N. Results are bit-identical for any value.
+  /// Fused-evaluation group size: how many chips share one batched forward
+  /// pass (weight matrices streamed once per group instead of once per
+  /// chip). 0 = auto (fused_group_size), 1 = per-chip, N = fixed groups of
+  /// N. Results are bit-identical for any value.
   std::size_t fuse_chips = 0;
 };
 
@@ -67,9 +53,11 @@ struct EvalOptions {
                                            std::size_t threads);
 
 /// Accuracy of one simulated chip instance: chip index `chip` under
-/// `eval_seed`. The unit of parallelism for evaluate_accuracy and
-/// engine::ExperimentRunner -- a chip's result depends only on
-/// (qnet, config, model, test, eval_seed, chip), never on scheduling.
+/// `eval_seed`, by the full SynapticMemory store/load round trip and a
+/// fresh dequantized network. A chip's result depends only on (qnet,
+/// config, model, test, eval_seed, chip), never on scheduling. The
+/// reference the delta path (core/delta_eval.hpp) reproduces bit for bit;
+/// tests and bench_eval_hotpath compare against it.
 [[nodiscard]] double evaluate_chip(const QuantizedNetwork& qnet,
                                    const MemoryConfig& config,
                                    const FaultModel& model,
@@ -78,11 +66,12 @@ struct EvalOptions {
 
 /// Stores the network into `config` at `vdd` on each simulated chip, reads
 /// it back through the fault model and measures test accuracy. Chips are
-/// evaluated on the shared thread pool (see EvalOptions::threads) via the
-/// path selected by EvalOptions::path. `contexts` optionally supplies a
-/// persistent EvalContextPool so the delta path's baselines/workspaces
-/// survive across calls (engine::ExperimentRunner passes its own); when
-/// null, a call-local pool is used.
+/// evaluated as sparse per-defect deltas over a shared clean baseline, in
+/// fused groups (EvalOptions::fuse_chips) on the shared thread pool (see
+/// EvalOptions::threads); results are bit-identical to evaluate_chip.
+/// `contexts` optionally supplies a persistent EvalContextPool so
+/// baselines/workspaces survive across calls (engine::ExperimentRunner
+/// passes its own); when null, a call-local pool is used.
 [[nodiscard]] AccuracyResult evaluate_accuracy(
     const QuantizedNetwork& qnet, const MemoryConfig& config,
     const mc::FailureTable& failures, double vdd, const data::Dataset& test,

@@ -34,10 +34,8 @@ std::vector<core::AccuracyResult> ExperimentRunner::run(
 
   // Fault models are cheap to derive from a table; one per point, shared
   // read-only by that point's chip jobs. The flat job space is (point x
-  // chip group): legacy points contribute one group per chip, delta points
-  // carve their chips into fused groups so each group shares one batched
-  // forward pass.
-  std::vector<const mc::FailureTable*> tables(job.points.size(), nullptr);
+  // chip group): each point carves its chips into fused groups so each
+  // group shares one batched forward pass.
   std::vector<std::optional<core::FaultModel>> models(job.points.size());
   struct GroupJob {
     std::size_t point;
@@ -47,52 +45,36 @@ std::vector<core::AccuracyResult> ExperimentRunner::run(
   std::vector<GroupJob> groups;
   for (std::size_t p = 0; p < job.points.size(); ++p) {
     const BatchPoint& pt = job.points[p];
-    tables[p] = pt.failures != nullptr ? pt.failures : shared;
-    std::size_t chips = 0;
-    if (tables[p] != nullptr) {
-      chips = pt.options.chips;
-      models[p].emplace(*tables[p], pt.vdd, pt.options.policy);
-    }
+    const mc::FailureTable* table =
+        pt.failures != nullptr ? pt.failures : shared;
+    if (table == nullptr) continue;
+    const std::size_t chips = pt.options.chips;
+    models[p].emplace(*table, pt.vdd, pt.options.policy);
     results[p].per_chip.resize(chips);
     const std::size_t group =
-        pt.options.path == core::EvalPath::delta
-            ? core::fused_group_size(pt.options.fuse_chips, chips, threads)
-            : 1;
+        core::fused_group_size(pt.options.fuse_chips, chips, threads);
     for (std::size_t begin = 0; begin < chips; begin += group) {
       groups.push_back(GroupJob{p, begin, std::min(group, chips - begin)});
     }
   }
+  if (groups.empty()) return results;
 
   // The network fingerprint keys the per-worker delta baselines; one hash
-  // covers the whole batch since every point shares `qnet`, and an
-  // all-legacy batch (the A/B-comparison usage) skips it entirely.
-  std::uint64_t qnet_fp = job.qnet_fp;
-  const bool any_delta = std::any_of(
-      job.points.begin(), job.points.end(), [&](const BatchPoint& pt) {
-        return (pt.failures != nullptr || shared != nullptr) &&
-               pt.options.path == core::EvalPath::delta;
-      });
-  if (any_delta && qnet_fp == 0) {
-    qnet_fp = core::network_fingerprint(qnet);
-  }
+  // covers the whole batch since every point shares `qnet`.
+  const std::uint64_t qnet_fp =
+      job.qnet_fp != 0 ? job.qnet_fp : core::network_fingerprint(qnet);
   util::parallel_for(
       groups.size(),
       [&](std::size_t g) {
         const GroupJob& gj = groups[g];
         const BatchPoint& pt = job.points[gj.point];
-        if (pt.options.path == core::EvalPath::legacy) {
-          results[gj.point].per_chip[gj.chip_begin] = core::evaluate_chip(
-              qnet, pt.config, *models[gj.point], test, pt.options.seed,
-              gj.chip_begin);
-        } else {
-          core::EvalContextPool::Lease lease{contexts_};
-          lease.context().evaluate_chips(
-              qnet, qnet_fp, pt.config, *models[gj.point], test,
-              pt.options.seed, gj.chip_begin, gj.count,
-              std::span<double>{results[gj.point].per_chip}
-                  .subspan(gj.chip_begin, gj.count),
-              pt.options.backend);
-        }
+        core::EvalContextPool::Lease lease{contexts_};
+        lease.context().evaluate_chips(
+            qnet, qnet_fp, pt.config, *models[gj.point], test,
+            pt.options.seed, gj.chip_begin, gj.count,
+            std::span<double>{results[gj.point].per_chip}
+                .subspan(gj.chip_begin, gj.count),
+            pt.options.backend);
       },
       threads);
 

@@ -127,6 +127,13 @@ void EvalService::run_callbacks(FiredCallbacks& fired) {
   fired.terminals.clear();
   for (auto& [fn, response] : fired.callbacks) fn(response);
   fired.callbacks.clear();
+  if (fired.finished == 0) return;
+  {
+    const std::scoped_lock lock{mutex_};
+    pending_ -= fired.finished;
+  }
+  fired.finished = 0;
+  cv_done_.notify_all();
 }
 
 double EvalService::client_weight(const std::string& client) const {
@@ -407,7 +414,7 @@ EvalService::Totals EvalService::totals() const {
   const engine::ShardStats shards = coordinator_.stats();
   const std::scoped_lock lock{mutex_};
   Totals t = totals_;
-  t.table_builds = cache.builds + naive_builds_;
+  t.table_builds = cache.builds;
   t.table_memory_hits = cache.memory_hits;
   t.table_disk_hits = cache.disk_hits;
   t.shard_builds = shards.shards_built;
@@ -423,11 +430,8 @@ HealthSummary EvalService::health() const {
   h.dispatchers = options_.dispatchers;
   h.threads = options_.threads;
   h.backend = std::string{ann::backends::backend_name(options_.backend)};
-  h.eval_path =
-      options_.eval_path == core::EvalPath::delta ? "delta" : "legacy";
   h.fuse_chips = options_.fuse_chips;
   h.max_batch = options_.max_batch;
-  h.coalesce = options_.coalesce;
   h.cache_dir = options_.cache_dir;
   if (!options_.cache_dir.empty()) {
     // Directory scan + per-file validation: IO, done without the service
@@ -534,8 +538,7 @@ std::vector<EvalService::SlotPtr> EvalService::next_batch() {
   // table_shard requests only fuse with other table_shard requests: their
   // fp is the shard-extended fingerprint, so a fused shard batch is a set
   // of identical shard requests answered by one build.
-  if (options_.coalesce &&
-      batch[0]->request.kind != RequestKind::table_info &&
+  if (batch[0]->request.kind != RequestKind::table_info &&
       batch[0]->request.kind != RequestKind::stats) {
     const bool shard_leader =
         batch[0]->request.kind == RequestKind::table_shard;
@@ -636,7 +639,7 @@ void EvalService::finish_locked(const SlotPtr& slot, RequestStatus status,
       !(stop_ && status == RequestStatus::cancelled)) {
     fired.terminals.emplace_back(slot->id, status);
   }
-  --pending_;
+  ++fired.finished;
 
   // Bound the retained-response history: evict the oldest terminal slots.
   // A concurrent wait() on an evicted slot still completes -- it holds its
@@ -800,17 +803,7 @@ void EvalService::execute_batch(const std::vector<SlotPtr>& batch) {
 
   const Clock::time_point t0 = Clock::now();
   engine::TableSource source = engine::TableSource::built;
-  const mc::FailureTable* table = nullptr;
-  mc::FailureTable private_table;  // naive mode: one build per dispatch
-  if (options_.coalesce) {
-    table = &cache_.get(spec, analyzer, false, &source);
-  } else {
-    private_table =
-        mc::FailureTable::build(analyzer, spec.vdd_grid, spec.seed);
-    table = &private_table;
-    const std::scoped_lock lock{mutex_};
-    ++naive_builds_;
-  }
+  const mc::FailureTable* table = &cache_.get(spec, analyzer, false, &source);
   const double table_ms = ms_between(t0, Clock::now());
   span.mark("table");
 
@@ -838,7 +831,6 @@ void EvalService::execute_batch(const std::vector<SlotPtr>& batch) {
       }
       eval.seed =
           req.eval_seed != 0 ? req.eval_seed : options_.default_eval_seed;
-      eval.path = options_.eval_path;
       eval.backend = options_.backend;
       eval.fuse_chips = options_.fuse_chips;
       for (const ConfigSpec& cfg : req.configs) {
@@ -883,7 +875,7 @@ void EvalService::execute_batch(const std::vector<SlotPtr>& batch) {
       // A request "coalesced" when it reused table work someone else paid
       // for: any batch rider, or a leader served from memory/disk.
       stats.coalesced = i > 0 || source != engine::TableSource::built;
-      slot->response.table_in_memory = options_.coalesce;  // memoized by get()
+      slot->response.table_in_memory = true;  // memoized by get()
 
       if (!ranges[i].error.empty()) {
         finish_locked(slot, RequestStatus::failed, std::move(ranges[i].error),

@@ -25,10 +25,7 @@
 //    queued request with the same fingerprint (up to max_batch) and fuses
 //    the whole group into ONE ExperimentRunner::run (EvalJob) submission,
 //    amortizing pool wake-ups and quantized-network copies across many
-//    small requests.
-// `coalesce = false` disables both layers -- every request acquires a
-// private table build and dispatches alone, which is the naive baseline
-// bench_serve_throughput compares against.
+//    small requests. `max_batch = 1` dispatches every request alone.
 //
 // Determinism contract: results are bit-identical to calling
 // ExperimentRunner::evaluate directly with the same request parameters,
@@ -94,12 +91,6 @@ struct ServiceOptions {
   /// nullopt for its id). Bounds memory on long-lived services.
   std::size_t completed_history = 4096;
   std::size_t threads = 0;           ///< pool participation cap (0 = default)
-  bool coalesce = true;              ///< table single-flight + batch fusion
-  /// Chip-evaluation path for every request. The default delta path reuses
-  /// the runner's persistent per-worker baselines/workspaces across
-  /// requests; legacy is the full-rebuild reference (bit-identical, for
-  /// A/B runs).
-  core::EvalPath eval_path = core::EvalPath::delta;
   /// GEMM kernel backend for every request's forward passes (bit-identical
   /// across backends; see ann/backends/backend.hpp). Follows the
   /// process-wide --backend selection by default.
@@ -197,7 +188,8 @@ class EvalService {
   /// are not interrupted (returns false).
   bool cancel(std::uint64_t id);
 
-  /// Blocks until no request is queued or running.
+  /// Blocks until no request is queued or running and every finished
+  /// request's journal record and completion callback have run.
   void drain();
 
   /// Dispatch gate, for deterministic queue shaping (tests, trace replay):
@@ -206,8 +198,8 @@ class EvalService {
   void resume();
 
   /// Service-lifetime counters (the protocol-level ServiceTotals: the
-  /// `stats` op carries them in its health summary). Table counters merge
-  /// the shared cache's stats with the naive-mode private builds.
+  /// `stats` op carries them in its health summary). Table counters come
+  /// from the shared cache and the shard coordinator.
   using Totals = ServiceTotals;
   [[nodiscard]] Totals totals() const;
 
@@ -257,12 +249,16 @@ class EvalService {
   struct FiredCallbacks {
     std::vector<std::pair<Completion, Response>> callbacks;
     std::vector<std::pair<std::uint64_t, RequestStatus>> terminals;
+    /// Requests finished into this batch: they leave pending_ only once
+    /// run_callbacks has run their records and callbacks.
+    std::uint64_t finished = 0;
   };
 
   std::uint64_t enqueue_locked(Request&& request, std::uint64_t fp,
                                Completion on_complete,
                                std::unique_lock<std::mutex>& lock);
-  /// Journals armed terminal records, then fires completion callbacks.
+  /// Journals armed terminal records, fires completion callbacks, then
+  /// retires the finished requests from pending_ (waking drain()).
   void run_callbacks(FiredCallbacks& fired);
   void dispatcher_loop();
   /// Admission predicate: queue has room AND (when admission is enabled)
@@ -349,18 +345,19 @@ class EvalService {
   mutable std::mutex mutex_;
   std::condition_variable cv_work_;   ///< queue gained work / unpaused / stop
   std::condition_variable cv_space_;  ///< queue gained space
-  std::condition_variable cv_done_;   ///< some request reached a terminal state
+  std::condition_variable cv_done_;   ///< a request finished / pending_ fell
   std::deque<SlotPtr> queue_;
   std::unordered_map<std::uint64_t, SlotPtr> slots_;
   std::deque<std::uint64_t> finished_;  ///< terminal ids, oldest first
   const std::uint64_t first_id_ = 1;
   std::uint64_t next_id_ = 1;
   std::uint64_t dispatch_seq_ = 0;
-  std::uint64_t pending_ = 0;  ///< queued + running requests
+  /// Queued + running requests, plus finished ones whose journal record
+  /// and callback have not run yet (drain() waits for zero).
+  std::uint64_t pending_ = 0;
   bool paused_ = false;
   bool stop_ = false;
   Totals totals_;
-  std::uint64_t naive_builds_ = 0;
   /// Queued (not yet dispatched) requests per client id; entries are erased
   /// at zero, so the map is bounded by queue content.
   std::unordered_map<std::string, std::size_t> client_queued_;

@@ -599,10 +599,8 @@ std::string format_response(const Response& response, bool per_chip) {
     health.set("dispatchers", static_cast<double>(h.dispatchers));
     health.set("threads", static_cast<double>(h.threads));
     health.set("backend", h.backend);
-    health.set("eval_path", h.eval_path);
     health.set("fuse_chips", static_cast<double>(h.fuse_chips));
     health.set("max_batch", static_cast<double>(h.max_batch));
-    health.set("coalesce", h.coalesce);
     if (!h.cache_dir.empty()) health.set("cache_dir", h.cache_dir);
     health.set("cache_tables", static_cast<double>(h.cache_tables));
     health.set("cache_bytes", static_cast<double>(h.cache_bytes));
@@ -866,14 +864,6 @@ std::optional<Response> parse_response(std::string_view line,
     if (const Json* v = health->get("backend");
         v != nullptr && v->is_string()) {
       h.backend = v->as_string();
-    }
-    if (const Json* v = health->get("eval_path");
-        v != nullptr && v->is_string()) {
-      h.eval_path = v->as_string();
-    }
-    if (const Json* v = health->get("coalesce");
-        v != nullptr && v->is_bool()) {
-      h.coalesce = v->as_bool();
     }
     if (const Json* v = health->get("cache_dir");
         v != nullptr && v->is_string()) {

@@ -187,7 +187,7 @@ struct RequestStats {
 
 /// Service-lifetime counters, answered by the `stats` op (and by
 /// EvalService::totals(), which aliases this as Totals). Table counters
-/// merge the shared cache's stats with the naive-mode private builds.
+/// come from the shared cache and the shard coordinator.
 struct ServiceTotals {
   std::uint64_t submitted = 0;
   std::uint64_t completed = 0;
@@ -216,11 +216,9 @@ struct HealthSummary {
   std::size_t dispatchers = 0;
   std::size_t threads = 0;         ///< pool participation cap (0 = default)
   std::string backend;             ///< GEMM kernel backend name
-  std::string eval_path;           ///< "delta" or "legacy"
   std::size_t fuse_chips = 0;
   std::size_t max_batch = 0;
-  bool coalesce = false;
-  std::string cache_dir;           ///< "" = in-memory cache
+  std::string cache_dir;          ///< "" = in-memory cache
   std::size_t cache_tables = 0;    ///< persisted CSV artifacts in cache_dir
   std::uint64_t cache_bytes = 0;   ///< their total size on disk
   ServiceTotals totals;

@@ -1,11 +1,10 @@
 // Data-parallel loop primitives over the persistent util::ThreadPool.
 //
-// The templated entry points bind the caller's functor through a plain
-// function pointer + context pointer, so the hot path performs no
-// std::function construction and no per-chunk allocation (one small shared
-// control block per region is the only heap traffic). The std::function
-// overloads below are retained as thin wrappers for call sites that still
-// pass type-erased callables.
+// The entry points bind the caller's functor through a plain function
+// pointer + context pointer, so the hot path performs no std::function
+// construction and no per-chunk allocation (one small shared control block
+// per region is the only heap traffic). A type-erased callable such as a
+// std::function is just another functor here.
 //
 // Determinism contract (see docs/engine.md): parallel_for / parallel_for_chunks
 // guarantee each index/chunk runs exactly once, with chunk *boundaries*
@@ -17,7 +16,6 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <memory>
 #include <type_traits>
 #include <vector>
@@ -103,15 +101,5 @@ template <typename T, typename MapFn, typename CombineFn>
   for (T& p : partials) acc = combine(std::move(acc), std::move(p));
   return acc;
 }
-
-// ---------------------------------------------------------------------------
-// Legacy type-erased signatures, kept as thin wrappers during the migration.
-
-void parallel_for_chunks(std::size_t n,
-                         const std::function<void(std::size_t, std::size_t)>& fn,
-                         std::size_t threads = 0);
-
-void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
-                  std::size_t threads = 0);
 
 }  // namespace hynapse::util

@@ -1,11 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <filesystem>
 
 #include "ann/mlp.hpp"
 #include "ann/serialize.hpp"
 #include "ann/trainer.hpp"
+#include "test_helpers.hpp"
 #include "util/rng.hpp"
 
 namespace hynapse::ann {
@@ -121,12 +121,12 @@ TEST(Activations, GradientCheckTanhNetwork) {
 
 TEST(Activations, SerializationPreservesActivation) {
   const Mlp net{{4, 6, 2}, 31, Activation::tanh_lecun};
-  const std::string path = "/tmp/hynapse_test_act.bin";
+  const testing::ScratchDir dir;
+  const std::string path = dir.file("act.bin");
   save_mlp(net, path);
   const auto loaded = load_mlp(path);
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(loaded->hidden_activation(), Activation::tanh_lecun);
-  std::filesystem::remove(path);
 }
 
 TEST(Activations, DeepSigmoidStallsWhereTanhTrains) {

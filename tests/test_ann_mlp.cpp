@@ -3,12 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <filesystem>
 #include <fstream>
 
 #include "ann/serialize.hpp"
 #include "ann/trainer.hpp"
 #include "ann/workspace.hpp"
+#include "test_helpers.hpp"
 #include "util/rng.hpp"
 
 namespace hynapse::ann {
@@ -173,7 +173,8 @@ TEST(Trainer, DeterministicForFixedSeeds) {
 
 TEST(Serialize, RoundTripsExactly) {
   const Mlp net{{6, 5, 3}, 23};
-  const std::string path = "/tmp/hynapse_test_model.bin";
+  const testing::ScratchDir dir;
+  const std::string path = dir.file("model.bin");
   save_mlp(net, path);
   const auto loaded = load_mlp(path);
   ASSERT_TRUE(loaded.has_value());
@@ -182,21 +183,21 @@ TEST(Serialize, RoundTripsExactly) {
     EXPECT_EQ(loaded->weight(l), net.weight(l));
     EXPECT_EQ(loaded->bias(l), net.bias(l));
   }
-  std::filesystem::remove(path);
 }
 
 TEST(Serialize, MissingFileGivesNullopt) {
-  EXPECT_FALSE(load_mlp("/tmp/definitely_not_here.bin").has_value());
+  const testing::ScratchDir dir;
+  EXPECT_FALSE(load_mlp(dir.file("definitely_not_here.bin")).has_value());
 }
 
 TEST(Serialize, RejectsCorruptHeader) {
-  const std::string path = "/tmp/hynapse_test_corrupt.bin";
+  const testing::ScratchDir dir;
+  const std::string path = dir.file("corrupt.bin");
   {
     std::ofstream out{path, std::ios::binary};
     out << "garbage data that is not a model";
   }
   EXPECT_FALSE(load_mlp(path).has_value());
-  std::filesystem::remove(path);
 }
 
 TEST(Workspace, AccuracyBitIdenticalToPlainOverload) {

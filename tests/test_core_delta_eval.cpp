@@ -1,14 +1,14 @@
-// Pins the delta-fault fast path (core::EvalPath::delta) to the legacy
-// full-rebuild path bit for bit: across all three ReadFaultPolicy modes,
-// serial and parallel chip loops, and all three memory-configuration
-// families. Also covers the EvalContext/EvalContextPool machinery itself
-// (baseline rebind across networks, revert-after-evaluate, pool reuse) and
-// the util::Rng::discard jump the power-up reads rely on.
+// Pins the delta-fault fast path behind core::evaluate_accuracy to the
+// full-rebuild reference core::evaluate_chip bit for bit: across all three
+// ReadFaultPolicy modes, serial and parallel chip loops, and all three
+// memory-configuration families. Also covers the EvalContext/
+// EvalContextPool machinery itself (baseline rebind across networks,
+// revert-after-evaluate, pool reuse) and the util::Rng::discard jump the
+// power-up reads rely on.
 #include <gtest/gtest.h>
 
 #include "core/delta_eval.hpp"
 #include "core/experiments.hpp"
-#include "engine/experiment_runner.hpp"
 #include "test_helpers.hpp"
 #include "util/rng.hpp"
 
@@ -31,6 +31,22 @@ std::vector<MemoryConfig> config_families(const QuantizedNetwork& qnet) {
           MemoryConfig::per_layer(qnet.bank_words(), msbs)};
 }
 
+/// The reference answer: every chip through the full-rebuild
+/// core::evaluate_chip, one after another.
+std::vector<double> reference_chips(const QuantizedNetwork& qnet,
+                                    const MemoryConfig& config,
+                                    const mc::FailureTable& table, double vdd,
+                                    const data::Dataset& test,
+                                    const EvalOptions& options) {
+  const FaultModel model{table, vdd, options.policy};
+  std::vector<double> per_chip(options.chips);
+  for (std::size_t chip = 0; chip < options.chips; ++chip) {
+    per_chip[chip] =
+        evaluate_chip(qnet, config, model, test, options.seed, chip);
+  }
+  return per_chip;
+}
+
 TEST(DeltaEval, BitIdenticalToLegacyAcrossPoliciesConfigsAndThreads) {
   const QuantizedNetwork& qnet = test_qnet();
   const data::Dataset test = small_test_set().head(250);
@@ -45,16 +61,13 @@ TEST(DeltaEval, BitIdenticalToLegacyAcrossPoliciesConfigsAndThreads) {
       options.chips = 4;
       options.seed = 777;
       options.policy = policy;
-      options.path = EvalPath::legacy;
-      options.threads = 1;
-      const AccuracyResult legacy =
-          evaluate_accuracy(qnet, config, table, 0.63, test, options);
-      options.path = EvalPath::delta;
+      const std::vector<double> reference =
+          reference_chips(qnet, config, table, 0.63, test, options);
       for (const std::size_t threads : {1u, 3u, 8u}) {
         options.threads = threads;
         const AccuracyResult delta =
             evaluate_accuracy(qnet, config, table, 0.63, test, options);
-        EXPECT_EQ(delta.per_chip, legacy.per_chip)
+        EXPECT_EQ(delta.per_chip, reference)
             << "policy=" << static_cast<int>(policy)
             << " config=" << config.describe() << " threads=" << threads;
       }
@@ -68,7 +81,6 @@ TEST(DeltaEval, ZeroFaultChipsMatchQuantizedAccuracy) {
   const mc::FailureTable table = flat_table(0.0, 0.0, 0.0);
   EvalOptions options;
   options.chips = 2;
-  options.path = EvalPath::delta;
   const AccuracyResult r = evaluate_accuracy(
       qnet, MemoryConfig::all_6t(qnet.bank_words()), table, 0.7, test,
       options);
@@ -115,7 +127,6 @@ TEST(DeltaEval, ContextRebindsAcrossNetworks) {
   const mc::FailureTable table = flat_table(0.02, 0.005, 0.001);
   EvalOptions options;
   options.chips = 2;
-  options.path = EvalPath::delta;
   options.policy = ReadFaultPolicy::random_per_read;
 
   EvalContextPool pool;
@@ -129,40 +140,9 @@ TEST(DeltaEval, ContextRebindsAcrossNetworks) {
       evaluate_accuracy(qnet_a, MemoryConfig::all_6t(qnet_a.bank_words()),
                         table, 0.65, test, options, &pool);
   EXPECT_EQ(a1.per_chip, a2.per_chip);
-
-  options.path = EvalPath::legacy;
-  const AccuracyResult b_legacy =
-      evaluate_accuracy(qnet_b, MemoryConfig::all_6t(qnet_b.bank_words()),
-                        table, 0.65, test, options);
-  EXPECT_EQ(b1.per_chip, b_legacy.per_chip);
-}
-
-TEST(DeltaEval, MixedPathBatchIsBitIdentical) {
-  // An EvalJob batch with per-point paths: legacy and delta points in one
-  // fused submission agree with each other point-for-point.
-  const QuantizedNetwork& qnet = test_qnet();
-  const data::Dataset test = small_test_set().head(150);
-  const mc::FailureTable table = flat_table(0.025, 0.008, 0.002);
-  const engine::ExperimentRunner runner;
-
-  EvalOptions delta_options;
-  delta_options.chips = 3;
-  delta_options.path = EvalPath::delta;
-  EvalOptions legacy_options = delta_options;
-  legacy_options.path = EvalPath::legacy;
-
-  const MemoryConfig config = MemoryConfig::uniform_hybrid(qnet.bank_words(), 2);
-  std::vector<engine::BatchPoint> points;
-  points.push_back(engine::BatchPoint{config, 0.62, &table, delta_options});
-  points.push_back(engine::BatchPoint{config, 0.62, &table, legacy_options});
-  points.push_back(engine::BatchPoint{config, 0.70, &table, delta_options});
-  points.push_back(engine::BatchPoint{config, 0.70, &table, legacy_options});
-  const std::vector<AccuracyResult> results =
-      runner.run(qnet, engine::EvalJob::batch(std::move(points)), test);
-  ASSERT_EQ(results.size(), 4u);
-  EXPECT_EQ(results[0].per_chip, results[1].per_chip);
-  EXPECT_EQ(results[2].per_chip, results[3].per_chip);
-  EXPECT_GT(runner.contexts().idle_count(), 0u);
+  EXPECT_EQ(b1.per_chip,
+            reference_chips(qnet_b, MemoryConfig::all_6t(qnet_b.bank_words()),
+                            table, 0.65, test, options));
 }
 
 TEST(DeltaEval, ShapeErrorsMatchLegacy) {
@@ -173,7 +153,6 @@ TEST(DeltaEval, ShapeErrorsMatchLegacy) {
   const std::vector<std::size_t> extra{100, 100, 100, 100};
   EvalOptions options;
   options.chips = 1;
-  options.path = EvalPath::delta;
   EXPECT_THROW(
       (void)evaluate_accuracy(qnet, MemoryConfig::all_6t(extra), table, 0.7,
                               test, options),

@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <filesystem>
 #include <fstream>
 #include <numeric>
 
 #include "data/dataset.hpp"
 #include "data/digits.hpp"
 #include "data/idx.hpp"
+#include "test_helpers.hpp"
 
 namespace hynapse::data {
 namespace {
@@ -123,7 +123,8 @@ TEST(Dataset, HeadTakesPrefix) {
 
 TEST(Idx, ImagesRoundTrip) {
   const Dataset ds = generate_digits(20, 19);
-  const std::string path = "/tmp/hynapse_test.idx3";
+  const testing::ScratchDir dir;
+  const std::string path = dir.file("images.idx3");
   write_idx_images(ds.images, kDigitSide, kDigitSide, path);
   const auto loaded = read_idx_images(path);
   ASSERT_TRUE(loaded.has_value());
@@ -132,48 +133,47 @@ TEST(Idx, ImagesRoundTrip) {
   // Byte quantization allows 1/255 error.
   for (std::size_t i = 0; i < loaded->size(); ++i)
     EXPECT_NEAR(loaded->data()[i], ds.images.data()[i], 1.0 / 255.0 + 1e-6);
-  std::filesystem::remove(path);
 }
 
 TEST(Idx, LabelsRoundTrip) {
   const std::vector<std::uint8_t> labels{3, 1, 4, 1, 5, 9, 2, 6};
-  const std::string path = "/tmp/hynapse_test.idx1";
+  const testing::ScratchDir dir;
+  const std::string path = dir.file("labels.idx1");
   write_idx_labels(labels, path);
   const auto loaded = read_idx_labels(path);
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(*loaded, labels);
-  std::filesystem::remove(path);
 }
 
 TEST(Idx, DatasetPairLoad) {
   const Dataset ds = generate_digits(15, 23);
-  const std::string ip = "/tmp/hynapse_pair.idx3";
-  const std::string lp = "/tmp/hynapse_pair.idx1";
+  const testing::ScratchDir dir;
+  const std::string ip = dir.file("pair.idx3");
+  const std::string lp = dir.file("pair.idx1");
   write_idx_images(ds.images, kDigitSide, kDigitSide, ip);
   write_idx_labels(ds.labels, lp);
   const auto loaded = load_idx_dataset(ip, lp);
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(loaded->size(), 15u);
   EXPECT_EQ(loaded->labels, ds.labels);
-  std::filesystem::remove(ip);
-  std::filesystem::remove(lp);
 }
 
 TEST(Idx, MissingOrMalformedGivesNullopt) {
-  EXPECT_FALSE(read_idx_images("/tmp/nope.idx3").has_value());
-  const std::string path = "/tmp/hynapse_bad.idx3";
+  const testing::ScratchDir dir;
+  EXPECT_FALSE(read_idx_images(dir.file("nope.idx3")).has_value());
+  const std::string path = dir.file("bad.idx3");
   {
     std::ofstream out{path, std::ios::binary};
     out << "junk";
   }
   EXPECT_FALSE(read_idx_images(path).has_value());
   EXPECT_FALSE(read_idx_labels(path).has_value());
-  std::filesystem::remove(path);
 }
 
 TEST(Idx, WriterRejectsShapeMismatch) {
   const Dataset ds = generate_digits(5, 29);
-  EXPECT_THROW(write_idx_images(ds.images, 10, 10, "/tmp/x.idx3"),
+  const testing::ScratchDir dir;
+  EXPECT_THROW(write_idx_images(ds.images, 10, 10, dir.file("x.idx3")),
                std::invalid_argument);
 }
 

@@ -18,6 +18,7 @@
 #include "mc/failure_table.hpp"
 #include "mc/montecarlo.hpp"
 #include "mc/variation.hpp"
+#include "test_helpers.hpp"
 
 namespace hynapse::engine {
 namespace {
@@ -296,13 +297,8 @@ TEST(TableFingerprint, SensitiveToInputsButNotThreads) {
 
 class TableCacheTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = "/tmp/hynapse_test_cache";
-    std::filesystem::remove_all(dir_);
-    std::filesystem::create_directories(dir_);
-  }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
-  std::string dir_;
+  const testing::ScratchDir scratch_;
+  const std::string dir_ = scratch_.path().string();
 };
 
 TEST_F(TableCacheTest, PersistsAndReloadsByFingerprint) {

@@ -21,6 +21,7 @@
 #include "mc/failure_table.hpp"
 #include "mc/montecarlo.hpp"
 #include "mc/variation.hpp"
+#include "test_helpers.hpp"
 
 #include "ann/mlp.hpp"
 #include "core/quantized_network.hpp"
@@ -54,12 +55,7 @@ class ShardTest : public ::testing::Test {
         array_{tech_, sram::SubArrayGeometry{}, s6_},
         cycle_{tech_, array_, circuit::Bitcell6T{tech_, s6_}},
         sampler_{tech_, s6_, s8_},
-        criteria_{tech_, cycle_, s6_, s8_} {
-    dir_ = "/tmp/hynapse_test_shards";
-    std::filesystem::remove_all(dir_);
-    std::filesystem::create_directories(dir_);
-  }
-  ~ShardTest() override { std::filesystem::remove_all(dir_); }
+        criteria_{tech_, cycle_, s6_, s8_} {}
 
   mc::AnalyzerOptions fast_opts(std::size_t threads = 0) const {
     mc::AnalyzerOptions o;
@@ -91,7 +87,8 @@ class ShardTest : public ::testing::Test {
   sram::CycleModel cycle_;
   mc::VariationSampler sampler_;
   mc::FailureCriteria criteria_;
-  std::string dir_;
+  const testing::ScratchDir scratch_;
+  const std::string dir_ = scratch_.path().string();
 };
 
 TEST(ShardBounds, PartitionIsContiguousExhaustiveAndBalanced) {

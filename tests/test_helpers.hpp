@@ -1,7 +1,13 @@
-// Shared fixtures for the core/integration tests: a small trained digit
-// classifier (trained once per process) and hand-built failure tables with
-// exactly controlled rates.
+// Shared fixtures for the tests: a small trained digit classifier (trained
+// once per process), hand-built failure tables with exactly controlled
+// rates, and a per-test scratch directory.
 #pragma once
+
+#include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <filesystem>
+#include <string>
 
 #include "ann/trainer.hpp"
 #include "core/quantized_network.hpp"
@@ -9,6 +15,46 @@
 #include "mc/failure_table.hpp"
 
 namespace hynapse::testing {
+
+/// Fresh, empty scratch directory under the system temp dir, keyed by the
+/// running test's suite and name plus the process id, and removed on
+/// destruction. ctest runs every test case as its own process, in
+/// parallel, so a fixed path would let one case delete another's files.
+class ScratchDir {
+ public:
+  ScratchDir() {
+    const ::testing::TestInfo* info =
+        ::testing::UnitTest::GetInstance()->current_test_info();
+    std::string name = "hynapse_";
+    if (info != nullptr) {
+      name += std::string{info->test_suite_name()} + "." + info->name() + "_";
+    }
+    name += std::to_string(::getpid());
+    for (char& c : name) {
+      if (c == '/') c = '_';  // parameterized suite and test names
+    }
+    dir_ = std::filesystem::temp_directory_path() / name;
+    std::filesystem::remove_all(dir_);
+    std::filesystem::create_directories(dir_);
+  }
+  ~ScratchDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(dir_, ec);
+  }
+  ScratchDir(const ScratchDir&) = delete;
+  ScratchDir& operator=(const ScratchDir&) = delete;
+
+  [[nodiscard]] const std::filesystem::path& path() const noexcept {
+    return dir_;
+  }
+  /// Path of `file` inside the directory.
+  [[nodiscard]] std::string file(const std::string& name) const {
+    return (dir_ / name).string();
+  }
+
+ private:
+  std::filesystem::path dir_;
+};
 
 /// Small 784-48-24-10 digit classifier, ~97 %+ on the synthetic test set.
 /// Trained lazily once; subsequent calls return the cached model.

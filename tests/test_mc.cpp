@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <filesystem>
 #include <fstream>
 #include <vector>
 
@@ -11,6 +10,7 @@
 #include "mc/failure_table.hpp"
 #include "mc/montecarlo.hpp"
 #include "mc/variation.hpp"
+#include "test_helpers.hpp"
 
 namespace hynapse::mc {
 namespace {
@@ -40,6 +40,7 @@ class McTest : public ::testing::Test {
   sram::CycleModel cycle_;
   VariationSampler sampler_;
   FailureCriteria criteria_;
+  const testing::ScratchDir scratch_;
 };
 
 TEST_F(McTest, SamplerSigmasFollowPelgrom) {
@@ -172,7 +173,7 @@ TEST_F(McTest, FailureTableCsvRoundTrip) {
   const FailureAnalyzer analyzer{criteria_, sampler_, fast_opts()};
   const double grid[] = {0.65, 0.80};
   const FailureTable table = FailureTable::build(analyzer, grid, 7);
-  const std::string path = "/tmp/hynapse_test_ftable.csv";
+  const std::string path = scratch_.file("ftable.csv");
   table.save_csv(path);
   const auto loaded = FailureTable::load_csv(path);
   ASSERT_TRUE(loaded.has_value());
@@ -180,24 +181,22 @@ TEST_F(McTest, FailureTableCsvRoundTrip) {
                    table.rates_6t(0.65).read_access);
   EXPECT_DOUBLE_EQ(loaded->rates_8t(0.80).write_fail,
                    table.rates_8t(0.80).write_fail);
-  std::filesystem::remove(path);
 }
 
 TEST_F(McTest, FailureTableLoadRejectsGarbage) {
-  const std::string path = "/tmp/hynapse_test_badtable.csv";
+  const std::string path = scratch_.file("badtable.csv");
   {
     std::ofstream out{path};
     out << "not,a,table\nstill,not,one\n";
   }
   EXPECT_FALSE(FailureTable::load_csv(path).has_value());
   EXPECT_FALSE(FailureTable::load_csv("/no/such/file.csv").has_value());
-  std::filesystem::remove(path);
 }
 
 TEST_F(McTest, FailureTableLoadsV2CsvWithZeroedMetadata) {
   // CSV v2 predates the samples/ci_half_width columns; a v2 cache file must
   // still load, with the metadata zeroed (not rejected, not garbage).
-  const std::string path = "/tmp/hynapse_test_v2table.csv";
+  const std::string path = scratch_.file("v2table.csv");
   {
     std::ofstream out{path};
     out << "# hynapse-failure-table v2 fp=0000000000000000\n"
@@ -213,13 +212,12 @@ TEST_F(McTest, FailureTableLoadsV2CsvWithZeroedMetadata) {
   EXPECT_DOUBLE_EQ(loaded->rows()[0].samples, 0.0);
   EXPECT_DOUBLE_EQ(loaded->rows()[0].ci_half_width, 0.0);
   EXPECT_DOUBLE_EQ(loaded->total_samples(), 0.0);
-  std::filesystem::remove(path);
 }
 
 TEST_F(McTest, FailureTableLoadsV3CsvWithReorderedColumns) {
   // The v3 loader maps columns by name, so a file whose columns were
   // reordered (e.g. by a spreadsheet round trip) still parses correctly.
-  const std::string path = "/tmp/hynapse_test_v3reorder.csv";
+  const std::string path = scratch_.file("v3reorder.csv");
   {
     std::ofstream out{path};
     out << "# hynapse-failure-table v3 fp=0000000000000000\n"
@@ -234,11 +232,10 @@ TEST_F(McTest, FailureTableLoadsV3CsvWithReorderedColumns) {
   EXPECT_DOUBLE_EQ(loaded->rows()[0].cell6.read_disturb, 0.001);
   EXPECT_DOUBLE_EQ(loaded->rows()[0].samples, 12000.0);
   EXPECT_DOUBLE_EQ(loaded->rows()[0].ci_half_width, 0.003);
-  std::filesystem::remove(path);
 }
 
 TEST_F(McTest, FailureTableRejectsBadColumnsAndMetadata) {
-  const std::string path = "/tmp/hynapse_test_v3bad.csv";
+  const std::string path = scratch_.file("v3bad.csv");
   const auto write_and_load = [&](const std::string& header,
                                   const std::string& row) {
     {
@@ -268,7 +265,6 @@ TEST_F(McTest, FailureTableRejectsBadColumnsAndMetadata) {
   EXPECT_FALSE(write_and_load("vdd,ra6,wr6,rd6,ra8,wr8,rd8,ci_half_width",
                               "0.65,0,0,0,0,0,0,1.5")
                    .has_value());
-  std::filesystem::remove(path);
 }
 
 TEST_F(McTest, FailureTableMergePreservesMetadata) {

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <filesystem>
 #include <vector>
 
 #include "circuit/reference.hpp"
@@ -15,6 +14,7 @@
 #include "mc/montecarlo.hpp"
 #include "mc/variation.hpp"
 #include "obs/metrics.hpp"
+#include "test_helpers.hpp"
 
 namespace hynapse::mc {
 namespace {
@@ -242,7 +242,8 @@ TEST_F(McAdaptiveTest, CsvV3RoundTripPreservesMetadata) {
   const double grid[] = {0.65, 0.80};
   const FailureAnalyzer analyzer{criteria_, sampler_, adaptive_opts()};
   const FailureTable table = FailureTable::build(analyzer, grid, 17);
-  const std::string path = "/tmp/hynapse_test_adaptive_table.csv";
+  const hynapse::testing::ScratchDir dir;
+  const std::string path = dir.file("adaptive_table.csv");
   table.save_csv(path, 0xfeedu);
   const auto loaded = FailureTable::load_csv(path, 0xfeedu);
   ASSERT_TRUE(loaded.has_value());
@@ -252,7 +253,6 @@ TEST_F(McAdaptiveTest, CsvV3RoundTripPreservesMetadata) {
     EXPECT_DOUBLE_EQ(loaded->rows()[i].ci_half_width,
                      table.rows()[i].ci_half_width);
   }
-  std::filesystem::remove(path);
 }
 
 TEST_F(McAdaptiveTest, FingerprintFoldsAdaptivePolicy) {

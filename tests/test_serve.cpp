@@ -18,6 +18,7 @@
 #include "mc/variation.hpp"
 #include "obs/metrics.hpp"
 #include "serve/eval_service.hpp"
+#include "test_helpers.hpp"
 
 namespace hynapse::serve {
 namespace {
@@ -167,31 +168,9 @@ TEST_F(EvalServiceTest, SameProvenanceRequestsShareOneBuild) {
   EXPECT_TRUE(saw_fused_batch);
 }
 
-TEST_F(EvalServiceTest, NaiveModeBuildsPerDispatch) {
-  ServiceOptions opts = fast_options();
-  opts.coalesce = false;
-  opts.start_paused = true;
-  EvalService service{qnet_, test_, opts};
-
-  std::vector<std::uint64_t> ids;
-  for (int i = 0; i < 4; ++i) {
-    ids.push_back(service.submit(evaluate_request("hybrid2", 0.65)));
-  }
-  service.resume();
-  service.drain();
-
-  const EvalService::Totals totals = service.totals();
-  EXPECT_EQ(totals.completed, 4u);
-  EXPECT_EQ(totals.table_builds, 4u);  // no sharing: one build per request
-  EXPECT_EQ(totals.coalesced_requests, 0u);
-  for (const std::uint64_t id : ids) {
-    EXPECT_EQ(service.wait(id).stats.batch_size, 1u);
-  }
-}
-
 TEST_F(EvalServiceTest, HigherPriorityDispatchesFirst) {
   ServiceOptions opts = fast_options();
-  opts.coalesce = false;  // keep each request its own dispatch
+  opts.max_batch = 1;     // keep each request its own dispatch
   opts.dispatchers = 1;   // single consumer -> strict dispatch order
   opts.start_paused = true;
   EvalService service{qnet_, test_, opts};
@@ -277,12 +256,9 @@ TEST_F(EvalServiceTest, SweepGridAndBadConfigFailAreIndependent) {
 }
 
 TEST_F(EvalServiceTest, TableInfoReportsProvenanceAndPersistence) {
-  const std::string dir = "/tmp/hynapse_serve_test_cache";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-
+  const testing::ScratchDir dir;
   ServiceOptions opts = fast_options();
-  opts.cache_dir = dir;
+  opts.cache_dir = dir.path().string();
   EvalService service{qnet_, test_, opts};
 
   Request info;
@@ -302,17 +278,12 @@ TEST_F(EvalServiceTest, TableInfoReportsProvenanceAndPersistence) {
   EXPECT_EQ(after.table_rows, 1u);  // the 1-point grid CSV on disk
   EXPECT_TRUE(std::filesystem::exists(after.table_csv));
   EXPECT_EQ(after.table_fingerprint, eval.table_fingerprint);
-
-  std::filesystem::remove_all(dir);
 }
 
 TEST_F(EvalServiceTest, TableShardBuildsPersistsAndReplays) {
-  const std::string dir = "/tmp/hynapse_serve_shard_cache";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-
+  const testing::ScratchDir dir;
   ServiceOptions opts = fast_options();
-  opts.cache_dir = dir;
+  opts.cache_dir = dir.path().string();
   opts.vdd_grid = {0.65, 0.75, 0.85};  // 3 voltages -> up to 3 shards
   EvalService service{qnet_, test_, opts};
 
@@ -355,8 +326,6 @@ TEST_F(EvalServiceTest, TableShardBuildsPersistsAndReplays) {
   const EvalService::Totals totals = service.totals();
   EXPECT_EQ(totals.shard_builds, 2u);
   EXPECT_EQ(totals.shard_replays, 1u);
-
-  std::filesystem::remove_all(dir);
 }
 
 TEST_F(EvalServiceTest, TableShardOutOfRangeFailsCleanly) {
@@ -577,7 +546,6 @@ TEST_F(EvalServiceTest, StatsOpReportsHealthAndRegistry) {
   EXPECT_GT(h.queue_capacity, 0u);
   EXPECT_EQ(h.dispatchers, 2u);
   EXPECT_FALSE(h.backend.empty());
-  EXPECT_TRUE(h.eval_path == "delta" || h.eval_path == "legacy");
   EXPECT_TRUE(h.cache_dir.empty());
   EXPECT_EQ(h.cache_tables, 0u);
   // Snapshot taken before the scrape's own terminal transition: the three

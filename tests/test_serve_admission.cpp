@@ -142,13 +142,12 @@ TEST_F(AdmissionTest, QueueFullRejectionCarriesRetryHint) {
 }
 
 TEST_F(AdmissionTest, FairDispatchPreventsStarvationOfQuietClient) {
-  // One dispatcher, one request per batch, no coalescing: the dispatch
-  // order is exactly the least-credit pick sequence.
+  // One dispatcher, one request per batch: the dispatch order is exactly
+  // the least-credit pick sequence.
   ServiceOptions opts = fast_options();
   opts.queue_capacity = 16;
   opts.dispatchers = 1;
   opts.max_batch = 1;
-  opts.coalesce = false;
   opts.start_paused = true;
   opts.admission.enabled = true;
   opts.admission.client_share = 1.0;  // quotas out of the way

@@ -17,6 +17,7 @@
 #include "serve/eval_service.hpp"
 #include "serve/journal.hpp"
 #include "serve/protocol.hpp"
+#include "test_helpers.hpp"
 
 namespace hynapse::serve {
 namespace {
@@ -26,19 +27,8 @@ namespace fs = std::filesystem;
 /// Fresh scratch directory per test, removed on teardown.
 class JournalTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = fs::temp_directory_path() /
-           ("hynapse_journal_" +
-            std::string{::testing::UnitTest::GetInstance()
-                            ->current_test_info()
-                            ->name()});
-    fs::remove_all(dir_);
-    fs::create_directories(dir_);
-  }
-  void TearDown() override { fs::remove_all(dir_); }
-
   [[nodiscard]] std::string path(const char* name = "requests.jsonl") const {
-    return (dir_ / name).string();
+    return scratch_.file(name);
   }
 
   static Request evaluate_request(const char* config, double vdd) {
@@ -49,7 +39,7 @@ class JournalTest : public ::testing::Test {
     return r;
   }
 
-  fs::path dir_;
+  const testing::ScratchDir scratch_;
 };
 
 TEST_F(JournalTest, RoundTripSubmitsAndTerminals) {

@@ -437,11 +437,9 @@ TEST(Protocol, StatsResponseRoundTripsHealthAndRegistry) {
   h.dispatchers = 2;
   h.threads = 4;
   h.backend = "simd";
-  h.eval_path = "delta";
   h.fuse_chips = 8;
   h.max_batch = 16;
-  h.coalesce = true;
-  h.cache_dir = "/tmp/cache";
+  h.cache_dir = "/srv/hynapse/cache";
   h.cache_tables = 2;
   h.cache_bytes = 4096;
   h.totals.submitted = 10;
@@ -485,11 +483,9 @@ TEST(Protocol, StatsResponseRoundTripsHealthAndRegistry) {
   EXPECT_EQ(ph.dispatchers, 2u);
   EXPECT_EQ(ph.threads, 4u);
   EXPECT_EQ(ph.backend, "simd");
-  EXPECT_EQ(ph.eval_path, "delta");
   EXPECT_EQ(ph.fuse_chips, 8u);
   EXPECT_EQ(ph.max_batch, 16u);
-  EXPECT_TRUE(ph.coalesce);
-  EXPECT_EQ(ph.cache_dir, "/tmp/cache");
+  EXPECT_EQ(ph.cache_dir, "/srv/hynapse/cache");
   EXPECT_EQ(ph.cache_tables, 2u);
   EXPECT_EQ(ph.cache_bytes, 4096u);
   EXPECT_EQ(ph.totals.submitted, 10u);

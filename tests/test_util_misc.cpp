@@ -2,10 +2,10 @@
 
 #include <atomic>
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <numeric>
 
+#include "test_helpers.hpp"
 #include "util/csv.hpp"
 #include "util/parallel.hpp"
 #include "util/table.hpp"
@@ -55,7 +55,8 @@ TEST(Csv, EscapesSpecialCharacters) {
 }
 
 TEST(Csv, WritesRoundTrippableFile) {
-  const std::string path = "/tmp/hynapse_test_csv.csv";
+  const testing::ScratchDir dir;
+  const std::string path = dir.file("table.csv");
   {
     CsvWriter w{path};
     w.header({"vdd", "rate"});
@@ -71,7 +72,6 @@ TEST(Csv, WritesRoundTrippableFile) {
   EXPECT_EQ(line, "0.65,1e-2");
   std::getline(in, line);
   EXPECT_EQ(line, "0.7,0.025");
-  std::filesystem::remove(path);
 }
 
 TEST(Csv, ThrowsOnUnwritablePath) {

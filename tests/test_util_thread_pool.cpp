@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
@@ -256,6 +257,7 @@ TEST(ParallelReduce, ExceptionPropagatesFromWorkerTask) {
 }
 
 TEST(ParallelLegacy, StdFunctionWrappersStillWork) {
+  // Type-erased callables go through the same template entry points.
   std::vector<std::atomic<int>> hits(512);
   const std::function<void(std::size_t)> fn = [&](std::size_t i) {
     ++hits[i];
