@@ -7,7 +7,7 @@
 //     voltages, through engine::ExperimentRunner::run for every backend and
 //     for per-chip and auto-sized fused groups (one digest for all of them);
 //   * the `results` of a fixed request trace through serve::EvalService;
-//   * a small-budget fixed-sample mc::FailureTable.
+//   * a small-budget mc::FailureTable, fixed-sample and adaptive.
 //
 // A deliberate numerical change re-blesses the pins: run
 //   HYNAPSE_BLESS_GOLDEN=1 ./test_golden
@@ -40,6 +40,7 @@ namespace {
 constexpr std::uint64_t kChipAccuracyDigest = 0xee980f8079944b6b;
 constexpr std::uint64_t kServiceTraceDigest = 0xf28320f74da3ae4a;
 constexpr std::uint64_t kFixedTableDigest = 0xefeeef52a15ae3b0;
+constexpr std::uint64_t kAdaptiveTableDigest = 0xe9c6b155823fbb11;
 
 bool blessing() {
   const char* env = std::getenv("HYNAPSE_BLESS_GOLDEN");
@@ -174,7 +175,9 @@ TEST(Golden, ServiceTraceResults) {
   expect_golden("kServiceTraceDigest", h.digest(), kServiceTraceDigest);
 }
 
-TEST(Golden, FixedSampleFailureTable) {
+/// Digest of a small-budget table over a 3-point grid: every rate plus the
+/// per-row sampling metadata.
+std::uint64_t small_table_digest(const mc::AnalyzerOptions& ao) {
   const circuit::Technology tech = circuit::ptm22();
   const circuit::Sizing6T s6 = circuit::reference_sizing_6t(tech);
   const circuit::Sizing8T s8 = circuit::reference_sizing_8t(tech);
@@ -182,9 +185,6 @@ TEST(Golden, FixedSampleFailureTable) {
   const sram::CycleModel cycle{tech, array, circuit::Bitcell6T{tech, s6}};
   const mc::VariationSampler sampler{tech, s6, s8};
   const mc::FailureCriteria criteria{tech, cycle, s6, s8};
-  mc::AnalyzerOptions ao;
-  ao.mc_samples = 600;
-  ao.is_samples = 300;
   const mc::FailureAnalyzer analyzer{criteria, sampler, ao};
   const std::vector<double> grid{0.60, 0.75, 0.90};
   const mc::FailureTable table = mc::FailureTable::build(analyzer, grid, 7);
@@ -200,7 +200,32 @@ TEST(Golden, FixedSampleFailureTable) {
     h.f64(row.samples);
     h.f64(row.ci_half_width);
   }
-  expect_golden("kFixedTableDigest", h.digest(), kFixedTableDigest);
+  return h.digest();
+}
+
+TEST(Golden, FixedSampleFailureTable) {
+  mc::AnalyzerOptions ao;
+  ao.mc_samples = 600;
+  ao.is_samples = 300;
+  expect_golden("kFixedTableDigest", small_table_digest(ao),
+                kFixedTableDigest);
+}
+
+TEST(Golden, AdaptiveFailureTable) {
+  // The cold served request's policy shape (rel 0.3, abs 1e-4) at a budget
+  // small enough that some mechanisms converge, some escape to the
+  // importance-sampled tail and some hit the max clamp.
+  mc::AnalyzerOptions ao;
+  ao.mc_samples = 1600;
+  ao.is_samples = 300;
+  ao.adaptive.enabled = true;
+  ao.adaptive.rel_target = 0.3;
+  ao.adaptive.abs_target = 1e-4;
+  ao.adaptive.batch_samples = 200;
+  ao.adaptive.min_samples = 200;
+  ao.adaptive.tail_escape_samples = 400;
+  expect_golden("kAdaptiveTableDigest", small_table_digest(ao),
+                kAdaptiveTableDigest);
 }
 
 }  // namespace
