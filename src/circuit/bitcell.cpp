@@ -1,5 +1,6 @@
 #include "circuit/bitcell.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <utility>
@@ -15,6 +16,32 @@ Inverter make_half(const Technology& tech, const Sizing6T& s, double dvt_pu,
                    double dvt_pd) {
   return Inverter{Mosfet{tech.pmos, s.w_pu, tech.lmin, dvt_pu},
                   Mosfet{tech.nmos, s.w_pd, tech.lmin, dvt_pd}};
+}
+
+// A pull-down (gate at vdd) in series with an access device from a line
+// precharged at vdd (gate at vdd): the 6T read path (PD_L + PG_L) and the 8T
+// read buffer (RPD + RPG). The KCL residual at the shared node,
+// I_pd(vn) - I_pg(vn), is monotone increasing in vn.
+double series_node(const Mosfet& pd, const Mosfet& pg, double vdd) {
+  const auto residual = [&](double vn) {
+    const double i_pd = pd.ids(vdd, vn);
+    const double i_pg = pg.ids(vdd - vn, vdd - vn);
+    return i_pd - i_pg;
+  };
+  return bisect_increasing(residual, 0.0, vdd);
+}
+
+Bracket series_node_bracket(const Mosfet& pd, const Mosfet& pg, double vdd,
+                            double tol) {
+  const auto residual = [&](double vn, double& df) {
+    double pd_g = 0.0, pd_d = 0.0, pg_g = 0.0, pg_d = 0.0;
+    const double i_pd = pd.ids(vdd, vn, pd_g, pd_d);
+    const double i_pg = pg.ids(vdd - vn, vdd - vn, pg_g, pg_d);
+    df = pd_d + pg_g + pg_d;
+    return i_pd - i_pg;
+  };
+  // The node sits near ground: the pull-down is the stronger device.
+  return newton_bracket_increasing(residual, 0.0, vdd, tol, 0.1 * vdd);
 }
 
 }  // namespace
@@ -89,18 +116,20 @@ double Bitcell6T::write_margin(double vdd) const {
 
 double Bitcell6T::read_bump(double vdd) const {
   // Series PG (from BL at vdd) and PD (to ground, gate at vdd via QB) on the
-  // '0' side. KCL residual at the internal node is monotone increasing.
-  const auto residual = [&](double vn) {
-    const double i_pd = inv_l_.pull_down().ids(vdd, vn);
-    const double i_pg = pg_l_.ids(vdd - vn, vdd - vn);
-    return i_pd - i_pg;
-  };
-  return bisect_increasing(residual, 0.0, vdd);
+  // '0' side.
+  return series_node(inv_l_.pull_down(), pg_l_, vdd);
+}
+
+Bracket Bitcell6T::read_bump_bracket(double vdd, double tol) const {
+  return series_node_bracket(inv_l_.pull_down(), pg_l_, vdd, tol);
+}
+
+double Bitcell6T::read_current_at(double vdd, double vn) const {
+  return pg_l_.ids(vdd - vn, vdd - vn);
 }
 
 double Bitcell6T::read_current(double vdd) const {
-  const double vn = read_bump(vdd);
-  return pg_l_.ids(vdd - vn, vdd - vn);
+  return read_current_at(vdd, read_bump(vdd));
 }
 
 bool Bitcell6T::read_disturb_fails(double vdd) const {
@@ -154,6 +183,32 @@ struct WriteTransientState {
   double qb;
 };
 
+/// The two-node write transient of write_residual, returning (Q - QB)/vdd
+/// where it stops. With stop_at_crossing it also stops at the first step
+/// where Q has fallen below QB by more than 1e-9 * vdd.
+double write_transient(const Inverter& inv_l, const Inverter& inv_r,
+                       const Mosfet& pg_l, const Mosfet& pg_r, double vdd,
+                       double c_node, double t_budget, bool stop_at_crossing) {
+  constexpr int kSteps = 120;
+  const double dt = t_budget / kSteps;
+  const double crossed = -1e-9 * vdd;
+  WriteTransientState s{vdd, 0.0};
+  for (int i = 0; i < kSteps; ++i) {
+    // Deeply flipped: the outcome cannot change any more.
+    if (s.q < 0.05 * vdd && s.qb > 0.9 * vdd) return (s.q - s.qb) / vdd;
+    if (stop_at_crossing && s.q - s.qb < crossed) return (s.q - s.qb) / vdd;
+    const double i_q = inv_l.pull_up().ids(vdd - s.qb, vdd - s.q) -
+                       inv_l.pull_down().ids(s.qb, s.q) -
+                       pg_l.ids(vdd, s.q);
+    const double i_qb = inv_r.pull_up().ids(vdd - s.q, vdd - s.qb) -
+                        inv_r.pull_down().ids(s.q, s.qb) +
+                        pg_r.ids(vdd - s.qb, vdd - s.qb);
+    s.q = std::clamp(s.q + dt * i_q / c_node, 0.0, vdd);
+    s.qb = std::clamp(s.qb + dt * i_qb / c_node, 0.0, vdd);
+  }
+  return (s.q - s.qb) / vdd;
+}
+
 }  // namespace
 
 double Bitcell6T::write_flip_time(double vdd, double c_node,
@@ -186,22 +241,13 @@ double Bitcell6T::write_flip_time(double vdd, double c_node,
 
 double Bitcell6T::write_residual(double vdd, double c_node,
                                  double t_budget) const {
-  constexpr int kSteps = 120;
-  const double dt = t_budget / kSteps;
-  WriteTransientState s{vdd, 0.0};
-  for (int i = 0; i < kSteps; ++i) {
-    // Deeply flipped: the outcome cannot change any more.
-    if (s.q < 0.05 * vdd && s.qb > 0.9 * vdd) return (s.q - s.qb) / vdd;
-    const double i_q = inv_l_.pull_up().ids(vdd - s.qb, vdd - s.q) -
-                       inv_l_.pull_down().ids(s.qb, s.q) -
-                       pg_l_.ids(vdd, s.q);
-    const double i_qb = inv_r_.pull_up().ids(vdd - s.q, vdd - s.qb) -
-                        inv_r_.pull_down().ids(s.q, s.qb) +
-                        pg_r_.ids(vdd - s.qb, vdd - s.qb);
-    s.q = std::clamp(s.q + dt * i_q / c_node, 0.0, vdd);
-    s.qb = std::clamp(s.qb + dt * i_qb / c_node, 0.0, vdd);
-  }
-  return (s.q - s.qb) / vdd;
+  return write_transient(inv_l_, inv_r_, pg_l_, pg_r_, vdd, c_node, t_budget,
+                         false);
+}
+
+bool Bitcell6T::write_fails(double vdd, double c_node, double t_budget) const {
+  return write_transient(inv_l_, inv_r_, pg_l_, pg_r_, vdd, c_node, t_budget,
+                         true) > 0.0;
 }
 
 double Bitcell6T::leakage(double vdd) const {
@@ -244,6 +290,10 @@ double Bitcell6T::trip_voltage(Side side, double vdd) const {
   return (side == Side::left ? inv_l_ : inv_r_).trip_voltage(vdd);
 }
 
+Bracket Bitcell6T::trip_bracket(Side side, double vdd, double tol) const {
+  return (side == Side::left ? inv_l_ : inv_r_).trip_bracket(vdd, tol);
+}
+
 Bitcell8T::Bitcell8T(const Technology& tech, const Sizing8T& sizing,
                      const Variation8T& var)
     : tech_{&tech},
@@ -267,16 +317,22 @@ double Bitcell8T::write_margin(double vdd) const {
   return core_.write_margin(vdd);
 }
 
-double Bitcell8T::read_current(double vdd) const {
+double Bitcell8T::read_node(double vdd) const {
   // RPD gate is driven by the full-swing storage node, RPG by the read WL;
   // both at vdd while discharging the read bitline (also precharged at vdd).
-  const auto residual = [&](double vn) {
-    const double i_rpd = rpd_.ids(vdd, vn);
-    const double i_rpg = rpg_.ids(vdd - vn, vdd - vn);
-    return i_rpd - i_rpg;
-  };
-  const double vn = bisect_increasing(residual, 0.0, vdd);
+  return series_node(rpd_, rpg_, vdd);
+}
+
+Bracket Bitcell8T::read_node_bracket(double vdd, double tol) const {
+  return series_node_bracket(rpd_, rpg_, vdd, tol);
+}
+
+double Bitcell8T::read_current_at(double vdd, double vn) const {
   return rpg_.ids(vdd - vn, vdd - vn);
+}
+
+double Bitcell8T::read_current(double vdd) const {
+  return read_current_at(vdd, read_node(vdd));
 }
 
 bool Bitcell8T::static_write_fails(double vdd) const {
@@ -295,6 +351,10 @@ double Bitcell8T::write_flip_time(double vdd, double c_node,
 double Bitcell8T::write_residual(double vdd, double c_node,
                                  double t_budget) const {
   return core_.write_residual(vdd, c_node, t_budget);
+}
+
+bool Bitcell8T::write_fails(double vdd, double c_node, double t_budget) const {
+  return core_.write_fails(vdd, c_node, t_budget);
 }
 
 double Bitcell8T::leakage(double vdd) const {

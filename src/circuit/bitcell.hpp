@@ -12,7 +12,8 @@
 //    — used for design calibration and the margin bench;
 //  * Monte-Carlo-grade: read current, read bump voltage, static
 //    writeability, write delay, leakage — closed-form/bisection-cheap, used
-//    by the failure-analysis inner loop.
+//    by the failure-analysis inner loop, plus Newton root brackets and an
+//    early-exit write verdict for the failure decisions (mc/criteria.hpp).
 #pragma once
 
 #include <array>
@@ -78,8 +79,16 @@ class Bitcell6T {
   /// discharging a bitline precharged at vdd.
   [[nodiscard]] double read_current(double vdd) const;
 
+  /// Read current [A] with the internal '0' node at vn (read_current is
+  /// read_current_at(vdd, read_bump(vdd))). Falls as vn rises.
+  [[nodiscard]] double read_current_at(double vdd, double vn) const;
+
   /// Voltage the internal '0' node is disturbed to during a read [V].
   [[nodiscard]] double read_bump(double vdd) const;
+
+  /// Bracket no wider than tol that holds read_bump(vdd) (Newton on the
+  /// same KCL residual; clamps exactly where the bisection does).
+  [[nodiscard]] Bracket read_bump_bracket(double vdd, double tol) const;
 
   /// Static read-disturb criterion: the read bump exceeds the opposite
   /// inverter's trip point, flipping the cell during a read.
@@ -111,6 +120,14 @@ class Bitcell6T {
   [[nodiscard]] double write_residual(double vdd, double c_node,
                                       double t_budget) const;
 
+  /// Exactly write_residual(vdd, c_node, t_budget) > 0, decided early: the
+  /// same transient stops at the first step where q < qb - 1e-9 * vdd.
+  /// Sound because from (vdd, 0) the competitive pair never raises q nor
+  /// lowers qb under the non-overshooting Euler step, so a crossing is
+  /// final (pinned by tests/test_mc_decisions.cpp).
+  [[nodiscard]] bool write_fails(double vdd, double c_node,
+                                 double t_budget) const;
+
   /// Standby leakage current [A] with WL low and bitlines precharged at vdd
   /// (state-independent by symmetry of the leak paths).
   [[nodiscard]] double leakage(double vdd) const;
@@ -126,6 +143,7 @@ class Bitcell6T {
 
   /// Trip voltage of one half-cell inverter.
   [[nodiscard]] double trip_voltage(Side side, double vdd) const;
+  [[nodiscard]] Bracket trip_bracket(Side side, double vdd, double tol) const;
 
   /// Unloaded or read-loaded half-cell VTC (exposed for the margin bench).
   [[nodiscard]] double vtc(Side side, double vin, double vdd,
@@ -160,6 +178,13 @@ class Bitcell8T {
   /// Read-buffer current [A]: series RPG+RPD with both gates at vdd,
   /// discharging the read bitline.
   [[nodiscard]] double read_current(double vdd) const;
+  /// Read-buffer current with the RPG/RPD node at vn; falls as vn rises.
+  [[nodiscard]] double read_current_at(double vdd, double vn) const;
+
+  /// Voltage of the node between RPG and RPD during a read [V], and a
+  /// bracket no wider than tol that holds it.
+  [[nodiscard]] double read_node(double vdd) const;
+  [[nodiscard]] Bracket read_node_bracket(double vdd, double tol) const;
 
   /// An 8T cell has no read-disturb mechanism.
   [[nodiscard]] static constexpr bool read_disturb_fails(double) noexcept {
@@ -172,6 +197,8 @@ class Bitcell8T {
                                        double t_max) const;
   [[nodiscard]] double write_residual(double vdd, double c_node,
                                       double t_budget) const;
+  [[nodiscard]] bool write_fails(double vdd, double c_node,
+                                 double t_budget) const;
 
   /// Standby leakage including the read-buffer stack, averaged over the two
   /// stored states [A].

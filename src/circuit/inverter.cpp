@@ -1,7 +1,5 @@
 #include "circuit/inverter.hpp"
 
-#include "circuit/solve.hpp"
-
 namespace hynapse::circuit {
 
 Inverter::Inverter(Mosfet pull_up, Mosfet pull_down)
@@ -39,6 +37,17 @@ double Inverter::trip_voltage(double vdd) const {
     return pd_.ids(v, v) - pu_.ids(vdd - v, vdd - v);
   };
   return bisect_increasing(residual, 0.0, vdd);
+}
+
+Bracket Inverter::trip_bracket(double vdd, double tol) const {
+  const auto residual = [&](double v, double& df) {
+    double pd_g = 0.0, pd_d = 0.0, pu_g = 0.0, pu_d = 0.0;
+    const double i_pd = pd_.ids(v, v, pd_g, pd_d);
+    const double i_pu = pu_.ids(vdd - v, vdd - v, pu_g, pu_d);
+    df = pd_g + pd_d + pu_g + pu_d;
+    return i_pd - i_pu;
+  };
+  return newton_bracket_increasing(residual, 0.0, vdd, tol, 0.5 * vdd);
 }
 
 double Inverter::gain_at_trip(double vdd) const {

@@ -3,6 +3,7 @@
 #pragma once
 
 #include "circuit/mosfet.hpp"
+#include "circuit/solve.hpp"
 
 namespace hynapse::circuit {
 
@@ -23,6 +24,10 @@ class Inverter {
 
   /// Input voltage where output == input (metastable point of the VTC).
   [[nodiscard]] double trip_voltage(double vdd) const;
+
+  /// Bracket no wider than tol that holds trip_voltage(vdd), found by
+  /// safeguarded Newton iteration on the same residual (solve.hpp).
+  [[nodiscard]] Bracket trip_bracket(double vdd, double tol) const;
 
   /// Small-signal gain magnitude at the trip point (central difference).
   [[nodiscard]] double gain_at_trip(double vdd) const;

@@ -23,6 +23,12 @@ class Mosfet {
   /// Negative vds is clamped to zero (the callers orient terminals).
   [[nodiscard]] double ids(double vgs, double vds) const noexcept;
 
+  /// Same current, bit for bit, plus its partial derivatives d_vgs =
+  /// d(ids)/d(vgs) and d_vds = d(ids)/d(vds) [A/V] (zero in the clamped
+  /// vds < 0 region). Feeds the Newton root brackets of the bitcell solves.
+  [[nodiscard]] double ids(double vgs, double vds, double& d_vgs,
+                           double& d_vds) const noexcept;
+
   /// Subthreshold leakage at vgs = 0 for the given rail voltage [A].
   [[nodiscard]] double leakage(double vdd) const noexcept;
 

@@ -137,9 +137,96 @@ std::size_t next_per_chunk(double requested, std::size_t trials,
   return per_chunk;
 }
 
-template <typename HitFn>
+// ---- limit states -----------------------------------------------------------
+// What the samplers below need from one (cell, mechanism, vdd): the device
+// sigmas, `hit(rng)` -- draw one plain-MC sample and decide it -- and, over a
+// flat dVT vector in volts, the exact decision `fails(x)` (every IS sample)
+// and the continuous `metric(x)` (read only by the IS gradient and the
+// origin verdict). fails(x) == (metric(x) > 0.0) always, so which one a loop
+// calls never changes a result bit (docs/performance.md).
+
+struct Cell6T {
+  static constexpr std::size_t D = k6t_devices;
+  const FailureCriteria& criteria;
+  const VariationSampler& sampler;
+  Mechanism m;
+  double vdd;
+
+  const std::array<double, D>& sigmas() const { return sampler.sigmas_6t(); }
+  bool hit(util::Rng& rng) const {
+    return criteria.fails_6t(m, sampler.sample_6t(rng), vdd);
+  }
+  bool fails(const std::array<double, D>& x) const {
+    return criteria.fails_6t(m, VariationSampler::pack_6t(x), vdd);
+  }
+  double metric(const std::array<double, D>& x) const {
+    return criteria.metric_6t(m, VariationSampler::pack_6t(x), vdd);
+  }
+};
+
+struct Cell8T {
+  static constexpr std::size_t D = k8t_devices;
+  const FailureCriteria& criteria;
+  const VariationSampler& sampler;
+  Mechanism m;
+  double vdd;
+
+  const std::array<double, D>& sigmas() const { return sampler.sigmas_8t(); }
+  bool hit(util::Rng& rng) const {
+    return criteria.fails_8t(m, sampler.sample_8t(rng), vdd);
+  }
+  bool fails(const std::array<double, D>& x) const {
+    return criteria.fails_8t(m, VariationSampler::pack_8t(x), vdd);
+  }
+  double metric(const std::array<double, D>& x) const {
+    return criteria.metric_8t(m, VariationSampler::pack_8t(x), vdd);
+  }
+};
+
+/// Standby retention of a 6T cell: no decision path, the hold metric's sign
+/// is the verdict.
+struct Retention6T {
+  static constexpr std::size_t D = k6t_devices;
+  const FailureCriteria& criteria;
+  const VariationSampler& sampler;
+  double v_standby;
+
+  const std::array<double, D>& sigmas() const { return sampler.sigmas_6t(); }
+  bool hit(util::Rng& rng) const {
+    return criteria.hold_metric_6t(sampler.sample_6t(rng), v_standby) > 0.0;
+  }
+  bool fails(const std::array<double, D>& x) const { return metric(x) > 0.0; }
+  double metric(const std::array<double, D>& x) const {
+    return criteria.hold_metric_6t(VariationSampler::pack_6t(x), v_standby);
+  }
+};
+
+// ---- plain MC ------------------------------------------------------------------
+
+/// Fixed-sample plain MC over kChunks seeded chunks.
+template <typename LS>
+RateEstimate plain_mc(const LS& ls, std::size_t n, std::uint64_t seed,
+                      std::size_t threads) {
+  const std::size_t per_chunk = (n + kChunks - 1) / kChunks;
+  const std::size_t hits = util::parallel_reduce(
+      kChunks, kChunks, std::size_t{0},
+      [&](std::size_t begin, std::size_t end) {
+        std::size_t h = 0;
+        for (std::size_t c = begin; c < end; ++c) {
+          util::Rng rng{chunk_seed(seed, c)};
+          for (std::size_t s = 0; s < per_chunk; ++s) {
+            if (ls.hit(rng)) ++h;
+          }
+        }
+        return h;
+      },
+      [](std::size_t a, std::size_t b) { return a + b; }, threads);
+  return finish_mc(hits, per_chunk * kChunks);
+}
+
+template <typename LS>
 std::size_t run_mc_batch(std::uint64_t seed, std::size_t batch,
-                         std::size_t per_chunk, const HitFn& hit,
+                         std::size_t per_chunk, const LS& ls,
                          std::size_t threads) {
   const util::Rng base{chunk_seed(seed, batch)};
   return util::parallel_reduce(
@@ -150,7 +237,7 @@ std::size_t run_mc_batch(std::uint64_t seed, std::size_t batch,
           util::Rng rng = base;
           rng.discard(static_cast<std::uint64_t>(c) * kChunkStride);
           for (std::size_t s = 0; s < per_chunk; ++s) {
-            if (hit(rng)) ++h;
+            if (ls.hit(rng)) ++h;
           }
         }
         return h;
@@ -168,6 +255,8 @@ void record_adaptive(const AnalyzerOptions& opts, const RateEstimate& r) {
   if (!r.converged) in.ci_misses.add(1);
 }
 
+// ---- importance sampling -------------------------------------------------------
+
 // Per-chunk partial of the weighted importance-sampling estimator. Partials
 // are folded in ascending chunk order by parallel_reduce, reproducing the
 // serial accumulation order bit-for-bit.
@@ -177,38 +266,73 @@ struct IsPartial {
   std::size_t hits = 0;
 };
 
-template <std::size_t D, typename MetricFn>
-RateEstimate importance_sample(const MetricFn& metric,
-                               const std::array<double, D>& sigmas,
-                               std::size_t n, double beta, std::uint64_t seed,
-                               std::size_t threads) {
-  // Dominant failure direction from central differences at the origin,
-  // expressed in standardized coordinates (one step = one sigma).
-  std::array<double, D> grad{};
+IsPartial merge_partials(IsPartial a, const IsPartial& b) {
+  a.sum_w += b.sum_w;
+  a.sum_w2 += b.sum_w2;
+  a.hits += b.hits;
+  return a;
+}
+
+/// Dominant failure direction from central differences of the metric at
+/// the origin, in standardized coordinates (one step = one sigma). Returns
+/// the gradient's norm.
+template <typename LS>
+double failure_gradient(const LS& ls, std::array<double, LS::D>& grad) {
+  const std::array<double, LS::D>& sigmas = ls.sigmas();
   double norm = 0.0;
-  for (std::size_t i = 0; i < D; ++i) {
-    std::array<double, D> plus{};
-    std::array<double, D> minus{};
+  for (std::size_t i = 0; i < LS::D; ++i) {
+    std::array<double, LS::D> plus{};
+    std::array<double, LS::D> minus{};
     plus[i] = 0.5 * sigmas[i];
     minus[i] = -0.5 * sigmas[i];
-    grad[i] = metric(plus) - metric(minus);
+    grad[i] = ls.metric(plus) - ls.metric(minus);
     norm += grad[i] * grad[i];
   }
-  norm = std::sqrt(norm);
+  return std::sqrt(norm);
+}
+
+/// `count` mean-shifted draws from `rng`, folded into `part`.
+template <typename LS>
+void is_draws(const LS& ls, util::Rng& rng, std::size_t count,
+              const std::array<double, LS::D>& mu, double mu_sq,
+              IsPartial& part) {
+  const std::array<double, LS::D>& sigmas = ls.sigmas();
+  std::array<double, LS::D> x{};
+  for (std::size_t s = 0; s < count; ++s) {
+    double dot = 0.0;
+    for (std::size_t i = 0; i < LS::D; ++i) {
+      const double z = rng.normal();
+      const double xi = mu[i] + z;
+      dot += mu[i] * xi;
+      x[i] = xi * sigmas[i];  // back to volts
+    }
+    if (ls.fails(x)) {
+      const double w = std::exp(-dot + 0.5 * mu_sq);
+      part.sum_w += w;
+      part.sum_w2 += w * w;
+      ++part.hits;
+    }
+  }
+}
+
+template <typename LS>
+RateEstimate importance_sample(const LS& ls, std::size_t n, double beta,
+                               std::uint64_t seed, std::size_t threads) {
+  std::array<double, LS::D> grad{};
+  const double norm = failure_gradient(ls, grad);
   RateEstimate r;
   r.trials = n;
   r.importance_sampled = true;
   if (norm <= 0.0) {
     // Metric insensitive to variation at this voltage: nominal verdict only.
-    std::array<double, D> origin{};
-    r.p = metric(origin) > 0.0 ? 1.0 : 0.0;
+    r.p = ls.metric(std::array<double, LS::D>{}) > 0.0 ? 1.0 : 0.0;
     r.ci_lo = r.p;
     r.ci_hi = r.p;
     r.total_samples = r.trials;
     return r;
   }
-  std::array<double, D> mu{};  // standardized shift
-  for (std::size_t i = 0; i < D; ++i) mu[i] = beta * grad[i] / norm;
+  std::array<double, LS::D> mu{};  // standardized shift
+  for (std::size_t i = 0; i < LS::D; ++i) mu[i] = beta * grad[i] / norm;
   const double mu_sq = beta * beta;
 
   const std::size_t per_chunk = (n + kChunks - 1) / kChunks;
@@ -218,32 +342,11 @@ RateEstimate importance_sample(const MetricFn& metric,
         IsPartial part;
         for (std::size_t c = begin; c < end; ++c) {
           util::Rng rng{chunk_seed(seed, c)};
-          std::array<double, D> x{};
-          for (std::size_t s = 0; s < per_chunk; ++s) {
-            double dot = 0.0;
-            for (std::size_t i = 0; i < D; ++i) {
-              const double z = rng.normal();
-              const double xi = mu[i] + z;
-              dot += mu[i] * xi;
-              x[i] = xi * sigmas[i];  // back to volts
-            }
-            if (metric(x) > 0.0) {
-              const double w = std::exp(-dot + 0.5 * mu_sq);
-              part.sum_w += w;
-              part.sum_w2 += w * w;
-              ++part.hits;
-            }
-          }
+          is_draws(ls, rng, per_chunk, mu, mu_sq, part);
         }
         return part;
       },
-      [](IsPartial a, IsPartial b) {
-        a.sum_w += b.sum_w;
-        a.sum_w2 += b.sum_w2;
-        a.hits += b.hits;
-        return a;
-      },
-      threads);
+      merge_partials, threads);
 
   const double total = static_cast<double>(per_chunk * kChunks);
   const double p = sum.sum_w / total;
@@ -258,11 +361,10 @@ RateEstimate importance_sample(const MetricFn& metric,
   return r;
 }
 
-template <std::size_t D, typename MetricFn>
-IsPartial run_is_batch(std::uint64_t seed, std::size_t batch,
-                       std::size_t per_chunk, const MetricFn& metric,
-                       const std::array<double, D>& sigmas,
-                       const std::array<double, D>& mu, double mu_sq,
+template <typename LS>
+IsPartial run_is_batch(const LS& ls, std::uint64_t seed, std::size_t batch,
+                       std::size_t per_chunk,
+                       const std::array<double, LS::D>& mu, double mu_sq,
                        std::size_t threads) {
   const util::Rng base{chunk_seed(seed, batch)};
   return util::parallel_reduce(
@@ -272,65 +374,33 @@ IsPartial run_is_batch(std::uint64_t seed, std::size_t batch,
         for (std::size_t c = begin; c < end; ++c) {
           util::Rng rng = base;
           rng.discard(static_cast<std::uint64_t>(c) * kChunkStride);
-          std::array<double, D> x{};
-          for (std::size_t s = 0; s < per_chunk; ++s) {
-            double dot = 0.0;
-            for (std::size_t i = 0; i < D; ++i) {
-              const double z = rng.normal();
-              const double xi = mu[i] + z;
-              dot += mu[i] * xi;
-              x[i] = xi * sigmas[i];
-            }
-            if (metric(x) > 0.0) {
-              const double w = std::exp(-dot + 0.5 * mu_sq);
-              part.sum_w += w;
-              part.sum_w2 += w * w;
-              ++part.hits;
-            }
-          }
+          is_draws(ls, rng, per_chunk, mu, mu_sq, part);
         }
         return part;
       },
-      [](IsPartial a, IsPartial b) {
-        a.sum_w += b.sum_w;
-        a.sum_w2 += b.sum_w2;
-        a.hits += b.hits;
-        return a;
-      },
-      threads);
+      merge_partials, threads);
 }
 
 /// Importance-sampled tail phase of the adaptive path: same mean-shifted
 /// estimator as importance_sample, run in growing batches until the
 /// delta-method CI meets the policy target or the IS clamp is spent.
-template <std::size_t D, typename MetricFn>
-RateEstimate adaptive_importance(const MetricFn& metric,
-                                 const std::array<double, D>& sigmas,
-                                 const ResolvedPolicy& pol, double beta,
-                                 std::uint64_t seed, std::size_t threads) {
-  std::array<double, D> grad{};
-  double norm = 0.0;
-  for (std::size_t i = 0; i < D; ++i) {
-    std::array<double, D> plus{};
-    std::array<double, D> minus{};
-    plus[i] = 0.5 * sigmas[i];
-    minus[i] = -0.5 * sigmas[i];
-    grad[i] = metric(plus) - metric(minus);
-    norm += grad[i] * grad[i];
-  }
-  norm = std::sqrt(norm);
+template <typename LS>
+RateEstimate adaptive_importance(const LS& ls, const ResolvedPolicy& pol,
+                                 double beta, std::uint64_t seed,
+                                 std::size_t threads) {
+  std::array<double, LS::D> grad{};
+  const double norm = failure_gradient(ls, grad);
   RateEstimate r;
   r.importance_sampled = true;
   if (norm <= 0.0) {
-    std::array<double, D> origin{};
-    r.p = metric(origin) > 0.0 ? 1.0 : 0.0;
+    r.p = ls.metric(std::array<double, LS::D>{}) > 0.0 ? 1.0 : 0.0;
     r.ci_lo = r.p;
     r.ci_hi = r.p;
     r.batches = 0;
     return r;
   }
-  std::array<double, D> mu{};
-  for (std::size_t i = 0; i < D; ++i) mu[i] = beta * grad[i] / norm;
+  std::array<double, LS::D> mu{};
+  for (std::size_t i = 0; i < LS::D; ++i) mu[i] = beta * grad[i] / norm;
   const double mu_sq = beta * beta;
 
   double sum_w = 0.0;
@@ -346,8 +416,8 @@ RateEstimate adaptive_importance(const MetricFn& metric,
     const std::size_t per_chunk = next_per_chunk(next_batch, trials,
                                                  pol.max_is);
     if (per_chunk == 0) break;
-    const IsPartial part = run_is_batch<D>(seed, batches, per_chunk, metric,
-                                           sigmas, mu, mu_sq, threads);
+    const IsPartial part =
+        run_is_batch(ls, seed, batches, per_chunk, mu, mu_sq, threads);
     sum_w += part.sum_w;
     sum_w2 += part.sum_w2;
     raw_hits += part.hits;
@@ -375,15 +445,15 @@ RateEstimate adaptive_importance(const MetricFn& metric,
   return r;
 }
 
+// ---- estimators ----------------------------------------------------------------
+
 /// The adaptive driver: batched plain MC with the CI stopping rule, escaping
 /// to the importance-sampled tail once the mechanism is demonstrably rare:
 /// after tail_escape trials, when the CI upper bound on p projects fewer
 /// than min_hits_for_mc hits over the full plain-MC budget (or when the
 /// budget runs out still hit-starved).
-template <std::size_t D, typename HitFn, typename MetricFn>
-RateEstimate adaptive_estimate(const AnalyzerOptions& opts, const HitFn& hit,
-                               const MetricFn& metric,
-                               const std::array<double, D>& sigmas,
+template <typename LS>
+RateEstimate adaptive_estimate(const AnalyzerOptions& opts, const LS& ls,
                                std::uint64_t mc_seed, std::uint64_t is_seed) {
   const ResolvedPolicy pol = resolve_policy(opts);
   std::size_t hits = 0;
@@ -396,7 +466,7 @@ RateEstimate adaptive_estimate(const AnalyzerOptions& opts, const HitFn& hit,
     const std::size_t per_chunk = next_per_chunk(next_batch, trials,
                                                  pol.max_mc);
     if (per_chunk == 0) break;
-    hits += run_mc_batch(mc_seed, batches, per_chunk, hit, opts.threads);
+    hits += run_mc_batch(mc_seed, batches, per_chunk, ls, opts.threads);
     trials += per_chunk * kBatchChunks;
     ++batches;
     next_batch *= pol.growth;
@@ -440,8 +510,8 @@ RateEstimate adaptive_estimate(const AnalyzerOptions& opts, const HitFn& hit,
     return r;
   }
 
-  RateEstimate r = adaptive_importance<D>(metric, sigmas, pol, opts.is_beta,
-                                          is_seed, opts.threads);
+  RateEstimate r =
+      adaptive_importance(ls, pol, opts.is_beta, is_seed, opts.threads);
   // Consistency guard: the escape was a projection from sparse evidence. If
   // the IS answer falls below even the lower confidence bound of the plain-MC
   // hits already observed, the mean-shift missed the dominant failure region
@@ -454,7 +524,7 @@ RateEstimate adaptive_estimate(const AnalyzerOptions& opts, const HitFn& hit,
       const std::size_t per_chunk = next_per_chunk(next_batch, trials,
                                                    pol.max_mc);
       if (per_chunk == 0) break;
-      hits += run_mc_batch(mc_seed, batches, per_chunk, hit, opts.threads);
+      hits += run_mc_batch(mc_seed, batches, per_chunk, ls, opts.threads);
       trials += per_chunk * kBatchChunks;
       ++batches;
       next_batch *= pol.growth;
@@ -483,6 +553,22 @@ RateEstimate adaptive_estimate(const AnalyzerOptions& opts, const HitFn& hit,
   return r;
 }
 
+/// Fixed-budget path: plain MC, re-estimated by importance sampling when it
+/// sees fewer than min_hits_for_mc hits.
+template <typename LS>
+RateEstimate fixed_estimate(const AnalyzerOptions& opts, const LS& ls,
+                            std::uint64_t mc_seed, std::uint64_t is_seed) {
+  RateEstimate est = plain_mc(ls, opts.mc_samples, mc_seed, opts.threads);
+  if (est.hits < static_cast<double>(opts.min_hits_for_mc)) {
+    const std::size_t mc_spent = est.total_samples;
+    est = importance_sample(ls, opts.is_samples, opts.is_beta, is_seed,
+                            opts.threads);
+    est.total_samples += mc_spent;
+    ++est.batches;
+  }
+  return est;
+}
+
 }  // namespace
 
 FailureAnalyzer::FailureAnalyzer(const FailureCriteria& criteria,
@@ -493,149 +579,71 @@ FailureAnalyzer::FailureAnalyzer(const FailureCriteria& criteria,
 RateEstimate FailureAnalyzer::plain_mc_6t(Mechanism m, double vdd,
                                           std::size_t n,
                                           std::uint64_t seed) const {
-  const std::size_t per_chunk = (n + kChunks - 1) / kChunks;
-  const std::size_t hits = util::parallel_reduce(
-      kChunks, kChunks, std::size_t{0},
-      [&](std::size_t begin, std::size_t end) {
-        std::size_t h = 0;
-        for (std::size_t c = begin; c < end; ++c) {
-          util::Rng rng{chunk_seed(seed, c)};
-          for (std::size_t s = 0; s < per_chunk; ++s) {
-            const circuit::Variation6T var = sampler_->sample_6t(rng);
-            if (criteria_->metric_6t(m, var, vdd) > 0.0) ++h;
-          }
-        }
-        return h;
-      },
-      [](std::size_t a, std::size_t b) { return a + b; }, opts_.threads);
-  return finish_mc(hits, per_chunk * kChunks);
+  return plain_mc(Cell6T{*criteria_, *sampler_, m, vdd}, n, seed,
+                  opts_.threads);
 }
 
 RateEstimate FailureAnalyzer::plain_mc_8t(Mechanism m, double vdd,
                                           std::size_t n,
                                           std::uint64_t seed) const {
-  const std::size_t per_chunk = (n + kChunks - 1) / kChunks;
-  const std::size_t hits = util::parallel_reduce(
-      kChunks, kChunks, std::size_t{0},
-      [&](std::size_t begin, std::size_t end) {
-        std::size_t h = 0;
-        for (std::size_t c = begin; c < end; ++c) {
-          util::Rng rng{chunk_seed(seed, c)};
-          for (std::size_t s = 0; s < per_chunk; ++s) {
-            const circuit::Variation8T var = sampler_->sample_8t(rng);
-            if (criteria_->metric_8t(m, var, vdd) > 0.0) ++h;
-          }
-        }
-        return h;
-      },
-      [](std::size_t a, std::size_t b) { return a + b; }, opts_.threads);
-  return finish_mc(hits, per_chunk * kChunks);
+  return plain_mc(Cell8T{*criteria_, *sampler_, m, vdd}, n, seed,
+                  opts_.threads);
 }
 
 RateEstimate FailureAnalyzer::importance_6t(Mechanism m, double vdd,
                                             std::size_t n,
                                             std::uint64_t seed) const {
-  const auto metric = [&](const std::array<double, k6t_devices>& dvt) {
-    return criteria_->metric_6t(m, VariationSampler::pack_6t(dvt), vdd);
-  };
-  return importance_sample<k6t_devices>(metric, sampler_->sigmas_6t(), n,
-                                        opts_.is_beta, seed, opts_.threads);
+  return importance_sample(Cell6T{*criteria_, *sampler_, m, vdd}, n,
+                           opts_.is_beta, seed, opts_.threads);
 }
 
 RateEstimate FailureAnalyzer::importance_8t(Mechanism m, double vdd,
                                             std::size_t n,
                                             std::uint64_t seed) const {
-  const auto metric = [&](const std::array<double, k8t_devices>& dvt) {
-    return criteria_->metric_8t(m, VariationSampler::pack_8t(dvt), vdd);
-  };
-  return importance_sample<k8t_devices>(metric, sampler_->sigmas_8t(), n,
-                                        opts_.is_beta, seed, opts_.threads);
+  return importance_sample(Cell8T{*criteria_, *sampler_, m, vdd}, n,
+                           opts_.is_beta, seed, opts_.threads);
 }
 
 RateEstimate FailureAnalyzer::retention_6t(double v_standby,
                                            std::uint64_t seed) const {
-  // Plain MC on the hold limit-state.
-  const std::size_t per_chunk = (opts_.mc_samples + kChunks - 1) / kChunks;
-  const std::size_t hits = util::parallel_reduce(
-      kChunks, kChunks, std::size_t{0},
-      [&](std::size_t begin, std::size_t end) {
-        std::size_t h = 0;
-        for (std::size_t c = begin; c < end; ++c) {
-          util::Rng rng{chunk_seed(seed, c)};
-          for (std::size_t s = 0; s < per_chunk; ++s) {
-            const circuit::Variation6T var = sampler_->sample_6t(rng);
-            if (criteria_->hold_metric_6t(var, v_standby) > 0.0) ++h;
-          }
-        }
-        return h;
-      },
-      [](std::size_t a, std::size_t b) { return a + b; }, opts_.threads);
-  RateEstimate est = finish_mc(hits, per_chunk * kChunks);
+  // Plain MC on the hold limit-state, importance-sampled below min_hits.
+  const Retention6T ls{*criteria_, *sampler_, v_standby};
+  RateEstimate est = plain_mc(ls, opts_.mc_samples, seed, opts_.threads);
   if (est.hits >= static_cast<double>(opts_.min_hits_for_mc)) return est;
-
-  const auto metric = [&](const std::array<double, k6t_devices>& dvt) {
-    return criteria_->hold_metric_6t(VariationSampler::pack_6t(dvt),
-                                     v_standby);
-  };
-  return importance_sample<k6t_devices>(metric, sampler_->sigmas_6t(),
-                                        opts_.is_samples, opts_.is_beta,
-                                        seed ^ 0xfeedull, opts_.threads);
+  return importance_sample(ls, opts_.is_samples, opts_.is_beta,
+                           seed ^ 0xfeedull, opts_.threads);
 }
 
 RateEstimate FailureAnalyzer::estimate_6t(Mechanism m, double vdd,
                                           std::uint64_t mc_seed,
                                           std::uint64_t is_seed) const {
-  if (opts_.adaptive.enabled) return adaptive_6t(m, vdd, mc_seed, is_seed);
-  RateEstimate est = plain_mc_6t(m, vdd, opts_.mc_samples, mc_seed);
-  if (est.hits < static_cast<double>(opts_.min_hits_for_mc)) {
-    const std::size_t mc_spent = est.total_samples;
-    est = importance_6t(m, vdd, opts_.is_samples, is_seed);
-    est.total_samples += mc_spent;
-    ++est.batches;
-  }
-  return est;
+  const Cell6T ls{*criteria_, *sampler_, m, vdd};
+  return opts_.adaptive.enabled
+             ? adaptive_estimate(opts_, ls, mc_seed, is_seed)
+             : fixed_estimate(opts_, ls, mc_seed, is_seed);
 }
 
 RateEstimate FailureAnalyzer::estimate_8t(Mechanism m, double vdd,
                                           std::uint64_t mc_seed,
                                           std::uint64_t is_seed) const {
-  if (opts_.adaptive.enabled) return adaptive_8t(m, vdd, mc_seed, is_seed);
-  RateEstimate est = plain_mc_8t(m, vdd, opts_.mc_samples, mc_seed);
-  if (est.hits < static_cast<double>(opts_.min_hits_for_mc)) {
-    const std::size_t mc_spent = est.total_samples;
-    est = importance_8t(m, vdd, opts_.is_samples, is_seed);
-    est.total_samples += mc_spent;
-    ++est.batches;
-  }
-  return est;
+  const Cell8T ls{*criteria_, *sampler_, m, vdd};
+  return opts_.adaptive.enabled
+             ? adaptive_estimate(opts_, ls, mc_seed, is_seed)
+             : fixed_estimate(opts_, ls, mc_seed, is_seed);
 }
 
 RateEstimate FailureAnalyzer::adaptive_6t(Mechanism m, double vdd,
                                           std::uint64_t mc_seed,
                                           std::uint64_t is_seed) const {
-  const auto hit = [&](util::Rng& rng) {
-    return criteria_->metric_6t(m, sampler_->sample_6t(rng), vdd) > 0.0;
-  };
-  const auto metric = [&](const std::array<double, k6t_devices>& dvt) {
-    return criteria_->metric_6t(m, VariationSampler::pack_6t(dvt), vdd);
-  };
-  return adaptive_estimate<k6t_devices>(opts_, hit, metric,
-                                        sampler_->sigmas_6t(), mc_seed,
-                                        is_seed);
+  return adaptive_estimate(opts_, Cell6T{*criteria_, *sampler_, m, vdd},
+                           mc_seed, is_seed);
 }
 
 RateEstimate FailureAnalyzer::adaptive_8t(Mechanism m, double vdd,
                                           std::uint64_t mc_seed,
                                           std::uint64_t is_seed) const {
-  const auto hit = [&](util::Rng& rng) {
-    return criteria_->metric_8t(m, sampler_->sample_8t(rng), vdd) > 0.0;
-  };
-  const auto metric = [&](const std::array<double, k8t_devices>& dvt) {
-    return criteria_->metric_8t(m, VariationSampler::pack_8t(dvt), vdd);
-  };
-  return adaptive_estimate<k8t_devices>(opts_, hit, metric,
-                                        sampler_->sigmas_8t(), mc_seed,
-                                        is_seed);
+  return adaptive_estimate(opts_, Cell8T{*criteria_, *sampler_, m, vdd},
+                           mc_seed, is_seed);
 }
 
 CellFailureRates FailureAnalyzer::analyze_6t(double vdd,

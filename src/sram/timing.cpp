@@ -39,18 +39,19 @@ double CycleModel::dv_sense(double vdd) const {
   return margins_.dv_sense_floor + margins_.dv_sense_slope * vdd;
 }
 
-double CycleModel::cell_read_delay(const circuit::Bitcell6T& cell,
-                                   double vdd) const {
-  const double i = cell.read_current(vdd);
+double CycleModel::read_delay(double i, double vdd) const {
   if (i <= 0.0) return 1e9;
   return array_->c_bitline() * dv_sense(vdd) / i;
 }
 
+double CycleModel::cell_read_delay(const circuit::Bitcell6T& cell,
+                                   double vdd) const {
+  return read_delay(cell.read_current(vdd), vdd);
+}
+
 double CycleModel::cell_read_delay_8t(const circuit::Bitcell8T& cell,
                                       double vdd) const {
-  const double i = cell.read_current(vdd);
-  if (i <= 0.0) return 1e9;
-  return array_->c_bitline() * dv_sense(vdd) / i;
+  return read_delay(cell.read_current(vdd), vdd);
 }
 
 double CycleModel::read_budget(double vdd) const {

@@ -39,7 +39,11 @@ class CycleModel {
   /// Bitline differential required by the sense amplifier at vdd [V].
   [[nodiscard]] double dv_sense(double vdd) const;
 
-  /// Read delay of a specific cell: time to develop dv_sense on the bitline.
+  /// Time for a read current i [A] to develop dv_sense on the bitline [s]
+  /// (1e9 for a cell that conducts nothing).
+  [[nodiscard]] double read_delay(double i, double vdd) const;
+
+  /// Read delay of a specific cell: read_delay of its read current.
   [[nodiscard]] double cell_read_delay(const circuit::Bitcell6T& cell,
                                        double vdd) const;
   [[nodiscard]] double cell_read_delay_8t(const circuit::Bitcell8T& cell,

@@ -1,0 +1,471 @@
+// The Monte-Carlo decision path: FailureCriteria::fails_6t/fails_8t must
+// return exactly metric_*(...) > 0.0 on every sample, because tables depend
+// on the metric only through that sign. Pins the pieces it is built from
+// (the derivative overload of Mosfet::ids, the Newton root brackets, the
+// monotone write transient) and the agreement itself on plain, IS-shifted
+// and boundary-clustered samples at every paper voltage.
+//
+// DISABLED_MillionDecisionSweep is the long agreement sweep; run it with
+//   ./test_mc_decisions --gtest_also_run_disabled_tests
+//                       --gtest_filter='*MillionDecision*'
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <array>
+#include <cmath>
+#include <cstdio>
+#include <iterator>
+#include <vector>
+
+#include "circuit/bitcell.hpp"
+#include "circuit/mosfet.hpp"
+#include "circuit/reference.hpp"
+#include "circuit/solve.hpp"
+#include "mc/criteria.hpp"
+#include "mc/variation.hpp"
+#include "obs/metrics.hpp"
+#include "sram/timing.hpp"
+#include "util/parallel.hpp"
+#include "util/rng.hpp"
+
+namespace hynapse::mc {
+namespace {
+
+struct Stack {
+  circuit::Technology tech = circuit::ptm22();
+  circuit::Sizing6T s6 = circuit::reference_sizing_6t(tech);
+  circuit::Sizing8T s8 = circuit::reference_sizing_8t(tech);
+  sram::SubArrayModel array{tech, sram::SubArrayGeometry{}, s6};
+  sram::CycleModel cycle{tech, array, circuit::Bitcell6T{tech, s6}};
+  VariationSampler sampler{tech, s6, s8};
+  FailureCriteria criteria{tech, cycle, s6, s8};
+};
+
+const Stack& stack() {
+  static const Stack s;
+  return s;
+}
+
+std::uint64_t oracle_fallbacks() {
+  return obs::Registry::global().counter("mc.decide.oracle_fallbacks").value();
+}
+
+// ---- Mosfet::ids derivative overload ---------------------------------------
+
+TEST(MosfetDerivatives, ValueBitEqualAndSlopesMatchCentralDifferences) {
+  const Stack& s = stack();
+  struct Point {
+    const char* region;
+    double vgs;
+    double vds;
+  };
+  const Point points[] = {
+      {"subthreshold", 0.10, 0.50}, {"subthreshold", 0.25, 0.02},
+      {"saturation", 0.90, 0.80},   {"saturation", 0.60, 0.70},
+      {"linear", 0.90, 0.05},       {"linear", 0.70, 0.10},
+      {"strong", 2.60, 0.40},       {"vds<0", 0.70, -0.10},
+  };
+  const circuit::Mosfet devices[] = {
+      {s.tech.nmos, s.s6.w_pd, s.tech.lmin, 0.02},
+      {s.tech.pmos, s.s6.w_pu, s.tech.lmin, -0.03},
+      {s.tech.nmos, s.s6.w_pg, s.tech.lmin, 0.0},
+  };
+  constexpr double h = 1e-6;
+  const auto near = [](double analytic, double numeric) {
+    return std::fabs(analytic - numeric) <=
+           1e-6 * std::max(std::fabs(numeric), 1e-30);
+  };
+  for (const circuit::Mosfet& fet : devices) {
+    for (const Point& p : points) {
+      double d_vgs = -1.0;
+      double d_vds = -1.0;
+      const double value = fet.ids(p.vgs, p.vds, d_vgs, d_vds);
+      EXPECT_EQ(value, fet.ids(p.vgs, p.vds)) << p.region;
+      const double fd_vgs =
+          (fet.ids(p.vgs + h, p.vds) - fet.ids(p.vgs - h, p.vds)) / (2 * h);
+      const double fd_vds =
+          (fet.ids(p.vgs, p.vds + h) - fet.ids(p.vgs, p.vds - h)) / (2 * h);
+      EXPECT_TRUE(near(d_vgs, fd_vgs))
+          << p.region << ": d_vgs " << d_vgs << " vs " << fd_vgs;
+      EXPECT_TRUE(near(d_vds, fd_vds))
+          << p.region << ": d_vds " << d_vds << " vs " << fd_vds;
+    }
+  }
+}
+
+// ---- Newton root brackets ---------------------------------------------------
+
+TEST(NewtonBracket, ClampsExactlyWhereBisectionDoes) {
+  for (const double root : {-0.3, 0.0, 0.4, 1.0, 1.7}) {
+    const auto f = [root](double x) { return x - root; };
+    const auto fd = [root](double x, double& df) {
+      df = 1.0;
+      return x - root;
+    };
+    const double bisected = circuit::bisect_increasing(f, 0.0, 1.0);
+    const circuit::Bracket b =
+        circuit::newton_bracket_increasing(fd, 0.0, 1.0, 1e-9, 0.5);
+    if (root <= 0.0 || root >= 1.0) {
+      EXPECT_EQ(b.lo, bisected) << root;
+      EXPECT_EQ(b.hi, bisected) << root;
+    } else {
+      EXPECT_LE(b.lo, bisected);
+      EXPECT_GE(b.hi, bisected);
+      EXPECT_LE(b.hi - b.lo, 1e-9);
+      EXPECT_LT(f(b.lo), 0.0);
+      EXPECT_GE(f(b.hi), 0.0);
+    }
+  }
+}
+
+TEST(NewtonBracket, BisectsWhenNewtonStalls) {
+  // Zero slope everywhere: every step falls back to bisection.
+  const auto flat_slope = [](double x, double& df) {
+    df = 0.0;
+    return std::cbrt(x - 0.3);
+  };
+  const circuit::Bracket b =
+      circuit::newton_bracket_increasing(flat_slope, 0.0, 1.0, 1e-9, 0.9);
+  EXPECT_LE(b.hi - b.lo, 1e-9);
+  EXPECT_LE(b.lo, 0.3);
+  EXPECT_GE(b.hi, 0.3);
+}
+
+TEST(NewtonBracket, HoldsTheBisectionRootOnSampledCells) {
+  // Near its root a residual's sign is rounding noise, so the bisection can
+  // settle an ulp or two outside a strict bracket; the decision path widens
+  // every bracket by kBracketSlack, and within that slack the root is held.
+  const Stack& s = stack();
+  constexpr double tol = FailureCriteria::kBracketTol;
+  constexpr double slack = FailureCriteria::kBracketSlack;
+  const auto holds = [](const circuit::Bracket& b, double root) {
+    return b.lo - slack <= root && root <= b.hi + slack && b.hi - b.lo <= tol;
+  };
+  util::Rng rng{2024};
+  for (const double vdd : circuit::paper_voltage_grid()) {
+    for (int i = 0; i < 150; ++i) {
+      const circuit::Bitcell6T cell6{s.tech, s.s6, s.sampler.sample_6t(rng)};
+      const circuit::Bitcell8T cell8{s.tech, s.s8, s.sampler.sample_8t(rng)};
+      EXPECT_TRUE(holds(cell6.read_bump_bracket(vdd, tol),
+                        cell6.read_bump(vdd)));
+      for (const circuit::Side side :
+           {circuit::Side::left, circuit::Side::right}) {
+        EXPECT_TRUE(holds(cell6.trip_bracket(side, vdd, tol),
+                          cell6.trip_voltage(side, vdd)));
+      }
+      EXPECT_TRUE(holds(cell8.read_node_bracket(vdd, tol),
+                        cell8.read_node(vdd)));
+      EXPECT_EQ(cell6.read_current_at(vdd, cell6.read_bump(vdd)),
+                cell6.read_current(vdd));
+      EXPECT_EQ(cell8.read_current_at(vdd, cell8.read_node(vdd)),
+                cell8.read_current(vdd));
+    }
+  }
+}
+
+// ---- sample sources ----------------------------------------------------------
+
+/// One (cell, mechanism) of the decision path.
+struct Case {
+  const char* name;
+  bool cell8;
+  Mechanism m;
+};
+
+constexpr Case kCases[] = {
+    {"6t.read_access", false, Mechanism::read_access},
+    {"6t.write", false, Mechanism::write},
+    {"6t.read_disturb", false, Mechanism::read_disturb},
+    {"8t.read_access", true, Mechanism::read_access},
+    {"8t.write", true, Mechanism::write},
+};
+
+/// A flat dVT vector in volts; 6T cases use the first six entries.
+using Dvt = std::array<double, k8t_devices>;
+
+std::size_t dims(const Case& c) { return c.cell8 ? k8t_devices : k6t_devices; }
+
+double sigma(const Case& c, std::size_t i) {
+  return c.cell8 ? stack().sampler.sigmas_8t()[i]
+                 : stack().sampler.sigmas_6t()[i];
+}
+
+circuit::Variation6T pack6(const Dvt& x) {
+  std::array<double, k6t_devices> six{};
+  std::copy_n(x.begin(), k6t_devices, six.begin());
+  return VariationSampler::pack_6t(six);
+}
+
+double metric(const Case& c, const Dvt& x, double vdd) {
+  const FailureCriteria& crit = stack().criteria;
+  return c.cell8 ? crit.metric_8t(c.m, VariationSampler::pack_8t(x), vdd)
+                 : crit.metric_6t(c.m, pack6(x), vdd);
+}
+
+bool fails(const Case& c, const Dvt& x, double vdd) {
+  const FailureCriteria& crit = stack().criteria;
+  return c.cell8 ? crit.fails_8t(c.m, VariationSampler::pack_8t(x), vdd)
+                 : crit.fails_6t(c.m, pack6(x), vdd);
+}
+
+/// Unit failure direction in standardized coordinates, from the same
+/// central differences the importance sampler takes (all zero when the
+/// metric does not respond to variation).
+Dvt failure_direction(const Case& c, double vdd) {
+  Dvt g{};
+  double norm = 0.0;
+  for (std::size_t i = 0; i < dims(c); ++i) {
+    Dvt plus{};
+    Dvt minus{};
+    plus[i] = 0.5 * sigma(c, i);
+    minus[i] = -0.5 * sigma(c, i);
+    g[i] = metric(c, plus, vdd) - metric(c, minus, vdd);
+    norm += g[i] * g[i];
+  }
+  norm = std::sqrt(norm);
+  if (norm > 0.0) {
+    for (double& gi : g) gi /= norm;
+  }
+  return g;
+}
+
+/// Standardized draw shifted by `beta` along `dir`, scaled back to volts
+/// (beta = 0 is a plain sample).
+Dvt draw(const Case& c, util::Rng& rng, const Dvt& dir, double beta) {
+  Dvt x{};
+  for (std::size_t i = 0; i < dims(c); ++i) {
+    x[i] = (beta * dir[i] + rng.normal()) * sigma(c, i);
+  }
+  return x;
+}
+
+struct Tally {
+  std::size_t decisions = 0;
+  std::size_t disagreements = 0;
+};
+
+Tally merge(Tally a, const Tally& b) {
+  a.decisions += b.decisions;
+  a.disagreements += b.disagreements;
+  return a;
+}
+
+/// Decides `plain` plain and `shifted` IS-shifted (beta = 3.5) samples of
+/// one case at one voltage against the oracle.
+Tally agree_on_samples(const Case& c, double vdd, std::size_t plain,
+                       std::size_t shifted, std::uint64_t seed) {
+  util::Rng rng{seed};
+  const Dvt dir = failure_direction(c, vdd);
+  Tally t;
+  for (std::size_t k = 0; k < plain + shifted; ++k) {
+    const Dvt x = draw(c, rng, dir, k < plain ? 0.0 : 3.5);
+    ++t.decisions;
+    if (fails(c, x, vdd) != (metric(c, x, vdd) > 0.0)) {
+      ++t.disagreements;
+      ADD_FAILURE() << c.name << " at " << vdd << " V: sample " << k
+                    << " decided against the oracle";
+    }
+  }
+  return t;
+}
+
+/// Samples within 1e-10 sigma of the failure boundary: bisect (60 steps, on
+/// the oracle's sign) between the origin and a failing sample, then jitter
+/// the crossing by 1e-10 sigma per device. Failing samples are plain or
+/// IS-shifted (beta = 3.5) draws, scaled up to 4x when the mechanism's tail
+/// lies beyond the shift.
+std::vector<Dvt> boundary_samples(const Case& c, double vdd,
+                                  std::size_t crossings, std::size_t jitters,
+                                  std::uint64_t seed) {
+  std::vector<Dvt> out;
+  if (metric(c, Dvt{}, vdd) > 0.0) return out;  // no passing origin
+  util::Rng rng{seed};
+  const Dvt dir = failure_direction(c, vdd);
+  const auto scaled = [&](const Dvt& x, double t) {
+    Dvt y{};
+    for (std::size_t i = 0; i < dims(c); ++i) y[i] = t * x[i];
+    return y;
+  };
+  for (std::size_t tries = 0;
+       out.size() < crossings * jitters && tries < 20 * crossings; ++tries) {
+    const Dvt base = draw(c, rng, dir, tries % 2 == 0 ? 0.0 : 3.5);
+    double reach = 0.0;  // smallest scale at which `base` fails
+    for (const double k : {1.0, 2.0, 3.0, 4.0}) {
+      if (metric(c, scaled(base, k), vdd) > 0.0) {
+        reach = k;
+        break;
+      }
+    }
+    if (reach == 0.0) continue;
+    double lo = 0.0;    // passes
+    double hi = reach;  // fails
+    for (int i = 0; i < 60; ++i) {
+      const double mid = 0.5 * (lo + hi);
+      (metric(c, scaled(base, mid), vdd) > 0.0 ? hi : lo) = mid;
+    }
+    const Dvt edge = scaled(base, 0.5 * (lo + hi));
+    for (std::size_t j = 0; j < jitters; ++j) {
+      Dvt x = edge;
+      for (std::size_t i = 0; i < dims(c); ++i) {
+        x[i] += 1e-10 * rng.normal() * sigma(c, i);
+      }
+      out.push_back(x);
+    }
+  }
+  return out;
+}
+
+// ---- agreement ------------------------------------------------------------------
+
+class DecisionAgreement : public ::testing::TestWithParam<double> {};
+
+TEST_P(DecisionAgreement, PlainAndShiftedSamplesMatchTheOracle) {
+  const double vdd = GetParam();
+  for (const Case& c : kCases) {
+    const Tally t = agree_on_samples(c, vdd, 500, 500, 17);
+    EXPECT_EQ(t.decisions, 1000u);
+    EXPECT_EQ(t.disagreements, 0u) << c.name;
+  }
+  // The 8T read port has no disturb mechanism: the oracle is constant -1.
+  util::Rng rng{3};
+  for (int i = 0; i < 20; ++i) {
+    EXPECT_FALSE(stack().criteria.fails_8t(Mechanism::read_disturb,
+                                           stack().sampler.sample_8t(rng),
+                                           vdd));
+  }
+}
+
+TEST_P(DecisionAgreement, BoundaryClusteredSamplesMatchAndFallBack) {
+  const double vdd = GetParam();
+  std::size_t cases_sampled = 0;
+  for (const Case& c : kCases) {
+    const std::uint64_t before = oracle_fallbacks();
+    const std::vector<Dvt> samples = boundary_samples(c, vdd, 8, 16, 29);
+    std::size_t disagreements = 0;
+    for (const Dvt& x : samples) {
+      if (fails(c, x, vdd) != (metric(c, x, vdd) > 0.0)) ++disagreements;
+    }
+    EXPECT_EQ(disagreements, 0u) << c.name << " at " << vdd << " V";
+    if (samples.empty()) continue;
+    ++cases_sampled;
+    // The write verdict never needs the oracle; the bracketed mechanisms
+    // must hand boundary samples to it.
+    if (c.m == Mechanism::write) {
+      EXPECT_EQ(oracle_fallbacks(), before) << c.name;
+    } else {
+      EXPECT_GT(oracle_fallbacks(), before) << c.name << " at " << vdd;
+    }
+  }
+  // Only a far 8T write tail may stay out of reach of the 4x-scaled draws.
+  EXPECT_GE(cases_sampled, std::size(kCases) - 1);
+}
+
+INSTANTIATE_TEST_SUITE_P(PaperVoltages, DecisionAgreement,
+                         ::testing::ValuesIn(circuit::paper_voltage_grid()));
+
+// ---- the monotone-write premise -------------------------------------------------
+
+/// Replays the write transient of Bitcell6T::write_residual (same devices,
+/// same Euler step) and reports whether Q ever rose or QB ever fell. The
+/// early exit of Bitcell6T::write_fails is exact only if neither happens.
+bool write_transient_monotone(const circuit::Variation6T& v,
+                              const circuit::Sizing6T& sz, double vdd) {
+  const Stack& s = stack();
+  const circuit::Technology& t = s.tech;
+  const circuit::Mosfet pu_l{t.pmos, sz.w_pu, t.lmin, v.pu_l};
+  const circuit::Mosfet pd_l{t.nmos, sz.w_pd, t.lmin, v.pd_l};
+  const circuit::Mosfet pu_r{t.pmos, sz.w_pu, t.lmin, v.pu_r};
+  const circuit::Mosfet pd_r{t.nmos, sz.w_pd, t.lmin, v.pd_r};
+  const circuit::Mosfet pg_l{t.nmos, sz.w_pg, t.lmin, v.pg_l};
+  const circuit::Mosfet pg_r{t.nmos, sz.w_pg, t.lmin, v.pg_r};
+  const double c_node = s.cycle.c_node();
+  const double dt = s.cycle.write_budget(vdd) / 120;
+  double q = vdd;
+  double qb = 0.0;
+  for (int i = 0; i < 120; ++i) {
+    const double i_q = pu_l.ids(vdd - qb, vdd - q) - pd_l.ids(qb, q) -
+                       pg_l.ids(vdd, q);
+    const double i_qb = pu_r.ids(vdd - q, vdd - qb) - pd_r.ids(q, qb) +
+                        pg_r.ids(vdd - qb, vdd - qb);
+    const double q_next = std::clamp(q + dt * i_q / c_node, 0.0, vdd);
+    const double qb_next = std::clamp(qb + dt * i_qb / c_node, 0.0, vdd);
+    if (q_next > q || qb_next < qb) return false;
+    q = q_next;
+    qb = qb_next;
+  }
+  return true;
+}
+
+TEST(WritePremise, TransientNeverRaisesQOrLowersQb) {
+  const Stack& s = stack();
+  const Case c6{"6t.write", false, Mechanism::write};
+  const Case c8{"8t.write", true, Mechanism::write};
+  for (const double vdd : circuit::paper_voltage_grid()) {
+    for (const Case& c : {c6, c8}) {
+      util::Rng rng{41};
+      const Dvt dir = failure_direction(c, vdd);
+      const circuit::Sizing6T& sz = c.cell8 ? s.s8.core : s.s6;
+      for (int k = 0; k < 200; ++k) {
+        const Dvt x = draw(c, rng, dir, k < 100 ? 0.0 : 3.5);
+        EXPECT_TRUE(write_transient_monotone(pack6(x), sz, vdd))
+            << c.name << " at " << vdd << " V, sample " << k;
+      }
+    }
+  }
+}
+
+// ---- the long sweep ------------------------------------------------------------
+
+TEST(DecisionSweep, DISABLED_MillionDecisionSweep) {
+  // ~1M decisions: for every paper voltage and mechanism, plain and
+  // IS-shifted samples plus boundary-clustered ones, on all threads.
+  const std::vector<double> grid = circuit::paper_voltage_grid();
+  constexpr std::size_t kChunksPerCase = 16;
+  constexpr std::size_t kPerChunk = 1600;  // half plain, half shifted
+  const std::size_t n_cases = std::size(kCases);
+  const std::size_t jobs = grid.size() * n_cases * kChunksPerCase;
+  const std::uint64_t fallbacks_before = oracle_fallbacks();
+  const Tally sampled = util::parallel_reduce(
+      jobs, jobs, Tally{},
+      [&](std::size_t begin, std::size_t end) {
+        Tally t;
+        for (std::size_t j = begin; j < end; ++j) {
+          const Case& c = kCases[(j / kChunksPerCase) % n_cases];
+          const double vdd = grid[j / (kChunksPerCase * n_cases)];
+          t = merge(t, agree_on_samples(c, vdd, kPerChunk / 2, kPerChunk / 2,
+                                        1000 + j));
+        }
+        return t;
+      },
+      merge);
+  const std::size_t boundary_jobs = grid.size() * n_cases;
+  const Tally boundary = util::parallel_reduce(
+      boundary_jobs, boundary_jobs, Tally{},
+      [&](std::size_t begin, std::size_t end) {
+        Tally t;
+        for (std::size_t j = begin; j < end; ++j) {
+          const Case& c = kCases[j % n_cases];
+          const double vdd = grid[j / n_cases];
+          for (const Dvt& x : boundary_samples(c, vdd, 40, 100, 7000 + j)) {
+            ++t.decisions;
+            if (fails(c, x, vdd) != (metric(c, x, vdd) > 0.0)) {
+              ++t.disagreements;
+            }
+          }
+        }
+        return t;
+      },
+      merge);
+  std::printf(
+      "decisions: %zu sampled + %zu boundary, disagreements: %zu, oracle "
+      "fallbacks: %llu\n",
+      sampled.decisions, boundary.decisions,
+      sampled.disagreements + boundary.disagreements,
+      static_cast<unsigned long long>(oracle_fallbacks() - fallbacks_before));
+  EXPECT_GE(sampled.decisions + boundary.decisions, 1000000u);
+  EXPECT_EQ(sampled.disagreements, 0u);
+  EXPECT_EQ(boundary.disagreements, 0u);
+}
+
+}  // namespace
+}  // namespace hynapse::mc
