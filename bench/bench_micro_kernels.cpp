@@ -53,21 +53,54 @@ void BM_ReadSnm(benchmark::State& state) {
 }
 BENCHMARK(BM_ReadSnm);
 
+/// The circuit stack one Monte-Carlo sample runs against.
+struct McStack {
+  circuit::Sizing6T s6 = circuit::reference_sizing_6t(tech());
+  circuit::Sizing8T s8 = circuit::reference_sizing_8t(tech());
+  sram::SubArrayModel array{tech(), sram::SubArrayGeometry{}, s6};
+  sram::CycleModel cycle{tech(), array, circuit::Bitcell6T{tech(), s6}};
+  mc::VariationSampler sampler{tech(), s6, s8};
+  mc::FailureCriteria criteria{tech(), cycle, s6, s8};
+};
+
+const McStack& mc_stack() {
+  static const McStack s;
+  return s;
+}
+
+// One plain-MC sample as the MC loops run it: draw a cell, decide it.
 void BM_McSample6T(benchmark::State& state) {
-  const circuit::Sizing6T s6 = circuit::reference_sizing_6t(tech());
-  const circuit::Sizing8T s8 = circuit::reference_sizing_8t(tech());
-  const sram::SubArrayModel array{tech(), sram::SubArrayGeometry{}, s6};
-  const sram::CycleModel cycle{tech(), array, circuit::Bitcell6T{tech(), s6}};
-  const mc::VariationSampler sampler{tech(), s6, s8};
-  const mc::FailureCriteria criteria{tech(), cycle, s6, s8};
+  const McStack& s = mc_stack();
   util::Rng rng{9};
   for (auto _ : state) {
-    const circuit::Variation6T var = sampler.sample_6t(rng);
+    const circuit::Variation6T var = s.sampler.sample_6t(rng);
     benchmark::DoNotOptimize(
-        criteria.read_access_metric_6t(var, 0.65));
+        s.criteria.fails_6t(mc::Mechanism::read_access, var, 0.65));
   }
 }
 BENCHMARK(BM_McSample6T);
+
+// The same sample through the metric oracle (two 60-step bisections).
+void BM_McMetric6T(benchmark::State& state) {
+  const McStack& s = mc_stack();
+  util::Rng rng{9};
+  for (auto _ : state) {
+    const circuit::Variation6T var = s.sampler.sample_6t(rng);
+    benchmark::DoNotOptimize(s.criteria.read_access_metric_6t(var, 0.65));
+  }
+}
+BENCHMARK(BM_McMetric6T);
+
+void BM_McSampleWrite6T(benchmark::State& state) {
+  const McStack& s = mc_stack();
+  util::Rng rng{9};
+  for (auto _ : state) {
+    const circuit::Variation6T var = s.sampler.sample_6t(rng);
+    benchmark::DoNotOptimize(
+        s.criteria.fails_6t(mc::Mechanism::write, var, 0.65));
+  }
+}
+BENCHMARK(BM_McSampleWrite6T);
 
 void BM_Gemm(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "obs/metrics.hpp"
+
 namespace hynapse::mc {
 
 FailureCriteria::FailureCriteria(const circuit::Technology& tech,

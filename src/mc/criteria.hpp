@@ -25,8 +25,11 @@
 
 #include "circuit/bitcell.hpp"
 #include "circuit/tech.hpp"
-#include "obs/metrics.hpp"
 #include "sram/timing.hpp"
+
+namespace hynapse::obs {
+class Counter;
+}  // namespace hynapse::obs
 
 namespace hynapse::mc {
 

@@ -3,6 +3,7 @@
 // to direct ExperimentRunner calls -- docs/serving.md).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <mutex>
 #include <string>
@@ -560,6 +561,13 @@ TEST_F(EvalServiceTest, StatsOpReportsHealthAndRegistry) {
   ASSERT_FALSE(stats.metrics.empty());
   EXPECT_EQ(metric_count(stats.metrics, "serve.request.wall_us"),
             wall_before + 3);
+  // The MC decision path's fallback counter is registered with the
+  // service's criteria, so it is scraped even before its first bump.
+  EXPECT_TRUE(std::any_of(stats.metrics.begin(), stats.metrics.end(),
+                          [](const obs::MetricSnapshot& m) {
+                            return m.name == "mc.decide.oracle_fallbacks" &&
+                                   m.kind == obs::MetricKind::counter;
+                          }));
 
   // Two concurrent scrapes share fingerprint 0 but must never coalesce:
   // each gets its own health snapshot.
