@@ -59,7 +59,6 @@ double Mosfet::ids(double vgs, double vds, double& d_vgs,
   d_vgs = 0.0;
   d_vds = 0.0;
   if (veff <= 0.0) return 0.0;
-  const double dveff_dvds = clamped ? 0.0 : c.dibl * dveff_dvgs;
 
   const double isat = c.b * w_over_l_ * std::pow(veff, c.alpha);
   const double vdsat = c.vdsat_k * std::pow(veff, 0.5 * c.alpha);
@@ -81,7 +80,7 @@ double Mosfet::ids(double vgs, double vds, double& d_vgs,
     di_dvds = di_dr / vdsat;
   }
   d_vgs = di_dveff * dveff_dvgs;
-  d_vds = clamped ? 0.0 : di_dveff * dveff_dvds + di_dvds;
+  d_vds = clamped ? 0.0 : di_dveff * c.dibl * dveff_dvgs + di_dvds;
   return out;
 }
 
