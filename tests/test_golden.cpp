@@ -7,7 +7,9 @@
 //     voltages, through engine::ExperimentRunner::run for every backend and
 //     for per-chip and auto-sized fused groups (one digest for all of them);
 //   * the `results` of a fixed request trace through serve::EvalService;
-//   * a small-budget mc::FailureTable, fixed-sample and adaptive.
+//   * a small-budget mc::FailureTable, fixed-sample and adaptive;
+//   * the wire bytes of serve::format_request / format_response over a
+//     hand-built corpus that reaches every key the codec can emit.
 //
 // A deliberate numerical change re-blesses the pins: run
 //   HYNAPSE_BLESS_GOLDEN=1 ./test_golden
@@ -31,6 +33,7 @@
 #include "mc/montecarlo.hpp"
 #include "mc/variation.hpp"
 #include "serve/eval_service.hpp"
+#include "serve/protocol.hpp"
 #include "test_helpers.hpp"
 #include "util/hash.hpp"
 
@@ -41,6 +44,7 @@ constexpr std::uint64_t kChipAccuracyDigest = 0xee980f8079944b6b;
 constexpr std::uint64_t kServiceTraceDigest = 0xf28320f74da3ae4a;
 constexpr std::uint64_t kFixedTableDigest = 0xefeeef52a15ae3b0;
 constexpr std::uint64_t kAdaptiveTableDigest = 0xe9c6b155823fbb11;
+constexpr std::uint64_t kWireCodecDigest = 0xc8912062eef94590;
 
 bool blessing() {
   const char* env = std::getenv("HYNAPSE_BLESS_GOLDEN");
@@ -226,6 +230,241 @@ TEST(Golden, AdaptiveFailureTable) {
   ao.adaptive.tail_escape_samples = 400;
   expect_golden("kAdaptiveTableDigest", small_table_digest(ao),
                 kAdaptiveTableDigest);
+}
+
+/// Requests covering every op and every optional key.
+std::vector<serve::Request> wire_requests() {
+  using serve::RequestKind;
+  std::vector<serve::Request> out;
+  serve::Request evaluate;
+  evaluate.kind = RequestKind::evaluate;
+  evaluate.configs = {*serve::ConfigSpec::parse("hybrid3")};
+  evaluate.vdds = {0.65};
+  out.push_back(evaluate);
+
+  serve::Request sweep;
+  sweep.kind = RequestKind::sweep;
+  sweep.configs = {*serve::ConfigSpec::parse("all6t"),
+                   *serve::ConfigSpec::parse("perlayer:2,3,1")};
+  sweep.vdds = {0.6, 0.6500000000000004, 0.8};
+  sweep.priority = -3;
+  sweep.chips = 12;
+  sweep.eval_seed = 9007199254740992ull;
+  sweep.mc_samples = 2500;
+  sweep.table_seed = 7;
+  sweep.tag = "sweep \"q\"\n";
+  sweep.client = "tenant-a";
+  sweep.deadline_ms = 1500.25;
+  out.push_back(sweep);
+
+  serve::Request info;
+  info.kind = RequestKind::table_info;
+  info.mc_samples = 1000;
+  mc::AdaptivePolicy policy;
+  policy.enabled = true;
+  policy.rel_target = 0.07;
+  policy.abs_target = 1e-6;
+  policy.z = 2.5758293035489004;
+  policy.interval = mc::IntervalKind::clopper_pearson;
+  policy.batch_samples = 1500;
+  policy.batch_growth = 1.5;
+  policy.min_samples = 3000;
+  policy.max_samples = 90000;
+  policy.tail_escape_samples = 5000;
+  policy.max_is_samples = 12000;
+  info.adaptive = policy;
+  out.push_back(info);
+
+  serve::Request shard;
+  shard.kind = RequestKind::table_shard;
+  shard.shard = 2;
+  shard.shard_count = 5;
+  shard.inline_rows = true;
+  shard.priority = 4;
+  shard.adaptive = mc::AdaptivePolicy{};
+  out.push_back(shard);
+
+  serve::Request plain_shard;
+  plain_shard.kind = RequestKind::table_shard;
+  plain_shard.shard_count = 1;
+  out.push_back(plain_shard);
+
+  serve::Request stats;
+  stats.kind = RequestKind::stats;
+  stats.tag = "probe";
+  out.push_back(stats);
+  return out;
+}
+
+/// Responses covering every status, every error code and every block.
+std::vector<serve::Response> wire_responses() {
+  using serve::RequestStatus;
+  std::vector<serve::Response> out;
+  std::uint64_t id = 1;
+  for (const RequestStatus status :
+       {RequestStatus::queued, RequestStatus::running, RequestStatus::done,
+        RequestStatus::failed, RequestStatus::cancelled,
+        RequestStatus::evicted, RequestStatus::not_found}) {
+    serve::Response r;
+    r.id = id++;
+    r.status = status;
+    out.push_back(r);
+  }
+  for (const serve::ErrorCode code :
+       {serve::ErrorCode::none, serve::ErrorCode::bad_request,
+        serve::ErrorCode::queue_full, serve::ErrorCode::quota_exceeded,
+        serve::ErrorCode::deadline_exceeded,
+        serve::ErrorCode::shard_out_of_range,
+        serve::ErrorCode::shutting_down, serve::ErrorCode::not_found,
+        serve::ErrorCode::unsupported_version, serve::ErrorCode::internal}) {
+    serve::Response r;
+    r.id = id++;
+    r.status = RequestStatus::failed;
+    r.code = code;
+    r.error = std::string{"failure: "} + serve::to_string(code);
+    r.tag = "t" + std::to_string(id);
+    if (code == serve::ErrorCode::queue_full ||
+        code == serve::ErrorCode::quota_exceeded) {
+      r.retry_after_ms = 12.75;
+    }
+    r.stats.queue_ms = 0.5;
+    r.stats.wall_ms = 0.75;
+    r.stats.dispatch_seq = id;
+    out.push_back(r);
+  }
+
+  // evaluate/sweep results plus the table block, once per table source.
+  for (const engine::TableSource source :
+       {engine::TableSource::memory, engine::TableSource::disk,
+        engine::TableSource::built}) {
+    serve::Response r;
+    r.id = id++;
+    r.status = RequestStatus::done;
+    r.tag = "sweep";
+    for (const char* config : {"hybrid3", "perlayer:2,3,1"}) {
+      serve::PointResult point;
+      point.config = config;
+      point.vdd = 0.6500000000000004;
+      point.accuracy.per_chip = {0.9125, 0.1 + 0.2, 1.0 / 3.0};
+      point.accuracy.mean = 0.5152777777777777;
+      point.accuracy.stddev = 0.3;
+      r.results.push_back(point);
+    }
+    r.table_fingerprint = 0x0123456789abcdefull;
+    r.table_csv = "/cache/failure_table_0123456789abcdef.csv";
+    r.table_rows = 13;
+    r.table_in_memory = source == engine::TableSource::memory;
+    r.stats = {1.5, 200.25, 30.125, 231.875, source,
+               source != engine::TableSource::built, 3, id};
+    out.push_back(r);
+  }
+
+  // table_info: the table block without results.
+  serve::Response info;
+  info.id = id++;
+  info.status = RequestStatus::done;
+  info.table_fingerprint = 0xfedcba9876543210ull;
+  info.table_in_memory = true;
+  out.push_back(info);
+
+  // table_shard with inline 9-column rows and sampling metadata.
+  serve::Response shard;
+  shard.id = id++;
+  shard.status = RequestStatus::done;
+  shard.table_fingerprint = 0xabc;
+  shard.table_csv = "/cache/failure_table_abc_shard1of4.csv";
+  shard.table_rows = 2;
+  shard.shard_index = 1;
+  shard.shard_count = 4;
+  shard.shard_fingerprint = 0xdef;
+  shard.shard_samples = 48000.0;
+  shard.shard_ci_half_width = 0.0125;
+  for (const double vdd : {0.6, 0.7000000000000001}) {
+    mc::FailureTableRow row;
+    row.vdd = vdd;
+    row.cell6 = {0.012345678901234567, 3.3e-7, 0.0};
+    row.cell8 = {1.0e-9, 0.0, 5.5e-4};
+    row.samples = 24000.0;
+    row.ci_half_width = vdd / 56.0;
+    shard.shard_rows.push_back(row);
+  }
+  shard.stats.table_source = engine::TableSource::disk;
+  out.push_back(shard);
+
+  // A failed shard: no source, no metadata.
+  serve::Response failed_shard;
+  failed_shard.id = id++;
+  failed_shard.status = RequestStatus::failed;
+  failed_shard.code = serve::ErrorCode::internal;
+  failed_shard.error = "build failed";
+  failed_shard.shard_index = 3;
+  failed_shard.shard_count = 4;
+  failed_shard.shard_fingerprint = 0x1;
+  out.push_back(failed_shard);
+
+  // stats: health with every total distinct and nonzero, plus the registry.
+  serve::Response stats;
+  stats.id = id++;
+  stats.status = RequestStatus::done;
+  stats.tag = "probe";
+  serve::HealthSummary h;
+  h.uptime_s = 12.5;
+  h.queue_depth = 3;
+  h.queue_capacity = 64;
+  h.dispatchers = 2;
+  h.threads = 4;
+  h.backend = "simd";
+  h.fuse_chips = 8;
+  h.max_batch = 16;
+  h.cache_dir = "/srv/hynapse/cache";
+  h.cache_tables = 5;
+  h.cache_bytes = 4096;
+  h.totals = {101, 102, 103, 104, 105, 106, 107, 108,
+              109, 110, 111, 112, 113, 114, 115};
+  stats.health = h;
+  obs::MetricSnapshot counter;
+  counter.name = "serve.requests_submitted";
+  counter.kind = obs::MetricKind::counter;
+  counter.count = 10;
+  counter.value = 10.0;
+  obs::MetricSnapshot gauge;
+  gauge.name = "serve.queue_depth";
+  gauge.kind = obs::MetricKind::gauge;
+  gauge.value = 3.25;
+  obs::MetricSnapshot histogram;
+  histogram.name = "serve.request.wall_us";
+  histogram.kind = obs::MetricKind::histogram;
+  histogram.count = 9;
+  histogram.sum = 4500;
+  histogram.p50 = 400.0;
+  histogram.p95 = 900.5;
+  histogram.p99 = 1000.125;
+  histogram.buckets = {{9, 5}, {10, 4}};
+  stats.metrics = {counter, gauge, histogram};
+  stats.stats.wall_ms = 0.25;
+  stats.stats.dispatch_seq = 77;
+  out.push_back(stats);
+
+  // A stats answer from an in-memory service (no cache_dir).
+  serve::Response bare = stats;
+  bare.id = id++;
+  bare.health->cache_dir.clear();
+  bare.metrics.clear();
+  out.push_back(bare);
+  return out;
+}
+
+TEST(Golden, WireCodecBytes) {
+  util::Fnv1a h;
+  for (const serve::Request& r : wire_requests()) {
+    h.str(serve::format_request(r));
+  }
+  for (const bool per_chip : {false, true}) {
+    for (const serve::Response& r : wire_responses()) {
+      h.str(serve::format_response(r, per_chip));
+    }
+  }
+  expect_golden("kWireCodecDigest", h.digest(), kWireCodecDigest);
 }
 
 }  // namespace

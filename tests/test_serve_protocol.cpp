@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <stdexcept>
 #include <vector>
 
@@ -155,6 +156,177 @@ TEST(ParseRequest, RejectsBadLinesWithReasons) {
   reject(R"({"op":"table_info","samples":1.5})");
   reject(R"({"op":"evaluate","config":"all6t","vdd":0.6,"priority":1e300})");
   reject(R"({"op":"evaluate","config":"all6t","vdd":0.6,"priority":0.5})");
+}
+
+/// Request lines at the edges of the schema, each with the verdict and
+/// ErrorCode it must keep (nullopt = accepted). Pinned against the
+/// hand-written codec the field tables replaced.
+struct VerdictCase {
+  const char* line;
+  std::optional<ErrorCode> code;
+};
+
+constexpr auto kBad = ErrorCode::bad_request;
+constexpr auto kVersion = ErrorCode::unsupported_version;
+
+const VerdictCase kRequestVerdicts[] = {
+    // Document shape and the op.
+    {"", kBad},
+    {"not json", kBad},
+    {"[1,2]", kBad},
+    {"null", kBad},
+    {R"({})", kBad},
+    {R"({"op":7})", kBad},
+    {R"({"op":"destroy"})", kBad},
+    {R"({"op":"Evaluate","config":"all6t","vdd":0.6})", kBad},
+    {R"({"v":2})", kBad},
+    {R"({"v":2,"op":"destroy"})", kBad},
+    {R"({"op":"table_info"})", std::nullopt},
+    {R"({"op":"table_info","op":"stats"})", std::nullopt},
+    // The version: only the number 1.
+    {R"({"op":"table_info","v":1})", std::nullopt},
+    {R"({"op":"table_info","v":1.0})", std::nullopt},
+    {R"({"op":"table_info","v":2})", kVersion},
+    {R"({"op":"table_info","v":0})", kVersion},
+    {R"({"op":"table_info","v":"1"})", kVersion},
+    {R"({"op":"table_info","v":true})", kVersion},
+    {R"({"op":"table_info","v":null})", kVersion},
+    // Errors are reported in document order.
+    {R"({"op":"table_info","v":2,"frob":1})", kVersion},
+    {R"({"op":"table_info","frob":1,"v":2})", kBad},
+    {R"({"op":"evaluate","v":2,"shard":0})", kVersion},
+    {R"({"op":"evaluate","shard":0,"v":2})", kBad},
+    {R"({"op":"table_info","samples":-1,"v":2})", kBad},
+    {R"({"op":"table_info","adaptive":{"z":0},"v":2})", kBad},
+    {R"({"op":"table_info","v":2,"adaptive":{"z":0}})", kVersion},
+    {R"({"op":"stats","v":2,"chips":3})", kVersion},
+    {R"({"op":"stats","chips":3,"v":2})", kVersion},
+    // evaluate / sweep shape.
+    {R"({"op":"evaluate","config":"all6t","vdd":0.6})", std::nullopt},
+    {R"({"op":"evaluate","configs":["all6t"],"vdds":[0.6]})", std::nullopt},
+    {R"({"op":"evaluate","configs":"all6t","vdds":0.6})", std::nullopt},
+    {R"({"op":"evaluate","config":["all6t"],"vdd":[0.6]})", std::nullopt},
+    {R"({"op":"evaluate","configs":[],"config":"all6t","vdd":0.6})",
+     std::nullopt},
+    {R"({"op":"evaluate","config":"all6t","configs":["hybrid1"],"vdd":0.6})",
+     kBad},
+    {R"({"op":"evaluate","config":"all6t","vdd":0.6,"vdds":[]})",
+     std::nullopt},
+    {R"({"op":"evaluate","config":"all6t"})", kBad},
+    {R"({"op":"evaluate","vdd":0.6})", kBad},
+    {R"({"op":"evaluate","configs":[],"vdds":[]})", kBad},
+    {R"({"op":"evaluate","config":"all6t","vdd":0})", kBad},
+    {R"({"op":"evaluate","config":"all6t","vdd":-0.0})", kBad},
+    {R"({"op":"evaluate","config":"all6t","vdd":"0.6"})", kBad},
+    {R"({"op":"evaluate","config":"all6t","vdd":[0.6,null]})", kBad},
+    {R"({"op":"evaluate","config":"all6t","vdd":1e300})", std::nullopt},
+    {R"({"op":"evaluate","config":"all6t","vdd":1e999})", kBad},
+    {R"({"op":"evaluate","config":5,"vdd":0.6})", kBad},
+    {R"({"op":"evaluate","config":["all6t",5],"vdd":0.6})", kBad},
+    {R"({"op":"evaluate","config":"hybrid65","vdd":0.6})", kBad},
+    {R"({"op":"evaluate","config":"hybrid64","vdd":0.6})", std::nullopt},
+    {R"({"op":"sweep","configs":["all6t","hybrid1"],"vdds":[0.6,0.7]})",
+     std::nullopt},
+    {R"({"op":"sweep","configs":["all6t"]})", kBad},
+    {R"({"op":"table_info","config":"all6t","vdd":0.6})", std::nullopt},
+    {R"({"op":"table_info","config":"bogus"})", kBad},
+    // Unsigned integers: non-negative, integral, <= 2^53, per-key bound.
+    {R"({"op":"table_info","samples":0})", std::nullopt},
+    {R"({"op":"table_info","samples":-0.0})", std::nullopt},
+    {R"({"op":"table_info","samples":-1})", kBad},
+    {R"({"op":"table_info","samples":1.5})", kBad},
+    {R"({"op":"table_info","samples":"5"})", kBad},
+    {R"({"op":"table_info","samples":true})", kBad},
+    {R"({"op":"table_info","samples":null})", kBad},
+    {R"({"op":"table_info","table_seed":9007199254740992})", std::nullopt},
+    {R"({"op":"table_info","table_seed":9007199254740994})", kBad},
+    {R"({"op":"table_info","table_seed":1e20})", kBad},
+    {R"({"op":"table_info","eval_seed":4e15})", std::nullopt},
+    {R"({"op":"evaluate","config":"all6t","vdd":0.6,"chips":4096})",
+     std::nullopt},
+    {R"({"op":"evaluate","config":"all6t","vdd":0.6,"chips":4097})", kBad},
+    {R"({"op":"evaluate","config":"all6t","vdd":0.6,"chips":1e12})", kBad},
+    {R"({"op":"evaluate","config":"all6t","vdd":0.6,"chips":-1})", kBad},
+    // priority: an integer in [-1e6, 1e6].
+    {R"({"op":"table_info","priority":-1000000})", std::nullopt},
+    {R"({"op":"table_info","priority":1000000})", std::nullopt},
+    {R"({"op":"table_info","priority":1000001})", kBad},
+    {R"({"op":"table_info","priority":-1e300})", kBad},
+    {R"({"op":"table_info","priority":0.5})", kBad},
+    {R"({"op":"table_info","priority":"1"})", kBad},
+    {R"({"op":"table_info","priority":false})", kBad},
+    // Strings and deadline.
+    {R"({"op":"table_info","tag":"","client":""})", std::nullopt},
+    {R"({"op":"table_info","tag":7})", kBad},
+    {R"({"op":"table_info","client":null})", kBad},
+    {R"({"op":"table_info","deadline_ms":0.001})", std::nullopt},
+    {R"({"op":"table_info","deadline_ms":0})", kBad},
+    {R"({"op":"table_info","deadline_ms":-5})", kBad},
+    {R"({"op":"table_info","deadline_ms":"5"})", kBad},
+    // table_shard keys.
+    {R"({"op":"table_shard","shard":0,"shard_count":1})", std::nullopt},
+    {R"({"op":"table_shard","shard_count":1,"inline_rows":false})",
+     std::nullopt},
+    {R"({"op":"table_shard","shard_count":1,"inline_rows":1})", kBad},
+    {R"({"op":"table_shard","shard":1,"shard_count":1})", kBad},
+    {R"({"op":"table_shard","shard":0})", kBad},
+    {R"({"op":"table_shard","shard_count":-1})", kBad},
+    {R"({"op":"table_shard","shard_count":2,"config":"all6t","vdd":0.6})",
+     std::nullopt},
+    {R"({"op":"table_info","shard":0})", kBad},
+    {R"({"op":"stats","shard_count":1})", kBad},
+    {R"({"op":"sweep","configs":["all6t"],"vdds":[0.6],"inline_rows":true})",
+     kBad},
+    // stats: envelope only, but defaulted workload keys pass.
+    {R"({"op":"stats"})", std::nullopt},
+    {R"({"op":"stats","tag":"p","priority":3,"client":"c","deadline_ms":5})",
+     std::nullopt},
+    {R"({"op":"stats","chips":0,"samples":0,"eval_seed":0,"table_seed":0})",
+     std::nullopt},
+    {R"({"op":"stats","configs":[],"vdds":[]})", std::nullopt},
+    {R"({"op":"stats","chips":1})", kBad},
+    {R"({"op":"stats","table_seed":1})", kBad},
+    {R"({"op":"stats","config":"all6t"})", kBad},
+    {R"({"op":"stats","vdd":0.7})", kBad},
+    {R"({"op":"stats","adaptive":{}})", kBad},
+    // adaptive: an object of known keys with checked values.
+    {R"({"op":"table_info","adaptive":{}})", std::nullopt},
+    {R"({"op":"table_info","adaptive":null})", kBad},
+    {R"({"op":"table_info","adaptive":[]})", kBad},
+    {R"({"op":"table_info","adaptive":{"bogus":1}})", kBad},
+    {R"({"op":"table_info","adaptive":{"v":2}})", kBad},
+    {R"({"op":"table_info","adaptive":{"rel_target":0,"abs_target":0}})",
+     std::nullopt},
+    {R"({"op":"table_info","adaptive":{"rel_target":-0.1}})", kBad},
+    {R"({"op":"table_info","adaptive":{"abs_target":"0"}})", kBad},
+    {R"({"op":"table_info","adaptive":{"z":0}})", kBad},
+    {R"({"op":"table_info","adaptive":{"z":1e-300}})", std::nullopt},
+    {R"({"op":"table_info","adaptive":{"interval":"wilson"}})", std::nullopt},
+    {R"({"op":"table_info","adaptive":{"interval":"clopper_pearson"}})",
+     std::nullopt},
+    {R"({"op":"table_info","adaptive":{"interval":"exact"}})", kBad},
+    {R"({"op":"table_info","adaptive":{"interval":0}})", kBad},
+    {R"({"op":"table_info","adaptive":{"batch_growth":1}})", std::nullopt},
+    {R"({"op":"table_info","adaptive":{"batch_growth":0.999}})", kBad},
+    {R"({"op":"table_info","adaptive":{"batch_samples":0}})", std::nullopt},
+    {R"({"op":"table_info","adaptive":{"min_samples":-1}})", kBad},
+    {R"({"op":"table_info","adaptive":{"max_samples":2.5}})", kBad},
+    {R"({"op":"table_info","adaptive":{"max_is_samples":1e17}})", kBad},
+    {R"({"op":"table_info",)"
+     R"("adaptive":{"tail_escape_samples":9007199254740992}})",
+     std::nullopt},
+};
+
+TEST(ParseRequest, MalformedLinesKeepTheirVerdicts) {
+  for (const VerdictCase& c : kRequestVerdicts) {
+    RequestError error;
+    const std::optional<Request> req = parse_request(c.line, &error);
+    EXPECT_EQ(req.has_value(), !c.code.has_value()) << c.line;
+    if (c.code.has_value() && !req.has_value()) {
+      EXPECT_EQ(error.code, *c.code) << c.line << " -> " << error.message;
+      EXPECT_FALSE(error.message.empty()) << c.line;
+    }
+  }
 }
 
 TEST(FormatResponse, RendersDoneResponse) {
