@@ -43,30 +43,17 @@ struct JournalInstruments {
   }
 };
 
-std::string fingerprint_hex16(std::uint64_t fp) {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(fp));
-  return buf;
-}
-
 std::string segment_name(const std::string& path, std::size_t n) {
   return path + "." + std::to_string(n);
 }
 
-std::string status_name(RequestStatus status) {
-  switch (status) {
-    case RequestStatus::done: return "done";
-    case RequestStatus::failed: return "failed";
-    case RequestStatus::cancelled: return "cancelled";
-    default: return "done";
+/// Replay honours only terminal outcomes; a "done" record naming any other
+/// status is skipped like a corrupt line.
+std::optional<RequestStatus> terminal_status(std::string_view name) {
+  for (const RequestStatus s : {RequestStatus::done, RequestStatus::failed,
+                                RequestStatus::cancelled}) {
+    if (name == to_string(s)) return s;
   }
-}
-
-std::optional<RequestStatus> parse_status_name(const std::string& s) {
-  if (s == "done") return RequestStatus::done;
-  if (s == "failed") return RequestStatus::failed;
-  if (s == "cancelled") return RequestStatus::cancelled;
   return std::nullopt;
 }
 
@@ -105,7 +92,7 @@ void RequestJournal::open_segment_locked(bool write_header) {
                        : 0;
   if (write_header && segment_bytes_ == 0) {
     std::string header = "{\"journal\":\"hynapse-requests\",\"v\":1,\"fp\":\"" +
-                         fingerprint_hex16(fingerprint_) + "\"}";
+                         engine::fingerprint_hex(fingerprint_) + "\"}";
     append_locked(std::move(header));
     flush_locked();
   }
@@ -129,7 +116,7 @@ void RequestJournal::record_submit(std::uint64_t id, const Request& request) {
 void RequestJournal::record_terminal(std::uint64_t id, RequestStatus status) {
   if (options_.path.empty()) return;
   std::string line = "{\"e\":\"done\",\"id\":" + std::to_string(id) +
-                     ",\"status\":\"" + status_name(status) + "\"}";
+                     ",\"status\":\"" + to_string(status) + "\"}";
   const std::scoped_lock lock{mutex_};
   append_locked(std::move(line));
 }
@@ -282,7 +269,7 @@ void load_segment(const std::string& file, JournalLoad& load,
       const Json* status = doc->get("status");
       std::optional<RequestStatus> st =
           status != nullptr && status->is_string()
-              ? parse_status_name(status->as_string())
+              ? terminal_status(status->as_string())
               : std::nullopt;
       if (!st) {
         ++load.skipped_lines;
@@ -357,7 +344,7 @@ std::optional<CompactionResult> compact_journal(const std::string& path,
   // the compacted journal is indistinguishable from replaying the
   // original's incomplete set.
   std::string out = "{\"journal\":\"hynapse-requests\",\"v\":1,\"fp\":\"" +
-                    fingerprint_hex16(load->service_fingerprint) +
+                    engine::fingerprint_hex(load->service_fingerprint) +
                     "\",\"max_id\":" + std::to_string(load->max_id) + "}\n";
   for (const JournalEntry* e : keep) {
     out += "{\"e\":\"submit\",\"id\":" + std::to_string(e->id) +

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -105,6 +106,50 @@ TEST_F(JournalTest, ToleratesTornTrailingLine) {
   EXPECT_EQ(load->entries[0].id, 1u);
   EXPECT_EQ(load->entries[1].id, 2u);
   EXPECT_EQ(load->max_id, 2u);
+}
+
+TEST_F(JournalTest, ReplaySkipsDoneRecordsWithNonTerminalStatus) {
+  {
+    RequestJournal journal{JournalOptions{path()}, 0xdeadbeefcafef00dull};
+    for (std::uint64_t id = 1; id <= 4; ++id) {
+      journal.record_submit(id, evaluate_request("hybrid2", 0.65));
+    }
+    journal.record_terminal(1, RequestStatus::failed);
+    journal.record_terminal(2, RequestStatus::cancelled);
+    journal.record_terminal(3, RequestStatus::evicted);
+    journal.flush();
+  }
+  {
+    std::ofstream out{path(), std::ios::app};
+    out << R"({"e":"done","id":4,"status":"queued"})" << '\n'
+        << R"({"e":"done","id":4,"status":"sideways"})" << '\n';
+  }
+
+  // The records use the protocol's names and fingerprint rendering.
+  std::ifstream in{path()};
+  const std::string text{std::istreambuf_iterator<char>{in}, {}};
+  EXPECT_NE(text.find(R"("fp":"deadbeefcafef00d")"), std::string::npos);
+  EXPECT_NE(text.find(R"({"e":"done","id":1,"status":"failed"})"),
+            std::string::npos);
+  EXPECT_NE(text.find(R"({"e":"done","id":3,"status":"evicted"})"),
+            std::string::npos);
+
+  std::string error;
+  const auto load = load_journal(path(), &error);
+  ASSERT_TRUE(load.has_value()) << error;
+  EXPECT_EQ(load->service_fingerprint, 0xdeadbeefcafef00dull);
+  EXPECT_EQ(load->skipped_lines, 3u);  // evicted, queued, sideways
+  ASSERT_EQ(load->entries.size(), 4u);
+  EXPECT_TRUE(load->entries[0].terminal);
+  EXPECT_EQ(load->entries[0].final_status, RequestStatus::failed);
+  EXPECT_TRUE(load->entries[1].terminal);
+  EXPECT_EQ(load->entries[1].final_status, RequestStatus::cancelled);
+  EXPECT_FALSE(load->entries[2].terminal);
+  EXPECT_FALSE(load->entries[3].terminal);
+  const auto pending = incomplete_entries(*load);
+  ASSERT_EQ(pending.size(), 2u);
+  EXPECT_EQ(pending[0]->id, 3u);
+  EXPECT_EQ(pending[1]->id, 4u);
 }
 
 TEST_F(JournalTest, RotationShiftsSegmentsAndLoaderReadsOldestFirst) {

@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <optional>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "serve/protocol.hpp"
+#include "util/rng.hpp"
 
 namespace hynapse::serve {
 namespace {
@@ -822,6 +827,485 @@ TEST(Protocol, ShardSamplingMetadataRoundTrips) {
   EXPECT_DOUBLE_EQ(legacy->shard_rows[0].cell6.read_access, 0.001);
   EXPECT_DOUBLE_EQ(legacy->shard_rows[0].samples, 0.0);
   EXPECT_DOUBLE_EQ(legacy->shard_rows[0].ci_half_width, 0.0);
+}
+
+/// Response lines the parser must refuse: every integer field out of its
+/// range (each used to reach an unchecked cast), plus schema violations.
+const char* const kMalformedResponses[] = {
+    "nope",
+    "[1]",
+    R"({"status":"done"})",
+    R"({"id":1})",
+    R"({"id":-1,"status":"done"})",
+    R"({"id":1.5,"status":"done"})",
+    R"({"id":1e300,"status":"done"})",
+    R"({"id":9007199254740994,"status":"done"})",
+    R"({"id":"1","status":"done"})",
+    R"({"id":1,"status":"sideways"})",
+    R"({"id":1,"status":"done","v":2})",
+    R"({"id":1,"status":"failed","code":"made_up"})",
+    R"({"id":1,"status":"failed","error":7})",
+    R"({"id":1,"status":"done","results":[{"config":"all6t","vdd":0.6}]})",
+    R"({"id":1,"status":"done","results":[{"config":"all6t","vdd":0.6,)"
+    R"("mean":1,"stddev":0,"chips":-1}]})",
+    R"({"id":1,"status":"done","results":[{"config":"all6t","vdd":0.6,)"
+    R"("mean":1,"stddev":0,"per_chip":[1,"x"]}]})",
+    R"({"id":1,"status":"done","table":{"rows":1}})",
+    R"({"id":1,"status":"done","table":{"fingerprint":"xyz"}})",
+    R"({"id":1,"status":"done","table":{"fingerprint":"12345678901234567"}})",
+    R"({"id":1,"status":"done","table":{"fingerprint":"ab","rows":-1}})",
+    R"({"id":1,"status":"done","table":{"fingerprint":"ab","source":"tape"}})",
+    R"({"id":1,"status":"done","table":"ab"})",
+    R"({"id":1,"status":"done","shard":{"index":-1,"count":2,)"
+    R"("fingerprint":"1"}})",
+    R"({"id":1,"status":"done","shard":{"index":0,"count":1e20,)"
+    R"("fingerprint":"1"}})",
+    R"({"id":1,"status":"done","shard":{"index":0,"count":1}})",
+    R"({"id":1,"status":"done","shard":{"index":0,"count":1,)"
+    R"("fingerprint":"1","rows_data":[[1,2,3]]}})",
+    R"({"id":1,"status":"done","health":{"queue_depth":-1}})",
+    R"({"id":1,"status":"done","health":{"threads":0.5}})",
+    R"({"id":1,"status":"done","health":{"cache_bytes":1e300}})",
+    R"({"id":1,"status":"done","health":{"totals":{"submitted":-1}}})",
+    R"({"id":1,"status":"done","health":{"totals":{"shard_replays":1e19}}})",
+    R"({"id":1,"status":"done","registry":[{"kind":"counter"}]})",
+    R"({"id":1,"status":"done","registry":[{"name":"x","kind":"sideways"}]})",
+    R"({"id":1,"status":"done","registry":[{"name":"x","kind":"counter",)"
+    R"("count":-1}]})",
+    R"({"id":1,"status":"done","registry":[{"name":"x","kind":"histogram",)"
+    R"("sum":2e19}]})",
+    R"({"id":1,"status":"done","registry":[{"name":"x","kind":"histogram",)"
+    R"("buckets":[[-1,2]]}]})",
+    R"({"id":1,"status":"done","registry":[{"name":"x","kind":"histogram",)"
+    R"("buckets":[[4294967296,2]]}]})",
+    R"({"id":1,"status":"done","registry":[{"name":"x","kind":"histogram",)"
+    R"("buckets":[[1,-2]]}]})",
+    R"({"id":1,"status":"done","registry":[{"name":"x","kind":"histogram",)"
+    R"("buckets":[[1,2,3]]}]})",
+    R"({"id":1,"status":"done","stats":{"batch_size":-1}})",
+    R"({"id":1,"status":"done","stats":{"dispatch_seq":1e20}})",
+};
+
+TEST(ParseResponse, RejectsOutOfRangeAndMalformedLines) {
+  for (const char* line : kMalformedResponses) {
+    std::string error;
+    EXPECT_FALSE(parse_response(line, &error).has_value()) << line;
+    EXPECT_FALSE(error.empty()) << line;
+  }
+  // Unknown keys are tolerated at every level: a newer server may annotate.
+  std::string error;
+  const auto annotated = parse_response(
+      R"({"id":9007199254740992,"status":"done","node":"a",)"
+      R"("table":{"fingerprint":"ab","shards":3},"stats":{"cpu_ms":1}})",
+      &error);
+  ASSERT_TRUE(annotated.has_value()) << error;
+  EXPECT_EQ(annotated->id, 9007199254740992u);
+  EXPECT_EQ(annotated->table_fingerprint, 0xabu);
+}
+
+// --- Codec property test: format -> parse reproduces every field. ---------
+
+/// Draws wire values: integers <= 2^53, any finite double, any byte string.
+class WireGen {
+ public:
+  explicit WireGen(std::uint64_t seed) : rng_{seed} {}
+
+  bool coin() { return (rng_.next_u64() & 1) != 0; }
+  std::size_t below(std::size_t n) {
+    return static_cast<std::size_t>(rng_.uniform_index(n));
+  }
+  /// Small values most of the time, the full [1, 2^53] range otherwise.
+  std::uint64_t count() {
+    return coin() ? 1 + rng_.uniform_index(1000)
+                  : 1 + rng_.uniform_index(std::uint64_t{1} << 53);
+  }
+  /// Zero (the "absent" value) or a count.
+  std::uint64_t maybe_count() { return coin() ? 0 : count(); }
+  /// Any finite double, from its bit pattern.
+  double real() {
+    for (;;) {
+      const double d = std::bit_cast<double>(rng_.next_u64());
+      if (std::isfinite(d)) return d;
+    }
+  }
+  double positive() {
+    const double d = std::abs(real());
+    return d > 0.0 ? d : 1.0;
+  }
+  std::string text() {
+    std::string s(below(12), '\0');
+    for (char& c : s) c = static_cast<char>(rng_.uniform_index(256));
+    return s;
+  }
+  std::uint64_t bits() { return rng_.next_u64(); }
+
+ private:
+  util::Rng rng_;
+};
+
+ConfigSpec random_config(WireGen& g) {
+  ConfigSpec spec;
+  switch (g.below(3)) {
+    case 0:
+      break;
+    case 1:
+      spec.kind = ConfigSpec::Kind::uniform;
+      spec.n_msb = static_cast<int>(g.below(65));
+      break;
+    default:
+      spec.kind = ConfigSpec::Kind::per_layer;
+      spec.msbs.resize(1 + g.below(4));
+      for (int& n : spec.msbs) n = static_cast<int>(g.below(65));
+  }
+  return spec;
+}
+
+mc::AdaptivePolicy random_policy(WireGen& g) {
+  mc::AdaptivePolicy p;
+  p.enabled = true;  // presence on the wire enables the policy
+  p.rel_target = std::abs(g.real());
+  p.abs_target = std::abs(g.real());
+  p.z = g.positive();
+  p.interval =
+      g.coin() ? mc::IntervalKind::wilson : mc::IntervalKind::clopper_pearson;
+  p.batch_samples = g.maybe_count();
+  p.batch_growth = 1.0 + std::abs(g.real());
+  if (!std::isfinite(p.batch_growth)) p.batch_growth = 1.0;
+  p.min_samples = g.maybe_count();
+  p.max_samples = g.maybe_count();
+  p.tail_escape_samples = g.maybe_count();
+  p.max_is_samples = g.maybe_count();
+  return p;
+}
+
+/// A request holding only what its op puts on the wire.
+Request random_request(WireGen& g) {
+  Request r;
+  r.kind = static_cast<RequestKind>(g.below(5));
+  if (g.coin()) r.priority = static_cast<int>(g.below(2000001)) - 1000000;
+  if (g.coin()) r.tag = g.text();
+  if (g.coin()) r.client = g.text();
+  if (g.coin()) r.deadline_ms = g.positive();
+  if (r.kind == RequestKind::stats) return r;
+  if (r.kind == RequestKind::evaluate || r.kind == RequestKind::sweep) {
+    const bool grid = r.kind == RequestKind::sweep;
+    r.configs.resize(grid ? 1 + g.below(3) : 1);
+    for (ConfigSpec& spec : r.configs) spec = random_config(g);
+    r.vdds.resize(grid ? 1 + g.below(3) : 1);
+    for (double& v : r.vdds) v = g.positive();
+  }
+  if (r.kind == RequestKind::table_shard) {
+    r.shard_count = g.count();
+    r.shard = g.below(r.shard_count < 1000 ? r.shard_count : 1000);
+    r.inline_rows = g.coin();
+  }
+  if (g.coin()) r.chips = 1 + g.below(kMaxChipsPerRequest);
+  r.eval_seed = g.maybe_count();
+  r.mc_samples = g.maybe_count();
+  r.table_seed = g.maybe_count();
+  if (g.coin()) r.adaptive = random_policy(g);
+  return r;
+}
+
+/// A response holding only what its status and blocks put on the wire.
+Response random_response(WireGen& g) {
+  Response r;
+  r.id = g.count();
+  r.status = static_cast<RequestStatus>(g.below(7));
+  const bool done = r.status == RequestStatus::done;
+  if (g.coin()) r.error = g.text();
+  r.code = static_cast<ErrorCode>(g.below(10));
+  if (g.coin()) r.tag = g.text();
+  if (g.coin()) r.retry_after_ms = g.positive();
+  r.results.resize(g.below(3));
+  for (PointResult& p : r.results) {
+    p.config = g.text();
+    p.vdd = g.real();
+    p.accuracy.mean = g.real();
+    p.accuracy.stddev = g.real();
+    p.accuracy.per_chip.resize(g.below(4));
+    for (double& a : p.accuracy.per_chip) a = g.real();
+  }
+  bool sourced = false;
+  if (g.coin()) {
+    r.table_fingerprint = g.bits() | 1;
+    if (g.coin()) r.table_csv = g.text();
+    r.table_rows = g.maybe_count();
+    r.table_in_memory = g.coin();
+    if (done && !r.results.empty()) {
+      sourced = true;
+      r.stats.coalesced = g.coin();
+    }
+  }
+  if (g.coin()) {
+    r.shard_count = g.count();
+    r.shard_index = g.maybe_count();
+    r.shard_fingerprint = g.bits();
+    if (g.coin()) {
+      r.shard_samples = g.positive();
+      r.shard_ci_half_width = g.real();
+    }
+    r.shard_rows.resize(g.below(3));
+    for (mc::FailureTableRow& row : r.shard_rows) {
+      for (double* v :
+           {&row.vdd, &row.cell6.read_access, &row.cell6.write_fail,
+            &row.cell6.read_disturb, &row.cell8.read_access,
+            &row.cell8.write_fail, &row.cell8.read_disturb, &row.samples,
+            &row.ci_half_width}) {
+        *v = g.real();
+      }
+    }
+    sourced = sourced || done;
+  }
+  if (sourced) {
+    r.stats.table_source = static_cast<engine::TableSource>(g.below(3));
+  }
+  if (g.coin()) {
+    HealthSummary h;
+    h.uptime_s = g.real();
+    h.queue_depth = g.maybe_count();
+    h.queue_capacity = g.maybe_count();
+    h.dispatchers = g.maybe_count();
+    h.threads = g.maybe_count();
+    h.backend = g.text();
+    h.fuse_chips = g.maybe_count();
+    h.max_batch = g.maybe_count();
+    h.cache_dir = g.text();
+    h.cache_tables = g.maybe_count();
+    h.cache_bytes = g.maybe_count();
+    for (std::uint64_t* t :
+         {&h.totals.submitted, &h.totals.completed, &h.totals.failed,
+          &h.totals.cancelled, &h.totals.rejected, &h.totals.quota_rejected,
+          &h.totals.deadline_expired, &h.totals.batches,
+          &h.totals.coalesced_requests, &h.totals.table_builds,
+          &h.totals.table_memory_hits, &h.totals.table_disk_hits,
+          &h.totals.shard_builds, &h.totals.shard_replays,
+          &h.totals.max_queue_depth}) {
+      *t = g.maybe_count();
+    }
+    r.health = h;
+  }
+  r.metrics.resize(g.below(4));
+  for (obs::MetricSnapshot& m : r.metrics) {
+    m.name = g.text();
+    m.kind = static_cast<obs::MetricKind>(g.below(3));
+    switch (m.kind) {
+      case obs::MetricKind::counter:
+        m.count = g.maybe_count();
+        m.value = static_cast<double>(m.count);
+        break;
+      case obs::MetricKind::gauge:
+        m.value = g.real();
+        break;
+      case obs::MetricKind::histogram:
+        m.count = g.maybe_count();
+        m.sum = g.maybe_count();
+        m.value = m.count == 0 ? 0.0
+                               : static_cast<double>(m.sum) /
+                                     static_cast<double>(m.count);
+        m.p50 = g.real();
+        m.p95 = g.real();
+        m.p99 = g.real();
+        m.buckets.resize(g.below(4));
+        for (auto& [idx, n] : m.buckets) {
+          idx = static_cast<std::uint32_t>(g.bits());
+          n = g.maybe_count();
+        }
+        break;
+    }
+  }
+  if (done || r.status == RequestStatus::failed) {
+    r.stats.queue_ms = g.real();
+    r.stats.table_ms = g.real();
+    r.stats.run_ms = g.real();
+    r.stats.wall_ms = g.real();
+    r.stats.batch_size = g.maybe_count();
+    r.stats.dispatch_seq = g.maybe_count();
+  }
+  return r;
+}
+
+/// Bitwise double equality (distinguishes -0.0 from 0.0).
+void expect_bits(double got, double want, const char* what) {
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+            std::bit_cast<std::uint64_t>(want))
+      << what << ": " << got << " vs " << want;
+}
+
+void expect_same(const Request& got, const Request& want) {
+  EXPECT_EQ(got.kind, want.kind);
+  EXPECT_EQ(got.priority, want.priority);
+  ASSERT_EQ(got.configs.size(), want.configs.size());
+  for (std::size_t i = 0; i < want.configs.size(); ++i) {
+    EXPECT_EQ(got.configs[i].str(), want.configs[i].str());
+  }
+  ASSERT_EQ(got.vdds.size(), want.vdds.size());
+  for (std::size_t i = 0; i < want.vdds.size(); ++i) {
+    expect_bits(got.vdds[i], want.vdds[i], "vdd");
+  }
+  EXPECT_EQ(got.chips, want.chips);
+  EXPECT_EQ(got.eval_seed, want.eval_seed);
+  EXPECT_EQ(got.mc_samples, want.mc_samples);
+  EXPECT_EQ(got.table_seed, want.table_seed);
+  EXPECT_EQ(got.shard, want.shard);
+  EXPECT_EQ(got.shard_count, want.shard_count);
+  EXPECT_EQ(got.inline_rows, want.inline_rows);
+  ASSERT_EQ(got.adaptive.has_value(), want.adaptive.has_value());
+  if (want.adaptive) {
+    const mc::AdaptivePolicy& a = *got.adaptive;
+    const mc::AdaptivePolicy& b = *want.adaptive;
+    EXPECT_EQ(a.enabled, b.enabled);
+    expect_bits(a.rel_target, b.rel_target, "rel_target");
+    expect_bits(a.abs_target, b.abs_target, "abs_target");
+    expect_bits(a.z, b.z, "z");
+    EXPECT_EQ(a.interval, b.interval);
+    EXPECT_EQ(a.batch_samples, b.batch_samples);
+    expect_bits(a.batch_growth, b.batch_growth, "batch_growth");
+    EXPECT_EQ(a.min_samples, b.min_samples);
+    EXPECT_EQ(a.max_samples, b.max_samples);
+    EXPECT_EQ(a.tail_escape_samples, b.tail_escape_samples);
+    EXPECT_EQ(a.max_is_samples, b.max_is_samples);
+  }
+  EXPECT_EQ(got.tag, want.tag);
+  EXPECT_EQ(got.client, want.client);
+  expect_bits(got.deadline_ms, want.deadline_ms, "deadline_ms");
+}
+
+void expect_same(const Response& got, const Response& want, bool per_chip) {
+  EXPECT_EQ(got.id, want.id);
+  EXPECT_EQ(got.status, want.status);
+  EXPECT_EQ(got.error, want.error);
+  EXPECT_EQ(got.code, want.code);
+  EXPECT_EQ(got.tag, want.tag);
+  expect_bits(got.retry_after_ms, want.retry_after_ms, "retry_after_ms");
+  ASSERT_EQ(got.results.size(), want.results.size());
+  for (std::size_t i = 0; i < want.results.size(); ++i) {
+    const PointResult& a = got.results[i];
+    const PointResult& b = want.results[i];
+    EXPECT_EQ(a.config, b.config);
+    expect_bits(a.vdd, b.vdd, "vdd");
+    expect_bits(a.accuracy.mean, b.accuracy.mean, "mean");
+    expect_bits(a.accuracy.stddev, b.accuracy.stddev, "stddev");
+    const std::vector<double> chips =
+        per_chip ? b.accuracy.per_chip : std::vector<double>{};
+    ASSERT_EQ(a.accuracy.per_chip.size(), chips.size());
+    for (std::size_t c = 0; c < chips.size(); ++c) {
+      expect_bits(a.accuracy.per_chip[c], chips[c], "per_chip");
+    }
+  }
+  EXPECT_EQ(got.table_fingerprint, want.table_fingerprint);
+  EXPECT_EQ(got.table_csv, want.table_csv);
+  EXPECT_EQ(got.table_rows, want.table_rows);
+  EXPECT_EQ(got.table_in_memory, want.table_in_memory);
+  EXPECT_EQ(got.shard_index, want.shard_index);
+  EXPECT_EQ(got.shard_count, want.shard_count);
+  EXPECT_EQ(got.shard_fingerprint, want.shard_fingerprint);
+  expect_bits(got.shard_samples, want.shard_samples, "shard_samples");
+  expect_bits(got.shard_ci_half_width, want.shard_ci_half_width,
+              "shard_ci_half_width");
+  ASSERT_EQ(got.shard_rows.size(), want.shard_rows.size());
+  for (std::size_t i = 0; i < want.shard_rows.size(); ++i) {
+    const mc::FailureTableRow& a = got.shard_rows[i];
+    const mc::FailureTableRow& b = want.shard_rows[i];
+    expect_bits(a.vdd, b.vdd, "row.vdd");
+    expect_bits(a.cell6.read_access, b.cell6.read_access, "row.ra6");
+    expect_bits(a.cell6.write_fail, b.cell6.write_fail, "row.wf6");
+    expect_bits(a.cell6.read_disturb, b.cell6.read_disturb, "row.rd6");
+    expect_bits(a.cell8.read_access, b.cell8.read_access, "row.ra8");
+    expect_bits(a.cell8.write_fail, b.cell8.write_fail, "row.wf8");
+    expect_bits(a.cell8.read_disturb, b.cell8.read_disturb, "row.rd8");
+    expect_bits(a.samples, b.samples, "row.samples");
+    expect_bits(a.ci_half_width, b.ci_half_width, "row.ci_half_width");
+  }
+  ASSERT_EQ(got.health.has_value(), want.health.has_value());
+  if (want.health) {
+    const HealthSummary& a = *got.health;
+    const HealthSummary& b = *want.health;
+    expect_bits(a.uptime_s, b.uptime_s, "uptime_s");
+    EXPECT_EQ(a.queue_depth, b.queue_depth);
+    EXPECT_EQ(a.queue_capacity, b.queue_capacity);
+    EXPECT_EQ(a.dispatchers, b.dispatchers);
+    EXPECT_EQ(a.threads, b.threads);
+    EXPECT_EQ(a.backend, b.backend);
+    EXPECT_EQ(a.fuse_chips, b.fuse_chips);
+    EXPECT_EQ(a.max_batch, b.max_batch);
+    EXPECT_EQ(a.cache_dir, b.cache_dir);
+    EXPECT_EQ(a.cache_tables, b.cache_tables);
+    EXPECT_EQ(a.cache_bytes, b.cache_bytes);
+    EXPECT_EQ(a.totals.submitted, b.totals.submitted);
+    EXPECT_EQ(a.totals.completed, b.totals.completed);
+    EXPECT_EQ(a.totals.failed, b.totals.failed);
+    EXPECT_EQ(a.totals.cancelled, b.totals.cancelled);
+    EXPECT_EQ(a.totals.rejected, b.totals.rejected);
+    EXPECT_EQ(a.totals.quota_rejected, b.totals.quota_rejected);
+    EXPECT_EQ(a.totals.deadline_expired, b.totals.deadline_expired);
+    EXPECT_EQ(a.totals.batches, b.totals.batches);
+    EXPECT_EQ(a.totals.coalesced_requests, b.totals.coalesced_requests);
+    EXPECT_EQ(a.totals.table_builds, b.totals.table_builds);
+    EXPECT_EQ(a.totals.table_memory_hits, b.totals.table_memory_hits);
+    EXPECT_EQ(a.totals.table_disk_hits, b.totals.table_disk_hits);
+    EXPECT_EQ(a.totals.shard_builds, b.totals.shard_builds);
+    EXPECT_EQ(a.totals.shard_replays, b.totals.shard_replays);
+    EXPECT_EQ(a.totals.max_queue_depth, b.totals.max_queue_depth);
+  }
+  ASSERT_EQ(got.metrics.size(), want.metrics.size());
+  for (std::size_t i = 0; i < want.metrics.size(); ++i) {
+    const obs::MetricSnapshot& a = got.metrics[i];
+    const obs::MetricSnapshot& b = want.metrics[i];
+    EXPECT_EQ(a.name, b.name);
+    EXPECT_EQ(a.kind, b.kind);
+    expect_bits(a.value, b.value, "metric.value");
+    EXPECT_EQ(a.count, b.count);
+    EXPECT_EQ(a.sum, b.sum);
+    expect_bits(a.p50, b.p50, "p50");
+    expect_bits(a.p95, b.p95, "p95");
+    expect_bits(a.p99, b.p99, "p99");
+    EXPECT_EQ(a.buckets, b.buckets);
+  }
+  expect_bits(got.stats.queue_ms, want.stats.queue_ms, "queue_ms");
+  expect_bits(got.stats.table_ms, want.stats.table_ms, "table_ms");
+  expect_bits(got.stats.run_ms, want.stats.run_ms, "run_ms");
+  expect_bits(got.stats.wall_ms, want.stats.wall_ms, "wall_ms");
+  EXPECT_EQ(got.stats.table_source, want.stats.table_source);
+  EXPECT_EQ(got.stats.coalesced, want.stats.coalesced);
+  EXPECT_EQ(got.stats.batch_size, want.stats.batch_size);
+  EXPECT_EQ(got.stats.dispatch_seq, want.stats.dispatch_seq);
+}
+
+TEST(CodecProperty, RequestsRoundTripEveryField) {
+  WireGen g{20261017};
+  for (int i = 0; i < 2000; ++i) {
+    const Request want = random_request(g);
+    const std::string line = format_request(want);
+    RequestError error;
+    const std::optional<Request> got = parse_request(line, &error);
+    ASSERT_TRUE(got.has_value()) << line << " -> " << error.message;
+    SCOPED_TRACE(line);
+    expect_same(*got, want);
+    EXPECT_EQ(format_request(*got), line);
+    if (::testing::Test::HasFailure()) return;
+  }
+}
+
+TEST(CodecProperty, ResponsesRoundTripEveryField) {
+  WireGen g{17102026};
+  for (int i = 0; i < 2000; ++i) {
+    const Response want = random_response(g);
+    for (const bool per_chip : {false, true}) {
+      const std::string line = format_response(want, per_chip);
+      std::string error;
+      const std::optional<Response> got = parse_response(line, &error);
+      ASSERT_TRUE(got.has_value()) << line << " -> " << error;
+      SCOPED_TRACE(line);
+      expect_same(*got, want, per_chip);
+      // Without per_chip the parsed results lose their chip vectors, so
+      // only the full rendering must reproduce its bytes.
+      if (per_chip) {
+        EXPECT_EQ(format_response(*got, per_chip), line);
+      }
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
 }
 
 }  // namespace
