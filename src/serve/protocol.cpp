@@ -172,7 +172,7 @@ void fields(Is<mc::AdaptivePolicy> auto& p, auto& f) {
 }
 
 void fields(Is<PointResult> auto& p, auto& f) {
-  std::size_t chips = p.accuracy.per_chip.size();  // informational
+  std::size_t chips = p.accuracy.per_chip.size();  // parse checks, then drops
   f.field({.name = "config", .required = true}, p.config);
   f.field({.name = "vdd", .required = true}, p.vdd);
   f.field({.name = "mean", .required = true}, p.accuracy.mean);
