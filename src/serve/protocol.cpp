@@ -5,6 +5,7 @@
 #include <cmath>
 #include <concepts>
 #include <limits>
+#include <span>
 #include <stdexcept>
 #include <type_traits>
 #include <utility>
