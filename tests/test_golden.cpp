@@ -1,6 +1,6 @@
 // Golden digests: absolute pins on the numbers the pipeline produces, so a
 // change that drifts results is caught even when every path inside one
-// build still agrees with every other. Three artifacts are pinned as FNV-1a
+// build still agrees with every other. These artifacts are pinned as FNV-1a
 // digests (util/hash.hpp):
 //
 //   * per-chip accuracies of all6t, hybrid3 and one per-layer config at two
@@ -8,6 +8,8 @@
 //     for per-chip and auto-sized fused groups (one digest for all of them);
 //   * the `results` of a fixed request trace through serve::EvalService;
 //   * a small-budget mc::FailureTable, fixed-sample and adaptive;
+//   * every field of the per-cell 6T/8T analysis, fixed-sample and
+//     adaptive, and the standby retention rate;
 //   * the wire bytes of serve::format_request / format_response over a
 //     hand-built corpus that reaches every key the codec can emit.
 //
@@ -45,6 +47,7 @@ constexpr std::uint64_t kServiceTraceDigest = 0xf28320f74da3ae4a;
 constexpr std::uint64_t kFixedTableDigest = 0xefeeef52a15ae3b0;
 constexpr std::uint64_t kAdaptiveTableDigest = 0xe9c6b155823fbb11;
 constexpr std::uint64_t kWireCodecDigest = 0xc8912062eef94590;
+constexpr std::uint64_t kCellAnalysisDigest = 0xb6d293296509e1f9;
 
 bool blessing() {
   const char* env = std::getenv("HYNAPSE_BLESS_GOLDEN");
@@ -179,17 +182,43 @@ TEST(Golden, ServiceTraceResults) {
   expect_golden("kServiceTraceDigest", h.digest(), kServiceTraceDigest);
 }
 
+/// The reference-design circuit and Monte-Carlo stack every MC golden uses.
+struct McStack {
+  circuit::Technology tech = circuit::ptm22();
+  circuit::Sizing6T s6 = circuit::reference_sizing_6t(tech);
+  circuit::Sizing8T s8 = circuit::reference_sizing_8t(tech);
+  sram::SubArrayModel array{tech, sram::SubArrayGeometry{}, s6};
+  sram::CycleModel cycle{tech, array, circuit::Bitcell6T{tech, s6}};
+  mc::VariationSampler sampler{tech, s6, s8};
+  mc::FailureCriteria criteria{tech, cycle, s6, s8};
+};
+
+const McStack& mc_stack() {
+  static const McStack stack;
+  return stack;
+}
+
+/// Small-budget options in the cold served request's adaptive policy shape
+/// (rel 0.3, abs 1e-4): some mechanisms converge, some escape to the
+/// importance-sampled tail and some hit the max clamp.
+mc::AnalyzerOptions small_adaptive_options() {
+  mc::AnalyzerOptions ao;
+  ao.mc_samples = 1600;
+  ao.is_samples = 300;
+  ao.adaptive.enabled = true;
+  ao.adaptive.rel_target = 0.3;
+  ao.adaptive.abs_target = 1e-4;
+  ao.adaptive.batch_samples = 200;
+  ao.adaptive.min_samples = 200;
+  ao.adaptive.tail_escape_samples = 400;
+  return ao;
+}
+
 /// Digest of a small-budget table over a 3-point grid: every rate plus the
 /// per-row sampling metadata.
 std::uint64_t small_table_digest(const mc::AnalyzerOptions& ao) {
-  const circuit::Technology tech = circuit::ptm22();
-  const circuit::Sizing6T s6 = circuit::reference_sizing_6t(tech);
-  const circuit::Sizing8T s8 = circuit::reference_sizing_8t(tech);
-  const sram::SubArrayModel array{tech, sram::SubArrayGeometry{}, s6};
-  const sram::CycleModel cycle{tech, array, circuit::Bitcell6T{tech, s6}};
-  const mc::VariationSampler sampler{tech, s6, s8};
-  const mc::FailureCriteria criteria{tech, cycle, s6, s8};
-  const mc::FailureAnalyzer analyzer{criteria, sampler, ao};
+  const McStack& s = mc_stack();
+  const mc::FailureAnalyzer analyzer{s.criteria, s.sampler, ao};
   const std::vector<double> grid{0.60, 0.75, 0.90};
   const mc::FailureTable table = mc::FailureTable::build(analyzer, grid, 7);
 
@@ -216,20 +245,46 @@ TEST(Golden, FixedSampleFailureTable) {
 }
 
 TEST(Golden, AdaptiveFailureTable) {
-  // The cold served request's policy shape (rel 0.3, abs 1e-4) at a budget
-  // small enough that some mechanisms converge, some escape to the
-  // importance-sampled tail and some hit the max clamp.
-  mc::AnalyzerOptions ao;
-  ao.mc_samples = 1600;
-  ao.is_samples = 300;
-  ao.adaptive.enabled = true;
-  ao.adaptive.rel_target = 0.3;
-  ao.adaptive.abs_target = 1e-4;
-  ao.adaptive.batch_samples = 200;
-  ao.adaptive.min_samples = 200;
-  ao.adaptive.tail_escape_samples = 400;
-  expect_golden("kAdaptiveTableDigest", small_table_digest(ao),
+  expect_golden("kAdaptiveTableDigest",
+                small_table_digest(small_adaptive_options()),
                 kAdaptiveTableDigest);
+}
+
+void digest_estimate(util::Fnv1a& h, const mc::RateEstimate& e) {
+  h.f64(e.p);
+  h.f64(e.ci_lo);
+  h.f64(e.ci_hi);
+  h.u64(e.trials);
+  h.f64(e.hits);
+  h.u64(e.importance_sampled ? 1 : 0);
+  h.u64(e.total_samples);
+  h.u64(e.batches);
+  h.u64(e.converged ? 1 : 0);
+}
+
+TEST(Golden, CellAnalysis) {
+  // Every field of the per-cell analysis at two voltages, fixed-sample and
+  // adaptive, plus the standby retention rate (its p only).
+  const McStack& s = mc_stack();
+  mc::AnalyzerOptions fixed;
+  fixed.mc_samples = 600;
+  fixed.is_samples = 300;
+  util::Fnv1a h;
+  for (const mc::AnalyzerOptions& ao : {fixed, small_adaptive_options()}) {
+    const mc::FailureAnalyzer analyzer{s.criteria, s.sampler, ao};
+    for (const double vdd : {0.65, 0.80}) {
+      for (const mc::CellFailureRates& r :
+           {analyzer.analyze_6t(vdd, 1), analyzer.analyze_8t(vdd, 2)}) {
+        digest_estimate(h, r.read_access);
+        digest_estimate(h, r.write_fail);
+        digest_estimate(h, r.read_disturb);
+      }
+    }
+  }
+  const mc::FailureAnalyzer retention{s.criteria, s.sampler, fixed};
+  h.f64(retention.retention_6t(0.50, 5).p);
+  h.f64(retention.retention_6t(0.65, 7).p);
+  expect_golden("kCellAnalysisDigest", h.digest(), kCellAnalysisDigest);
 }
 
 /// Requests covering every op and every optional key.
