@@ -606,12 +606,8 @@ RateEstimate FailureAnalyzer::importance_8t(Mechanism m, double vdd,
 
 RateEstimate FailureAnalyzer::retention_6t(double v_standby,
                                            std::uint64_t seed) const {
-  // Plain MC on the hold limit-state, importance-sampled below min_hits.
-  const Retention6T ls{*criteria_, *sampler_, v_standby};
-  RateEstimate est = plain_mc(ls, opts_.mc_samples, seed, opts_.threads);
-  if (est.hits >= static_cast<double>(opts_.min_hits_for_mc)) return est;
-  return importance_sample(ls, opts_.is_samples, opts_.is_beta,
-                           seed ^ 0xfeedull, opts_.threads);
+  return fixed_estimate(opts_, Retention6T{*criteria_, *sampler_, v_standby},
+                        seed, seed ^ 0xfeedull);
 }
 
 RateEstimate FailureAnalyzer::estimate_6t(Mechanism m, double vdd,

@@ -111,5 +111,21 @@ TEST_F(RetentionMcTest, RetentionSafeAtOperatingVoltages) {
   EXPECT_LT(op.p, 1e-4);
 }
 
+TEST_F(RetentionMcTest, ImportanceFallbackKeepsTheSampleLedger) {
+  // At 0.65 V plain MC sees too few hold failures and the importance
+  // sampler re-estimates; the estimate still accounts for both phases,
+  // like every other fixed-path estimate.
+  const FailureAnalyzer analyzer{criteria_, sampler_, fast()};
+  const RateEstimate op = analyzer.retention_6t(0.65, 7);
+  ASSERT_TRUE(op.importance_sampled);
+  AnalyzerOptions mc_only = fast();
+  mc_only.min_hits_for_mc = 0;  // never falls back: the plain-MC phase alone
+  const RateEstimate mc =
+      FailureAnalyzer{criteria_, sampler_, mc_only}.retention_6t(0.65, 7);
+  ASSERT_FALSE(mc.importance_sampled);
+  EXPECT_EQ(op.total_samples, op.trials + mc.trials);
+  EXPECT_EQ(op.batches, 2u);
+}
+
 }  // namespace
 }  // namespace hynapse::mc
