@@ -75,7 +75,7 @@ void BM_McSample6T(benchmark::State& state) {
   for (auto _ : state) {
     const circuit::Variation6T var = s.sampler.sample_6t(rng);
     benchmark::DoNotOptimize(
-        s.criteria.fails_6t(mc::Mechanism::read_access, var, 0.65));
+        s.criteria.fails(mc::Mechanism::read_access, var, 0.65));
   }
 }
 BENCHMARK(BM_McSample6T);
@@ -86,7 +86,8 @@ void BM_McMetric6T(benchmark::State& state) {
   util::Rng rng{9};
   for (auto _ : state) {
     const circuit::Variation6T var = s.sampler.sample_6t(rng);
-    benchmark::DoNotOptimize(s.criteria.read_access_metric_6t(var, 0.65));
+    benchmark::DoNotOptimize(
+        s.criteria.metric(mc::Mechanism::read_access, var, 0.65));
   }
 }
 BENCHMARK(BM_McMetric6T);
@@ -97,7 +98,7 @@ void BM_McSampleWrite6T(benchmark::State& state) {
   for (auto _ : state) {
     const circuit::Variation6T var = s.sampler.sample_6t(rng);
     benchmark::DoNotOptimize(
-        s.criteria.fails_6t(mc::Mechanism::write, var, 0.65));
+        s.criteria.fails(mc::Mechanism::write, var, 0.65));
   }
 }
 BENCHMARK(BM_McSampleWrite6T);

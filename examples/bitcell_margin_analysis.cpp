@@ -62,7 +62,7 @@ int main() {
     pw.add_row({util::Table::num(vdd, 2),
                 util::Table::num(1e12 * cycle.read_budget(vdd), 1),
                 util::Table::num(1e12 * cycle.cell_read_delay(cell6, vdd), 1),
-                util::Table::num(1e12 * cycle.cell_read_delay_8t(cell8, vdd), 1),
+                util::Table::num(1e12 * cycle.cell_read_delay(cell8, vdd), 1),
                 util::Table::num(1e6 * power.read_power_6t(vdd), 3),
                 util::Table::num(1e6 * power.write_power_6t(vdd), 3),
                 util::Table::num(1e9 * power.leakage_power_6t(vdd), 3),
@@ -80,8 +80,10 @@ int main() {
   util::Table ft{{"VDD [V]", "6T read access", "6T write", "6T disturb",
                   "8T read access", "8T write"}};
   for (double vdd : circuit::paper_voltage_grid()) {
-    const mc::CellFailureRates r6 = analyzer.analyze_6t(vdd, 42);
-    const mc::CellFailureRates r8 = analyzer.analyze_8t(vdd, 43);
+    const mc::CellFailureRates r6 =
+        analyzer.analyze(mc::CellKind::six_t, vdd, 42);
+    const mc::CellFailureRates r8 =
+        analyzer.analyze(mc::CellKind::eight_t, vdd, 43);
     ft.add_row({util::Table::num(vdd, 2), util::Table::sci(r6.read_access.p),
                 util::Table::sci(r6.write_fail.p),
                 util::Table::sci(r6.read_disturb.p),

@@ -187,8 +187,10 @@ int cmd_failure_rates(const Stack& st, std::size_t samples) {
   util::Table t{{"VDD [V]", "6T read access", "6T write", "8T read access"}};
   std::size_t spent = 0;
   for (double vdd : circuit::paper_voltage_grid()) {
-    const mc::CellFailureRates r6 = analyzer.analyze_6t(vdd, 1);
-    const mc::CellFailureRates r8 = analyzer.analyze_8t(vdd, 2);
+    const mc::CellFailureRates r6 =
+        analyzer.analyze(mc::CellKind::six_t, vdd, 1);
+    const mc::CellFailureRates r8 =
+        analyzer.analyze(mc::CellKind::eight_t, vdd, 2);
     spent += r6.read_access.total_samples + r6.write_fail.total_samples +
              r6.read_disturb.total_samples + r8.read_access.total_samples +
              r8.write_fail.total_samples;

@@ -35,12 +35,23 @@ int decide(double lo, double hi) {
   return 0;
 }
 
+/// Bracket on the node that throttles the read current: the 6T read bump,
+/// the 8T read-buffer node.
+circuit::Bracket read_node_bracket(const circuit::Bitcell6T& cell,
+                                   double vdd) {
+  return cell.read_bump_bracket(vdd, FailureCriteria::kBracketTol);
+}
+circuit::Bracket read_node_bracket(const circuit::Bitcell8T& cell,
+                                   double vdd) {
+  return cell.read_node_bracket(vdd, FailureCriteria::kBracketTol);
+}
+
 /// Read-access verdict from a bracket on the read node: the read current
 /// falls as the node rises, so the metric rises with it.
 template <typename Cell>
 int decide_read_access(const sram::CycleModel& cycle, const Cell& cell,
-                       double vdd, circuit::Bracket node) {
-  const circuit::Bracket b = widen(node, vdd);
+                       double vdd) {
+  const circuit::Bracket b = widen(read_node_bracket(cell, vdd), vdd);
   const double budget = cycle.read_budget(vdd);
   const auto metric_at = [&](double vn) {
     return cycle.read_delay(cell.read_current_at(vdd, vn), vdd) / budget - 1.0;
@@ -48,124 +59,90 @@ int decide_read_access(const sram::CycleModel& cycle, const Cell& cell,
   return decide(metric_at(b.lo), metric_at(b.hi));
 }
 
-}  // namespace
-
-double FailureCriteria::read_access_metric_6t(const circuit::Variation6T& var,
-                                              double vdd) const {
-  const circuit::Bitcell6T cell{*tech_, sizing6_, var};
-  const double t = cycle_->cell_read_delay(cell, vdd);
-  return t / cycle_->read_budget(vdd) - 1.0;
-}
-
-double FailureCriteria::write_metric_6t(const circuit::Variation6T& var,
-                                        double vdd) const {
-  // Two-node transient: positive residual means (Q - QB) never crossed
-  // within the write budget, i.e. the write failed.
-  const circuit::Bitcell6T cell{*tech_, sizing6_, var};
-  return cell.write_residual(vdd, cycle_->c_node(),
-                             cycle_->write_budget(vdd));
-}
-
-double FailureCriteria::read_disturb_metric_6t(const circuit::Variation6T& var,
-                                               double vdd) const {
-  const circuit::Bitcell6T cell{*tech_, sizing6_, var};
-  // Positive when the read bump exceeds the opposite trip point (in volts,
-  // normalized by vdd to keep the metric scale-free).
+/// Positive when the read bump exceeds the opposite trip point (in volts,
+/// normalized by vdd to keep the metric scale-free).
+double read_disturb_metric(const circuit::Bitcell6T& cell, double vdd) {
   return (cell.read_bump(vdd) -
           cell.trip_voltage(circuit::Side::right, vdd)) /
          vdd;
 }
 
-double FailureCriteria::metric_6t(Mechanism m, const circuit::Variation6T& var,
+int decide_read_disturb(const circuit::Bitcell6T& cell, double vdd) {
+  constexpr double tol = FailureCriteria::kBracketTol;
+  const circuit::Bracket bump = widen(cell.read_bump_bracket(vdd, tol), vdd);
+  const circuit::Bracket trip =
+      widen(cell.trip_bracket(circuit::Side::right, vdd, tol), vdd);
+  return decide((bump.lo - trip.hi) / vdd, (bump.hi - trip.lo) / vdd);
+}
+
+// Decoupled read port: an 8T cell has no read-disturb mechanism.
+double read_disturb_metric(const circuit::Bitcell8T&, double) { return -1.0; }
+int decide_read_disturb(const circuit::Bitcell8T&, double) { return -1; }
+
+}  // namespace
+
+template <typename Cell>
+double FailureCriteria::metric_of(Mechanism m, const Cell& cell,
                                   double vdd) const {
   switch (m) {
     case Mechanism::read_access:
-      return read_access_metric_6t(var, vdd);
+      return cycle_->cell_read_delay(cell, vdd) / cycle_->read_budget(vdd) -
+             1.0;
     case Mechanism::write:
-      return write_metric_6t(var, vdd);
+      // Two-node transient: positive residual means (Q - QB) never crossed
+      // within the write budget, i.e. the write failed.
+      return cell.write_residual(vdd, cycle_->c_node(),
+                                 cycle_->write_budget(vdd));
     case Mechanism::read_disturb:
-      return read_disturb_metric_6t(var, vdd);
+      return read_disturb_metric(cell, vdd);
   }
   return 0.0;
 }
 
-bool FailureCriteria::fails_6t(Mechanism m, const circuit::Variation6T& var,
+template <typename Cell>
+bool FailureCriteria::fails_of(Mechanism m, const Cell& cell,
                                double vdd) const {
-  const circuit::Bitcell6T cell{*tech_, sizing6_, var};
   int verdict = 0;
   switch (m) {
     case Mechanism::read_access:
-      verdict = decide_read_access(*cycle_, cell, vdd,
-                                   cell.read_bump_bracket(vdd, kBracketTol));
+      verdict = decide_read_access(*cycle_, cell, vdd);
       break;
     case Mechanism::write:
       return cell.write_fails(vdd, cycle_->c_node(),
                               cycle_->write_budget(vdd));
-    case Mechanism::read_disturb: {
-      const circuit::Bracket bump =
-          widen(cell.read_bump_bracket(vdd, kBracketTol), vdd);
-      const circuit::Bracket trip = widen(
-          cell.trip_bracket(circuit::Side::right, vdd, kBracketTol), vdd);
-      verdict = decide((bump.lo - trip.hi) / vdd, (bump.hi - trip.lo) / vdd);
+    case Mechanism::read_disturb:
+      verdict = decide_read_disturb(cell, vdd);
       break;
-    }
   }
   if (verdict != 0) return verdict > 0;
   oracle_fallbacks_->add(1);
-  return metric_6t(m, var, vdd) > 0.0;
+  return metric_of(m, cell, vdd) > 0.0;
+}
+
+double FailureCriteria::metric(Mechanism m, const circuit::Variation6T& var,
+                               double vdd) const {
+  return metric_of(m, circuit::Bitcell6T{*tech_, sizing6_, var}, vdd);
+}
+
+double FailureCriteria::metric(Mechanism m, const circuit::Variation8T& var,
+                               double vdd) const {
+  return metric_of(m, circuit::Bitcell8T{*tech_, sizing8_, var}, vdd);
+}
+
+bool FailureCriteria::fails(Mechanism m, const circuit::Variation6T& var,
+                            double vdd) const {
+  return fails_of(m, circuit::Bitcell6T{*tech_, sizing6_, var}, vdd);
+}
+
+bool FailureCriteria::fails(Mechanism m, const circuit::Variation8T& var,
+                            double vdd) const {
+  return fails_of(m, circuit::Bitcell8T{*tech_, sizing8_, var}, vdd);
 }
 
 double FailureCriteria::hold_metric_6t(const circuit::Variation6T& var,
                                        double v_standby) const {
   const circuit::Bitcell6T cell{*tech_, sizing6_, var};
   return cell.hold_residual(v_standby);
-}
-
-double FailureCriteria::read_access_metric_8t(const circuit::Variation8T& var,
-                                              double vdd) const {
-  const circuit::Bitcell8T cell{*tech_, sizing8_, var};
-  const double t = cycle_->cell_read_delay_8t(cell, vdd);
-  return t / cycle_->read_budget(vdd) - 1.0;
-}
-
-double FailureCriteria::write_metric_8t(const circuit::Variation8T& var,
-                                        double vdd) const {
-  const circuit::Bitcell8T cell{*tech_, sizing8_, var};
-  return cell.write_residual(vdd, cycle_->c_node(),
-                             cycle_->write_budget(vdd));
-}
-
-double FailureCriteria::metric_8t(Mechanism m, const circuit::Variation8T& var,
-                                  double vdd) const {
-  switch (m) {
-    case Mechanism::read_access:
-      return read_access_metric_8t(var, vdd);
-    case Mechanism::write:
-      return write_metric_8t(var, vdd);
-    case Mechanism::read_disturb:
-      return -1.0;  // decoupled read port: no disturb mechanism
-  }
-  return 0.0;
-}
-
-bool FailureCriteria::fails_8t(Mechanism m, const circuit::Variation8T& var,
-                               double vdd) const {
-  const circuit::Bitcell8T cell{*tech_, sizing8_, var};
-  switch (m) {
-    case Mechanism::read_access: {
-      const int verdict = decide_read_access(
-          *cycle_, cell, vdd, cell.read_node_bracket(vdd, kBracketTol));
-      if (verdict != 0) return verdict > 0;
-      break;
-    }
-    case Mechanism::write:
-      return cell.write_fails(vdd, cycle_->c_node(),
-                              cycle_->write_budget(vdd));
-    case Mechanism::read_disturb:
-      return false;  // decoupled read port: metric_8t is -1
-  }
-  oracle_fallbacks_->add(1);
-  return metric_8t(m, var, vdd) > 0.0;
 }
 
 }  // namespace hynapse::mc

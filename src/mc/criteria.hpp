@@ -7,21 +7,29 @@
 //
 // Each criterion is a continuous limit-state metric (positive = fail), so
 // the importance sampler can find the dominant failure direction in dVT
-// space. The Monte-Carlo loops only need the metric's sign, which
-// fails_6t/fails_8t return exactly -- fails == (metric > 0.0), bit for bit
-// -- without the metric's fixed 60-step bisections:
+// space. The 8T cell has no read disturb: its read port is decoupled from
+// the storage nodes. kCellMechanisms is the one place that says which
+// mechanisms each cell kind has and how each one's Monte-Carlo streams are
+// seeded; the analyzer and FailureTable::build both walk it.
+//
+// The Monte-Carlo loops only need the metric's sign, which fails() returns
+// exactly -- fails == (metric > 0.0), bit for bit -- without the metric's
+// fixed 60-step bisections:
 //  * read access / read disturb: each node voltage is bracketed to
 //    kBracketTol by safeguarded Newton (circuit/solve.hpp), widened by
 //    kBracketSlack, and the metric, monotone in that voltage, is evaluated
 //    at both ends. The sign is decided when the interval clears zero by
-//    kDecideMargin; otherwise the metric_* oracle decides (and the
+//    kDecideMargin; otherwise metric() decides as the oracle (and the
 //    mc.decide.oracle_fallbacks counter is bumped).
 //  * write: the same transient as the metric, stopped at the first
 //    Q/QB crossing (Bitcell6T::write_fails).
-// The metric_* values stay the oracle the IS gradient reads, so tables are
-// bit-identical to deciding every sample with metric_* (docs/performance.md,
+// metric() stays the oracle the IS gradient reads, so tables are
+// bit-identical to deciding every sample with metric() (docs/performance.md,
 // "Monte-Carlo decision path").
 #pragma once
+
+#include <array>
+#include <cstdint>
 
 #include "circuit/bitcell.hpp"
 #include "circuit/tech.hpp"
@@ -34,6 +42,26 @@ class Counter;
 namespace hynapse::mc {
 
 enum class Mechanism { read_access, write, read_disturb };
+enum class CellKind { six_t, eight_t };
+
+/// One (cell kind, mechanism) Monte-Carlo job of the per-cell analysis and
+/// the offsets its plain-MC and importance-sampling seeds take from the
+/// cell's base seed.
+struct CellMechanism {
+  CellKind cell;
+  Mechanism mechanism;
+  std::uint64_t mc_seed_offset;
+  std::uint64_t is_seed_offset;
+};
+
+/// Every mechanism each cell kind has, in table-build slot order.
+inline constexpr std::array<CellMechanism, 5> kCellMechanisms{{
+    {CellKind::six_t, Mechanism::read_access, 0, 777},
+    {CellKind::six_t, Mechanism::write, 101, 778},
+    {CellKind::six_t, Mechanism::read_disturb, 202, 779},
+    {CellKind::eight_t, Mechanism::read_access, 0, 555},
+    {CellKind::eight_t, Mechanism::write, 131, 556},
+}};
 
 class FailureCriteria {
  public:
@@ -52,37 +80,26 @@ class FailureCriteria {
                   const circuit::Sizing6T& sizing6,
                   const circuit::Sizing8T& sizing8);
 
-  // --- 6T metrics (positive = fail) --------------------------------------
-  [[nodiscard]] double read_access_metric_6t(const circuit::Variation6T& var,
-                                             double vdd) const;
-  [[nodiscard]] double write_metric_6t(const circuit::Variation6T& var,
-                                       double vdd) const;
-  [[nodiscard]] double read_disturb_metric_6t(const circuit::Variation6T& var,
-                                              double vdd) const;
-  [[nodiscard]] double metric_6t(Mechanism m, const circuit::Variation6T& var,
-                                 double vdd) const;
-
-  /// Exactly metric_6t(m, var, vdd) > 0.0, decided from certified node
-  /// brackets (see the header comment); the Monte-Carlo hit test.
-  [[nodiscard]] bool fails_6t(Mechanism m, const circuit::Variation6T& var,
+  /// Limit-state metric of mechanism m for one cell sample (positive =
+  /// fail). An 8T cell's read_disturb metric is -1: it has no such
+  /// mechanism.
+  [[nodiscard]] double metric(Mechanism m, const circuit::Variation6T& var,
                               double vdd) const;
+  [[nodiscard]] double metric(Mechanism m, const circuit::Variation8T& var,
+                              double vdd) const;
+
+  /// Exactly metric(m, var, vdd) > 0.0, decided from certified node
+  /// brackets (see the header comment); the Monte-Carlo hit test.
+  [[nodiscard]] bool fails(Mechanism m, const circuit::Variation6T& var,
+                           double vdd) const;
+  [[nodiscard]] bool fails(Mechanism m, const circuit::Variation8T& var,
+                           double vdd) const;
 
   /// Standby retention limit-state at a (possibly deeply scaled) hold
   /// voltage: positive = the cell loses its state (extension; see
   /// circuit/retention.hpp).
   [[nodiscard]] double hold_metric_6t(const circuit::Variation6T& var,
                                       double v_standby) const;
-
-  // --- 8T metrics ----------------------------------------------------------
-  [[nodiscard]] double read_access_metric_8t(const circuit::Variation8T& var,
-                                             double vdd) const;
-  [[nodiscard]] double write_metric_8t(const circuit::Variation8T& var,
-                                       double vdd) const;
-  [[nodiscard]] double metric_8t(Mechanism m, const circuit::Variation8T& var,
-                                 double vdd) const;
-  /// Exactly metric_8t(m, var, vdd) > 0.0.
-  [[nodiscard]] bool fails_8t(Mechanism m, const circuit::Variation8T& var,
-                              double vdd) const;
 
   [[nodiscard]] const sram::CycleModel& cycle() const noexcept {
     return *cycle_;
@@ -100,6 +117,13 @@ class FailureCriteria {
   circuit::Sizing6T sizing6_;
   circuit::Sizing8T sizing8_;
   obs::Counter* oracle_fallbacks_;  // mc.decide.oracle_fallbacks
+
+  template <typename Cell>
+  [[nodiscard]] double metric_of(Mechanism m, const Cell& cell,
+                                 double vdd) const;
+  template <typename Cell>
+  [[nodiscard]] bool fails_of(Mechanism m, const Cell& cell,
+                              double vdd) const;
 };
 
 }  // namespace hynapse::mc

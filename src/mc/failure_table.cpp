@@ -128,58 +128,41 @@ FailureTable FailureTable::build(const FailureAnalyzer& analyzer,
   std::vector<FailureTableRow> rows(vdd_grid.size());
   for (std::size_t r = 0; r < vdd_grid.size(); ++r) rows[r].vdd = vdd_grid[r];
 
-  // Flat (voltage x cell-type x mechanism) job matrix. Every job's seeds are
-  // exactly those the serial per-voltage analyze_6t/analyze_8t calls derived,
-  // so the table is bit-identical for any thread count. Jobs land full
-  // estimates in a scratch matrix; the serial pass below then aggregates the
-  // per-row sampling metadata race-free.
-  constexpr std::size_t kSlots = 5;
-  const std::uint64_t seed8 = seed ^ 0xabcdefull;
+  // Flat (voltage x kCellMechanisms) job matrix. Every job's seeds are its
+  // table offsets from the cell's base seed (8T: seed ^ 0xabcdef), so the
+  // table is bit-identical for any thread count. Jobs land full estimates in
+  // a scratch matrix; the serial pass below then aggregates the per-row
+  // sampling metadata race-free.
+  constexpr std::size_t kSlots = kCellMechanisms.size();
+  const auto base_seed = [seed](CellKind cell) {
+    return cell == CellKind::six_t ? seed : seed ^ 0xabcdefull;
+  };
   std::vector<RateEstimate> ests(vdd_grid.size() * kSlots);
   util::parallel_for(
       vdd_grid.size() * kSlots,
       [&](std::size_t j) {
-        const std::size_t r = j / kSlots;
-        const double vdd = rows[r].vdd;
-        switch (j % kSlots) {
-          case 0:
-            ests[j] = analyzer.estimate_6t(Mechanism::read_access, vdd, seed,
-                                           seed + 777);
-            break;
-          case 1:
-            ests[j] = analyzer.estimate_6t(Mechanism::write, vdd, seed + 101,
-                                           seed + 778);
-            break;
-          case 2:
-            ests[j] = analyzer.estimate_6t(Mechanism::read_disturb, vdd,
-                                           seed + 202, seed + 779);
-            break;
-          case 3:
-            ests[j] = analyzer.estimate_8t(Mechanism::read_access, vdd, seed8,
-                                           seed8 + 555);
-            break;
-          case 4:
-            ests[j] = analyzer.estimate_8t(Mechanism::write, vdd, seed8 + 131,
-                                           seed8 + 556);
-            break;
-        }
+        const CellMechanism& job = kCellMechanisms[j % kSlots];
+        const std::uint64_t base = base_seed(job.cell);
+        ests[j] = analyzer.estimate(job.cell, job.mechanism,
+                                    rows[j / kSlots].vdd,
+                                    base + job.mc_seed_offset,
+                                    base + job.is_seed_offset);
       },
       analyzer.options().threads);
   for (std::size_t r = 0; r < vdd_grid.size(); ++r) {
-    const RateEstimate* slot = &ests[r * kSlots];
-    rows[r].cell6.read_access = slot[0].p;
-    rows[r].cell6.write_fail = slot[1].p;
-    rows[r].cell6.read_disturb = slot[2].p;
-    rows[r].cell8.read_access = slot[3].p;
-    rows[r].cell8.write_fail = slot[4].p;
+    FailureTableRow& row = rows[r];
     double spent = 0.0;
     double worst = 0.0;
     for (std::size_t s = 0; s < kSlots; ++s) {
-      spent += static_cast<double>(slot[s].total_samples);
-      worst = std::max(worst, slot[s].ci_half_width());
+      const CellMechanism& job = kCellMechanisms[s];
+      const RateEstimate& est = ests[r * kSlots + s];
+      rate_of(job.cell == CellKind::six_t ? row.cell6 : row.cell8,
+              job.mechanism) = est.p;
+      spent += static_cast<double>(est.total_samples);
+      worst = std::max(worst, est.ci_half_width());
     }
-    rows[r].samples = spent;
-    rows[r].ci_half_width = worst;
+    row.samples = spent;
+    row.ci_half_width = worst;
   }
   return FailureTable{std::move(rows)};
 }

@@ -154,13 +154,13 @@ struct Cell6T {
 
   const std::array<double, D>& sigmas() const { return sampler.sigmas_6t(); }
   bool hit(util::Rng& rng) const {
-    return criteria.fails_6t(m, sampler.sample_6t(rng), vdd);
+    return criteria.fails(m, sampler.sample_6t(rng), vdd);
   }
   bool fails(const std::array<double, D>& x) const {
-    return criteria.fails_6t(m, VariationSampler::pack_6t(x), vdd);
+    return criteria.fails(m, VariationSampler::pack_6t(x), vdd);
   }
   double metric(const std::array<double, D>& x) const {
-    return criteria.metric_6t(m, VariationSampler::pack_6t(x), vdd);
+    return criteria.metric(m, VariationSampler::pack_6t(x), vdd);
   }
 };
 
@@ -173,13 +173,13 @@ struct Cell8T {
 
   const std::array<double, D>& sigmas() const { return sampler.sigmas_8t(); }
   bool hit(util::Rng& rng) const {
-    return criteria.fails_8t(m, sampler.sample_8t(rng), vdd);
+    return criteria.fails(m, sampler.sample_8t(rng), vdd);
   }
   bool fails(const std::array<double, D>& x) const {
-    return criteria.fails_8t(m, VariationSampler::pack_8t(x), vdd);
+    return criteria.fails(m, VariationSampler::pack_8t(x), vdd);
   }
   double metric(const std::array<double, D>& x) const {
-    return criteria.metric_8t(m, VariationSampler::pack_8t(x), vdd);
+    return criteria.metric(m, VariationSampler::pack_8t(x), vdd);
   }
 };
 
@@ -610,61 +610,31 @@ RateEstimate FailureAnalyzer::retention_6t(double v_standby,
                         seed, seed ^ 0xfeedull);
 }
 
-RateEstimate FailureAnalyzer::estimate_6t(Mechanism m, double vdd,
-                                          std::uint64_t mc_seed,
-                                          std::uint64_t is_seed) const {
-  const Cell6T ls{*criteria_, *sampler_, m, vdd};
-  return opts_.adaptive.enabled
-             ? adaptive_estimate(opts_, ls, mc_seed, is_seed)
-             : fixed_estimate(opts_, ls, mc_seed, is_seed);
-}
-
-RateEstimate FailureAnalyzer::estimate_8t(Mechanism m, double vdd,
-                                          std::uint64_t mc_seed,
-                                          std::uint64_t is_seed) const {
-  const Cell8T ls{*criteria_, *sampler_, m, vdd};
-  return opts_.adaptive.enabled
-             ? adaptive_estimate(opts_, ls, mc_seed, is_seed)
-             : fixed_estimate(opts_, ls, mc_seed, is_seed);
-}
-
-RateEstimate FailureAnalyzer::adaptive_6t(Mechanism m, double vdd,
-                                          std::uint64_t mc_seed,
-                                          std::uint64_t is_seed) const {
-  return adaptive_estimate(opts_, Cell6T{*criteria_, *sampler_, m, vdd},
-                           mc_seed, is_seed);
-}
-
-RateEstimate FailureAnalyzer::adaptive_8t(Mechanism m, double vdd,
-                                          std::uint64_t mc_seed,
-                                          std::uint64_t is_seed) const {
-  return adaptive_estimate(opts_, Cell8T{*criteria_, *sampler_, m, vdd},
-                           mc_seed, is_seed);
-}
-
-CellFailureRates FailureAnalyzer::analyze_6t(double vdd,
-                                             std::uint64_t seed) const {
-  CellFailureRates out;
-  const Mechanism mechs[] = {Mechanism::read_access, Mechanism::write,
-                             Mechanism::read_disturb};
-  RateEstimate* slots[] = {&out.read_access, &out.write_fail,
-                           &out.read_disturb};
-  for (std::uint64_t i = 0; i < 3; ++i) {
-    *slots[i] = estimate_6t(mechs[i], vdd, seed + 101 * i, seed + 777 + i);
+RateEstimate FailureAnalyzer::estimate(CellKind cell, Mechanism m, double vdd,
+                                       std::uint64_t mc_seed,
+                                       std::uint64_t is_seed) const {
+  const auto run = [&](const auto& ls) {
+    return opts_.adaptive.enabled
+               ? adaptive_estimate(opts_, ls, mc_seed, is_seed)
+               : fixed_estimate(opts_, ls, mc_seed, is_seed);
+  };
+  if (cell == CellKind::eight_t) {
+    return run(Cell8T{*criteria_, *sampler_, m, vdd});
   }
-  return out;
+  return run(Cell6T{*criteria_, *sampler_, m, vdd});
 }
 
-CellFailureRates FailureAnalyzer::analyze_8t(double vdd,
-                                             std::uint64_t seed) const {
-  CellFailureRates out;
-  const Mechanism mechs[] = {Mechanism::read_access, Mechanism::write};
-  RateEstimate* slots[] = {&out.read_access, &out.write_fail};
-  for (std::uint64_t i = 0; i < 2; ++i) {
-    *slots[i] = estimate_8t(mechs[i], vdd, seed + 131 * i, seed + 555 + i);
+CellFailureRates FailureAnalyzer::analyze(CellKind cell, double vdd,
+                                          std::uint64_t seed) const {
+  RateEstimate absent;
+  absent.trials = opts_.mc_samples;
+  CellFailureRates out{absent, absent, absent};
+  for (const CellMechanism& job : kCellMechanisms) {
+    if (job.cell != cell) continue;
+    rate_of(out, job.mechanism) =
+        estimate(cell, job.mechanism, vdd, seed + job.mc_seed_offset,
+                 seed + job.is_seed_offset);
   }
-  out.read_disturb = RateEstimate{};  // structurally impossible
-  out.read_disturb.trials = opts_.mc_samples;
   return out;
 }
 

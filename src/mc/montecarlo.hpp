@@ -93,6 +93,21 @@ struct CellFailureRates {
   RateEstimate read_disturb;
 };
 
+/// The member of a per-cell rates struct (CellFailureRates,
+/// BitcellFailureRates) that holds mechanism m.
+template <typename Rates>
+[[nodiscard]] auto& rate_of(Rates& rates, Mechanism m) noexcept {
+  switch (m) {
+    case Mechanism::read_access:
+      return rates.read_access;
+    case Mechanism::write:
+      return rates.write_fail;
+    case Mechanism::read_disturb:
+      break;
+  }
+  return rates.read_disturb;
+}
+
 struct AnalyzerOptions {
   std::size_t mc_samples = 40000;
   std::size_t is_samples = 16000;
@@ -112,36 +127,21 @@ class FailureAnalyzer {
   FailureAnalyzer(const FailureCriteria& criteria,
                   const VariationSampler& sampler, AnalyzerOptions opts = {});
 
-  /// Estimates all three mechanisms for a 6T cell at vdd. Deterministic for
-  /// a given seed regardless of thread count.
-  [[nodiscard]] CellFailureRates analyze_6t(double vdd,
-                                            std::uint64_t seed) const;
-  /// Same for the 8T cell (read_disturb is identically zero by construction).
-  [[nodiscard]] CellFailureRates analyze_8t(double vdd,
-                                            std::uint64_t seed) const;
+  /// Estimates every mechanism kCellMechanisms lists for `cell` at vdd,
+  /// each from its table seed offsets added to `seed`. A mechanism the cell
+  /// lacks (8T read disturb) is a zero estimate over mc_samples trials.
+  /// Deterministic for a given seed regardless of thread count.
+  [[nodiscard]] CellFailureRates analyze(CellKind cell, double vdd,
+                                         std::uint64_t seed) const;
 
-  /// One mechanism with the plain-MC -> importance-sampling fallback used by
-  /// analyze_6t/analyze_8t. Exposed so FailureTable::build can schedule the
-  /// full (voltage x cell-type x mechanism) job matrix on the thread pool
-  /// with exactly the per-mechanism seeds the serial path used. Routes to
-  /// adaptive_6t/adaptive_8t when options().adaptive is enabled.
-  [[nodiscard]] RateEstimate estimate_6t(Mechanism m, double vdd,
-                                         std::uint64_t mc_seed,
-                                         std::uint64_t is_seed) const;
-  [[nodiscard]] RateEstimate estimate_8t(Mechanism m, double vdd,
-                                         std::uint64_t mc_seed,
-                                         std::uint64_t is_seed) const;
-
-  /// CI-targeted batched estimation (used by estimate_* when the policy is
-  /// enabled; exposed for oracle-vs-adaptive validation). Same seed
-  /// discipline as estimate_*: mc_seed drives the plain-MC phase, is_seed
-  /// the importance-sampled tail phase.
-  [[nodiscard]] RateEstimate adaptive_6t(Mechanism m, double vdd,
-                                         std::uint64_t mc_seed,
-                                         std::uint64_t is_seed) const;
-  [[nodiscard]] RateEstimate adaptive_8t(Mechanism m, double vdd,
-                                         std::uint64_t mc_seed,
-                                         std::uint64_t is_seed) const;
+  /// One mechanism: CI-targeted batched sampling when options().adaptive is
+  /// enabled (docs/adaptive_mc.md), else plain MC with the importance-
+  /// sampling fallback. mc_seed drives the plain-MC phase, is_seed the
+  /// importance-sampled one. Exposed so FailureTable::build can schedule the
+  /// full (voltage x cell-type x mechanism) job matrix on the thread pool.
+  [[nodiscard]] RateEstimate estimate(CellKind cell, Mechanism m, double vdd,
+                                      std::uint64_t mc_seed,
+                                      std::uint64_t is_seed) const;
 
   // Exposed for validation tests (IS-vs-MC agreement).
   [[nodiscard]] RateEstimate plain_mc_6t(Mechanism m, double vdd,

@@ -44,16 +44,6 @@ double CycleModel::read_delay(double i, double vdd) const {
   return array_->c_bitline() * dv_sense(vdd) / i;
 }
 
-double CycleModel::cell_read_delay(const circuit::Bitcell6T& cell,
-                                   double vdd) const {
-  return read_delay(cell.read_current(vdd), vdd);
-}
-
-double CycleModel::cell_read_delay_8t(const circuit::Bitcell8T& cell,
-                                      double vdd) const {
-  return read_delay(cell.read_current(vdd), vdd);
-}
-
 double CycleModel::read_budget(double vdd) const {
   return margins_.read_margin * t_read_nominal_ * logic_delay_scale(vdd);
 }

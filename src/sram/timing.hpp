@@ -43,11 +43,12 @@ class CycleModel {
   /// (1e9 for a cell that conducts nothing).
   [[nodiscard]] double read_delay(double i, double vdd) const;
 
-  /// Read delay of a specific cell: read_delay of its read current.
-  [[nodiscard]] double cell_read_delay(const circuit::Bitcell6T& cell,
-                                       double vdd) const;
-  [[nodiscard]] double cell_read_delay_8t(const circuit::Bitcell8T& cell,
-                                          double vdd) const;
+  /// Read delay of a specific cell (6T or 8T): read_delay of its read
+  /// current.
+  template <typename Cell>
+  [[nodiscard]] double cell_read_delay(const Cell& cell, double vdd) const {
+    return read_delay(cell.read_current(vdd), vdd);
+  }
 
   /// Cycle budgets at vdd (margins applied at nominal VDD, then scaled with
   /// logic delay) [s].

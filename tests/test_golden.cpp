@@ -274,7 +274,8 @@ TEST(Golden, CellAnalysis) {
     const mc::FailureAnalyzer analyzer{s.criteria, s.sampler, ao};
     for (const double vdd : {0.65, 0.80}) {
       for (const mc::CellFailureRates& r :
-           {analyzer.analyze_6t(vdd, 1), analyzer.analyze_8t(vdd, 2)}) {
+           {analyzer.analyze(mc::CellKind::six_t, vdd, 1),
+            analyzer.analyze(mc::CellKind::eight_t, vdd, 2)}) {
         digest_estimate(h, r.read_access);
         digest_estimate(h, r.write_fail);
         digest_estimate(h, r.read_disturb);

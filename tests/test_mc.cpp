@@ -65,9 +65,9 @@ TEST_F(McTest, SampleStatisticsMatchSigmas) {
 
 TEST_F(McTest, NominalSampleDoesNotFail) {
   const circuit::Variation6T none{};
-  EXPECT_LT(criteria_.read_access_metric_6t(none, 0.95), 0.0);
-  EXPECT_LT(criteria_.write_metric_6t(none, 0.95), 0.0);
-  EXPECT_LT(criteria_.read_disturb_metric_6t(none, 0.95), 0.0);
+  EXPECT_LT(criteria_.metric(Mechanism::read_access, none, 0.95), 0.0);
+  EXPECT_LT(criteria_.metric(Mechanism::write, none, 0.95), 0.0);
+  EXPECT_LT(criteria_.metric(Mechanism::read_disturb, none, 0.95), 0.0);
 }
 
 TEST_F(McTest, ReadMetricMonotoneInPassGateVt) {
@@ -75,7 +75,7 @@ TEST_F(McTest, ReadMetricMonotoneInPassGateVt) {
   double prev = -10.0;
   for (double dvt = -0.1; dvt <= 0.25; dvt += 0.05) {
     var.pg_l = dvt;
-    const double m = criteria_.read_access_metric_6t(var, 0.7);
+    const double m = criteria_.metric(Mechanism::read_access, var, 0.7);
     EXPECT_GT(m, prev);
     prev = m;
   }
@@ -133,7 +133,7 @@ TEST_F(McTest, ImportanceSamplingReachesRareTail) {
 
 TEST_F(McTest, EightTReadPortIsRobust) {
   const FailureAnalyzer analyzer{criteria_, sampler_, fast_opts()};
-  const CellFailureRates r8 = analyzer.analyze_8t(0.65, 55);
+  const CellFailureRates r8 = analyzer.analyze(CellKind::eight_t, 0.65, 55);
   EXPECT_LT(r8.read_access.p, 1e-4);
   EXPECT_LT(r8.write_fail.p, 1e-4);
   EXPECT_DOUBLE_EQ(r8.read_disturb.p, 0.0);
@@ -143,7 +143,7 @@ TEST_F(McTest, SixTAnalysisShowsReadDominatesAtLowVdd) {
   AnalyzerOptions o = fast_opts();
   o.mc_samples = 12000;
   const FailureAnalyzer analyzer{criteria_, sampler_, o};
-  const CellFailureRates r = analyzer.analyze_6t(0.65, 99);
+  const CellFailureRates r = analyzer.analyze(CellKind::six_t, 0.65, 99);
   EXPECT_GT(r.read_access.p, r.write_fail.p);   // Fig. 5 ordering
   EXPECT_GT(r.read_access.p, r.read_disturb.p);
 }

@@ -69,9 +69,9 @@ TEST_F(McAdaptiveTest, ConvergesEarlyAndAgreesWithOracle) {
   const std::uint64_t saved_before = saved.value();
 
   const RateEstimate oracle =
-      fixed.estimate_6t(Mechanism::read_access, 0.65, 11, 788);
+      fixed.estimate(CellKind::six_t, Mechanism::read_access, 0.65, 11, 788);
   const RateEstimate est =
-      adaptive.adaptive_6t(Mechanism::read_access, 0.65, 11, 788);
+      adaptive.estimate(CellKind::six_t, Mechanism::read_access, 0.65, 11, 788);
 
   EXPECT_TRUE(est.converged);
   EXPECT_GT(est.batches, 0u);
@@ -86,31 +86,33 @@ TEST_F(McAdaptiveTest, ConvergesEarlyAndAgreesWithOracle) {
 }
 
 TEST_F(McAdaptiveTest, BitIdenticalAcrossThreadCounts) {
-  std::vector<RateEstimate> runs;
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{3},
-                                    std::size_t{8}}) {
-    const FailureAnalyzer analyzer{criteria_, sampler_,
-                                   adaptive_opts(threads)};
-    runs.push_back(
-        analyzer.adaptive_6t(Mechanism::read_access, 0.68, 21, 900));
-  }
-  for (std::size_t i = 1; i < runs.size(); ++i) {
-    EXPECT_DOUBLE_EQ(runs[i].p, runs[0].p);
-    EXPECT_DOUBLE_EQ(runs[i].hits, runs[0].hits);
-    EXPECT_EQ(runs[i].trials, runs[0].trials);
-    EXPECT_EQ(runs[i].total_samples, runs[0].total_samples);
-    EXPECT_EQ(runs[i].batches, runs[0].batches);
-    EXPECT_DOUBLE_EQ(runs[i].ci_lo, runs[0].ci_lo);
-    EXPECT_DOUBLE_EQ(runs[i].ci_hi, runs[0].ci_hi);
+  for (const CellKind cell : {CellKind::six_t, CellKind::eight_t}) {
+    std::vector<RateEstimate> runs;
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{3},
+                                      std::size_t{8}}) {
+      const FailureAnalyzer analyzer{criteria_, sampler_,
+                                     adaptive_opts(threads)};
+      runs.push_back(
+          analyzer.estimate(cell, Mechanism::read_access, 0.68, 21, 900));
+    }
+    for (std::size_t i = 1; i < runs.size(); ++i) {
+      EXPECT_DOUBLE_EQ(runs[i].p, runs[0].p);
+      EXPECT_DOUBLE_EQ(runs[i].hits, runs[0].hits);
+      EXPECT_EQ(runs[i].trials, runs[0].trials);
+      EXPECT_EQ(runs[i].total_samples, runs[0].total_samples);
+      EXPECT_EQ(runs[i].batches, runs[0].batches);
+      EXPECT_DOUBLE_EQ(runs[i].ci_lo, runs[0].ci_lo);
+      EXPECT_DOUBLE_EQ(runs[i].ci_hi, runs[0].ci_hi);
+    }
   }
 }
 
 TEST_F(McAdaptiveTest, DeterministicAcrossRepeatedCalls) {
   const FailureAnalyzer analyzer{criteria_, sampler_, adaptive_opts()};
   const RateEstimate a =
-      analyzer.adaptive_6t(Mechanism::write, 0.66, 31, 901);
+      analyzer.estimate(CellKind::six_t, Mechanism::write, 0.66, 31, 901);
   const RateEstimate b =
-      analyzer.adaptive_6t(Mechanism::write, 0.66, 31, 901);
+      analyzer.estimate(CellKind::six_t, Mechanism::write, 0.66, 31, 901);
   EXPECT_DOUBLE_EQ(a.p, b.p);
   EXPECT_EQ(a.total_samples, b.total_samples);
   EXPECT_EQ(a.batches, b.batches);
@@ -126,7 +128,7 @@ TEST_F(McAdaptiveTest, MinSampleClampHolds) {
   o.adaptive.min_samples = 8000;
   const FailureAnalyzer analyzer{criteria_, sampler_, o};
   const RateEstimate est =
-      analyzer.adaptive_6t(Mechanism::read_access, 0.65, 41, 902);
+      analyzer.estimate(CellKind::six_t, Mechanism::read_access, 0.65, 41, 902);
   EXPECT_TRUE(est.converged);
   EXPECT_GE(est.total_samples, 8000u);
 }
@@ -143,7 +145,7 @@ TEST_F(McAdaptiveTest, MaxSampleClampStopsUnreachableTarget) {
       obs::Registry::global().counter("mc.adaptive.ci_misses");
   const std::uint64_t misses_before = misses.value();
   const RateEstimate est =
-      analyzer.adaptive_6t(Mechanism::read_access, 0.65, 51, 903);
+      analyzer.estimate(CellKind::six_t, Mechanism::read_access, 0.65, 51, 903);
   EXPECT_FALSE(est.converged);
   EXPECT_LE(est.total_samples, 6000u);
   EXPECT_GT(misses.value(), misses_before);
@@ -158,7 +160,7 @@ TEST_F(McAdaptiveTest, RareTailEscapesToImportanceSampling) {
   o.adaptive.tail_escape_samples = 4000;
   const FailureAnalyzer analyzer{criteria_, sampler_, o};
   const RateEstimate est =
-      analyzer.adaptive_6t(Mechanism::read_access, 0.95, 61, 904);
+      analyzer.estimate(CellKind::six_t, Mechanism::read_access, 0.95, 61, 904);
   EXPECT_TRUE(est.importance_sampled);
   EXPECT_GT(est.p, 0.0);
   EXPECT_LT(est.p, 1e-4);
@@ -171,7 +173,7 @@ TEST_F(McAdaptiveTest, ClopperPearsonIntervalAlsoConverges) {
   o.adaptive.interval = IntervalKind::clopper_pearson;
   const FailureAnalyzer analyzer{criteria_, sampler_, o};
   const RateEstimate est =
-      analyzer.adaptive_6t(Mechanism::read_access, 0.65, 71, 905);
+      analyzer.estimate(CellKind::six_t, Mechanism::read_access, 0.65, 71, 905);
   EXPECT_TRUE(est.converged);
   EXPECT_LE(est.ci_lo, est.p);
   EXPECT_GE(est.ci_hi, est.p);
@@ -298,9 +300,15 @@ TEST_F(McAdaptiveTest, InconsistentTailEscapeFallsBackToPlainMc) {
   o.adaptive.rel_target = 0.3;
   o.adaptive.abs_target = 1e-4;
   const FailureAnalyzer analyzer{criteria_, sampler_, o};
-  // analyze_6t's per-mechanism derivation for base seed 1, mechanism 1.
-  const RateEstimate wr = analyzer.estimate_6t(Mechanism::write, 0.70,
-                                               1 + 101 * 1, 1 + 777 + 1);
+  // The 6T write seeds of kCellMechanisms for base seed 1, as
+  // analyze(CellKind::six_t, 0.70, 1) derives them.
+  const CellMechanism& job = kCellMechanisms[1];
+  ASSERT_EQ(job.cell, CellKind::six_t);
+  ASSERT_EQ(job.mechanism, Mechanism::write);
+  const std::uint64_t mc_seed = 1 + job.mc_seed_offset;
+  const std::uint64_t is_seed = 1 + job.is_seed_offset;
+  const RateEstimate wr = analyzer.estimate(CellKind::six_t, Mechanism::write,
+                                            0.70, mc_seed, is_seed);
   EXPECT_FALSE(wr.importance_sampled);
   EXPECT_GT(wr.p, 5e-4);  // a 400k-sample reference pins p near 2e-3
   EXPECT_LT(wr.p, 1e-2);
@@ -313,8 +321,8 @@ TEST_F(McAdaptiveTest, InconsistentTailEscapeFallsBackToPlainMc) {
     AnalyzerOptions ot = o;
     ot.threads = threads;
     const FailureAnalyzer at{criteria_, sampler_, ot};
-    const RateEstimate wt = at.estimate_6t(Mechanism::write, 0.70,
-                                           1 + 101 * 1, 1 + 777 + 1);
+    const RateEstimate wt = at.estimate(CellKind::six_t, Mechanism::write,
+                                        0.70, mc_seed, is_seed);
     EXPECT_DOUBLE_EQ(wr.p, wt.p);
     EXPECT_DOUBLE_EQ(wr.hits, wt.hits);
     EXPECT_DOUBLE_EQ(wr.ci_lo, wt.ci_lo);

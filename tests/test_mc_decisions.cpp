@@ -1,9 +1,9 @@
-// The Monte-Carlo decision path: FailureCriteria::fails_6t/fails_8t must
-// return exactly metric_*(...) > 0.0 on every sample, because tables depend
-// on the metric only through that sign. Pins the pieces it is built from
-// (the derivative overload of Mosfet::ids, the Newton root brackets, the
-// monotone write transient) and the agreement itself on plain, IS-shifted
-// and boundary-clustered samples at every paper voltage.
+// The Monte-Carlo decision path: FailureCriteria::fails must return
+// exactly metric(...) > 0.0 on every sample of either cell kind, because
+// tables depend on the metric only through that sign. Pins the pieces it is
+// built from (the derivative overload of Mosfet::ids, the Newton root
+// brackets, the monotone write transient) and the agreement itself on
+// plain, IS-shifted and boundary-clustered samples at every paper voltage.
 //
 // DISABLED_MillionDecisionSweep is the long agreement sweep; run it with
 //   ./test_mc_decisions --gtest_also_run_disabled_tests
@@ -198,14 +198,14 @@ circuit::Variation6T pack6(const Dvt& x) {
 
 double metric(const Case& c, const Dvt& x, double vdd) {
   const FailureCriteria& crit = stack().criteria;
-  return c.cell8 ? crit.metric_8t(c.m, VariationSampler::pack_8t(x), vdd)
-                 : crit.metric_6t(c.m, pack6(x), vdd);
+  return c.cell8 ? crit.metric(c.m, VariationSampler::pack_8t(x), vdd)
+                 : crit.metric(c.m, pack6(x), vdd);
 }
 
 bool fails(const Case& c, const Dvt& x, double vdd) {
   const FailureCriteria& crit = stack().criteria;
-  return c.cell8 ? crit.fails_8t(c.m, VariationSampler::pack_8t(x), vdd)
-                 : crit.fails_6t(c.m, pack6(x), vdd);
+  return c.cell8 ? crit.fails(c.m, VariationSampler::pack_8t(x), vdd)
+                 : crit.fails(c.m, pack6(x), vdd);
 }
 
 /// Unit failure direction in standardized coordinates, from the same
@@ -329,9 +329,8 @@ TEST_P(DecisionAgreement, PlainAndShiftedSamplesMatchTheOracle) {
   // The 8T read port has no disturb mechanism: the oracle is constant -1.
   util::Rng rng{3};
   for (int i = 0; i < 20; ++i) {
-    EXPECT_FALSE(stack().criteria.fails_8t(Mechanism::read_disturb,
-                                           stack().sampler.sample_8t(rng),
-                                           vdd));
+    EXPECT_FALSE(stack().criteria.fails(Mechanism::read_disturb,
+                                        stack().sampler.sample_8t(rng), vdd));
   }
 }
 

@@ -78,7 +78,7 @@ TEST_F(SramTest, NominalCellMeetsBudgetEverywhere) {
 
 TEST_F(SramTest, EightTReadNotSlowerThanSixT) {
   for (double vdd : circuit::paper_voltage_grid()) {
-    EXPECT_LE(cycle_.cell_read_delay_8t(cell8_, vdd),
+    EXPECT_LE(cycle_.cell_read_delay(cell8_, vdd),
               cycle_.cell_read_delay(cell6_, vdd) * 1.05)
         << vdd;
   }
