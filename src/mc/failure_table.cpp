@@ -134,15 +134,13 @@ FailureTable FailureTable::build(const FailureAnalyzer& analyzer,
   // a scratch matrix; the serial pass below then aggregates the per-row
   // sampling metadata race-free.
   constexpr std::size_t kSlots = kCellMechanisms.size();
-  const auto base_seed = [seed](CellKind cell) {
-    return cell == CellKind::six_t ? seed : seed ^ 0xabcdefull;
-  };
   std::vector<RateEstimate> ests(vdd_grid.size() * kSlots);
   util::parallel_for(
       vdd_grid.size() * kSlots,
       [&](std::size_t j) {
         const CellMechanism& job = kCellMechanisms[j % kSlots];
-        const std::uint64_t base = base_seed(job.cell);
+        const std::uint64_t base =
+            job.cell == CellKind::six_t ? seed : seed ^ 0xabcdefull;
         ests[j] = analyzer.estimate(job.cell, job.mechanism,
                                     rows[j / kSlots].vdd,
                                     base + job.mc_seed_offset,
