@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
-# Smoke-test the built tree: run the quickstart example and a fast pass of
-# the micro-kernel bench. Used by CI and handy after a local build.
+# Smoke-test the built tree: run the quickstart example, a small per-cell
+# Monte-Carlo failure-rate sweep (FailureAnalyzer::analyze for both cell
+# kinds) and a fast pass of the micro-kernel bench. Used by CI and handy
+# after a local build.
 #
 # Usage: scripts/run_smoke.sh [build-dir]   (default: build/release)
 set -euo pipefail
@@ -14,6 +16,9 @@ fi
 
 echo "== quickstart =="
 "${build_dir}/examples/quickstart"
+
+echo "== hynapse_cli failure-rates (2000 samples) =="
+"${build_dir}/examples/hynapse_cli" failure-rates 2000
 
 if [[ -x "${build_dir}/bench/bench_micro_kernels" ]]; then
   echo "== bench_micro_kernels (reduced iterations) =="
