@@ -6,6 +6,8 @@
 //   * per-chip accuracies of all6t, hybrid3 and one per-layer config at two
 //     voltages, through engine::ExperimentRunner::run for every backend and
 //     for per-chip and auto-sized fused groups (one digest for all of them);
+//   * the same at high vdd, where many chips leave the first layer clean or
+//     touch only a few of its columns;
 //   * the `results` of a fixed request trace through serve::EvalService;
 //   * a small-budget mc::FailureTable, fixed-sample and adaptive;
 //   * every field of the per-cell 6T/8T analysis, fixed-sample and
@@ -19,6 +21,7 @@
 // below, and name the re-bless in CHANGES.md.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
@@ -28,6 +31,7 @@
 
 #include "ann/backends/backend.hpp"
 #include "circuit/reference.hpp"
+#include "core/delta_eval.hpp"
 #include "core/experiments.hpp"
 #include "engine/experiment_runner.hpp"
 #include "mc/criteria.hpp"
@@ -43,6 +47,7 @@ namespace hynapse {
 namespace {
 
 constexpr std::uint64_t kChipAccuracyDigest = 0xee980f8079944b6b;
+constexpr std::uint64_t kSparseChipAccuracyDigest = 0x7a618513debee869;
 constexpr std::uint64_t kServiceTraceDigest = 0xf28320f74da3ae4a;
 constexpr std::uint64_t kFixedTableDigest = 0xefeeef52a15ae3b0;
 constexpr std::uint64_t kAdaptiveTableDigest = 0xe9c6b155823fbb11;
@@ -129,6 +134,102 @@ TEST(Golden, ChipAccuraciesAcrossBackendsAndFusion) {
   }
   for (const std::uint64_t d : digests) EXPECT_EQ(d, digests.front());
   expect_golden("kChipAccuracyDigest", digests.front(), kChipAccuracyDigest);
+}
+
+/// High-vdd table: so few defects that many chips leave layer 0 of the
+/// golden net untouched or touch only a handful of its 48 columns.
+mc::FailureTable sparse_table() {
+  std::vector<mc::FailureTableRow> rows;
+  for (const double vdd : {0.80, 0.85, 0.90, 0.95}) {
+    const double read = 2e-4 * std::exp(-(vdd - 0.80) / 0.03);
+    mc::FailureTableRow row;
+    row.vdd = vdd;
+    row.cell6 = {read, read / 3.0, read / 10.0};
+    row.cell8 = {read / 40.0, read / 80.0, 0.0};
+    rows.push_back(row);
+  }
+  return mc::FailureTable{std::move(rows)};
+}
+
+TEST(Golden, SparseFaultChipAccuracies) {
+  const core::QuantizedNetwork& qnet = golden_qnet();
+  const data::Dataset test = testing::small_test_set().head(200);
+  const mc::FailureTable table = sparse_table();
+  const std::vector<core::MemoryConfig> configs{
+      core::MemoryConfig::all_6t(qnet.bank_words()),
+      core::MemoryConfig::uniform_hybrid(qnet.bank_words(), 3)};
+  std::vector<engine::SweepPoint> points;
+  for (const core::MemoryConfig& config : configs) {
+    for (const double vdd : {0.80, 0.85, 0.90, 0.95}) {
+      points.push_back({config, vdd});
+    }
+  }
+  constexpr std::size_t kChips = 8;
+  constexpr std::uint64_t kSeed = 777;
+  const std::vector<core::ReadFaultPolicy> policies{
+      core::ReadFaultPolicy::random_per_read,
+      core::ReadFaultPolicy::always_flip,
+      core::ReadFaultPolicy::stuck_at_powerup};
+
+  // The points must span every first-layer regime: chips whose layer-0
+  // weights and biases are untouched, chips with 1 to 12 (a quarter of the
+  // 48 columns) dirty columns, and chips with more.
+  const std::size_t fan_out = qnet.layer(0).fan_out;
+  const std::size_t weight_words = qnet.layer(0).weight_codes.size();
+  std::size_t clean = 0;
+  std::size_t few = 0;
+  std::size_t many = 0;
+  core::EvalContext ctx;
+  const std::uint64_t fp = core::network_fingerprint(qnet);
+  for (const core::ReadFaultPolicy policy : policies) {
+    for (const engine::SweepPoint& p : points) {
+      const core::FaultModel model{table, p.vdd, policy};
+      for (std::size_t chip = 0; chip < kChips; ++chip) {
+        (void)ctx.evaluate_chip(qnet, fp, p.config, model, test.head(1),
+                                kSeed, chip);
+        std::vector<bool> dirty(fan_out, false);
+        for (const core::FaultDelta& d : ctx.last_deltas()) {
+          if (d.layer != 0) continue;
+          dirty[d.word < weight_words ? d.word % fan_out
+                                      : d.word - weight_words] = true;
+        }
+        const auto n = static_cast<std::size_t>(
+            std::count(dirty.begin(), dirty.end(), true));
+        ++(n == 0 ? clean : n <= fan_out / 4 ? few : many);
+      }
+    }
+  }
+  EXPECT_GT(clean, 0u);
+  EXPECT_GT(few, 0u);
+  EXPECT_GT(many, 0u);
+
+  const engine::ExperimentRunner runner;
+  std::vector<std::uint64_t> digests;
+  for (const auto backend :
+       {ann::backends::Backend::reference, ann::backends::Backend::simd}) {
+    for (const std::size_t fuse :
+         {std::size_t{1}, std::size_t{0}, std::size_t{3}}) {
+      util::Fnv1a h;
+      for (const core::ReadFaultPolicy policy : policies) {
+        core::EvalOptions options;
+        options.chips = kChips;
+        options.seed = kSeed;
+        options.policy = policy;
+        options.backend = backend;
+        options.fuse_chips = fuse;
+        for (const core::AccuracyResult& r :
+             runner.run(qnet, engine::EvalJob::sweep(points, options)
+                                  .against(table),
+                        test)) {
+          h.f64_span(r.per_chip);
+        }
+      }
+      digests.push_back(h.digest());
+    }
+  }
+  for (const std::uint64_t d : digests) EXPECT_EQ(d, digests.front());
+  expect_golden("kSparseChipAccuracyDigest", digests.front(),
+                kSparseChipAccuracyDigest);
 }
 
 TEST(Golden, ServiceTraceResults) {
