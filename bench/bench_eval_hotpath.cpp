@@ -27,6 +27,10 @@
 // overwrites PATH with one JSON object (the BENCH_eval_hotpath.json
 // artifact collected by scripts/run_bench.sh).
 //
+// A second table gives, per vdd, the share of chips that reuse the clean
+// first layer instead of running the full layer-0 GEMM (JSON:
+// first_layer_reuse_share, one entry per vdd in `vdds`).
+//
 // The failure table is synthetic (Fig. 5-shaped exponential falloff of the
 // 6T rates with vdd, 8T failure-free), so the bench measures the evaluation
 // hot path only — no Monte-Carlo, no model training, no disk cache.
@@ -40,6 +44,7 @@
 #include <limits>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ann/backends/backend.hpp"
@@ -48,6 +53,7 @@
 #include "core/experiments.hpp"
 #include "data/digits.hpp"
 #include "mc/failure_table.hpp"
+#include "obs/metrics.hpp"
 #include "util/parallel.hpp"
 #include "util/table.hpp"
 
@@ -76,7 +82,16 @@ struct ArmResult {
   double seconds = 0.0;
   double chips_per_sec = 0.0;
   std::vector<std::vector<double>> per_point;  // [point][chip] accuracies
+  std::vector<double> reuse_share;  // [point] chips reusing the first layer
 };
+
+/// Chips that have taken the clean first-layer reuse and the full layer-0
+/// GEMM so far, process-wide.
+std::pair<std::uint64_t, std::uint64_t> first_layer_counts() {
+  obs::Registry& r = obs::Registry::global();
+  return {r.counter("core.eval.first_layer_reused").value(),
+          r.counter("core.eval.first_layer_full").value()};
+}
 
 long parse_flag(int& argc, char** argv, const char* flag, long fallback) {
   for (int i = 1; i < argc; ++i) {
@@ -176,6 +191,7 @@ int main(int argc, char** argv) {
   const auto run_fused_arm = [&](ann::backends::Backend backend) {
     ArmResult arm;
     arm.per_point.resize(vdds.size());
+    arm.reuse_share.resize(vdds.size());
     arm.seconds = std::numeric_limits<double>::infinity();
     for (int rep = 0; rep < kReps; ++rep) {
       const Clock::time_point t0 = Clock::now();
@@ -183,6 +199,7 @@ int main(int argc, char** argv) {
         const core::FaultModel model{table, vdds[v], eval.policy};
         arm.per_point[v].resize(chips);
         std::span<double> out{arm.per_point[v]};
+        const auto [reused0, full0] = first_layer_counts();
         util::parallel_for(
             num_groups,
             [&](std::size_t g) {
@@ -194,6 +211,10 @@ int main(int argc, char** argv) {
                   out.subspan(begin, count), backend);
             },
             eval.threads);
+        const auto [reused1, full1] = first_layer_counts();
+        arm.reuse_share[v] = static_cast<double>(reused1 - reused0) /
+                             static_cast<double>(reused1 - reused0 + full1 -
+                                                 full0);
       }
       arm.seconds = std::min(
           arm.seconds,
@@ -236,6 +257,17 @@ int main(int argc, char** argv) {
   if (have_simd) row("fused (simd backend)", fused_simd);
   out.print();
   std::printf("\nfused group size: %zu chips (--fuse %zu)\n", group, fuse);
+
+  // Share of chips per vdd whose layer-0 deltas touch few enough columns to
+  // reuse the clean first layer (core::kFirstLayerReuseDivisor); the rest
+  // run the full layer-0 GEMM.
+  util::Table shares{{"vdd [V]", "first-layer reuse share"}};
+  for (std::size_t v = 0; v < vdds.size(); ++v) {
+    shares.add_row({util::Table::num(vdds[v], 2),
+                    util::Table::num(fused.reuse_share[v], 2)});
+  }
+  std::printf("\n");
+  shares.print();
   std::printf("\nper-chip accuracies bit-identical across paths: %s\n",
               identical ? "yes" : "NO -- BUG");
 
@@ -269,6 +301,15 @@ int main(int argc, char** argv) {
          << "  \"fused_simd_speedup_vs_delta\": "
          << delta.seconds / fused_simd.seconds << ",\n";
     }
+    js << "  \"vdds\": [";
+    for (std::size_t v = 0; v < vdds.size(); ++v) {
+      js << (v == 0 ? "" : ", ") << vdds[v];
+    }
+    js << "],\n  \"first_layer_reuse_share\": [";
+    for (std::size_t v = 0; v < vdds.size(); ++v) {
+      js << (v == 0 ? "" : ", ") << fused.reuse_share[v];
+    }
+    js << "],\n";
     js << "  \"bit_identical\": " << (identical ? "true" : "false") << "\n"
        << "}\n";
     std::printf("JSON written to %s\n", opts.json.c_str());

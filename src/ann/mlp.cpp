@@ -143,16 +143,94 @@ double Mlp::accuracy(const Matrix& input,
   return static_cast<double>(hits) / static_cast<double>(labels.size());
 }
 
+void Mlp::check_reuse(const Matrix& input,
+                      const FirstLayerReuse& reuse) const {
+  if (reuse.clean == nullptr) return;
+  if (weights_.size() < 2)
+    throw std::invalid_argument{
+        "Mlp: first-layer reuse needs a hidden layer"};
+  if (reuse.clean->rows() != input.rows() ||
+      reuse.clean->cols() != sizes_[1])
+    throw std::invalid_argument{"Mlp: clean first layer shape mismatch"};
+  for (const std::uint32_t j : reuse.columns)
+    if (j >= sizes_[1])
+      throw std::invalid_argument{"Mlp: dirty column out of range"};
+}
+
+void Mlp::first_layer_block(const Matrix& input, std::size_t r0,
+                            std::size_t m, const FirstLayerReuse& reuse,
+                            ColumnPatch& patch, Matrix& out,
+                            backends::Backend backend) const {
+  if (reuse.clean == nullptr) {
+    gemm_block(input.row(r0), m, weights_[0], out, /*parallel=*/false,
+               backend);
+    add_row_bias(out, biases_[0]);
+    if (weights_.size() == 1) {
+      softmax_rows_inplace(out);
+    } else {
+      activate_inplace(out, activation_);
+    }
+    return;
+  }
+  // Every kernel accumulates each element over k in ascending order from 0
+  // (backends/backend.hpp), and bias and activation are elementwise: a
+  // column the deltas leave alone is the clean column bit for bit, and a
+  // dirty column computed by the same kernel over the gathered W0[:, J] is
+  // the full GEMM's column.
+  const std::size_t n = sizes_[1];
+  std::copy_n(reuse.clean->row(r0), m * n, out.row(0));
+  const std::span<const std::uint32_t> cols = reuse.columns;
+  if (cols.empty()) return;
+  const std::size_t k = sizes_[0];
+  const std::size_t d = cols.size();
+  const std::size_t dp = ColumnPatch::padded(d);
+  patch.weights.reshape(k, dp);
+  const float* w = weights_[0].data().data();
+  for (std::size_t i = 0; i < k; ++i) {
+    const float* src = w + i * n;
+    float* dst = patch.weights.row(i);
+    for (std::size_t c = 0; c < d; ++c) dst[c] = src[cols[c]];
+    std::fill(dst + d, dst + dp, 0.0f);
+  }
+  patch.bias.assign(dp, 0.0f);
+  for (std::size_t c = 0; c < d; ++c) patch.bias[c] = biases_[0][cols[c]];
+  patch.out.reshape(m, dp);
+  gemm_block(input.row(r0), m, patch.weights, patch.out, /*parallel=*/false,
+             backend);
+  add_row_bias(patch.out, patch.bias);
+  activate_inplace(patch.out, activation_);
+  for (std::size_t i = 0; i < m; ++i) {
+    const float* src = patch.out.row(i);
+    float* dst = out.row(i);
+    for (std::size_t c = 0; c < d; ++c) dst[cols[c]] = src[c];
+  }
+}
+
+void Mlp::first_layer(const Matrix& input, Matrix& out,
+                      backends::Backend backend) const {
+  if (weights_.size() < 2)
+    throw std::invalid_argument{
+        "Mlp::first_layer: a single-layer net ends in a row-wise softmax"};
+  if (input.cols() != sizes_.front())
+    throw std::invalid_argument{"Mlp::forward: input width mismatch"};
+  out.reshape(input.rows(), sizes_[1]);
+  ColumnPatch unused;
+  first_layer_block(input, 0, input.rows(), {}, unused, out, backend);
+}
+
 double Mlp::accuracy(const Matrix& input, std::span<const std::uint8_t> labels,
-                     EvalWorkspace& workspace) const {
+                     EvalWorkspace& workspace,
+                     const FirstLayerReuse& reuse) const {
   if (labels.size() != input.rows())
     throw std::invalid_argument{"Mlp::accuracy: label count mismatch"};
   if (input.cols() != sizes_.front())
     throw std::invalid_argument{"Mlp::forward: input width mismatch"};
+  check_reuse(input, reuse);
   workspace.bind(*this);
   const backends::Backend backend = workspace.backend_;
   const std::size_t rows = input.rows();
   const std::size_t batch = workspace.batch_rows();
+  workspace.patch_.reserve(sizes_[0], batch, reuse.columns.size());
   Matrix* cur = &workspace.front_;
   Matrix* nxt = &workspace.back_;
   std::size_t hits = 0;
@@ -162,14 +240,7 @@ double Mlp::accuracy(const Matrix& input, std::span<const std::uint8_t> labels,
     // data-parallel, and serial kernels keep each worker's batch resident
     // in its own cache slice.
     cur->reshape(m, sizes_[1]);
-    gemm_block(input.row(r0), m, weights_[0], *cur, /*parallel=*/false,
-               backend);
-    add_row_bias(*cur, biases_[0]);
-    if (weights_.size() == 1) {
-      softmax_rows_inplace(*cur);
-    } else {
-      activate_inplace(*cur, activation_);
-    }
+    first_layer_block(input, r0, m, reuse, workspace.patch_, *cur, backend);
     for (std::size_t l = 1; l < weights_.size(); ++l) {
       nxt->reshape(m, sizes_[l + 1]);
       gemm(*cur, weights_[l], *nxt, /*parallel=*/false, backend);
@@ -195,19 +266,30 @@ void Mlp::accuracy_group(const Matrix& input,
                          std::span<const std::uint8_t> labels,
                          GroupEvalWorkspace& workspace, std::size_t group,
                          const GroupMutator& mutate,
-                         std::span<double> accuracies) const {
+                         std::span<double> accuracies,
+                         std::span<const FirstLayerReuse> reuse) const {
   if (labels.size() != input.rows())
     throw std::invalid_argument{"Mlp::accuracy: label count mismatch"};
   if (input.cols() != sizes_.front())
     throw std::invalid_argument{"Mlp::forward: input width mismatch"};
   if (accuracies.size() < group)
     throw std::invalid_argument{"Mlp::accuracy_group: accuracies too small"};
+  if (!reuse.empty() && reuse.size() < group)
+    throw std::invalid_argument{"Mlp::accuracy_group: reuse too small"};
   if (group == 0) return;
   workspace.bind(*this, group);
   const backends::Backend backend = workspace.backend_;
   const std::size_t rows = input.rows();
   const std::size_t batch = workspace.batch_rows_;
   const std::size_t num_layers = weights_.size();
+  // Size the patch for the widest chip before any delta goes in, so
+  // nothing allocates between mutate's apply and revert.
+  std::size_t widest_patch = 0;
+  for (std::size_t c = 0; c < reuse.size() && c < group; ++c) {
+    check_reuse(input, reuse[c]);
+    widest_patch = std::max(widest_patch, reuse[c].columns.size());
+  }
+  workspace.patch_.reserve(sizes_[0], batch, widest_patch);
   std::fill(workspace.hits_.begin(), workspace.hits_.begin() + group, 0u);
   for (std::size_t r0 = 0; r0 < rows; r0 += batch) {
     const std::size_t m = std::min(batch, rows - r0);
@@ -222,11 +304,13 @@ void Mlp::accuracy_group(const Matrix& input,
         out.reshape(m, sizes_[l + 1]);  // may allocate: before apply
         mutate(c, l, /*apply=*/true);
         if (l == 0) {
-          gemm_block(input.row(r0), m, weights_[0], out, /*parallel=*/false,
-                     backend);
-        } else {
-          gemm(ins[c], weights_[l], out, /*parallel=*/false, backend);
+          first_layer_block(input, r0, m,
+                            reuse.empty() ? FirstLayerReuse{} : reuse[c],
+                            workspace.patch_, out, backend);
+          mutate(c, 0, /*apply=*/false);
+          continue;
         }
+        gemm(ins[c], weights_[l], out, /*parallel=*/false, backend);
         add_row_bias(out, biases_[l]);
         mutate(c, l, /*apply=*/false);
         if (l + 1 < num_layers) {

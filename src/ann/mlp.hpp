@@ -16,6 +16,7 @@ namespace hynapse::ann {
 
 class EvalWorkspace;
 class GroupEvalWorkspace;
+struct ColumnPatch;
 
 /// Hidden-layer nonlinearity. The paper's text shows sigmoid neurons
 /// (Fig. 1); its simulator, the DeepLearnToolbox [22], defaults to LeCun's
@@ -25,6 +26,18 @@ enum class Activation : std::uint8_t {
   sigmoid,
   tanh_lecun,
   relu,
+};
+
+/// Reuse of a clean first layer across chips (docs/performance.md, "Clean
+/// first-layer reuse"). `clean` holds the activated layer-0 output of the
+/// fault-free network for every input row (Mlp::first_layer); `columns`
+/// lists the layer-0 outputs whose weights or bias differ from the clean
+/// network's. Every other column of a chip's layer-0 output is the clean
+/// column bit for bit, so only `columns` are recomputed. A null `clean`
+/// means no reuse: the full layer-0 GEMM runs.
+struct FirstLayerReuse {
+  const Matrix* clean = nullptr;
+  std::span<const std::uint32_t> columns;
 };
 
 /// Weight matrices are stored fan_in x fan_out so a batch forward pass is
@@ -85,10 +98,20 @@ class Mlp {
   /// test set in mini-batches through the workspace's preallocated
   /// ping-pong activation buffers instead of materializing whole-set
   /// activations. Bit-identical to the overload above for any batch size
-  /// (every kernel is row-independent; see docs/performance.md).
+  /// (every kernel is row-independent; see docs/performance.md). With a
+  /// non-null `reuse.clean`, layer 0 copies the clean rows and recomputes
+  /// only `reuse.columns` — same result as the full layer-0 GEMM.
   [[nodiscard]] double accuracy(const Matrix& input,
                                 std::span<const std::uint8_t> labels,
-                                EvalWorkspace& workspace) const;
+                                EvalWorkspace& workspace,
+                                const FirstLayerReuse& reuse = {}) const;
+
+  /// Activated layer-0 output of every row of `input` into `out` (rows x
+  /// layer_sizes()[1]): the cache FirstLayerReuse::clean points at. Throws
+  /// std::invalid_argument for a single-layer net, whose only layer ends in
+  /// a row-wise softmax that no column patch can reproduce.
+  void first_layer(const Matrix& input, Matrix& out,
+                   backends::Backend backend) const;
 
   /// Called around each layer's GEMM+bias in accuracy_group:
   /// mutate(chip, layer, true) right before, mutate(chip, layer, false)
@@ -107,12 +130,24 @@ class Mlp {
   /// the same batch geometry under chip c's deltas: per chip the exact same
   /// kernels see the exact same operands in the exact same order — fusing
   /// only interleaves *which chip* computes when (docs/performance.md).
+  /// `reuse` is empty (full layer 0 for every chip) or holds one entry per
+  /// chip, as in accuracy().
   void accuracy_group(const Matrix& input, std::span<const std::uint8_t> labels,
                       GroupEvalWorkspace& workspace, std::size_t group,
-                      const GroupMutator& mutate,
-                      std::span<double> accuracies) const;
+                      const GroupMutator& mutate, std::span<double> accuracies,
+                      std::span<const FirstLayerReuse> reuse = {}) const;
 
  private:
+  /// Throws std::invalid_argument unless `reuse` fits this net and `input`.
+  void check_reuse(const Matrix& input, const FirstLayerReuse& reuse) const;
+  /// The one layer-0 step of every forward path: the activated layer-0
+  /// output of input rows [r0, r0 + m) into `out` (already m x fan_out),
+  /// by the full GEMM or, under `reuse`, by copying the clean rows and
+  /// recomputing the dirty columns through `patch`.
+  void first_layer_block(const Matrix& input, std::size_t r0, std::size_t m,
+                         const FirstLayerReuse& reuse, ColumnPatch& patch,
+                         Matrix& out, backends::Backend backend) const;
+
   std::vector<std::size_t> sizes_;
   Activation activation_ = Activation::sigmoid;
   std::vector<Matrix> weights_;             // [layer]: fan_in x fan_out

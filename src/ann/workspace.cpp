@@ -18,6 +18,13 @@ std::size_t widest_layer(const Mlp& net) {
 
 }  // namespace
 
+void ColumnPatch::reserve(std::size_t fan_in, std::size_t rows,
+                          std::size_t cols) {
+  weights.reserve(fan_in, padded(cols));
+  bias.reserve(padded(cols));
+  out.reserve(rows, padded(cols));
+}
+
 void EvalWorkspace::bind(const Mlp& net) {
   const std::size_t widest = widest_layer(net);
   front_.reserve(batch_rows_, widest);

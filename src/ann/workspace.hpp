@@ -21,6 +21,26 @@ namespace hynapse::ann {
 
 class Mlp;
 
+/// Grow-only panels for recomputing the dirty columns J of a reused first
+/// layer (ann::FirstLayerReuse): W0[:, J] and b0[J] gathered with the
+/// chip's deltas in place, and the m x |J| block the backend's own GEMM
+/// writes before it is scattered into the layer-0 output.
+struct ColumnPatch {
+  Matrix weights;
+  std::vector<float> bias;
+  Matrix out;
+
+  /// Makes room for `cols` dirty columns of a fan_in-wide layer over
+  /// `rows`-row mini-batches, so the patch itself never allocates.
+  void reserve(std::size_t fan_in, std::size_t rows, std::size_t cols);
+
+  /// Panel width for `cols` dirty columns: rounded up to a multiple of
+  /// every backend's GEMM column tile, so the patch runs in full tiles.
+  [[nodiscard]] static constexpr std::size_t padded(std::size_t cols) {
+    return (cols + 31) / 32 * 32;
+  }
+};
+
 class EvalWorkspace {
  public:
   /// Mini-batch row count: 256 rows x 1000 columns (the widest Table-I
@@ -50,6 +70,7 @@ class EvalWorkspace {
   backends::Backend backend_ = backends::Backend::reference;
   Matrix front_;
   Matrix back_;
+  ColumnPatch patch_;
 };
 
 /// Scratch for Mlp::accuracy_group: one ping-pong panel pair per chip in the
@@ -80,6 +101,7 @@ class GroupEvalWorkspace {
   std::vector<Matrix> front_;
   std::vector<Matrix> back_;
   std::vector<std::size_t> hits_;
+  ColumnPatch patch_;  ///< shared: the chips of a group run one at a time
 };
 
 }  // namespace hynapse::ann

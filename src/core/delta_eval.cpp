@@ -1,6 +1,7 @@
 #include "core/delta_eval.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <stdexcept>
 #include <utility>
 
@@ -43,6 +44,68 @@ namespace {
   return w < nw ? layer.weight_codes[w] : layer.bias_codes[w - nw];
 }
 
+/// Visits items in ascending key order, where `ends` splits `items` into
+/// runs that are each ascending already: a k-way merge with one cursor per
+/// run (k is at most the word width). Equal keys come out adjacent, in no
+/// particular run order.
+template <typename T, typename Cursor, typename Key, typename Visit>
+void merge_runs(const std::vector<T>& items,
+                const std::vector<std::size_t>& ends,
+                std::vector<Cursor>& cursors, Key key, Visit visit) {
+  cursors.clear();
+  std::size_t begin = 0;
+  for (const std::size_t end : ends) {
+    if (begin < end) cursors.push_back(Cursor{begin, end, key(items[begin])});
+    begin = end;
+  }
+  while (!cursors.empty()) {
+    std::size_t best = 0;
+    for (std::size_t r = 1; r < cursors.size(); ++r) {
+      if (cursors[r].head < cursors[best].head) best = r;
+    }
+    Cursor& c = cursors[best];
+    visit(items[c.pos]);
+    if (++c.pos == c.end) {
+      c = cursors.back();
+      cursors.pop_back();
+    } else {
+      c.head = key(items[c.pos]);
+    }
+  }
+}
+
+/// Content key of a matrix: its shape and every value's bit pattern, in
+/// four independent multiply-xor lanes. Keys the clean first layer, so a
+/// different slice that happens to live at the same address never reads a
+/// stale cache.
+[[nodiscard]] std::uint64_t content_fingerprint(const ann::Matrix& m) {
+  constexpr std::uint64_t kMul = 0x9e3779b97f4a7c15ull;
+  std::uint64_t lanes[4] = {m.rows(), m.cols(), 0x243f6a8885a308d3ull,
+                            0x13198a2e03707344ull};
+  const auto mix = [](std::uint64_t& h, std::uint64_t v) noexcept {
+    h = (h ^ v) * kMul;
+    h ^= h >> 31;
+  };
+  const std::span<const float> v = m.data();
+  const auto pair = [&v](std::size_t i) noexcept {
+    std::uint64_t x = 0;
+    std::memcpy(&x, &v[i], 2 * sizeof(float));
+    return x;
+  };
+  std::size_t i = 0;
+  for (; i + 8 <= v.size(); i += 8) {
+    for (std::size_t l = 0; l < 4; ++l) mix(lanes[l], pair(i + 2 * l));
+  }
+  for (; i < v.size(); ++i) {
+    std::uint32_t x = 0;
+    std::memcpy(&x, &v[i], sizeof x);
+    mix(lanes[0], x);
+  }
+  std::uint64_t h = lanes[0];
+  for (std::size_t l = 1; l < 4; ++l) mix(h, lanes[l]);
+  return h;
+}
+
 }  // namespace
 
 void EvalContext::bind(const QuantizedNetwork& qnet, std::uint64_t qnet_fp) {
@@ -77,19 +140,31 @@ void EvalContext::compute_deltas(const QuantizedNetwork& qnet,
     // legacy constructor draws the whole bank image; drawing the same
     // stream only up to the last consulted word yields identical bits for
     // every observable cell, and the bank RNG is discarded afterwards.
-    powerup_words_.clear();
+    //
+    // Defects arrive as one word-ascending run per bit (FaultMap::defects),
+    // so the consulted words are merged from those runs, not sorted.
     const bool stuck = model.policy() == ReadFaultPolicy::stuck_at_powerup;
-    for (const Defect& d : defects) {
-      if (d.word >= codes) continue;
-      if (d.condition == CellCondition::write_weak ||
-          (stuck && d.condition == CellCondition::read_weak)) {
-        powerup_words_.push_back(d.word);
-      }
+    const auto needs_powerup = [stuck](const Defect& d) noexcept {
+      return d.condition == CellCondition::write_weak ||
+             (stuck && d.condition == CellCondition::read_weak);
+    };
+    run_words_.clear();
+    run_word_ends_.clear();
+    for (std::size_t i = 0; i < defects.size(); ++i) {
+      const Defect& d = defects[i];
+      if (i > 0 && d.bit != defects[i - 1].bit)
+        run_word_ends_.push_back(run_words_.size());
+      if (d.word < codes && needs_powerup(d)) run_words_.push_back(d.word);
     }
-    std::sort(powerup_words_.begin(), powerup_words_.end());
-    powerup_words_.erase(
-        std::unique(powerup_words_.begin(), powerup_words_.end()),
-        powerup_words_.end());
+    run_word_ends_.push_back(run_words_.size());
+    powerup_words_.clear();
+    merge_runs(
+        run_words_, run_word_ends_, cursors_,
+        [](std::uint32_t w) noexcept { return w; },
+        [this](std::uint32_t w) {
+          if (powerup_words_.empty() || powerup_words_.back() != w)
+            powerup_words_.push_back(w);
+        });
     powerup_bits_.resize(powerup_words_.size());
     const std::uint16_t mask =
         static_cast<std::uint16_t>((1u << bank.word_bits) - 1u);
@@ -101,12 +176,17 @@ void EvalContext::compute_deltas(const QuantizedNetwork& qnet,
           static_cast<std::uint16_t>(bank_rng.next_u64()) & mask;
       drawn = w + 1;
     }
+    // Power-up lookups come in defect order, so one cursor per run walks
+    // powerup_words_ forward; it restarts where a new bit's run begins.
+    std::size_t cursor = 0;
+    int cursor_bit = -1;
     const auto powerup_bit = [&](std::uint32_t word, int bit) -> bool {
-      const auto it = std::lower_bound(powerup_words_.begin(),
-                                       powerup_words_.end(), word);
-      const auto idx =
-          static_cast<std::size_t>(it - powerup_words_.begin());
-      return (powerup_bits_[idx] >> bit) & 1u;
+      if (bit != cursor_bit) {
+        cursor_bit = bit;
+        cursor = 0;
+      }
+      while (powerup_words_[cursor] < word) ++cursor;
+      return (powerup_bits_[cursor] >> bit) & 1u;
     };
 
     // Resolve every defect to its final read-back bit. Conditions are
@@ -115,7 +195,11 @@ void EvalContext::compute_deltas(const QuantizedNetwork& qnet,
     // the read_rng draw order is shared state, and it is preserved above
     // all else.
     flips_.clear();
-    for (const Defect& d : defects) {
+    flip_ends_.clear();
+    for (std::size_t i = 0; i < defects.size(); ++i) {
+      const Defect& d = defects[i];
+      if (i > 0 && d.bit != defects[i - 1].bit)
+        flip_ends_.push_back(flips_.size());
       if (d.word >= codes) continue;  // legacy skips before drawing
       const std::uint32_t bits = fmt.to_bits(clean_code(layer, d.word));
       const bool stored = (bits >> d.bit) & 1u;
@@ -147,19 +231,87 @@ void EvalContext::compute_deltas(const QuantizedNetwork& qnet,
         flips_.emplace_back(d.word, std::uint32_t{1} << d.bit);
     }
 
-    // Fold the flips into one delta per touched word (defects arrive in
-    // (bit, word) order, so same-word flips are scattered).
-    std::sort(flips_.begin(), flips_.end());
-    for (std::size_t i = 0; i < flips_.size();) {
-      const std::uint32_t word = flips_[i].first;
-      std::uint32_t flip_mask = 0;
-      for (; i < flips_.size() && flips_[i].first == word; ++i)
-        flip_mask |= flips_[i].second;
+    flip_ends_.push_back(flips_.size());
+
+    // Fold the flips into one delta per touched word, in ascending word
+    // order. Same-word flips sit in different bits' runs; the merge brings
+    // them together.
+    std::uint32_t word = 0;
+    std::uint32_t flip_mask = 0;
+    const auto flush = [&] {
+      if (flip_mask == 0) return;
       const std::int32_t code =
           fmt.from_bits(fmt.to_bits(clean_code(layer, word)) ^ flip_mask);
       deltas_.push_back(FaultDelta{static_cast<std::uint32_t>(b), word, code});
-    }
+    };
+    merge_runs(
+        flips_, flip_ends_, cursors_,
+        [](const std::pair<std::uint32_t, std::uint32_t>& f) noexcept {
+          return f.first;
+        },
+        [&](const std::pair<std::uint32_t, std::uint32_t>& f) {
+          if (f.first != word) {
+            flush();
+            word = f.first;
+            flip_mask = 0;
+          }
+          flip_mask |= f.second;
+        });
+    flush();
   }
+}
+
+bool EvalContext::collect_dirty_columns(const QuantizedNetwork& qnet) {
+  // A single-layer net ends layer 0 in a row-wise softmax: no column of it
+  // survives a delta elsewhere in the row.
+  if (qnet.num_layers() < 2) {
+    full_counter_->add(1);
+    return false;
+  }
+  const QuantizedLayer& layer = qnet.layer(0);
+  const std::size_t nw = layer.weight_codes.size();
+  const std::size_t limit = layer.fan_out / kFirstLayerReuseDivisor;
+  const std::size_t begin = dirty_columns_.size();
+  // Allocate up front: nothing may throw while column_seen_ holds marks.
+  dirty_columns_.reserve(begin + limit);
+  column_seen_.resize(layer.fan_out);
+  bool fits = true;
+  // deltas_ is bank-major, so layer 0's deltas come first.
+  for (const FaultDelta& d : deltas_) {
+    if (d.layer != 0) break;
+    const auto j = static_cast<std::uint32_t>(
+        d.word < nw ? d.word % layer.fan_out : d.word - nw);
+    if (column_seen_[j] != 0) continue;
+    if (dirty_columns_.size() - begin == limit) {
+      fits = false;
+      break;
+    }
+    column_seen_[j] = 1;
+    dirty_columns_.push_back(j);
+  }
+  for (std::size_t i = begin; i < dirty_columns_.size(); ++i)
+    column_seen_[dirty_columns_[i]] = 0;
+  if (!fits) {
+    dirty_columns_.resize(begin);
+    full_counter_->add(1);
+    return false;
+  }
+  std::sort(dirty_columns_.begin() + static_cast<std::ptrdiff_t>(begin),
+            dirty_columns_.end());
+  reused_counter_->add(1);
+  return true;
+}
+
+const ann::Matrix& EvalContext::clean_first_layer(
+    const data::Dataset& test, ann::backends::Backend backend) {
+  const std::pair<std::uint64_t, std::uint64_t> key{
+      qnet_fp_, content_fingerprint(test.images)};
+  if (clean_key_ != key) {
+    clean_key_.reset();  // stays unset if the build throws
+    baseline_->first_layer(test.images, clean_first_layer_, backend);
+    clean_key_ = key;
+  }
+  return clean_first_layer_;
 }
 
 void EvalContext::check_shapes(const QuantizedNetwork& qnet,
@@ -187,6 +339,11 @@ double EvalContext::evaluate_chip(const QuantizedNetwork& qnet,
   const std::uint64_t chip_seed =
       eval_seed ^ (0x9e3779b97f4a7c15ull * (chip + 1));
   compute_deltas(qnet, config, model, chip_seed);
+  dirty_columns_.clear();
+  ann::FirstLayerReuse reuse;
+  if (collect_dirty_columns(qnet)) {
+    reuse = {&clean_first_layer(test, backend), dirty_columns_};
+  }
 
   // Apply the deltas to the shared baseline, evaluate, revert. Each delta
   // touches a distinct (layer, word), so restore order doesn't matter.
@@ -220,7 +377,8 @@ double EvalContext::evaluate_chip(const QuantizedNetwork& qnet,
   };
   double accuracy = 0.0;
   try {
-    accuracy = baseline_->accuracy(test.images, test.labels, workspace_);
+    accuracy =
+        baseline_->accuracy(test.images, test.labels, workspace_, reuse);
   } catch (...) {
     revert();  // keep the baseline clean for the next chip on this context
     throw;
@@ -262,11 +420,20 @@ void EvalContext::evaluate_chips(const QuantizedNetwork& qnet,
   const std::size_t num_layers = qnet.num_layers();
   fused_deltas_.clear();
   fused_offsets_.assign(count * num_layers + 1, 0);
+  dirty_columns_.clear();
+  column_offsets_.assign(count + 1, 0);
+  reuse_.assign(count, ann::FirstLayerReuse{});
+  bool any_reuse = false;
   for (std::size_t c = 0; c < count; ++c) {
     const std::size_t chip = chip_begin + c;
     const std::uint64_t chip_seed =
         eval_seed ^ (0x9e3779b97f4a7c15ull * (chip + 1));
     compute_deltas(qnet, config, model, chip_seed);
+    column_offsets_[c] = dirty_columns_.size();
+    if (collect_dirty_columns(qnet)) {
+      reuse_[c].clean = &clean_first_layer_;  // built below, before use
+      any_reuse = true;
+    }
     // deltas_ is pushed bank-major, so its layers are already ascending.
     std::size_t di = 0;
     for (std::size_t l = 0; l < num_layers; ++l) {
@@ -289,6 +456,15 @@ void EvalContext::evaluate_chips(const QuantizedNetwork& qnet,
     }
   }
   fused_offsets_[count * num_layers] = fused_deltas_.size();
+  column_offsets_[count] = dirty_columns_.size();
+  if (any_reuse) {
+    (void)clean_first_layer(test, backend);  // no delta is applied yet
+    const std::span<const std::uint32_t> columns{dirty_columns_};
+    for (std::size_t c = 0; c < count; ++c) {
+      reuse_[c].columns = columns.subspan(
+          column_offsets_[c], column_offsets_[c + 1] - column_offsets_[c]);
+    }
+  }
 
   const auto mutate = [this, num_layers](std::size_t chip, std::size_t layer,
                                          bool apply) {
@@ -304,7 +480,7 @@ void EvalContext::evaluate_chips(const QuantizedNetwork& qnet,
   };
   try {
     baseline_->accuracy_group(test.images, test.labels, group_workspace_,
-                              count, mutate, out);
+                              count, mutate, out, reuse_);
   } catch (...) {
     // Restore every shadowed slot (clean values are shared across chips
     // touching the same word, so blanket restoration is idempotent) and keep

@@ -14,6 +14,10 @@
 //    touched word,
 //  * applies the deltas to a shared clean baseline Mlp, runs the workspace
 //    forward pass, and reverts them.
+// Above ~0.80 V a chip touches only a few of the first layer's columns, so a
+// context also keeps the clean network's activated layer-0 output for the
+// test slice and recomputes only the columns a chip's layer-0 deltas touch
+// (docs/performance.md, "Clean first-layer reuse").
 // Results are bit-identical to the reference core::evaluate_chip for all three
 // ReadFaultPolicy modes (tests/test_core_delta_eval.cpp pins this); the
 // determinism contract (docs/engine.md) carries over unchanged because a
@@ -36,8 +40,17 @@
 #include "core/memory_config.hpp"
 #include "core/quantized_network.hpp"
 #include "data/dataset.hpp"
+#include "obs/metrics.hpp"
 
 namespace hynapse::core {
+
+/// A chip reuses the clean first layer when at most
+/// fan_out / kFirstLayerReuseDivisor of its layer-0 columns are dirty, and
+/// runs the full layer-0 GEMM otherwise. Past that share, gathering the
+/// dirty weight columns and running the GEMM on the narrow panel costs more
+/// than the full GEMM saves (the crossover measured on the Table-I layer 0
+/// is in docs/performance.md).
+inline constexpr std::size_t kFirstLayerReuseDivisor = 2;
 
 /// Cheap content key for a quantized network (codes, formats, topology).
 /// EvalContext caches its dequantized baseline under this key, so a pooled
@@ -106,6 +119,16 @@ class EvalContext {
   void bind(const QuantizedNetwork& qnet, std::uint64_t qnet_fp);
   void compute_deltas(const QuantizedNetwork& qnet, const MemoryConfig& config,
                       const FaultModel& model, std::uint64_t chip_seed);
+  /// Appends the layer-0 columns that deltas_ touches to dirty_columns_
+  /// (ascending) and returns true when the chip reuses the clean first
+  /// layer; otherwise leaves dirty_columns_ as it was. Bumps one of the
+  /// core.eval.first_layer_* counters.
+  bool collect_dirty_columns(const QuantizedNetwork& qnet);
+  /// The clean baseline's activated layer-0 output over `test`, rebuilt
+  /// when the network or the content of the input rows changed. Call only
+  /// while no delta is applied.
+  const ann::Matrix& clean_first_layer(const data::Dataset& test,
+                                       ann::backends::Backend backend);
   void check_shapes(const QuantizedNetwork& qnet,
                     const MemoryConfig& config) const;
 
@@ -118,9 +141,32 @@ class EvalContext {
   std::vector<FaultMap> maps_;
   std::vector<FaultDelta> deltas_;
   std::vector<float> saved_;  ///< baseline values shadowed by deltas_
+  // Defect resolve: per-bit runs (each word-ascending) and their merge.
   std::vector<std::pair<std::uint32_t, std::uint32_t>> flips_;  // (word, bits)
-  std::vector<std::uint32_t> powerup_words_;
+  std::vector<std::size_t> flip_ends_;     ///< run ends in flips_
+  std::vector<std::uint32_t> run_words_;   ///< power-up words, per-bit runs
+  std::vector<std::size_t> run_word_ends_;
+  std::vector<std::uint32_t> powerup_words_;  ///< merged, unique
   std::vector<std::uint16_t> powerup_bits_;
+  struct RunCursor {
+    std::size_t pos;
+    std::size_t end;
+    std::uint32_t head;  ///< word at pos
+  };
+  std::vector<RunCursor> cursors_;
+
+  // Clean first-layer reuse: the cache, its content key (network
+  // fingerprint, input fingerprint) and the per-chip dirty columns.
+  ann::Matrix clean_first_layer_;
+  std::optional<std::pair<std::uint64_t, std::uint64_t>> clean_key_;
+  std::vector<std::uint32_t> dirty_columns_;
+  std::vector<std::uint8_t> column_seen_;  ///< all zero between chips
+  std::vector<std::size_t> column_offsets_;  ///< per fused chip
+  std::vector<ann::FirstLayerReuse> reuse_;  ///< per fused chip
+  obs::Counter* reused_counter_ =
+      &obs::Registry::global().counter("core.eval.first_layer_reused");
+  obs::Counter* full_counter_ =
+      &obs::Registry::global().counter("core.eval.first_layer_full");
   // Fused-path scratch: flattened per-(chip, layer) delta runs.
   std::vector<FusedDelta> fused_deltas_;
   std::vector<std::size_t> fused_offsets_;  // (chip * layers + layer) runs

@@ -90,6 +90,9 @@ class FaultMap {
   void resample(const BankConfig& bank, const FaultModel& model,
                 util::Rng& rng);
 
+  /// Defects in sampling order: one run per bit position (ascending bit),
+  /// each run in strictly ascending word order. EvalContext merges these
+  /// runs instead of sorting (core/delta_eval.cpp).
   [[nodiscard]] const std::vector<Defect>& defects() const noexcept {
     return defects_;
   }

@@ -62,6 +62,27 @@ TEST(FaultModel, ExclusivityByConstruction) {
   }
 }
 
+TEST(FaultMap, DefectsComeAsWordAscendingRunsPerBit) {
+  // EvalContext merges these runs instead of sorting the defects, so the
+  // order is part of FaultMap's contract: bits ascend, and within one bit
+  // the words strictly ascend. Hybrid banks skip their 8T bits.
+  const mc::FailureTable table = flat_table(0.02, 0.01, 0.004);
+  const FaultModel model{table, 0.65};
+  for (const int msbs : {0, 3}) {
+    BankConfig bank{"b", 5000, 8, msbs};
+    util::Rng rng{11};
+    const FaultMap map = FaultMap::sample(bank, model, rng);
+    const std::vector<Defect>& defects = map.defects();
+    ASSERT_GT(defects.size(), 100u);
+    for (std::size_t i = 1; i < defects.size(); ++i) {
+      const Defect& a = defects[i - 1];
+      const Defect& b = defects[i];
+      EXPECT_TRUE(a.bit < b.bit || (a.bit == b.bit && a.word < b.word))
+          << "defect " << i;
+    }
+  }
+}
+
 TEST(FaultMap, DefectDensityMatchesRate) {
   const double p = 0.01;
   const mc::FailureTable table = flat_table(p, 0.0, 0.0);

@@ -38,6 +38,7 @@
 #include "mc/failure_table.hpp"
 #include "mc/montecarlo.hpp"
 #include "mc/variation.hpp"
+#include "obs/metrics.hpp"
 #include "serve/eval_service.hpp"
 #include "serve/protocol.hpp"
 #include "test_helpers.hpp"
@@ -172,9 +173,11 @@ TEST(Golden, SparseFaultChipAccuracies) {
       core::ReadFaultPolicy::stuck_at_powerup};
 
   // The points must span every first-layer regime: chips whose layer-0
-  // weights and biases are untouched, chips with 1 to 12 (a quarter of the
-  // 48 columns) dirty columns, and chips with more.
+  // weights and biases are untouched, chips with 1 to the cut-over dirty
+  // columns (both reuse the clean first layer), and chips with more (full
+  // layer-0 GEMM).
   const std::size_t fan_out = qnet.layer(0).fan_out;
+  const std::size_t cut_over = fan_out / core::kFirstLayerReuseDivisor;
   const std::size_t weight_words = qnet.layer(0).weight_codes.size();
   std::size_t clean = 0;
   std::size_t few = 0;
@@ -195,13 +198,20 @@ TEST(Golden, SparseFaultChipAccuracies) {
         }
         const auto n = static_cast<std::size_t>(
             std::count(dirty.begin(), dirty.end(), true));
-        ++(n == 0 ? clean : n <= fan_out / 4 ? few : many);
+        ++(n == 0 ? clean : n <= cut_over ? few : many);
       }
     }
   }
   EXPECT_GT(clean, 0u);
   EXPECT_GT(few, 0u);
   EXPECT_GT(many, 0u);
+
+  obs::Counter& reused =
+      obs::Registry::global().counter("core.eval.first_layer_reused");
+  obs::Counter& full =
+      obs::Registry::global().counter("core.eval.first_layer_full");
+  const std::uint64_t reused_before = reused.value();
+  const std::uint64_t full_before = full.value();
 
   const engine::ExperimentRunner runner;
   std::vector<std::uint64_t> digests;
@@ -230,6 +240,8 @@ TEST(Golden, SparseFaultChipAccuracies) {
   for (const std::uint64_t d : digests) EXPECT_EQ(d, digests.front());
   expect_golden("kSparseChipAccuracyDigest", digests.front(),
                 kSparseChipAccuracyDigest);
+  EXPECT_GT(reused.value(), reused_before);
+  EXPECT_GT(full.value(), full_before);
 }
 
 TEST(Golden, ServiceTraceResults) {

@@ -520,9 +520,23 @@ std::uint64_t metric_count(const std::vector<obs::MetricSnapshot>& metrics,
   return 0;
 }
 
+double first_layer_chips(const std::vector<obs::MetricSnapshot>& metrics) {
+  double chips = 0.0;
+  for (const obs::MetricSnapshot& m : metrics) {
+    if (m.kind == obs::MetricKind::counter &&
+        (m.name == "core.eval.first_layer_reused" ||
+         m.name == "core.eval.first_layer_full")) {
+      chips += m.value;
+    }
+  }
+  return chips;
+}
+
 TEST_F(EvalServiceTest, StatsOpReportsHealthAndRegistry) {
   const std::uint64_t wall_before = metric_count(
       obs::Registry::global().snapshot(), "serve.request.wall_us");
+  const double chips_before =
+      first_layer_chips(obs::Registry::global().snapshot());
 
   EvalService service{qnet_, test_, fast_options()};
   for (int i = 0; i < 3; ++i) {
@@ -568,6 +582,9 @@ TEST_F(EvalServiceTest, StatsOpReportsHealthAndRegistry) {
                             return m.name == "mc.decide.oracle_fallbacks" &&
                                    m.kind == obs::MetricKind::counter;
                           }));
+  // Every evaluated chip took the clean first-layer reuse or the full
+  // layer-0 GEMM, and said which.
+  EXPECT_GT(first_layer_chips(stats.metrics), chips_before);
 
   // Two concurrent scrapes share fingerprint 0 but must never coalesce:
   // each gets its own health snapshot.
