@@ -156,7 +156,8 @@ class EvalContext {
   std::vector<RunCursor> cursors_;
 
   // Clean first-layer reuse: the cache, its content key (network
-  // fingerprint, input fingerprint) and the per-chip dirty columns.
+  // fingerprint, input fingerprint; every backend computes the same bits,
+  // so the backend is not part of it) and the per-chip dirty columns.
   ann::Matrix clean_first_layer_;
   std::optional<std::pair<std::uint64_t, std::uint64_t>> clean_key_;
   std::vector<std::uint32_t> dirty_columns_;
