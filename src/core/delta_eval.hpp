@@ -46,10 +46,9 @@ namespace hynapse::core {
 
 /// A chip reuses the clean first layer when at most
 /// fan_out / kFirstLayerReuseDivisor of its layer-0 columns are dirty, and
-/// runs the full layer-0 GEMM otherwise. Past that share, gathering the
-/// dirty weight columns and running the GEMM on the narrow panel costs more
-/// than the full GEMM saves (the crossover measured on the Table-I layer 0
-/// is in docs/performance.md).
+/// runs the full layer-0 GEMM otherwise. On the Table-I layer-0 shape the
+/// patch costs as much as the full GEMM near 0.8 x fan_out dirty columns;
+/// half of fan_out keeps a margin (measurements in docs/performance.md).
 inline constexpr std::size_t kFirstLayerReuseDivisor = 2;
 
 /// Cheap content key for a quantized network (codes, formats, topology).

@@ -184,12 +184,13 @@ TEST(Golden, SparseFaultChipAccuracies) {
   std::size_t many = 0;
   core::EvalContext ctx;
   const std::uint64_t fp = core::network_fingerprint(qnet);
+  const data::Dataset probe = test.head(1);
   for (const core::ReadFaultPolicy policy : policies) {
     for (const engine::SweepPoint& p : points) {
       const core::FaultModel model{table, p.vdd, policy};
       for (std::size_t chip = 0; chip < kChips; ++chip) {
-        (void)ctx.evaluate_chip(qnet, fp, p.config, model, test.head(1),
-                                kSeed, chip);
+        (void)ctx.evaluate_chip(qnet, fp, p.config, model, probe, kSeed,
+                                chip);
         std::vector<bool> dirty(fan_out, false);
         for (const core::FaultDelta& d : ctx.last_deltas()) {
           if (d.layer != 0) continue;
