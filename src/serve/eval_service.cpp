@@ -430,7 +430,6 @@ HealthSummary EvalService::health() const {
   h.dispatchers = options_.dispatchers;
   h.threads = options_.threads;
   h.backend = std::string{ann::backends::backend_name(options_.backend)};
-  h.fuse_chips = options_.fuse_chips;
   h.max_batch = options_.max_batch;
   h.cache_dir = options_.cache_dir;
   if (!options_.cache_dir.empty()) {

@@ -207,7 +207,6 @@ void fields(Is<HealthSummary> auto& h, auto& f) {
   f.field({"dispatchers"}, h.dispatchers);
   f.field({"threads"}, h.threads);
   f.field({"backend"}, h.backend);
-  f.field({"fuse_chips"}, h.fuse_chips);
   f.field({"max_batch"}, h.max_batch);
   f.field({"cache_dir", !h.cache_dir.empty()}, h.cache_dir);
   f.field({"cache_tables"}, h.cache_tables);

@@ -52,7 +52,7 @@ constexpr std::uint64_t kSparseChipAccuracyDigest = 0x7a618513debee869;
 constexpr std::uint64_t kServiceTraceDigest = 0xf28320f74da3ae4a;
 constexpr std::uint64_t kFixedTableDigest = 0xefeeef52a15ae3b0;
 constexpr std::uint64_t kAdaptiveTableDigest = 0xe9c6b155823fbb11;
-constexpr std::uint64_t kWireCodecDigest = 0xc8912062eef94590;
+constexpr std::uint64_t kWireCodecDigest = 0x78a7c2e1641062f8;
 constexpr std::uint64_t kCellAnalysisDigest = 0xb6d293296509e1f9;
 
 bool blessing() {
@@ -584,7 +584,6 @@ std::vector<serve::Response> wire_responses() {
   h.dispatchers = 2;
   h.threads = 4;
   h.backend = "simd";
-  h.fuse_chips = 8;
   h.max_batch = 16;
   h.cache_dir = "/srv/hynapse/cache";
   h.cache_tables = 5;

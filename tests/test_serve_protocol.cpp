@@ -614,7 +614,6 @@ TEST(Protocol, StatsResponseRoundTripsHealthAndRegistry) {
   h.dispatchers = 2;
   h.threads = 4;
   h.backend = "simd";
-  h.fuse_chips = 8;
   h.max_batch = 16;
   h.cache_dir = "/srv/hynapse/cache";
   h.cache_tables = 2;
@@ -660,7 +659,6 @@ TEST(Protocol, StatsResponseRoundTripsHealthAndRegistry) {
   EXPECT_EQ(ph.dispatchers, 2u);
   EXPECT_EQ(ph.threads, 4u);
   EXPECT_EQ(ph.backend, "simd");
-  EXPECT_EQ(ph.fuse_chips, 8u);
   EXPECT_EQ(ph.max_batch, 16u);
   EXPECT_EQ(ph.cache_dir, "/srv/hynapse/cache");
   EXPECT_EQ(ph.cache_tables, 2u);
@@ -903,6 +901,39 @@ TEST(ParseResponse, RejectsOutOfRangeAndMalformedLines) {
   EXPECT_EQ(annotated->table_fingerprint, 0xabu);
 }
 
+TEST(ParseResponse, AcceptsHealthWithRetiredFuseChips) {
+  // A stats line from a server whose health still reported the retired
+  // fused-evaluation group size (registry cut to three entries). Older
+  // servers keep sending the key; the parser must skip it, and re-rendering
+  // must drop exactly that key and nothing else.
+  const std::string line =
+      R"({"v":1,"id":1,"status":"done","tag":"probe","health":{)"
+      R"("uptime_s":0.00024485400000000002,"queue_depth":0,)"
+      R"("queue_capacity":256,"dispatchers":2,"threads":0,)"
+      R"("backend":"reference","fuse_chips":8,"max_batch":32,)"
+      R"("cache_dir":".hynapse_cache","cache_tables":0,"cache_bytes":0,)"
+      R"("totals":{"submitted":1,"completed":0,"failed":0,"cancelled":0,)"
+      R"("rejected":0,"quota_rejected":0,"deadline_expired":0,"batches":1,)"
+      R"("coalesced_requests":0,"table_builds":0,"table_memory_hits":0,)"
+      R"("table_disk_hits":0,"shard_builds":0,"shard_replays":0,)"
+      R"("max_queue_depth":1}},"registry":[)"
+      R"({"name":"pool.lock_acquisitions","kind":"counter","count":3},)"
+      R"({"name":"pool.workers","kind":"gauge","value":3},)"
+      R"({"name":"serve.request.wall_us","kind":"histogram","count":0,)"
+      R"("sum":0,"p50":0,"p95":0,"p99":0,"buckets":[]}],)"
+      R"("stats":{"queue_ms":0.030242000000000002,"table_ms":0,"run_ms":0,)"
+      R"("wall_ms":0.130385,"batch_size":1,"dispatch_seq":1}})";
+  std::string error;
+  const auto parsed = parse_response(line, &error);
+  ASSERT_TRUE(parsed.has_value()) << error;
+  std::string expected = line;
+  const std::string retired = R"("fuse_chips":8,)";
+  const std::size_t at = expected.find(retired);
+  ASSERT_NE(at, std::string::npos);
+  expected.erase(at, retired.size());
+  EXPECT_EQ(format_response(*parsed), expected);
+}
+
 // --- Codec property test: format -> parse reproduces every field. ---------
 
 /// Draws wire values: integers <= 2^53, any finite double, any byte string.
@@ -1068,7 +1099,6 @@ Response random_response(WireGen& g) {
     h.dispatchers = g.maybe_count();
     h.threads = g.maybe_count();
     h.backend = g.text();
-    h.fuse_chips = g.maybe_count();
     h.max_batch = g.maybe_count();
     h.cache_dir = g.text();
     h.cache_tables = g.maybe_count();
@@ -1227,7 +1257,6 @@ void expect_same(const Response& got, const Response& want, bool per_chip) {
     EXPECT_EQ(a.dispatchers, b.dispatchers);
     EXPECT_EQ(a.threads, b.threads);
     EXPECT_EQ(a.backend, b.backend);
-    EXPECT_EQ(a.fuse_chips, b.fuse_chips);
     EXPECT_EQ(a.max_batch, b.max_batch);
     EXPECT_EQ(a.cache_dir, b.cache_dir);
     EXPECT_EQ(a.cache_tables, b.cache_tables);
