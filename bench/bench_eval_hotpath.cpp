@@ -6,11 +6,8 @@
 //                store/load the full ~1.4M-word image, dequantize into a
 //                fresh Mlp and run the forward pass over the test slice.
 //   * "delta"  — per-chip delta-fault evaluation (EvalContext::
-//                evaluate_chip + ann::EvalWorkspace).
-//   * "fused"  — delta + fused multi-chip batches (EvalContext::
-//                evaluate_chips): all chips in a group share one traversal
-//                of the weight matrices per mini-batch, reference backend.
-//   * "fused_simd" — the same fused batches through the SIMD kernel
+//                evaluate_chip + ann::EvalWorkspace), reference backend.
+//   * "delta_simd" — the same per-chip path through the SIMD kernel
 //                backend (omitted when the build has no SIMD backend).
 //
 // Every arm must produce bit-identical per-chip accuracies; the bench
@@ -22,14 +19,13 @@
 // --images 2000 for the full synthetic test set.
 //
 // Flags: --chips N (per sweep point, default 24), --images N (default 48),
-// --fuse N (chips per fused group, default 0 = auto sizing), plus the
-// shared --threads/--json (bench::parse_bench_flags). --json
+// plus the shared --threads/--json (bench::parse_bench_flags). --json
 // overwrites PATH with one JSON object (the BENCH_eval_hotpath.json
 // artifact collected by scripts/run_bench.sh).
 //
-// A second table gives, per vdd, the share of chips that reuse the clean
-// first layer instead of running the full layer-0 GEMM (JSON:
-// first_layer_reuse_share, one entry per vdd in `vdds`).
+// A second table gives, per vdd, the share of the delta arm's chips that
+// reuse the clean first layer instead of running the full layer-0 GEMM
+// (JSON: first_layer_reuse_share, one entry per vdd in `vdds`).
 //
 // The failure table is synthetic (Fig. 5-shaped exponential falloff of the
 // 6T rates with vdd, 8T failure-free), so the bench measures the evaluation
@@ -42,7 +38,6 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
-#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -113,8 +108,6 @@ int main(int argc, char** argv) {
       parse_flag(argc, argv, "--chips", 24));
   const auto images = static_cast<std::size_t>(
       parse_flag(argc, argv, "--images", 48));
-  const auto fuse = static_cast<std::size_t>(
-      parse_flag(argc, argv, "--fuse", 0));  // 0 = auto group sizing
 
   bench::print_header(
       "Chip-evaluation hot path: reference full-rebuild vs delta+workspace",
@@ -146,18 +139,26 @@ int main(int argc, char** argv) {
   const auto run_arm = [&](auto&& chip_fn) {
     ArmResult arm;
     arm.per_point.resize(vdds.size());
+    arm.reuse_share.resize(vdds.size());
     arm.seconds = std::numeric_limits<double>::infinity();
     for (int rep = 0; rep < kReps; ++rep) {
       const Clock::time_point t0 = Clock::now();
       for (std::size_t v = 0; v < vdds.size(); ++v) {
         const core::FaultModel model{table, vdds[v], eval.policy};
         arm.per_point[v].resize(chips);
+        const auto [reused0, full0] = first_layer_counts();
         util::parallel_for(
             chips,
             [&](std::size_t chip) {
               arm.per_point[v][chip] = chip_fn(model, chip);
             },
             eval.threads);
+        const auto [reused1, full1] = first_layer_counts();
+        const std::uint64_t seen = reused1 - reused0 + full1 - full0;
+        arm.reuse_share[v] =
+            seen == 0 ? 0.0
+                      : static_cast<double>(reused1 - reused0) /
+                            static_cast<double>(seen);
       }
       arm.seconds = std::min(
           arm.seconds,
@@ -173,76 +174,32 @@ int main(int argc, char** argv) {
     return core::evaluate_chip(qnet, config, model, test, eval.seed, chip);
   });
 
-  std::printf("[delta]  delta-fault + workspace, per chip...\n");
   core::EvalContextPool contexts;
   const std::uint64_t qnet_fp = core::network_fingerprint(qnet);
-  const ArmResult delta = run_arm([&](const core::FaultModel& model,
-                                      std::size_t chip) {
-    core::EvalContextPool::Lease lease{contexts};
-    return lease.context().evaluate_chip(qnet, qnet_fp, config, model, test,
-                                         eval.seed, chip);
-  });
-
-  // Fused arms: chips of one sweep point share a single weight-matrix
-  // traversal per mini-batch, in groups of `group` chips.
-  const std::size_t group =
-      core::fused_group_size(fuse, chips, eval.threads);
-  const std::size_t num_groups = (chips + group - 1) / group;
-  const auto run_fused_arm = [&](ann::backends::Backend backend) {
-    ArmResult arm;
-    arm.per_point.resize(vdds.size());
-    arm.reuse_share.resize(vdds.size());
-    arm.seconds = std::numeric_limits<double>::infinity();
-    for (int rep = 0; rep < kReps; ++rep) {
-      const Clock::time_point t0 = Clock::now();
-      for (std::size_t v = 0; v < vdds.size(); ++v) {
-        const core::FaultModel model{table, vdds[v], eval.policy};
-        arm.per_point[v].resize(chips);
-        std::span<double> out{arm.per_point[v]};
-        const auto [reused0, full0] = first_layer_counts();
-        util::parallel_for(
-            num_groups,
-            [&](std::size_t g) {
-              const std::size_t begin = g * group;
-              const std::size_t count = std::min(group, chips - begin);
-              core::EvalContextPool::Lease lease{contexts};
-              lease.context().evaluate_chips(
-                  qnet, qnet_fp, config, model, test, eval.seed, begin, count,
-                  out.subspan(begin, count), backend);
-            },
-            eval.threads);
-        const auto [reused1, full1] = first_layer_counts();
-        arm.reuse_share[v] = static_cast<double>(reused1 - reused0) /
-                             static_cast<double>(reused1 - reused0 + full1 -
-                                                 full0);
-      }
-      arm.seconds = std::min(
-          arm.seconds,
-          std::chrono::duration<double>(Clock::now() - t0).count());
-    }
-    arm.chips_per_sec = total_chips / arm.seconds;
-    return arm;
+  const auto run_delta_arm = [&](ann::backends::Backend backend) {
+    return run_arm([&](const core::FaultModel& model, std::size_t chip) {
+      core::EvalContextPool::Lease lease{contexts};
+      return lease.context().evaluate_chip(qnet, qnet_fp, config, model, test,
+                                           eval.seed, chip, backend);
+    });
   };
 
-  std::printf("[fused]  fused chip groups of %zu, reference backend...\n",
-              group);
-  const ArmResult fused = run_fused_arm(ann::backends::Backend::reference);
+  std::printf("[delta]  delta-fault + workspace, per chip...\n");
+  const ArmResult delta = run_delta_arm(ann::backends::Backend::reference);
 
   const bool have_simd = ann::backends::simd_compiled();
-  ArmResult fused_simd;
+  ArmResult delta_simd;
   if (have_simd) {
-    std::printf("[fused_simd] fused chip groups of %zu, SIMD backend...\n",
-                group);
-    fused_simd = run_fused_arm(ann::backends::Backend::simd);
+    std::printf("[delta_simd] delta-fault + workspace, SIMD backend...\n");
+    delta_simd = run_delta_arm(ann::backends::Backend::simd);
   } else {
-    std::printf("[fused_simd] skipped: SIMD backend not compiled in\n");
+    std::printf("[delta_simd] skipped: SIMD backend not compiled in\n");
   }
 
   bool identical = true;
   for (std::size_t v = 0; v < vdds.size(); ++v) {
     identical &= reference.per_point[v] == delta.per_point[v];
-    identical &= fused.per_point[v] == delta.per_point[v];
-    if (have_simd) identical &= fused_simd.per_point[v] == delta.per_point[v];
+    if (have_simd) identical &= delta_simd.per_point[v] == delta.per_point[v];
   }
 
   util::Table out{{"path", "wall [s]", "chips/sec", "speedup"}};
@@ -253,10 +210,8 @@ int main(int argc, char** argv) {
   };
   row("reference (full rebuild)", reference);
   row("delta+workspace", delta);
-  row("fused (reference backend)", fused);
-  if (have_simd) row("fused (simd backend)", fused_simd);
+  if (have_simd) row("delta+workspace (simd backend)", delta_simd);
   out.print();
-  std::printf("\nfused group size: %zu chips (--fuse %zu)\n", group, fuse);
 
   // Share of chips per vdd whose layer-0 deltas touch few enough columns to
   // reuse the clean first layer (core::kFirstLayerReuseDivisor); the rest
@@ -264,7 +219,7 @@ int main(int argc, char** argv) {
   util::Table shares{{"vdd [V]", "first-layer reuse share"}};
   for (std::size_t v = 0; v < vdds.size(); ++v) {
     shares.add_row({util::Table::num(vdds[v], 2),
-                    util::Table::num(fused.reuse_share[v], 2)});
+                    util::Table::num(delta.reuse_share[v], 2)});
   }
   std::printf("\n");
   shares.print();
@@ -288,18 +243,13 @@ int main(int argc, char** argv) {
        << "  \"delta_chips_per_sec\": " << delta.chips_per_sec << ",\n"
        << "  \"speedup_vs_reference\": " << reference.seconds / delta.seconds
        << ",\n"
-       << "  \"fused_group\": " << group << ",\n"
-       << "  \"fused_seconds\": " << fused.seconds << ",\n"
-       << "  \"fused_chips_per_sec\": " << fused.chips_per_sec << ",\n"
-       << "  \"fused_speedup_vs_delta\": " << delta.seconds / fused.seconds
-       << ",\n"
        << "  \"simd_compiled\": " << (have_simd ? "true" : "false") << ",\n";
     if (have_simd) {
-      js << "  \"fused_simd_seconds\": " << fused_simd.seconds << ",\n"
-         << "  \"fused_simd_chips_per_sec\": " << fused_simd.chips_per_sec
+      js << "  \"delta_simd_seconds\": " << delta_simd.seconds << ",\n"
+         << "  \"delta_simd_chips_per_sec\": " << delta_simd.chips_per_sec
          << ",\n"
-         << "  \"fused_simd_speedup_vs_delta\": "
-         << delta.seconds / fused_simd.seconds << ",\n";
+         << "  \"delta_simd_speedup_vs_delta\": "
+         << delta.seconds / delta_simd.seconds << ",\n";
     }
     js << "  \"vdds\": [";
     for (std::size_t v = 0; v < vdds.size(); ++v) {
@@ -307,7 +257,7 @@ int main(int argc, char** argv) {
     }
     js << "],\n  \"first_layer_reuse_share\": [";
     for (std::size_t v = 0; v < vdds.size(); ++v) {
-      js << (v == 0 ? "" : ", ") << fused.reuse_share[v];
+      js << (v == 0 ? "" : ", ") << delta.reuse_share[v];
     }
     js << "],\n";
     js << "  \"bit_identical\": " << (identical ? "true" : "false") << "\n"

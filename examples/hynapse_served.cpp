@@ -72,7 +72,6 @@ struct Cli {
   std::size_t chips = 3;
   std::size_t samples = 4000;
   std::size_t dispatchers = 2;
-  std::size_t fuse = 0;  // fused chip-group size (0 = auto)
   std::string cache_dir;
   bool per_chip = false;
   bool listen = false;
@@ -123,8 +122,6 @@ Cli parse_cli(int argc, char** argv) {
       cli.ok &= next_num(cli.samples);
     } else if (arg == "--dispatchers") {
       cli.ok &= next_num(cli.dispatchers);
-    } else if (arg == "--fuse") {
-      cli.ok &= next_num(cli.fuse);
     } else if (arg == "--cache") {
       cli.ok = cli.ok && i + 1 < argc;
       if (cli.ok) cli.cache_dir = argv[++i];
@@ -425,8 +422,7 @@ int usage() {
       stderr,
       "usage: hynapse_served [--threads N] [--backend reference|simd]\n"
       "                      [--chips N] [--samples N] [--dispatchers N]\n"
-      "                      [--fuse N] [--cache DIR]\n"
-      "                      [--per-chip] [--listen [PORT]]\n"
+      "                      [--cache DIR] [--per-chip] [--listen [PORT]]\n"
       "                      [--metrics-prometheus PATH]\n"
       "                      [--journal PATH] [--recover] [--admission]\n"
       "                      [--weights name=w,...] [requests.jsonl]\n");
@@ -460,7 +456,6 @@ int main(int argc, char** argv) {
   options.default_samples = cli.samples;
   options.dispatchers = cli.dispatchers;
   options.cache_dir = cli.cache_dir;
-  options.fuse_chips = cli.fuse;
   options.journal.path = cli.journal_path;
   options.admission.enabled = cli.admission;
   if (!cli.weights.empty()) {

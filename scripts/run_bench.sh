@@ -12,7 +12,7 @@
 #     offered-load saturation sweep (BENCH_serve_latency.json:
 #     p50/p95/p99 latency per load level around the measured capacity).
 #   * bench_eval_hotpath: chips/sec through the ANN fault-injection hot
-#     path, full-rebuild reference vs delta+workspace vs fused groups.
+#     path, full-rebuild reference vs delta+workspace on each backend.
 #   * bench_shard_scaling: monolithic vs sharded (scatter/merge) failure-
 #     table builds over the {1,2,5} shard x {1,3,8} thread matrix, with
 #     bit-identity asserted.
@@ -128,7 +128,7 @@ serve_samples=${HYNAPSE_SERVE_BENCH_SAMPLES:-300}
   --json "${out_dir}/BENCH_serve_throughput.json" \
   --latency-json "${out_dir}/BENCH_serve_latency.json"
 
-echo "== bench_eval_hotpath: reference rebuild vs delta+workspace vs fused =="
+echo "== bench_eval_hotpath: reference rebuild vs delta+workspace =="
 eval_chips=${HYNAPSE_EVAL_BENCH_CHIPS:-24}
 "${build_dir}/bench/bench_eval_hotpath" \
   --chips "${eval_chips}" \

@@ -1,7 +1,7 @@
 // Backend-pluggable kernel layer for the ANN forward/backward GEMMs
 // (nestmc-style: one algorithm, backend-selected kernels). A Backend names a
 // KernelOps table of raw-pointer micro-kernels; callers (ann::gemm and
-// friends, the fused chip evaluator in core::delta_eval) pick the table once
+// friends, the chip evaluator in core::delta_eval) pick the table once
 // per call and stay allocation-free on the hot path.
 //
 // Backends:

@@ -262,80 +262,4 @@ double Mlp::accuracy(const Matrix& input, std::span<const std::uint8_t> labels,
   return static_cast<double>(hits) / static_cast<double>(labels.size());
 }
 
-void Mlp::accuracy_group(const Matrix& input,
-                         std::span<const std::uint8_t> labels,
-                         GroupEvalWorkspace& workspace, std::size_t group,
-                         const GroupMutator& mutate,
-                         std::span<double> accuracies,
-                         std::span<const FirstLayerReuse> reuse) const {
-  if (labels.size() != input.rows())
-    throw std::invalid_argument{"Mlp::accuracy: label count mismatch"};
-  if (input.cols() != sizes_.front())
-    throw std::invalid_argument{"Mlp::forward: input width mismatch"};
-  if (accuracies.size() < group)
-    throw std::invalid_argument{"Mlp::accuracy_group: accuracies too small"};
-  if (!reuse.empty() && reuse.size() < group)
-    throw std::invalid_argument{"Mlp::accuracy_group: reuse too small"};
-  if (group == 0) return;
-  workspace.bind(*this, group);
-  const backends::Backend backend = workspace.backend_;
-  const std::size_t rows = input.rows();
-  const std::size_t batch = workspace.batch_rows_;
-  const std::size_t num_layers = weights_.size();
-  // Size the patch for the widest chip before any delta goes in, so
-  // nothing allocates between mutate's apply and revert.
-  std::size_t widest_patch = 0;
-  for (std::size_t c = 0; c < reuse.size() && c < group; ++c) {
-    check_reuse(input, reuse[c]);
-    widest_patch = std::max(widest_patch, reuse[c].columns.size());
-  }
-  workspace.patch_.reserve(sizes_[0], batch, widest_patch);
-  std::fill(workspace.hits_.begin(), workspace.hits_.begin() + group, 0u);
-  for (std::size_t r0 = 0; r0 < rows; r0 += batch) {
-    const std::size_t m = std::min(batch, rows - r0);
-    for (std::size_t l = 0; l < num_layers; ++l) {
-      // Chip loop innermost: weights_[l] is streamed once per mini-batch
-      // and reused hot by every chip in the group. Layer l writes the
-      // (l & 1) panel, so all chips ping-pong in lockstep.
-      std::vector<Matrix>& outs = (l & 1) ? workspace.back_ : workspace.front_;
-      std::vector<Matrix>& ins = (l & 1) ? workspace.front_ : workspace.back_;
-      for (std::size_t c = 0; c < group; ++c) {
-        Matrix& out = outs[c];
-        out.reshape(m, sizes_[l + 1]);  // may allocate: before apply
-        mutate(c, l, /*apply=*/true);
-        if (l == 0) {
-          first_layer_block(input, r0, m,
-                            reuse.empty() ? FirstLayerReuse{} : reuse[c],
-                            workspace.patch_, out, backend);
-          mutate(c, 0, /*apply=*/false);
-          continue;
-        }
-        gemm(ins[c], weights_[l], out, /*parallel=*/false, backend);
-        add_row_bias(out, biases_[l]);
-        mutate(c, l, /*apply=*/false);
-        if (l + 1 < num_layers) {
-          activate_inplace(out, activation_);
-        } else {
-          softmax_rows_inplace(out);
-        }
-      }
-    }
-    const std::vector<Matrix>& finals =
-        ((num_layers - 1) & 1) ? workspace.back_ : workspace.front_;
-    for (std::size_t c = 0; c < group; ++c) {
-      const Matrix& out = finals[c];
-      for (std::size_t i = 0; i < m; ++i) {
-        const float* r = out.row(i);
-        const auto pred = static_cast<std::uint8_t>(
-            std::max_element(r, r + out.cols()) - r);
-        if (pred == labels[r0 + i]) ++workspace.hits_[c];
-      }
-    }
-  }
-  for (std::size_t c = 0; c < group; ++c) {
-    accuracies[c] = static_cast<double>(workspace.hits_[c]) /
-                    static_cast<double>(labels.size());
-  }
-}
-
 }  // namespace hynapse::ann

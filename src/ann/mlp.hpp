@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <string>
 #include <vector>
@@ -15,7 +14,6 @@
 namespace hynapse::ann {
 
 class EvalWorkspace;
-class GroupEvalWorkspace;
 struct ColumnPatch;
 
 /// Hidden-layer nonlinearity. The paper's text shows sigmoid neurons
@@ -113,34 +111,10 @@ class Mlp {
   void first_layer(const Matrix& input, Matrix& out,
                    backends::Backend backend) const;
 
-  /// Called around each layer's GEMM+bias in accuracy_group:
-  /// mutate(chip, layer, true) right before, mutate(chip, layer, false)
-  /// right after. Lets the caller apply/revert per-chip weight deltas while
-  /// the shared weights are in flight; must not throw between apply and
-  /// revert.
-  using GroupMutator =
-      std::function<void(std::size_t chip, std::size_t layer, bool apply)>;
-
-  /// Fused multi-chip accuracy: evaluates `group` perturbed variants of
-  /// this network in one traversal of the weight matrices. Loop order is
-  /// mini-batch -> layer -> chip, so each layer's weight matrix is streamed
-  /// from memory once per mini-batch and stays cache-resident across the
-  /// whole chip group instead of being re-fetched per chip.
-  /// accuracies[c] is bit-identical to a per-chip accuracy(...) call with
-  /// the same batch geometry under chip c's deltas: per chip the exact same
-  /// kernels see the exact same operands in the exact same order — fusing
-  /// only interleaves *which chip* computes when (docs/performance.md).
-  /// `reuse` is empty (full layer 0 for every chip) or holds one entry per
-  /// chip, as in accuracy().
-  void accuracy_group(const Matrix& input, std::span<const std::uint8_t> labels,
-                      GroupEvalWorkspace& workspace, std::size_t group,
-                      const GroupMutator& mutate, std::span<double> accuracies,
-                      std::span<const FirstLayerReuse> reuse = {}) const;
-
  private:
   /// Throws std::invalid_argument unless `reuse` fits this net and `input`.
   void check_reuse(const Matrix& input, const FirstLayerReuse& reuse) const;
-  /// The one layer-0 step of every forward path: the activated layer-0
+  /// The layer-0 step of accuracy() and first_layer(): the activated layer-0
   /// output of input rows [r0, r0 + m) into `out` (already m x fan_out),
   /// by the full GEMM or, under `reuse`, by copying the clean rows and
   /// recomputing the dirty columns through `patch`.

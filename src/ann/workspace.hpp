@@ -7,7 +7,7 @@
 // capacity), and because every kernel is row-independent the mini-batched
 // result is bit-identical to the whole-set overload for any batch size.
 //
-// Both workspaces carry the kernel backend selection (ann/backends): the
+// The workspace carries the kernel backend selection (ann/backends): the
 // backend changes which KernelOps table the forward GEMMs dispatch to, never
 // the results (see the determinism contract in backend.hpp).
 #pragma once
@@ -71,37 +71,6 @@ class EvalWorkspace {
   Matrix front_;
   Matrix back_;
   ColumnPatch patch_;
-};
-
-/// Scratch for Mlp::accuracy_group: one ping-pong panel pair per chip in the
-/// fused group, so all chips of one (config, vdd) point can share a single
-/// traversal of the weight matrices. Grow-only like EvalWorkspace — after
-/// the first bind() at a given (group, network) high-water mark, the fused
-/// loop performs no heap allocation.
-class GroupEvalWorkspace {
- public:
-  GroupEvalWorkspace() = default;
-  explicit GroupEvalWorkspace(std::size_t batch_rows)
-      : batch_rows_{batch_rows == 0 ? EvalWorkspace::kDefaultBatchRows
-                                    : batch_rows} {}
-
-  [[nodiscard]] std::size_t batch_rows() const noexcept { return batch_rows_; }
-
-  [[nodiscard]] backends::Backend backend() const noexcept { return backend_; }
-  void set_backend(backends::Backend backend) noexcept { backend_ = backend; }
-
-  /// Ensures panels for `group` chips sized for `net` (grow-only).
-  void bind(const Mlp& net, std::size_t group);
-
- private:
-  friend class Mlp;
-
-  std::size_t batch_rows_ = EvalWorkspace::kDefaultBatchRows;
-  backends::Backend backend_ = backends::Backend::reference;
-  std::vector<Matrix> front_;
-  std::vector<Matrix> back_;
-  std::vector<std::size_t> hits_;
-  ColumnPatch patch_;  ///< shared: the chips of a group run one at a time
 };
 
 }  // namespace hynapse::ann

@@ -271,9 +271,9 @@ bool EvalContext::collect_dirty_columns(const QuantizedNetwork& qnet) {
   const QuantizedLayer& layer = qnet.layer(0);
   const std::size_t nw = layer.weight_codes.size();
   const std::size_t limit = layer.fan_out / kFirstLayerReuseDivisor;
-  const std::size_t begin = dirty_columns_.size();
+  dirty_columns_.clear();
   // Allocate up front: nothing may throw while column_seen_ holds marks.
-  dirty_columns_.reserve(begin + limit);
+  dirty_columns_.reserve(limit);
   column_seen_.resize(layer.fan_out);
   bool fits = true;
   // deltas_ is bank-major, so layer 0's deltas come first.
@@ -282,22 +282,19 @@ bool EvalContext::collect_dirty_columns(const QuantizedNetwork& qnet) {
     const auto j = static_cast<std::uint32_t>(
         d.word < nw ? d.word % layer.fan_out : d.word - nw);
     if (column_seen_[j] != 0) continue;
-    if (dirty_columns_.size() - begin == limit) {
+    if (dirty_columns_.size() == limit) {
       fits = false;
       break;
     }
     column_seen_[j] = 1;
     dirty_columns_.push_back(j);
   }
-  for (std::size_t i = begin; i < dirty_columns_.size(); ++i)
-    column_seen_[dirty_columns_[i]] = 0;
+  for (const std::uint32_t j : dirty_columns_) column_seen_[j] = 0;
   if (!fits) {
-    dirty_columns_.resize(begin);
     full_counter_->add(1);
     return false;
   }
-  std::sort(dirty_columns_.begin() + static_cast<std::ptrdiff_t>(begin),
-            dirty_columns_.end());
+  std::sort(dirty_columns_.begin(), dirty_columns_.end());
   reused_counter_->add(1);
   return true;
 }
@@ -339,7 +336,6 @@ double EvalContext::evaluate_chip(const QuantizedNetwork& qnet,
   const std::uint64_t chip_seed =
       eval_seed ^ (0x9e3779b97f4a7c15ull * (chip + 1));
   compute_deltas(qnet, config, model, chip_seed);
-  dirty_columns_.clear();
   ann::FirstLayerReuse reuse;
   if (collect_dirty_columns(qnet)) {
     reuse = {&clean_first_layer(test, backend), dirty_columns_};
@@ -396,97 +392,12 @@ void EvalContext::evaluate_chips(const QuantizedNetwork& qnet,
                                  std::size_t chip_begin, std::size_t count,
                                  std::span<double> out,
                                  ann::backends::Backend backend) {
-  if (count == 0) return;
   if (out.size() < count)
     throw std::invalid_argument{
         "EvalContext::evaluate_chips: output span too small"};
-  if (count == 1) {
-    // A group of one gains nothing from fusion; the scalar path avoids the
-    // group workspace entirely.
-    out[0] = evaluate_chip(qnet, qnet_fp, config, model, test, eval_seed,
-                           chip_begin, backend);
-    return;
-  }
-  check_shapes(qnet, config);
-  bind(qnet, qnet_fp);
-  group_workspace_.set_backend(backend);
-
-  // Precompute every chip's deltas up front as (slot, faulted, clean)
-  // triples, grouped into per-(chip, layer) runs so the mutate callback in
-  // the fused forward pass is two tight pointer loops. Each chip's delta
-  // derivation is self-contained (its RNGs are seeded from its own
-  // chip_seed), so hoisting it out of the forward pass cannot change the
-  // values the per-chip path would compute.
-  const std::size_t num_layers = qnet.num_layers();
-  fused_deltas_.clear();
-  fused_offsets_.assign(count * num_layers + 1, 0);
-  dirty_columns_.clear();
-  column_offsets_.assign(count + 1, 0);
-  reuse_.assign(count, ann::FirstLayerReuse{});
-  bool any_reuse = false;
   for (std::size_t c = 0; c < count; ++c) {
-    const std::size_t chip = chip_begin + c;
-    const std::uint64_t chip_seed =
-        eval_seed ^ (0x9e3779b97f4a7c15ull * (chip + 1));
-    compute_deltas(qnet, config, model, chip_seed);
-    column_offsets_[c] = dirty_columns_.size();
-    if (collect_dirty_columns(qnet)) {
-      reuse_[c].clean = &clean_first_layer_;  // built below, before use
-      any_reuse = true;
-    }
-    // deltas_ is pushed bank-major, so its layers are already ascending.
-    std::size_t di = 0;
-    for (std::size_t l = 0; l < num_layers; ++l) {
-      fused_offsets_[c * num_layers + l] = fused_deltas_.size();
-      const QuantizedLayer& layer = qnet.layer(l);
-      const std::size_t nw = layer.weight_codes.size();
-      for (; di < deltas_.size() && deltas_[di].layer == l; ++di) {
-        const FaultDelta& d = deltas_[di];
-        float* slot = nullptr;
-        float faulted = 0.0f;
-        if (d.word < nw) {
-          slot = &baseline_->weight(d.layer).data()[d.word];
-          faulted = static_cast<float>(layer.weight_fmt.dequantize(d.code));
-        } else {
-          slot = &baseline_->bias(d.layer)[d.word - nw];
-          faulted = static_cast<float>(layer.bias_fmt.dequantize(d.code));
-        }
-        fused_deltas_.push_back(FusedDelta{slot, faulted, *slot});
-      }
-    }
-  }
-  fused_offsets_[count * num_layers] = fused_deltas_.size();
-  column_offsets_[count] = dirty_columns_.size();
-  if (any_reuse) {
-    (void)clean_first_layer(test, backend);  // no delta is applied yet
-    const std::span<const std::uint32_t> columns{dirty_columns_};
-    for (std::size_t c = 0; c < count; ++c) {
-      reuse_[c].columns = columns.subspan(
-          column_offsets_[c], column_offsets_[c + 1] - column_offsets_[c]);
-    }
-  }
-
-  const auto mutate = [this, num_layers](std::size_t chip, std::size_t layer,
-                                         bool apply) {
-    const std::size_t b = fused_offsets_[chip * num_layers + layer];
-    const std::size_t e = fused_offsets_[chip * num_layers + layer + 1];
-    if (apply) {
-      for (std::size_t i = b; i < e; ++i)
-        *fused_deltas_[i].slot = fused_deltas_[i].faulted;
-    } else {
-      for (std::size_t i = b; i < e; ++i)
-        *fused_deltas_[i].slot = fused_deltas_[i].clean;
-    }
-  };
-  try {
-    baseline_->accuracy_group(test.images, test.labels, group_workspace_,
-                              count, mutate, out, reuse_);
-  } catch (...) {
-    // Restore every shadowed slot (clean values are shared across chips
-    // touching the same word, so blanket restoration is idempotent) and keep
-    // the baseline usable for the next call on this context.
-    for (const FusedDelta& d : fused_deltas_) *d.slot = d.clean;
-    throw;
+    out[c] = evaluate_chip(qnet, qnet_fp, config, model, test, eval_seed,
+                           chip_begin + c, backend);
   }
 }
 

@@ -86,13 +86,10 @@ class EvalContext {
       const data::Dataset& test, std::uint64_t eval_seed, std::size_t chip,
       ann::backends::Backend backend = ann::backends::Backend::reference);
 
-  /// Fused evaluation of chips [chip_begin, chip_begin + count): all chips
-  /// share one batched forward pass (Mlp::accuracy_group), so each layer's
-  /// weight matrix is streamed from memory once per mini-batch for the
-  /// whole group instead of once per chip — the fault deltas are still
-  /// applied/reverted per chip around each GEMM. out[i] receives the
-  /// accuracy of chip_begin + i, bit-identical to count separate
-  /// evaluate_chip calls (tests/test_core_fused_eval.cpp pins this).
+  /// Accuracies of chips [chip_begin, chip_begin + count): out[i] receives
+  /// evaluate_chip(..., chip_begin + i, backend). A plain loop kept for
+  /// callers that time a range of chips in one call (perfbench's
+  /// core.fused_chip_us probe).
   void evaluate_chips(
       const QuantizedNetwork& qnet, std::uint64_t qnet_fp,
       const MemoryConfig& config, const FaultModel& model,
@@ -107,21 +104,13 @@ class EvalContext {
   }
 
  private:
-  /// One precomputed fused delta: the baseline slot it shadows, the faulted
-  /// value to write on apply, and the clean value to restore on revert.
-  struct FusedDelta {
-    float* slot;
-    float faulted;
-    float clean;
-  };
-
   void bind(const QuantizedNetwork& qnet, std::uint64_t qnet_fp);
   void compute_deltas(const QuantizedNetwork& qnet, const MemoryConfig& config,
                       const FaultModel& model, std::uint64_t chip_seed);
-  /// Appends the layer-0 columns that deltas_ touches to dirty_columns_
+  /// Fills dirty_columns_ with the layer-0 columns that deltas_ touches
   /// (ascending) and returns true when the chip reuses the clean first
-  /// layer; otherwise leaves dirty_columns_ as it was. Bumps one of the
-  /// core.eval.first_layer_* counters.
+  /// layer; returns false when it runs the full layer-0 GEMM. Bumps one of
+  /// the core.eval.first_layer_* counters.
   bool collect_dirty_columns(const QuantizedNetwork& qnet);
   /// The clean baseline's activated layer-0 output over `test`, rebuilt
   /// when the network or the content of the input rows changed. Call only
@@ -134,7 +123,6 @@ class EvalContext {
   std::uint64_t qnet_fp_ = 0;
   std::optional<ann::Mlp> baseline_;  ///< clean dequantized network
   ann::EvalWorkspace workspace_;
-  ann::GroupEvalWorkspace group_workspace_;
 
   // Scratch reused across chips (capacity persists, contents re-derived).
   std::vector<FaultMap> maps_;
@@ -161,15 +149,10 @@ class EvalContext {
   std::optional<std::pair<std::uint64_t, std::uint64_t>> clean_key_;
   std::vector<std::uint32_t> dirty_columns_;
   std::vector<std::uint8_t> column_seen_;  ///< all zero between chips
-  std::vector<std::size_t> column_offsets_;  ///< per fused chip
-  std::vector<ann::FirstLayerReuse> reuse_;  ///< per fused chip
   obs::Counter* reused_counter_ =
       &obs::Registry::global().counter("core.eval.first_layer_reused");
   obs::Counter* full_counter_ =
       &obs::Registry::global().counter("core.eval.first_layer_full");
-  // Fused-path scratch: flattened per-(chip, layer) delta runs.
-  std::vector<FusedDelta> fused_deltas_;
-  std::vector<std::size_t> fused_offsets_;  // (chip * layers + layer) runs
 };
 
 /// Thread-safe free list of EvalContexts: one context per concurrently

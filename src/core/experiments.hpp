@@ -35,22 +35,7 @@ struct EvalOptions {
   /// bit-identical (ann/backends/backend.hpp); the default follows the
   /// process-wide --backend selection.
   ann::backends::Backend backend = ann::backends::default_backend();
-  /// Fused-evaluation group size: how many chips share one batched forward
-  /// pass (weight matrices streamed once per group instead of once per
-  /// chip). 0 = auto (fused_group_size), 1 = per-chip, N = fixed groups of
-  /// N. Results are bit-identical for any value.
-  std::size_t fuse_chips = 0;
 };
-
-/// Resolves EvalOptions::fuse_chips to a concrete group size for a point
-/// with `total_chips` chips evaluated across `threads` workers (0 = auto).
-/// Auto balances the two wins: fusing amortizes weight streaming, but each
-/// group is one serial unit of work, so groups are capped to keep every
-/// worker busy (and to 8 chips, past which the grouped activation panels
-/// outgrow the cache level that makes fusion pay).
-[[nodiscard]] std::size_t fused_group_size(std::size_t fuse_chips,
-                                           std::size_t total_chips,
-                                           std::size_t threads);
 
 /// Accuracy of one simulated chip instance: chip index `chip` under
 /// `eval_seed`, by the full SynapticMemory store/load round trip and a
@@ -66,9 +51,9 @@ struct EvalOptions {
 
 /// Stores the network into `config` at `vdd` on each simulated chip, reads
 /// it back through the fault model and measures test accuracy. Chips are
-/// evaluated as sparse per-defect deltas over a shared clean baseline, in
-/// fused groups (EvalOptions::fuse_chips) on the shared thread pool (see
-/// EvalOptions::threads); results are bit-identical to evaluate_chip.
+/// evaluated as sparse per-defect deltas over a shared clean baseline, one
+/// job per chip on the shared thread pool (see EvalOptions::threads);
+/// results are bit-identical to evaluate_chip.
 /// `contexts` optionally supplies a persistent EvalContextPool so
 /// baselines/workspaces survive across calls (engine::ExperimentRunner
 /// passes its own); when null, a call-local pool is used.

@@ -1,6 +1,5 @@
 #include "engine/experiment_runner.hpp"
 
-#include <algorithm>
 #include <optional>
 
 #include "engine/shard_coordinator.hpp"
@@ -34,47 +33,39 @@ std::vector<core::AccuracyResult> ExperimentRunner::run(
 
   // Fault models are cheap to derive from a table; one per point, shared
   // read-only by that point's chip jobs. The flat job space is (point x
-  // chip group): each point carves its chips into fused groups so each
-  // group shares one batched forward pass.
+  // chip).
   std::vector<std::optional<core::FaultModel>> models(job.points.size());
-  struct GroupJob {
+  struct ChipJob {
     std::size_t point;
-    std::size_t chip_begin;
-    std::size_t count;
+    std::size_t chip;
   };
-  std::vector<GroupJob> groups;
+  std::vector<ChipJob> chips;
   for (std::size_t p = 0; p < job.points.size(); ++p) {
     const BatchPoint& pt = job.points[p];
     const mc::FailureTable* table =
         pt.failures != nullptr ? pt.failures : shared;
     if (table == nullptr) continue;
-    const std::size_t chips = pt.options.chips;
     models[p].emplace(*table, pt.vdd, pt.options.policy);
-    results[p].per_chip.resize(chips);
-    const std::size_t group =
-        core::fused_group_size(pt.options.fuse_chips, chips, threads);
-    for (std::size_t begin = 0; begin < chips; begin += group) {
-      groups.push_back(GroupJob{p, begin, std::min(group, chips - begin)});
+    results[p].per_chip.resize(pt.options.chips);
+    for (std::size_t c = 0; c < pt.options.chips; ++c) {
+      chips.push_back(ChipJob{p, c});
     }
   }
-  if (groups.empty()) return results;
+  if (chips.empty()) return results;
 
   // The network fingerprint keys the per-worker delta baselines; one hash
   // covers the whole batch since every point shares `qnet`.
   const std::uint64_t qnet_fp =
       job.qnet_fp != 0 ? job.qnet_fp : core::network_fingerprint(qnet);
   util::parallel_for(
-      groups.size(),
-      [&](std::size_t g) {
-        const GroupJob& gj = groups[g];
-        const BatchPoint& pt = job.points[gj.point];
+      chips.size(),
+      [&](std::size_t j) {
+        const ChipJob& cj = chips[j];
+        const BatchPoint& pt = job.points[cj.point];
         core::EvalContextPool::Lease lease{contexts_};
-        lease.context().evaluate_chips(
-            qnet, qnet_fp, pt.config, *models[gj.point], test,
-            pt.options.seed, gj.chip_begin, gj.count,
-            std::span<double>{results[gj.point].per_chip}
-                .subspan(gj.chip_begin, gj.count),
-            pt.options.backend);
+        results[cj.point].per_chip[cj.chip] = lease.context().evaluate_chip(
+            qnet, qnet_fp, pt.config, *models[cj.point], test,
+            pt.options.seed, cj.chip, pt.options.backend);
       },
       threads);
 

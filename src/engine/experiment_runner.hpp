@@ -136,16 +136,14 @@ class ExperimentRunner {
       const mc::FailureTable& failures, double vdd, const data::Dataset& test,
       core::EvalOptions options = {}) const;
 
-  /// Runs one EvalJob as a single flat (point x chip-group) job matrix on
-  /// the shared pool, amortizing pool wake-ups across many small requests
-  /// (the serve::EvalService hot path). Each point's chips are carved into
-  /// fused chip groups (core::fused_group_size of its EvalOptions), each
-  /// group sharing one batched forward pass. result[i] corresponds to
-  /// job.points[i] and is bit-identical to evaluate() on that point alone,
-  /// for any thread count, batch shape or group size; a point whose table
-  /// resolves to nothing (see EvalJob) yields an empty result. When the
-  /// job carries a shard plan, the table is coordinator-acquired first and
-  /// results are bit-identical to building it monolithically.
+  /// Runs one EvalJob as a single flat (point x chip) job matrix on the
+  /// shared pool, amortizing pool wake-ups across many small requests (the
+  /// serve::EvalService hot path). result[i] corresponds to job.points[i]
+  /// and is bit-identical to evaluate() on that point alone, for any
+  /// thread count or batch shape; a point whose table resolves to nothing
+  /// (see EvalJob) yields an empty result. When the job carries a shard
+  /// plan, the table is coordinator-acquired first and results are
+  /// bit-identical to building it monolithically.
   [[nodiscard]] std::vector<core::AccuracyResult> run(
       const core::QuantizedNetwork& qnet, const EvalJob& job,
       const data::Dataset& test) const;

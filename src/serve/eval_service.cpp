@@ -831,7 +831,6 @@ void EvalService::execute_batch(const std::vector<SlotPtr>& batch) {
       eval.seed =
           req.eval_seed != 0 ? req.eval_seed : options_.default_eval_seed;
       eval.backend = options_.backend;
-      eval.fuse_chips = options_.fuse_chips;
       for (const ConfigSpec& cfg : req.configs) {
         const core::MemoryConfig config = cfg.materialize(bank_words_);
         for (const double vdd : req.vdds) {

@@ -95,9 +95,6 @@ struct ServiceOptions {
   /// across backends; see ann/backends/backend.hpp). Follows the
   /// process-wide --backend selection by default.
   ann::backends::Backend backend = ann::backends::default_backend();
-  /// Fused-evaluation group size per request point (EvalOptions::fuse_chips:
-  /// 0 = auto, 1 = per-chip, N = groups of N).
-  std::size_t fuse_chips = 0;
   std::size_t max_batch = 32;        ///< requests fused per dispatch
   bool start_paused = false;         ///< hold dispatch until resume()
   std::string cache_dir;             ///< table CSV dir ("" = in-memory only)

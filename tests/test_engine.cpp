@@ -209,43 +209,41 @@ TEST_F(EngineTest, RunnerSweepHandlesEmptyInput) {
       runner.run(qnet, EvalJob::sweep({}).against(table), test).empty());
 }
 
-// Fused chip grouping and kernel backend are performance knobs, never
-// result knobs: any (fuse_chips, backend) combination must reproduce the
-// per-chip reference spelling bit for bit through the runner.
-TEST_F(EngineTest, RunFusedGroupsAndBackendsMatchPerChip) {
+// Thread count and kernel backend are performance knobs, never result
+// knobs: any (threads, backend) combination must reproduce the serial
+// reference-backend run bit for bit through the runner.
+TEST_F(EngineTest, RunThreadsAndBackendsMatchSerialReference) {
   const ann::Mlp net{{784, 16, 10}, 11};
   const core::QuantizedNetwork qnet{net, 8};
   const data::Dataset test = data::generate_digits(80, 9);
   const std::vector<std::size_t> words = qnet.bank_words();
   const mc::FailureTable table = synthetic_table();
 
-  core::EvalOptions per_chip;
-  per_chip.chips = 5;
-  per_chip.fuse_chips = 1;
-  per_chip.backend = ann::backends::Backend::reference;
+  core::EvalOptions reference;
+  reference.chips = 5;
+  reference.backend = ann::backends::Backend::reference;
   const std::vector<SweepPoint> points{
       {core::MemoryConfig::uniform_hybrid(words, 2), 0.65},
       {core::MemoryConfig::all_6t(words), 0.70}};
 
-  const ExperimentRunner runner{4};
-  const auto baseline = runner.run(
-      qnet, EvalJob::sweep(points, per_chip).against(table), test);
+  const auto baseline = ExperimentRunner{1}.run(
+      qnet, EvalJob::sweep(points, reference).against(table), test);
 
-  for (const std::size_t fuse : {std::size_t{0}, std::size_t{3},
-                                 std::size_t{5}, std::size_t{64}}) {
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{3},
+                                    std::size_t{8}}) {
+    const ExperimentRunner runner{threads};
     for (const auto backend : ann::backends::available_backends()) {
-      core::EvalOptions opt = per_chip;
-      opt.fuse_chips = fuse;
+      core::EvalOptions opt = reference;
       opt.backend = backend;
-      const auto fused =
+      const auto got =
           runner.run(qnet, EvalJob::sweep(points, opt).against(table), test);
-      ASSERT_EQ(fused.size(), baseline.size());
-      for (std::size_t p = 0; p < fused.size(); ++p) {
-        EXPECT_EQ(fused[p].per_chip, baseline[p].per_chip)
-            << "fuse=" << fuse << " backend="
+      ASSERT_EQ(got.size(), baseline.size());
+      for (std::size_t p = 0; p < got.size(); ++p) {
+        EXPECT_EQ(got[p].per_chip, baseline[p].per_chip)
+            << "threads=" << threads << " backend="
             << ann::backends::backend_name(backend) << " point=" << p;
-        EXPECT_EQ(fused[p].mean, baseline[p].mean);
-        EXPECT_EQ(fused[p].stddev, baseline[p].stddev);
+        EXPECT_EQ(got[p].mean, baseline[p].mean);
+        EXPECT_EQ(got[p].stddev, baseline[p].stddev);
       }
     }
   }

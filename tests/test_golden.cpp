@@ -4,8 +4,8 @@
 // digests (util/hash.hpp):
 //
 //   * per-chip accuracies of all6t, hybrid3 and one per-layer config at two
-//     voltages, through engine::ExperimentRunner::run for every backend and
-//     for per-chip and auto-sized fused groups (one digest for all of them);
+//     voltages, through engine::ExperimentRunner::run for every backend (one
+//     digest for all of them);
 //   * the same at high vdd, where many chips leave the first layer clean or
 //     touch only a few of its columns;
 //   * the `results` of a fixed request trace through serve::EvalService;
@@ -93,7 +93,7 @@ mc::FailureTable graded_table() {
   return mc::FailureTable{std::move(rows)};
 }
 
-TEST(Golden, ChipAccuraciesAcrossBackendsAndFusion) {
+TEST(Golden, ChipAccuraciesAcrossBackends) {
   const core::QuantizedNetwork& qnet = golden_qnet();
   const data::Dataset test = testing::small_test_set().head(200);
   const mc::FailureTable table = graded_table();
@@ -111,27 +111,24 @@ TEST(Golden, ChipAccuraciesAcrossBackendsAndFusion) {
   std::vector<std::uint64_t> digests;
   for (const auto backend :
        {ann::backends::Backend::reference, ann::backends::Backend::simd}) {
-    for (const std::size_t fuse : {std::size_t{1}, std::size_t{0}}) {
-      util::Fnv1a h;
-      for (const core::ReadFaultPolicy policy :
-           {core::ReadFaultPolicy::random_per_read,
-            core::ReadFaultPolicy::always_flip,
-            core::ReadFaultPolicy::stuck_at_powerup}) {
-        core::EvalOptions options;
-        options.chips = 5;
-        options.seed = 4242;
-        options.policy = policy;
-        options.backend = backend;
-        options.fuse_chips = fuse;
-        for (const core::AccuracyResult& r :
-             runner.run(qnet, engine::EvalJob::sweep(points, options)
-                                  .against(table),
-                        test)) {
-          h.f64_span(r.per_chip);
-        }
+    util::Fnv1a h;
+    for (const core::ReadFaultPolicy policy :
+         {core::ReadFaultPolicy::random_per_read,
+          core::ReadFaultPolicy::always_flip,
+          core::ReadFaultPolicy::stuck_at_powerup}) {
+      core::EvalOptions options;
+      options.chips = 5;
+      options.seed = 4242;
+      options.policy = policy;
+      options.backend = backend;
+      for (const core::AccuracyResult& r :
+           runner.run(qnet, engine::EvalJob::sweep(points, options)
+                                .against(table),
+                      test)) {
+        h.f64_span(r.per_chip);
       }
-      digests.push_back(h.digest());
     }
+    digests.push_back(h.digest());
   }
   for (const std::uint64_t d : digests) EXPECT_EQ(d, digests.front());
   expect_golden("kChipAccuracyDigest", digests.front(), kChipAccuracyDigest);
@@ -218,25 +215,21 @@ TEST(Golden, SparseFaultChipAccuracies) {
   std::vector<std::uint64_t> digests;
   for (const auto backend :
        {ann::backends::Backend::reference, ann::backends::Backend::simd}) {
-    for (const std::size_t fuse :
-         {std::size_t{1}, std::size_t{0}, std::size_t{3}}) {
-      util::Fnv1a h;
-      for (const core::ReadFaultPolicy policy : policies) {
-        core::EvalOptions options;
-        options.chips = kChips;
-        options.seed = kSeed;
-        options.policy = policy;
-        options.backend = backend;
-        options.fuse_chips = fuse;
-        for (const core::AccuracyResult& r :
-             runner.run(qnet, engine::EvalJob::sweep(points, options)
-                                  .against(table),
-                        test)) {
-          h.f64_span(r.per_chip);
-        }
+    util::Fnv1a h;
+    for (const core::ReadFaultPolicy policy : policies) {
+      core::EvalOptions options;
+      options.chips = kChips;
+      options.seed = kSeed;
+      options.policy = policy;
+      options.backend = backend;
+      for (const core::AccuracyResult& r :
+           runner.run(qnet, engine::EvalJob::sweep(points, options)
+                                .against(table),
+                      test)) {
+        h.f64_span(r.per_chip);
       }
-      digests.push_back(h.digest());
     }
+    digests.push_back(h.digest());
   }
   for (const std::uint64_t d : digests) EXPECT_EQ(d, digests.front());
   expect_golden("kSparseChipAccuracyDigest", digests.front(),

@@ -53,13 +53,13 @@ class EvalServiceTest : public ::testing::Test {
   data::Dataset test_;
 };
 
-TEST_F(EvalServiceTest, FusedGroupsAndBackendsAreResultInvariant) {
-  // ServiceOptions::backend / fuse_chips are pure performance knobs: any
-  // combination must serve bit-identical accuracies to the per-chip
-  // reference configuration.
+TEST_F(EvalServiceTest, ThreadsAndBackendsAreResultInvariant) {
+  // ServiceOptions::backend / threads are pure performance knobs: any
+  // combination must serve bit-identical accuracies to the serial
+  // reference-backend configuration.
   ServiceOptions base = fast_options();
   base.default_chips = 5;
-  base.fuse_chips = 1;
+  base.threads = 1;
   base.backend = ann::backends::Backend::reference;
   EvalService baseline{qnet_, test_, base};
   const Response expected =
@@ -68,11 +68,11 @@ TEST_F(EvalServiceTest, FusedGroupsAndBackendsAreResultInvariant) {
   ASSERT_EQ(expected.results.size(), 1u);
 
   for (const auto backend : ann::backends::available_backends()) {
-    for (const std::size_t fuse : {std::size_t{0}, std::size_t{3},
-                                   std::size_t{16}}) {
+    for (const std::size_t threads : {std::size_t{0}, std::size_t{3},
+                                      std::size_t{8}}) {
       ServiceOptions opts = base;
       opts.backend = backend;
-      opts.fuse_chips = fuse;
+      opts.threads = threads;
       EvalService service{qnet_, test_, opts};
       const Response got =
           service.wait(service.submit(evaluate_request("hybrid2", 0.65)));
@@ -84,7 +84,7 @@ TEST_F(EvalServiceTest, FusedGroupsAndBackendsAreResultInvariant) {
       for (std::size_t c = 0; c < a.per_chip.size(); ++c) {
         EXPECT_EQ(b.per_chip[c], a.per_chip[c])
             << "backend=" << ann::backends::backend_name(backend)
-            << " fuse=" << fuse << " chip=" << c;
+            << " threads=" << threads << " chip=" << c;
       }
       EXPECT_EQ(b.mean, a.mean);
       EXPECT_EQ(b.stddev, a.stddev);
