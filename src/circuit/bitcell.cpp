@@ -178,76 +178,74 @@ double Bitcell6T::write_delay(double vdd, double c_node) const {
 
 namespace {
 
-struct WriteTransientState {
+/// Where a write transient stopped: the node voltages, the Q - QB margin one
+/// step earlier, and the Euler steps taken.
+struct WriteRun {
   double q;
   double qb;
+  double prev_margin;
+  int steps;
 };
 
-/// The two-node write transient of write_residual, returning (Q - QB)/vdd
-/// where it stops. With stop_at_crossing it also stops at the first step
-/// where Q has fallen below QB by more than 1e-9 * vdd.
-double write_transient(const Inverter& inv_l, const Inverter& inv_r,
-                       const Mosfet& pg_l, const Mosfet& pg_r, double vdd,
-                       double c_node, double t_budget, bool stop_at_crossing) {
-  constexpr int kSteps = 120;
-  const double dt = t_budget / kSteps;
-  const double crossed = -1e-9 * vdd;
-  WriteTransientState s{vdd, 0.0};
-  for (int i = 0; i < kSteps; ++i) {
-    // Deeply flipped: the outcome cannot change any more.
-    if (s.q < 0.05 * vdd && s.qb > 0.9 * vdd) return (s.q - s.qb) / vdd;
-    if (stop_at_crossing && s.q - s.qb < crossed) return (s.q - s.qb) / vdd;
-    const double i_q = inv_l.pull_up().ids(vdd - s.qb, vdd - s.q) -
-                       inv_l.pull_down().ids(s.qb, s.q) -
-                       pg_l.ids(vdd, s.q);
-    const double i_qb = inv_r.pull_up().ids(vdd - s.q, vdd - s.qb) -
-                        inv_r.pull_down().ids(s.q, s.qb) +
-                        pg_r.ids(vdd - s.qb, vdd - s.qb);
-    s.q = std::clamp(s.q + dt * i_q / c_node, 0.0, vdd);
-    s.qb = std::clamp(s.qb + dt * i_qb / c_node, 0.0, vdd);
+/// The one two-node write transient behind every write query: explicit
+/// Euler on both storage nodes from (Q,QB) = (vdd, 0) with BL = 0,
+/// BLB = vdd and WL = vdd, at most `steps` steps of dt. stop(q, qb) is asked
+/// before every step and after the last; the run ends at the first yes.
+template <typename Stop>
+WriteRun write_transient(const Inverter& inv_l, const Inverter& inv_r,
+                         const Mosfet& pg_l, const Mosfet& pg_r, double vdd,
+                         double c_node, double dt, int steps, Stop stop) {
+  WriteRun r{vdd, 0.0, vdd, 0};
+  for (;; ++r.steps) {
+    if (stop(r.q, r.qb) || r.steps == steps) return r;
+    // Node Q: PU_L sources current, PD_L sinks, PG_L drains to BL = 0.
+    const double i_q = inv_l.pull_up().ids(vdd - r.qb, vdd - r.q) -
+                       inv_l.pull_down().ids(r.qb, r.q) -
+                       pg_l.ids(vdd, r.q);
+    // Node QB: PU_R sources, PD_R sinks, PG_R assists from BLB = vdd.
+    const double i_qb = inv_r.pull_up().ids(vdd - r.q, vdd - r.qb) -
+                        inv_r.pull_down().ids(r.q, r.qb) +
+                        pg_r.ids(vdd - r.qb, vdd - r.qb);
+    r.prev_margin = r.q - r.qb;
+    r.q = std::clamp(r.q + dt * i_q / c_node, 0.0, vdd);
+    r.qb = std::clamp(r.qb + dt * i_qb / c_node, 0.0, vdd);
   }
-  return (s.q - s.qb) / vdd;
 }
 
 }  // namespace
 
 double Bitcell6T::write_flip_time(double vdd, double c_node,
                                   double t_max) const {
-  constexpr int kSteps = 240;
+  constexpr int kSteps = 2 * kWriteSteps;
   const double dt = t_max / kSteps;
-  WriteTransientState s{vdd, 0.0};
-  double prev_margin = s.q - s.qb;
-  for (int i = 0; i < kSteps; ++i) {
-    // Node Q: PU_L sources current, PD_L sinks, PG_L drains to BL = 0.
-    const double i_q = inv_l_.pull_up().ids(vdd - s.qb, vdd - s.q) -
-                       inv_l_.pull_down().ids(s.qb, s.q) -
-                       pg_l_.ids(vdd, s.q);
-    // Node QB: PU_R sources, PD_R sinks, PG_R assists from BLB = vdd.
-    const double i_qb = inv_r_.pull_up().ids(vdd - s.q, vdd - s.qb) -
-                        inv_r_.pull_down().ids(s.q, s.qb) +
-                        pg_r_.ids(vdd - s.qb, vdd - s.qb);
-    s.q = std::clamp(s.q + dt * i_q / c_node, 0.0, vdd);
-    s.qb = std::clamp(s.qb + dt * i_qb / c_node, 0.0, vdd);
-    const double margin = s.q - s.qb;
-    if (margin < 0.0) {
-      // Linear interpolation of the crossover inside this step.
-      const double frac = prev_margin / (prev_margin - margin);
-      return (static_cast<double>(i) + frac) * dt;
-    }
-    prev_margin = margin;
-  }
-  return std::numeric_limits<double>::infinity();
+  const WriteRun r = write_transient(
+      inv_l_, inv_r_, pg_l_, pg_r_, vdd, c_node, dt, kSteps,
+      [](double q, double qb) { return q - qb < 0.0; });
+  const double margin = r.q - r.qb;
+  if (!(margin < 0.0)) return std::numeric_limits<double>::infinity();
+  // Linear interpolation of the crossover inside the last step.
+  const double frac = r.prev_margin / (r.prev_margin - margin);
+  return (static_cast<double>(r.steps - 1) + frac) * dt;
 }
 
 double Bitcell6T::write_residual(double vdd, double c_node,
                                  double t_budget) const {
-  return write_transient(inv_l_, inv_r_, pg_l_, pg_r_, vdd, c_node, t_budget,
-                         false);
+  // Stops once deeply flipped: the outcome cannot change any more.
+  const WriteRun r = write_transient(
+      inv_l_, inv_r_, pg_l_, pg_r_, vdd, c_node, t_budget / kWriteSteps,
+      kWriteSteps,
+      [vdd](double q, double qb) { return q < 0.05 * vdd && qb > 0.9 * vdd; });
+  return (r.q - r.qb) / vdd;
 }
 
 bool Bitcell6T::write_fails(double vdd, double c_node, double t_budget) const {
-  return write_transient(inv_l_, inv_r_, pg_l_, pg_r_, vdd, c_node, t_budget,
-                         true) > 0.0;
+  const double crossed = -1e-9 * vdd;
+  const WriteRun r = write_transient(
+      inv_l_, inv_r_, pg_l_, pg_r_, vdd, c_node, t_budget / kWriteSteps,
+      kWriteSteps, [vdd, crossed](double q, double qb) {
+        return (q < 0.05 * vdd && qb > 0.9 * vdd) || q - qb < crossed;
+      });
+  return (r.q - r.qb) / vdd > 0.0;
 }
 
 double Bitcell6T::leakage(double vdd) const {

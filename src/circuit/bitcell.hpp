@@ -108,15 +108,20 @@ class Bitcell6T {
   /// assist); the Monte-Carlo criterion uses the two-node transient below.
   [[nodiscard]] double write_delay(double vdd, double c_node) const;
 
+  /// Euler steps of the write transient over a write budget.
+  static constexpr int kWriteSteps = 120;
+
   /// Two-node write transient: explicit-Euler integration of both storage
-  /// nodes from (Q,QB) = (vdd,0) with BL = 0, BLB = vdd, WL = vdd. Returns
-  /// the time at which Q falls below QB (the regenerative crossover), or
-  /// +inf if the cell has not flipped within t_max [s].
+  /// nodes from (Q,QB) = (vdd,0) with BL = 0, BLB = vdd, WL = vdd, in
+  /// 2 * kWriteSteps steps over t_max. Returns the time at which Q falls
+  /// below QB (the regenerative crossover), or +inf if the cell has not
+  /// flipped within t_max [s]. The write queries below run the same loop.
   [[nodiscard]] double write_flip_time(double vdd, double c_node,
                                        double t_max) const;
 
-  /// Continuous write limit-state: (Q - QB)/vdd at the end of the write
-  /// budget. Positive = write failed. Used by the importance sampler.
+  /// Continuous write limit-state: (Q - QB)/vdd after kWriteSteps steps
+  /// over the write budget. Positive = write failed. Used by the importance
+  /// sampler.
   [[nodiscard]] double write_residual(double vdd, double c_node,
                                       double t_budget) const;
 
