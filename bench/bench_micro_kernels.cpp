@@ -3,10 +3,14 @@
 // injection, and end-to-end inference.
 #include <benchmark/benchmark.h>
 
+#include <array>
+#include <string>
+
 #include "ann/backends/backend.hpp"
 #include "ann/matrix.hpp"
 #include "ann/mlp.hpp"
 #include "circuit/reference.hpp"
+#include "circuit/write_lanes.hpp"
 #include "core/fault_model.hpp"
 #include "core/synaptic_memory.hpp"
 #include "mc/criteria.hpp"
@@ -102,6 +106,25 @@ void BM_McSampleWrite6T(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_McSampleWrite6T);
+
+// The same samples as the MC loops decide them: a block drawn in order and
+// decided in one call, on the write lanes' runtime tier. Time per sample.
+void BM_McBatchWrite6T(benchmark::State& state) {
+  const McStack& s = mc_stack();
+  util::Rng rng{9};
+  std::array<circuit::Variation6T, 256> cells;
+  std::array<bool, 256> fails;
+  for (auto _ : state) {
+    for (circuit::Variation6T& c : cells) c = s.sampler.sample_6t(rng);
+    s.criteria.fails_block(mc::Mechanism::write, cells, 0.65, fails);
+    benchmark::DoNotOptimize(fails.data());
+  }
+  state.counters["per_sample"] = benchmark::Counter(
+      static_cast<double>(cells.size()),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_McBatchWrite6T);
 
 void BM_Gemm(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -225,4 +248,13 @@ BENCHMARK(BM_Inference784);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  benchmark::AddCustomContext(
+      "write_lane_tier",
+      std::string{circuit::write_lane_tier_name(circuit::write_lane_tier())});
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

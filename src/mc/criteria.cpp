@@ -1,8 +1,10 @@
 #include "mc/criteria.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
+#include "circuit/write_lanes.hpp"
 #include "obs/metrics.hpp"
 
 namespace hynapse::mc {
@@ -16,7 +18,11 @@ FailureCriteria::FailureCriteria(const circuit::Technology& tech,
       sizing6_{sizing6},
       sizing8_{sizing8},
       oracle_fallbacks_{
-          &obs::Registry::global().counter("mc.decide.oracle_fallbacks")} {}
+          &obs::Registry::global().counter("mc.decide.oracle_fallbacks")},
+      lane_decisions_{
+          &obs::Registry::global().counter("mc.write.lane_decisions")},
+      lane_fallbacks_{
+          &obs::Registry::global().counter("mc.write.lane_fallbacks")} {}
 
 namespace {
 
@@ -137,6 +143,48 @@ bool FailureCriteria::fails(Mechanism m, const circuit::Variation6T& var,
 bool FailureCriteria::fails(Mechanism m, const circuit::Variation8T& var,
                             double vdd) const {
   return fails_of(m, circuit::Bitcell8T{*tech_, sizing8_, var}, vdd);
+}
+
+void FailureCriteria::write_fails_block(
+    const circuit::Sizing6T& sizing,
+    std::span<const circuit::Variation6T> cores, double vdd,
+    std::span<bool> out) const {
+  const circuit::WriteLaneCount count = circuit::write_fails_lanes(
+      *tech_, sizing, cores, vdd, cycle_->c_node(),
+      cycle_->write_budget(vdd), out);
+  lane_decisions_->add(count.lane_decisions);
+  lane_fallbacks_->add(count.fallbacks);
+}
+
+void FailureCriteria::fails_block(Mechanism m,
+                                  std::span<const circuit::Variation6T> cells,
+                                  double vdd, std::span<bool> out) const {
+  if (m == Mechanism::write) {
+    write_fails_block(sizing6_, cells, vdd, out);
+    return;
+  }
+  for (std::size_t k = 0; k < cells.size(); ++k) {
+    out[k] = fails(m, cells[k], vdd);
+  }
+}
+
+void FailureCriteria::fails_block(Mechanism m,
+                                  std::span<const circuit::Variation8T> cells,
+                                  double vdd, std::span<bool> out) const {
+  if (m != Mechanism::write) {
+    for (std::size_t k = 0; k < cells.size(); ++k) {
+      out[k] = fails(m, cells[k], vdd);
+    }
+    return;
+  }
+  // The 8T write is its 6T core's.
+  std::array<circuit::Variation6T, 256> cores;
+  for (std::size_t begin = 0; begin < cells.size(); begin += cores.size()) {
+    const std::size_t n = std::min(cores.size(), cells.size() - begin);
+    for (std::size_t k = 0; k < n; ++k) cores[k] = cells[begin + k].core;
+    write_fails_block(sizing8_.core, std::span{cores.data(), n}, vdd,
+                      out.subspan(begin, n));
+  }
 }
 
 double FailureCriteria::hold_metric_6t(const circuit::Variation6T& var,

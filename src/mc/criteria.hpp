@@ -22,7 +22,11 @@
 //    kDecideMargin; otherwise metric() decides as the oracle (and the
 //    mc.decide.oracle_fallbacks counter is bumped).
 //  * write: the same transient as the metric, stopped at the first
-//    Q/QB crossing (Bitcell6T::write_fails).
+//    Q/QB crossing (Bitcell6T::write_fails). fails_block decides a block of
+//    write samples on the lane-parallel transient (circuit/write_lanes.hpp),
+//    whose band hands every sample it cannot certify to write_fails; the
+//    mc.write.lane_decisions and mc.write.lane_fallbacks counters tell the
+//    two apart.
 // metric() stays the oracle the IS gradient reads, so tables are
 // bit-identical to deciding every sample with metric() (docs/performance.md,
 // "Monte-Carlo decision path").
@@ -30,6 +34,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 
 #include "circuit/bitcell.hpp"
 #include "circuit/tech.hpp"
@@ -95,6 +100,14 @@ class FailureCriteria {
   [[nodiscard]] bool fails(Mechanism m, const circuit::Variation8T& var,
                            double vdd) const;
 
+  /// out[k] = fails(m, cells[k], vdd) for every k: write samples on the
+  /// write lanes, the other mechanisms one fails() call each. out.size()
+  /// must equal cells.size().
+  void fails_block(Mechanism m, std::span<const circuit::Variation6T> cells,
+                   double vdd, std::span<bool> out) const;
+  void fails_block(Mechanism m, std::span<const circuit::Variation8T> cells,
+                   double vdd, std::span<bool> out) const;
+
   /// Standby retention limit-state at a (possibly deeply scaled) hold
   /// voltage: positive = the cell loses its state (extension; see
   /// circuit/retention.hpp).
@@ -117,6 +130,8 @@ class FailureCriteria {
   circuit::Sizing6T sizing6_;
   circuit::Sizing8T sizing8_;
   obs::Counter* oracle_fallbacks_;  // mc.decide.oracle_fallbacks
+  obs::Counter* lane_decisions_;    // mc.write.lane_decisions
+  obs::Counter* lane_fallbacks_;    // mc.write.lane_fallbacks
 
   template <typename Cell>
   [[nodiscard]] double metric_of(Mechanism m, const Cell& cell,
@@ -124,6 +139,9 @@ class FailureCriteria {
   template <typename Cell>
   [[nodiscard]] bool fails_of(Mechanism m, const Cell& cell,
                               double vdd) const;
+  void write_fails_block(const circuit::Sizing6T& sizing,
+                         std::span<const circuit::Variation6T> cores,
+                         double vdd, std::span<bool> out) const;
 };
 
 }  // namespace hynapse::mc

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "obs/metrics.hpp"
 #include "util/parallel.hpp"
@@ -139,47 +140,52 @@ std::size_t next_per_chunk(double requested, std::size_t trials,
 
 // ---- limit states -----------------------------------------------------------
 // What the samplers below need from one (cell, mechanism, vdd): the device
-// sigmas, `hit(rng)` -- draw one plain-MC sample and decide it -- and, over a
-// flat dVT vector in volts, the exact decision `fails(x)` (every IS sample)
-// and the continuous `metric(x)` (read only by the IS gradient and the
-// origin verdict). fails(x) == (metric(x) > 0.0) always, so which one a loop
-// calls never changes a result bit (docs/performance.md).
+// sigmas, `draw(rng)` -- one plain-MC sample -- and `pack(x)`, the sample of
+// a flat dVT vector in volts; `decide(samples, out)`, the exact decision of
+// a block of samples (plain and IS alike); and the continuous `metric(x)`
+// (read only by the IS gradient and the origin verdict). A decision equals
+// metric > 0.0 always, so blocking never changes a result bit
+// (docs/performance.md).
 
 struct Cell6T {
   static constexpr std::size_t D = k6t_devices;
+  using Sample = circuit::Variation6T;
   const FailureCriteria& criteria;
   const VariationSampler& sampler;
   Mechanism m;
   double vdd;
 
   const std::array<double, D>& sigmas() const { return sampler.sigmas_6t(); }
-  bool hit(util::Rng& rng) const {
-    return criteria.fails(m, sampler.sample_6t(rng), vdd);
+  Sample draw(util::Rng& rng) const { return sampler.sample_6t(rng); }
+  static Sample pack(const std::array<double, D>& x) {
+    return VariationSampler::pack_6t(x);
   }
-  bool fails(const std::array<double, D>& x) const {
-    return criteria.fails(m, VariationSampler::pack_6t(x), vdd);
+  void decide(std::span<const Sample> xs, std::span<bool> out) const {
+    criteria.fails_block(m, xs, vdd, out);
   }
   double metric(const std::array<double, D>& x) const {
-    return criteria.metric(m, VariationSampler::pack_6t(x), vdd);
+    return criteria.metric(m, pack(x), vdd);
   }
 };
 
 struct Cell8T {
   static constexpr std::size_t D = k8t_devices;
+  using Sample = circuit::Variation8T;
   const FailureCriteria& criteria;
   const VariationSampler& sampler;
   Mechanism m;
   double vdd;
 
   const std::array<double, D>& sigmas() const { return sampler.sigmas_8t(); }
-  bool hit(util::Rng& rng) const {
-    return criteria.fails(m, sampler.sample_8t(rng), vdd);
+  Sample draw(util::Rng& rng) const { return sampler.sample_8t(rng); }
+  static Sample pack(const std::array<double, D>& x) {
+    return VariationSampler::pack_8t(x);
   }
-  bool fails(const std::array<double, D>& x) const {
-    return criteria.fails(m, VariationSampler::pack_8t(x), vdd);
+  void decide(std::span<const Sample> xs, std::span<bool> out) const {
+    criteria.fails_block(m, xs, vdd, out);
   }
   double metric(const std::array<double, D>& x) const {
-    return criteria.metric(m, VariationSampler::pack_8t(x), vdd);
+    return criteria.metric(m, pack(x), vdd);
   }
 };
 
@@ -187,21 +193,49 @@ struct Cell8T {
 /// is the verdict.
 struct Retention6T {
   static constexpr std::size_t D = k6t_devices;
+  using Sample = circuit::Variation6T;
   const FailureCriteria& criteria;
   const VariationSampler& sampler;
   double v_standby;
 
   const std::array<double, D>& sigmas() const { return sampler.sigmas_6t(); }
-  bool hit(util::Rng& rng) const {
-    return criteria.hold_metric_6t(sampler.sample_6t(rng), v_standby) > 0.0;
+  Sample draw(util::Rng& rng) const { return sampler.sample_6t(rng); }
+  static Sample pack(const std::array<double, D>& x) {
+    return VariationSampler::pack_6t(x);
   }
-  bool fails(const std::array<double, D>& x) const { return metric(x) > 0.0; }
+  void decide(std::span<const Sample> xs, std::span<bool> out) const {
+    for (std::size_t k = 0; k < xs.size(); ++k) {
+      out[k] = criteria.hold_metric_6t(xs[k], v_standby) > 0.0;
+    }
+  }
   double metric(const std::array<double, D>& x) const {
-    return criteria.hold_metric_6t(VariationSampler::pack_6t(x), v_standby);
+    return criteria.hold_metric_6t(pack(x), v_standby);
   }
 };
 
+/// Samples a sampling loop draws before deciding them in one call; bounds
+/// each loop's sample buffers.
+constexpr std::size_t kBlock = 256;
+
 // ---- plain MC ------------------------------------------------------------------
+
+/// Hits among `count` plain-MC draws from `rng`, drawn in order and decided
+/// kBlock at a time.
+template <typename LS>
+std::size_t mc_hits(const LS& ls, util::Rng& rng, std::size_t count) {
+  std::array<typename LS::Sample, kBlock> xs;
+  std::array<bool, kBlock> fails;
+  std::size_t hits = 0;
+  for (std::size_t done = 0; done < count;) {
+    const std::size_t b = std::min(kBlock, count - done);
+    for (std::size_t k = 0; k < b; ++k) xs[k] = ls.draw(rng);
+    ls.decide(std::span{xs.data(), b}, std::span{fails.data(), b});
+    hits += static_cast<std::size_t>(
+        std::count(fails.begin(), fails.begin() + b, true));
+    done += b;
+  }
+  return hits;
+}
 
 /// Fixed-sample plain MC over kChunks seeded chunks.
 template <typename LS>
@@ -214,9 +248,7 @@ RateEstimate plain_mc(const LS& ls, std::size_t n, std::uint64_t seed,
         std::size_t h = 0;
         for (std::size_t c = begin; c < end; ++c) {
           util::Rng rng{chunk_seed(seed, c)};
-          for (std::size_t s = 0; s < per_chunk; ++s) {
-            if (ls.hit(rng)) ++h;
-          }
+          h += mc_hits(ls, rng, per_chunk);
         }
         return h;
       },
@@ -236,9 +268,7 @@ std::size_t run_mc_batch(std::uint64_t seed, std::size_t batch,
         for (std::size_t c = begin; c < end; ++c) {
           util::Rng rng = base;
           rng.discard(static_cast<std::uint64_t>(c) * kChunkStride);
-          for (std::size_t s = 0; s < per_chunk; ++s) {
-            if (ls.hit(rng)) ++h;
-          }
+          h += mc_hits(ls, rng, per_chunk);
         }
         return h;
       },
@@ -291,27 +321,39 @@ double failure_gradient(const LS& ls, std::array<double, LS::D>& grad) {
   return std::sqrt(norm);
 }
 
-/// `count` mean-shifted draws from `rng`, folded into `part`.
+/// `count` mean-shifted draws from `rng`, decided kBlock at a time and
+/// folded into `part` in draw order.
 template <typename LS>
 void is_draws(const LS& ls, util::Rng& rng, std::size_t count,
               const std::array<double, LS::D>& mu, double mu_sq,
               IsPartial& part) {
   const std::array<double, LS::D>& sigmas = ls.sigmas();
+  std::array<typename LS::Sample, kBlock> xs;
+  std::array<double, kBlock> dots;
+  std::array<bool, kBlock> fails;
   std::array<double, LS::D> x{};
-  for (std::size_t s = 0; s < count; ++s) {
-    double dot = 0.0;
-    for (std::size_t i = 0; i < LS::D; ++i) {
-      const double z = rng.normal();
-      const double xi = mu[i] + z;
-      dot += mu[i] * xi;
-      x[i] = xi * sigmas[i];  // back to volts
+  for (std::size_t done = 0; done < count;) {
+    const std::size_t b = std::min(kBlock, count - done);
+    for (std::size_t k = 0; k < b; ++k) {
+      double dot = 0.0;
+      for (std::size_t i = 0; i < LS::D; ++i) {
+        const double z = rng.normal();
+        const double xi = mu[i] + z;
+        dot += mu[i] * xi;
+        x[i] = xi * sigmas[i];  // back to volts
+      }
+      xs[k] = ls.pack(x);
+      dots[k] = dot;
     }
-    if (ls.fails(x)) {
-      const double w = std::exp(-dot + 0.5 * mu_sq);
+    ls.decide(std::span{xs.data(), b}, std::span{fails.data(), b});
+    for (std::size_t k = 0; k < b; ++k) {
+      if (!fails[k]) continue;
+      const double w = std::exp(-dots[k] + 0.5 * mu_sq);
       part.sum_w += w;
       part.sum_w2 += w * w;
       ++part.hits;
     }
+    done += b;
   }
 }
 

@@ -3,7 +3,10 @@
 // tables depend on the metric only through that sign. Pins the pieces it is
 // built from (the derivative overload of Mosfet::ids, the Newton root
 // brackets, the monotone write transient) and the agreement itself on
-// plain, IS-shifted and boundary-clustered samples at every paper voltage.
+// plain, IS-shifted and boundary-clustered samples at every paper voltage,
+// for the per-sample fails and for the block path the sampling loops call
+// (FailureCriteria::fails_block, and the write lanes on every tier this
+// host runs).
 //
 // DISABLED_MillionDecisionSweep is the long agreement sweep; run it with
 //   ./test_mc_decisions --gtest_also_run_disabled_tests
@@ -15,12 +18,15 @@
 #include <cmath>
 #include <cstdio>
 #include <iterator>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "circuit/bitcell.hpp"
 #include "circuit/mosfet.hpp"
 #include "circuit/reference.hpp"
 #include "circuit/solve.hpp"
+#include "circuit/write_lanes.hpp"
 #include "mc/criteria.hpp"
 #include "mc/variation.hpp"
 #include "obs/metrics.hpp"
@@ -46,9 +52,15 @@ const Stack& stack() {
   return s;
 }
 
-std::uint64_t oracle_fallbacks() {
-  return obs::Registry::global().counter("mc.decide.oracle_fallbacks").value();
+std::uint64_t counter(const char* name) {
+  return obs::Registry::global().counter(name).value();
 }
+
+std::uint64_t oracle_fallbacks() {
+  return counter("mc.decide.oracle_fallbacks");
+}
+
+std::uint64_t lane_fallbacks() { return counter("mc.write.lane_fallbacks"); }
 
 // ---- Mosfet::ids derivative overload ---------------------------------------
 
@@ -208,6 +220,47 @@ bool fails(const Case& c, const Dvt& x, double vdd) {
                  : crit.fails(c.m, pack6(x), vdd);
 }
 
+/// Disagreements with `oracle` (each sample's metric > 0) of every block
+/// decision path of case c: FailureCriteria::fails_block, and for a write
+/// case the write lanes on each tier this host runs, scalar included.
+std::size_t block_disagreements(const Case& c, const std::vector<Dvt>& xs,
+                                const std::vector<bool>& oracle, double vdd) {
+  const Stack& s = stack();
+  const std::size_t n = xs.size();
+  const auto out = std::make_unique<bool[]>(n);
+  const std::span<bool> verdicts{out.get(), n};
+  std::size_t disagreements = 0;
+  const auto tally = [&](const char* path) {
+    for (std::size_t k = 0; k < n; ++k) {
+      if (verdicts[k] == oracle[k]) continue;
+      ++disagreements;
+      ADD_FAILURE() << c.name << " at " << vdd << " V: sample " << k
+                    << " decided against the oracle by " << path;
+    }
+  };
+  std::vector<circuit::Variation6T> cores(n);
+  for (std::size_t k = 0; k < n; ++k) cores[k] = pack6(xs[k]);
+  if (c.cell8) {
+    std::vector<circuit::Variation8T> cells(n);
+    for (std::size_t k = 0; k < n; ++k) {
+      cells[k] = VariationSampler::pack_8t(xs[k]);
+    }
+    s.criteria.fails_block(c.m, std::span{cells}, vdd, verdicts);
+  } else {
+    s.criteria.fails_block(c.m, std::span{cores}, vdd, verdicts);
+  }
+  tally("fails_block");
+  if (c.m != Mechanism::write) return disagreements;
+  for (const circuit::WriteLaneTier tier :
+       circuit::available_write_lane_tiers()) {
+    (void)circuit::write_fails_lanes(
+        s.tech, c.cell8 ? s.s8.core : s.s6, cores, vdd, s.cycle.c_node(),
+        s.cycle.write_budget(vdd), verdicts, tier);
+    tally(circuit::write_lane_tier_name(tier).data());
+  }
+  return disagreements;
+}
+
 /// Unit failure direction in standardized coordinates, from the same
 /// central differences the importance sampler takes (all zero when the
 /// metric does not respond to variation).
@@ -250,23 +303,35 @@ Tally merge(Tally a, const Tally& b) {
   return a;
 }
 
+/// Decides `xs` of one case at one voltage one by one and on every block
+/// path, against the oracle.
+Tally agree_on(const Case& c, const std::vector<Dvt>& xs, double vdd) {
+  Tally t;
+  std::vector<bool> oracle(xs.size());
+  for (std::size_t k = 0; k < xs.size(); ++k) {
+    oracle[k] = metric(c, xs[k], vdd) > 0.0;
+    ++t.decisions;
+    if (fails(c, xs[k], vdd) != oracle[k]) {
+      ++t.disagreements;
+      ADD_FAILURE() << c.name << " at " << vdd << " V: sample " << k
+                    << " decided against the oracle";
+    }
+  }
+  t.disagreements += block_disagreements(c, xs, oracle, vdd);
+  return t;
+}
+
 /// Decides `plain` plain and `shifted` IS-shifted (beta = 3.5) samples of
 /// one case at one voltage against the oracle.
 Tally agree_on_samples(const Case& c, double vdd, std::size_t plain,
                        std::size_t shifted, std::uint64_t seed) {
   util::Rng rng{seed};
   const Dvt dir = failure_direction(c, vdd);
-  Tally t;
+  std::vector<Dvt> xs;
   for (std::size_t k = 0; k < plain + shifted; ++k) {
-    const Dvt x = draw(c, rng, dir, k < plain ? 0.0 : 3.5);
-    ++t.decisions;
-    if (fails(c, x, vdd) != (metric(c, x, vdd) > 0.0)) {
-      ++t.disagreements;
-      ADD_FAILURE() << c.name << " at " << vdd << " V: sample " << k
-                    << " decided against the oracle";
-    }
+    xs.push_back(draw(c, rng, dir, k < plain ? 0.0 : 3.5));
   }
-  return t;
+  return agree_on(c, xs, vdd);
 }
 
 /// Samples within 1e-10 sigma of the failure boundary: bisect (60 steps, on
@@ -336,23 +401,29 @@ TEST_P(DecisionAgreement, PlainAndShiftedSamplesMatchTheOracle) {
 
 TEST_P(DecisionAgreement, BoundaryClusteredSamplesMatchAndFallBack) {
   const double vdd = GetParam();
+  const bool lanes = circuit::write_lane_tier() != circuit::WriteLaneTier::scalar;
   std::size_t cases_sampled = 0;
   for (const Case& c : kCases) {
     const std::uint64_t before = oracle_fallbacks();
+    const std::uint64_t lane_before = lane_fallbacks();
     const std::vector<Dvt> samples = boundary_samples(c, vdd, 8, 16, 29);
-    std::size_t disagreements = 0;
-    for (const Dvt& x : samples) {
-      if (fails(c, x, vdd) != (metric(c, x, vdd) > 0.0)) ++disagreements;
-    }
-    EXPECT_EQ(disagreements, 0u) << c.name << " at " << vdd << " V";
+    EXPECT_EQ(agree_on(c, samples, vdd).disagreements, 0u)
+        << c.name << " at " << vdd << " V";
     if (samples.empty()) continue;
     ++cases_sampled;
     // The write verdict never needs the oracle; the bracketed mechanisms
-    // must hand boundary samples to it.
+    // must hand boundary samples to it. Boundary write samples end inside
+    // the write lanes' band, which hands them to the scalar write_fails.
     if (c.m == Mechanism::write) {
       EXPECT_EQ(oracle_fallbacks(), before) << c.name;
+      if (lanes) {
+        EXPECT_GT(lane_fallbacks(), lane_before) << c.name << " at " << vdd;
+      } else {
+        EXPECT_EQ(lane_fallbacks(), lane_before) << c.name;
+      }
     } else {
       EXPECT_GT(oracle_fallbacks(), before) << c.name << " at " << vdd;
+      EXPECT_EQ(lane_fallbacks(), lane_before) << c.name;
     }
   }
   // Only a far 8T write tail may stay out of reach of the 4x-scaled draws.
@@ -409,6 +480,13 @@ TEST(WritePremise, TransientNeverRaisesQOrLowersQb) {
         EXPECT_TRUE(write_transient_monotone(pack6(x), sz, vdd))
             << c.name << " at " << vdd << " V, sample " << k;
       }
+      // The write lanes' band rests on the premise exactly where their
+      // margins end up: next to the flip boundary.
+      const std::vector<Dvt> edge = boundary_samples(c, vdd, 4, 8, 43);
+      for (std::size_t k = 0; k < edge.size(); ++k) {
+        EXPECT_TRUE(write_transient_monotone(pack6(edge[k]), sz, vdd))
+            << c.name << " at " << vdd << " V, boundary sample " << k;
+      }
     }
   }
 }
@@ -417,13 +495,15 @@ TEST(WritePremise, TransientNeverRaisesQOrLowersQb) {
 
 TEST(DecisionSweep, DISABLED_MillionDecisionSweep) {
   // ~1M decisions: for every paper voltage and mechanism, plain and
-  // IS-shifted samples plus boundary-clustered ones, on all threads.
+  // IS-shifted samples plus boundary-clustered ones, on all threads, each
+  // decided one by one and on the block path.
   const std::vector<double> grid = circuit::paper_voltage_grid();
   constexpr std::size_t kChunksPerCase = 16;
   constexpr std::size_t kPerChunk = 1600;  // half plain, half shifted
   const std::size_t n_cases = std::size(kCases);
   const std::size_t jobs = grid.size() * n_cases * kChunksPerCase;
   const std::uint64_t fallbacks_before = oracle_fallbacks();
+  const std::uint64_t lane_fallbacks_before = lane_fallbacks();
   const Tally sampled = util::parallel_reduce(
       jobs, jobs, Tally{},
       [&](std::size_t begin, std::size_t end) {
@@ -445,22 +525,21 @@ TEST(DecisionSweep, DISABLED_MillionDecisionSweep) {
         for (std::size_t j = begin; j < end; ++j) {
           const Case& c = kCases[j % n_cases];
           const double vdd = grid[j / n_cases];
-          for (const Dvt& x : boundary_samples(c, vdd, 40, 100, 7000 + j)) {
-            ++t.decisions;
-            if (fails(c, x, vdd) != (metric(c, x, vdd) > 0.0)) {
-              ++t.disagreements;
-            }
-          }
+          t = merge(t, agree_on(c, boundary_samples(c, vdd, 40, 100, 7000 + j),
+                                vdd));
         }
         return t;
       },
       merge);
   std::printf(
       "decisions: %zu sampled + %zu boundary, disagreements: %zu, oracle "
-      "fallbacks: %llu\n",
+      "fallbacks: %llu, write-lane fallbacks (%s): %llu\n",
       sampled.decisions, boundary.decisions,
       sampled.disagreements + boundary.disagreements,
-      static_cast<unsigned long long>(oracle_fallbacks() - fallbacks_before));
+      static_cast<unsigned long long>(oracle_fallbacks() - fallbacks_before),
+      circuit::write_lane_tier_name(circuit::write_lane_tier()).data(),
+      static_cast<unsigned long long>(lane_fallbacks() -
+                                      lane_fallbacks_before));
   EXPECT_GE(sampled.decisions + boundary.decisions, 1000000u);
   EXPECT_EQ(sampled.disagreements, 0u);
   EXPECT_EQ(boundary.disagreements, 0u);
