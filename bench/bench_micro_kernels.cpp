@@ -113,11 +113,12 @@ void BM_McBatchWrite6T(benchmark::State& state) {
   const McStack& s = mc_stack();
   util::Rng rng{9};
   std::array<circuit::Variation6T, 256> cells;
-  std::array<bool, 256> fails;
+  std::array<bool, 256> fails{};
   for (auto _ : state) {
     for (circuit::Variation6T& c : cells) c = s.sampler.sample_6t(rng);
     s.criteria.fails_block(mc::Mechanism::write, cells, 0.65, fails);
     benchmark::DoNotOptimize(fails.data());
+    benchmark::ClobberMemory();
   }
   state.counters["per_sample"] = benchmark::Counter(
       static_cast<double>(cells.size()),

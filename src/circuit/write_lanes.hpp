@@ -40,7 +40,8 @@ inline constexpr double kWriteLaneBand = 1e-6;
 /// Every tier this build has and this CPU runs, scalar first.
 [[nodiscard]] std::vector<WriteLaneTier> available_write_lane_tiers();
 /// "scalar" / "avx2" / "avx512".
-[[nodiscard]] std::string_view write_lane_tier_name(WriteLaneTier tier) noexcept;
+[[nodiscard]] std::string_view write_lane_tier_name(
+    WriteLaneTier tier) noexcept;
 
 /// How a block's verdicts were reached: by a lane, or by the scalar
 /// write_fails after the lane's margin ended inside the band. Both stay 0

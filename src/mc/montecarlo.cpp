@@ -224,7 +224,7 @@ constexpr std::size_t kBlock = 256;
 template <typename LS>
 std::size_t mc_hits(const LS& ls, util::Rng& rng, std::size_t count) {
   std::array<typename LS::Sample, kBlock> xs;
-  std::array<bool, kBlock> fails;
+  std::array<bool, kBlock> fails{};
   std::size_t hits = 0;
   for (std::size_t done = 0; done < count;) {
     const std::size_t b = std::min(kBlock, count - done);
@@ -329,8 +329,8 @@ void is_draws(const LS& ls, util::Rng& rng, std::size_t count,
               IsPartial& part) {
   const std::array<double, LS::D>& sigmas = ls.sigmas();
   std::array<typename LS::Sample, kBlock> xs;
-  std::array<double, kBlock> dots;
-  std::array<bool, kBlock> fails;
+  std::array<double, kBlock> dots{};
+  std::array<bool, kBlock> fails{};
   std::array<double, LS::D> x{};
   for (std::size_t done = 0; done < count;) {
     const std::size_t b = std::min(kBlock, count - done);

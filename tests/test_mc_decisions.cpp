@@ -401,7 +401,8 @@ TEST_P(DecisionAgreement, PlainAndShiftedSamplesMatchTheOracle) {
 
 TEST_P(DecisionAgreement, BoundaryClusteredSamplesMatchAndFallBack) {
   const double vdd = GetParam();
-  const bool lanes = circuit::write_lane_tier() != circuit::WriteLaneTier::scalar;
+  const bool lanes =
+      circuit::write_lane_tier() != circuit::WriteLaneTier::scalar;
   std::size_t cases_sampled = 0;
   for (const Case& c : kCases) {
     const std::uint64_t before = oracle_fallbacks();
