@@ -145,46 +145,50 @@ bool FailureCriteria::fails(Mechanism m, const circuit::Variation8T& var,
   return fails_of(m, circuit::Bitcell8T{*tech_, sizing8_, var}, vdd);
 }
 
-void FailureCriteria::write_fails_block(
-    const circuit::Sizing6T& sizing,
-    std::span<const circuit::Variation6T> cores, double vdd,
-    std::span<bool> out) const {
-  const circuit::WriteLaneCount count = circuit::write_fails_lanes(
-      *tech_, sizing, cores, vdd, cycle_->c_node(),
-      cycle_->write_budget(vdd), out);
-  lane_decisions_->add(count.lane_decisions);
-  lane_fallbacks_->add(count.fallbacks);
+namespace {
+
+/// The 6T cell a write acts on: an 8T cell writes through its core.
+const circuit::Variation6T& write_core(const circuit::Variation6T& var) {
+  return var;
+}
+const circuit::Variation6T& write_core(const circuit::Variation8T& var) {
+  return var.core;
 }
 
-void FailureCriteria::fails_block(Mechanism m,
-                                  std::span<const circuit::Variation6T> cells,
-                                  double vdd, std::span<bool> out) const {
-  if (m == Mechanism::write) {
-    write_fails_block(sizing6_, cells, vdd, out);
-    return;
-  }
-  for (std::size_t k = 0; k < cells.size(); ++k) {
-    out[k] = fails(m, cells[k], vdd);
-  }
-}
+}  // namespace
 
-void FailureCriteria::fails_block(Mechanism m,
-                                  std::span<const circuit::Variation8T> cells,
-                                  double vdd, std::span<bool> out) const {
+template <typename Var>
+void FailureCriteria::fails_block_of(Mechanism m, std::span<const Var> cells,
+                                     const circuit::Sizing6T& core_sizing,
+                                     double vdd, std::span<bool> out) const {
   if (m != Mechanism::write) {
     for (std::size_t k = 0; k < cells.size(); ++k) {
       out[k] = fails(m, cells[k], vdd);
     }
     return;
   }
-  // The 8T write is its 6T core's.
   std::array<circuit::Variation6T, 256> cores;
   for (std::size_t begin = 0; begin < cells.size(); begin += cores.size()) {
     const std::size_t n = std::min(cores.size(), cells.size() - begin);
-    for (std::size_t k = 0; k < n; ++k) cores[k] = cells[begin + k].core;
-    write_fails_block(sizing8_.core, std::span{cores.data(), n}, vdd,
-                      out.subspan(begin, n));
+    for (std::size_t k = 0; k < n; ++k) cores[k] = write_core(cells[begin + k]);
+    const circuit::WriteLaneCount count = circuit::write_fails_lanes(
+        *tech_, core_sizing, std::span{cores.data(), n}, vdd,
+        cycle_->c_node(), cycle_->write_budget(vdd), out.subspan(begin, n));
+    lane_decisions_->add(count.lane_decisions);
+    lane_fallbacks_->add(count.fallbacks);
   }
+}
+
+void FailureCriteria::fails_block(Mechanism m,
+                                  std::span<const circuit::Variation6T> cells,
+                                  double vdd, std::span<bool> out) const {
+  fails_block_of(m, cells, sizing6_, vdd, out);
+}
+
+void FailureCriteria::fails_block(Mechanism m,
+                                  std::span<const circuit::Variation8T> cells,
+                                  double vdd, std::span<bool> out) const {
+  fails_block_of(m, cells, sizing8_.core, vdd, out);
 }
 
 double FailureCriteria::hold_metric_6t(const circuit::Variation6T& var,

@@ -139,9 +139,10 @@ class FailureCriteria {
   template <typename Cell>
   [[nodiscard]] bool fails_of(Mechanism m, const Cell& cell,
                               double vdd) const;
-  void write_fails_block(const circuit::Sizing6T& sizing,
-                         std::span<const circuit::Variation6T> cores,
-                         double vdd, std::span<bool> out) const;
+  template <typename Var>
+  void fails_block_of(Mechanism m, std::span<const Var> cells,
+                      const circuit::Sizing6T& core_sizing, double vdd,
+                      std::span<bool> out) const;
 };
 
 }  // namespace hynapse::mc
