@@ -79,9 +79,10 @@ WriteLaneCount write_fails_lanes(const Technology& tech,
       -kWriteLaneBand * vdd,
       kWriteLaneBand};
   WriteLaneCount count;
-  std::array<signed char, 256> verdict{};
+  std::array<signed char, 256> verdict;
   for (std::size_t begin = 0; begin < cells.size(); begin += verdict.size()) {
     const std::size_t n = std::min(verdict.size(), cells.size() - begin);
+    verdict.fill(detail::kLaneUndecided);  // unset -> the exact scalar path
     kernel(job, cells.data() + begin, n, verdict.data());
     for (std::size_t k = 0; k < n; ++k) {
       if (verdict[k] == detail::kLaneUndecided) {

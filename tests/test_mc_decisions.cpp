@@ -230,6 +230,10 @@ std::size_t block_disagreements(const Case& c, const std::vector<Dvt>& xs,
   const auto out = std::make_unique<bool[]>(n);
   const std::span<bool> verdicts{out.get(), n};
   std::size_t disagreements = 0;
+  // Every path starts from wrong verdicts, so one it leaves unset shows.
+  const auto reset = [&] {
+    for (std::size_t k = 0; k < n; ++k) verdicts[k] = !oracle[k];
+  };
   const auto tally = [&](const char* path) {
     for (std::size_t k = 0; k < n; ++k) {
       if (verdicts[k] == oracle[k]) continue;
@@ -240,6 +244,7 @@ std::size_t block_disagreements(const Case& c, const std::vector<Dvt>& xs,
   };
   std::vector<circuit::Variation6T> cores(n);
   for (std::size_t k = 0; k < n; ++k) cores[k] = pack6(xs[k]);
+  reset();
   if (c.cell8) {
     std::vector<circuit::Variation8T> cells(n);
     for (std::size_t k = 0; k < n; ++k) {
@@ -253,6 +258,7 @@ std::size_t block_disagreements(const Case& c, const std::vector<Dvt>& xs,
   if (c.m != Mechanism::write) return disagreements;
   for (const circuit::WriteLaneTier tier :
        circuit::available_write_lane_tiers()) {
+    reset();
     (void)circuit::write_fails_lanes(
         s.tech, c.cell8 ? s.s8.core : s.s6, cores, vdd, s.cycle.c_node(),
         s.cycle.write_budget(vdd), verdicts, tier);
