@@ -2,7 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <optional>
 #include <span>
+#include <tuple>
+#include <type_traits>
+#include <utility>
 
 #include "obs/metrics.hpp"
 #include "util/parallel.hpp"
@@ -23,15 +28,13 @@ std::uint64_t chunk_seed(std::uint64_t seed, std::size_t chunk) {
 }
 
 RateEstimate finish_mc(std::size_t hits, std::size_t n) {
-  RateEstimate r;
-  r.trials = n;
-  r.hits = static_cast<double>(hits);
-  r.p = static_cast<double>(hits) / static_cast<double>(n);
   const auto ci = util::wilson_interval(hits, n);
-  r.ci_lo = ci.lo;
-  r.ci_hi = ci.hi;
-  r.total_samples = n;
-  return r;
+  return {.p = static_cast<double>(hits) / static_cast<double>(n),
+          .ci_lo = ci.lo,
+          .ci_hi = ci.hi,
+          .trials = n,
+          .hits = static_cast<double>(hits),
+          .total_samples = n};
 }
 
 // ---- adaptive (CI-targeted) sampling ---------------------------------------
@@ -147,62 +150,60 @@ std::size_t next_per_chunk(double requested, std::size_t trials,
 // metric > 0.0 always, so blocking never changes a result bit
 // (docs/performance.md).
 
-struct Cell6T {
-  static constexpr std::size_t D = k6t_devices;
-  using Sample = circuit::Variation6T;
-  const FailureCriteria& criteria;
+/// The sampler side of a limit state: one cell kind's sigmas, draw and pack.
+template <CellKind K>
+struct CellSampler {
+  static constexpr bool kSixT = K == CellKind::six_t;
+  static constexpr std::size_t D = kSixT ? k6t_devices : k8t_devices;
+  using Sample =
+      std::conditional_t<kSixT, circuit::Variation6T, circuit::Variation8T>;
   const VariationSampler& sampler;
-  Mechanism m;
-  double vdd;
 
-  const std::array<double, D>& sigmas() const { return sampler.sigmas_6t(); }
-  Sample draw(util::Rng& rng) const { return sampler.sample_6t(rng); }
+  const std::array<double, D>& sigmas() const {
+    if constexpr (kSixT)
+      return sampler.sigmas_6t();
+    else
+      return sampler.sigmas_8t();
+  }
+  Sample draw(util::Rng& rng) const {
+    if constexpr (kSixT)
+      return sampler.sample_6t(rng);
+    else
+      return sampler.sample_8t(rng);
+  }
   static Sample pack(const std::array<double, D>& x) {
-    return VariationSampler::pack_6t(x);
-  }
-  void decide(std::span<const Sample> xs, std::span<bool> out) const {
-    criteria.fails_block(m, xs, vdd, out);
-  }
-  double metric(const std::array<double, D>& x) const {
-    return criteria.metric(m, pack(x), vdd);
+    if constexpr (kSixT)
+      return VariationSampler::pack_6t(x);
+    else
+      return VariationSampler::pack_8t(x);
   }
 };
 
-struct Cell8T {
-  static constexpr std::size_t D = k8t_devices;
-  using Sample = circuit::Variation8T;
+/// One failure mechanism of a cell kind at vdd.
+template <CellKind K>
+struct Cell : CellSampler<K> {
+  using Base = CellSampler<K>;
   const FailureCriteria& criteria;
-  const VariationSampler& sampler;
   Mechanism m;
   double vdd;
 
-  const std::array<double, D>& sigmas() const { return sampler.sigmas_8t(); }
-  Sample draw(util::Rng& rng) const { return sampler.sample_8t(rng); }
-  static Sample pack(const std::array<double, D>& x) {
-    return VariationSampler::pack_8t(x);
-  }
-  void decide(std::span<const Sample> xs, std::span<bool> out) const {
+  void decide(std::span<const typename Base::Sample> xs,
+              std::span<bool> out) const {
     criteria.fails_block(m, xs, vdd, out);
   }
-  double metric(const std::array<double, D>& x) const {
-    return criteria.metric(m, pack(x), vdd);
+  double metric(const std::array<double, Base::D>& x) const {
+    return criteria.metric(m, Base::pack(x), vdd);
   }
 };
+using Cell6T = Cell<CellKind::six_t>;
+using Cell8T = Cell<CellKind::eight_t>;
 
 /// Standby retention of a 6T cell: no decision path, the hold metric's sign
 /// is the verdict.
-struct Retention6T {
-  static constexpr std::size_t D = k6t_devices;
-  using Sample = circuit::Variation6T;
+struct Retention6T : CellSampler<CellKind::six_t> {
   const FailureCriteria& criteria;
-  const VariationSampler& sampler;
   double v_standby;
 
-  const std::array<double, D>& sigmas() const { return sampler.sigmas_6t(); }
-  Sample draw(util::Rng& rng) const { return sampler.sample_6t(rng); }
-  static Sample pack(const std::array<double, D>& x) {
-    return VariationSampler::pack_6t(x);
-  }
   void decide(std::span<const Sample> xs, std::span<bool> out) const {
     for (std::size_t k = 0; k < xs.size(); ++k) {
       out[k] = criteria.hold_metric_6t(xs[k], v_standby) > 0.0;
@@ -217,24 +218,65 @@ struct Retention6T {
 /// each loop's sample buffers.
 constexpr std::size_t kBlock = 256;
 
+// ---- chunk folds ---------------------------------------------------------------
+
+/// Sums draw(rng, part) over the fixed path's kChunks streams, chunk c's
+/// seeded from (seed, c), in ascending chunk order: bit-identical for any
+/// thread count.
+template <typename T, typename Draw>
+T fixed_chunks(std::uint64_t seed, const Draw& draw, std::size_t threads) {
+  return util::parallel_reduce(
+      kChunks, kChunks, T{},
+      [&](std::size_t begin, std::size_t end) {
+        T part{};
+        for (std::size_t c = begin; c < end; ++c) {
+          util::Rng rng{chunk_seed(seed, c)};
+          draw(rng, part);
+        }
+        return part;
+      },
+      std::plus<T>{}, threads);
+}
+
+/// The same over adaptive batch `batch`'s kBatchChunks streams: the batch's
+/// base stream, seeded from (seed, batch), jumped ahead c * kChunkStride
+/// draws for chunk c.
+template <typename T, typename Draw>
+T batch_chunks(std::uint64_t seed, std::size_t batch, const Draw& draw,
+               std::size_t threads) {
+  const util::Rng base{chunk_seed(seed, batch)};
+  return util::parallel_reduce(
+      kBatchChunks, kBatchChunks, T{},
+      [&](std::size_t begin, std::size_t end) {
+        T part{};
+        for (std::size_t c = begin; c < end; ++c) {
+          util::Rng rng = base;
+          rng.discard(static_cast<std::uint64_t>(c) * kChunkStride);
+          draw(rng, part);
+        }
+        return part;
+      },
+      std::plus<T>{}, threads);
+}
+
 // ---- plain MC ------------------------------------------------------------------
 
-/// Hits among `count` plain-MC draws from `rng`, drawn in order and decided
-/// kBlock at a time.
+/// A chunk's plain-MC draw: adds the hits among `count` samples drawn in
+/// order from its stream and decided kBlock at a time.
 template <typename LS>
-std::size_t mc_hits(const LS& ls, util::Rng& rng, std::size_t count) {
-  std::array<typename LS::Sample, kBlock> xs;
-  std::array<bool, kBlock> fails{};
-  std::size_t hits = 0;
-  for (std::size_t done = 0; done < count;) {
-    const std::size_t b = std::min(kBlock, count - done);
-    for (std::size_t k = 0; k < b; ++k) xs[k] = ls.draw(rng);
-    ls.decide(std::span{xs.data(), b}, std::span{fails.data(), b});
-    hits += static_cast<std::size_t>(
-        std::count(fails.begin(), fails.begin() + b, true));
-    done += b;
-  }
-  return hits;
+auto mc_draw(const LS& ls, std::size_t count) {
+  return [&ls, count](util::Rng& rng, std::size_t& hits) {
+    std::array<typename LS::Sample, kBlock> xs;
+    std::array<bool, kBlock> fails{};
+    for (std::size_t done = 0; done < count;) {
+      const std::size_t b = std::min(kBlock, count - done);
+      for (std::size_t k = 0; k < b; ++k) xs[k] = ls.draw(rng);
+      ls.decide(std::span{xs.data(), b}, std::span{fails.data(), b});
+      hits += static_cast<std::size_t>(
+          std::count(fails.begin(), fails.begin() + b, true));
+      done += b;
+    }
+  };
 }
 
 /// Fixed-sample plain MC over kChunks seeded chunks.
@@ -242,40 +284,12 @@ template <typename LS>
 RateEstimate plain_mc(const LS& ls, std::size_t n, std::uint64_t seed,
                       std::size_t threads) {
   const std::size_t per_chunk = (n + kChunks - 1) / kChunks;
-  const std::size_t hits = util::parallel_reduce(
-      kChunks, kChunks, std::size_t{0},
-      [&](std::size_t begin, std::size_t end) {
-        std::size_t h = 0;
-        for (std::size_t c = begin; c < end; ++c) {
-          util::Rng rng{chunk_seed(seed, c)};
-          h += mc_hits(ls, rng, per_chunk);
-        }
-        return h;
-      },
-      [](std::size_t a, std::size_t b) { return a + b; }, threads);
-  return finish_mc(hits, per_chunk * kChunks);
+  return finish_mc(
+      fixed_chunks<std::size_t>(seed, mc_draw(ls, per_chunk), threads),
+      per_chunk * kChunks);
 }
 
-template <typename LS>
-std::size_t run_mc_batch(std::uint64_t seed, std::size_t batch,
-                         std::size_t per_chunk, const LS& ls,
-                         std::size_t threads) {
-  const util::Rng base{chunk_seed(seed, batch)};
-  return util::parallel_reduce(
-      kBatchChunks, kBatchChunks, std::size_t{0},
-      [&](std::size_t begin, std::size_t end) {
-        std::size_t h = 0;
-        for (std::size_t c = begin; c < end; ++c) {
-          util::Rng rng = base;
-          rng.discard(static_cast<std::uint64_t>(c) * kChunkStride);
-          h += mc_hits(ls, rng, per_chunk);
-        }
-        return h;
-      },
-      [](std::size_t a, std::size_t b) { return a + b; }, threads);
-}
-
-void record_adaptive(const AnalyzerOptions& opts, const RateEstimate& r) {
+RateEstimate record_adaptive(const AnalyzerOptions& opts, RateEstimate r) {
   AdaptiveInstruments& in = AdaptiveInstruments::get();
   in.estimates.add(1);
   in.batches.add(r.batches);
@@ -283,32 +297,36 @@ void record_adaptive(const AnalyzerOptions& opts, const RateEstimate& r) {
     in.samples_saved.add(opts.mc_samples - r.total_samples);
   }
   if (!r.converged) in.ci_misses.add(1);
+  return r;
 }
 
 // ---- importance sampling -------------------------------------------------------
 
-// Per-chunk partial of the weighted importance-sampling estimator. Partials
-// are folded in ascending chunk order by parallel_reduce, reproducing the
-// serial accumulation order bit-for-bit.
+/// Partial sums of the weighted importance-sampling estimator.
 struct IsPartial {
   double sum_w = 0.0;
   double sum_w2 = 0.0;
   std::size_t hits = 0;
+
+  IsPartial operator+(const IsPartial& o) const {
+    return {sum_w + o.sum_w, sum_w2 + o.sum_w2, hits + o.hits};
+  }
 };
 
-IsPartial merge_partials(IsPartial a, const IsPartial& b) {
-  a.sum_w += b.sum_w;
-  a.sum_w2 += b.sum_w2;
-  a.hits += b.hits;
-  return a;
-}
+/// The IS mean shift in standardized coordinates (one unit = one sigma).
+template <std::size_t D>
+struct Shift {
+  std::array<double, D> mu{};
+  double mu_sq = 0.0;
+};
 
-/// Dominant failure direction from central differences of the metric at
-/// the origin, in standardized coordinates (one step = one sigma). Returns
-/// the gradient's norm.
+/// Shifts beta sigmas along the dominant failure direction: the metric's
+/// gradient at the origin by central differences (one step = one sigma).
+/// nullopt where the metric is insensitive to variation.
 template <typename LS>
-double failure_gradient(const LS& ls, std::array<double, LS::D>& grad) {
+std::optional<Shift<LS::D>> failure_shift(const LS& ls, double beta) {
   const std::array<double, LS::D>& sigmas = ls.sigmas();
+  std::array<double, LS::D> grad{};
   double norm = 0.0;
   for (std::size_t i = 0; i < LS::D; ++i) {
     std::array<double, LS::D> plus{};
@@ -318,109 +336,95 @@ double failure_gradient(const LS& ls, std::array<double, LS::D>& grad) {
     grad[i] = ls.metric(plus) - ls.metric(minus);
     norm += grad[i] * grad[i];
   }
-  return std::sqrt(norm);
+  norm = std::sqrt(norm);
+  if (norm <= 0.0) return std::nullopt;
+  Shift<LS::D> shift;
+  for (std::size_t i = 0; i < LS::D; ++i) shift.mu[i] = beta * grad[i] / norm;
+  shift.mu_sq = beta * beta;
+  return shift;
 }
 
-/// `count` mean-shifted draws from `rng`, decided kBlock at a time and
-/// folded into `part` in draw order.
+/// The IS answer where the metric is insensitive to variation: the nominal
+/// verdict, booked as `trials` samples in `batches` batches.
 template <typename LS>
-void is_draws(const LS& ls, util::Rng& rng, std::size_t count,
-              const std::array<double, LS::D>& mu, double mu_sq,
-              IsPartial& part) {
-  const std::array<double, LS::D>& sigmas = ls.sigmas();
-  std::array<typename LS::Sample, kBlock> xs;
-  std::array<double, kBlock> dots{};
-  std::array<bool, kBlock> fails{};
-  std::array<double, LS::D> x{};
-  for (std::size_t done = 0; done < count;) {
-    const std::size_t b = std::min(kBlock, count - done);
-    for (std::size_t k = 0; k < b; ++k) {
-      double dot = 0.0;
-      for (std::size_t i = 0; i < LS::D; ++i) {
-        const double z = rng.normal();
-        const double xi = mu[i] + z;
-        dot += mu[i] * xi;
-        x[i] = xi * sigmas[i];  // back to volts
+RateEstimate nominal_verdict(const LS& ls, std::size_t trials,
+                             std::size_t batches) {
+  const double p = ls.metric(std::array<double, LS::D>{}) > 0.0 ? 1.0 : 0.0;
+  return {.p = p,
+          .ci_lo = p,
+          .ci_hi = p,
+          .trials = trials,
+          .importance_sampled = true,
+          .total_samples = trials,
+          .batches = batches};
+}
+
+/// A chunk's IS draw: `count` mean-shifted samples from its stream, decided
+/// kBlock at a time and folded into `part` in draw order.
+template <typename LS>
+auto is_draw(const LS& ls, std::size_t count, const Shift<LS::D>& shift) {
+  return [&ls, count, &shift](util::Rng& rng, IsPartial& part) {
+    const std::array<double, LS::D>& sigmas = ls.sigmas();
+    std::array<typename LS::Sample, kBlock> xs;
+    std::array<double, kBlock> dots{};
+    std::array<bool, kBlock> fails{};
+    std::array<double, LS::D> x{};
+    for (std::size_t done = 0; done < count;) {
+      const std::size_t b = std::min(kBlock, count - done);
+      for (std::size_t k = 0; k < b; ++k) {
+        double dot = 0.0;
+        for (std::size_t i = 0; i < LS::D; ++i) {
+          const double z = rng.normal();
+          const double xi = shift.mu[i] + z;
+          dot += shift.mu[i] * xi;
+          x[i] = xi * sigmas[i];  // back to volts
+        }
+        xs[k] = ls.pack(x);
+        dots[k] = dot;
       }
-      xs[k] = ls.pack(x);
-      dots[k] = dot;
+      ls.decide(std::span{xs.data(), b}, std::span{fails.data(), b});
+      for (std::size_t k = 0; k < b; ++k) {
+        if (!fails[k]) continue;
+        const double w = std::exp(-dots[k] + 0.5 * shift.mu_sq);
+        part.sum_w += w;
+        part.sum_w2 += w * w;
+        ++part.hits;
+      }
+      done += b;
     }
-    ls.decide(std::span{xs.data(), b}, std::span{fails.data(), b});
-    for (std::size_t k = 0; k < b; ++k) {
-      if (!fails[k]) continue;
-      const double w = std::exp(-dots[k] + 0.5 * mu_sq);
-      part.sum_w += w;
-      part.sum_w2 += w * w;
-      ++part.hits;
-    }
-    done += b;
-  }
+  };
+}
+
+/// The weighted IS estimate over `trials` draws with the delta-method
+/// interval p +- z * se, clamped to [0, 1]. Second: z * se unclamped, the
+/// half-width the adaptive stopping rule reads.
+std::pair<RateEstimate, double> is_estimate(const IsPartial& sum,
+                                            std::size_t trials, double z) {
+  const double total = static_cast<double>(trials);
+  const double p = sum.sum_w / total;
+  const double var = std::max(0.0, sum.sum_w2 / total - p * p) / total;
+  const double half = z * std::sqrt(var);
+  const RateEstimate r{.p = p,
+                       .ci_lo = std::max(0.0, p - half),
+                       .ci_hi = std::min(1.0, p + half),
+                       .trials = trials,
+                       .hits = static_cast<double>(sum.hits),
+                       .importance_sampled = true,
+                       .total_samples = trials};
+  return {r, half};
 }
 
 template <typename LS>
 RateEstimate importance_sample(const LS& ls, std::size_t n, double beta,
                                std::uint64_t seed, std::size_t threads) {
-  std::array<double, LS::D> grad{};
-  const double norm = failure_gradient(ls, grad);
-  RateEstimate r;
-  r.trials = n;
-  r.importance_sampled = true;
-  if (norm <= 0.0) {
-    // Metric insensitive to variation at this voltage: nominal verdict only.
-    r.p = ls.metric(std::array<double, LS::D>{}) > 0.0 ? 1.0 : 0.0;
-    r.ci_lo = r.p;
-    r.ci_hi = r.p;
-    r.total_samples = r.trials;
-    return r;
-  }
-  std::array<double, LS::D> mu{};  // standardized shift
-  for (std::size_t i = 0; i < LS::D; ++i) mu[i] = beta * grad[i] / norm;
-  const double mu_sq = beta * beta;
-
+  const auto shift = failure_shift(ls, beta);
+  if (!shift) return nominal_verdict(ls, n, 1);
   const std::size_t per_chunk = (n + kChunks - 1) / kChunks;
-  const IsPartial sum = util::parallel_reduce(
-      kChunks, kChunks, IsPartial{},
-      [&](std::size_t begin, std::size_t end) {
-        IsPartial part;
-        for (std::size_t c = begin; c < end; ++c) {
-          util::Rng rng{chunk_seed(seed, c)};
-          is_draws(ls, rng, per_chunk, mu, mu_sq, part);
-        }
-        return part;
-      },
-      merge_partials, threads);
-
-  const double total = static_cast<double>(per_chunk * kChunks);
-  const double p = sum.sum_w / total;
-  const double var = std::max(0.0, sum.sum_w2 / total - p * p) / total;
-  const double se = std::sqrt(var);
-  r.p = p;
-  r.ci_lo = std::max(0.0, p - 1.96 * se);
-  r.ci_hi = std::min(1.0, p + 1.96 * se);
-  r.trials = static_cast<std::size_t>(total);
-  r.hits = static_cast<double>(sum.hits);
-  r.total_samples = r.trials;
-  return r;
-}
-
-template <typename LS>
-IsPartial run_is_batch(const LS& ls, std::uint64_t seed, std::size_t batch,
-                       std::size_t per_chunk,
-                       const std::array<double, LS::D>& mu, double mu_sq,
-                       std::size_t threads) {
-  const util::Rng base{chunk_seed(seed, batch)};
-  return util::parallel_reduce(
-      kBatchChunks, kBatchChunks, IsPartial{},
-      [&](std::size_t begin, std::size_t end) {
-        IsPartial part;
-        for (std::size_t c = begin; c < end; ++c) {
-          util::Rng rng = base;
-          rng.discard(static_cast<std::uint64_t>(c) * kChunkStride);
-          is_draws(ls, rng, per_chunk, mu, mu_sq, part);
-        }
-        return part;
-      },
-      merge_partials, threads);
+  return is_estimate(
+             fixed_chunks<IsPartial>(seed, is_draw(ls, per_chunk, *shift),
+                                     threads),
+             per_chunk * kChunks, 1.96)
+      .first;
 }
 
 /// Importance-sampled tail phase of the adaptive path: same mean-shifted
@@ -430,58 +434,29 @@ template <typename LS>
 RateEstimate adaptive_importance(const LS& ls, const ResolvedPolicy& pol,
                                  double beta, std::uint64_t seed,
                                  std::size_t threads) {
-  std::array<double, LS::D> grad{};
-  const double norm = failure_gradient(ls, grad);
+  const auto shift = failure_shift(ls, beta);
+  if (!shift) return nominal_verdict(ls, 0, 0);
   RateEstimate r;
-  r.importance_sampled = true;
-  if (norm <= 0.0) {
-    r.p = ls.metric(std::array<double, LS::D>{}) > 0.0 ? 1.0 : 0.0;
-    r.ci_lo = r.p;
-    r.ci_hi = r.p;
-    r.batches = 0;
-    return r;
-  }
-  std::array<double, LS::D> mu{};
-  for (std::size_t i = 0; i < LS::D; ++i) mu[i] = beta * grad[i] / norm;
-  const double mu_sq = beta * beta;
-
-  double sum_w = 0.0;
-  double sum_w2 = 0.0;
-  std::size_t raw_hits = 0;
+  IsPartial sum;
   std::size_t trials = 0;
   std::size_t batches = 0;
   bool converged = false;
   double next_batch = static_cast<double>(pol.batch0);
-  double p = 0.0;
-  double se = 0.0;
-  while (trials < pol.max_is) {
-    const std::size_t per_chunk = next_per_chunk(next_batch, trials,
-                                                 pol.max_is);
-    if (per_chunk == 0) break;
-    const IsPartial part =
-        run_is_batch(ls, seed, batches, per_chunk, mu, mu_sq, threads);
-    sum_w += part.sum_w;
-    sum_w2 += part.sum_w2;
-    raw_hits += part.hits;
+  while (const std::size_t per_chunk =
+             next_per_chunk(next_batch, trials, pol.max_is)) {
+    sum = sum + batch_chunks<IsPartial>(seed, batches,
+                                        is_draw(ls, per_chunk, *shift),
+                                        threads);
     trials += per_chunk * kBatchChunks;
     ++batches;
     next_batch *= pol.growth;
-
-    const double total = static_cast<double>(trials);
-    p = sum_w / total;
-    const double var = std::max(0.0, sum_w2 / total - p * p) / total;
-    se = std::sqrt(var);
-    if (target_met(pol, p, pol.z * se)) {
+    double half = 0.0;
+    std::tie(r, half) = is_estimate(sum, trials, pol.z);
+    if (target_met(pol, r.p, half)) {
       converged = true;
       break;
     }
   }
-  r.p = p;
-  r.ci_lo = std::max(0.0, p - pol.z * se);
-  r.ci_hi = std::min(1.0, p + pol.z * se);
-  r.trials = trials;
-  r.hits = static_cast<double>(raw_hits);
-  r.total_samples = trials;
   r.batches = batches;
   r.converged = converged;
   return r;
@@ -489,68 +464,79 @@ RateEstimate adaptive_importance(const LS& ls, const ResolvedPolicy& pol,
 
 // ---- estimators ----------------------------------------------------------------
 
+/// Running state of the adaptive plain-MC phase.
+struct McBatches {
+  std::size_t hits = 0;
+  std::size_t trials = 0;
+  std::size_t batches = 0;
+  double next_batch = 0.0;
+  util::Interval ci{};
+  bool converged = false;
+
+  /// Draws geometric batches until the CI target is met or the budget is
+  /// spent. While `may_escape`, a hit-starved mechanism is not held to the
+  /// target but stops once it proves demonstrably rare: after tail_escape
+  /// trials, when the CI upper bound on p projects fewer than
+  /// min_hits_for_mc hits over the full plain-MC budget.
+  template <typename LS>
+  void run(const LS& ls, const ResolvedPolicy& pol, std::uint64_t seed,
+           std::size_t threads, bool may_escape) {
+    while (const std::size_t per_chunk =
+               next_per_chunk(next_batch, trials, pol.max_mc)) {
+      hits += batch_chunks<std::size_t>(seed, batches,
+                                        mc_draw(ls, per_chunk), threads);
+      trials += per_chunk * kBatchChunks;
+      ++batches;
+      next_batch *= pol.growth;
+      ci = stopping_interval(pol, hits, trials);
+      if (trials < pol.min_mc) continue;  // hard min clamp: no stopping yet
+      const double p =
+          static_cast<double>(hits) / static_cast<double>(trials);
+      if (hits >= pol.min_hits || !may_escape) {
+        if (target_met(pol, p, 0.5 * (ci.hi - ci.lo))) {
+          converged = true;
+          return;
+        }
+      } else if (trials >= pol.tail_escape &&
+                 ci.hi * static_cast<double>(pol.max_mc) <
+                     1.5 * static_cast<double>(pol.min_hits)) {
+        // Demonstrably rare: even p at its CI upper bound projects into the
+        // fixed path's own IS-fallback region (under min_hits over the FULL
+        // plain-MC budget, with 1.5x slack because ci.hi is already a
+        // conservative upper-confidence bound), so the mechanism is beyond
+        // plain-MC reach and the budget is better spent on the IS tail. (A
+        // merely hit-starved mechanism -- say p ~ 2e-3 with ~8 hits in the
+        // escape window -- fails this test by an order of magnitude and
+        // keeps sampling plain MC, where its estimate is unbiased; the IS
+        // mean-shift is tuned for far-tail rates and is the wrong tool
+        // there.)
+        return;
+      }
+    }
+  }
+
+  [[nodiscard]] RateEstimate estimate() const {
+    return {.p = static_cast<double>(hits) / static_cast<double>(trials),
+            .ci_lo = ci.lo,
+            .ci_hi = ci.hi,
+            .trials = trials,
+            .hits = static_cast<double>(hits),
+            .total_samples = trials,
+            .batches = batches,
+            .converged = converged};
+  }
+};
+
 /// The adaptive driver: batched plain MC with the CI stopping rule, escaping
-/// to the importance-sampled tail once the mechanism is demonstrably rare:
-/// after tail_escape trials, when the CI upper bound on p projects fewer
-/// than min_hits_for_mc hits over the full plain-MC budget (or when the
-/// budget runs out still hit-starved).
+/// to the importance-sampled tail once the mechanism is demonstrably rare
+/// (McBatches::run) or the budget runs out still hit-starved.
 template <typename LS>
 RateEstimate adaptive_estimate(const AnalyzerOptions& opts, const LS& ls,
                                std::uint64_t mc_seed, std::uint64_t is_seed) {
   const ResolvedPolicy pol = resolve_policy(opts);
-  std::size_t hits = 0;
-  std::size_t trials = 0;
-  std::size_t batches = 0;
-  bool converged = false;
-  double next_batch = static_cast<double>(pol.batch0);
-  util::Interval ci{};
-  while (trials < pol.max_mc) {
-    const std::size_t per_chunk = next_per_chunk(next_batch, trials,
-                                                 pol.max_mc);
-    if (per_chunk == 0) break;
-    hits += run_mc_batch(mc_seed, batches, per_chunk, ls, opts.threads);
-    trials += per_chunk * kBatchChunks;
-    ++batches;
-    next_batch *= pol.growth;
-
-    ci = stopping_interval(pol, hits, trials);
-    if (trials < pol.min_mc) continue;  // hard min clamp: no stopping yet
-    const double p = static_cast<double>(hits) / static_cast<double>(trials);
-    if (hits >= pol.min_hits) {
-      if (target_met(pol, p, 0.5 * (ci.hi - ci.lo))) {
-        converged = true;
-        break;
-      }
-    } else if (trials >= pol.tail_escape &&
-               ci.hi * static_cast<double>(pol.max_mc) <
-                   1.5 * static_cast<double>(pol.min_hits)) {
-      // Demonstrably rare: even p at its CI upper bound projects into the
-      // fixed path's own IS-fallback region (under min_hits over the FULL
-      // plain-MC budget, with 1.5x slack because ci.hi is already a
-      // conservative upper-confidence bound), so the mechanism is beyond
-      // plain-MC reach and the budget is better spent on the IS tail. (A
-      // merely hit-starved mechanism -- say p ~ 2e-3 with ~8 hits in the
-      // escape window -- fails this test by an order of magnitude and keeps
-      // sampling plain MC, where its estimate is unbiased; the IS
-      // mean-shift is tuned for far-tail rates and is the wrong tool
-      // there.)
-      break;
-    }
-  }
-
-  if (hits >= pol.min_hits) {
-    RateEstimate r;
-    r.p = static_cast<double>(hits) / static_cast<double>(trials);
-    r.ci_lo = ci.lo;
-    r.ci_hi = ci.hi;
-    r.trials = trials;
-    r.hits = static_cast<double>(hits);
-    r.total_samples = trials;
-    r.batches = batches;
-    r.converged = converged;
-    record_adaptive(opts, r);
-    return r;
-  }
+  McBatches mc{.next_batch = static_cast<double>(pol.batch0)};
+  mc.run(ls, pol, mc_seed, opts.threads, true);
+  if (mc.hits >= pol.min_hits) return record_adaptive(opts, mc.estimate());
 
   RateEstimate r =
       adaptive_importance(ls, pol, opts.is_beta, is_seed, opts.threads);
@@ -561,38 +547,16 @@ RateEstimate adaptive_estimate(const AnalyzerOptions& opts, const LS& ls,
   // whose estimate is unbiased at any rate. Genuine tail escapes observe
   // zero hits and are untouched. Depends only on deterministic counts, so
   // thread-count invariance is preserved.
-  if (hits > 0 && r.p < stopping_interval(pol, hits, trials).lo) {
-    while (trials < pol.max_mc) {
-      const std::size_t per_chunk = next_per_chunk(next_batch, trials,
-                                                   pol.max_mc);
-      if (per_chunk == 0) break;
-      hits += run_mc_batch(mc_seed, batches, per_chunk, ls, opts.threads);
-      trials += per_chunk * kBatchChunks;
-      ++batches;
-      next_batch *= pol.growth;
-      ci = stopping_interval(pol, hits, trials);
-      const double p = static_cast<double>(hits) / static_cast<double>(trials);
-      if (target_met(pol, p, 0.5 * (ci.hi - ci.lo))) {
-        converged = true;
-        break;
-      }
-    }
-    RateEstimate mc;
-    mc.p = static_cast<double>(hits) / static_cast<double>(trials);
-    mc.ci_lo = ci.lo;
-    mc.ci_hi = ci.hi;
-    mc.trials = trials;
-    mc.hits = static_cast<double>(hits);
-    mc.total_samples = trials + r.trials;
-    mc.batches = batches + r.batches;
-    mc.converged = converged;
-    record_adaptive(opts, mc);
-    return mc;
+  if (mc.hits > 0 && r.p < mc.ci.lo) {
+    mc.run(ls, pol, mc_seed, opts.threads, false);
+    RateEstimate resumed = mc.estimate();
+    resumed.total_samples += r.trials;
+    resumed.batches += r.batches;
+    return record_adaptive(opts, resumed);
   }
-  r.total_samples += trials;
-  r.batches += batches;
-  record_adaptive(opts, r);
-  return r;
+  r.total_samples += mc.trials;
+  r.batches += mc.batches;
+  return record_adaptive(opts, r);
 }
 
 /// Fixed-budget path: plain MC, re-estimated by importance sampling when it
@@ -621,35 +585,36 @@ FailureAnalyzer::FailureAnalyzer(const FailureCriteria& criteria,
 RateEstimate FailureAnalyzer::plain_mc_6t(Mechanism m, double vdd,
                                           std::size_t n,
                                           std::uint64_t seed) const {
-  return plain_mc(Cell6T{*criteria_, *sampler_, m, vdd}, n, seed,
+  return plain_mc(Cell6T{{*sampler_}, *criteria_, m, vdd}, n, seed,
                   opts_.threads);
 }
 
 RateEstimate FailureAnalyzer::plain_mc_8t(Mechanism m, double vdd,
                                           std::size_t n,
                                           std::uint64_t seed) const {
-  return plain_mc(Cell8T{*criteria_, *sampler_, m, vdd}, n, seed,
+  return plain_mc(Cell8T{{*sampler_}, *criteria_, m, vdd}, n, seed,
                   opts_.threads);
 }
 
 RateEstimate FailureAnalyzer::importance_6t(Mechanism m, double vdd,
                                             std::size_t n,
                                             std::uint64_t seed) const {
-  return importance_sample(Cell6T{*criteria_, *sampler_, m, vdd}, n,
+  return importance_sample(Cell6T{{*sampler_}, *criteria_, m, vdd}, n,
                            opts_.is_beta, seed, opts_.threads);
 }
 
 RateEstimate FailureAnalyzer::importance_8t(Mechanism m, double vdd,
                                             std::size_t n,
                                             std::uint64_t seed) const {
-  return importance_sample(Cell8T{*criteria_, *sampler_, m, vdd}, n,
+  return importance_sample(Cell8T{{*sampler_}, *criteria_, m, vdd}, n,
                            opts_.is_beta, seed, opts_.threads);
 }
 
 RateEstimate FailureAnalyzer::retention_6t(double v_standby,
                                            std::uint64_t seed) const {
-  return fixed_estimate(opts_, Retention6T{*criteria_, *sampler_, v_standby},
-                        seed, seed ^ 0xfeedull);
+  return fixed_estimate(opts_,
+                        Retention6T{{*sampler_}, *criteria_, v_standby}, seed,
+                        seed ^ 0xfeedull);
 }
 
 RateEstimate FailureAnalyzer::estimate(CellKind cell, Mechanism m, double vdd,
@@ -661,9 +626,9 @@ RateEstimate FailureAnalyzer::estimate(CellKind cell, Mechanism m, double vdd,
                : fixed_estimate(opts_, ls, mc_seed, is_seed);
   };
   if (cell == CellKind::eight_t) {
-    return run(Cell8T{*criteria_, *sampler_, m, vdd});
+    return run(Cell8T{{*sampler_}, *criteria_, m, vdd});
   }
-  return run(Cell6T{*criteria_, *sampler_, m, vdd});
+  return run(Cell6T{{*sampler_}, *criteria_, m, vdd});
 }
 
 CellFailureRates FailureAnalyzer::analyze(CellKind cell, double vdd,
