@@ -19,13 +19,10 @@
 // --images 2000 for the full synthetic test set.
 //
 // Flags: --chips N (per sweep point, default 24), --images N (default 48),
-// plus the shared --threads/--json (bench::parse_bench_flags). --json
-// overwrites PATH with one JSON object (the BENCH_eval_hotpath.json
-// artifact collected by scripts/run_bench.sh).
+// plus the shared --threads (bench::parse_bench_flags).
 //
 // A second table gives, per vdd, the share of the delta arm's chips that
-// reuse the clean first layer instead of running the full layer-0 GEMM
-// (JSON: first_layer_reuse_share, one entry per vdd in `vdds`).
+// reuse the clean first layer instead of running the full layer-0 GEMM.
 //
 // The failure table is synthetic (Fig. 5-shaped exponential falloff of the
 // 6T rates with vdd, 8T failure-free), so the bench measures the evaluation
@@ -36,7 +33,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <limits>
 #include <string>
 #include <utility>
@@ -103,11 +99,12 @@ long parse_flag(int& argc, char** argv, const char* flag, long fallback) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::BenchOptions opts = bench::parse_bench_flags(argc, argv);
+  const bench::BenchOptions opts = bench::parse_bench_flags(argc, argv);
   const auto chips = static_cast<std::size_t>(
       parse_flag(argc, argv, "--chips", 24));
   const auto images = static_cast<std::size_t>(
       parse_flag(argc, argv, "--images", 48));
+  bench::reject_unknown_args(argc, argv, "[--chips N] [--images N]");
 
   bench::print_header(
       "Chip-evaluation hot path: reference full-rebuild vs delta+workspace",
@@ -226,43 +223,5 @@ int main(int argc, char** argv) {
   std::printf("\nper-chip accuracies bit-identical across paths: %s\n",
               identical ? "yes" : "NO -- BUG");
 
-  if (!opts.json.empty()) {
-    std::ofstream js{opts.json, std::ios::trunc};
-    js << "{\n"
-       << "  \"name\": \"eval_hotpath\",\n"
-       << "  \"vdd_points\": " << vdds.size() << ",\n"
-       << "  \"chips_per_point\": " << chips << ",\n"
-       << "  \"test_images\": " << images << ",\n"
-       << "  \"threads\": "
-       << (opts.threads == 0 ? util::default_thread_count() : opts.threads)
-       << ",\n"
-       << "  \"reference_seconds\": " << reference.seconds << ",\n"
-       << "  \"reference_chips_per_sec\": " << reference.chips_per_sec
-       << ",\n"
-       << "  \"delta_seconds\": " << delta.seconds << ",\n"
-       << "  \"delta_chips_per_sec\": " << delta.chips_per_sec << ",\n"
-       << "  \"speedup_vs_reference\": " << reference.seconds / delta.seconds
-       << ",\n"
-       << "  \"simd_compiled\": " << (have_simd ? "true" : "false") << ",\n";
-    if (have_simd) {
-      js << "  \"delta_simd_seconds\": " << delta_simd.seconds << ",\n"
-         << "  \"delta_simd_chips_per_sec\": " << delta_simd.chips_per_sec
-         << ",\n"
-         << "  \"delta_simd_speedup_vs_delta\": "
-         << delta.seconds / delta_simd.seconds << ",\n";
-    }
-    js << "  \"vdds\": [";
-    for (std::size_t v = 0; v < vdds.size(); ++v) {
-      js << (v == 0 ? "" : ", ") << vdds[v];
-    }
-    js << "],\n  \"first_layer_reuse_share\": [";
-    for (std::size_t v = 0; v < vdds.size(); ++v) {
-      js << (v == 0 ? "" : ", ") << delta.reuse_share[v];
-    }
-    js << "],\n";
-    js << "  \"bit_identical\": " << (identical ? "true" : "false") << "\n"
-       << "}\n";
-    std::printf("JSON written to %s\n", opts.json.c_str());
-  }
   return identical ? 0 : 1;
 }

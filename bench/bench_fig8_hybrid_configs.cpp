@@ -15,6 +15,7 @@
 int main(int argc, char** argv) {
   using namespace hynapse;
   const bench::BenchOptions bopts = bench::parse_bench_flags(argc, argv);
+  bench::reject_unknown_args(argc, argv);
   bench::print_header(
       "Fig. 8: significance-driven hybrid 8T-6T SRAM (Configuration 1)",
       "Fig. 8(a) accuracy, 8(b) power reduction, 8(c) area overhead");

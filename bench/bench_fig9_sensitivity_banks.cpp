@@ -20,6 +20,7 @@
 int main(int argc, char** argv) {
   using namespace hynapse;
   const bench::BenchOptions bopts = bench::parse_bench_flags(argc, argv);
+  bench::reject_unknown_args(argc, argv);
   bench::print_header(
       "Fig. 9: synaptic-sensitivity-driven architecture (Configuration 2)",
       "Fig. 9 + Section VI-C headline numbers");

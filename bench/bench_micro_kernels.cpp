@@ -145,8 +145,9 @@ BENCHMARK(BM_Gemm)->Arg(128)->Arg(512);
 
 // Per-backend kernel arms. The simd arms silently fall back to the
 // reference kernels when the build has no SIMD backend (kernel_ops'
-// fallback rule), so reference/simd timings then coincide; run_bench.sh
-// computes the per-variant speedup ratios from the JSON counters. Arg 130
+// fallback rule), so reference/simd timings then coincide. The simd speedup
+// per variant is the ratio of the two arms' times; perfbench reports the
+// same split per Table-I layer (ann.gemm_us.L*.{reference,simd}). Arg 130
 // exercises the tile remainders (130 % 4 == 2 rows, 130 % 16 == 2 cols).
 
 void BM_GemmBackend(benchmark::State& state, ann::backends::Backend backend) {

@@ -19,19 +19,13 @@
 // show the saturation knee (flat below capacity, queueing blow-up above).
 //
 // Flags (bench::parse_bench_flags): --threads N, --samples N (per-mechanism
-// MC samples for every table build, default 300), --json PATH (write the
-// complete comparison as one JSON object to PATH, overwriting it -- the
-// BENCH_serve_throughput.json artifact collected by scripts/run_bench.sh),
-// --latency-json PATH (write the saturation sweep as
-// BENCH_serve_latency.json).
+// MC samples for every table build, default 300).
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <exception>
-#include <fstream>
 #include <optional>
 #include <string>
 #include <thread>
@@ -363,13 +357,8 @@ LatencyResult run_latency_sweep(const core::QuantizedNetwork& qnet,
 
 int main(int argc, char** argv) {
   const bench::BenchOptions opts = bench::parse_bench_flags(argc, argv);
+  bench::reject_unknown_args(argc, argv);
   const std::size_t samples = opts.samples != 0 ? opts.samples : 300;
-  std::string latency_json;  // --latency-json passes through parse_bench_flags
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--latency-json") == 0 && i + 1 < argc) {
-      latency_json = argv[++i];
-    }
-  }
 
   bench::print_header(
       "Serving throughput: request coalescing vs naive dispatch",
@@ -459,59 +448,5 @@ int main(int argc, char** argv) {
               latency.journal.offered_rps, latency.journal.p50_ms,
               latency.journal.p95_ms, latency.journal.p99_ms,
               latency.journal_overhead_pct);
-
-  if (!latency_json.empty()) {
-    std::ofstream out{latency_json, std::ios::trunc};
-    out << "{\n"
-        << "  \"name\": \"serve_latency\",\n"
-        << "  \"mc_samples\": " << samples << ",\n"
-        << "  \"capacity_rps\": " << latency.capacity_rps << ",\n"
-        << "  \"levels\": [\n";
-    for (std::size_t i = 0; i < latency.levels.size(); ++i) {
-      const LatencyLevel& level = latency.levels[i];
-      out << "    {\"offered_rps\": " << level.offered_rps
-          << ", \"achieved_rps\": " << level.achieved_rps
-          << ", \"requests\": " << level.requests
-          << ", \"p50_ms\": " << level.p50_ms
-          << ", \"p95_ms\": " << level.p95_ms
-          << ", \"p99_ms\": " << level.p99_ms << "}"
-          << (i + 1 < latency.levels.size() ? "," : "") << "\n";
-    }
-    out << "  ],\n"
-        << "  \"journal\": {\"offered_rps\": " << latency.journal.offered_rps
-        << ", \"requests\": " << latency.journal.requests
-        << ", \"p50_ms\": " << latency.journal.p50_ms
-        << ", \"p95_ms\": " << latency.journal.p95_ms
-        << ", \"p99_ms\": " << latency.journal.p99_ms
-        << ", \"overhead_pct\": " << latency.journal_overhead_pct << "}\n";
-    out << "}\n";
-    std::printf("latency JSON written to %s\n", latency_json.c_str());
-  }
-
-  if (!opts.json.empty()) {
-    std::ofstream out{opts.json, std::ios::trunc};
-    out << "{\n"
-        << "  \"name\": \"serve_throughput\",\n"
-        << "  \"requests\": " << kRequests << ",\n"
-        << "  \"distinct_tables\": " << kProvenances << ",\n"
-        << "  \"mc_samples\": " << samples << ",\n"
-        << "  \"naive_seconds\": " << naive.seconds << ",\n"
-        << "  \"naive_requests_per_sec\": " << naive.requests_per_sec
-        << ",\n"
-        << "  \"naive_table_builds\": " << naive.table_builds << ",\n"
-        << "  \"coalesced_seconds\": " << coal.seconds << ",\n"
-        << "  \"coalesced_requests_per_sec\": " << coal.requests_per_sec
-        << ",\n"
-        << "  \"coalesced_table_builds\": " << coal.table_builds << ",\n"
-        << "  \"coalesced_batches\": " << coal.batches << ",\n"
-        << "  \"socket_seconds\": " << socket.seconds << ",\n"
-        << "  \"socket_requests_per_sec\": " << socket.requests_per_sec
-        << ",\n"
-        << "  \"socket_table_builds\": " << socket.table_builds << ",\n"
-        << "  \"speedup\": " << naive.seconds / coal.seconds << ",\n"
-        << "  \"socket_overhead\": " << socket.seconds / coal.seconds << "\n"
-        << "}\n";
-    std::printf("JSON written to %s\n", opts.json.c_str());
-  }
   return 0;
 }

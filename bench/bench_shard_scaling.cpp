@@ -15,18 +15,14 @@
 //
 // Flags (bench::parse_bench_flags): --threads N (accepted for symmetry;
 // the arms pin their own thread counts), --samples N (MC samples per
-// mechanism, default 2500), --json PATH (write the comparison as one JSON
-// object -- the BENCH_shard_scaling.json artifact collected by
-// scripts/run_bench.sh).
+// mechanism, default 2500).
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <iterator>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "circuit/reference.hpp"
 #include "common.hpp"
@@ -65,18 +61,11 @@ bool rows_identical(const mc::FailureTable& a, const mc::FailureTable& b) {
   return true;
 }
 
-struct Combo {
-  std::size_t shards = 0;
-  std::size_t threads = 0;
-  double seconds = 0.0;
-  double vs_monolithic = 0.0;  ///< vs the monolithic arm at the same threads
-  bool identical = false;
-};
-
 }  // namespace
 
 int main(int argc, char** argv) {
   const bench::BenchOptions opts = bench::parse_bench_flags(argc, argv);
+  bench::reject_unknown_args(argc, argv);
   const std::size_t samples = opts.samples != 0 ? opts.samples : 2500;
 
   bench::print_header(
@@ -130,7 +119,6 @@ int main(int argc, char** argv) {
   }
   std::printf("\n");
 
-  std::vector<Combo> combos;
   bool all_identical = true;
   double best_sharded = 0.0;
   double best_overhead = 0.0;
@@ -157,27 +145,24 @@ int main(int argc, char** argv) {
       const engine::ShardPlan plan =
           engine::ShardPlanner::plan(spec, shard_ao, po);
 
-      Combo combo;
-      combo.shards = shards;
-      combo.threads = threads;
       const Clock::time_point c0 = Clock::now();
       const mc::FailureTable& merged =
           coordinator.acquire(plan, shard_analyzer);
-      combo.seconds = seconds_since(c0);
-      combo.vs_monolithic = combo.seconds / mono_seconds[t];
-      combo.identical = rows_identical(merged, *monolithic);
-      all_identical = all_identical && combo.identical;
-      if (best_sharded == 0.0 || combo.seconds < best_sharded) {
-        best_sharded = combo.seconds;
+      const double seconds = seconds_since(c0);
+      // vs the monolithic arm at the same thread count
+      const double vs_monolithic = seconds / mono_seconds[t];
+      const bool identical = rows_identical(merged, *monolithic);
+      all_identical = all_identical && identical;
+      if (best_sharded == 0.0 || seconds < best_sharded) {
+        best_sharded = seconds;
       }
-      if (best_overhead == 0.0 || combo.vs_monolithic < best_overhead) {
-        best_overhead = combo.vs_monolithic;
+      if (best_overhead == 0.0 || vs_monolithic < best_overhead) {
+        best_overhead = vs_monolithic;
       }
       table.add_row({std::to_string(shards), std::to_string(threads),
-                     util::Table::num(combo.seconds, 3),
-                     util::Table::num(combo.vs_monolithic, 2) + "x",
-                     combo.identical ? "yes" : "NO"});
-      combos.push_back(combo);
+                     util::Table::num(seconds, 3),
+                     util::Table::num(vs_monolithic, 2) + "x",
+                     identical ? "yes" : "NO"});
     }
   }
   std::filesystem::remove_all(scratch);
@@ -192,34 +177,6 @@ int main(int argc, char** argv) {
                  "error: a sharded build diverged from the monolithic "
                  "table\n");
     return 1;
-  }
-
-  if (!opts.json.empty()) {
-    std::ofstream out{opts.json, std::ios::trunc};
-    out << "{\n"
-        << "  \"name\": \"shard_scaling\",\n"
-        << "  \"mc_samples\": " << samples << ",\n"
-        << "  \"grid_rows\": " << spec.vdd_grid.size() << ",\n"
-        << "  \"monolithic_seconds\": {";
-    for (std::size_t t = 0; t < std::size(thread_counts); ++t) {
-      out << (t != 0 ? ", " : "") << "\"" << thread_counts[t]
-          << "\": " << mono_seconds[t];
-    }
-    out << "},\n"
-        << "  \"best_sharded_seconds\": " << best_sharded << ",\n"
-        << "  \"overhead_vs_monolithic\": " << best_overhead << ",\n"
-        << "  \"bit_identical\": " << (all_identical ? "true" : "false")
-        << ",\n"
-        << "  \"combos\": [\n";
-    for (std::size_t i = 0; i < combos.size(); ++i) {
-      out << "    {\"shards\": " << combos[i].shards
-          << ", \"threads\": " << combos[i].threads
-          << ", \"seconds\": " << combos[i].seconds
-          << ", \"vs_monolithic\": " << combos[i].vs_monolithic << "}"
-          << (i + 1 < combos.size() ? "," : "") << "\n";
-    }
-    out << "  ]\n}\n";
-    std::printf("JSON written to %s\n", opts.json.c_str());
   }
   return 0;
 }

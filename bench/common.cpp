@@ -41,16 +41,14 @@ BenchOptions parse_bench_flags(int& argc, char** argv) {
   int out = 1;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
-    const auto value = [&](const char* flag,
-                           bool numeric_only) -> const char* {
-      // Accepts "--flag value" and "--flag=value". With numeric_only the
-      // separate-token form only consumes a numeric next token, so
-      // "--samples --fresh" cannot swallow the following flag.
+    const auto value = [&](const char* flag) -> const char* {
+      // Accepts "--flag value" and "--flag=value". The separate-token form
+      // only consumes a numeric next token, so "--samples --fresh" cannot
+      // swallow the following flag.
       const std::size_t len = std::strlen(flag);
       if (std::strncmp(arg, flag, len) != 0) return nullptr;
       if (arg[len] == '=') return arg + len + 1;
-      if (arg[len] == '\0' && i + 1 < argc &&
-          (!numeric_only || numeric(argv[i + 1]) != 0)) {
+      if (arg[len] == '\0' && i + 1 < argc && numeric(argv[i + 1]) != 0) {
         return argv[++i];
       }
       return nullptr;
@@ -59,17 +57,25 @@ BenchOptions parse_bench_flags(int& argc, char** argv) {
       opts.fresh = true;
     } else if (std::strcmp(arg, "--adaptive") == 0) {
       opts.adaptive = true;
-    } else if (const char* v = value("--samples", true)) {
+    } else if (const char* v = value("--samples")) {
       const long n = numeric(v);
       opts.samples = n > 0 ? static_cast<std::size_t>(n) : 0;
-    } else if (const char* v = value("--json", false)) {
-      opts.json = v;
     } else {
       argv[out++] = argv[i];
     }
   }
   argc = out;
   return opts;
+}
+
+void reject_unknown_args(int argc, char** argv, const char* own_flags) {
+  if (argc <= 1) return;
+  std::fprintf(stderr,
+               "error: unknown argument '%s'\n"
+               "usage: %s [--threads N] [--samples N] [--fresh] [--adaptive]"
+               "%s%s\n",
+               argv[1], argv[0], *own_flags != '\0' ? " " : "", own_flags);
+  std::exit(2);
 }
 
 Context::Context()

@@ -23,21 +23,25 @@ namespace hynapse::bench {
 ///   --threads N    pool participation cap (0 = hardware concurrency)
 ///   --samples N    Monte-Carlo samples per mechanism (0 = paper default)
 ///   --fresh        rebuild cached artifacts, ignoring the disk cache
-///   --json PATH    append machine-readable timing records to PATH
 ///   --adaptive     (fig5 bench) also run the CI-targeted adaptive MC arm
 ///                  and validate it against the fixed-sample oracle
+/// Timings live in the printed tables; the benchmark ledger is perfbench/.
 struct BenchOptions {
   std::size_t threads = 0;
   std::size_t samples = 0;
   bool fresh = false;
   bool adaptive = false;
-  std::string json;
 };
 
 /// Parses and removes the flags above from argv (positional arguments keep
 /// their order) and applies --threads process-wide via
 /// util::set_default_thread_count.
 [[nodiscard]] BenchOptions parse_bench_flags(int& argc, char** argv);
+
+/// Call once a harness has parsed every flag it takes: any argument left in
+/// argv prints it and the usage line (the shared flags, then `own_flags`)
+/// to stderr and exits 2.
+void reject_unknown_args(int argc, char** argv, const char* own_flags = "");
 
 /// Everything the system-level experiments need, wired to the reference
 /// designs. Keep one instance per binary.

@@ -1,8 +1,11 @@
 #!/usr/bin/env bash
 # Smoke-test the built tree: run the quickstart example, a small per-cell
 # Monte-Carlo failure-rate sweep (FailureAnalyzer::analyze for both cell
-# kinds) and a fast pass of the micro-kernel bench. Used by CI and handy
-# after a local build.
+# kinds), a fast pass of the micro-kernel bench, and the four contract
+# harnesses at reduced budgets. Each harness exits nonzero when one of its
+# checks fails (adaptive-MC oracle agreement, bit-identity across threads,
+# paths or shards, coalescing), and so does this script. Used by CI and
+# handy after a local build.
 #
 # Usage: scripts/run_smoke.sh [build-dir]   (default: build/release)
 set -euo pipefail
@@ -28,5 +31,21 @@ if [[ -x "${build_dir}/bench/bench_micro_kernels" ]]; then
 else
   echo "== bench_micro_kernels not built (Google Benchmark missing); skipped =="
 fi
+
+cache=$(mktemp -d)
+trap 'rm -rf "${cache}"' EXIT
+
+echo "== bench_fig5_failure_rates --adaptive (12000 samples, fresh) =="
+HYNAPSE_CACHE_DIR="${cache}" "${build_dir}/bench/bench_fig5_failure_rates" \
+  --fresh --samples 12000 --adaptive
+
+echo "== bench_serve_throughput (300 samples) =="
+"${build_dir}/bench/bench_serve_throughput" --samples 300
+
+echo "== bench_eval_hotpath (24 chips) =="
+"${build_dir}/bench/bench_eval_hotpath" --chips 24
+
+echo "== bench_shard_scaling (2000 samples) =="
+"${build_dir}/bench/bench_shard_scaling" --samples 2000
 
 echo "smoke OK"
