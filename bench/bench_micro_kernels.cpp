@@ -10,7 +10,7 @@
 #include "ann/matrix.hpp"
 #include "ann/mlp.hpp"
 #include "circuit/reference.hpp"
-#include "circuit/write_lanes.hpp"
+#include "circuit/lanes.hpp"
 #include "core/fault_model.hpp"
 #include "core/synaptic_memory.hpp"
 #include "mc/criteria.hpp"
@@ -107,16 +107,17 @@ void BM_McSampleWrite6T(benchmark::State& state) {
 }
 BENCHMARK(BM_McSampleWrite6T);
 
-// The same samples as the MC loops decide them: a block drawn in order and
-// decided in one call, on the write lanes' runtime tier. Time per sample.
-void BM_McBatchWrite6T(benchmark::State& state) {
+// Samples as the MC loops decide them: a block drawn in order and decided
+// in one call, on the lanes' runtime tier. Time per sample.
+template <typename Var, typename Draw>
+void batch_bench(benchmark::State& state, mc::Mechanism m, Draw draw) {
   const McStack& s = mc_stack();
   util::Rng rng{9};
-  std::array<circuit::Variation6T, 256> cells;
+  std::array<Var, 256> cells;
   std::array<bool, 256> fails{};
   for (auto _ : state) {
-    for (circuit::Variation6T& c : cells) c = s.sampler.sample_6t(rng);
-    s.criteria.fails_block(mc::Mechanism::write, cells, 0.65, fails);
+    for (Var& c : cells) c = draw(s.sampler, rng);
+    s.criteria.fails_block(m, cells, 0.65, fails);
     benchmark::DoNotOptimize(fails.data());
     benchmark::ClobberMemory();
   }
@@ -125,7 +126,36 @@ void BM_McBatchWrite6T(benchmark::State& state) {
       benchmark::Counter::kIsIterationInvariantRate |
           benchmark::Counter::kInvert);
 }
+
+circuit::Variation6T draw_6t(const mc::VariationSampler& s, util::Rng& rng) {
+  return s.sample_6t(rng);
+}
+circuit::Variation8T draw_8t(const mc::VariationSampler& s, util::Rng& rng) {
+  return s.sample_8t(rng);
+}
+
+void BM_McBatchWrite6T(benchmark::State& state) {
+  batch_bench<circuit::Variation6T>(state, mc::Mechanism::write, draw_6t);
+}
 BENCHMARK(BM_McBatchWrite6T);
+
+void BM_McBatchReadAccess6T(benchmark::State& state) {
+  batch_bench<circuit::Variation6T>(state, mc::Mechanism::read_access,
+                                    draw_6t);
+}
+BENCHMARK(BM_McBatchReadAccess6T);
+
+void BM_McBatchReadDisturb6T(benchmark::State& state) {
+  batch_bench<circuit::Variation6T>(state, mc::Mechanism::read_disturb,
+                                    draw_6t);
+}
+BENCHMARK(BM_McBatchReadDisturb6T);
+
+void BM_McBatchReadAccess8T(benchmark::State& state) {
+  batch_bench<circuit::Variation8T>(state, mc::Mechanism::read_access,
+                                    draw_8t);
+}
+BENCHMARK(BM_McBatchReadAccess8T);
 
 void BM_Gemm(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -252,8 +282,8 @@ BENCHMARK(BM_Inference784);
 
 int main(int argc, char** argv) {
   benchmark::AddCustomContext(
-      "write_lane_tier",
-      std::string{circuit::write_lane_tier_name(circuit::write_lane_tier())});
+      "lane_tier",
+      std::string{circuit::lane_tier_name(circuit::lane_tier())});
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

@@ -58,7 +58,7 @@
 #include <chrono>
 
 #include "ann/trainer.hpp"
-#include "circuit/write_lanes.hpp"
+#include "circuit/lanes.hpp"
 #include "core/experiments.hpp"
 #include "engine/fleet.hpp"
 #include "engine/shard_coordinator.hpp"
@@ -185,8 +185,8 @@ int cmd_failure_rates(const Stack& st, std::size_t samples) {
   opts.is_samples = samples / 2;
   opts.adaptive = g_adaptive;
   const mc::FailureAnalyzer analyzer{st.criteria, st.sampler, opts};
-  std::printf("write lanes: %s\n",
-              circuit::write_lane_tier_name(circuit::write_lane_tier())
+  std::printf("lanes: %s\n",
+              circuit::lane_tier_name(circuit::lane_tier())
                   .data());
   util::Table t{{"VDD [V]", "6T read access", "6T write", "8T read access"}};
   std::size_t spent = 0;

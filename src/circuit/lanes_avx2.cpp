@@ -1,0 +1,47 @@
+// AVX2 tier of the lanes: 4 lanes on libmvec's _ZGVdN4* functions. CMake
+// compiles this TU with -mavx2 -ffp-contract=off and defines
+// HYNAPSE_LANES_AVX2 only on x86 toolchains with libmvec; the kernels are
+// offered only when cpuid reports AVX2 at runtime.
+#define HYNAPSE_LANES_KERNEL 1
+#include "circuit/lanes_kernel.hpp"
+
+#if defined(HYNAPSE_LANES_AVX2)
+
+using V4 = double __attribute__((vector_size(32)));
+
+// libmvec's vector-ABI entry points.
+extern "C" {
+V4 _ZGVdN4v_exp(V4 x);
+V4 _ZGVdN4v_log1p(V4 x);
+V4 _ZGVdN4vv_pow(V4 x, V4 y);
+}
+
+namespace hynapse::circuit::detail {
+
+namespace {
+
+template <>
+struct LaneMath<V4> {
+  static V4 exp(V4 x) { return _ZGVdN4v_exp(x); }
+  static V4 log1p(V4 x) { return _ZGVdN4v_log1p(x); }
+  static V4 pow(V4 x, V4 y) { return _ZGVdN4vv_pow(x, y); }
+};
+
+}  // namespace
+
+const LaneKernels* lanes_avx2() noexcept {
+  static const bool supported = __builtin_cpu_supports("avx2");
+  return supported ? &kLaneKernels<V4> : nullptr;
+}
+
+}  // namespace hynapse::circuit::detail
+
+#else
+
+namespace hynapse::circuit::detail {
+
+const LaneKernels* lanes_avx2() noexcept { return nullptr; }
+
+}  // namespace hynapse::circuit::detail
+
+#endif

@@ -22,11 +22,15 @@
 //    kDecideMargin; otherwise metric() decides as the oracle (and the
 //    mc.decide.oracle_fallbacks counter is bumped).
 //  * write: the same transient as the metric, stopped at the first
-//    Q/QB crossing (Bitcell6T::write_fails). fails_block decides a block of
-//    write samples on the lane-parallel transient (circuit/write_lanes.hpp),
-//    whose band hands every sample it cannot certify to write_fails; the
-//    mc.write.lane_decisions and mc.write.lane_fallbacks counters tell the
-//    two apart.
+//    Q/QB crossing (Bitcell6T::write_fails).
+// fails_block decides a block of samples on the lanes (circuit/lanes.hpp):
+// the write transient, or the read brackets and read currents, run 8 or 4
+// samples at a time on libmvec. A read sample's lane brackets are widened
+// and decided as above, but against kReadLaneBand, a band far wider than
+// the lanes' drift from the scalar solves; the write lanes decide against
+// their own band. Every sample a lane cannot certify goes to fails(); the
+// mc.{write,read}.lane_decisions and .lane_fallbacks counters tell the two
+// apart.
 // metric() stays the oracle the IS gradient reads, so tables are
 // bit-identical to deciding every sample with metric() (docs/performance.md,
 // "Monte-Carlo decision path").
@@ -37,6 +41,7 @@
 #include <span>
 
 #include "circuit/bitcell.hpp"
+#include "circuit/lanes.hpp"
 #include "circuit/tech.hpp"
 #include "sram/timing.hpp"
 
@@ -79,6 +84,11 @@ class FailureCriteria {
   /// The metric interval must clear zero by this much to decide a sample
   /// without the oracle (absorbs the metric's own rounding).
   static constexpr double kDecideMargin = 1e-12;
+  /// The margin a read sample's metric interval must clear when its
+  /// brackets and currents come from the lanes: far wider than the lanes'
+  /// drift from the scalar solves (docs/performance.md, "Lane-parallel read
+  /// verdicts").
+  static constexpr double kReadLaneBand = 1e-6;
 
   FailureCriteria(const circuit::Technology& tech,
                   const sram::CycleModel& cycle,
@@ -100,13 +110,15 @@ class FailureCriteria {
   [[nodiscard]] bool fails(Mechanism m, const circuit::Variation8T& var,
                            double vdd) const;
 
-  /// out[k] = fails(m, cells[k], vdd) for every k: write samples on the
-  /// write lanes, the other mechanisms one fails() call each. out.size()
+  /// out[k] = fails(m, cells[k], vdd) for every k, decided on the lanes of
+  /// `tier` where they can certify it and by fails() otherwise. out.size()
   /// must equal cells.size().
   void fails_block(Mechanism m, std::span<const circuit::Variation6T> cells,
-                   double vdd, std::span<bool> out) const;
+                   double vdd, std::span<bool> out,
+                   circuit::LaneTier tier = circuit::lane_tier()) const;
   void fails_block(Mechanism m, std::span<const circuit::Variation8T> cells,
-                   double vdd, std::span<bool> out) const;
+                   double vdd, std::span<bool> out,
+                   circuit::LaneTier tier = circuit::lane_tier()) const;
 
   /// Standby retention limit-state at a (possibly deeply scaled) hold
   /// voltage: positive = the cell loses its state (extension; see
@@ -130,8 +142,10 @@ class FailureCriteria {
   circuit::Sizing6T sizing6_;
   circuit::Sizing8T sizing8_;
   obs::Counter* oracle_fallbacks_;  // mc.decide.oracle_fallbacks
-  obs::Counter* lane_decisions_;    // mc.write.lane_decisions
-  obs::Counter* lane_fallbacks_;    // mc.write.lane_fallbacks
+  obs::Counter* write_lane_decisions_;  // mc.write.lane_decisions
+  obs::Counter* write_lane_fallbacks_;  // mc.write.lane_fallbacks
+  obs::Counter* read_lane_decisions_;   // mc.read.lane_decisions
+  obs::Counter* read_lane_fallbacks_;   // mc.read.lane_fallbacks
 
   template <typename Cell>
   [[nodiscard]] double metric_of(Mechanism m, const Cell& cell,
@@ -139,10 +153,10 @@ class FailureCriteria {
   template <typename Cell>
   [[nodiscard]] bool fails_of(Mechanism m, const Cell& cell,
                               double vdd) const;
-  template <typename Var>
+  template <typename Var, typename Sizing>
   void fails_block_of(Mechanism m, std::span<const Var> cells,
-                      const circuit::Sizing6T& core_sizing, double vdd,
-                      std::span<bool> out) const;
+                      const Sizing& sizing, double vdd, std::span<bool> out,
+                      circuit::LaneTier tier) const;
 };
 
 }  // namespace hynapse::mc

@@ -5,8 +5,8 @@
 // brackets, the monotone write transient) and the agreement itself on
 // plain, IS-shifted and boundary-clustered samples at every paper voltage,
 // for the per-sample fails and for the block path the sampling loops call
-// (FailureCriteria::fails_block, and the write lanes on every tier this
-// host runs).
+// (FailureCriteria::fails_block on every lane tier this host runs, which
+// decides write and read samples on the lanes of circuit/lanes.hpp).
 //
 // DISABLED_MillionDecisionSweep is the long agreement sweep; run it with
 //   ./test_mc_decisions --gtest_also_run_disabled_tests
@@ -20,13 +20,14 @@
 #include <iterator>
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "circuit/bitcell.hpp"
 #include "circuit/mosfet.hpp"
 #include "circuit/reference.hpp"
 #include "circuit/solve.hpp"
-#include "circuit/write_lanes.hpp"
+#include "circuit/lanes.hpp"
 #include "mc/criteria.hpp"
 #include "mc/variation.hpp"
 #include "obs/metrics.hpp"
@@ -60,7 +61,15 @@ std::uint64_t oracle_fallbacks() {
   return counter("mc.decide.oracle_fallbacks");
 }
 
-std::uint64_t lane_fallbacks() { return counter("mc.write.lane_fallbacks"); }
+std::uint64_t write_lane_fallbacks() {
+  return counter("mc.write.lane_fallbacks");
+}
+
+std::uint64_t read_lane_fallbacks() {
+  return counter("mc.read.lane_fallbacks");
+}
+
+bool on_lanes() { return circuit::lane_tier() != circuit::LaneTier::scalar; }
 
 // ---- Mosfet::ids derivative overload ---------------------------------------
 
@@ -175,6 +184,67 @@ TEST(NewtonBracket, HoldsTheBisectionRootOnSampledCells) {
   }
 }
 
+TEST(NewtonBracket, LaneBracketsHoldTheBisectionRootOnSampledCells) {
+  // The lanes run the same Newton iterates on libmvec, whose rounding moves
+  // the residual's root by far less than the slack; every lane bracket must
+  // still close to tol and hold the scalar bisection's root.
+  const Stack& s = stack();
+  constexpr double tol = FailureCriteria::kBracketTol;
+  constexpr double slack = FailureCriteria::kBracketSlack;
+  constexpr std::size_t n = 300;
+  util::Rng rng{2025};
+  for (const circuit::LaneTier tier : circuit::available_lane_tiers()) {
+    if (tier == circuit::LaneTier::scalar) continue;
+    const char* name = circuit::lane_tier_name(tier).data();
+    for (const double vdd : circuit::paper_voltage_grid()) {
+      std::vector<circuit::Variation6T> cells6(n);
+      std::vector<circuit::Variation8T> cells8(n);
+      for (std::size_t k = 0; k < n; ++k) {
+        cells6[k] = s.sampler.sample_6t(rng);
+        cells8[k] = s.sampler.sample_8t(rng);
+      }
+      std::vector<circuit::Bracket> bump(n), trip(n), node(n);
+      ASSERT_TRUE(circuit::read_node_brackets_lanes(s.tech, s.s6, cells6, vdd,
+                                                    tol, bump, tier));
+      ASSERT_TRUE(circuit::trip_brackets_lanes(s.tech, s.s6, cells6,
+                                               circuit::Side::right, vdd, tol,
+                                               trip, tier));
+      ASSERT_TRUE(circuit::read_node_brackets_lanes(s.tech, s.s8, cells8, vdd,
+                                                    tol, node, tier));
+      std::vector<double> vn6(n), vn8(n), i6(n), i8(n);
+      for (std::size_t k = 0; k < n; ++k) {
+        vn6[k] = bump[k].lo;
+        vn8[k] = node[k].hi;
+      }
+      ASSERT_TRUE(circuit::read_currents_lanes(s.tech, s.s6, cells6, vdd, vn6,
+                                               i6, tier));
+      ASSERT_TRUE(circuit::read_currents_lanes(s.tech, s.s8, cells8, vdd, vn8,
+                                               i8, tier));
+      const auto holds = [](const circuit::Bracket& b, double root) {
+        return b.lo - slack <= root && root <= b.hi + slack &&
+               b.hi - b.lo <= tol;
+      };
+      for (std::size_t k = 0; k < n; ++k) {
+        const circuit::Bitcell6T cell6{s.tech, s.s6, cells6[k]};
+        const circuit::Bitcell8T cell8{s.tech, s.s8, cells8[k]};
+        EXPECT_TRUE(holds(bump[k], cell6.read_bump(vdd)))
+            << name << " 6T read bump at " << vdd << " V, sample " << k;
+        EXPECT_TRUE(holds(trip[k],
+                          cell6.trip_voltage(circuit::Side::right, vdd)))
+            << name << " 6T trip point at " << vdd << " V, sample " << k;
+        EXPECT_TRUE(holds(node[k], cell8.read_node(vdd)))
+            << name << " 8T read node at " << vdd << " V, sample " << k;
+        EXPECT_NEAR(i6[k], cell6.read_current_at(vdd, vn6[k]),
+                    1e-12 * std::fabs(i6[k]))
+            << name;
+        EXPECT_NEAR(i8[k], cell8.read_current_at(vdd, vn8[k]),
+                    1e-12 * std::fabs(i8[k]))
+            << name;
+      }
+    }
+  }
+}
+
 // ---- sample sources ----------------------------------------------------------
 
 /// One (cell, mechanism) of the decision path.
@@ -220,49 +290,37 @@ bool fails(const Case& c, const Dvt& x, double vdd) {
                  : crit.fails(c.m, pack6(x), vdd);
 }
 
-/// Disagreements with `oracle` (each sample's metric > 0) of every block
-/// decision path of case c: FailureCriteria::fails_block, and for a write
-/// case the write lanes on each tier this host runs, scalar included.
+/// Disagreements with `oracle` (each sample's metric > 0) of
+/// FailureCriteria::fails_block for case c on every lane tier this host
+/// runs, scalar included.
 std::size_t block_disagreements(const Case& c, const std::vector<Dvt>& xs,
                                 const std::vector<bool>& oracle, double vdd) {
   const Stack& s = stack();
   const std::size_t n = xs.size();
   const auto out = std::make_unique<bool[]>(n);
   const std::span<bool> verdicts{out.get(), n};
+  std::vector<circuit::Variation6T> cells6(n);
+  std::vector<circuit::Variation8T> cells8(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    cells6[k] = pack6(xs[k]);
+    cells8[k] = VariationSampler::pack_8t(xs[k]);
+  }
   std::size_t disagreements = 0;
-  // Every path starts from wrong verdicts, so one it leaves unset shows.
-  const auto reset = [&] {
+  for (const circuit::LaneTier tier : circuit::available_lane_tiers()) {
+    // Every run starts from wrong verdicts, so one it leaves unset shows.
     for (std::size_t k = 0; k < n; ++k) verdicts[k] = !oracle[k];
-  };
-  const auto tally = [&](const char* path) {
+    if (c.cell8) {
+      s.criteria.fails_block(c.m, std::span{cells8}, vdd, verdicts, tier);
+    } else {
+      s.criteria.fails_block(c.m, std::span{cells6}, vdd, verdicts, tier);
+    }
     for (std::size_t k = 0; k < n; ++k) {
       if (verdicts[k] == oracle[k]) continue;
       ++disagreements;
       ADD_FAILURE() << c.name << " at " << vdd << " V: sample " << k
-                    << " decided against the oracle by " << path;
+                    << " decided against the oracle by fails_block on "
+                    << circuit::lane_tier_name(tier);
     }
-  };
-  std::vector<circuit::Variation6T> cores(n);
-  for (std::size_t k = 0; k < n; ++k) cores[k] = pack6(xs[k]);
-  reset();
-  if (c.cell8) {
-    std::vector<circuit::Variation8T> cells(n);
-    for (std::size_t k = 0; k < n; ++k) {
-      cells[k] = VariationSampler::pack_8t(xs[k]);
-    }
-    s.criteria.fails_block(c.m, std::span{cells}, vdd, verdicts);
-  } else {
-    s.criteria.fails_block(c.m, std::span{cores}, vdd, verdicts);
-  }
-  tally("fails_block");
-  if (c.m != Mechanism::write) return disagreements;
-  for (const circuit::WriteLaneTier tier :
-       circuit::available_write_lane_tiers()) {
-    reset();
-    (void)circuit::write_fails_lanes(
-        s.tech, c.cell8 ? s.s8.core : s.s6, cores, vdd, s.cycle.c_node(),
-        s.cycle.write_budget(vdd), verdicts, tier);
-    tally(circuit::write_lane_tier_name(tier).data());
   }
   return disagreements;
 }
@@ -340,16 +398,16 @@ Tally agree_on_samples(const Case& c, double vdd, std::size_t plain,
   return agree_on(c, xs, vdd);
 }
 
-/// Samples within 1e-10 sigma of the failure boundary: bisect (60 steps, on
-/// the oracle's sign) between the origin and a failing sample, then jitter
-/// the crossing by 1e-10 sigma per device. Failing samples are plain or
-/// IS-shifted (beta = 3.5) draws, scaled up to 4x when the mechanism's tail
-/// lies beyond the shift.
+/// Samples within 1e-10 sigma of the metric's `level` set (the failure
+/// boundary at level 0): bisect (60 steps, on metric > level) between the
+/// origin and a sample above the level, then jitter the crossing by 1e-10
+/// sigma per device. Those samples are plain or IS-shifted (beta = 3.5)
+/// draws, scaled up to 4x when the mechanism's tail lies beyond the shift.
 std::vector<Dvt> boundary_samples(const Case& c, double vdd,
                                   std::size_t crossings, std::size_t jitters,
-                                  std::uint64_t seed) {
+                                  std::uint64_t seed, double level = 0.0) {
   std::vector<Dvt> out;
-  if (metric(c, Dvt{}, vdd) > 0.0) return out;  // no passing origin
+  if (metric(c, Dvt{}, vdd) > level) return out;  // origin above the level
   util::Rng rng{seed};
   const Dvt dir = failure_direction(c, vdd);
   const auto scaled = [&](const Dvt& x, double t) {
@@ -360,19 +418,19 @@ std::vector<Dvt> boundary_samples(const Case& c, double vdd,
   for (std::size_t tries = 0;
        out.size() < crossings * jitters && tries < 20 * crossings; ++tries) {
     const Dvt base = draw(c, rng, dir, tries % 2 == 0 ? 0.0 : 3.5);
-    double reach = 0.0;  // smallest scale at which `base` fails
+    double reach = 0.0;  // smallest scale at which `base` is above
     for (const double k : {1.0, 2.0, 3.0, 4.0}) {
-      if (metric(c, scaled(base, k), vdd) > 0.0) {
+      if (metric(c, scaled(base, k), vdd) > level) {
         reach = k;
         break;
       }
     }
     if (reach == 0.0) continue;
-    double lo = 0.0;    // passes
-    double hi = reach;  // fails
+    double lo = 0.0;    // at or below the level
+    double hi = reach;  // above it
     for (int i = 0; i < 60; ++i) {
       const double mid = 0.5 * (lo + hi);
-      (metric(c, scaled(base, mid), vdd) > 0.0 ? hi : lo) = mid;
+      (metric(c, scaled(base, mid), vdd) > level ? hi : lo) = mid;
     }
     const Dvt edge = scaled(base, 0.5 * (lo + hi));
     for (std::size_t j = 0; j < jitters; ++j) {
@@ -393,9 +451,19 @@ class DecisionAgreement : public ::testing::TestWithParam<double> {};
 TEST_P(DecisionAgreement, PlainAndShiftedSamplesMatchTheOracle) {
   const double vdd = GetParam();
   for (const Case& c : kCases) {
+    const auto lane_fallbacks = [&c] {
+      return c.m == Mechanism::write ? write_lane_fallbacks()
+                                     : read_lane_fallbacks();
+    };
+    const std::uint64_t lane_before = lane_fallbacks();
     const Tally t = agree_on_samples(c, vdd, 500, 500, 17);
     EXPECT_EQ(t.decisions, 1000u);
     EXPECT_EQ(t.disagreements, 0u) << c.name;
+    // Samples away from the boundary are the lanes' to decide: at most 1%
+    // may fall back on each lane tier.
+    const std::size_t lane_tiers = circuit::available_lane_tiers().size() - 1;
+    EXPECT_LE(lane_fallbacks() - lane_before, lane_tiers * t.decisions / 100)
+        << c.name << " at " << vdd << " V";
   }
   // The 8T read port has no disturb mechanism: the oracle is constant -1.
   util::Rng rng{3};
@@ -407,34 +475,67 @@ TEST_P(DecisionAgreement, PlainAndShiftedSamplesMatchTheOracle) {
 
 TEST_P(DecisionAgreement, BoundaryClusteredSamplesMatchAndFallBack) {
   const double vdd = GetParam();
-  const bool lanes =
-      circuit::write_lane_tier() != circuit::WriteLaneTier::scalar;
   std::size_t cases_sampled = 0;
   for (const Case& c : kCases) {
     const std::uint64_t before = oracle_fallbacks();
-    const std::uint64_t lane_before = lane_fallbacks();
+    const std::uint64_t write_before = write_lane_fallbacks();
+    const std::uint64_t read_before = read_lane_fallbacks();
     const std::vector<Dvt> samples = boundary_samples(c, vdd, 8, 16, 29);
     EXPECT_EQ(agree_on(c, samples, vdd).disagreements, 0u)
         << c.name << " at " << vdd << " V";
     if (samples.empty()) continue;
     ++cases_sampled;
-    // The write verdict never needs the oracle; the bracketed mechanisms
-    // must hand boundary samples to it. Boundary write samples end inside
-    // the write lanes' band, which hands them to the scalar write_fails.
-    if (c.m == Mechanism::write) {
+    // Boundary samples end inside the lanes' band, which hands them to
+    // fails(). The write verdict never needs the oracle; the bracketed
+    // mechanisms must hand boundary samples to it.
+    const bool write = c.m == Mechanism::write;
+    const std::uint64_t own = write ? write_lane_fallbacks() - write_before
+                                    : read_lane_fallbacks() - read_before;
+    const std::uint64_t other = write ? read_lane_fallbacks() - read_before
+                                      : write_lane_fallbacks() - write_before;
+    EXPECT_EQ(other, 0u) << c.name;
+    if (on_lanes()) {
+      EXPECT_GT(own, 0u) << c.name << " at " << vdd;
+    } else {
+      EXPECT_EQ(own, 0u) << c.name;
+    }
+    if (write) {
       EXPECT_EQ(oracle_fallbacks(), before) << c.name;
-      if (lanes) {
-        EXPECT_GT(lane_fallbacks(), lane_before) << c.name << " at " << vdd;
-      } else {
-        EXPECT_EQ(lane_fallbacks(), lane_before) << c.name;
-      }
     } else {
       EXPECT_GT(oracle_fallbacks(), before) << c.name << " at " << vdd;
-      EXPECT_EQ(lane_fallbacks(), lane_before) << c.name;
     }
   }
   // Only a far 8T write tail may stay out of reach of the 4x-scaled draws.
   EXPECT_GE(cases_sampled, std::size(kCases) - 1);
+}
+
+TEST_P(DecisionAgreement, SamplesInsideTheLaneBandFallBack) {
+  // Samples whose metric sits a third of the lane band above or below zero:
+  // clear of the scalar margins, but inside the band, so no lane may decide
+  // one. For write the metric is (Q - QB)/vdd, which the write band bounds.
+  const double vdd = GetParam();
+  const std::size_t lane_tiers = circuit::available_lane_tiers().size() - 1;
+  std::size_t cases_sampled = 0;
+  for (const Case& c : kCases) {
+    const bool write = c.m == Mechanism::write;
+    const double band =
+        write ? circuit::kWriteLaneBand : FailureCriteria::kReadLaneBand;
+    for (const double level : {1.0 / 3.0, -1.0 / 3.0}) {
+      const std::uint64_t before =
+          write ? write_lane_fallbacks() : read_lane_fallbacks();
+      const std::vector<Dvt> samples =
+          boundary_samples(c, vdd, 4, 4, 31, level * band);
+      EXPECT_EQ(agree_on(c, samples, vdd).disagreements, 0u)
+          << c.name << " at " << vdd << " V";
+      cases_sampled += samples.empty() ? 0 : 1;
+      const std::uint64_t after =
+          write ? write_lane_fallbacks() : read_lane_fallbacks();
+      EXPECT_EQ(after - before, lane_tiers * samples.size())
+          << c.name << " at " << vdd << " V, level " << level;
+    }
+  }
+  // Only a far 8T write tail may stay out of reach of the 4x-scaled draws.
+  EXPECT_GE(cases_sampled, 2 * (std::size(kCases) - 1));
 }
 
 INSTANTIATE_TEST_SUITE_P(PaperVoltages, DecisionAgreement,
@@ -510,7 +611,8 @@ TEST(DecisionSweep, DISABLED_MillionDecisionSweep) {
   const std::size_t n_cases = std::size(kCases);
   const std::size_t jobs = grid.size() * n_cases * kChunksPerCase;
   const std::uint64_t fallbacks_before = oracle_fallbacks();
-  const std::uint64_t lane_fallbacks_before = lane_fallbacks();
+  const std::uint64_t write_lane_before = write_lane_fallbacks();
+  const std::uint64_t read_lane_before = read_lane_fallbacks();
   const Tally sampled = util::parallel_reduce(
       jobs, jobs, Tally{},
       [&](std::size_t begin, std::size_t end) {
@@ -538,15 +640,25 @@ TEST(DecisionSweep, DISABLED_MillionDecisionSweep) {
         return t;
       },
       merge);
+  // The block path ran once per tier; the lane counters sum the lane tiers.
+  std::string lane_tiers;
+  for (const circuit::LaneTier tier : circuit::available_lane_tiers()) {
+    if (tier == circuit::LaneTier::scalar) continue;
+    if (!lane_tiers.empty()) lane_tiers += "+";
+    lane_tiers += circuit::lane_tier_name(tier);
+  }
+  if (lane_tiers.empty()) lane_tiers = "none";
   std::printf(
       "decisions: %zu sampled + %zu boundary, disagreements: %zu, oracle "
-      "fallbacks: %llu, write-lane fallbacks (%s): %llu\n",
+      "fallbacks: %llu, lane fallbacks (%s): write %llu, read %llu\n",
       sampled.decisions, boundary.decisions,
       sampled.disagreements + boundary.disagreements,
       static_cast<unsigned long long>(oracle_fallbacks() - fallbacks_before),
-      circuit::write_lane_tier_name(circuit::write_lane_tier()).data(),
-      static_cast<unsigned long long>(lane_fallbacks() -
-                                      lane_fallbacks_before));
+      lane_tiers.c_str(),
+      static_cast<unsigned long long>(write_lane_fallbacks() -
+                                      write_lane_before),
+      static_cast<unsigned long long>(read_lane_fallbacks() -
+                                      read_lane_before));
   EXPECT_GE(sampled.decisions + boundary.decisions, 1000000u);
   EXPECT_EQ(sampled.disagreements, 0u);
   EXPECT_EQ(boundary.disagreements, 0u);
