@@ -7,11 +7,14 @@
 // Backends:
 //  * reference — the register-tiled portable kernels (PR 4). The
 //    determinism oracle: every other backend is measured against it.
-//  * simd      — OpenMP-simd annotated kernels (wider accumulator tiles,
-//    unrolled inner-dimension stepping) compiled with -fopenmp-simd where
-//    the toolchain supports it (CMake option HYNAPSE_SIMD_BACKEND, default
-//    ON). When the backend is not compiled in, requesting it falls back to
-//    the reference table — selection is a performance hint, never an error.
+//  * simd      — wider register tiles with unrolled inner-dimension
+//    stepping (CMake option HYNAPSE_SIMD_BACKEND, default ON). On x86 they
+//    are GCC vector-extension tiles in per-ISA translation units (AVX2 in
+//    simd.cpp, AVX-512 in simd512.cpp), picked by cpuid at runtime; other
+//    targets get the same tiles as `#pragma omp simd` loops compiled with
+//    -fopenmp-simd. When the backend is not compiled in, requesting it
+//    falls back to the reference table — selection is a performance hint,
+//    never an error.
 //
 // Determinism contract (docs/performance.md): every kernel in every backend
 // accumulates each output element over the inner dimension in ascending
@@ -33,7 +36,7 @@ namespace hynapse::ann::backends {
 
 enum class Backend : std::uint8_t {
   reference,  ///< portable register-tiled kernels (the bitwise oracle)
-  simd,       ///< explicit OpenMP-simd kernels (falls back when not built)
+  simd,       ///< vector-register tiles (falls back when not built)
 };
 
 /// The kernel table a backend provides. All matrices are row-major and

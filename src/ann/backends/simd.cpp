@@ -9,11 +9,13 @@
 // ymm registers via GCC vector-extension locals (the `#pragma omp simd`
 // fallback form, kept for non-AVX2 builds, leaves the tiles in stack
 // arrays), with the inner-dimension step unrolled 4-way to pair the B-row
-// loads. simd_kernel_ops() returns the table only when cpuid reports AVX2
-// at runtime, so a portable binary never executes AVX instructions on a
-// CPU without them — Backend::simd just falls back to reference there. An
-// AVX-512 tier with the same contract lives in simd512.cpp and is
-// preferred when usable; the tiers are invisible to callers. AVX2 is used
+// loads; gemm runs its n % 16 column tail through the same tile under
+// lane masks. simd_avx2_kernel_ops() returns the table only when cpuid
+// reports AVX2 at runtime, so a portable binary never executes AVX
+// instructions on a CPU without them — Backend::simd just falls back to
+// reference there. An AVX-512 tier with the same contract lives in
+// simd512.cpp and is preferred when usable; the tiers are invisible to
+// callers. AVX2 is used
 // WITHOUT FMA (-ffp-contract=off, and plain -mavx2 does not enable -mfma):
 // each multiply and add rounds separately, exactly like the reference
 // kernels.
@@ -32,6 +34,10 @@
 #include "ann/backends/kernels_detail.hpp"
 
 #if defined(HYNAPSE_HAVE_SIMD_BACKEND)
+
+#if defined(HYNAPSE_SIMD_AVX2)
+#include <immintrin.h>
+#endif
 
 namespace hynapse::ann::backends {
 
@@ -54,6 +60,20 @@ using V8 =
 inline V8 splat8(float x) { return V8{x, x, x, x, x, x, x, x}; }
 inline V8 load8(const float* p) { return *reinterpret_cast<const V8*>(p); }
 inline void store8(float* p, V8 v) { *reinterpret_cast<V8*>(p) = v; }
+
+// The first w of 8 lanes (all of them when w >= 8). A masked-off lane
+// loads zero, is never stored, and never faults.
+inline __m256i lanes8(std::size_t w) {
+  const auto live = static_cast<int>(std::min<std::size_t>(w, 8));
+  return _mm256_cmpgt_epi32(_mm256_set1_epi32(live),
+                            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
+inline V8 load8(const float* p, __m256i m) {
+  return reinterpret_cast<V8>(_mm256_maskload_ps(p, m));
+}
+inline void store8(float* p, __m256i m, V8 v) {
+  _mm256_maskstore_ps(p, m, reinterpret_cast<__m256>(v));
+}
 
 #endif  // HYNAPSE_SIMD_AVX2
 
@@ -153,6 +173,60 @@ void gemm_kernel(const float* HYNAPSE_RESTRICT a,
       store8(c + i * n + j0 + 8, acc1);
     }
   }
+  if (j0 < n) {
+    // Column tail (n % 16): the same 4-row tile under lane masks, so every
+    // stored element keeps its ascending-p chain of rounded multiplies and
+    // adds.
+    const __m256i m0 = lanes8(n - j0);
+    const __m256i m1 = lanes8(n - j0 > 8 ? n - j0 - 8 : 0);
+    std::size_t i = 0;
+    for (; i + kTileRows <= m; i += kTileRows) {
+      const float* HYNAPSE_RESTRICT a0 = a + i * k;
+      const float* HYNAPSE_RESTRICT a1 = a0 + k;
+      const float* HYNAPSE_RESTRICT a2 = a1 + k;
+      const float* HYNAPSE_RESTRICT a3 = a2 + k;
+      V8 c00{}, c01{}, c10{}, c11{}, c20{}, c21{}, c30{}, c31{};
+      for (std::size_t p = 0; p < k; ++p) {
+        const float* HYNAPSE_RESTRICT bp = b + p * n + j0;
+        const V8 b0 = load8(bp, m0);
+        const V8 b1 = load8(bp + 8, m1);
+        V8 w;
+        w = splat8(a0[p]);
+        c00 += w * b0;
+        c01 += w * b1;
+        w = splat8(a1[p]);
+        c10 += w * b0;
+        c11 += w * b1;
+        w = splat8(a2[p]);
+        c20 += w * b0;
+        c21 += w * b1;
+        w = splat8(a3[p]);
+        c30 += w * b0;
+        c31 += w * b1;
+      }
+      float* HYNAPSE_RESTRICT c0 = c + i * n + j0;
+      store8(c0, m0, c00);
+      store8(c0 + 8, m1, c01);
+      store8(c0 + n, m0, c10);
+      store8(c0 + n + 8, m1, c11);
+      store8(c0 + 2 * n, m0, c20);
+      store8(c0 + 2 * n + 8, m1, c21);
+      store8(c0 + 3 * n, m0, c30);
+      store8(c0 + 3 * n + 8, m1, c31);
+    }
+    for (; i < m; ++i) {
+      const float* HYNAPSE_RESTRICT ai = a + i * k;
+      V8 acc0{}, acc1{};
+      for (std::size_t p = 0; p < k; ++p) {
+        const float* HYNAPSE_RESTRICT bp = b + p * n + j0;
+        const V8 w = splat8(ai[p]);
+        acc0 += w * load8(bp, m0);
+        acc1 += w * load8(bp + 8, m1);
+      }
+      store8(c + i * n + j0, m0, acc0);
+      store8(c + i * n + j0 + 8, m1, acc1);
+    }
+  }
 #else   // !HYNAPSE_SIMD_AVX2
   for (; j0 + kTileCols <= n; j0 += kTileCols) {
     std::size_t i = 0;
@@ -222,7 +296,6 @@ void gemm_kernel(const float* HYNAPSE_RESTRICT a,
       std::memcpy(c + i * n + j0, acc, sizeof(acc));
     }
   }
-#endif  // HYNAPSE_SIMD_AVX2
   if (j0 < n) {
     const std::size_t jw = n - j0;
     for (std::size_t i = 0; i < m; ++i) {
@@ -237,6 +310,7 @@ void gemm_kernel(const float* HYNAPSE_RESTRICT a,
       }
     }
   }
+#endif  // HYNAPSE_SIMD_AVX2
 }
 
 #if defined(__GNUC__) && !defined(__clang__)
@@ -391,17 +465,21 @@ void gemm_at_kernel(const float* HYNAPSE_RESTRICT at,
 
 namespace detail {
 
-const KernelOps* simd_kernel_ops() noexcept {
+const KernelOps* simd_avx2_kernel_ops() noexcept {
   static constexpr KernelOps ops{gemm_kernel, gemm_bt_kernel, gemm_at_kernel};
-  // Prefer the AVX-512 tier (simd512.cpp) when it was built and the CPU
-  // has it; both tiers are the one Backend::simd as far as callers know.
-  if (const KernelOps* wide = simd512_kernel_ops()) return wide;
 #if defined(HYNAPSE_SIMD_AVX2)
   // Compiled for AVX2: only offer the table on CPUs that have it.
   static const bool supported = __builtin_cpu_supports("avx2");
   if (!supported) return nullptr;
 #endif
   return &ops;
+}
+
+const KernelOps* simd_kernel_ops() noexcept {
+  // Prefer the AVX-512 tier (simd512.cpp) when it was built and the CPU
+  // has it; both tiers are the one Backend::simd as far as callers know.
+  if (const KernelOps* wide = simd512_kernel_ops()) return wide;
+  return simd_avx2_kernel_ops();
 }
 
 }  // namespace detail
@@ -411,6 +489,8 @@ const KernelOps* simd_kernel_ops() noexcept {
 #else  // !HYNAPSE_HAVE_SIMD_BACKEND
 
 namespace hynapse::ann::backends::detail {
+
+const KernelOps* simd_avx2_kernel_ops() noexcept { return nullptr; }
 
 const KernelOps* simd_kernel_ops() noexcept { return nullptr; }
 

@@ -1,6 +1,7 @@
 // AVX-512 tier of the simd backend. Same contract as the AVX2 kernels in
 // simd.cpp, twice the lane width: GCC/Clang vector-extension locals keep a
-// 4x32 accumulator tile (8 zmm) in registers, and every output element
+// 4x32 accumulator tile (8 zmm) in registers (gemm's n % 32 column tail
+// runs through the same tile under lane masks), and every output element
 // still accumulates over the inner dimension in strict ascending p order
 // with one separately-rounded multiply and add per step — AVX-512 is used
 // WITHOUT FMA (-ffp-contract=off; vector-extension arithmetic never
@@ -19,6 +20,8 @@
 #include "ann/backends/kernels_detail.hpp"
 
 #if defined(HYNAPSE_SIMD_AVX512)
+
+#include <immintrin.h>
 
 namespace hynapse::ann::backends {
 
@@ -39,6 +42,18 @@ inline V16 load16(const float* p) {
   return *reinterpret_cast<const V16*>(p);
 }
 inline void store16(float* p, V16 v) { *reinterpret_cast<V16*>(p) = v; }
+
+// The first w of 16 lanes (all of them when w >= 16). A masked-off lane
+// loads zero, is never stored, and never faults.
+inline __mmask16 lanes16(std::size_t w) {
+  return w >= 16 ? __mmask16{0xFFFF} : static_cast<__mmask16>((1u << w) - 1u);
+}
+inline V16 load16(const float* p, __mmask16 m) {
+  return reinterpret_cast<V16>(_mm512_maskz_loadu_ps(m, p));
+}
+inline void store16(float* p, __mmask16 m, V16 v) {
+  _mm512_mask_storeu_ps(p, m, reinterpret_cast<__m512>(v));
+}
 
 void gemm_kernel(const float* HYNAPSE_RESTRICT a,
                  const float* HYNAPSE_RESTRICT b, float* HYNAPSE_RESTRICT c,
@@ -130,16 +145,57 @@ void gemm_kernel(const float* HYNAPSE_RESTRICT a,
     }
   }
   if (j0 < n) {
-    const std::size_t jw = n - j0;
-    for (std::size_t i = 0; i < m; ++i) {
-      const float* HYNAPSE_RESTRICT ai = a + i * k;
-      float* HYNAPSE_RESTRICT ci = c + i * n + j0;
-      std::fill(ci, ci + jw, 0.0f);
+    // Column tail (n % 32): the same 4-row tile under lane masks, so every
+    // stored element keeps its ascending-p chain of rounded multiplies and
+    // adds.
+    const __mmask16 m0 = lanes16(n - j0);
+    const __mmask16 m1 = lanes16(n - j0 > 16 ? n - j0 - 16 : 0);
+    std::size_t i = 0;
+    for (; i + kTileRows <= m; i += kTileRows) {
+      const float* HYNAPSE_RESTRICT a0 = a + i * k;
+      const float* HYNAPSE_RESTRICT a1 = a0 + k;
+      const float* HYNAPSE_RESTRICT a2 = a1 + k;
+      const float* HYNAPSE_RESTRICT a3 = a2 + k;
+      V16 c00{}, c01{}, c10{}, c11{}, c20{}, c21{}, c30{}, c31{};
       for (std::size_t p = 0; p < k; ++p) {
         const float* HYNAPSE_RESTRICT bp = b + p * n + j0;
-        const float aip = ai[p];
-        for (std::size_t j = 0; j < jw; ++j) ci[j] += aip * bp[j];
+        const V16 b0 = load16(bp, m0);
+        const V16 b1 = load16(bp + 16, m1);
+        V16 w;
+        w = splat16(a0[p]);
+        c00 += w * b0;
+        c01 += w * b1;
+        w = splat16(a1[p]);
+        c10 += w * b0;
+        c11 += w * b1;
+        w = splat16(a2[p]);
+        c20 += w * b0;
+        c21 += w * b1;
+        w = splat16(a3[p]);
+        c30 += w * b0;
+        c31 += w * b1;
       }
+      float* HYNAPSE_RESTRICT c0 = c + i * n + j0;
+      store16(c0, m0, c00);
+      store16(c0 + 16, m1, c01);
+      store16(c0 + n, m0, c10);
+      store16(c0 + n + 16, m1, c11);
+      store16(c0 + 2 * n, m0, c20);
+      store16(c0 + 2 * n + 16, m1, c21);
+      store16(c0 + 3 * n, m0, c30);
+      store16(c0 + 3 * n + 16, m1, c31);
+    }
+    for (; i < m; ++i) {
+      const float* HYNAPSE_RESTRICT ai = a + i * k;
+      V16 acc0{}, acc1{};
+      for (std::size_t p = 0; p < k; ++p) {
+        const float* HYNAPSE_RESTRICT bp = b + p * n + j0;
+        const V16 w = splat16(ai[p]);
+        acc0 += w * load16(bp, m0);
+        acc1 += w * load16(bp + 16, m1);
+      }
+      store16(c + i * n + j0, m0, acc0);
+      store16(c + i * n + j0 + 16, m1, acc1);
     }
   }
 }
