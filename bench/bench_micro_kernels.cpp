@@ -108,16 +108,19 @@ void BM_McSampleWrite6T(benchmark::State& state) {
 BENCHMARK(BM_McSampleWrite6T);
 
 // Samples as the MC loops decide them: a block drawn in order and decided
-// in one call, on the lanes' runtime tier. Time per sample.
+// in one call, on the lane tier given as the benchmark's argument (the
+// label names it). Time per sample.
 template <typename Var, typename Draw>
 void batch_bench(benchmark::State& state, mc::Mechanism m, Draw draw) {
   const McStack& s = mc_stack();
+  const auto tier = static_cast<circuit::LaneTier>(state.range(0));
+  state.SetLabel(std::string{circuit::lane_tier_name(tier)});
   util::Rng rng{9};
   std::array<Var, 256> cells;
   std::array<bool, 256> fails{};
   for (auto _ : state) {
     for (Var& c : cells) c = draw(s.sampler, rng);
-    s.criteria.fails_block(m, cells, 0.65, fails);
+    s.criteria.fails_block(m, cells, 0.65, fails, tier);
     benchmark::DoNotOptimize(fails.data());
     benchmark::ClobberMemory();
   }
@@ -125,6 +128,13 @@ void batch_bench(benchmark::State& state, mc::Mechanism m, Draw draw) {
       static_cast<double>(cells.size()),
       benchmark::Counter::kIsIterationInvariantRate |
           benchmark::Counter::kInvert);
+}
+
+/// One run per lane tier this host runs, scalar included.
+void per_lane_tier(benchmark::internal::Benchmark* b) {
+  for (const circuit::LaneTier tier : circuit::available_lane_tiers()) {
+    b->Arg(static_cast<int>(tier));
+  }
 }
 
 circuit::Variation6T draw_6t(const mc::VariationSampler& s, util::Rng& rng) {
@@ -137,25 +147,25 @@ circuit::Variation8T draw_8t(const mc::VariationSampler& s, util::Rng& rng) {
 void BM_McBatchWrite6T(benchmark::State& state) {
   batch_bench<circuit::Variation6T>(state, mc::Mechanism::write, draw_6t);
 }
-BENCHMARK(BM_McBatchWrite6T);
+BENCHMARK(BM_McBatchWrite6T)->Apply(per_lane_tier);
 
 void BM_McBatchReadAccess6T(benchmark::State& state) {
   batch_bench<circuit::Variation6T>(state, mc::Mechanism::read_access,
                                     draw_6t);
 }
-BENCHMARK(BM_McBatchReadAccess6T);
+BENCHMARK(BM_McBatchReadAccess6T)->Apply(per_lane_tier);
 
 void BM_McBatchReadDisturb6T(benchmark::State& state) {
   batch_bench<circuit::Variation6T>(state, mc::Mechanism::read_disturb,
                                     draw_6t);
 }
-BENCHMARK(BM_McBatchReadDisturb6T);
+BENCHMARK(BM_McBatchReadDisturb6T)->Apply(per_lane_tier);
 
 void BM_McBatchReadAccess8T(benchmark::State& state) {
   batch_bench<circuit::Variation8T>(state, mc::Mechanism::read_access,
                                     draw_8t);
 }
-BENCHMARK(BM_McBatchReadAccess8T);
+BENCHMARK(BM_McBatchReadAccess8T)->Apply(per_lane_tier);
 
 void BM_Gemm(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -1,11 +1,17 @@
 // Lane-parallel Monte-Carlo queries on blocks of variation samples, 8
-// samples at a time on AVX-512 and 4 on AVX2, with Mosfet::ids evaluated
-// lane for lane on glibc's libmvec exp/log1p/pow. A lane takes the next
-// sample of the block as soon as its current one is done. libmvec rounds
-// differently from the scalar libm, so lane results drift from the scalar
-// ones by ~1e-14 in relative terms; every caller decides a sample only
-// when its lane result clears a band far wider than that, and hands the
-// rest to the exact scalar path.
+// samples at a time on AVX-512 and 4 on AVX2, with the device current
+// evaluated lane for lane on glibc's libmvec exp/log1p/pow. A lane takes
+// the next sample of the block as soon as its current one is done. The
+// lane current is not a copy of Mosfet::ids: it takes one pow per device
+// where the scalar takes two, and libmvec rounds differently from the
+// scalar libm. So lane results drift from the scalar ones; every caller
+// decides a sample only when its lane result clears a band far wider than
+// that drift, and hands the rest to the exact scalar path. The band, not
+// the formula, makes a lane verdict equal the scalar one, and
+// tests/test_mc_decisions.cpp pins the drift on every tier: read currents
+// within 1e-12 relative, and write verdicts exact at a 1e-12 band on
+// samples 2e-12 vdd from the boundary (a write margin drift under 1e-12
+// vdd).
 //
 // Write: the scalar write transient's Euler loop (bitcell.cpp), decided in
 // the lane against kWriteLaneBand:

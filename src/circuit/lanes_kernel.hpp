@@ -13,9 +13,9 @@
 
 namespace hynapse::circuit::detail {
 
-/// One device as Mosfet::ids reads its card:
-/// vt_eff = (vt0 + dvt) - dibl * vds, isat = bw * veff^alpha,
-/// vdsat = vdsat_k * veff^half_alpha.
+/// One device as the lanes evaluate it: vt_eff = (vt0 + dvt) - dibl * vds,
+/// vdsat = vdsat_k * veff^half_alpha, and isat = bw * veff^alpha taken as
+/// bw * (veff^half_alpha)^2, one pow for both.
 struct LaneDevice {
   double vt0;
   double dibl;
@@ -94,9 +94,11 @@ V splat(double x) {
   return v + x;
 }
 
-/// Mosfet::ids(vgs, vds, d_vgs, d_vds) lane for lane: the same expressions
-/// in the same order, with every branch computed and blended (vt = vt0 +
-/// dvt per lane).
+/// Mosfet::ids(vgs, vds, d_vgs, d_vds) lane for lane, with every branch
+/// computed and blended (vt = vt0 + dvt per lane). Not a term-by-term copy:
+/// one pow gives both veff^half_alpha and, squared, veff^alpha, which moves
+/// the result by an ulp or so; tests/test_mc_decisions.cpp bounds the drift
+/// from the scalar path far inside the callers' bands.
 template <typename V>
 V lane_ids(const LaneDevice& c, V vt, V vgs, V vds, V& d_vgs, V& d_vds) {
   using Math = LaneMath<V>;
@@ -109,8 +111,9 @@ V lane_ids(const LaneDevice& c, V vt, V vgs, V vds, V& d_vgs, V& d_vds) {
   const V ex = Math::exp(x);
   const V veff = strong ? vgs - vt_eff : c.nvt * Math::log1p(ex);
   const V dveff_dvgs = strong ? splat<V>(1.0) : ex / (1.0 + ex);
-  const V isat = c.bw * Math::pow(veff, splat<V>(c.alpha));
-  const V vdsat = c.vdsat_k * Math::pow(veff, splat<V>(c.half_alpha));
+  const V ph = Math::pow(veff, splat<V>(c.half_alpha));
+  const V isat = c.bw * (ph * ph);
+  const V vdsat = c.vdsat_k * ph;
   const V disat = c.alpha * isat / veff;
   const V dvdsat = c.half_alpha * vdsat / veff;
   const auto sat = vds >= vdsat;
@@ -127,7 +130,7 @@ V lane_ids(const LaneDevice& c, V vt, V vgs, V vds, V& d_vgs, V& d_vds) {
   return off ? zero : out;
 }
 
-/// Mosfet::ids(vgs, vds) lane for lane.
+/// Mosfet::ids(vgs, vds) lane for lane, reformulated as above.
 template <typename V>
 V lane_ids(const LaneDevice& c, V vt, V vgs, V vds) {
   using Math = LaneMath<V>;
@@ -137,8 +140,9 @@ V lane_ids(const LaneDevice& c, V vt, V vgs, V vds) {
   const V x = (vgs - vt_eff) / c.nvt;
   const V veff =
       x > 40.0 ? vgs - vt_eff : c.nvt * Math::log1p(Math::exp(x));
-  const V isat = c.bw * Math::pow(veff, splat<V>(c.alpha));
-  const V vdsat = c.vdsat_k * Math::pow(veff, splat<V>(c.half_alpha));
+  const V ph = Math::pow(veff, splat<V>(c.half_alpha));
+  const V isat = c.bw * (ph * ph);
+  const V vdsat = c.vdsat_k * ph;
   const V r = vds / vdsat;
   const V out = vds >= vdsat ? isat * (1.0 + c.lambda_clm * (vds - vdsat))
                              : isat * r * (2.0 - r);
@@ -216,9 +220,10 @@ void write_lanes(const WriteLaneJob& job, const Variation6T* cells,
 
 /// newton_bracket_increasing (solve.hpp) on the node residual of every
 /// sample, W at a time, each lane taking the next sample as soon as its
-/// bracket closes. The iterates are the scalar ones; the lanes skip the
-/// scalar's two end-point evaluations, which only decide its clamps: a
-/// bracket that never moved off 0 or vdd still holds the clamped root.
+/// bracket closes. The steps are the scalar ones, on the lanes' currents;
+/// the lanes skip the scalar's two end-point evaluations, which only decide
+/// its clamps: a bracket that never moved off 0 or vdd still holds the
+/// clamped root.
 /// A lane still open after kNodeLaneSteps hands out its wider bracket.
 template <typename V>
 void node_lanes(const NodeLaneJob& job, const double* dvt_a,

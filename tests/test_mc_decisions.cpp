@@ -20,7 +20,6 @@
 #include <iterator>
 #include <memory>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "circuit/bitcell.hpp"
@@ -28,6 +27,7 @@
 #include "circuit/reference.hpp"
 #include "circuit/solve.hpp"
 #include "circuit/lanes.hpp"
+#include "circuit/lanes_kernel.hpp"
 #include "mc/criteria.hpp"
 #include "mc/variation.hpp"
 #include "obs/metrics.hpp"
@@ -291,10 +291,10 @@ bool fails(const Case& c, const Dvt& x, double vdd) {
 }
 
 /// Disagreements with `oracle` (each sample's metric > 0) of
-/// FailureCriteria::fails_block for case c on every lane tier this host
-/// runs, scalar included.
+/// FailureCriteria::fails_block for case c on each of `tiers`.
 std::size_t block_disagreements(const Case& c, const std::vector<Dvt>& xs,
-                                const std::vector<bool>& oracle, double vdd) {
+                                const std::vector<bool>& oracle, double vdd,
+                                std::span<const circuit::LaneTier> tiers) {
   const Stack& s = stack();
   const std::size_t n = xs.size();
   const auto out = std::make_unique<bool[]>(n);
@@ -306,7 +306,7 @@ std::size_t block_disagreements(const Case& c, const std::vector<Dvt>& xs,
     cells8[k] = VariationSampler::pack_8t(xs[k]);
   }
   std::size_t disagreements = 0;
-  for (const circuit::LaneTier tier : circuit::available_lane_tiers()) {
+  for (const circuit::LaneTier tier : tiers) {
     // Every run starts from wrong verdicts, so one it leaves unset shows.
     for (std::size_t k = 0; k < n; ++k) verdicts[k] = !oracle[k];
     if (c.cell8) {
@@ -367,11 +367,12 @@ Tally merge(Tally a, const Tally& b) {
   return a;
 }
 
-/// Decides `xs` of one case at one voltage one by one and on every block
-/// path, against the oracle.
-Tally agree_on(const Case& c, const std::vector<Dvt>& xs, double vdd) {
+/// Sets oracle[k] = metric > 0 for each of `xs` (one case at one voltage)
+/// and decides each one by one with fails against it.
+Tally agree_one_by_one(const Case& c, const std::vector<Dvt>& xs, double vdd,
+                       std::vector<bool>& oracle) {
   Tally t;
-  std::vector<bool> oracle(xs.size());
+  oracle.assign(xs.size(), false);
   for (std::size_t k = 0; k < xs.size(); ++k) {
     oracle[k] = metric(c, xs[k], vdd) > 0.0;
     ++t.decisions;
@@ -381,31 +382,43 @@ Tally agree_on(const Case& c, const std::vector<Dvt>& xs, double vdd) {
                     << " decided against the oracle";
     }
   }
-  t.disagreements += block_disagreements(c, xs, oracle, vdd);
   return t;
 }
 
-/// Decides `plain` plain and `shifted` IS-shifted (beta = 3.5) samples of
-/// one case at one voltage against the oracle.
-Tally agree_on_samples(const Case& c, double vdd, std::size_t plain,
-                       std::size_t shifted, std::uint64_t seed) {
+/// Decides `xs` of one case at one voltage one by one and on every block
+/// path, against the oracle.
+Tally agree_on(const Case& c, const std::vector<Dvt>& xs, double vdd) {
+  std::vector<bool> oracle;
+  Tally t = agree_one_by_one(c, xs, vdd, oracle);
+  t.disagreements +=
+      block_disagreements(c, xs, oracle, vdd, circuit::available_lane_tiers());
+  return t;
+}
+
+/// `plain` plain and `shifted` IS-shifted (beta = 3.5) samples of one case
+/// at one voltage.
+std::vector<Dvt> plain_and_shifted(const Case& c, double vdd,
+                                   std::size_t plain, std::size_t shifted,
+                                   std::uint64_t seed) {
   util::Rng rng{seed};
   const Dvt dir = failure_direction(c, vdd);
   std::vector<Dvt> xs;
   for (std::size_t k = 0; k < plain + shifted; ++k) {
     xs.push_back(draw(c, rng, dir, k < plain ? 0.0 : 3.5));
   }
-  return agree_on(c, xs, vdd);
+  return xs;
 }
 
-/// Samples within 1e-10 sigma of the metric's `level` set (the failure
+/// Samples within `jitter` sigma of the metric's `level` set (the failure
 /// boundary at level 0): bisect (60 steps, on metric > level) between the
-/// origin and a sample above the level, then jitter the crossing by 1e-10
-/// sigma per device. Those samples are plain or IS-shifted (beta = 3.5)
-/// draws, scaled up to 4x when the mechanism's tail lies beyond the shift.
+/// origin and a sample above the level, then jitter the crossing by
+/// `jitter` sigma per device. Those samples are plain or IS-shifted
+/// (beta = 3.5) draws, scaled up to 4x when the mechanism's tail lies
+/// beyond the shift.
 std::vector<Dvt> boundary_samples(const Case& c, double vdd,
                                   std::size_t crossings, std::size_t jitters,
-                                  std::uint64_t seed, double level = 0.0) {
+                                  std::uint64_t seed, double level = 0.0,
+                                  double jitter = 1e-10) {
   std::vector<Dvt> out;
   if (metric(c, Dvt{}, vdd) > level) return out;  // origin above the level
   util::Rng rng{seed};
@@ -436,7 +449,7 @@ std::vector<Dvt> boundary_samples(const Case& c, double vdd,
     for (std::size_t j = 0; j < jitters; ++j) {
       Dvt x = edge;
       for (std::size_t i = 0; i < dims(c); ++i) {
-        x[i] += 1e-10 * rng.normal() * sigma(c, i);
+        x[i] += jitter * rng.normal() * sigma(c, i);
       }
       out.push_back(x);
     }
@@ -456,7 +469,7 @@ TEST_P(DecisionAgreement, PlainAndShiftedSamplesMatchTheOracle) {
                                      : read_lane_fallbacks();
     };
     const std::uint64_t lane_before = lane_fallbacks();
-    const Tally t = agree_on_samples(c, vdd, 500, 500, 17);
+    const Tally t = agree_on(c, plain_and_shifted(c, vdd, 500, 500, 17), vdd);
     EXPECT_EQ(t.decisions, 1000u);
     EXPECT_EQ(t.disagreements, 0u) << c.name;
     // Samples away from the boundary are the lanes' to decide: at most 1%
@@ -538,6 +551,71 @@ TEST_P(DecisionAgreement, SamplesInsideTheLaneBandFallBack) {
   EXPECT_GE(cases_sampled, 2 * (std::size(kCases) - 1));
 }
 
+/// The lanes' view of one device of length lmin (circuit/lanes.cpp builds
+/// the same).
+circuit::detail::LaneDevice lane_device(const circuit::TechCard& c,
+                                        double w) {
+  return {c.vt0,   c.dibl,        c.n_sub * c.phi_t,
+          c.b * (w / stack().tech.lmin),
+          c.alpha, 0.5 * c.alpha, c.vdsat_k, c.lambda_clm};
+}
+
+TEST_P(DecisionAgreement, WriteLanesDecideAtATighterBand) {
+  // The write lanes hand back only verdicts, so their drift from the scalar
+  // transient is pinned through them: with the band narrowed from
+  // kWriteLaneBand to 1e-12, every lane tier must decide each sample whose
+  // scalar margin (Q - QB)/vdd sits at 2e-12 above or below zero (bisected
+  // to that level, not jittered), and decide it as write_fails does. A lane
+  // margin that drifted by 1e-12 vdd or more would leave some of them
+  // undecided or decide them the other way; so the drift stays under 1e-12
+  // vdd, six orders under the band the block path decides against.
+  if (!on_lanes()) return;
+  constexpr double band = 1e-12;
+  const double vdd = GetParam();
+  const Stack& s = stack();
+  const double budget = s.cycle.write_budget(vdd);
+  std::size_t decided = 0;
+  for (const Case& c : kCases) {
+    if (c.m != Mechanism::write) continue;
+    const circuit::Sizing6T& sz = c.cell8 ? s.s8.core : s.s6;
+    const circuit::detail::WriteLaneJob job{
+        lane_device(s.tech.nmos, sz.w_pg),
+        lane_device(s.tech.nmos, sz.w_pd),
+        lane_device(s.tech.pmos, sz.w_pu),
+        vdd,
+        budget / circuit::Bitcell6T::kWriteSteps,
+        s.cycle.c_node(),
+        -band * vdd,
+        band};
+    for (const double level : {2 * band, -2 * band}) {
+      const std::vector<Dvt> xs =
+          boundary_samples(c, vdd, 16, 1, 37, level, 0.0);
+      std::vector<circuit::Variation6T> cells(xs.size());
+      std::transform(xs.begin(), xs.end(), cells.begin(), pack6);
+      for (const circuit::LaneTier tier : circuit::available_lane_tiers()) {
+        if (tier == circuit::LaneTier::scalar) continue;
+        const circuit::detail::LaneKernels* kernels =
+            tier == circuit::LaneTier::avx512 ? circuit::detail::lanes_avx512()
+                                              : circuit::detail::lanes_avx2();
+        std::vector<circuit::LaneVerdict> verdicts(
+            cells.size(), circuit::LaneVerdict::undecided);
+        kernels->write(job, cells.data(), cells.size(), verdicts.data());
+        for (std::size_t k = 0; k < cells.size(); ++k) {
+          const bool scalar = circuit::Bitcell6T{s.tech, sz, cells[k]}
+                                  .write_fails(vdd, s.cycle.c_node(), budget);
+          EXPECT_EQ(verdicts[k], scalar ? circuit::LaneVerdict::fail
+                                        : circuit::LaneVerdict::pass)
+              << c.name << " at " << vdd << " V, level " << level
+              << ", sample " << k << " on " << circuit::lane_tier_name(tier);
+        }
+        decided += cells.size();
+      }
+    }
+  }
+  // The 6T write's boundary is in reach at every paper voltage.
+  EXPECT_GT(decided, 0u);
+}
+
 INSTANTIATE_TEST_SUITE_P(PaperVoltages, DecisionAgreement,
                          ::testing::ValuesIn(circuit::paper_voltage_grid()));
 
@@ -601,67 +679,117 @@ TEST(WritePremise, TransientNeverRaisesQOrLowersQb) {
 
 // ---- the long sweep ------------------------------------------------------------
 
+/// Lane fallbacks of the million-decision sweep on one lane tier, as
+/// measured when they were pinned (AVX-512 host, GCC 12.2, glibc 2.36).
+struct PinnedLaneFallbacks {
+  circuit::LaneTier tier;
+  std::uint64_t write;
+  std::uint64_t read;
+};
+
+constexpr PinnedLaneFallbacks kPinnedLaneFallbacks[] = {
+    {circuit::LaneTier::scalar, 0, 0},
+    {circuit::LaneTier::avx2, 44200, 84000},
+    {circuit::LaneTier::avx512, 44200, 84000},
+};
+
+/// One job of the sweep: samples of one case at one voltage and their
+/// oracle verdicts.
+struct SweepJob {
+  const Case* c = nullptr;
+  double vdd = 0.0;
+  std::vector<Dvt> xs;
+  std::vector<bool> oracle;
+};
+
 TEST(DecisionSweep, DISABLED_MillionDecisionSweep) {
   // ~1M decisions: for every paper voltage and mechanism, plain and
   // IS-shifted samples plus boundary-clustered ones, on all threads, each
-  // decided one by one and on the block path.
+  // decided one by one and then on the block path of each lane tier in
+  // turn, so the lane counters split by tier. A tier that sends more than
+  // 1% more samples to the scalar path than pinned fails: the verdicts
+  // would still agree, but the lanes would have lost work to the scalar
+  // path.
   const std::vector<double> grid = circuit::paper_voltage_grid();
   constexpr std::size_t kChunksPerCase = 16;
   constexpr std::size_t kPerChunk = 1600;  // half plain, half shifted
   const std::size_t n_cases = std::size(kCases);
-  const std::size_t jobs = grid.size() * n_cases * kChunksPerCase;
-  const std::uint64_t fallbacks_before = oracle_fallbacks();
-  const std::uint64_t write_lane_before = write_lane_fallbacks();
-  const std::uint64_t read_lane_before = read_lane_fallbacks();
-  const Tally sampled = util::parallel_reduce(
-      jobs, jobs, Tally{},
-      [&](std::size_t begin, std::size_t end) {
-        Tally t;
-        for (std::size_t j = begin; j < end; ++j) {
-          const Case& c = kCases[(j / kChunksPerCase) % n_cases];
-          const double vdd = grid[j / (kChunksPerCase * n_cases)];
-          t = merge(t, agree_on_samples(c, vdd, kPerChunk / 2, kPerChunk / 2,
-                                        1000 + j));
-        }
-        return t;
-      },
-      merge);
+  const std::size_t sampled_jobs = grid.size() * n_cases * kChunksPerCase;
   const std::size_t boundary_jobs = grid.size() * n_cases;
+  std::vector<SweepJob> jobs(sampled_jobs + boundary_jobs);
+  const std::uint64_t fallbacks_before = oracle_fallbacks();
+  const auto one_by_one = [&](std::size_t begin, std::size_t end) {
+    Tally t;
+    for (std::size_t j = begin; j < end; ++j) {
+      SweepJob& job = jobs[j];
+      if (j < sampled_jobs) {
+        job.c = &kCases[(j / kChunksPerCase) % n_cases];
+        job.vdd = grid[j / (kChunksPerCase * n_cases)];
+        job.xs = plain_and_shifted(*job.c, job.vdd, kPerChunk / 2,
+                                   kPerChunk / 2, 1000 + j);
+      } else {
+        const std::size_t b = j - sampled_jobs;
+        job.c = &kCases[b % n_cases];
+        job.vdd = grid[b / n_cases];
+        job.xs = boundary_samples(*job.c, job.vdd, 40, 100, 7000 + b);
+      }
+      t = merge(t, agree_one_by_one(*job.c, job.xs, job.vdd, job.oracle));
+    }
+    return t;
+  };
+  const Tally sampled =
+      util::parallel_reduce(sampled_jobs, sampled_jobs, Tally{}, one_by_one,
+                            merge);
   const Tally boundary = util::parallel_reduce(
       boundary_jobs, boundary_jobs, Tally{},
       [&](std::size_t begin, std::size_t end) {
-        Tally t;
-        for (std::size_t j = begin; j < end; ++j) {
-          const Case& c = kCases[j % n_cases];
-          const double vdd = grid[j / n_cases];
-          t = merge(t, agree_on(c, boundary_samples(c, vdd, 40, 100, 7000 + j),
-                                vdd));
-        }
-        return t;
+        return one_by_one(sampled_jobs + begin, sampled_jobs + end);
       },
       merge);
-  // The block path ran once per tier; the lane counters sum the lane tiers.
-  std::string lane_tiers;
-  for (const circuit::LaneTier tier : circuit::available_lane_tiers()) {
-    if (tier == circuit::LaneTier::scalar) continue;
-    if (!lane_tiers.empty()) lane_tiers += "+";
-    lane_tiers += circuit::lane_tier_name(tier);
-  }
-  if (lane_tiers.empty()) lane_tiers = "none";
   std::printf(
-      "decisions: %zu sampled + %zu boundary, disagreements: %zu, oracle "
-      "fallbacks: %llu, lane fallbacks (%s): write %llu, read %llu\n",
+      "decisions: %zu sampled + %zu boundary, one-by-one disagreements: "
+      "%zu, oracle fallbacks: %llu\n",
       sampled.decisions, boundary.decisions,
       sampled.disagreements + boundary.disagreements,
-      static_cast<unsigned long long>(oracle_fallbacks() - fallbacks_before),
-      lane_tiers.c_str(),
-      static_cast<unsigned long long>(write_lane_fallbacks() -
-                                      write_lane_before),
-      static_cast<unsigned long long>(read_lane_fallbacks() -
-                                      read_lane_before));
+      static_cast<unsigned long long>(oracle_fallbacks() - fallbacks_before));
   EXPECT_GE(sampled.decisions + boundary.decisions, 1000000u);
   EXPECT_EQ(sampled.disagreements, 0u);
   EXPECT_EQ(boundary.disagreements, 0u);
+  for (const circuit::LaneTier tier : circuit::available_lane_tiers()) {
+    const std::uint64_t oracle_before = oracle_fallbacks();
+    const std::uint64_t write_before = write_lane_fallbacks();
+    const std::uint64_t read_before = read_lane_fallbacks();
+    const std::size_t block = util::parallel_reduce(
+        jobs.size(), jobs.size(), std::size_t{0},
+        [&](std::size_t begin, std::size_t end) {
+          std::size_t d = 0;
+          for (std::size_t j = begin; j < end; ++j) {
+            const SweepJob& job = jobs[j];
+            d += block_disagreements(*job.c, job.xs, job.oracle, job.vdd,
+                                     std::span{&tier, 1});
+          }
+          return d;
+        },
+        [](std::size_t a, std::size_t b) { return a + b; });
+    const std::uint64_t write = write_lane_fallbacks() - write_before;
+    const std::uint64_t read = read_lane_fallbacks() - read_before;
+    const char* name = circuit::lane_tier_name(tier).data();
+    std::printf(
+        "%s: block disagreements: %zu, oracle fallbacks: %llu, lane "
+        "fallbacks: write %llu, read %llu\n",
+        name, block,
+        static_cast<unsigned long long>(oracle_fallbacks() - oracle_before),
+        static_cast<unsigned long long>(write),
+        static_cast<unsigned long long>(read));
+    EXPECT_EQ(block, 0u) << name;
+    for (const PinnedLaneFallbacks& pin : kPinnedLaneFallbacks) {
+      if (pin.tier != tier) continue;
+      EXPECT_LE(write, pin.write + pin.write / 100)
+          << name << ": write lane fallbacks, pinned at " << pin.write;
+      EXPECT_LE(read, pin.read + pin.read / 100)
+          << name << ": read lane fallbacks, pinned at " << pin.read;
+    }
+  }
 }
 
 }  // namespace
