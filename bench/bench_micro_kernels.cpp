@@ -183,12 +183,12 @@ void BM_Gemm(benchmark::State& state) {
 }
 BENCHMARK(BM_Gemm)->Arg(128)->Arg(512);
 
-// Per-backend kernel arms. The simd arms silently fall back to the
-// reference kernels when the build has no SIMD backend (kernel_ops'
-// fallback rule), so reference/simd timings then coincide. The simd speedup
-// per variant is the ratio of the two arms' times; perfbench reports the
-// same split per Table-I layer (ann.gemm_us.L*.{reference,simd}). Arg 130
-// exercises the tile remainders (130 % 4 == 2 rows, 130 % 16 == 2 cols).
+// Per-backend gemm arms. The simd arm silently falls back to the reference
+// kernel when the build has no SIMD tier (kernel_ops' fallback rule), so the
+// two timings then coincide. The simd speedup is the ratio of the two arms'
+// times; perfbench reports the same split per Table-I layer
+// (ann.gemm_us.L*.{reference,simd}). Arg 130 exercises the tile remainders
+// (130 % 4 == 2 rows, 130 % 16 == 2 cols).
 
 void BM_GemmBackend(benchmark::State& state, ann::backends::Backend backend) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -214,8 +214,8 @@ BENCHMARK_CAPTURE(BM_GemmBackend, simd, ann::backends::Backend::simd)
     ->Arg(130)
     ->Arg(512);
 
-void BM_GemmBtBackend(benchmark::State& state,
-                      ann::backends::Backend backend) {
+// The backward-pass kernels have one portable implementation each.
+void BM_GemmBt(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   ann::Matrix a{n, n};
   ann::Matrix bt{n, n};
@@ -224,21 +224,14 @@ void BM_GemmBtBackend(benchmark::State& state,
   for (float& x : a.data()) x = static_cast<float>(rng.uniform());
   for (float& x : bt.data()) x = static_cast<float>(rng.uniform());
   for (auto _ : state) {
-    ann::gemm_bt(a, bt, c, /*parallel=*/true, backend);
+    ann::gemm_bt(a, bt, c, /*parallel=*/true);
     benchmark::DoNotOptimize(c.data().data());
   }
   state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
 }
-BENCHMARK_CAPTURE(BM_GemmBtBackend, reference,
-                  ann::backends::Backend::reference)
-    ->Arg(128)
-    ->Arg(130);
-BENCHMARK_CAPTURE(BM_GemmBtBackend, simd, ann::backends::Backend::simd)
-    ->Arg(128)
-    ->Arg(130);
+BENCHMARK(BM_GemmBt)->Arg(128)->Arg(130);
 
-void BM_GemmAtBackend(benchmark::State& state,
-                      ann::backends::Backend backend) {
+void BM_GemmAt(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   ann::Matrix a{n, n};
   ann::Matrix b{n, n};
@@ -247,18 +240,12 @@ void BM_GemmAtBackend(benchmark::State& state,
   for (float& x : a.data()) x = static_cast<float>(rng.uniform());
   for (float& x : b.data()) x = static_cast<float>(rng.uniform());
   for (auto _ : state) {
-    ann::gemm_at(a, b, c, /*parallel=*/true, backend);
+    ann::gemm_at(a, b, c, /*parallel=*/true);
     benchmark::DoNotOptimize(c.data().data());
   }
   state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
 }
-BENCHMARK_CAPTURE(BM_GemmAtBackend, reference,
-                  ann::backends::Backend::reference)
-    ->Arg(128)
-    ->Arg(130);
-BENCHMARK_CAPTURE(BM_GemmAtBackend, simd, ann::backends::Backend::simd)
-    ->Arg(128)
-    ->Arg(130);
+BENCHMARK(BM_GemmAt)->Arg(128)->Arg(130);
 
 void BM_FaultMapSampling(benchmark::State& state) {
   std::vector<mc::FailureTableRow> rows(2);

@@ -1,26 +1,25 @@
-// Backend-pluggable kernel layer for the ANN forward/backward GEMMs
-// (nestmc-style: one algorithm, backend-selected kernels). A Backend names a
-// KernelOps table of raw-pointer micro-kernels; callers (ann::gemm and
-// friends, the chip evaluator in core::delta_eval) pick the table once
-// per call and stay allocation-free on the hot path.
+// Backend-pluggable kernel layer for the ANN forward GEMM (nestmc-style:
+// one algorithm, backend-selected kernels). A Backend names a KernelOps
+// table of raw-pointer micro-kernels; callers (ann::gemm / gemm_block, the
+// chip evaluator in core::delta_eval) pick the table once per call and stay
+// allocation-free on the hot path. The backward-pass GEMMs (ann::gemm_bt,
+// ann::gemm_at) have one portable kernel each and no backend.
 //
 // Backends:
-//  * reference — the register-tiled portable kernels (PR 4). The
-//    determinism oracle: every other backend is measured against it.
-//  * simd      — wider register tiles with unrolled inner-dimension
-//    stepping (CMake option HYNAPSE_SIMD_BACKEND, default ON). On x86 they
-//    are GCC vector-extension tiles in per-ISA translation units (AVX2 in
-//    simd.cpp, AVX-512 in simd512.cpp), picked by cpuid at runtime; other
-//    targets get the same tiles as `#pragma omp simd` loops compiled with
-//    -fopenmp-simd. When the backend is not compiled in, requesting it
-//    falls back to the reference table — selection is a performance hint,
-//    never an error.
+//  * reference — the portable register-tiled kernel. The determinism
+//    oracle: every other backend is measured against it.
+//  * simd      — one kernel template (gemm_kernel.hpp) instantiated in
+//    one translation unit per x86 tier (AVX2 in simd_avx2.cpp, AVX-512 in
+//    simd_avx512.cpp), picked by cpuid at runtime, widest first. CMake
+//    option HYNAPSE_SIMD_BACKEND, default ON. Where no tier is built or the
+//    CPU runs none, requesting it falls back to the reference table —
+//    selection is a performance hint, never an error.
 //
 // Determinism contract (docs/performance.md): every kernel in every backend
 // accumulates each output element over the inner dimension in ascending
 // order, so all backends produce bit-identical results to gemm_naive —
 // per-chip accuracies cannot depend on the backend. A future backend that
-// relaxes accumulation order (e.g. omp-simd reductions, GPU warp sums) must
+// relaxes accumulation order (e.g. vector reductions, GPU warp sums) must
 // be documented as such and gated behind its own opt-in flag; it must never
 // hide behind an existing Backend name.
 #pragma once
@@ -40,7 +39,7 @@ enum class Backend : std::uint8_t {
 };
 
 /// The kernel table a backend provides. All matrices are row-major and
-/// contiguous; every kernel fully overwrites its output range, runs on the
+/// contiguous; the kernel fully overwrites its output range, runs on the
 /// calling thread (callers own parallel partitioning), and performs no heap
 /// allocation.
 struct KernelOps {
@@ -48,29 +47,19 @@ struct KernelOps {
   /// r0*k and `c` by r0*n computes the same rows, bit for bit.
   void (*gemm)(const float* a, const float* b, float* c, std::size_t m,
                std::size_t k, std::size_t n);
-  /// c (m x n) = a (m x k) * bt^T, where bt is n x k row-major (B stored
-  /// transposed). Row-partitionable like gemm.
-  void (*gemm_bt)(const float* a, const float* bt, float* c, std::size_t m,
-                  std::size_t k, std::size_t n);
-  /// Rows [i0, i1) of c (mt x n) = at^T * b, where at is k x mt row-major.
-  /// The explicit range (instead of pointer offsetting) is needed because a
-  /// row block of c corresponds to a strided column block of at.
-  void (*gemm_at)(const float* at, const float* b, float* c, std::size_t i0,
-                  std::size_t i1, std::size_t mt, std::size_t k,
-                  std::size_t n);
 };
 
-/// The kernel table for `backend`. Requesting Backend::simd when the SIMD
-/// backend is unavailable — not compiled in, or compiled for AVX2 on a CPU
-/// without it — returns the reference table (documented fallback; query
-/// simd_compiled() to distinguish).
+/// The kernel table for `backend`. Backend::simd is the widest tier this
+/// build has and this CPU runs (AVX-512, then AVX2); when there is none it
+/// returns the reference table (documented fallback; query simd_compiled()
+/// to distinguish).
 [[nodiscard]] const KernelOps& kernel_ops(Backend backend) noexcept;
 
 /// The reference table directly (the oracle the tests compare against).
 [[nodiscard]] const KernelOps& reference_kernel_ops() noexcept;
 
-/// True when the simd backend is usable here: compiled in
-/// (HYNAPSE_SIMD_BACKEND) and, for AVX2 builds, the running CPU has AVX2.
+/// True when the simd backend is usable here: a tier is compiled in
+/// (HYNAPSE_SIMD_BACKEND on an x86 toolchain) and the running CPU has it.
 [[nodiscard]] bool simd_compiled() noexcept;
 
 /// Process-wide default backend, used by freshly constructed

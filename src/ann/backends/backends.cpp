@@ -11,16 +11,22 @@ namespace {
 
 std::atomic<Backend> g_default_backend{Backend::reference};
 
+/// The widest simd tier this build has and this CPU runs, or nullptr.
+const KernelOps* simd_ops() noexcept {
+  if (const KernelOps* wide = detail::simd512_kernel_ops()) return wide;
+  return detail::simd_avx2_kernel_ops();
+}
+
 }  // namespace
 
 const KernelOps& kernel_ops(Backend backend) noexcept {
   if (backend == Backend::simd) {
-    if (const KernelOps* ops = detail::simd_kernel_ops()) return *ops;
+    if (const KernelOps* ops = simd_ops()) return *ops;
   }
   return reference_kernel_ops();
 }
 
-bool simd_compiled() noexcept { return detail::simd_kernel_ops() != nullptr; }
+bool simd_compiled() noexcept { return simd_ops() != nullptr; }
 
 Backend default_backend() noexcept {
   return g_default_backend.load(std::memory_order_relaxed);

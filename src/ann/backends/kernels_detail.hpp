@@ -1,5 +1,6 @@
-// Internal seam between the backend registry (backends.cpp) and the
-// per-backend kernel translation units. Not part of the public API.
+// Internal seam between the backend registry (backends.cpp), the kernel
+// translation units and the matrix front end (ann/matrix.cpp). Not part of
+// the public API.
 #pragma once
 
 #include "ann/backends/backend.hpp"
@@ -12,21 +13,28 @@
 
 namespace hynapse::ann::backends::detail {
 
-/// The simd kernel table, or nullptr when HYNAPSE_SIMD_BACKEND was off at
-/// build time (simd.cpp always compiles; only its table is conditional).
-/// When the AVX-512 tier is usable it is returned in preference to the
-/// AVX2/omp-simd tier.
-[[nodiscard]] const KernelOps* simd_kernel_ops() noexcept;
-
-/// The AVX2 kernel tier of simd.cpp (its omp-simd form on builds without
-/// HYNAPSE_SIMD_AVX2), or nullptr when HYNAPSE_SIMD_BACKEND was off or the
-/// running CPU lacks avx2. Exposed so tests can run it on hosts where
-/// simd_kernel_ops() picks the AVX-512 tier.
+/// The AVX2 tier of the simd backend (simd_avx2.cpp), or nullptr when it
+/// was not built (HYNAPSE_SIMD_AVX2 unset) or the running CPU lacks avx2.
+/// Exposed so tests can run it on hosts where Backend::simd picks the
+/// AVX-512 tier.
 [[nodiscard]] const KernelOps* simd_avx2_kernel_ops() noexcept;
 
-/// The AVX-512 kernel tier, or nullptr when it was not built
-/// (HYNAPSE_SIMD_AVX512 unset) or the running CPU lacks avx512f. Never
-/// exposed as its own Backend value.
+/// The AVX-512 tier (simd_avx512.cpp), or nullptr when it was not built
+/// (HYNAPSE_SIMD_AVX512 unset) or the running CPU lacks avx512f. Preferred
+/// over the AVX2 tier; never exposed as its own Backend value.
 [[nodiscard]] const KernelOps* simd512_kernel_ops() noexcept;
+
+/// The portable kernels behind ann::gemm_bt and ann::gemm_at (the backward
+/// pass, which has no SIMD tier; reference.cpp).
+/// c (m x n) = a (m x k) * bt^T, where bt is n x k row-major. Offsetting `a`
+/// by r0*k and `c` by r0*n computes the same rows, bit for bit.
+void gemm_bt_kernel(const float* a, const float* bt, float* c, std::size_t m,
+                    std::size_t k, std::size_t n) noexcept;
+/// Rows [i0, i1) of c (mt x n) = at^T * b, where at is k x mt row-major.
+/// The explicit range (instead of pointer offsetting) is needed because a
+/// row block of c corresponds to a strided column block of at.
+void gemm_at_kernel(const float* at, const float* b, float* c, std::size_t i0,
+                    std::size_t i1, std::size_t mt, std::size_t k,
+                    std::size_t n) noexcept;
 
 }  // namespace hynapse::ann::backends::detail

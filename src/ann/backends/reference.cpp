@@ -1,7 +1,7 @@
-// Reference backend: the portable register-tiled kernels introduced in the
-// PR 4 hot-path rework, moved behind the KernelOps seam verbatim. This
-// table is the bitwise oracle — tests/test_ann_backends.cpp pins every
-// other backend against it, and it against gemm_naive.
+// The portable register-tiled kernels. Their gemm is the reference
+// backend's table, the bitwise oracle: tests/test_ann_backends.cpp pins
+// every SIMD tier against it, and it against gemm_naive. gemm_bt and gemm_at
+// (the backward pass) are the only kernels ann::gemm_bt / ann::gemm_at run.
 #include <algorithm>
 #include <cstring>
 
@@ -84,13 +84,22 @@ void gemm_kernel(const float* HYNAPSE_RESTRICT a,
   }
 }
 
+}  // namespace
+
+const KernelOps& reference_kernel_ops() noexcept {
+  static constexpr KernelOps ops{gemm_kernel};
+  return ops;
+}
+
+namespace detail {
+
 // c[i][j] = sum_p a[i][p] * bt[j][p]; bt is n x k row-major. A strict-FP
 // dot product cannot be vectorized, so this kernel takes its ILP from four
 // independent output columns.
 void gemm_bt_kernel(const float* HYNAPSE_RESTRICT a,
                     const float* HYNAPSE_RESTRICT bt,
                     float* HYNAPSE_RESTRICT c, std::size_t m, std::size_t k,
-                    std::size_t n) {
+                    std::size_t n) noexcept {
   for (std::size_t i = 0; i < m; ++i) {
     const float* HYNAPSE_RESTRICT ai = a + i * k;
     float* HYNAPSE_RESTRICT ci = c + i * n;
@@ -134,7 +143,7 @@ void gemm_bt_kernel(const float* HYNAPSE_RESTRICT a,
 void gemm_at_kernel(const float* HYNAPSE_RESTRICT at,
                     const float* HYNAPSE_RESTRICT b, float* HYNAPSE_RESTRICT c,
                     std::size_t i0, std::size_t i1, std::size_t mt,
-                    std::size_t k, std::size_t n) {
+                    std::size_t k, std::size_t n) noexcept {
   std::size_t i = i0;
   for (; i + kTileRows <= i1; i += kTileRows) {
     std::size_t j0 = 0;
@@ -185,11 +194,6 @@ void gemm_at_kernel(const float* HYNAPSE_RESTRICT at,
   }
 }
 
-}  // namespace
-
-const KernelOps& reference_kernel_ops() noexcept {
-  static constexpr KernelOps ops{gemm_kernel, gemm_bt_kernel, gemm_at_kernel};
-  return ops;
-}
+}  // namespace detail
 
 }  // namespace hynapse::ann::backends

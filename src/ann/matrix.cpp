@@ -38,10 +38,10 @@ void check_gemm(std::size_t ar, std::size_t ac, std::size_t br,
     throw std::invalid_argument{"gemm: dimension mismatch"};
 }
 
-// The kernel bodies themselves live in ann/backends/{reference,simd}.cpp;
-// this TU owns the shape checks and the parallel row partitioning, both of
-// which are backend-independent (every backend's gemm/gemm_bt are
-// row-partitionable bit-for-bit, and gemm_at takes an explicit row range).
+// The kernel bodies themselves live in ann/backends/; this TU owns the shape
+// checks and the parallel row partitioning, both of which are
+// backend-independent (every gemm kernel and gemm_bt are row-partitionable
+// bit-for-bit, and gemm_at takes an explicit row range).
 void gemm_dispatch(const float* a, const Matrix& b, Matrix& c, std::size_t m,
                    bool parallel, backends::Backend backend) {
   const backends::KernelOps& ops = backends::kernel_ops(backend);
@@ -72,17 +72,16 @@ void gemm_block(const float* a_rows, std::size_t m, const Matrix& b,
   gemm_dispatch(a_rows, b, c, m, parallel, backend);
 }
 
-void gemm_bt(const Matrix& a, const Matrix& bt, Matrix& c, bool parallel,
-             backends::Backend backend) {
+void gemm_bt(const Matrix& a, const Matrix& bt, Matrix& c, bool parallel) {
   // c[i][j] = sum_p a[i][p] * bt[j][p]
   if (a.cols() != bt.cols() || c.rows() != a.rows() || c.cols() != bt.rows())
     throw std::invalid_argument{"gemm_bt: dimension mismatch"};
-  const backends::KernelOps& ops = backends::kernel_ops(backend);
   const std::size_t m = a.rows();
   const std::size_t k = a.cols();
   const std::size_t n = bt.rows();
   const auto body = [&](std::size_t r0, std::size_t r1) {
-    ops.gemm_bt(a.row(r0), bt.row(0), c.row(r0), r1 - r0, k, n);
+    backends::detail::gemm_bt_kernel(a.row(r0), bt.row(0), c.row(r0), r1 - r0,
+                                     k, n);
   };
   if (parallel && m >= 64) {
     util::parallel_for_chunks(m, body);
@@ -91,17 +90,16 @@ void gemm_bt(const Matrix& a, const Matrix& bt, Matrix& c, bool parallel,
   }
 }
 
-void gemm_at(const Matrix& at, const Matrix& b, Matrix& c, bool parallel,
-             backends::Backend backend) {
+void gemm_at(const Matrix& at, const Matrix& b, Matrix& c, bool parallel) {
   // c[i][j] = sum_p at[p][i] * b[p][j]; c is (at.cols x b.cols).
   if (at.rows() != b.rows() || c.rows() != at.cols() || c.cols() != b.cols())
     throw std::invalid_argument{"gemm_at: dimension mismatch"};
-  const backends::KernelOps& ops = backends::kernel_ops(backend);
   const std::size_t k = at.rows();
   const std::size_t m = at.cols();
   const std::size_t n = b.cols();
   const auto body = [&](std::size_t r0, std::size_t r1) {
-    ops.gemm_at(at.row(0), b.row(0), c.row(0), r0, r1, m, k, n);
+    backends::detail::gemm_at_kernel(at.row(0), b.row(0), c.row(0), r0, r1, m,
+                                     k, n);
   };
   if (parallel && m >= 64) {
     util::parallel_for_chunks(m, body);

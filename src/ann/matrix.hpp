@@ -91,17 +91,16 @@ void gemm_block(const float* a_rows, std::size_t m, const Matrix& b, Matrix& c,
                 backends::Backend backend = backends::Backend::reference);
 
 /// c = a * b^T (used by the backward pass). Per-element accumulation stays
-/// in ascending p order in every backend (a strict-FP dot product cannot be
-/// vectorized, so the kernels take their ILP from independent output
-/// columns).
+/// in ascending p order (a strict-FP dot product cannot be vectorized, so
+/// the kernel takes its ILP from independent output columns). One portable
+/// kernel: the backward pass has no backend.
 void gemm_bt(const Matrix& a, const Matrix& b_transposed, Matrix& c,
-             bool parallel = true,
-             backends::Backend backend = backends::Backend::reference);
+             bool parallel = true);
 
-/// c = a^T * b (used for weight gradients).
+/// c = a^T * b (used for weight gradients). One portable kernel, like
+/// gemm_bt.
 void gemm_at(const Matrix& a_transposed, const Matrix& b, Matrix& c,
-             bool parallel = true,
-             backends::Backend backend = backends::Backend::reference);
+             bool parallel = true);
 
 /// Reference implementation for testing the optimized kernels.
 void gemm_naive(const Matrix& a, const Matrix& b, Matrix& c);

@@ -1,10 +1,11 @@
-// Backend seam coverage: the registry (parse/name/fallback/default/flag
-// stripping) and the per-backend kernel matrix. Every backend must be
+// Backend seam coverage: the registry (parse/name/fallback/tier choice/
+// default/flag stripping) and the kernels. Every backend's gemm must be
 // bit-identical to gemm_naive — and therefore to the reference backend —
-// across all four GEMM entry points, tile remainders, odd shapes, and both
-// serial and pool-parallel row partitioning (ann/backends/backend.hpp).
-// The bitwise tests also call every kernel table this host runs directly,
-// so the AVX2 tier is covered where Backend::simd picks the AVX-512 one.
+// across tile remainders, odd shapes, and both serial and pool-parallel row
+// partitioning (ann/backends/backend.hpp); so must the portable gemm_bt and
+// gemm_at kernels of the backward pass. The gemm tests also call every
+// kernel table this host runs directly, so the AVX2 tier is covered where
+// Backend::simd picks the AVX-512 one.
 #include "ann/backends/backend.hpp"
 
 #include <gtest/gtest.h>
@@ -104,6 +105,14 @@ TEST(Backends, SimdFallsBackToReferenceWhenNotCompiled) {
   } else {
     EXPECT_EQ(&simd, &ref);
   }
+}
+
+TEST(Backends, SimdPicksTheWidestUsableTier) {
+  const backends::KernelOps* widest = backends::detail::simd512_kernel_ops();
+  if (!widest) widest = backends::detail::simd_avx2_kernel_ops();
+  const backends::KernelOps& ref = backends::reference_kernel_ops();
+  EXPECT_EQ(&backends::kernel_ops(Backend::simd), widest ? widest : &ref);
+  EXPECT_EQ(backends::simd_compiled(), widest != nullptr);
 }
 
 TEST(Backends, DefaultBackendIsProcessWideAndResettable) {
@@ -215,36 +224,32 @@ TEST(Backends, GemmBlockMatchesNaiveBitwiseOnRowWindows) {
   }
 }
 
-TEST(Backends, GemmBtMatchesNaiveBitwiseAcrossBackendsAndShapes) {
+TEST(Backends, GemmBtMatchesNaiveBitwiseAcrossShapesAndRowSplits) {
   for (const Shape& s : shapes()) {
     const Matrix a = random_matrix(s.m, s.k, 303 + s.m);
     const Matrix b = random_matrix(s.k, s.n, 404 + s.n);
     const Matrix bt = transpose(b);
     Matrix naive{s.m, s.n};
     gemm_naive(a, b, naive);
-    for (const Backend backend : backends::available_backends()) {
-      for (const bool parallel : {false, true}) {
-        Matrix c{s.m, s.n};
-        gemm_bt(a, bt, c, parallel, backend);
-        EXPECT_EQ(c, naive)
-            << "backend=" << backends::backend_name(backend) << " m=" << s.m
-            << " k=" << s.k << " n=" << s.n << " parallel=" << parallel;
-      }
+    for (const bool parallel : {false, true}) {
+      Matrix c{s.m, s.n};
+      gemm_bt(a, bt, c, parallel);
+      EXPECT_EQ(c, naive) << "m=" << s.m << " k=" << s.k << " n=" << s.n
+                          << " parallel=" << parallel;
     }
-    for (const Table& t : kernel_tables()) {
-      for (const std::size_t r : row_splits(s.m)) {
-        Matrix c{s.m, s.n};
-        t.ops->gemm_bt(a.row(0), bt.row(0), c.row(0), r, s.k, s.n);
-        t.ops->gemm_bt(a.row(0) + r * s.k, bt.row(0), c.row(0) + r * s.n,
-                       s.m - r, s.k, s.n);
-        EXPECT_EQ(c, naive) << "table=" << t.name << " m=" << s.m
-                            << " k=" << s.k << " n=" << s.n << " split=" << r;
-      }
+    for (const std::size_t r : row_splits(s.m)) {
+      Matrix c{s.m, s.n};
+      backends::detail::gemm_bt_kernel(a.row(0), bt.row(0), c.row(0), r, s.k,
+                                       s.n);
+      backends::detail::gemm_bt_kernel(a.row(0) + r * s.k, bt.row(0),
+                                       c.row(0) + r * s.n, s.m - r, s.k, s.n);
+      EXPECT_EQ(c, naive) << "m=" << s.m << " k=" << s.k << " n=" << s.n
+                          << " split=" << r;
     }
   }
 }
 
-TEST(Backends, GemmAtMatchesNaiveBitwiseAcrossBackendsAndShapes) {
+TEST(Backends, GemmAtMatchesNaiveBitwiseAcrossShapesAndRowSplits) {
   for (const Shape& s : shapes()) {
     const Matrix a = random_matrix(s.m, s.k, 505 + s.m);
     const Matrix at = transpose(a);
@@ -252,24 +257,21 @@ TEST(Backends, GemmAtMatchesNaiveBitwiseAcrossBackendsAndShapes) {
     // c = a^T * b is (k x n); a^T has s.k rows of s.m inner elements.
     Matrix naive{s.k, s.n};
     gemm_naive(at, b, naive);
-    for (const Backend backend : backends::available_backends()) {
-      for (const bool parallel : {false, true}) {
-        Matrix c{s.k, s.n};
-        gemm_at(a, b, c, parallel, backend);
-        EXPECT_EQ(c, naive)
-            << "backend=" << backends::backend_name(backend) << " m=" << s.m
-            << " k=" << s.k << " n=" << s.n << " parallel=" << parallel;
-      }
+    for (const bool parallel : {false, true}) {
+      Matrix c{s.k, s.n};
+      gemm_at(a, b, c, parallel);
+      EXPECT_EQ(c, naive) << "m=" << s.m << " k=" << s.k << " n=" << s.n
+                          << " parallel=" << parallel;
     }
     // The kernel reads a (m x k) as the k x mt operand at, mt = s.k.
-    for (const Table& t : kernel_tables()) {
-      for (const std::size_t r : row_splits(s.k)) {
-        Matrix c{s.k, s.n};
-        t.ops->gemm_at(a.row(0), b.row(0), c.row(0), 0, r, s.k, s.m, s.n);
-        t.ops->gemm_at(a.row(0), b.row(0), c.row(0), r, s.k, s.k, s.m, s.n);
-        EXPECT_EQ(c, naive) << "table=" << t.name << " m=" << s.m
-                            << " k=" << s.k << " n=" << s.n << " split=" << r;
-      }
+    for (const std::size_t r : row_splits(s.k)) {
+      Matrix c{s.k, s.n};
+      backends::detail::gemm_at_kernel(a.row(0), b.row(0), c.row(0), 0, r,
+                                       s.k, s.m, s.n);
+      backends::detail::gemm_at_kernel(a.row(0), b.row(0), c.row(0), r, s.k,
+                                       s.k, s.m, s.n);
+      EXPECT_EQ(c, naive) << "m=" << s.m << " k=" << s.k << " n=" << s.n
+                          << " split=" << r;
     }
   }
 }
