@@ -167,6 +167,11 @@ void BM_McBatchReadAccess8T(benchmark::State& state) {
 }
 BENCHMARK(BM_McBatchReadAccess8T)->Apply(per_lane_tier);
 
+void BM_McBatchWrite8T(benchmark::State& state) {
+  batch_bench<circuit::Variation8T>(state, mc::Mechanism::write, draw_8t);
+}
+BENCHMARK(BM_McBatchWrite8T)->Apply(per_lane_tier);
+
 void BM_Gemm(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   ann::Matrix a{n, n};

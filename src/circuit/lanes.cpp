@@ -9,6 +9,8 @@ namespace hynapse::circuit {
 
 namespace {
 
+using detail::lane_device;
+
 const detail::LaneKernels* kernels_of(LaneTier tier) noexcept {
   switch (tier) {
     case LaneTier::avx512:
@@ -19,12 +21,6 @@ const detail::LaneKernels* kernels_of(LaneTier tier) noexcept {
       break;
   }
   return nullptr;
-}
-
-// Every device length is lmin, as the bitcells build them.
-detail::LaneDevice lane_device(const TechCard& c, double w, double lmin) {
-  return {c.vt0,        c.dibl,         c.n_sub * c.phi_t, c.b * (w / lmin),
-          c.alpha,      0.5 * c.alpha,  c.vdsat_k,         c.lambda_clm};
 }
 
 /// Samples a kernel call takes at most: the per-device deviations are
@@ -66,6 +62,20 @@ void currents(const detail::LaneKernels& kernels,
 }
 
 }  // namespace
+
+detail::LaneDevice detail::lane_device(const TechCard& c, double w,
+                                       double lmin) noexcept {
+  const double nvt = c.n_sub * c.phi_t;
+  return {.vt0 = c.vt0,
+          .dibl = c.dibl,
+          .nvt = nvt,
+          .inv_nvt = 1.0 / nvt,
+          .bw = c.b * (w / lmin),
+          .alpha = c.alpha,
+          .half_alpha = 0.5 * c.alpha,
+          .vdsat_k = c.vdsat_k,
+          .lambda_clm = c.lambda_clm};
+}
 
 LaneTier lane_tier() noexcept {
   if (detail::lanes_avx512()) return LaneTier::avx512;

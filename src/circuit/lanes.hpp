@@ -1,9 +1,10 @@
 // Lane-parallel Monte-Carlo queries on blocks of variation samples, 8
 // samples at a time on AVX-512 and 4 on AVX2, with the device current
-// evaluated lane for lane on glibc's libmvec exp/log1p/pow. A lane takes
+// evaluated lane for lane on glibc's libmvec exp/log/log1p. A lane takes
 // the next sample of the block as soon as its current one is done. The
-// lane current is not a copy of Mosfet::ids: it takes one pow per device
-// where the scalar takes two, and libmvec rounds differently from the
+// lane current is not a copy of Mosfet::ids: it takes one log and one exp
+// per device where the scalar takes two pows, multiplies by reciprocals
+// where the scalar divides, and libmvec rounds differently from the
 // scalar libm. So lane results drift from the scalar ones; every caller
 // decides a sample only when its lane result clears a band far wider than
 // that drift, and hands the rest to the exact scalar path. The band, not

@@ -12,8 +12,8 @@ using V4 = double __attribute__((vector_size(32)));
 // libmvec's vector-ABI entry points.
 extern "C" {
 V4 _ZGVdN4v_exp(V4 x);
+V4 _ZGVdN4v_log(V4 x);
 V4 _ZGVdN4v_log1p(V4 x);
-V4 _ZGVdN4vv_pow(V4 x, V4 y);
 }
 
 namespace hynapse::circuit::detail {
@@ -23,8 +23,8 @@ namespace {
 template <>
 struct LaneMath<V4> {
   static V4 exp(V4 x) { return _ZGVdN4v_exp(x); }
+  static V4 log(V4 x) { return _ZGVdN4v_log(x); }
   static V4 log1p(V4 x) { return _ZGVdN4v_log1p(x); }
-  static V4 pow(V4 x, V4 y) { return _ZGVdN4vv_pow(x, y); }
 };
 
 }  // namespace

@@ -12,8 +12,8 @@ using V8 = double __attribute__((vector_size(64)));
 // libmvec's vector-ABI entry points.
 extern "C" {
 V8 _ZGVeN8v_exp(V8 x);
+V8 _ZGVeN8v_log(V8 x);
 V8 _ZGVeN8v_log1p(V8 x);
-V8 _ZGVeN8vv_pow(V8 x, V8 y);
 }
 
 namespace hynapse::circuit::detail {
@@ -23,8 +23,8 @@ namespace {
 template <>
 struct LaneMath<V8> {
   static V8 exp(V8 x) { return _ZGVeN8v_exp(x); }
+  static V8 log(V8 x) { return _ZGVeN8v_log(x); }
   static V8 log1p(V8 x) { return _ZGVeN8v_log1p(x); }
-  static V8 pow(V8 x, V8 y) { return _ZGVeN8vv_pow(x, y); }
 };
 
 }  // namespace

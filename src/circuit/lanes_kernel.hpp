@@ -14,18 +14,25 @@
 namespace hynapse::circuit::detail {
 
 /// One device as the lanes evaluate it: vt_eff = (vt0 + dvt) - dibl * vds,
-/// vdsat = vdsat_k * veff^half_alpha, and isat = bw * veff^alpha taken as
-/// bw * (veff^half_alpha)^2, one pow for both.
+/// x = (vgs - vt_eff) * inv_nvt, and from ph = exp(half_alpha * log(veff))
+/// both vdsat = vdsat_k * ph and isat = bw * ph^2 (veff^alpha), one log and
+/// one exp where Mosfet::ids takes two pows.
 struct LaneDevice {
   double vt0;
   double dibl;
   double nvt;
+  double inv_nvt;  ///< 1 / nvt
   double bw;  ///< b * (w / l), in the order Mosfet::ids multiplies them
   double alpha;
   double half_alpha;
   double vdsat_k;
   double lambda_clm;
 };
+
+/// The lanes' view of a device of width w and length lmin (the bitcells
+/// build every device at lmin).
+[[nodiscard]] LaneDevice lane_device(const TechCard& c, double w,
+                                     double lmin) noexcept;
 
 /// A write block's shared inputs: the three device sizes (both cell halves
 /// use them), the transient's step, and the band.
@@ -84,7 +91,7 @@ struct LaneKernels {
 
 namespace {
 
-/// libmvec's vector exp/log1p/pow for V, supplied by the including TU.
+/// libmvec's vector exp/log/log1p for V, supplied by the including TU.
 template <typename V>
 struct LaneMath;
 
@@ -96,9 +103,12 @@ V splat(double x) {
 
 /// Mosfet::ids(vgs, vds, d_vgs, d_vds) lane for lane, with every branch
 /// computed and blended (vt = vt0 + dvt per lane). Not a term-by-term copy:
-/// one pow gives both veff^half_alpha and, squared, veff^alpha, which moves
-/// the result by an ulp or so; tests/test_mc_decisions.cpp bounds the drift
-/// from the scalar path far inside the callers' bands.
+/// ph = exp(half_alpha * log(veff)) gives both veff^half_alpha and, squared,
+/// veff^alpha (veff is never negative, and a cut-off lane's log(0) = -inf
+/// gives ph = 0, as pow does); x multiplies by 1 / nvt, and the slopes by
+/// 1 / veff and 1 / vdsat, where the scalar divides. That moves the result
+/// by a few ulps; tests/test_mc_decisions.cpp bounds the drift from the
+/// scalar path far inside the callers' bands.
 template <typename V>
 V lane_ids(const LaneDevice& c, V vt, V vgs, V vds, V& d_vgs, V& d_vds) {
   using Math = LaneMath<V>;
@@ -106,24 +116,27 @@ V lane_ids(const LaneDevice& c, V vt, V vgs, V vds, V& d_vgs, V& d_vds) {
   const auto clamped = vds < zero;
   vds = clamped ? zero : vds;
   const V vt_eff = vt - c.dibl * vds;
-  const V x = (vgs - vt_eff) / c.nvt;
+  const V x = (vgs - vt_eff) * c.inv_nvt;
   const auto strong = x > 40.0;
   const V ex = Math::exp(x);
   const V veff = strong ? vgs - vt_eff : c.nvt * Math::log1p(ex);
   const V dveff_dvgs = strong ? splat<V>(1.0) : ex / (1.0 + ex);
-  const V ph = Math::pow(veff, splat<V>(c.half_alpha));
+  const V ph = Math::exp(c.half_alpha * Math::log(veff));
   const V isat = c.bw * (ph * ph);
   const V vdsat = c.vdsat_k * ph;
-  const V disat = c.alpha * isat / veff;
-  const V dvdsat = c.half_alpha * vdsat / veff;
+  const V inv_veff = 1.0 / veff;
+  const V inv_vdsat = 1.0 / vdsat;
+  const V disat = c.alpha * isat * inv_veff;
+  const V dvdsat = c.half_alpha * vdsat * inv_veff;
   const auto sat = vds >= vdsat;
   const V clm = 1.0 + c.lambda_clm * (vds - vdsat);
-  const V r = vds / vdsat;
+  const V r = vds * inv_vdsat;
   const V di_dr = isat * (2.0 - 2.0 * r);
   const V out = sat ? isat * clm : isat * r * (2.0 - r);
   const V di_dveff = sat ? disat * clm - isat * c.lambda_clm * dvdsat
-                         : disat * r * (2.0 - r) - di_dr * r * dvdsat / vdsat;
-  const V di_dvds = sat ? isat * c.lambda_clm : di_dr / vdsat;
+                         : disat * r * (2.0 - r) -
+                               di_dr * r * dvdsat * inv_vdsat;
+  const V di_dvds = sat ? isat * c.lambda_clm : di_dr * inv_vdsat;
   const auto off = veff <= 0.0;
   d_vgs = off ? zero : di_dveff * dveff_dvgs;
   d_vds = off || clamped ? zero : di_dveff * c.dibl * dveff_dvgs + di_dvds;
@@ -137,10 +150,10 @@ V lane_ids(const LaneDevice& c, V vt, V vgs, V vds) {
   const V zero{};
   vds = vds < zero ? zero : vds;
   const V vt_eff = vt - c.dibl * vds;
-  const V x = (vgs - vt_eff) / c.nvt;
+  const V x = (vgs - vt_eff) * c.inv_nvt;
   const V veff =
       x > 40.0 ? vgs - vt_eff : c.nvt * Math::log1p(Math::exp(x));
-  const V ph = Math::pow(veff, splat<V>(c.half_alpha));
+  const V ph = Math::exp(c.half_alpha * Math::log(veff));
   const V isat = c.bw * (ph * ph);
   const V vdsat = c.vdsat_k * ph;
   const V r = vds / vdsat;
@@ -164,8 +177,7 @@ void write_lanes(const WriteLaneJob& job, const Variation6T* cells,
                  std::size_t n, LaneVerdict* verdict) {
   constexpr int W = sizeof(V) / sizeof(double);
   const V vdd = splat<V>(job.vdd);
-  const V dt = splat<V>(job.dt);
-  const V c_node = splat<V>(job.c_node);
+  const V dt_over_c = splat<V>(job.dt / job.c_node);
   const V last_step = splat<V>(Bitcell6T::kWriteSteps);
   V q{}, qb{};
   V steps{};  // Euler steps each lane's sample has taken
@@ -199,8 +211,8 @@ void write_lanes(const WriteLaneJob& job, const Variation6T* cells,
     const V i_qb = lane_ids(job.pu, pu_r, vdd - q, vdd - qb) -
                    lane_ids(job.pd, pd_r, q, qb) +
                    lane_ids(job.pg, pg_r, vdd - qb, vdd - qb);
-    q = clamp_lanes(q + dt * i_q / c_node, vdd);
-    qb = clamp_lanes(qb + dt * i_qb / c_node, vdd);
+    q = clamp_lanes(q + dt_over_c * i_q, vdd);
+    qb = clamp_lanes(qb + dt_over_c * i_qb, vdd);
     steps += 1.0;
     const V margin = q - qb;
     const auto passed = margin < job.pass_below;

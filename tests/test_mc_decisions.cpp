@@ -71,6 +71,12 @@ std::uint64_t read_lane_fallbacks() {
 
 bool on_lanes() { return circuit::lane_tier() != circuit::LaneTier::scalar; }
 
+/// The kernel table of a lane tier this host runs (not the scalar tier).
+const circuit::detail::LaneKernels* lane_kernels(circuit::LaneTier tier) {
+  return tier == circuit::LaneTier::avx512 ? circuit::detail::lanes_avx512()
+                                           : circuit::detail::lanes_avx2();
+}
+
 // ---- Mosfet::ids derivative overload ---------------------------------------
 
 TEST(MosfetDerivatives, ValueBitEqualAndSlopesMatchCentralDifferences) {
@@ -241,6 +247,81 @@ TEST(NewtonBracket, LaneBracketsHoldTheBisectionRootOnSampledCells) {
                     1e-12 * std::fabs(i8[k]))
             << name;
       }
+    }
+  }
+}
+
+// ---- lane device current -----------------------------------------------------
+
+TEST(LaneCurrent, MatchesMosfetIdsOnEveryBranch) {
+  // The current kernel (vgs = vds = vdd - vn) against Mosfet::ids on each
+  // branch of the device model, every point in several lanes and in a
+  // partial last vector. Where the scalar current is 0 the bound demands
+  // exactly 0, so a NaN fails: at +40 V exp(x) underflows, veff is 0 and
+  // the lanes take log(0) = -inf; at +30 V veff stays positive
+  // (exp(x) ~ 1e-265) and only isat underflows.
+  const Stack& s = stack();
+  const circuit::TechCard& card = s.tech.nmos;
+  const double w = s.s6.w_pg;
+  constexpr double vdd = 2.5;
+  // Mosfet::ids' own terms, so a retuned card cannot move a point off the
+  // branch it names.
+  struct Terms {
+    double vds;
+    double x;
+    double veff;
+    double vdsat;
+  };
+  const auto terms = [&card](double v, double dvt) {
+    const double vds = std::max(v, 0.0);
+    const double vt_eff = card.vt0 + dvt - card.dibl * vds;
+    const double nvt = card.n_sub * card.phi_t;
+    const double x = (v - vt_eff) / nvt;
+    const double veff = x > 40.0 ? v - vt_eff : nvt * std::log1p(std::exp(x));
+    return Terms{v, x, veff, card.vdsat_k * std::pow(veff, 0.5 * card.alpha)};
+  };
+  struct Point {
+    const char* branch;
+    double v;  ///< vgs = vds
+    double dvt;
+    bool (*on_branch)(const Terms&);
+  };
+  const Point points[] = {
+      {"vds < 0, clamped", -0.10, 0.0,
+       [](const Terms& t) { return t.vds < 0.0 && t.veff > 0.0; }},
+      {"linear", 0.10, -0.6,
+       [](const Terms& t) { return t.x <= 40.0 && t.vds < t.vdsat; }},
+      {"saturated", 0.80, 0.0,
+       [](const Terms& t) { return t.x <= 40.0 && t.vds >= t.vdsat; }},
+      {"strong inversion", 2.50, 0.0,
+       [](const Terms& t) { return t.x > 40.0; }},
+      {"cut-off, isat underflows", 0.80, 30.0,
+       [](const Terms& t) { return t.veff > 0.0 && t.x > -745.0; }},
+      {"cut-off, veff = 0", 0.80, 40.0,
+       [](const Terms& t) { return t.veff == 0.0; }},
+  };
+  constexpr std::size_t n = 3 * std::size(points);
+  std::vector<double> dvt(n), vn(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    const Point& p = points[k % std::size(points)];
+    dvt[k] = p.dvt;
+    vn[k] = vdd - p.v;
+  }
+  const circuit::detail::LaneDevice dev =
+      circuit::detail::lane_device(card, w, s.tech.lmin);
+  for (const circuit::LaneTier tier : circuit::available_lane_tiers()) {
+    if (tier == circuit::LaneTier::scalar) continue;
+    std::vector<double> out(n, -1.0);
+    lane_kernels(tier)->current(dev, vdd, dvt.data(), vn.data(), n, out.data());
+    for (std::size_t k = 0; k < n; ++k) {
+      const Point& p = points[k % std::size(points)];
+      const double v = vdd - vn[k];
+      ASSERT_TRUE(p.on_branch(terms(v, p.dvt))) << p.branch;
+      const double scalar =
+          circuit::Mosfet{card, w, s.tech.lmin, p.dvt}.ids(v, v);
+      EXPECT_NEAR(out[k], scalar, 1e-12 * std::fabs(scalar))
+          << p.branch << ", sample " << k << " on "
+          << circuit::lane_tier_name(tier);
     }
   }
 }
@@ -551,15 +632,6 @@ TEST_P(DecisionAgreement, SamplesInsideTheLaneBandFallBack) {
   EXPECT_GE(cases_sampled, 2 * (std::size(kCases) - 1));
 }
 
-/// The lanes' view of one device of length lmin (circuit/lanes.cpp builds
-/// the same).
-circuit::detail::LaneDevice lane_device(const circuit::TechCard& c,
-                                        double w) {
-  return {c.vt0,   c.dibl,        c.n_sub * c.phi_t,
-          c.b * (w / stack().tech.lmin),
-          c.alpha, 0.5 * c.alpha, c.vdsat_k, c.lambda_clm};
-}
-
 TEST_P(DecisionAgreement, WriteLanesDecideAtATighterBand) {
   // The write lanes hand back only verdicts, so their drift from the scalar
   // transient is pinned through them: with the band narrowed from
@@ -579,9 +651,9 @@ TEST_P(DecisionAgreement, WriteLanesDecideAtATighterBand) {
     if (c.m != Mechanism::write) continue;
     const circuit::Sizing6T& sz = c.cell8 ? s.s8.core : s.s6;
     const circuit::detail::WriteLaneJob job{
-        lane_device(s.tech.nmos, sz.w_pg),
-        lane_device(s.tech.nmos, sz.w_pd),
-        lane_device(s.tech.pmos, sz.w_pu),
+        circuit::detail::lane_device(s.tech.nmos, sz.w_pg, s.tech.lmin),
+        circuit::detail::lane_device(s.tech.nmos, sz.w_pd, s.tech.lmin),
+        circuit::detail::lane_device(s.tech.pmos, sz.w_pu, s.tech.lmin),
         vdd,
         budget / circuit::Bitcell6T::kWriteSteps,
         s.cycle.c_node(),
@@ -594,12 +666,9 @@ TEST_P(DecisionAgreement, WriteLanesDecideAtATighterBand) {
       std::transform(xs.begin(), xs.end(), cells.begin(), pack6);
       for (const circuit::LaneTier tier : circuit::available_lane_tiers()) {
         if (tier == circuit::LaneTier::scalar) continue;
-        const circuit::detail::LaneKernels* kernels =
-            tier == circuit::LaneTier::avx512 ? circuit::detail::lanes_avx512()
-                                              : circuit::detail::lanes_avx2();
         std::vector<circuit::LaneVerdict> verdicts(
             cells.size(), circuit::LaneVerdict::undecided);
-        kernels->write(job, cells.data(), cells.size(), verdicts.data());
+        lane_kernels(tier)->write(job, cells.data(), cells.size(), verdicts.data());
         for (std::size_t k = 0; k < cells.size(); ++k) {
           const bool scalar = circuit::Bitcell6T{s.tech, sz, cells[k]}
                                   .write_fails(vdd, s.cycle.c_node(), budget);
