@@ -55,14 +55,12 @@ int main() {
 
   // --- margin distributions -------------------------------------------------
   std::printf("\n6T read-SNM population under variation (800 samples):\n");
-  const circuit::Sizing6T s6 = circuit::reference_sizing_6t(ctx.tech);
-  const circuit::Sizing8T s8 = circuit::reference_sizing_8t(ctx.tech);
-  const mc::VariationSampler sampler{ctx.tech, s6, s8};
   util::Table mt{{"VDD [V]", "mean [mV]", "std [mV]", "p1 [mV]", "p0.1 [mV]",
                   "min [mV]", "SNM<=0"}};
   for (double vdd : {0.65, 0.80, 0.95}) {
     const mc::MarginDistribution d =
-        mc::read_snm_distribution(ctx.tech, s6, sampler, vdd, 800, 11, 140);
+        mc::read_snm_distribution(ctx.tech, ctx.sizing6, ctx.sampler, vdd, 800,
+                                  11, 140);
     mt.add_row({util::Table::num(vdd, 2), util::Table::num(1e3 * d.mean, 1),
                 util::Table::num(1e3 * d.stddev, 1),
                 util::Table::num(1e3 * d.p01, 1),
@@ -74,7 +72,8 @@ int main() {
 
   std::printf("\n6T write-flip-time population at 0.65 V (2000 samples):\n");
   const mc::MarginDistribution wt = mc::write_time_distribution(
-      ctx.tech, s6, sampler, 0.65, ctx.array.c_node(), 4e-10, 2000, 13);
+      ctx.tech, ctx.sizing6, ctx.sampler, 0.65, ctx.array.c_node(), 4e-10,
+      2000, 13);
   std::printf("  mean %.1f ps, std %.1f ps, median %.1f ps, window-misses "
               "%.3f %%\n",
               1e12 * wt.mean, 1e12 * wt.stddev, 1e12 * wt.p50,

@@ -6,9 +6,8 @@
 
 #include "circuit/corners.hpp"
 #include "common.hpp"
-#include "mc/criteria.hpp"
+#include "mc/circuit_stack.hpp"
 #include "mc/montecarlo.hpp"
-#include "mc/variation.hpp"
 #include "util/table.hpp"
 
 int main() {
@@ -25,17 +24,11 @@ int main() {
        {circuit::ProcessCorner::tt, circuit::ProcessCorner::ff,
         circuit::ProcessCorner::ss, circuit::ProcessCorner::fs,
         circuit::ProcessCorner::sf}) {
-    const circuit::Technology tech = circuit::at_corner(nominal, corner);
-    const circuit::Sizing6T s6 = circuit::reference_sizing_6t(tech);
-    const circuit::Sizing8T s8 = circuit::reference_sizing_8t(tech);
-    const circuit::Bitcell6T cell{tech, s6};
-    const sram::SubArrayModel array{tech, sram::SubArrayGeometry{}, s6};
-    const sram::CycleModel cycle{tech, array, cell};
-    const mc::VariationSampler sampler{tech, s6, s8};
-    const mc::FailureCriteria criteria{tech, cycle, s6, s8};
+    const mc::CircuitStack stack{circuit::at_corner(nominal, corner)};
+    const circuit::Bitcell6T cell{stack.tech, stack.sizing6};
     mc::AnalyzerOptions opts;
     opts.mc_samples = 12000;
-    const mc::FailureAnalyzer analyzer{criteria, sampler, opts};
+    const mc::FailureAnalyzer analyzer{stack.criteria, stack.sampler, opts};
     const mc::RateEstimate ra =
         analyzer.plain_mc_6t(mc::Mechanism::read_access, 0.65, 12000, 5);
     t.add_row({circuit::corner_name(corner),

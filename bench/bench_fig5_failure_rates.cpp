@@ -15,8 +15,6 @@
 #include <vector>
 
 #include "common.hpp"
-#include "mc/criteria.hpp"
-#include "mc/variation.hpp"
 #include "util/csv.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
@@ -33,10 +31,6 @@ bool run_adaptive_arm(const hynapse::bench::Context& ctx,
                       const hynapse::mc::AnalyzerOptions& base) {
   using namespace hynapse;
 
-  const circuit::Sizing6T s6 = circuit::reference_sizing_6t(ctx.tech);
-  const circuit::Sizing8T s8 = circuit::reference_sizing_8t(ctx.tech);
-  const mc::VariationSampler sampler{ctx.tech, s6, s8};
-  const mc::FailureCriteria criteria{ctx.tech, ctx.cycle, s6, s8};
   const std::vector<double> grid = circuit::paper_voltage_grid();
 
   // The comparison runs at the paper-default budget (the cost the adaptive
@@ -51,7 +45,7 @@ bool run_adaptive_arm(const hynapse::bench::Context& ctx,
     std::printf("\n[adaptive] rebuilding fixed oracle at the default "
                 "budget (%zu MC samples)...\n",
                 def.mc_samples);
-    const mc::FailureAnalyzer fixed_analyzer{criteria, sampler, def};
+    const mc::FailureAnalyzer fixed_analyzer{ctx.criteria, ctx.sampler, def};
     rebuilt = mc::FailureTable::build(fixed_analyzer, grid, 20160312);
   }
   const mc::FailureTable& fixed_table = rebuilt ? *rebuilt : oracle;
@@ -69,7 +63,7 @@ bool run_adaptive_arm(const hynapse::bench::Context& ctx,
   adaptive_opts.adaptive.rel_target = 0.3;
   adaptive_opts.adaptive.abs_target = 1e-4;
   adaptive_opts.adaptive.max_samples = 24000;
-  const mc::FailureAnalyzer analyzer{criteria, sampler, adaptive_opts};
+  const mc::FailureAnalyzer analyzer{ctx.criteria, ctx.sampler, adaptive_opts};
 
   const auto t0 = std::chrono::steady_clock::now();
   const mc::FailureTable adaptive =
@@ -164,7 +158,7 @@ bool run_adaptive_arm(const hynapse::bench::Context& ctx,
                                     std::size_t{8}}) {
     mc::AnalyzerOptions o = small;
     o.threads = threads;
-    const mc::FailureAnalyzer a{criteria, sampler, o};
+    const mc::FailureAnalyzer a{ctx.criteria, ctx.sampler, o};
     builds.push_back(mc::FailureTable::build(a, sub, 20160312));
   }
   for (std::size_t t = 1; t < builds.size() && bit_identical; ++t) {

@@ -13,10 +13,8 @@
 #include "circuit/lanes.hpp"
 #include "core/fault_model.hpp"
 #include "core/synaptic_memory.hpp"
-#include "mc/criteria.hpp"
+#include "mc/circuit_stack.hpp"
 #include "mc/montecarlo.hpp"
-#include "mc/variation.hpp"
-#include "sram/timing.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -58,23 +56,14 @@ void BM_ReadSnm(benchmark::State& state) {
 BENCHMARK(BM_ReadSnm);
 
 /// The circuit stack one Monte-Carlo sample runs against.
-struct McStack {
-  circuit::Sizing6T s6 = circuit::reference_sizing_6t(tech());
-  circuit::Sizing8T s8 = circuit::reference_sizing_8t(tech());
-  sram::SubArrayModel array{tech(), sram::SubArrayGeometry{}, s6};
-  sram::CycleModel cycle{tech(), array, circuit::Bitcell6T{tech(), s6}};
-  mc::VariationSampler sampler{tech(), s6, s8};
-  mc::FailureCriteria criteria{tech(), cycle, s6, s8};
-};
-
-const McStack& mc_stack() {
-  static const McStack s;
+const mc::CircuitStack& mc_stack() {
+  static const mc::CircuitStack s;
   return s;
 }
 
 // One plain-MC sample as the MC loops run it: draw a cell, decide it.
 void BM_McSample6T(benchmark::State& state) {
-  const McStack& s = mc_stack();
+  const mc::CircuitStack& s = mc_stack();
   util::Rng rng{9};
   for (auto _ : state) {
     const circuit::Variation6T var = s.sampler.sample_6t(rng);
@@ -86,7 +75,7 @@ BENCHMARK(BM_McSample6T);
 
 // The same sample through the metric oracle (two 60-step bisections).
 void BM_McMetric6T(benchmark::State& state) {
-  const McStack& s = mc_stack();
+  const mc::CircuitStack& s = mc_stack();
   util::Rng rng{9};
   for (auto _ : state) {
     const circuit::Variation6T var = s.sampler.sample_6t(rng);
@@ -97,7 +86,7 @@ void BM_McMetric6T(benchmark::State& state) {
 BENCHMARK(BM_McMetric6T);
 
 void BM_McSampleWrite6T(benchmark::State& state) {
-  const McStack& s = mc_stack();
+  const mc::CircuitStack& s = mc_stack();
   util::Rng rng{9};
   for (auto _ : state) {
     const circuit::Variation6T var = s.sampler.sample_6t(rng);
@@ -112,7 +101,7 @@ BENCHMARK(BM_McSampleWrite6T);
 // label names it). Time per sample.
 template <typename Var, typename Draw>
 void batch_bench(benchmark::State& state, mc::Mechanism m, Draw draw) {
-  const McStack& s = mc_stack();
+  const mc::CircuitStack& s = mc_stack();
   const auto tier = static_cast<circuit::LaneTier>(state.range(0));
   state.SetLabel(std::string{circuit::lane_tier_name(tier)});
   util::Rng rng{9};

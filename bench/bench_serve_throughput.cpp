@@ -36,9 +36,8 @@
 #include "common.hpp"
 #include "data/digits.hpp"
 #include "engine/experiment_runner.hpp"
-#include "mc/criteria.hpp"
+#include "mc/circuit_stack.hpp"
 #include "mc/failure_table.hpp"
-#include "mc/variation.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "serve/eval_service.hpp"
@@ -110,18 +109,12 @@ ModeResult run_naive(const core::QuantizedNetwork& qnet,
                      const std::vector<serve::Request>& trace,
                      std::size_t samples, std::size_t threads) {
   const serve::ServiceOptions options = service_options(samples, threads);
-  const circuit::Technology tech = circuit::ptm22();
-  const circuit::Sizing6T s6 = circuit::reference_sizing_6t(tech);
-  const circuit::Sizing8T s8 = circuit::reference_sizing_8t(tech);
-  const sram::SubArrayModel array{tech, sram::SubArrayGeometry{}, s6};
-  const sram::CycleModel cycle{tech, array, circuit::Bitcell6T{tech, s6}};
-  const mc::VariationSampler sampler{tech, s6, s8};
-  const mc::FailureCriteria criteria{tech, cycle, s6, s8};
+  const mc::CircuitStack stack;
   mc::AnalyzerOptions ao;
   ao.mc_samples = samples;
   ao.is_samples = std::max<std::size_t>(samples / 2, 200);
   ao.threads = threads;
-  const mc::FailureAnalyzer analyzer{criteria, sampler, ao};
+  const mc::FailureAnalyzer analyzer{stack.criteria, stack.sampler, ao};
   const engine::ExperimentRunner runner{threads};
 
   std::atomic<std::size_t> next{0};

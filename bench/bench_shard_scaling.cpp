@@ -29,10 +29,9 @@
 #include "engine/shard_coordinator.hpp"
 #include "engine/shard_plan.hpp"
 #include "engine/table_cache.hpp"
-#include "mc/criteria.hpp"
+#include "mc/circuit_stack.hpp"
 #include "mc/failure_table.hpp"
 #include "mc/montecarlo.hpp"
-#include "mc/variation.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -72,21 +71,9 @@ int main(int argc, char** argv) {
       "Shard scaling: monolithic vs scatter/merge failure-table builds",
       "engine::ShardPlanner + ShardCoordinator (not a paper figure)");
 
-  const circuit::Technology tech = circuit::ptm22();
-  const circuit::Sizing6T s6 = circuit::reference_sizing_6t(tech);
-  const circuit::Sizing8T s8 = circuit::reference_sizing_8t(tech);
-  const sram::SubArrayModel array{tech, sram::SubArrayGeometry{}, s6};
-  const sram::CycleModel cycle{tech, array, circuit::Bitcell6T{tech, s6}};
-  const mc::VariationSampler sampler{tech, s6, s8};
-  const mc::FailureCriteria criteria{tech, cycle, s6, s8};
-
-  engine::TableSpec spec;
-  spec.tech = tech;
-  spec.sizing6 = s6;
-  spec.sizing8 = s8;
-  spec.geometry = array.geometry();
-  spec.vdd_grid = circuit::paper_voltage_grid();
-  spec.seed = 20160312;
+  const mc::CircuitStack stack;
+  const engine::TableSpec spec =
+      engine::table_spec(stack, circuit::paper_voltage_grid(), 20160312);
 
   mc::AnalyzerOptions ao;
   ao.mc_samples = samples;
@@ -108,7 +95,8 @@ int main(int argc, char** argv) {
   for (std::size_t t = 0; t < std::size(thread_counts); ++t) {
     mc::AnalyzerOptions mono_ao = ao;
     mono_ao.threads = thread_counts[t];
-    const mc::FailureAnalyzer analyzer{criteria, sampler, mono_ao};
+    const mc::FailureAnalyzer analyzer{stack.criteria, stack.sampler,
+                                       mono_ao};
     const Clock::time_point t0 = Clock::now();
     mc::FailureTable built =
         mc::FailureTable::build(analyzer, spec.vdd_grid, spec.seed);
@@ -139,7 +127,8 @@ int main(int argc, char** argv) {
 
       mc::AnalyzerOptions shard_ao = ao;
       shard_ao.threads = threads;
-      const mc::FailureAnalyzer shard_analyzer{criteria, sampler, shard_ao};
+      const mc::FailureAnalyzer shard_analyzer{stack.criteria, stack.sampler,
+                                             shard_ao};
       engine::ShardPlanOptions po;
       po.shard_count = shards;
       const engine::ShardPlan plan =

@@ -5,9 +5,7 @@
 #include <cstdio>
 
 #include "common.hpp"
-#include "mc/criteria.hpp"
 #include "mc/montecarlo.hpp"
-#include "mc/variation.hpp"
 #include "mc/yield.hpp"
 #include "util/table.hpp"
 
@@ -42,13 +40,9 @@ int main() {
 
   // Data retention at standby voltages (extension).
   std::printf("\nStandby data-retention failure rate (6T, Monte-Carlo):\n");
-  const circuit::Sizing6T s6 = circuit::reference_sizing_6t(ctx.tech);
-  const circuit::Sizing8T s8 = circuit::reference_sizing_8t(ctx.tech);
-  const mc::VariationSampler sampler{ctx.tech, s6, s8};
-  const mc::FailureCriteria criteria{ctx.tech, ctx.cycle, s6, s8};
   mc::AnalyzerOptions opts;
   opts.mc_samples = 10000;
-  const mc::FailureAnalyzer analyzer{criteria, sampler, opts};
+  const mc::FailureAnalyzer analyzer{ctx.criteria, ctx.sampler, opts};
   util::Table rt{{"V_standby [V]", "retention failure rate"}};
   for (double v : {0.50, 0.40, 0.35, 0.30, 0.25, 0.20}) {
     const mc::RateEstimate r = analyzer.retention_6t(v, 99);

@@ -11,9 +11,7 @@
 #include "data/digits.hpp"
 #include "data/idx.hpp"
 #include "engine/table_cache.hpp"
-#include "mc/criteria.hpp"
 #include "mc/montecarlo.hpp"
-#include "mc/variation.hpp"
 #include "util/thread_pool.hpp"
 
 namespace hynapse::bench {
@@ -78,29 +76,18 @@ void reject_unknown_args(int argc, char** argv, const char* own_flags) {
   std::exit(2);
 }
 
-Context::Context()
-    : tech{circuit::ptm22()},
-      constants{circuit::paper_constants()},
-      array{tech, sram::SubArrayGeometry{}, circuit::reference_sizing_6t(tech)},
-      cycle{tech, array, circuit::reference_6t(tech)},
-      cells{tech, cycle, constants} {}
-
 const mc::FailureTable& failure_table(const Context& ctx,
                                       const BenchOptions& opts) {
   static engine::FailureTableCache cache{cache_dir()};
-  const circuit::Sizing6T s6 = circuit::reference_sizing_6t(ctx.tech);
-  const circuit::Sizing8T s8 = circuit::reference_sizing_8t(ctx.tech);
-  const mc::VariationSampler sampler{ctx.tech, s6, s8};
-  const mc::FailureCriteria criteria{ctx.tech, ctx.cycle, s6, s8};
   mc::AnalyzerOptions ao;
   if (opts.samples != 0) {
     ao.mc_samples = opts.samples;
     ao.is_samples = std::max<std::size_t>(opts.samples / 2, 1000);
   }
   ao.threads = opts.threads;
-  const mc::FailureAnalyzer analyzer{criteria, sampler, ao};
-  const engine::TableSpec spec{ctx.tech, s6, s8, ctx.array.geometry(),
-                               circuit::paper_voltage_grid(), 20160312};
+  const mc::FailureAnalyzer analyzer{ctx.criteria, ctx.sampler, ao};
+  const engine::TableSpec spec =
+      engine::table_spec(ctx, circuit::paper_voltage_grid(), 20160312);
   const std::string path =
       cache.csv_path(engine::table_fingerprint(spec, ao));
   if (opts.fresh || !std::filesystem::exists(path)) {

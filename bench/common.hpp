@@ -10,6 +10,7 @@
 #include "circuit/reference.hpp"
 #include "core/experiments.hpp"
 #include "data/dataset.hpp"
+#include "mc/circuit_stack.hpp"
 #include "mc/failure_table.hpp"
 #include "sram/power.hpp"
 
@@ -43,16 +44,12 @@ struct BenchOptions {
 /// to stderr and exits 2.
 void reject_unknown_args(int argc, char** argv, const char* own_flags = "");
 
-/// Everything the system-level experiments need, wired to the reference
-/// designs. Keep one instance per binary.
-struct Context {
-  circuit::Technology tech;
-  circuit::PaperConstants constants;
-  sram::SubArrayModel array;
-  sram::CycleModel cycle;
-  sram::BitcellPowerModel cells;
-
-  Context();
+/// Everything the system-level experiments need: the reference circuit
+/// stack plus the paper's constants and the bitcell power model on it.
+/// Keep one instance per binary.
+struct Context : mc::CircuitStack {
+  circuit::PaperConstants constants = circuit::paper_constants();
+  sram::BitcellPowerModel cells{tech, cycle, constants};
 };
 
 /// Monte-Carlo failure table over the paper's voltage grid, served by an

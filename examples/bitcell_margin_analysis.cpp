@@ -7,16 +7,18 @@
 #include <cstdio>
 
 #include "circuit/reference.hpp"
+#include "mc/circuit_stack.hpp"
 #include "mc/failure_table.hpp"
 #include "sram/power.hpp"
 #include "util/table.hpp"
 
 int main() {
   using namespace hynapse;
-  const circuit::Technology tech = circuit::ptm22();
+  const mc::CircuitStack stack;
+  const circuit::Technology& tech = stack.tech;
   const circuit::PaperConstants pc = circuit::paper_constants();
-  const circuit::Bitcell6T cell6 = circuit::reference_6t(tech);
-  const circuit::Bitcell8T cell8 = circuit::reference_8t(tech);
+  const circuit::Bitcell6T cell6{tech, stack.sizing6};
+  const circuit::Bitcell8T cell8{tech, stack.sizing8};
 
   std::printf("=== Reference bitcell margins (paper Section IV) ===\n");
   std::printf("6T @ %.2f V: read SNM = %.1f mV (paper: 195 mV), "
@@ -46,13 +48,12 @@ int main() {
   margins.print();
 
   std::printf("\n=== Sub-array timing & power ===\n");
-  const sram::SubArrayModel array{tech, sram::SubArrayGeometry{},
-                                  circuit::reference_sizing_6t(tech)};
+  const sram::SubArrayModel& array = stack.array;
   std::printf("256x256 sub-array: C_BL = %.1f fF, C_WL = %.1f fF, "
               "C_node = %.2f fF\n",
               1e15 * array.c_bitline(), 1e15 * array.c_wordline(),
               1e15 * array.c_node());
-  const sram::CycleModel cycle{tech, array, cell6};
+  const sram::CycleModel& cycle = stack.cycle;
   const sram::BitcellPowerModel power{tech, cycle, pc};
 
   util::Table pw{{"VDD [V]", "read budget [ps]", "6T t_read [ps]",
@@ -71,12 +72,7 @@ int main() {
   pw.print();
 
   std::printf("\n=== Monte-Carlo failure rates (Fig. 5) ===\n");
-  const mc::VariationSampler sampler{tech, circuit::reference_sizing_6t(tech),
-                                     circuit::reference_sizing_8t(tech)};
-  const mc::FailureCriteria criteria{tech, cycle,
-                                     circuit::reference_sizing_6t(tech),
-                                     circuit::reference_sizing_8t(tech)};
-  const mc::FailureAnalyzer analyzer{criteria, sampler};
+  const mc::FailureAnalyzer analyzer{stack.criteria, stack.sampler};
   util::Table ft{{"VDD [V]", "6T read access", "6T write", "6T disturb",
                   "8T read access", "8T write"}};
   for (double vdd : circuit::paper_voltage_grid()) {

@@ -15,9 +15,8 @@
 #include "core/sensitivity.hpp"
 #include "data/digits.hpp"
 #include "engine/experiment_runner.hpp"
-#include "mc/criteria.hpp"
+#include "mc/circuit_stack.hpp"
 #include "mc/montecarlo.hpp"
-#include "mc/variation.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
 
@@ -38,18 +37,12 @@ int main(int argc, char** argv) {
   ann::train_sgd(net, train.images, train.labels, tc);
   const core::QuantizedNetwork qnet{net, 8};
 
-  const circuit::Technology tech = circuit::ptm22();
-  const circuit::Sizing6T s6 = circuit::reference_sizing_6t(tech);
-  const circuit::Sizing8T s8 = circuit::reference_sizing_8t(tech);
-  const sram::SubArrayModel array{tech, sram::SubArrayGeometry{}, s6};
-  const sram::CycleModel cycle{tech, array, circuit::Bitcell6T{tech, s6}};
-  const sram::BitcellPowerModel cells{tech, cycle,
+  const mc::CircuitStack stack;
+  const sram::BitcellPowerModel cells{stack.tech, stack.cycle,
                                       circuit::paper_constants()};
-  const mc::VariationSampler sampler{tech, s6, s8};
-  const mc::FailureCriteria criteria{tech, cycle, s6, s8};
   mc::AnalyzerOptions mco;
   mco.mc_samples = 8000;
-  const mc::FailureAnalyzer analyzer{criteria, sampler, mco};
+  const mc::FailureAnalyzer analyzer{stack.criteria, stack.sampler, mco};
   const std::vector<double> grid{vdd};
   const mc::FailureTable table = mc::FailureTable::build(analyzer, grid, 17);
   std::printf("6T rates at %.2f V: read-access %.2e, write %.2e\n\n", vdd,

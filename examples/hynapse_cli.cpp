@@ -68,9 +68,8 @@
 #include "data/digits.hpp"
 #include "engine/experiment_runner.hpp"
 #include "engine/table_cache.hpp"
-#include "mc/criteria.hpp"
+#include "mc/circuit_stack.hpp"
 #include "mc/montecarlo.hpp"
-#include "mc/variation.hpp"
 #include "obs/metrics.hpp"
 #include "serve/eval_service.hpp"
 #include "serve/net.hpp"
@@ -131,15 +130,8 @@ bool strip_adaptive_flags(int& argc, char** argv, std::string* error) {
   return true;
 }
 
-struct Stack {
-  circuit::Technology tech = circuit::ptm22();
-  circuit::Sizing6T s6 = circuit::reference_sizing_6t(tech);
-  circuit::Sizing8T s8 = circuit::reference_sizing_8t(tech);
-  sram::SubArrayModel array{tech, sram::SubArrayGeometry{}, s6};
-  sram::CycleModel cycle{tech, array, circuit::Bitcell6T{tech, s6}};
+struct Stack : mc::CircuitStack {
   sram::BitcellPowerModel cells{tech, cycle, circuit::paper_constants()};
-  mc::VariationSampler sampler{tech, s6, s8};
-  mc::FailureCriteria criteria{tech, cycle, s6, s8};
 
   /// Created on first use so commands that never touch failure tables
   /// (characterize, retention, cache-stats, usage) leave no cache
@@ -159,8 +151,8 @@ struct Stack {
 };
 
 int cmd_characterize(const Stack& st, double vdd) {
-  const circuit::Bitcell6T c6{st.tech, st.s6};
-  const circuit::Bitcell8T c8{st.tech, st.s8};
+  const circuit::Bitcell6T c6{st.tech, st.sizing6};
+  const circuit::Bitcell8T c8{st.tech, st.sizing8};
   util::Table t{{"Quantity", "6T", "8T"}};
   t.add_row({"read SNM [mV]", util::Table::num(1e3 * c6.read_snm(vdd), 1),
              util::Table::num(1e3 * c8.read_snm(vdd), 1)});
@@ -243,8 +235,7 @@ const mc::FailureTable& quick_table(Stack& st, double vdd) {
   mc::AnalyzerOptions opts;
   opts.mc_samples = 8000;
   const mc::FailureAnalyzer analyzer{st.criteria, st.sampler, opts};
-  const engine::TableSpec spec{st.tech,           st.s6, st.s8,
-                               st.array.geometry(), {vdd}, 9};
+  const engine::TableSpec spec = engine::table_spec(st, {vdd}, 9);
   engine::TableSource source{};
   const mc::FailureTable& table =
       st.cache().get(spec, analyzer, false, &source);
@@ -430,12 +421,7 @@ int cmd_stats(const std::string& endpoint_text, const std::string& mode) {
 /// The ONE paper-grid table provenance the shard-* subcommands operate on
 /// (matching spec -> matching fingerprints across processes).
 engine::TableSpec shard_spec(const Stack& st, std::uint64_t table_seed) {
-  return engine::TableSpec{st.tech,
-                           st.s6,
-                           st.s8,
-                           st.array.geometry(),
-                           circuit::paper_voltage_grid(),
-                           table_seed};
+  return engine::table_spec(st, circuit::paper_voltage_grid(), table_seed);
 }
 
 mc::AnalyzerOptions shard_analyzer_options(std::size_t samples) {

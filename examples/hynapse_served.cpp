@@ -11,6 +11,8 @@
 //
 //   hynapse_served [options] [requests.jsonl]
 //     --threads N      thread-pool participation cap (0 = hardware)
+//     --backend NAME   GEMM kernel backend: reference | simd
+//                      (bit-identical results)                 [reference]
 //     --chips N        default chip instances per evaluation   [3]
 //     --samples N      default Monte-Carlo samples per mechanism [4000]
 //     --dispatchers N  service dispatcher threads              [2]

@@ -15,9 +15,8 @@
 #include "core/memory_config.hpp"
 #include "core/power_area.hpp"
 #include "data/digits.hpp"
-#include "mc/criteria.hpp"
+#include "mc/circuit_stack.hpp"
 #include "mc/montecarlo.hpp"
-#include "mc/variation.hpp"
 #include "util/table.hpp"
 
 int main() {
@@ -43,17 +42,11 @@ int main() {
   // --- 3. circuit-level failure analysis -------------------------------------
   std::printf("[3/4] Monte-Carlo bitcell failure analysis (reduced "
               "samples)...\n");
-  const circuit::Technology tech = circuit::ptm22();
-  const circuit::Sizing6T s6 = circuit::reference_sizing_6t(tech);
-  const circuit::Sizing8T s8 = circuit::reference_sizing_8t(tech);
-  const sram::SubArrayModel array{tech, sram::SubArrayGeometry{}, s6};
-  const sram::CycleModel cycle{tech, array, circuit::Bitcell6T{tech, s6}};
-  const mc::VariationSampler sampler{tech, s6, s8};
-  const mc::FailureCriteria criteria{tech, cycle, s6, s8};
+  const mc::CircuitStack stack;
   mc::AnalyzerOptions mco;
   mco.mc_samples = 6000;
   mco.is_samples = 4000;
-  const mc::FailureAnalyzer analyzer{criteria, sampler, mco};
+  const mc::FailureAnalyzer analyzer{stack.criteria, stack.sampler, mco};
   const std::vector<double> grid{0.65, 0.75, 0.85, 0.95};
   const mc::FailureTable table = mc::FailureTable::build(analyzer, grid, 7);
   for (double vdd : grid) {
@@ -64,7 +57,7 @@ int main() {
 
   // --- 4. system-level comparison at 0.65 V ----------------------------------
   std::printf("[4/4] storing synapses at 0.65 V...\n\n");
-  const sram::BitcellPowerModel cells{tech, cycle,
+  const sram::BitcellPowerModel cells{stack.tech, stack.cycle,
                                       circuit::paper_constants()};
   const std::vector<std::size_t> words = qnet.bank_words();
   const core::PowerAreaReport baseline = core::evaluate_power_area(

@@ -21,9 +21,8 @@
 #include "core/memory_config.hpp"
 #include "core/power_area.hpp"
 #include "data/digits.hpp"
-#include "mc/criteria.hpp"
+#include "mc/circuit_stack.hpp"
 #include "mc/montecarlo.hpp"
-#include "mc/variation.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -75,19 +74,13 @@ int main(int argc, char** argv) {
   std::printf("configuration: %s, %zu banks, %zu synapses\n\n",
               cfg.describe().c_str(), cfg.num_banks(), cfg.total_words());
 
-  const circuit::Technology tech = circuit::ptm22();
-  const circuit::Sizing6T s6 = circuit::reference_sizing_6t(tech);
-  const circuit::Sizing8T s8 = circuit::reference_sizing_8t(tech);
-  const sram::SubArrayModel array{tech, sram::SubArrayGeometry{}, s6};
-  const sram::CycleModel cycle{tech, array, circuit::Bitcell6T{tech, s6}};
-  const sram::BitcellPowerModel cells{tech, cycle,
+  const mc::CircuitStack stack;
+  const sram::BitcellPowerModel cells{stack.tech, stack.cycle,
                                       circuit::paper_constants()};
-  const mc::VariationSampler sampler{tech, s6, s8};
-  const mc::FailureCriteria criteria{tech, cycle, s6, s8};
   mc::AnalyzerOptions mco;
   mco.mc_samples = 8000;
   mco.is_samples = 5000;
-  const mc::FailureAnalyzer analyzer{criteria, sampler, mco};
+  const mc::FailureAnalyzer analyzer{stack.criteria, stack.sampler, mco};
 
   std::vector<double> grid;
   for (double v = vdd_min; v <= vdd_max + 1e-9; v += step) grid.push_back(v);
@@ -96,7 +89,7 @@ int main(int argc, char** argv) {
   const mc::FailureTable table = mc::FailureTable::build(analyzer, grid, 3);
 
   const core::PowerAreaReport nominal_power =
-      core::evaluate_power_area(cfg, tech.vdd_nominal, cells);
+      core::evaluate_power_area(cfg, stack.tech.vdd_nominal, cells);
   core::EvalOptions eo;
   eo.chips = 3;
 

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Smoke-test the built tree: run the quickstart example, a small per-cell
 # Monte-Carlo failure-rate sweep (FailureAnalyzer::analyze for both cell
-# kinds), a fast pass of the micro-kernel bench, and the four contract
-# harnesses at reduced budgets. Each harness exits nonzero when one of its
+# kinds), the other examples and the process-corner bench at their defaults,
+# a fast pass of the micro-kernel bench, and the four contract harnesses at
+# reduced budgets. Each harness exits nonzero when one of its
 # checks fails (adaptive-MC oracle agreement, bit-identity across threads,
 # paths or shards, coalescing), and so does this script. Used by CI and
 # handy after a local build.
@@ -22,6 +23,18 @@ echo "== quickstart =="
 
 echo "== hynapse_cli failure-rates (2000 samples) =="
 "${build_dir}/examples/hynapse_cli" failure-rates 2000
+
+echo "== bitcell_margin_analysis =="
+"${build_dir}/examples/bitcell_margin_analysis"
+
+echo "== voltage_scaling_explorer =="
+"${build_dir}/examples/voltage_scaling_explorer"
+
+echo "== design_space_explorer =="
+"${build_dir}/examples/design_space_explorer"
+
+echo "== bench_corners =="
+"${build_dir}/bench/bench_corners"
 
 if [[ -x "${build_dir}/bench/bench_micro_kernels" ]]; then
   echo "== bench_micro_kernels (reduced iterations) =="

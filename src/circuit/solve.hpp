@@ -1,4 +1,4 @@
-// Scalar root/extremum helpers shared by the circuit solvers. Header-only so
+// Scalar root helpers shared by the circuit solvers. Header-only so
 // the Monte-Carlo hot path can inline them.
 #pragma once
 
@@ -80,44 +80,6 @@ template <typename F>
     }
   }
   return {lo, hi};
-}
-
-/// Same for a monotonically decreasing residual.
-template <typename F>
-[[nodiscard]] double bisect_decreasing(F&& f, double lo, double hi,
-                                       int iterations = 60) {
-  return bisect_increasing([&f](double x) { return -f(x); }, lo, hi,
-                           iterations);
-}
-
-/// Golden-section maximization of a unimodal function on [lo, hi].
-/// Returns the arg-max; call f once more for the value.
-template <typename F>
-[[nodiscard]] double golden_max(F&& f, double lo, double hi,
-                                int iterations = 80) {
-  constexpr double inv_phi = 0.6180339887498949;
-  double a = lo;
-  double b = hi;
-  double x1 = b - inv_phi * (b - a);
-  double x2 = a + inv_phi * (b - a);
-  double f1 = f(x1);
-  double f2 = f(x2);
-  for (int i = 0; i < iterations; ++i) {
-    if (f1 < f2) {
-      a = x1;
-      x1 = x2;
-      f1 = f2;
-      x2 = a + inv_phi * (b - a);
-      f2 = f(x2);
-    } else {
-      b = x2;
-      x2 = x1;
-      f2 = f1;
-      x1 = b - inv_phi * (b - a);
-      f1 = f(x1);
-    }
-  }
-  return 0.5 * (a + b);
 }
 
 }  // namespace hynapse::circuit

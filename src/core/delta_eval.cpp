@@ -401,11 +401,6 @@ void EvalContext::evaluate_chips(const QuantizedNetwork& qnet,
   }
 }
 
-std::size_t EvalContextPool::idle_count() const {
-  const std::scoped_lock lock{mutex_};
-  return idle_.size();
-}
-
 std::unique_ptr<EvalContext> EvalContextPool::acquire() {
   {
     const std::scoped_lock lock{mutex_};

@@ -189,9 +189,6 @@ class EvalContextPool {
     std::unique_ptr<EvalContext> context_;
   };
 
-  /// Contexts currently idle in the pool (high-water mark of concurrency).
-  [[nodiscard]] std::size_t idle_count() const;
-
  private:
   std::unique_ptr<EvalContext> acquire();
   void release(std::unique_ptr<EvalContext> context);

@@ -2,7 +2,6 @@
 
 #include <optional>
 
-#include "engine/shard_coordinator.hpp"
 #include "util/parallel.hpp"
 #include "util/stats.hpp"
 
@@ -22,12 +21,9 @@ std::vector<core::AccuracyResult> ExperimentRunner::run(
     const data::Dataset& test) const {
   std::size_t threads = job.threads != 0 ? job.threads : threads_;
 
-  // Resolve each point's failure table: its own pointer, else the plan's
-  // coordinator-acquired table, else the job-shared table, else none.
+  // Resolve each point's failure table: its own pointer, else the
+  // job-shared table, else none.
   const mc::FailureTable* shared = job.failures;
-  if (job.plan != nullptr) {
-    shared = &job.coordinator->acquire(*job.plan, *job.analyzer);
-  }
 
   std::vector<core::AccuracyResult> results(job.points.size());
 

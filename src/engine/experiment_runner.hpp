@@ -20,9 +20,6 @@
 
 namespace hynapse::engine {
 
-class ShardCoordinator;
-struct ShardPlan;
-
 /// One (memory configuration, operating voltage) sweep point.
 struct SweepPoint {
   core::MemoryConfig config;
@@ -42,29 +39,25 @@ struct BatchPoint {
 
 /// One runner submission, replacing the old evaluate_sweep/evaluate_batch
 /// overload matrix: WHAT to evaluate (a heterogeneous vector of
-/// BatchPoints), WHERE failure tables come from (each point's own table, a
-/// shared table via against(), or a shard plan acquired through via()),
-/// and HOW to run it (thread cap, precomputed network fingerprint). Named
-/// constructors plus chainable setters:
+/// BatchPoints), WHERE failure tables come from (each point's own table or
+/// a shared table via against()), and HOW to run it (thread cap,
+/// precomputed network fingerprint). Named constructors plus chainable
+/// setters:
 ///
 ///   runner.run(qnet, EvalJob::sweep(points, opt).against(table), test);
 ///   runner.run(qnet, EvalJob::batch(std::move(pts))
-///                        .via(plan, analyzer, coordinator)
+///                        .against(coordinator.acquire(plan, analyzer))
 ///                        .with_network_fingerprint(fp),
 ///              test);
 ///
 /// Table resolution, per point: a point's own `failures` pointer wins;
-/// a null pointer resolves to the via() plan's coordinator-acquired table
-/// when one was given, else to the against() table, else the point yields
-/// an empty result. Everything referenced (tables, plan, analyzer,
-/// coordinator, configs) must outlive the run() call; the job itself is a
-/// value and can be stored or replayed.
+/// a null pointer resolves to the against() table, else the point yields
+/// an empty result. Everything referenced (tables, configs) must outlive
+/// the run() call; the job itself is a value and can be stored or
+/// replayed.
 struct EvalJob {
   std::vector<BatchPoint> points;
   const mc::FailureTable* failures = nullptr;  ///< against(): shared table
-  const ShardPlan* plan = nullptr;             ///< via(): plan source...
-  const mc::FailureAnalyzer* analyzer = nullptr;
-  ShardCoordinator* coordinator = nullptr;     ///< ...acquired through this
   /// Pool participation cap for this job (0 = the runner's own cap).
   std::size_t threads = 0;
   /// Precomputed core::network_fingerprint of the evaluated network, so a
@@ -80,7 +73,7 @@ struct EvalJob {
   }
 
   /// A homogeneous sweep: every point shares `options` and whatever table
-  /// against()/via() later supplies. `options.threads`, when set, becomes
+  /// against() later supplies. `options.threads`, when set, becomes
   /// the job's thread cap (preserving the old sweep-overload contract).
   [[nodiscard]] static EvalJob sweep(std::span<const SweepPoint> pts,
                                      core::EvalOptions options = {}) {
@@ -96,18 +89,6 @@ struct EvalJob {
   /// Shared failure table for points that don't carry their own.
   EvalJob& against(const mc::FailureTable& table) {
     failures = &table;
-    return *this;
-  }
-
-  /// Shard-plan table source for points that don't carry their own: run()
-  /// acquires the plan's table through the coordinator (merged-CSV hit,
-  /// shard replay, or pool-scattered build -- see shard_coordinator.hpp).
-  EvalJob& via(const ShardPlan& shard_plan,
-               const mc::FailureAnalyzer& shard_analyzer,
-               ShardCoordinator& shard_coordinator) {
-    plan = &shard_plan;
-    analyzer = &shard_analyzer;
-    coordinator = &shard_coordinator;
     return *this;
   }
 
@@ -141,9 +122,7 @@ class ExperimentRunner {
   /// serve::EvalService hot path). result[i] corresponds to job.points[i]
   /// and is bit-identical to evaluate() on that point alone, for any
   /// thread count or batch shape; a point whose table resolves to nothing
-  /// (see EvalJob) yields an empty result. When the job carries a shard
-  /// plan, the table is coordinator-acquired first and results are
-  /// bit-identical to building it monolithically.
+  /// (see EvalJob) yields an empty result.
   [[nodiscard]] std::vector<core::AccuracyResult> run(
       const core::QuantizedNetwork& qnet, const EvalJob& job,
       const data::Dataset& test) const;

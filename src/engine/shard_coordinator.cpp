@@ -1,6 +1,5 @@
 #include "engine/shard_coordinator.hpp"
 
-#include <atomic>
 #include <cstdio>
 #include <exception>
 #include <stdexcept>
@@ -98,12 +97,10 @@ const mc::FailureTable& ShardCoordinator::acquire(
     // uses every thread.
     const std::size_t total = plan.shard_count();
     std::vector<std::optional<mc::FailureTable>> shards(total);
-    std::atomic<std::size_t> done{0};
     util::parallel_for(
         total,
         [&](std::size_t s) {
           shards[s] = obtain_shard(plan, s, analyzer, rebuild, nullptr);
-          report_progress(done.fetch_add(1) + 1, total);
         },
         threads_);
 
@@ -247,15 +244,6 @@ std::optional<mc::FailureTable> ShardCoordinator::merge_from_disk(
 ShardStats ShardCoordinator::stats() const {
   const std::scoped_lock lock{mutex_};
   return stats_;
-}
-
-void ShardCoordinator::report_progress(std::size_t done, std::size_t total) {
-  ShardProgress progress;
-  {
-    const std::scoped_lock lock{mutex_};
-    progress = progress_;
-  }
-  if (progress) progress(done, total);
 }
 
 }  // namespace hynapse::engine

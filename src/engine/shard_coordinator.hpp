@@ -18,7 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <mutex>
 #include <optional>
 #include <vector>
@@ -47,11 +46,6 @@ struct ShardStats {
   double worst_ci_half_width = 0.0;
 };
 
-/// Progress callback: (shards done, shards total) after each shard of an
-/// acquire()/build_all() scatter completes. Invoked from pool threads;
-/// must be thread-safe.
-using ShardProgress = std::function<void(std::size_t, std::size_t)>;
-
 class ShardCoordinator {
  public:
   /// `cache` outlives the coordinator and provides the artifact directory,
@@ -60,11 +54,6 @@ class ShardCoordinator {
   explicit ShardCoordinator(FailureTableCache& cache,
                             std::size_t threads = 0) noexcept
       : cache_{cache}, threads_{threads} {}
-
-  void set_progress(ShardProgress progress) {
-    const std::scoped_lock lock{mutex_};
-    progress_ = std::move(progress);
-  }
 
   /// The sharded analogue of FailureTableCache::get: returns the plan's
   /// merged table from the cache memo, else from the merged CSV, else by
@@ -102,19 +91,17 @@ class ShardCoordinator {
 
  private:
   /// Loads shard CSV if allowed, else builds; bumps counters, persists new
-  /// builds (best effort), reports progress.
+  /// builds (best effort).
   mc::FailureTable obtain_shard(const ShardPlan& plan, std::size_t shard,
                                 const mc::FailureAnalyzer& analyzer,
                                 bool rebuild, bool* replayed);
-  void report_progress(std::size_t done, std::size_t total);
 
   FailureTableCache& cache_;
   std::size_t threads_;
   util::SingleFlight table_flight_;  ///< one in-flight merge per table fp
   util::SingleFlight shard_flight_;  ///< one in-flight build per shard fp
-  mutable std::mutex mutex_;         ///< guards stats_ + progress_
+  mutable std::mutex mutex_;         ///< guards stats_
   ShardStats stats_;
-  ShardProgress progress_;
 };
 
 }  // namespace hynapse::engine

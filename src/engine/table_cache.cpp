@@ -55,6 +55,12 @@ void feed_card(util::Fnv1a& h, const circuit::TechCard& card) {
 
 }  // namespace
 
+TableSpec table_spec(const mc::CircuitStack& stack,
+                     std::vector<double> vdd_grid, std::uint64_t seed) {
+  return {stack.tech, stack.sizing6, stack.sizing8, stack.array.geometry(),
+          std::move(vdd_grid), seed};
+}
+
 std::uint64_t table_fingerprint(const TableSpec& spec,
                                 const mc::AnalyzerOptions& opts) {
   util::Fnv1a h;

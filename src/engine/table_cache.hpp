@@ -21,6 +21,7 @@
 
 #include "circuit/bitcell.hpp"
 #include "circuit/tech.hpp"
+#include "mc/circuit_stack.hpp"
 #include "mc/failure_table.hpp"
 #include "mc/montecarlo.hpp"
 #include "sram/array.hpp"
@@ -39,6 +40,12 @@ struct TableSpec {
   std::vector<double> vdd_grid;
   std::uint64_t seed = 0;
 };
+
+/// The provenance of a table built on `stack` over `vdd_grid` with `seed`:
+/// the same technology, sizings and geometry the stack's analyzer runs on.
+[[nodiscard]] TableSpec table_spec(const mc::CircuitStack& stack,
+                                   std::vector<double> vdd_grid,
+                                   std::uint64_t seed);
 
 /// Stable FNV-1a digest of the spec + analyzer options + CSV format version.
 [[nodiscard]] std::uint64_t table_fingerprint(const TableSpec& spec,

@@ -72,13 +72,6 @@ EvalService::EvalService(const core::QuantizedNetwork& qnet,
       }()},
       bank_words_{qnet.bank_words()},
       qnet_fp_{core::network_fingerprint(qnet)},
-      tech_{circuit::ptm22()},
-      sizing6_{circuit::reference_sizing_6t(tech_)},
-      sizing8_{circuit::reference_sizing_8t(tech_)},
-      array_{tech_, sram::SubArrayGeometry{}, sizing6_},
-      cycle_{tech_, array_, circuit::Bitcell6T{tech_, sizing6_}},
-      sampler_{tech_, sizing6_, sizing8_},
-      criteria_{tech_, cycle_, sizing6_, sizing8_},
       runner_{options_.threads},
       cache_{options_.cache_dir},
       coordinator_{cache_, options_.threads},
@@ -183,15 +176,10 @@ mc::AnalyzerOptions EvalService::analyzer_options(
 }
 
 engine::TableSpec EvalService::table_spec(const Request& request) const {
-  engine::TableSpec spec;
-  spec.tech = tech_;
-  spec.sizing6 = sizing6_;
-  spec.sizing8 = sizing8_;
-  spec.geometry = array_.geometry();
-  spec.vdd_grid = options_.vdd_grid;
-  spec.seed = request.table_seed != 0 ? request.table_seed
-                                      : options_.default_table_seed;
-  return spec;
+  return engine::table_spec(stack_, options_.vdd_grid,
+                            request.table_seed != 0
+                                ? request.table_seed
+                                : options_.default_table_seed);
 }
 
 std::uint64_t EvalService::fingerprint(const Request& request) const {
@@ -739,7 +727,7 @@ void EvalService::answer_table_shard(const std::vector<SlotPtr>& batch) {
     return;
   }
 
-  const mc::FailureAnalyzer analyzer{criteria_, sampler_,
+  const mc::FailureAnalyzer analyzer{stack_.criteria, stack_.sampler,
                                      analyzer_options(req)};
   const Clock::time_point t0 = Clock::now();
   bool replayed = false;
@@ -796,7 +784,7 @@ void EvalService::execute_batch(const std::vector<SlotPtr>& batch) {
   // terminal transition (finish_locked).
   obs::Span span{"serve.batch"};
   // Acquire the (shared) failure table once for the whole batch.
-  const mc::FailureAnalyzer analyzer{criteria_, sampler_,
+  const mc::FailureAnalyzer analyzer{stack_.criteria, stack_.sampler,
                                      analyzer_options(batch[0]->request)};
   const engine::TableSpec spec = table_spec(batch[0]->request);
 

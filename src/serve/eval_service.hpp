@@ -54,13 +54,11 @@
 #include "engine/shard_coordinator.hpp"
 #include "engine/shard_plan.hpp"
 #include "engine/table_cache.hpp"
-#include "mc/criteria.hpp"
+#include "mc/circuit_stack.hpp"
 #include "mc/montecarlo.hpp"
-#include "mc/variation.hpp"
 #include "obs/metrics.hpp"
 #include "serve/journal.hpp"
 #include "serve/protocol.hpp"
-#include "sram/array.hpp"
 
 namespace hynapse::serve {
 
@@ -136,7 +134,7 @@ struct SubmitRejection {
 class EvalService {
  public:
   /// Serves `qnet` against `test`; both must outlive the service. The
-  /// circuit stack (reference 6T/8T sizings on ptm22) is fixed per service.
+  /// circuit stack (mc::CircuitStack on ptm22) is fixed per service.
   EvalService(const core::QuantizedNetwork& qnet, const data::Dataset& test,
               ServiceOptions options = {});
   /// Cancels everything still queued, finishes in-flight batches, joins.
@@ -300,14 +298,8 @@ class EvalService {
   /// the hot path never rehashes the codes.
   const std::uint64_t qnet_fp_;
 
-  // Fixed circuit stack every table build runs against.
-  circuit::Technology tech_;
-  circuit::Sizing6T sizing6_;
-  circuit::Sizing8T sizing8_;
-  sram::SubArrayModel array_;
-  sram::CycleModel cycle_;
-  mc::VariationSampler sampler_;
-  mc::FailureCriteria criteria_;
+  /// Fixed circuit stack every table build runs against.
+  const mc::CircuitStack stack_;
 
   engine::ExperimentRunner runner_;
   engine::FailureTableCache cache_;

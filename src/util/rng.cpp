@@ -179,6 +179,4 @@ Rng Rng::split() noexcept {
   return Rng{next_u64() ^ 0xa5a5a5a55a5a5a5aull};
 }
 
-void Rng::clear_normal_cache() noexcept { has_normal_spare_ = false; }
-
 }  // namespace hynapse::util

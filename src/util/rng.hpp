@@ -61,10 +61,6 @@ class Rng {
   /// Monte-Carlo chip sample its own stream without correlation.
   [[nodiscard]] Rng split() noexcept;
 
-  /// Discards the cached normal spare (used when forking deterministic
-  /// sub-streams where the cache would leak state between phases).
-  void clear_normal_cache() noexcept;
-
  private:
   std::uint64_t s_[4];
   double normal_spare_ = 0.0;

@@ -6,6 +6,7 @@
 
 #include "core/binning.hpp"
 #include "core/saliency.hpp"
+#include "mc/circuit_stack.hpp"
 #include "mc/margins.hpp"
 #include "quant/qformat.hpp"
 #include "test_helpers.hpp"
@@ -138,12 +139,10 @@ TEST(Rounding, NearestMatchesLegacyPath) {
 }
 
 TEST(MarginDistribution, ReadSnmPopulationBehaves) {
-  const circuit::Technology tech = circuit::ptm22();
-  const circuit::Sizing6T s6 = circuit::reference_sizing_6t(tech);
-  const circuit::Sizing8T s8 = circuit::reference_sizing_8t(tech);
-  const mc::VariationSampler sampler{tech, s6, s8};
+  const mc::CircuitStack s;
   const mc::MarginDistribution d =
-      mc::read_snm_distribution(tech, s6, sampler, 0.95, 200, 3, 120);
+      mc::read_snm_distribution(s.tech, s.sizing6, s.sampler, 0.95, 200, 3,
+                                120);
   EXPECT_EQ(d.samples, 200u);
   // Mean tracks the nominal 194 mV; variation spreads the population.
   EXPECT_NEAR(d.mean, 0.19, 0.03);
@@ -153,12 +152,9 @@ TEST(MarginDistribution, ReadSnmPopulationBehaves) {
 }
 
 TEST(MarginDistribution, WriteTimePopulationBehaves) {
-  const circuit::Technology tech = circuit::ptm22();
-  const circuit::Sizing6T s6 = circuit::reference_sizing_6t(tech);
-  const circuit::Sizing8T s8 = circuit::reference_sizing_8t(tech);
-  const mc::VariationSampler sampler{tech, s6, s8};
+  const mc::CircuitStack s;
   const mc::MarginDistribution d = mc::write_time_distribution(
-      tech, s6, sampler, 0.95, 0.45e-15, 2e-10, 400, 7);
+      s.tech, s.sizing6, s.sampler, 0.95, 0.45e-15, 2e-10, 400, 7);
   EXPECT_EQ(d.samples, 400u);
   EXPECT_GT(d.mean, 0.0);
   EXPECT_LT(d.mean, 1e-10);

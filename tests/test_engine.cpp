@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
+#include <type_traits>
 
 #include "circuit/reference.hpp"
 #include "core/experiments.hpp"
@@ -14,10 +15,9 @@
 #include "data/digits.hpp"
 #include "engine/experiment_runner.hpp"
 #include "engine/table_cache.hpp"
-#include "mc/criteria.hpp"
+#include "mc/circuit_stack.hpp"
 #include "mc/failure_table.hpp"
 #include "mc/montecarlo.hpp"
-#include "mc/variation.hpp"
 #include "test_helpers.hpp"
 
 namespace hynapse::engine {
@@ -25,15 +25,6 @@ namespace {
 
 class EngineTest : public ::testing::Test {
  protected:
-  EngineTest()
-      : tech_{circuit::ptm22()},
-        s6_{circuit::reference_sizing_6t(tech_)},
-        s8_{circuit::reference_sizing_8t(tech_)},
-        array_{tech_, sram::SubArrayGeometry{}, s6_},
-        cycle_{tech_, array_, circuit::Bitcell6T{tech_, s6_}},
-        sampler_{tech_, s6_, s8_},
-        criteria_{tech_, cycle_, s6_, s8_} {}
-
   mc::AnalyzerOptions fast_opts(std::size_t threads) const {
     mc::AnalyzerOptions o;
     o.mc_samples = 3000;
@@ -43,19 +34,13 @@ class EngineTest : public ::testing::Test {
   }
 
   mc::FailureTable build_table(std::size_t threads) const {
-    const mc::FailureAnalyzer analyzer{criteria_, sampler_,
+    const mc::FailureAnalyzer analyzer{stack_.criteria, stack_.sampler,
                                        fast_opts(threads)};
     const double grid[] = {0.65, 0.80, 0.95};
     return mc::FailureTable::build(analyzer, grid, 7);
   }
 
-  circuit::Technology tech_;
-  circuit::Sizing6T s6_;
-  circuit::Sizing8T s8_;
-  sram::SubArrayModel array_;
-  sram::CycleModel cycle_;
-  mc::VariationSampler sampler_;
-  mc::FailureCriteria criteria_;
+  const mc::CircuitStack stack_;
 };
 
 void expect_rows_identical(const mc::FailureTable& a,
@@ -249,14 +234,47 @@ TEST_F(EngineTest, RunThreadsAndBackendsMatchSerialReference) {
   }
 }
 
+const mc::CircuitStack& reference_stack() {
+  static const mc::CircuitStack stack;
+  return stack;
+}
+
 TableSpec reference_spec() {
-  TableSpec spec;
-  spec.tech = circuit::ptm22();
-  spec.sizing6 = circuit::reference_sizing_6t(spec.tech);
-  spec.sizing8 = circuit::reference_sizing_8t(spec.tech);
-  spec.vdd_grid = {0.65, 0.75};
-  spec.seed = 1;
-  return spec;
+  return table_spec(reference_stack(), {0.65, 0.75}, 1);
+}
+
+// The stack's members point into one another, so it must stay put.
+static_assert(!std::is_copy_constructible_v<mc::CircuitStack>);
+static_assert(!std::is_copy_assignable_v<mc::CircuitStack>);
+static_assert(!std::is_move_constructible_v<mc::CircuitStack>);
+static_assert(!std::is_move_assignable_v<mc::CircuitStack>);
+
+TEST(CircuitStack, TableSpecMatchesHandFilledProvenance) {
+  // The reference design filled in field by field: ptm22, its reference
+  // sizings and the default sub-array geometry.
+  TableSpec by_hand;
+  by_hand.tech = circuit::ptm22();
+  by_hand.sizing6 = circuit::reference_sizing_6t(by_hand.tech);
+  by_hand.sizing8 = circuit::reference_sizing_8t(by_hand.tech);
+  by_hand.geometry = sram::SubArrayGeometry{};
+  by_hand.vdd_grid = circuit::paper_voltage_grid();
+  by_hand.seed = 20160312;
+  mc::AnalyzerOptions opts;
+  opts.adaptive.enabled = true;
+  EXPECT_EQ(table_fingerprint(table_spec(reference_stack(),
+                                         circuit::paper_voltage_grid(),
+                                         20160312),
+                              opts),
+            table_fingerprint(by_hand, opts));
+
+  // A stack on another technology card carries that card into the spec.
+  circuit::Technology shifted = circuit::ptm22();
+  shifted.nmos.vt0 += 0.01;
+  const mc::CircuitStack other{shifted};
+  const TableSpec spec = table_spec(other, {0.7}, 3);
+  EXPECT_EQ(spec.tech.nmos.vt0, shifted.nmos.vt0);
+  EXPECT_NE(table_fingerprint(spec, opts),
+            table_fingerprint(table_spec(reference_stack(), {0.7}, 3), opts));
 }
 
 TEST(TableFingerprint, SensitiveToInputsButNotThreads) {
@@ -470,18 +488,12 @@ TEST_F(TableCacheTest, ListCachedTablesReportsFingerprintsAndValidity) {
 }
 
 TEST_F(TableCacheTest, CacheBuildsOnceThenServesFromDisk) {
-  const circuit::Technology tech = circuit::ptm22();
-  const circuit::Sizing6T s6 = circuit::reference_sizing_6t(tech);
-  const circuit::Sizing8T s8 = circuit::reference_sizing_8t(tech);
-  const sram::SubArrayModel array{tech, sram::SubArrayGeometry{}, s6};
-  const sram::CycleModel cycle{tech, array, circuit::Bitcell6T{tech, s6}};
-  const mc::VariationSampler sampler{tech, s6, s8};
-  const mc::FailureCriteria criteria{tech, cycle, s6, s8};
+  const mc::CircuitStack& stack = reference_stack();
   mc::AnalyzerOptions o;
   o.mc_samples = 1000;
   o.is_samples = 1000;
-  const mc::FailureAnalyzer analyzer{criteria, sampler, o};
-  const TableSpec spec{tech, s6, s8, sram::SubArrayGeometry{}, {0.65}, 5};
+  const mc::FailureAnalyzer analyzer{stack.criteria, stack.sampler, o};
+  const TableSpec spec = table_spec(stack, {0.65}, 5);
 
   FailureTableCache cache{dir_};
   TableSource source{};

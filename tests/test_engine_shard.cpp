@@ -12,15 +12,13 @@
 #include <optional>
 #include <vector>
 
-#include "circuit/reference.hpp"
 #include "engine/experiment_runner.hpp"
 #include "engine/shard_coordinator.hpp"
 #include "engine/shard_plan.hpp"
 #include "engine/table_cache.hpp"
-#include "mc/criteria.hpp"
+#include "mc/circuit_stack.hpp"
 #include "mc/failure_table.hpp"
 #include "mc/montecarlo.hpp"
-#include "mc/variation.hpp"
 #include "test_helpers.hpp"
 
 #include "ann/mlp.hpp"
@@ -48,15 +46,6 @@ void expect_rows_identical(const mc::FailureTable& a,
 
 class ShardTest : public ::testing::Test {
  protected:
-  ShardTest()
-      : tech_{circuit::ptm22()},
-        s6_{circuit::reference_sizing_6t(tech_)},
-        s8_{circuit::reference_sizing_8t(tech_)},
-        array_{tech_, sram::SubArrayGeometry{}, s6_},
-        cycle_{tech_, array_, circuit::Bitcell6T{tech_, s6_}},
-        sampler_{tech_, s6_, s8_},
-        criteria_{tech_, cycle_, s6_, s8_} {}
-
   mc::AnalyzerOptions fast_opts(std::size_t threads = 0) const {
     mc::AnalyzerOptions o;
     o.mc_samples = 1200;
@@ -66,27 +55,15 @@ class ShardTest : public ::testing::Test {
   }
 
   TableSpec spec() const {
-    TableSpec s;
-    s.tech = tech_;
-    s.sizing6 = s6_;
-    s.sizing8 = s8_;
-    s.geometry = array_.geometry();
-    s.vdd_grid = {0.65, 0.70, 0.80, 0.90, 0.95};
-    s.seed = 11;
-    return s;
+    return table_spec(stack_, {0.65, 0.70, 0.80, 0.90, 0.95}, 11);
   }
 
   mc::FailureAnalyzer analyzer(std::size_t threads = 0) const {
-    return mc::FailureAnalyzer{criteria_, sampler_, fast_opts(threads)};
+    return mc::FailureAnalyzer{stack_.criteria, stack_.sampler,
+                               fast_opts(threads)};
   }
 
-  circuit::Technology tech_;
-  circuit::Sizing6T s6_;
-  circuit::Sizing8T s8_;
-  sram::SubArrayModel array_;
-  sram::CycleModel cycle_;
-  mc::VariationSampler sampler_;
-  mc::FailureCriteria criteria_;
+  const mc::CircuitStack stack_;
   const testing::ScratchDir scratch_;
   const std::string dir_ = scratch_.path().string();
 };
@@ -352,9 +329,9 @@ TEST_F(ShardTest, RunnerSweepAndBatchAcceptShardPlans) {
       {core::MemoryConfig::all_6t(words), 0.80}};
 
   const ExperimentRunner runner{4};
-  const std::vector<core::AccuracyResult> sharded = runner.run(
-      qnet, EvalJob::sweep(points, opt).via(plan, analyzer(), coordinator),
-      test);
+  const mc::FailureTable& acquired = coordinator.acquire(plan, analyzer());
+  const std::vector<core::AccuracyResult> sharded =
+      runner.run(qnet, EvalJob::sweep(points, opt).against(acquired), test);
 
   // Reference: monolithic table, shared-table job.
   const mc::FailureTable table =
@@ -370,8 +347,8 @@ TEST_F(ShardTest, RunnerSweepAndBatchAcceptShardPlans) {
     EXPECT_EQ(sharded[p].mean, reference[p].mean);
   }
 
-  // Batch overload: null-table points bind to the plan's table; points
-  // with an explicit table keep it.
+  // Batch: null-table points bind to the acquired table; points with an
+  // explicit table keep it.
   std::vector<mc::FailureTableRow> rows(1);
   rows[0].vdd = 0.70;
   rows[0].cell6 = {0.05, 0.02, 0.002};
@@ -380,7 +357,7 @@ TEST_F(ShardTest, RunnerSweepAndBatchAcceptShardPlans) {
       {core::MemoryConfig::uniform_hybrid(words, 2), 0.65, nullptr, opt},
       {core::MemoryConfig::all_6t(words), 0.70, &other, opt}};
   const std::vector<core::AccuracyResult> got = runner.run(
-      qnet, EvalJob::batch(batch).via(plan, analyzer(), coordinator), test);
+      qnet, EvalJob::batch(batch).against(acquired), test);
   const std::vector<BatchPoint> bound{
       {batch[0].config, batch[0].vdd, &table, opt},
       {batch[1].config, batch[1].vdd, &other, opt}};

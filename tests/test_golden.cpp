@@ -9,6 +9,8 @@
 //   * the same at high vdd, where many chips leave the first layer clean or
 //     touch only a few of its columns;
 //   * the `results` of a fixed request trace through serve::EvalService;
+//   * the table fingerprint (cache key) of two served requests, pinned as
+//     the value itself;
 //   * a small-budget mc::FailureTable, fixed-sample and adaptive;
 //   * every field of the per-cell 6T/8T analysis, fixed-sample and
 //     adaptive, and the standby retention rate;
@@ -30,14 +32,12 @@
 #include <vector>
 
 #include "ann/backends/backend.hpp"
-#include "circuit/reference.hpp"
 #include "core/delta_eval.hpp"
 #include "core/experiments.hpp"
 #include "engine/experiment_runner.hpp"
-#include "mc/criteria.hpp"
+#include "mc/circuit_stack.hpp"
 #include "mc/failure_table.hpp"
 #include "mc/montecarlo.hpp"
-#include "mc/variation.hpp"
 #include "obs/metrics.hpp"
 #include "serve/eval_service.hpp"
 #include "serve/protocol.hpp"
@@ -54,6 +54,8 @@ constexpr std::uint64_t kFixedTableDigest = 0xefeeef52a15ae3b0;
 constexpr std::uint64_t kAdaptiveTableDigest = 0xe9c6b155823fbb11;
 constexpr std::uint64_t kWireCodecDigest = 0x78a7c2e1641062f8;
 constexpr std::uint64_t kCellAnalysisDigest = 0xb6d293296509e1f9;
+constexpr std::uint64_t kServedTableFingerprint = 0x9921063cee5d082c;
+constexpr std::uint64_t kServedAdaptiveTableFingerprint = 0xc2d72a0c22dfcd57;
 
 bool blessing() {
   const char* env = std::getenv("HYNAPSE_BLESS_GOLDEN");
@@ -289,19 +291,36 @@ TEST(Golden, ServiceTraceResults) {
   expect_golden("kServiceTraceDigest", h.digest(), kServiceTraceDigest);
 }
 
-/// The reference-design circuit and Monte-Carlo stack every MC golden uses.
-struct McStack {
-  circuit::Technology tech = circuit::ptm22();
-  circuit::Sizing6T s6 = circuit::reference_sizing_6t(tech);
-  circuit::Sizing8T s8 = circuit::reference_sizing_8t(tech);
-  sram::SubArrayModel array{tech, sram::SubArrayGeometry{}, s6};
-  sram::CycleModel cycle{tech, array, circuit::Bitcell6T{tech, s6}};
-  mc::VariationSampler sampler{tech, s6, s8};
-  mc::FailureCriteria criteria{tech, cycle, s6, s8};
-};
+// The served table fingerprint is the cache key, the CSV filename and the
+// wire `table.fingerprint`: a slip in the circuit stack or in the TableSpec
+// built from it must not move it unnoticed.
+TEST(Golden, ServedTableFingerprint) {
+  serve::ServiceOptions options;
+  options.start_paused = true;
+  const data::Dataset test = testing::small_test_set().head(10);
+  const serve::EvalService service{golden_qnet(), test, options};
 
-const McStack& mc_stack() {
-  static const McStack stack;
+  serve::Request request;
+  request.configs.push_back(*serve::ConfigSpec::parse("all6t"));
+  request.vdds = {0.65};
+  expect_golden("kServedTableFingerprint", service.fingerprint(request),
+                kServedTableFingerprint);
+
+  // The adaptive policy of a cold served request (the fig5 bench's).
+  mc::AdaptivePolicy cold;
+  cold.enabled = true;
+  cold.rel_target = 0.3;
+  cold.abs_target = 1e-4;
+  cold.max_samples = 24000;
+  request.adaptive = cold;
+  expect_golden("kServedAdaptiveTableFingerprint",
+                service.fingerprint(request),
+                kServedAdaptiveTableFingerprint);
+}
+
+/// The reference-design circuit and Monte-Carlo stack every MC golden uses.
+const mc::CircuitStack& mc_stack() {
+  static const mc::CircuitStack stack;
   return stack;
 }
 
@@ -324,7 +343,7 @@ mc::AnalyzerOptions small_adaptive_options() {
 /// Digest of a small-budget table over a 3-point grid: every rate plus the
 /// per-row sampling metadata.
 std::uint64_t small_table_digest(const mc::AnalyzerOptions& ao) {
-  const McStack& s = mc_stack();
+  const mc::CircuitStack& s = mc_stack();
   const mc::FailureAnalyzer analyzer{s.criteria, s.sampler, ao};
   const std::vector<double> grid{0.60, 0.75, 0.90};
   const mc::FailureTable table = mc::FailureTable::build(analyzer, grid, 7);
@@ -372,7 +391,7 @@ void digest_estimate(util::Fnv1a& h, const mc::RateEstimate& e) {
 TEST(Golden, CellAnalysis) {
   // Every field of the per-cell analysis at two voltages, fixed-sample and
   // adaptive, plus the standby retention rate (its p only).
-  const McStack& s = mc_stack();
+  const mc::CircuitStack& s = mc_stack();
   mc::AnalyzerOptions fixed;
   fixed.mc_samples = 600;
   fixed.is_samples = 300;

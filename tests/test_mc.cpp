@@ -4,12 +4,10 @@
 #include <fstream>
 #include <vector>
 
-#include "circuit/reference.hpp"
 #include "util/stats.hpp"
-#include "mc/criteria.hpp"
+#include "mc/circuit_stack.hpp"
 #include "mc/failure_table.hpp"
 #include "mc/montecarlo.hpp"
-#include "mc/variation.hpp"
 #include "test_helpers.hpp"
 
 namespace hynapse::mc {
@@ -17,15 +15,6 @@ namespace {
 
 class McTest : public ::testing::Test {
  protected:
-  McTest()
-      : tech_{circuit::ptm22()},
-        s6_{circuit::reference_sizing_6t(tech_)},
-        s8_{circuit::reference_sizing_8t(tech_)},
-        array_{tech_, sram::SubArrayGeometry{}, s6_},
-        cycle_{tech_, array_, circuit::Bitcell6T{tech_, s6_}},
-        sampler_{tech_, s6_, s8_},
-        criteria_{tech_, cycle_, s6_, s8_} {}
-
   AnalyzerOptions fast_opts() const {
     AnalyzerOptions o;
     o.mc_samples = 4000;
@@ -33,18 +22,12 @@ class McTest : public ::testing::Test {
     return o;
   }
 
-  circuit::Technology tech_;
-  circuit::Sizing6T s6_;
-  circuit::Sizing8T s8_;
-  sram::SubArrayModel array_;
-  sram::CycleModel cycle_;
-  VariationSampler sampler_;
-  FailureCriteria criteria_;
+  const CircuitStack stack_;
   const testing::ScratchDir scratch_;
 };
 
 TEST_F(McTest, SamplerSigmasFollowPelgrom) {
-  const auto& sig = sampler_.sigmas_6t();
+  const auto& sig = stack_.sampler.sigmas_6t();
   // PD is the widest 6T device -> smallest sigma; PG the narrowest NMOS.
   EXPECT_LT(sig[1], sig[0]);
   // Left/right symmetric.
@@ -57,17 +40,17 @@ TEST_F(McTest, SampleStatisticsMatchSigmas) {
   util::Rng rng{5};
   util::RunningStats pg;
   for (int i = 0; i < 20000; ++i) {
-    pg.add(sampler_.sample_6t(rng).pg_l);
+    pg.add(stack_.sampler.sample_6t(rng).pg_l);
   }
   EXPECT_NEAR(pg.mean(), 0.0, 0.002);
-  EXPECT_NEAR(pg.stddev(), sampler_.sigmas_6t()[0], 0.003);
+  EXPECT_NEAR(pg.stddev(), stack_.sampler.sigmas_6t()[0], 0.003);
 }
 
 TEST_F(McTest, NominalSampleDoesNotFail) {
   const circuit::Variation6T none{};
-  EXPECT_LT(criteria_.metric(Mechanism::read_access, none, 0.95), 0.0);
-  EXPECT_LT(criteria_.metric(Mechanism::write, none, 0.95), 0.0);
-  EXPECT_LT(criteria_.metric(Mechanism::read_disturb, none, 0.95), 0.0);
+  EXPECT_LT(stack_.criteria.metric(Mechanism::read_access, none, 0.95), 0.0);
+  EXPECT_LT(stack_.criteria.metric(Mechanism::write, none, 0.95), 0.0);
+  EXPECT_LT(stack_.criteria.metric(Mechanism::read_disturb, none, 0.95), 0.0);
 }
 
 TEST_F(McTest, ReadMetricMonotoneInPassGateVt) {
@@ -75,14 +58,14 @@ TEST_F(McTest, ReadMetricMonotoneInPassGateVt) {
   double prev = -10.0;
   for (double dvt = -0.1; dvt <= 0.25; dvt += 0.05) {
     var.pg_l = dvt;
-    const double m = criteria_.metric(Mechanism::read_access, var, 0.7);
+    const double m = stack_.criteria.metric(Mechanism::read_access, var, 0.7);
     EXPECT_GT(m, prev);
     prev = m;
   }
 }
 
 TEST_F(McTest, PlainMcDeterministicAcrossCalls) {
-  const FailureAnalyzer analyzer{criteria_, sampler_, fast_opts()};
+  const FailureAnalyzer analyzer{stack_.criteria, stack_.sampler, fast_opts()};
   const RateEstimate a =
       analyzer.plain_mc_6t(Mechanism::read_access, 0.65, 4000, 77);
   const RateEstimate b =
@@ -92,7 +75,7 @@ TEST_F(McTest, PlainMcDeterministicAcrossCalls) {
 }
 
 TEST_F(McTest, FailureRatesDecreaseWithVoltage) {
-  const FailureAnalyzer analyzer{criteria_, sampler_, fast_opts()};
+  const FailureAnalyzer analyzer{stack_.criteria, stack_.sampler, fast_opts()};
   const RateEstimate low =
       analyzer.plain_mc_6t(Mechanism::read_access, 0.65, 6000, 3);
   const RateEstimate high =
@@ -102,7 +85,7 @@ TEST_F(McTest, FailureRatesDecreaseWithVoltage) {
 }
 
 TEST_F(McTest, WilsonIntervalBracketsEstimate) {
-  const FailureAnalyzer analyzer{criteria_, sampler_, fast_opts()};
+  const FailureAnalyzer analyzer{stack_.criteria, stack_.sampler, fast_opts()};
   const RateEstimate r =
       analyzer.plain_mc_6t(Mechanism::read_access, 0.65, 6000, 9);
   EXPECT_LE(r.ci_lo, r.p);
@@ -112,7 +95,7 @@ TEST_F(McTest, WilsonIntervalBracketsEstimate) {
 TEST_F(McTest, ImportanceSamplingAgreesWithPlainMc) {
   // At 0.65 V the read-access rate is large enough for plain MC to nail it;
   // IS must land inside (a widened) agreement band.
-  const FailureAnalyzer analyzer{criteria_, sampler_, fast_opts()};
+  const FailureAnalyzer analyzer{stack_.criteria, stack_.sampler, fast_opts()};
   const RateEstimate mc =
       analyzer.plain_mc_6t(Mechanism::read_access, 0.65, 20000, 21);
   const RateEstimate is =
@@ -124,7 +107,7 @@ TEST_F(McTest, ImportanceSamplingAgreesWithPlainMc) {
 
 TEST_F(McTest, ImportanceSamplingReachesRareTail) {
   // At nominal voltage the read-access rate is far below plain-MC reach.
-  const FailureAnalyzer analyzer{criteria_, sampler_, fast_opts()};
+  const FailureAnalyzer analyzer{stack_.criteria, stack_.sampler, fast_opts()};
   const RateEstimate is =
       analyzer.importance_6t(Mechanism::read_access, 0.95, 8000, 31);
   EXPECT_LT(is.p, 1e-4);
@@ -132,7 +115,7 @@ TEST_F(McTest, ImportanceSamplingReachesRareTail) {
 }
 
 TEST_F(McTest, EightTReadPortIsRobust) {
-  const FailureAnalyzer analyzer{criteria_, sampler_, fast_opts()};
+  const FailureAnalyzer analyzer{stack_.criteria, stack_.sampler, fast_opts()};
   const CellFailureRates r8 = analyzer.analyze(CellKind::eight_t, 0.65, 55);
   EXPECT_LT(r8.read_access.p, 1e-4);
   EXPECT_LT(r8.write_fail.p, 1e-4);
@@ -142,14 +125,14 @@ TEST_F(McTest, EightTReadPortIsRobust) {
 TEST_F(McTest, SixTAnalysisShowsReadDominatesAtLowVdd) {
   AnalyzerOptions o = fast_opts();
   o.mc_samples = 12000;
-  const FailureAnalyzer analyzer{criteria_, sampler_, o};
+  const FailureAnalyzer analyzer{stack_.criteria, stack_.sampler, o};
   const CellFailureRates r = analyzer.analyze(CellKind::six_t, 0.65, 99);
   EXPECT_GT(r.read_access.p, r.write_fail.p);   // Fig. 5 ordering
   EXPECT_GT(r.read_access.p, r.read_disturb.p);
 }
 
 TEST_F(McTest, FailureTableInterpolatesMonotonically) {
-  const FailureAnalyzer analyzer{criteria_, sampler_, fast_opts()};
+  const FailureAnalyzer analyzer{stack_.criteria, stack_.sampler, fast_opts()};
   const double grid[] = {0.65, 0.75, 0.85, 0.95};
   const FailureTable table = FailureTable::build(analyzer, grid, 7);
   const double p65 = table.rates_6t(0.65).read_access;
@@ -160,7 +143,7 @@ TEST_F(McTest, FailureTableInterpolatesMonotonically) {
 }
 
 TEST_F(McTest, FailureTableClampsOutsideGrid) {
-  const FailureAnalyzer analyzer{criteria_, sampler_, fast_opts()};
+  const FailureAnalyzer analyzer{stack_.criteria, stack_.sampler, fast_opts()};
   const double grid[] = {0.65, 0.75};
   const FailureTable table = FailureTable::build(analyzer, grid, 7);
   EXPECT_DOUBLE_EQ(table.rates_6t(0.50).read_access,
@@ -170,7 +153,7 @@ TEST_F(McTest, FailureTableClampsOutsideGrid) {
 }
 
 TEST_F(McTest, FailureTableCsvRoundTrip) {
-  const FailureAnalyzer analyzer{criteria_, sampler_, fast_opts()};
+  const FailureAnalyzer analyzer{stack_.criteria, stack_.sampler, fast_opts()};
   const double grid[] = {0.65, 0.80};
   const FailureTable table = FailureTable::build(analyzer, grid, 7);
   const std::string path = scratch_.file("ftable.csv");
@@ -268,7 +251,7 @@ TEST_F(McTest, FailureTableRejectsBadColumnsAndMetadata) {
 }
 
 TEST_F(McTest, FailureTableMergePreservesMetadata) {
-  const FailureAnalyzer analyzer{criteria_, sampler_, fast_opts()};
+  const FailureAnalyzer analyzer{stack_.criteria, stack_.sampler, fast_opts()};
   const double grid[] = {0.65, 0.75, 0.85};
   const FailureTable mono = FailureTable::build(analyzer, grid, 7);
   std::vector<FailureTable> shards;

@@ -7,12 +7,10 @@
 #include <cmath>
 #include <vector>
 
-#include "circuit/reference.hpp"
 #include "engine/table_cache.hpp"
-#include "mc/criteria.hpp"
+#include "mc/circuit_stack.hpp"
 #include "mc/failure_table.hpp"
 #include "mc/montecarlo.hpp"
-#include "mc/variation.hpp"
 #include "obs/metrics.hpp"
 #include "test_helpers.hpp"
 
@@ -21,15 +19,6 @@ namespace {
 
 class McAdaptiveTest : public ::testing::Test {
  protected:
-  McAdaptiveTest()
-      : tech_{circuit::ptm22()},
-        s6_{circuit::reference_sizing_6t(tech_)},
-        s8_{circuit::reference_sizing_8t(tech_)},
-        array_{tech_, sram::SubArrayGeometry{}, s6_},
-        cycle_{tech_, array_, circuit::Bitcell6T{tech_, s6_}},
-        sampler_{tech_, s6_, s8_},
-        criteria_{tech_, cycle_, s6_, s8_} {}
-
   /// Fixed-sample oracle options (adaptive disabled).
   AnalyzerOptions fixed_opts(std::size_t threads = 0) const {
     AnalyzerOptions o;
@@ -49,21 +38,16 @@ class McAdaptiveTest : public ::testing::Test {
     return o;
   }
 
-  circuit::Technology tech_;
-  circuit::Sizing6T s6_;
-  circuit::Sizing8T s8_;
-  sram::SubArrayModel array_;
-  sram::CycleModel cycle_;
-  VariationSampler sampler_;
-  FailureCriteria criteria_;
+  const CircuitStack stack_;
 };
 
 TEST_F(McAdaptiveTest, ConvergesEarlyAndAgreesWithOracle) {
   // At 0.65 V the 6T read-access rate is a few percent: the adaptive run
   // must stop well short of the fixed budget, report convergence, and land
   // inside a CI-sized band of the oracle.
-  const FailureAnalyzer fixed{criteria_, sampler_, fixed_opts()};
-  const FailureAnalyzer adaptive{criteria_, sampler_, adaptive_opts()};
+  const FailureAnalyzer fixed{stack_.criteria, stack_.sampler, fixed_opts()};
+  const FailureAnalyzer adaptive{stack_.criteria, stack_.sampler,
+                                 adaptive_opts()};
   obs::Counter& saved =
       obs::Registry::global().counter("mc.adaptive.samples_saved");
   const std::uint64_t saved_before = saved.value();
@@ -90,7 +74,7 @@ TEST_F(McAdaptiveTest, BitIdenticalAcrossThreadCounts) {
     std::vector<RateEstimate> runs;
     for (const std::size_t threads : {std::size_t{1}, std::size_t{3},
                                       std::size_t{8}}) {
-      const FailureAnalyzer analyzer{criteria_, sampler_,
+      const FailureAnalyzer analyzer{stack_.criteria, stack_.sampler,
                                      adaptive_opts(threads)};
       runs.push_back(
           analyzer.estimate(cell, Mechanism::read_access, 0.68, 21, 900));
@@ -108,7 +92,8 @@ TEST_F(McAdaptiveTest, BitIdenticalAcrossThreadCounts) {
 }
 
 TEST_F(McAdaptiveTest, DeterministicAcrossRepeatedCalls) {
-  const FailureAnalyzer analyzer{criteria_, sampler_, adaptive_opts()};
+  const FailureAnalyzer analyzer{stack_.criteria, stack_.sampler,
+                                 adaptive_opts()};
   const RateEstimate a =
       analyzer.estimate(CellKind::six_t, Mechanism::write, 0.66, 31, 901);
   const RateEstimate b =
@@ -126,7 +111,7 @@ TEST_F(McAdaptiveTest, MinSampleClampHolds) {
   o.adaptive.abs_target = 0.5;
   o.adaptive.batch_samples = 1000;
   o.adaptive.min_samples = 8000;
-  const FailureAnalyzer analyzer{criteria_, sampler_, o};
+  const FailureAnalyzer analyzer{stack_.criteria, stack_.sampler, o};
   const RateEstimate est =
       analyzer.estimate(CellKind::six_t, Mechanism::read_access, 0.65, 41, 902);
   EXPECT_TRUE(est.converged);
@@ -140,7 +125,7 @@ TEST_F(McAdaptiveTest, MaxSampleClampStopsUnreachableTarget) {
   o.adaptive.rel_target = 1e-4;
   o.adaptive.max_samples = 6000;
   o.adaptive.tail_escape_samples = 6000;
-  const FailureAnalyzer analyzer{criteria_, sampler_, o};
+  const FailureAnalyzer analyzer{stack_.criteria, stack_.sampler, o};
   obs::Counter& misses =
       obs::Registry::global().counter("mc.adaptive.ci_misses");
   const std::uint64_t misses_before = misses.value();
@@ -158,7 +143,7 @@ TEST_F(McAdaptiveTest, RareTailEscapesToImportanceSampling) {
   AnalyzerOptions o = adaptive_opts();
   o.adaptive.abs_target = 1e-6;
   o.adaptive.tail_escape_samples = 4000;
-  const FailureAnalyzer analyzer{criteria_, sampler_, o};
+  const FailureAnalyzer analyzer{stack_.criteria, stack_.sampler, o};
   const RateEstimate est =
       analyzer.estimate(CellKind::six_t, Mechanism::read_access, 0.95, 61, 904);
   EXPECT_TRUE(est.importance_sampled);
@@ -171,7 +156,7 @@ TEST_F(McAdaptiveTest, RareTailEscapesToImportanceSampling) {
 TEST_F(McAdaptiveTest, ClopperPearsonIntervalAlsoConverges) {
   AnalyzerOptions o = adaptive_opts();
   o.adaptive.interval = IntervalKind::clopper_pearson;
-  const FailureAnalyzer analyzer{criteria_, sampler_, o};
+  const FailureAnalyzer analyzer{stack_.criteria, stack_.sampler, o};
   const RateEstimate est =
       analyzer.estimate(CellKind::six_t, Mechanism::read_access, 0.65, 71, 905);
   EXPECT_TRUE(est.converged);
@@ -190,7 +175,7 @@ TEST_F(McAdaptiveTest, FixedPathBitIdenticalAcrossThreadCounts) {
     AnalyzerOptions o = fixed_opts(threads);
     o.mc_samples = 6000;
     o.is_samples = 3000;
-    const FailureAnalyzer analyzer{criteria_, sampler_, o};
+    const FailureAnalyzer analyzer{stack_.criteria, stack_.sampler, o};
     tables.push_back(FailureTable::build(analyzer, grid, 7));
   }
   for (std::size_t t = 1; t < tables.size(); ++t) {
@@ -216,7 +201,7 @@ TEST_F(McAdaptiveTest, AdaptiveShardsMergeBitIdenticalToMonolithic) {
   AnalyzerOptions o = adaptive_opts();
   o.mc_samples = 8000;
   o.is_samples = 3000;
-  const FailureAnalyzer analyzer{criteria_, sampler_, o};
+  const FailureAnalyzer analyzer{stack_.criteria, stack_.sampler, o};
   const FailureTable mono = FailureTable::build(analyzer, grid, 13);
   std::vector<FailureTable> shards;
   for (std::size_t s = 0; s < 2; ++s) {
@@ -242,7 +227,8 @@ TEST_F(McAdaptiveTest, AdaptiveShardsMergeBitIdenticalToMonolithic) {
 
 TEST_F(McAdaptiveTest, CsvV3RoundTripPreservesMetadata) {
   const double grid[] = {0.65, 0.80};
-  const FailureAnalyzer analyzer{criteria_, sampler_, adaptive_opts()};
+  const FailureAnalyzer analyzer{stack_.criteria, stack_.sampler,
+                                 adaptive_opts()};
   const FailureTable table = FailureTable::build(analyzer, grid, 17);
   const hynapse::testing::ScratchDir dir;
   const std::string path = dir.file("adaptive_table.csv");
@@ -258,13 +244,7 @@ TEST_F(McAdaptiveTest, CsvV3RoundTripPreservesMetadata) {
 }
 
 TEST_F(McAdaptiveTest, FingerprintFoldsAdaptivePolicy) {
-  engine::TableSpec spec;
-  spec.tech = tech_;
-  spec.sizing6 = s6_;
-  spec.sizing8 = s8_;
-  spec.geometry = array_.geometry();
-  spec.vdd_grid = {0.65, 0.75};
-  spec.seed = 9;
+  const engine::TableSpec spec = engine::table_spec(stack_, {0.65, 0.75}, 9);
 
   AnalyzerOptions fixed = fixed_opts();
   AnalyzerOptions adaptive = adaptive_opts();
@@ -299,7 +279,7 @@ TEST_F(McAdaptiveTest, InconsistentTailEscapeFallsBackToPlainMc) {
   o.adaptive.enabled = true;
   o.adaptive.rel_target = 0.3;
   o.adaptive.abs_target = 1e-4;
-  const FailureAnalyzer analyzer{criteria_, sampler_, o};
+  const FailureAnalyzer analyzer{stack_.criteria, stack_.sampler, o};
   // The 6T write seeds of kCellMechanisms for base seed 1, as
   // analyze(CellKind::six_t, 0.70, 1) derives them.
   const CellMechanism& job = kCellMechanisms[1];
@@ -320,7 +300,7 @@ TEST_F(McAdaptiveTest, InconsistentTailEscapeFallsBackToPlainMc) {
   for (const std::size_t threads : {std::size_t{3}, std::size_t{8}}) {
     AnalyzerOptions ot = o;
     ot.threads = threads;
-    const FailureAnalyzer at{criteria_, sampler_, ot};
+    const FailureAnalyzer at{stack_.criteria, stack_.sampler, ot};
     const RateEstimate wt = at.estimate(CellKind::six_t, Mechanism::write,
                                         0.70, mc_seed, is_seed);
     EXPECT_DOUBLE_EQ(wr.p, wt.p);

@@ -28,28 +28,16 @@
 #include "circuit/solve.hpp"
 #include "circuit/lanes.hpp"
 #include "circuit/lanes_kernel.hpp"
-#include "mc/criteria.hpp"
-#include "mc/variation.hpp"
+#include "mc/circuit_stack.hpp"
 #include "obs/metrics.hpp"
-#include "sram/timing.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace hynapse::mc {
 namespace {
 
-struct Stack {
-  circuit::Technology tech = circuit::ptm22();
-  circuit::Sizing6T s6 = circuit::reference_sizing_6t(tech);
-  circuit::Sizing8T s8 = circuit::reference_sizing_8t(tech);
-  sram::SubArrayModel array{tech, sram::SubArrayGeometry{}, s6};
-  sram::CycleModel cycle{tech, array, circuit::Bitcell6T{tech, s6}};
-  VariationSampler sampler{tech, s6, s8};
-  FailureCriteria criteria{tech, cycle, s6, s8};
-};
-
-const Stack& stack() {
-  static const Stack s;
+const CircuitStack& stack() {
+  static const CircuitStack s;
   return s;
 }
 
@@ -80,7 +68,7 @@ const circuit::detail::LaneKernels* lane_kernels(circuit::LaneTier tier) {
 // ---- Mosfet::ids derivative overload ---------------------------------------
 
 TEST(MosfetDerivatives, ValueBitEqualAndSlopesMatchCentralDifferences) {
-  const Stack& s = stack();
+  const CircuitStack& s = stack();
   struct Point {
     const char* region;
     double vgs;
@@ -93,9 +81,9 @@ TEST(MosfetDerivatives, ValueBitEqualAndSlopesMatchCentralDifferences) {
       {"strong", 2.60, 0.40},       {"vds<0", 0.70, -0.10},
   };
   const circuit::Mosfet devices[] = {
-      {s.tech.nmos, s.s6.w_pd, s.tech.lmin, 0.02},
-      {s.tech.pmos, s.s6.w_pu, s.tech.lmin, -0.03},
-      {s.tech.nmos, s.s6.w_pg, s.tech.lmin, 0.0},
+      {s.tech.nmos, s.sizing6.w_pd, s.tech.lmin, 0.02},
+      {s.tech.pmos, s.sizing6.w_pu, s.tech.lmin, -0.03},
+      {s.tech.nmos, s.sizing6.w_pg, s.tech.lmin, 0.0},
   };
   constexpr double h = 1e-6;
   const auto near = [](double analytic, double numeric) {
@@ -162,7 +150,7 @@ TEST(NewtonBracket, HoldsTheBisectionRootOnSampledCells) {
   // Near its root a residual's sign is rounding noise, so the bisection can
   // settle an ulp or two outside a strict bracket; the decision path widens
   // every bracket by kBracketSlack, and within that slack the root is held.
-  const Stack& s = stack();
+  const CircuitStack& s = stack();
   constexpr double tol = FailureCriteria::kBracketTol;
   constexpr double slack = FailureCriteria::kBracketSlack;
   const auto holds = [](const circuit::Bracket& b, double root) {
@@ -171,8 +159,10 @@ TEST(NewtonBracket, HoldsTheBisectionRootOnSampledCells) {
   util::Rng rng{2024};
   for (const double vdd : circuit::paper_voltage_grid()) {
     for (int i = 0; i < 150; ++i) {
-      const circuit::Bitcell6T cell6{s.tech, s.s6, s.sampler.sample_6t(rng)};
-      const circuit::Bitcell8T cell8{s.tech, s.s8, s.sampler.sample_8t(rng)};
+      const circuit::Bitcell6T cell6{s.tech, s.sizing6,
+                                     s.sampler.sample_6t(rng)};
+      const circuit::Bitcell8T cell8{s.tech, s.sizing8,
+                                     s.sampler.sample_8t(rng)};
       EXPECT_TRUE(holds(cell6.read_bump_bracket(vdd, tol),
                         cell6.read_bump(vdd)));
       for (const circuit::Side side :
@@ -194,7 +184,7 @@ TEST(NewtonBracket, LaneBracketsHoldTheBisectionRootOnSampledCells) {
   // The lanes run the same Newton iterates on libmvec, whose rounding moves
   // the residual's root by far less than the slack; every lane bracket must
   // still close to tol and hold the scalar bisection's root.
-  const Stack& s = stack();
+  const CircuitStack& s = stack();
   constexpr double tol = FailureCriteria::kBracketTol;
   constexpr double slack = FailureCriteria::kBracketSlack;
   constexpr std::size_t n = 300;
@@ -210,29 +200,29 @@ TEST(NewtonBracket, LaneBracketsHoldTheBisectionRootOnSampledCells) {
         cells8[k] = s.sampler.sample_8t(rng);
       }
       std::vector<circuit::Bracket> bump(n), trip(n), node(n);
-      ASSERT_TRUE(circuit::read_node_brackets_lanes(s.tech, s.s6, cells6, vdd,
-                                                    tol, bump, tier));
-      ASSERT_TRUE(circuit::trip_brackets_lanes(s.tech, s.s6, cells6,
+      ASSERT_TRUE(circuit::read_node_brackets_lanes(s.tech, s.sizing6, cells6,
+                                                    vdd, tol, bump, tier));
+      ASSERT_TRUE(circuit::trip_brackets_lanes(s.tech, s.sizing6, cells6,
                                                circuit::Side::right, vdd, tol,
                                                trip, tier));
-      ASSERT_TRUE(circuit::read_node_brackets_lanes(s.tech, s.s8, cells8, vdd,
-                                                    tol, node, tier));
+      ASSERT_TRUE(circuit::read_node_brackets_lanes(s.tech, s.sizing8, cells8,
+                                                    vdd, tol, node, tier));
       std::vector<double> vn6(n), vn8(n), i6(n), i8(n);
       for (std::size_t k = 0; k < n; ++k) {
         vn6[k] = bump[k].lo;
         vn8[k] = node[k].hi;
       }
-      ASSERT_TRUE(circuit::read_currents_lanes(s.tech, s.s6, cells6, vdd, vn6,
-                                               i6, tier));
-      ASSERT_TRUE(circuit::read_currents_lanes(s.tech, s.s8, cells8, vdd, vn8,
-                                               i8, tier));
+      ASSERT_TRUE(circuit::read_currents_lanes(s.tech, s.sizing6, cells6, vdd,
+                                               vn6, i6, tier));
+      ASSERT_TRUE(circuit::read_currents_lanes(s.tech, s.sizing8, cells8, vdd,
+                                               vn8, i8, tier));
       const auto holds = [](const circuit::Bracket& b, double root) {
         return b.lo - slack <= root && root <= b.hi + slack &&
                b.hi - b.lo <= tol;
       };
       for (std::size_t k = 0; k < n; ++k) {
-        const circuit::Bitcell6T cell6{s.tech, s.s6, cells6[k]};
-        const circuit::Bitcell8T cell8{s.tech, s.s8, cells8[k]};
+        const circuit::Bitcell6T cell6{s.tech, s.sizing6, cells6[k]};
+        const circuit::Bitcell8T cell8{s.tech, s.sizing8, cells8[k]};
         EXPECT_TRUE(holds(bump[k], cell6.read_bump(vdd)))
             << name << " 6T read bump at " << vdd << " V, sample " << k;
         EXPECT_TRUE(holds(trip[k],
@@ -260,9 +250,9 @@ TEST(LaneCurrent, MatchesMosfetIdsOnEveryBranch) {
   // exactly 0, so a NaN fails: at +40 V exp(x) underflows, veff is 0 and
   // the lanes take log(0) = -inf; at +30 V veff stays positive
   // (exp(x) ~ 1e-265) and only isat underflows.
-  const Stack& s = stack();
+  const CircuitStack& s = stack();
   const circuit::TechCard& card = s.tech.nmos;
-  const double w = s.s6.w_pg;
+  const double w = s.sizing6.w_pg;
   constexpr double vdd = 2.5;
   // Mosfet::ids' own terms, so a retuned card cannot move a point off the
   // branch it names.
@@ -376,7 +366,7 @@ bool fails(const Case& c, const Dvt& x, double vdd) {
 std::size_t block_disagreements(const Case& c, const std::vector<Dvt>& xs,
                                 const std::vector<bool>& oracle, double vdd,
                                 std::span<const circuit::LaneTier> tiers) {
-  const Stack& s = stack();
+  const CircuitStack& s = stack();
   const std::size_t n = xs.size();
   const auto out = std::make_unique<bool[]>(n);
   const std::span<bool> verdicts{out.get(), n};
@@ -644,12 +634,12 @@ TEST_P(DecisionAgreement, WriteLanesDecideAtATighterBand) {
   if (!on_lanes()) return;
   constexpr double band = 1e-12;
   const double vdd = GetParam();
-  const Stack& s = stack();
+  const CircuitStack& s = stack();
   const double budget = s.cycle.write_budget(vdd);
   std::size_t decided = 0;
   for (const Case& c : kCases) {
     if (c.m != Mechanism::write) continue;
-    const circuit::Sizing6T& sz = c.cell8 ? s.s8.core : s.s6;
+    const circuit::Sizing6T& sz = c.cell8 ? s.sizing8.core : s.sizing6;
     const circuit::detail::WriteLaneJob job{
         circuit::detail::lane_device(s.tech.nmos, sz.w_pg, s.tech.lmin),
         circuit::detail::lane_device(s.tech.nmos, sz.w_pd, s.tech.lmin),
@@ -695,7 +685,7 @@ INSTANTIATE_TEST_SUITE_P(PaperVoltages, DecisionAgreement,
 /// early exit of Bitcell6T::write_fails is exact only if neither happens.
 bool write_transient_monotone(const circuit::Variation6T& v,
                               const circuit::Sizing6T& sz, double vdd) {
-  const Stack& s = stack();
+  const CircuitStack& s = stack();
   const circuit::Technology& t = s.tech;
   const circuit::Mosfet pu_l{t.pmos, sz.w_pu, t.lmin, v.pu_l};
   const circuit::Mosfet pd_l{t.nmos, sz.w_pd, t.lmin, v.pd_l};
@@ -722,14 +712,14 @@ bool write_transient_monotone(const circuit::Variation6T& v,
 }
 
 TEST(WritePremise, TransientNeverRaisesQOrLowersQb) {
-  const Stack& s = stack();
+  const CircuitStack& s = stack();
   const Case c6{"6t.write", false, Mechanism::write};
   const Case c8{"8t.write", true, Mechanism::write};
   for (const double vdd : circuit::paper_voltage_grid()) {
     for (const Case& c : {c6, c8}) {
       util::Rng rng{41};
       const Dvt dir = failure_direction(c, vdd);
-      const circuit::Sizing6T& sz = c.cell8 ? s.s8.core : s.s6;
+      const circuit::Sizing6T& sz = c.cell8 ? s.sizing8.core : s.sizing6;
       for (int k = 0; k < 200; ++k) {
         const Dvt x = draw(c, rng, dir, k < 100 ? 0.0 : 3.5);
         EXPECT_TRUE(write_transient_monotone(pack6(x), sz, vdd))

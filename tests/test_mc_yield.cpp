@@ -4,10 +4,8 @@
 
 #include <cmath>
 
-#include "circuit/reference.hpp"
-#include "mc/criteria.hpp"
+#include "mc/circuit_stack.hpp"
 #include "mc/montecarlo.hpp"
-#include "mc/variation.hpp"
 
 namespace hynapse::mc {
 namespace {
@@ -67,15 +65,6 @@ TEST(Sparing, RejectsBadProbability) {
 
 class RetentionMcTest : public ::testing::Test {
  protected:
-  RetentionMcTest()
-      : tech_{circuit::ptm22()},
-        s6_{circuit::reference_sizing_6t(tech_)},
-        s8_{circuit::reference_sizing_8t(tech_)},
-        array_{tech_, sram::SubArrayGeometry{}, s6_},
-        cycle_{tech_, array_, circuit::Bitcell6T{tech_, s6_}},
-        sampler_{tech_, s6_, s8_},
-        criteria_{tech_, cycle_, s6_, s8_} {}
-
   AnalyzerOptions fast() const {
     AnalyzerOptions o;
     o.mc_samples = 1500;
@@ -83,22 +72,16 @@ class RetentionMcTest : public ::testing::Test {
     return o;
   }
 
-  circuit::Technology tech_;
-  circuit::Sizing6T s6_;
-  circuit::Sizing8T s8_;
-  sram::SubArrayModel array_;
-  sram::CycleModel cycle_;
-  VariationSampler sampler_;
-  FailureCriteria criteria_;
+  const CircuitStack stack_;
 };
 
 TEST_F(RetentionMcTest, NominalHoldMetricNegativeAtOperatingVdd) {
   const circuit::Variation6T none{};
-  EXPECT_LT(criteria_.hold_metric_6t(none, 0.65), 0.0);
+  EXPECT_LT(stack_.criteria.hold_metric_6t(none, 0.65), 0.0);
 }
 
 TEST_F(RetentionMcTest, RetentionFailuresRiseAsStandbyDrops) {
-  const FailureAnalyzer analyzer{criteria_, sampler_, fast()};
+  const FailureAnalyzer analyzer{stack_.criteria, stack_.sampler, fast()};
   const RateEstimate high = analyzer.retention_6t(0.50, 5);
   const RateEstimate low = analyzer.retention_6t(0.30, 5);
   EXPECT_GE(low.p, high.p);
@@ -106,7 +89,7 @@ TEST_F(RetentionMcTest, RetentionFailuresRiseAsStandbyDrops) {
 }
 
 TEST_F(RetentionMcTest, RetentionSafeAtOperatingVoltages) {
-  const FailureAnalyzer analyzer{criteria_, sampler_, fast()};
+  const FailureAnalyzer analyzer{stack_.criteria, stack_.sampler, fast()};
   const RateEstimate op = analyzer.retention_6t(0.65, 7);
   EXPECT_LT(op.p, 1e-4);
 }
@@ -115,13 +98,14 @@ TEST_F(RetentionMcTest, ImportanceFallbackKeepsTheSampleLedger) {
   // At 0.65 V plain MC sees too few hold failures and the importance
   // sampler re-estimates; the estimate still accounts for both phases,
   // like every other fixed-path estimate.
-  const FailureAnalyzer analyzer{criteria_, sampler_, fast()};
+  const FailureAnalyzer analyzer{stack_.criteria, stack_.sampler, fast()};
   const RateEstimate op = analyzer.retention_6t(0.65, 7);
   ASSERT_TRUE(op.importance_sampled);
   AnalyzerOptions mc_only = fast();
   mc_only.min_hits_for_mc = 0;  // never falls back: the plain-MC phase alone
   const RateEstimate mc =
-      FailureAnalyzer{criteria_, sampler_, mc_only}.retention_6t(0.65, 7);
+      FailureAnalyzer{stack_.criteria, stack_.sampler, mc_only}
+          .retention_6t(0.65, 7);
   ASSERT_FALSE(mc.importance_sampled);
   EXPECT_EQ(op.total_samples, op.trials + mc.trials);
   EXPECT_EQ(op.batches, 2u);

@@ -10,13 +10,11 @@
 #include <vector>
 
 #include "ann/mlp.hpp"
-#include "circuit/reference.hpp"
 #include "core/quantized_network.hpp"
 #include "data/digits.hpp"
 #include "engine/experiment_runner.hpp"
-#include "mc/criteria.hpp"
+#include "mc/circuit_stack.hpp"
 #include "mc/montecarlo.hpp"
-#include "mc/variation.hpp"
 #include "obs/metrics.hpp"
 #include "serve/eval_service.hpp"
 #include "test_helpers.hpp"
@@ -107,14 +105,8 @@ TEST_F(EvalServiceTest, ResultsBitIdenticalToDirectRunner) {
       service.table_spec(evaluate_request("all6t", 0.65));
   const mc::AnalyzerOptions ao =
       service.analyzer_options(evaluate_request("all6t", 0.65));
-  const circuit::Technology tech = circuit::ptm22();
-  const circuit::Sizing6T s6 = circuit::reference_sizing_6t(tech);
-  const circuit::Sizing8T s8 = circuit::reference_sizing_8t(tech);
-  const sram::SubArrayModel array{tech, sram::SubArrayGeometry{}, s6};
-  const sram::CycleModel cycle{tech, array, circuit::Bitcell6T{tech, s6}};
-  const mc::VariationSampler sampler{tech, s6, s8};
-  const mc::FailureCriteria criteria{tech, cycle, s6, s8};
-  const mc::FailureAnalyzer analyzer{criteria, sampler, ao};
+  const mc::CircuitStack stack;
+  const mc::FailureAnalyzer analyzer{stack.criteria, stack.sampler, ao};
   const mc::FailureTable table =
       mc::FailureTable::build(analyzer, spec.vdd_grid, spec.seed);
 

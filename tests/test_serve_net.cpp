@@ -20,13 +20,11 @@
 #include <vector>
 
 #include "ann/mlp.hpp"
-#include "circuit/reference.hpp"
 #include "core/quantized_network.hpp"
 #include "data/digits.hpp"
 #include "engine/fleet.hpp"
-#include "mc/criteria.hpp"
+#include "mc/circuit_stack.hpp"
 #include "mc/montecarlo.hpp"
-#include "mc/variation.hpp"
 #include "obs/metrics.hpp"
 #include "serve/eval_service.hpp"
 #include "serve/net.hpp"
@@ -141,19 +139,6 @@ class LethalWorker {
   int listen_fd_ = -1;
   std::uint16_t port_ = 0;
   std::thread acceptor_;
-};
-
-/// The fixed circuit stack every EvalService serves tables from (ptm22 +
-/// reference sizings), reconstructed so the monolithic reference build has
-/// identical provenance to what the fleet workers compute.
-struct ReferenceStack {
-  circuit::Technology tech = circuit::ptm22();
-  circuit::Sizing6T s6 = circuit::reference_sizing_6t(tech);
-  circuit::Sizing8T s8 = circuit::reference_sizing_8t(tech);
-  sram::SubArrayModel array{tech, sram::SubArrayGeometry{}, s6};
-  sram::CycleModel cycle{tech, array, circuit::Bitcell6T{tech, s6}};
-  mc::VariationSampler sampler{tech, s6, s8};
-  mc::FailureCriteria criteria{tech, cycle, s6, s8};
 };
 
 void expect_rows_bit_identical(const mc::FailureTable& a,
@@ -573,7 +558,7 @@ TEST_F(ServeNetTest, FleetBuildIsBitIdenticalToMonolithic) {
 
   const engine::ShardPlan plan = w1.shard_plan(shard_request(3));
   ASSERT_EQ(plan.shard_count(), 3u);
-  ReferenceStack stack;
+  const mc::CircuitStack stack;
   const mc::FailureAnalyzer analyzer{stack.criteria, stack.sampler,
                                      plan.analyzer_options};
 
@@ -612,7 +597,7 @@ TEST_F(ServeNetTest, FleetFailsOverWhenWorkerDiesMidBuild) {
   LethalWorker lethal;  // accepts, reads the request, drops the socket
 
   const engine::ShardPlan plan = worker_service.shard_plan(shard_request(3));
-  ReferenceStack stack;
+  const mc::CircuitStack stack;
   const mc::FailureAnalyzer analyzer{stack.criteria, stack.sampler,
                                      plan.analyzer_options};
 
@@ -638,7 +623,7 @@ TEST_F(ServeNetTest, FleetWithoutWorkersBuildsEverythingLocally) {
   ServiceOptions wo = worker_options();
   EvalService planner_service{qnet_, test_, wo};
   const engine::ShardPlan plan = planner_service.shard_plan(shard_request(3));
-  ReferenceStack stack;
+  const mc::CircuitStack stack;
   const mc::FailureAnalyzer analyzer{stack.criteria, stack.sampler,
                                      plan.analyzer_options};
 
@@ -660,7 +645,7 @@ TEST_F(ServeNetTest, FleetStrictModeThrowsWhenNoWorkerCanBuild) {
   ServiceOptions wo = worker_options();
   EvalService planner_service{qnet_, test_, wo};
   const engine::ShardPlan plan = planner_service.shard_plan(shard_request(3));
-  ReferenceStack stack;
+  const mc::CircuitStack stack;
   const mc::FailureAnalyzer analyzer{stack.criteria, stack.sampler,
                                      plan.analyzer_options};
 
@@ -779,7 +764,7 @@ TEST_F(ServeNetTest, FaultMatrixShardCrashFailsOverBitIdentically) {
   TcpServer server{worker_service, so};
 
   const engine::ShardPlan plan = worker_service.shard_plan(shard_request(3));
-  ReferenceStack stack;
+  const mc::CircuitStack stack;
   const mc::FailureAnalyzer analyzer{stack.criteria, stack.sampler,
                                      plan.analyzer_options};
 
@@ -813,7 +798,7 @@ TEST_F(ServeNetTest, FaultMatrixDropBeforeSendRetiresWorkerNotBuild) {
   TcpServer server{worker_service, so};
 
   const engine::ShardPlan plan = worker_service.shard_plan(shard_request(3));
-  ReferenceStack stack;
+  const mc::CircuitStack stack;
   const mc::FailureAnalyzer analyzer{stack.criteria, stack.sampler,
                                      plan.analyzer_options};
 
