@@ -11,14 +11,16 @@
 #include "eccbase/ecc_memory.hpp"
 #include "util/table.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace hynapse;
+  const bench::BenchOptions bopts = bench::parse_bench_flags(argc, argv);
+  bench::reject_unknown_args(argc, argv);
   bench::print_header(
       "Ablation: ECC (Hamming SEC) baseline vs hybrid 8T-6T protection",
       "extension beyond the paper (design-alternative analysis)");
 
   const bench::Context ctx;
-  const mc::FailureTable& table = bench::failure_table(ctx);
+  const mc::FailureTable& table = bench::failure_table(ctx, bopts);
   const bench::Benchmark& bm = bench::benchmark_model();
   const core::QuantizedNetwork qnet{bm.net, 8};
   const data::Dataset test = bm.test.head(1200);

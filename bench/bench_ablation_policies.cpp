@@ -10,14 +10,16 @@
 #include "core/quantized_network.hpp"
 #include "util/table.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace hynapse;
+  const bench::BenchOptions bopts = bench::parse_bench_flags(argc, argv);
+  bench::reject_unknown_args(argc, argv);
   bench::print_header(
       "Ablation: fault-injection policy sensitivity",
       "modeling-choice robustness (beyond the paper)");
 
   const bench::Context ctx;
-  const mc::FailureTable& table = bench::failure_table(ctx);
+  const mc::FailureTable& table = bench::failure_table(ctx, bopts);
   const bench::Benchmark& bm = bench::benchmark_model();
   const core::QuantizedNetwork qnet{bm.net, 8};
   const data::Dataset test = bm.test.head(1000);

@@ -15,14 +15,16 @@
 #include "mc/margins.hpp"
 #include "util/table.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace hynapse;
+  const bench::BenchOptions bopts = bench::parse_bench_flags(argc, argv);
+  bench::reject_unknown_args(argc, argv);
   bench::print_header(
       "Extension: chip binning, margin distributions, neuron resilience",
       "per-die statistics beyond the paper's mean-accuracy reporting");
 
   const bench::Context ctx;
-  const mc::FailureTable& table = bench::failure_table(ctx);
+  const mc::FailureTable& table = bench::failure_table(ctx, bopts);
   const bench::Benchmark& bm = bench::benchmark_model();
   const core::QuantizedNetwork qnet{bm.net, 8};
   const data::Dataset test = bm.test.head(1000);

@@ -10,12 +10,15 @@
 #include "mc/montecarlo.hpp"
 #include "util/table.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace hynapse;
+  const bench::BenchOptions bopts = bench::parse_bench_flags(argc, argv);
+  bench::reject_unknown_args(argc, argv);
   bench::print_header("Extension: process corners and temperature",
                       "sign-off sweep beyond the paper's TT/300K analysis");
 
   const circuit::Technology nominal = circuit::ptm22();
+  const std::size_t samples = bopts.samples != 0 ? bopts.samples : 12000;
 
   util::Table t{{"Corner", "6T read SNM [mV]", "6T WM [mV]",
                  "Iread@0.65V [uA]", "leak@0.95V [nA]",
@@ -27,10 +30,10 @@ int main() {
     const mc::CircuitStack stack{circuit::at_corner(nominal, corner)};
     const circuit::Bitcell6T cell{stack.tech, stack.sizing6};
     mc::AnalyzerOptions opts;
-    opts.mc_samples = 12000;
+    opts.mc_samples = samples;
     const mc::FailureAnalyzer analyzer{stack.criteria, stack.sampler, opts};
     const mc::RateEstimate ra =
-        analyzer.plain_mc_6t(mc::Mechanism::read_access, 0.65, 12000, 5);
+        analyzer.plain_mc_6t(mc::Mechanism::read_access, 0.65, samples, 5);
     t.add_row({circuit::corner_name(corner),
                util::Table::num(1e3 * cell.read_snm(0.95), 1),
                util::Table::num(1e3 * cell.write_margin(0.95), 1),

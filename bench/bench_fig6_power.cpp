@@ -6,8 +6,10 @@
 #include "util/csv.hpp"
 #include "util/table.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace hynapse;
+  (void)bench::parse_bench_flags(argc, argv);
+  bench::reject_unknown_args(argc, argv);
   bench::print_header("Fig. 6: bitcell power vs supply voltage",
                       "Fig. 6(a,b,c) + Section IV 8T/6T ratios");
 

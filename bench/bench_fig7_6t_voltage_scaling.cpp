@@ -10,14 +10,16 @@
 #include "util/csv.hpp"
 #include "util/table.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace hynapse;
+  const bench::BenchOptions bopts = bench::parse_bench_flags(argc, argv);
+  bench::reject_unknown_args(argc, argv);
   bench::print_header(
       "Fig. 7: all-6T synaptic storage under voltage scaling",
       "Fig. 7(a) accuracy vs VDD, Fig. 7(b) power savings vs VDD");
 
   const bench::Context ctx;
-  const mc::FailureTable& table = bench::failure_table(ctx);
+  const mc::FailureTable& table = bench::failure_table(ctx, bopts);
   const bench::Benchmark& bm = bench::benchmark_model();
   const core::QuantizedNetwork qnet{bm.net, 8};
   const data::Dataset test = bm.test.head(1500);

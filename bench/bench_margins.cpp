@@ -7,8 +7,10 @@
 #include "util/csv.hpp"
 #include "util/table.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace hynapse;
+  (void)bench::parse_bench_flags(argc, argv);
+  bench::reject_unknown_args(argc, argv);
   bench::print_header("Section IV: bitcell margin characterization",
                       "SNM/WM targets, 8T decoupled-read properties");
 

@@ -14,14 +14,16 @@
 #include "util/csv.hpp"
 #include "util/table.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace hynapse;
+  const bench::BenchOptions bopts = bench::parse_bench_flags(argc, argv);
+  bench::reject_unknown_args(argc, argv);
   bench::print_header(
       "Section VI-C: synaptic sensitivity profile + allocation optimizer",
       "Fig. 9 intuitions 1-2 and the input-vs-hidden resilience claim");
 
   const bench::Context ctx;
-  const mc::FailureTable& table = bench::failure_table(ctx);
+  const mc::FailureTable& table = bench::failure_table(ctx, bopts);
   const bench::Benchmark& bm = bench::benchmark_model();
   const core::QuantizedNetwork qnet{bm.net, 8};
   const data::Dataset eval = bm.test.head(800);

@@ -7,8 +7,10 @@
 #include "core/quantized_network.hpp"
 #include "util/table.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace hynapse;
+  (void)bench::parse_bench_flags(argc, argv);
+  bench::reject_unknown_args(argc, argv);
   bench::print_header("Table I: ANN architecture for digit recognition",
                       "Table I + Section VI 8-bit precision claim");
 

@@ -9,14 +9,16 @@
 #include "mc/yield.hpp"
 #include "util/table.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace hynapse;
+  const bench::BenchOptions bopts = bench::parse_bench_flags(argc, argv);
+  bench::reject_unknown_args(argc, argv);
   bench::print_header(
       "Extension: array yield and data retention",
       "repair-based alternative analysis (beyond the paper)");
 
   const bench::Context ctx;
-  const mc::FailureTable& table = bench::failure_table(ctx);
+  const mc::FailureTable& table = bench::failure_table(ctx, bopts);
   constexpr std::size_t kCells = 256 * 256;
 
   util::Table t{{"VDD [V]", "p_cell (6T)", "p_word (8 bits)",
@@ -41,7 +43,7 @@ int main() {
   // Data retention at standby voltages (extension).
   std::printf("\nStandby data-retention failure rate (6T, Monte-Carlo):\n");
   mc::AnalyzerOptions opts;
-  opts.mc_samples = 10000;
+  opts.mc_samples = bopts.samples != 0 ? bopts.samples : 10000;
   const mc::FailureAnalyzer analyzer{ctx.criteria, ctx.sampler, opts};
   util::Table rt{{"V_standby [V]", "retention failure rate"}};
   for (double v : {0.50, 0.40, 0.35, 0.30, 0.25, 0.20}) {

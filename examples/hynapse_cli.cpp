@@ -840,10 +840,7 @@ int usage() {
       "                     folded into table fingerprints, so repeat the\n"
       "                     flag across shard-build/merge invocations\n"
       "  --ci-abs X         absolute CI half-width target (0 < X < 1);\n"
-      "                     alone, disables the relative criterion\n"
-      "  --backend NAME     GEMM kernel backend: reference | simd\n"
-      "                     (bit-identical results; simd falls back to\n"
-      "                     reference when not compiled in)\n");
+      "                     alone, disables the relative criterion\n");
   return 2;
 }
 
@@ -851,12 +848,6 @@ int usage() {
 
 int main(int argc, char** argv) {
   (void)hynapse::util::strip_threads_flag(argc, argv);
-  std::string backend_error;
-  if (!hynapse::ann::backends::strip_backend_flag(argc, argv,
-                                                  &backend_error)) {
-    std::fprintf(stderr, "hynapse_cli: %s\n", backend_error.c_str());
-    return usage();
-  }
   std::string adaptive_error;
   if (!strip_adaptive_flags(argc, argv, &adaptive_error)) {
     std::fprintf(stderr, "hynapse_cli: %s\n", adaptive_error.c_str());

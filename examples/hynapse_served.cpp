@@ -11,8 +11,6 @@
 //
 //   hynapse_served [options] [requests.jsonl]
 //     --threads N      thread-pool participation cap (0 = hardware)
-//     --backend NAME   GEMM kernel backend: reference | simd
-//                      (bit-identical results)                 [reference]
 //     --chips N        default chip instances per evaluation   [3]
 //     --samples N      default Monte-Carlo samples per mechanism [4000]
 //     --dispatchers N  service dispatcher threads              [2]
@@ -422,10 +420,9 @@ int serve_tcp(const core::QuantizedNetwork& qnet, const data::Dataset& test,
 int usage() {
   std::fprintf(
       stderr,
-      "usage: hynapse_served [--threads N] [--backend reference|simd]\n"
-      "                      [--chips N] [--samples N] [--dispatchers N]\n"
-      "                      [--cache DIR] [--per-chip] [--listen [PORT]]\n"
-      "                      [--metrics-prometheus PATH]\n"
+      "usage: hynapse_served [--threads N] [--chips N] [--samples N]\n"
+      "                      [--dispatchers N] [--cache DIR] [--per-chip]\n"
+      "                      [--listen [PORT]] [--metrics-prometheus PATH]\n"
       "                      [--journal PATH] [--recover] [--admission]\n"
       "                      [--weights name=w,...] [requests.jsonl]\n");
   return 2;
@@ -435,11 +432,6 @@ int usage() {
 
 int main(int argc, char** argv) {
   (void)util::strip_threads_flag(argc, argv);
-  std::string backend_error;
-  if (!ann::backends::strip_backend_flag(argc, argv, &backend_error)) {
-    std::fprintf(stderr, "[served] %s\n", backend_error.c_str());
-    return usage();
-  }
   const Cli cli = parse_cli(argc, argv);
   if (!cli.ok) return usage();
   if (cli.recover && cli.journal_path.empty()) {
@@ -524,12 +516,12 @@ int main(int argc, char** argv) {
                    journal_error.c_str());
     }
   }
+  const std::string tier{
+      ann::backends::kernel_ops(ann::backends::Backend::simd).name};
   std::fprintf(stderr,
                "[served] ready (chips=%zu samples=%zu dispatchers=%zu "
                "backend=%s cache=%s)\n",
-               cli.chips, cli.samples, cli.dispatchers,
-               std::string{ann::backends::backend_name(options.backend)}
-                   .c_str(),
+               cli.chips, cli.samples, cli.dispatchers, tier.c_str(),
                cli.cache_dir.c_str());
 
   if (cli.listen) {

@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
 # Smoke-test the built tree: run the quickstart example, a small per-cell
 # Monte-Carlo failure-rate sweep (FailureAnalyzer::analyze for both cell
-# kinds), the other examples and the process-corner bench at their defaults,
-# a fast pass of the micro-kernel bench, and the four contract harnesses at
-# reduced budgets. Each harness exits nonzero when one of its
+# kinds), the other examples at their defaults, the process-corner bench at
+# 2000 samples, a fast pass of the micro-kernel bench, and the four contract
+# harnesses at reduced budgets. Each harness exits nonzero when one of its
 # checks fails (adaptive-MC oracle agreement, bit-identity across threads,
-# paths or shards, coalescing), and so does this script. Used by CI and
-# handy after a local build.
+# paths or shards, coalescing), and so does this script; a harness given an
+# argument it does not parse must exit 2. Used by CI and handy after a local
+# build.
 #
 # Usage: scripts/run_smoke.sh [build-dir]   (default: build/release)
 set -euo pipefail
@@ -33,8 +34,16 @@ echo "== voltage_scaling_explorer =="
 echo "== design_space_explorer =="
 "${build_dir}/examples/design_space_explorer"
 
-echo "== bench_corners =="
-"${build_dir}/bench/bench_corners"
+echo "== bench_corners (2000 samples) =="
+"${build_dir}/bench/bench_corners" --samples 2000
+
+echo "== bench_table1_ann --no-such-flag exits 2 =="
+status=0
+"${build_dir}/bench/bench_table1_ann" --no-such-flag 2>/dev/null || status=$?
+if [[ ${status} -ne 2 ]]; then
+  echo "error: bench_table1_ann --no-such-flag exited ${status}, not 2" >&2
+  exit 1
+fi
 
 if [[ -x "${build_dir}/bench/bench_micro_kernels" ]]; then
   echo "== bench_micro_kernels (reduced iterations) =="

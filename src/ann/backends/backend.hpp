@@ -1,19 +1,23 @@
-// Backend-pluggable kernel layer for the ANN forward GEMM (nestmc-style:
-// one algorithm, backend-selected kernels). A Backend names a KernelOps
-// table of raw-pointer micro-kernels; callers (ann::gemm / gemm_block, the
-// chip evaluator in core::delta_eval) pick the table once per call and stay
+// Kernel layer for the ANN forward GEMM (nestmc-style: one algorithm,
+// backend-selected kernels). A Backend names a KernelOps table of
+// raw-pointer micro-kernels; callers (ann::gemm / gemm_block, the chip
+// evaluator in core::delta_eval) pick the table once per call and stay
 // allocation-free on the hot path. The backward-pass GEMMs (ann::gemm_bt,
 // ann::gemm_at) have one portable kernel each and no backend.
 //
+// Every default in the library is Backend::simd: production always runs
+// the widest tier this build has and this CPU runs. There is no runtime
+// switch; Backend::reference is named only by the tests and benchmarks that
+// compare against it.
+//
 // Backends:
-//  * reference — the portable register-tiled kernel. The determinism
-//    oracle: every other backend is measured against it.
 //  * simd      — one kernel template (gemm_kernel.hpp) instantiated in
 //    one translation unit per x86 tier (AVX2 in simd_avx2.cpp, AVX-512 in
 //    simd_avx512.cpp), picked by cpuid at runtime, widest first. CMake
 //    option HYNAPSE_SIMD_BACKEND, default ON. Where no tier is built or the
-//    CPU runs none, requesting it falls back to the reference table —
-//    selection is a performance hint, never an error.
+//    CPU runs none, it falls back to the reference table.
+//  * reference — the portable register-tiled kernel. The determinism
+//    oracle: every other backend is measured against it.
 //
 // Determinism contract (docs/performance.md): every kernel in every backend
 // accumulates each output element over the inner dimension in ascending
@@ -26,8 +30,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
-#include <string>
 #include <string_view>
 #include <vector>
 
@@ -35,7 +37,8 @@ namespace hynapse::ann::backends {
 
 enum class Backend : std::uint8_t {
   reference,  ///< portable register-tiled kernels (the bitwise oracle)
-  simd,       ///< vector-register tiles (falls back when not built)
+  simd,       ///< vector-register tiles, every default (falls back when
+              ///< not built)
 };
 
 /// The kernel table a backend provides. All matrices are row-major and
@@ -43,6 +46,8 @@ enum class Backend : std::uint8_t {
 /// calling thread (callers own parallel partitioning), and performs no heap
 /// allocation.
 struct KernelOps {
+  /// The tier this table runs: "avx512", "avx2" or "reference".
+  std::string_view name;
   /// c (m x n) = a (m x k) * b (k x n). Row partitioning: offsetting `a` by
   /// r0*k and `c` by r0*n computes the same rows, bit for bit.
   void (*gemm)(const float* a, const float* b, float* c, std::size_t m,
@@ -62,25 +67,11 @@ struct KernelOps {
 /// (HYNAPSE_SIMD_BACKEND on an x86 toolchain) and the running CPU has it.
 [[nodiscard]] bool simd_compiled() noexcept;
 
-/// Process-wide default backend, used by freshly constructed
-/// core::EvalOptions / serve::ServiceOptions. Starts as Backend::reference;
-/// the CLI binaries set it from --backend (strip_backend_flag).
-[[nodiscard]] Backend default_backend() noexcept;
-void set_default_backend(Backend backend) noexcept;
-
-/// "reference" / "simd" <-> Backend (parse returns nullopt on unknown).
-[[nodiscard]] std::optional<Backend> parse_backend(
-    std::string_view name) noexcept;
+/// "reference" / "simd".
 [[nodiscard]] std::string_view backend_name(Backend backend) noexcept;
 
-/// Every selectable backend: reference always, simd when compiled in.
+/// Every backend with its own table here: reference always, simd when
+/// compiled in (what the bitwise tests iterate).
 [[nodiscard]] std::vector<Backend> available_backends();
-
-/// Removes "--backend NAME" / "--backend=NAME" from argv (mirroring
-/// util::strip_threads_flag) and applies it via set_default_backend().
-/// Returns false (and fills *error when non-null) on an unknown name or a
-/// missing value; argv is consumed either way.
-[[nodiscard]] bool strip_backend_flag(int& argc, char** argv,
-                                      std::string* error = nullptr);
 
 }  // namespace hynapse::ann::backends

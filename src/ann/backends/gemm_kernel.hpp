@@ -5,6 +5,7 @@
 // linker for the other (the lanes do the same, circuit/lanes_kernel.hpp).
 //
 // A tier's traits T supply:
+//   kName              the tier's name (KernelOps::name)
 //   V, kLanes          its float vector type (GCC/Clang vector extension)
 //                      and lane count
 //   splat(x)           x in every lane
@@ -188,7 +189,7 @@ void gemm(const float* a, const float* b, float* c, std::size_t m,
 
 /// The kernel table of tier T.
 template <typename T>
-constexpr KernelOps kGemmOps{gemm<T>};
+constexpr KernelOps kGemmOps{T::kName, gemm<T>};
 
 }  // namespace
 

@@ -87,7 +87,7 @@ void gemm_kernel(const float* HYNAPSE_RESTRICT a,
 }  // namespace
 
 const KernelOps& reference_kernel_ops() noexcept {
-  static constexpr KernelOps ops{gemm_kernel};
+  static constexpr KernelOps ops{"reference", gemm_kernel};
   return ops;
 }
 

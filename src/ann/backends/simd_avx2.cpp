@@ -21,6 +21,7 @@ struct Avx2 {
   // lets the lanes alias the caller's float rows.
   using V = float __attribute__((vector_size(32), aligned(4), may_alias));
   using Mask = __m256i;
+  static constexpr std::string_view kName = "avx2";
   static constexpr std::size_t kLanes = 8;
 
   static V splat(float x) { return V{x, x, x, x, x, x, x, x}; }

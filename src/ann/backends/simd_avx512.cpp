@@ -19,6 +19,7 @@ struct Avx512 {
   // lets the lanes alias the caller's float rows.
   using V = float __attribute__((vector_size(64), aligned(4), may_alias));
   using Mask = __mmask16;
+  static constexpr std::string_view kName = "avx512";
   static constexpr std::size_t kLanes = 16;
 
   static V splat(float x) {

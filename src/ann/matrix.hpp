@@ -75,12 +75,12 @@ class Matrix {
 };
 
 /// c = a * b. Dimensions must agree (throws std::invalid_argument).
-/// Dispatches to the selected backend's register-tiled i-k-j kernel
-/// (backends::kernel_ops; see ann/backends/backend.hpp for the determinism
-/// contract — every backend is bit-identical to gemm_naive); optionally
-/// multithreaded over row blocks.
+/// Dispatches to the selected backend's register-tiled i-k-j kernel, by
+/// default the widest simd tier (backends::kernel_ops; see
+/// ann/backends/backend.hpp for the determinism contract — every backend is
+/// bit-identical to gemm_naive); optionally multithreaded over row blocks.
 void gemm(const Matrix& a, const Matrix& b, Matrix& c, bool parallel = true,
-          backends::Backend backend = backends::Backend::reference);
+          backends::Backend backend = backends::Backend::simd);
 
 /// c = a_rows * b where `a_rows` points at `m` contiguous row-major rows of
 /// width b.rows(). Same kernel as gemm(); the workspace forward path feeds
@@ -88,7 +88,7 @@ void gemm(const Matrix& a, const Matrix& b, Matrix& c, bool parallel = true,
 /// overload, so no staging copy is needed. c must already be m x b.cols().
 void gemm_block(const float* a_rows, std::size_t m, const Matrix& b, Matrix& c,
                 bool parallel = false,
-                backends::Backend backend = backends::Backend::reference);
+                backends::Backend backend = backends::Backend::simd);
 
 /// c = a * b^T (used by the backward pass). Per-element accumulation stays
 /// in ascending p order (a strict-FP dot product cannot be vectorized, so

@@ -67,7 +67,7 @@ class EvalWorkspace {
   friend class Mlp;
 
   std::size_t batch_rows_ = kDefaultBatchRows;
-  backends::Backend backend_ = backends::Backend::reference;
+  backends::Backend backend_ = backends::Backend::simd;
   Matrix front_;
   Matrix back_;
   ColumnPatch patch_;

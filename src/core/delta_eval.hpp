@@ -84,7 +84,7 @@ class EvalContext {
       const QuantizedNetwork& qnet, std::uint64_t qnet_fp,
       const MemoryConfig& config, const FaultModel& model,
       const data::Dataset& test, std::uint64_t eval_seed, std::size_t chip,
-      ann::backends::Backend backend = ann::backends::Backend::reference);
+      ann::backends::Backend backend = ann::backends::Backend::simd);
 
   /// Accuracies of chips [chip_begin, chip_begin + count): out[i] receives
   /// evaluate_chip(..., chip_begin + i, backend). A plain loop kept for
@@ -95,7 +95,7 @@ class EvalContext {
       const MemoryConfig& config, const FaultModel& model,
       const data::Dataset& test, std::uint64_t eval_seed,
       std::size_t chip_begin, std::size_t count, std::span<double> out,
-      ann::backends::Backend backend = ann::backends::Backend::reference);
+      ann::backends::Backend backend = ann::backends::Backend::simd);
 
   /// The deltas computed by the most recent evaluate_chip (diagnostics /
   /// tests).

@@ -32,9 +32,9 @@ struct EvalOptions {
   /// 1 = serial). Results are bit-identical for any value.
   std::size_t threads = 0;
   /// GEMM kernel backend for the forward passes. Every backend is
-  /// bit-identical (ann/backends/backend.hpp); the default follows the
-  /// process-wide --backend selection.
-  ann::backends::Backend backend = ann::backends::default_backend();
+  /// bit-identical (ann/backends/backend.hpp); only the tests and benches
+  /// that compare against the reference oracle set it.
+  ann::backends::Backend backend = ann::backends::Backend::simd;
 };
 
 /// Accuracy of one simulated chip instance: chip index `chip` under

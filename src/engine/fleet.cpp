@@ -28,7 +28,6 @@ struct FleetInstruments {
   obs::Counter& retries;
   obs::Counter& workers_used;
   obs::Counter& backoff_waits;
-  obs::Counter& deadline_expired;
 
   static FleetInstruments& get() {
     static FleetInstruments* instruments = [] {
@@ -40,23 +39,25 @@ struct FleetInstruments {
           r.counter("fleet.retries"),
           r.counter("fleet.workers_used"),
           r.counter("fleet.backoff_waits"),
-          r.counter("fleet.deadline_expired"),
       };
     }();
     return *instruments;
   }
 };
 
-using Clock = std::chrono::steady_clock;
+/// Capped exponential backoff before re-attempting a shard that already
+/// failed somewhere.
+constexpr double kRetryBackoffBaseS = 0.05;
+constexpr double kRetryBackoffCapS = 2.0;
 
 /// Deterministic backoff before retry `attempt` (1-based) of `shard`:
 /// min(cap, base * 2^(attempt-1)) scaled by a jitter factor in [0.5, 1.0)
 /// hashed from (shard, attempt) -- reproducible across runs, decorrelated
 /// across shards so failovers spread out instead of stampeding.
-double backoff_delay_s(std::size_t shard, std::size_t attempt, double base_s,
-                       double cap_s) {
-  double delay = base_s * std::ldexp(1.0, static_cast<int>(attempt) - 1);
-  delay = std::min(delay, cap_s);
+double backoff_delay_s(std::size_t shard, std::size_t attempt) {
+  double delay =
+      kRetryBackoffBaseS * std::ldexp(1.0, static_cast<int>(attempt) - 1);
+  delay = std::min(delay, kRetryBackoffCapS);
   util::Fnv1a h;
   h.u64(shard);
   h.u64(attempt);
@@ -97,9 +98,6 @@ struct FleetCoordinator::Scatter {
   std::vector<std::size_t> attempts;            ///< failovers per shard
   std::vector<std::size_t> local;               ///< shards headed for fallback
   std::vector<std::optional<mc::FailureTable>> parts;
-  /// First remote dispatch per shard (epoch value = not yet dispatched);
-  /// the cumulative shard deadline is measured from here.
-  std::vector<Clock::time_point> first_dispatch;
   std::size_t fleet_size = 0;
 };
 
@@ -123,33 +121,14 @@ std::size_t FleetCoordinator::worker_loop(const FleetEndpoint& endpoint,
       shard = scatter.pending.front();
       scatter.pending.pop_front();
       prior_attempts = scatter.attempts[shard];
-      const auto now = Clock::now();
-      if (scatter.first_dispatch[shard] == Clock::time_point{}) {
-        scatter.first_dispatch[shard] = now;
-      } else if (options_.shard_deadline_s > 0 &&
-                 now - scatter.first_dispatch[shard] >
-                     std::chrono::duration_cast<Clock::duration>(
-                         std::chrono::duration<double>{
-                             options_.shard_deadline_s})) {
-        // The shard has been bouncing across workers for longer than its
-        // cumulative deadline: stop failing over, build it locally.
-        scatter.local.push_back(shard);
-        {
-          const std::scoped_lock stats_lock{mutex_};
-          ++stats_.deadline_expired;
-        }
-        FleetInstruments::get().deadline_expired.add(1);
-        continue;
-      }
     }
 
     // A requeued shard waits out its backoff before the next attempt --
     // transient faults (a worker restarting, a flaky link) get time to
     // clear instead of burning every endpoint's chance instantly.
-    if (prior_attempts > 0 && options_.retry_backoff_base_s > 0) {
+    if (prior_attempts > 0) {
       std::this_thread::sleep_for(std::chrono::duration<double>{
-          backoff_delay_s(shard, prior_attempts, options_.retry_backoff_base_s,
-                          options_.retry_backoff_cap_s)});
+          backoff_delay_s(shard, prior_attempts)});
       {
         const std::scoped_lock stats_lock{mutex_};
         ++stats_.backoff_waits;
@@ -256,7 +235,6 @@ const mc::FailureTable& FleetCoordinator::build(
 
   Scatter scatter;
   scatter.attempts.assign(plan.shard_count(), 0);
-  scatter.first_dispatch.assign(plan.shard_count(), Clock::time_point{});
   scatter.parts.resize(plan.shard_count());
   scatter.fleet_size = std::max<std::size_t>(options_.workers.size(), 1);
   for (std::size_t s = 0; s < plan.shard_count(); ++s) {

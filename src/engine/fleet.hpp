@@ -56,18 +56,6 @@ struct FleetOptions {
   /// Build shards no worker could produce locally; when false, such shards
   /// make build() throw instead (strict-scatter mode for tests).
   bool local_fallback = true;
-  /// Capped exponential backoff before re-attempting a shard that already
-  /// failed somewhere: sleep min(cap, base * 2^(attempts-1)), scaled by a
-  /// deterministic jitter factor in [0.5, 1.0) derived from (shard,
-  /// attempt) -- so failovers do not stampede the surviving workers and a
-  /// rerun backs off identically. base = 0 disables the wait.
-  double retry_backoff_base_s = 0.05;
-  double retry_backoff_cap_s = 2.0;
-  /// Cumulative per-shard deadline across ALL remote attempts: once a
-  /// shard has been bouncing for this long it stops failing over and goes
-  /// straight to the local fallback list. 0 = unlimited (a shard keeps
-  /// retrying until every endpoint had its chance).
-  double shard_deadline_s = 0.0;
 };
 
 struct FleetStats {
@@ -77,7 +65,6 @@ struct FleetStats {
   std::uint64_t retries = 0;         ///< shards re-queued for another worker
   std::uint64_t workers_used = 0;    ///< endpoints that produced >= 1 shard
   std::uint64_t backoff_waits = 0;   ///< backoff sleeps taken before retries
-  std::uint64_t deadline_expired = 0;  ///< shards sent local by the deadline
 };
 
 class FleetCoordinator {

@@ -25,6 +25,9 @@ std::uint64_t ms_to_us(double ms) {
   return ms <= 0.0 ? 0 : static_cast<std::uint64_t>(ms * 1000.0 + 0.5);
 }
 
+/// Admission weight of a client not listed in AdmissionOptions::weights.
+constexpr double kDefaultClientWeight = 1.0;
+
 }  // namespace
 
 EvalService::Instruments EvalService::resolve_instruments() {
@@ -62,9 +65,6 @@ EvalService::EvalService(const core::QuantizedNetwork& qnet,
         if (options.admission.client_share <= 0.0 ||
             options.admission.client_share > 1.0) {
           options.admission.client_share = 0.5;
-        }
-        if (options.admission.default_weight <= 0.0) {
-          options.admission.default_weight = 1.0;
         }
         options.first_request_id =
             std::max<std::uint64_t>(options.first_request_id, 1);
@@ -133,7 +133,7 @@ double EvalService::client_weight(const std::string& client) const {
   const auto it = options_.admission.weights.find(client);
   const double w =
       it != options_.admission.weights.end() ? it->second : 0.0;
-  return w > 0.0 ? w : options_.admission.default_weight;
+  return w > 0.0 ? w : kDefaultClientWeight;
 }
 
 std::size_t EvalService::client_quota(const std::string& client) const {
@@ -417,7 +417,8 @@ HealthSummary EvalService::health() const {
   h.queue_capacity = options_.queue_capacity;
   h.dispatchers = options_.dispatchers;
   h.threads = options_.threads;
-  h.backend = std::string{ann::backends::backend_name(options_.backend)};
+  h.backend = std::string{
+      ann::backends::kernel_ops(ann::backends::Backend::simd).name};
   h.max_batch = options_.max_batch;
   h.cache_dir = options_.cache_dir;
   if (!options_.cache_dir.empty()) {
@@ -818,7 +819,6 @@ void EvalService::execute_batch(const std::vector<SlotPtr>& batch) {
       }
       eval.seed =
           req.eval_seed != 0 ? req.eval_seed : options_.default_eval_seed;
-      eval.backend = options_.backend;
       for (const ConfigSpec& cfg : req.configs) {
         const core::MemoryConfig config = cfg.materialize(bank_words_);
         for (const double vdd : req.vdds) {

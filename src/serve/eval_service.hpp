@@ -73,11 +73,9 @@ struct AdmissionOptions {
   /// The 0.5 default means a greedy default-weight client can fill at most
   /// half the queue, so a peer can always get in.
   double client_share = 0.5;
-  /// Weight for clients not listed in `weights` (including the anonymous
-  /// "" client).
-  double default_weight = 1.0;
   /// Per-client weight overrides (> 0): a weight-2 client gets twice the
-  /// queue quota and twice the dispatch share of a weight-1 client.
+  /// queue quota and twice the dispatch share of a weight-1 client. Every
+  /// other client, the anonymous "" one included, has weight 1.
   std::unordered_map<std::string, double> weights;
 };
 
@@ -89,10 +87,6 @@ struct ServiceOptions {
   /// nullopt for its id). Bounds memory on long-lived services.
   std::size_t completed_history = 4096;
   std::size_t threads = 0;           ///< pool participation cap (0 = default)
-  /// GEMM kernel backend for every request's forward passes (bit-identical
-  /// across backends; see ann/backends/backend.hpp). Follows the
-  /// process-wide --backend selection by default.
-  ann::backends::Backend backend = ann::backends::default_backend();
   std::size_t max_batch = 32;        ///< requests fused per dispatch
   bool start_paused = false;         ///< hold dispatch until resume()
   std::string cache_dir;             ///< table CSV dir ("" = in-memory only)

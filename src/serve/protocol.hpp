@@ -215,7 +215,7 @@ struct HealthSummary {
   std::size_t queue_capacity = 0;
   std::size_t dispatchers = 0;
   std::size_t threads = 0;         ///< pool participation cap (0 = default)
-  std::string backend;             ///< GEMM kernel backend name
+  std::string backend;             ///< GEMM tier: avx512, avx2, reference
   std::size_t max_batch = 0;
   std::string cache_dir;          ///< "" = in-memory cache
   std::size_t cache_tables = 0;    ///< persisted CSV artifacts in cache_dir

@@ -1,5 +1,5 @@
-// Backend seam coverage: the registry (parse/name/fallback/tier choice/
-// default/flag stripping) and the kernels. Every backend's gemm must be
+// Backend seam coverage: the registry (fallback, tier choice and tier
+// name) and the kernels. Every backend's gemm must be
 // bit-identical to gemm_naive — and therefore to the reference backend —
 // across tile remainders, odd shapes, and both serial and pool-parallel row
 // partitioning (ann/backends/backend.hpp); so must the portable gemm_bt and
@@ -12,7 +12,7 @@
 
 #include <algorithm>
 #include <cstring>
-#include <string>
+#include <string_view>
 #include <vector>
 
 #include "ann/backends/kernels_detail.hpp"
@@ -83,19 +83,6 @@ std::vector<std::size_t> row_splits(std::size_t m) {
   return {0, m / 2, std::min<std::size_t>(m, 3)};
 }
 
-TEST(Backends, RegistryParseAndNameRoundTrip) {
-  EXPECT_EQ(backends::parse_backend("reference"), Backend::reference);
-  EXPECT_EQ(backends::parse_backend("simd"), Backend::simd);
-  EXPECT_FALSE(backends::parse_backend("gpu").has_value());
-  EXPECT_FALSE(backends::parse_backend("").has_value());
-  for (const Backend b : backends::available_backends()) {
-    const auto parsed = backends::parse_backend(backends::backend_name(b));
-    ASSERT_TRUE(parsed.has_value());
-    EXPECT_EQ(*parsed, b);
-  }
-  EXPECT_EQ(backends::available_backends().front(), Backend::reference);
-}
-
 TEST(Backends, SimdFallsBackToReferenceWhenNotCompiled) {
   const backends::KernelOps& ref = backends::reference_kernel_ops();
   const backends::KernelOps& simd = backends::kernel_ops(Backend::simd);
@@ -113,53 +100,14 @@ TEST(Backends, SimdPicksTheWidestUsableTier) {
   const backends::KernelOps& ref = backends::reference_kernel_ops();
   EXPECT_EQ(&backends::kernel_ops(Backend::simd), widest ? widest : &ref);
   EXPECT_EQ(backends::simd_compiled(), widest != nullptr);
-}
 
-TEST(Backends, DefaultBackendIsProcessWideAndResettable) {
-  const Backend before = backends::default_backend();
-  backends::set_default_backend(Backend::simd);
-  EXPECT_EQ(backends::default_backend(), Backend::simd);
-  backends::set_default_backend(Backend::reference);
-  EXPECT_EQ(backends::default_backend(), Backend::reference);
-  backends::set_default_backend(before);
-}
-
-TEST(Backends, StripBackendFlagConsumesAndApplies) {
-  const Backend before = backends::default_backend();
-  std::string a0 = "prog", a1 = "--backend", a2 = "simd", a3 = "evaluate";
-  std::vector<char*> argv{a0.data(), a1.data(), a2.data(), a3.data()};
-  int argc = static_cast<int>(argv.size());
-  EXPECT_TRUE(backends::strip_backend_flag(argc, argv.data()));
-  ASSERT_EQ(argc, 2);
-  EXPECT_STREQ(argv[1], "evaluate");
-  EXPECT_EQ(backends::default_backend(), Backend::simd);
-
-  std::string b0 = "prog", b1 = "--backend=reference", b2 = "-x";
-  std::vector<char*> argv2{b0.data(), b1.data(), b2.data()};
-  argc = static_cast<int>(argv2.size());
-  EXPECT_TRUE(backends::strip_backend_flag(argc, argv2.data()));
-  ASSERT_EQ(argc, 2);
-  EXPECT_STREQ(argv2[1], "-x");
-  EXPECT_EQ(backends::default_backend(), Backend::reference);
-  backends::set_default_backend(before);
-}
-
-TEST(Backends, StripBackendFlagReportsErrors) {
-  const Backend before = backends::default_backend();
-  std::string a0 = "prog", a1 = "--backend", a2 = "warp";
-  std::vector<char*> argv{a0.data(), a1.data(), a2.data()};
-  int argc = static_cast<int>(argv.size());
-  std::string error;
-  EXPECT_FALSE(backends::strip_backend_flag(argc, argv.data(), &error));
-  EXPECT_NE(error.find("warp"), std::string::npos);
-  EXPECT_EQ(argc, 1);  // flag and value consumed even on error
-
-  std::string b0 = "prog", b1 = "--backend";
-  std::vector<char*> argv2{b0.data(), b1.data()};
-  argc = static_cast<int>(argv2.size());
-  EXPECT_FALSE(backends::strip_backend_flag(argc, argv2.data(), &error));
-  EXPECT_NE(error.find("requires a value"), std::string::npos);
-  backends::set_default_backend(before);
+  // The name travels with the table (HealthSummary::backend reports it).
+  EXPECT_EQ(ref.name, "reference");
+  const std::string_view expected =
+      backends::detail::simd512_kernel_ops()       ? "avx512"
+      : backends::detail::simd_avx2_kernel_ops() ? "avx2"
+                                                   : "reference";
+  EXPECT_EQ(backends::kernel_ops(Backend::simd).name, expected);
 }
 
 TEST(Backends, GemmMatchesNaiveBitwiseAcrossBackendsAndShapes) {

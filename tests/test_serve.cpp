@@ -52,41 +52,45 @@ class EvalServiceTest : public ::testing::Test {
 };
 
 TEST_F(EvalServiceTest, ThreadsAndBackendsAreResultInvariant) {
-  // ServiceOptions::backend / threads are pure performance knobs: any
-  // combination must serve bit-identical accuracies to the serial
-  // reference-backend configuration.
+  // ServiceOptions::threads is a pure performance knob, and the service
+  // runs the widest GEMM tier: any thread cap must serve bit-identical
+  // accuracies to a serial runner on the reference (oracle) backend.
   ServiceOptions base = fast_options();
   base.default_chips = 5;
-  base.threads = 1;
-  base.backend = ann::backends::Backend::reference;
-  EvalService baseline{qnet_, test_, base};
-  const Response expected =
-      baseline.wait(baseline.submit(evaluate_request("hybrid2", 0.65)));
-  ASSERT_EQ(expected.status, RequestStatus::done) << expected.error;
-  ASSERT_EQ(expected.results.size(), 1u);
+  const Request request = evaluate_request("hybrid2", 0.65);
 
-  for (const auto backend : ann::backends::available_backends()) {
-    for (const std::size_t threads : {std::size_t{0}, std::size_t{3},
-                                      std::size_t{8}}) {
-      ServiceOptions opts = base;
-      opts.backend = backend;
-      opts.threads = threads;
-      EvalService service{qnet_, test_, opts};
-      const Response got =
-          service.wait(service.submit(evaluate_request("hybrid2", 0.65)));
-      ASSERT_EQ(got.status, RequestStatus::done) << got.error;
-      ASSERT_EQ(got.results.size(), 1u);
-      const core::AccuracyResult& a = expected.results[0].accuracy;
-      const core::AccuracyResult& b = got.results[0].accuracy;
-      ASSERT_EQ(b.per_chip.size(), a.per_chip.size());
-      for (std::size_t c = 0; c < a.per_chip.size(); ++c) {
-        EXPECT_EQ(b.per_chip[c], a.per_chip[c])
-            << "backend=" << ann::backends::backend_name(backend)
-            << " threads=" << threads << " chip=" << c;
-      }
-      EXPECT_EQ(b.mean, a.mean);
-      EXPECT_EQ(b.stddev, a.stddev);
+  const EvalService provenance{qnet_, test_, base};
+  const engine::TableSpec spec = provenance.table_spec(request);
+  const mc::CircuitStack stack;
+  const mc::FailureAnalyzer analyzer{stack.criteria, stack.sampler,
+                                     provenance.analyzer_options(request)};
+  const mc::FailureTable table =
+      mc::FailureTable::build(analyzer, spec.vdd_grid, spec.seed);
+  core::EvalOptions eval;
+  eval.chips = base.default_chips;
+  eval.seed = base.default_eval_seed;
+  eval.threads = 1;
+  eval.backend = ann::backends::Backend::reference;
+  const core::AccuracyResult expected = engine::ExperimentRunner{1}.evaluate(
+      qnet_, request.configs[0].materialize(qnet_.bank_words()), table, 0.65,
+      test_, eval);
+
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{0},
+                                    std::size_t{3}, std::size_t{8}}) {
+    ServiceOptions opts = base;
+    opts.threads = threads;
+    EvalService service{qnet_, test_, opts};
+    const Response got = service.wait(service.submit(request));
+    ASSERT_EQ(got.status, RequestStatus::done) << got.error;
+    ASSERT_EQ(got.results.size(), 1u);
+    const core::AccuracyResult& b = got.results[0].accuracy;
+    ASSERT_EQ(b.per_chip.size(), expected.per_chip.size());
+    for (std::size_t c = 0; c < expected.per_chip.size(); ++c) {
+      EXPECT_EQ(b.per_chip[c], expected.per_chip[c])
+          << "threads=" << threads << " chip=" << c;
     }
+    EXPECT_EQ(b.mean, expected.mean);
+    EXPECT_EQ(b.stddev, expected.stddev);
   }
 }
 
@@ -552,7 +556,10 @@ TEST_F(EvalServiceTest, StatsOpReportsHealthAndRegistry) {
   EXPECT_GT(h.uptime_s, 0.0);
   EXPECT_GT(h.queue_capacity, 0u);
   EXPECT_EQ(h.dispatchers, 2u);
-  EXPECT_FALSE(h.backend.empty());
+  // The GEMM tier that runs (KernelOps::name).
+  EXPECT_EQ(h.backend,
+            ann::backends::kernel_ops(ann::backends::Backend::simd).name);
+  EXPECT_EQ(service.health().backend, h.backend);
   EXPECT_TRUE(h.cache_dir.empty());
   EXPECT_EQ(h.cache_tables, 0u);
   // Snapshot taken before the scrape's own terminal transition: the three
