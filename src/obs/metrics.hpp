@@ -16,6 +16,8 @@
 // valid during static destruction (thread-pool workers may still be
 // draining). Callers resolve an instrument once (mutex-guarded name
 // lookup) and cache the reference; recording never takes a lock.
+// An object that also reports its own counts (stats()) keeps them as
+// InstanceCounters, which feed the registry counter of the same name.
 #pragma once
 
 #include <array>
@@ -23,7 +25,9 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -131,6 +135,42 @@ class Registry {
 
   mutable std::mutex mutex_;
   std::vector<std::unique_ptr<Entry>> entries_;
+};
+
+// A counter owned by one object that also feeds the process-wide registry:
+// add(n) bumps this instance's count and Registry::global().counter(name),
+// so one call site counts an event for both the object's own stats() and
+// a scrape. value() is this instance's count; the registry counter holds
+// the sum over every instance that shares the name.
+//
+// `family` names every counter the owning subsystem keeps (`name` among
+// them). The first add() of any member registers the whole family, so a
+// scrape lists a subsystem's counters -- zeros included -- once it has
+// counted anything, and none of them before. `name` and `family` must
+// outlive the counter (string literals, static arrays).
+class InstanceCounter {
+ public:
+  InstanceCounter(std::string_view name,
+                  std::span<const std::string_view> family)
+      : name_{name}, family_{family} {}
+  InstanceCounter(const InstanceCounter&) = delete;
+  InstanceCounter& operator=(const InstanceCounter&) = delete;
+
+  void add(std::uint64_t n = 1) {
+    own_.add(n);
+    Counter* global = global_.load(std::memory_order_acquire);
+    if (global == nullptr) global = resolve();
+    global->add(n);
+  }
+  std::uint64_t value() const { return own_.value(); }
+
+ private:
+  Counter* resolve();
+
+  Counter own_;
+  std::string_view name_;
+  std::span<const std::string_view> family_;
+  std::atomic<Counter*> global_{nullptr};
 };
 
 // Convenience wrappers over Registry::global() for cold call sites.

@@ -33,15 +33,6 @@ constexpr double kDefaultClientWeight = 1.0;
 EvalService::Instruments EvalService::resolve_instruments() {
   obs::Registry& r = obs::Registry::global();
   return Instruments{
-      r.counter("serve.requests_submitted"),
-      r.counter("serve.requests_completed"),
-      r.counter("serve.requests_failed"),
-      r.counter("serve.requests_cancelled"),
-      r.counter("serve.requests_rejected"),
-      r.counter("serve.quota_rejected"),
-      r.counter("serve.deadline_expired"),
-      r.counter("serve.batches"),
-      r.counter("serve.coalesced_requests"),
       r.gauge("serve.queue_depth"),
       r.histogram("serve.request.queue_us"),
       r.histogram("serve.request.table_us"),
@@ -232,11 +223,9 @@ std::uint64_t EvalService::enqueue_locked(
   slot->response.tag = slot->request.tag;
   slots_.emplace(id, slot);
   queue_.push_back(std::move(slot));
-  ++totals_.submitted;
+  submitted_.add();
   ++pending_;
-  totals_.max_queue_depth =
-      std::max<std::uint64_t>(totals_.max_queue_depth, queue_.size());
-  obs_.submitted.add(1);
+  max_queue_depth_ = std::max<std::uint64_t>(max_queue_depth_, queue_.size());
   obs_.queue_depth.set(static_cast<std::int64_t>(queue_.size()));
   cv_work_.notify_one();
   return id;
@@ -273,8 +262,7 @@ std::optional<std::uint64_t> EvalService::try_submit(
   std::unique_lock lock{mutex_};
   if (stop_) throw std::runtime_error{"EvalService: shutting down"};
   if (queue_.size() >= options_.queue_capacity) {
-    ++totals_.rejected;
-    obs_.rejected.add(1);
+    rejected_.add();
     if (rejection != nullptr) {
       rejection->code = ErrorCode::queue_full;
       rejection->message = "service queue is at capacity (" +
@@ -284,8 +272,7 @@ std::optional<std::uint64_t> EvalService::try_submit(
     return std::nullopt;
   }
   if (!admit_locked(request)) {
-    ++totals_.quota_rejected;
-    obs_.quota_rejected.add(1);
+    quota_rejected_.add();
     const double hint = retry_after_hint_locked();
     std::string client = request.client;
     if (rejection != nullptr) {
@@ -400,13 +387,25 @@ void EvalService::resume() {
 EvalService::Totals EvalService::totals() const {
   const engine::CacheStats cache = cache_.stats();
   const engine::ShardStats shards = coordinator_.stats();
-  const std::scoped_lock lock{mutex_};
-  Totals t = totals_;
+  Totals t;
   t.table_builds = cache.builds;
   t.table_memory_hits = cache.memory_hits;
   t.table_disk_hits = cache.disk_hits;
   t.shard_builds = shards.shards_built;
   t.shard_replays = shards.shards_replayed;
+  // Every counter moves under mutex_, so reading them under it keeps the
+  // snapshot consistent (submitted never trails its outcomes).
+  const std::scoped_lock lock{mutex_};
+  t.submitted = submitted_.value();
+  t.completed = completed_.value();
+  t.failed = failed_.value();
+  t.cancelled = cancelled_.value();
+  t.rejected = rejected_.value();
+  t.quota_rejected = quota_rejected_.value();
+  t.deadline_expired = deadline_expired_.value();
+  t.batches = batches_.value();
+  t.coalesced_requests = coalesced_requests_.value();
+  t.max_queue_depth = max_queue_depth_;
   return t;
 }
 
@@ -454,8 +453,7 @@ std::size_t EvalService::shed_expired_locked(FiredCallbacks& fired) {
     const SlotPtr expired = slot;
     it = queue_.erase(it);
     dec_client_queued_locked(expired->request.client);
-    ++totals_.deadline_expired;
-    obs_.deadline_expired.add(1);
+    deadline_expired_.add();
     finish_locked(expired, RequestStatus::failed,
                   "deadline of " +
                       std::to_string(expired->request.deadline_ms) +
@@ -546,8 +544,7 @@ std::vector<EvalService::SlotPtr> EvalService::next_batch() {
   obs_.queue_depth.set(static_cast<std::int64_t>(queue_.size()));
 
   const std::uint64_t seq = ++dispatch_seq_;
-  ++totals_.batches;
-  obs_.batches.add(1);
+  batches_.add();
   const Clock::time_point now = Clock::now();
   for (const SlotPtr& slot : batch) {
     slot->status = RequestStatus::running;
@@ -583,23 +580,19 @@ void EvalService::finish_locked(const SlotPtr& slot, RequestStatus status,
       ms_between(slot->submitted_at, Clock::now());
   switch (status) {
     case RequestStatus::failed:
-      ++totals_.failed;
-      obs_.failed.add(1);
+      failed_.add();
       break;
     case RequestStatus::cancelled:
-      ++totals_.cancelled;
-      obs_.cancelled.add(1);
+      cancelled_.add();
       break;
     default:
-      ++totals_.completed;
-      obs_.completed.add(1);
+      completed_.add();
       break;
   }
   // Headline metric counts only requests that actually benefited: riders
   // that failed (bad config, eval error) shared a table but got nothing.
   if (status == RequestStatus::done && slot->response.stats.coalesced) {
-    ++totals_.coalesced_requests;
-    obs_.coalesced.add(1);
+    coalesced_requests_.add();
   }
   // Phase histograms record dispatched work requests exactly once, at
   // their terminal transition; stats scrapes are excluded so a scrape

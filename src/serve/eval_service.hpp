@@ -42,6 +42,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -302,20 +303,11 @@ class EvalService {
   const std::chrono::steady_clock::time_point started_at_ =
       std::chrono::steady_clock::now();
 
-  /// Process-wide instruments, resolved once (registry lookups take a
-  /// mutex; recording is a relaxed fetch-add). Shared across services in
-  /// one process by design: the registry aggregates the process, the
-  /// per-service view is totals()/health().
+  /// Registry-only instruments, resolved once (registry lookups take a
+  /// mutex; recording is a relaxed fetch-add): the queue-depth gauge and
+  /// the phase histograms aggregate every service in the process and have
+  /// no per-service twin.
   struct Instruments {
-    obs::Counter& submitted;
-    obs::Counter& completed;
-    obs::Counter& failed;
-    obs::Counter& cancelled;
-    obs::Counter& rejected;
-    obs::Counter& quota_rejected;
-    obs::Counter& deadline_expired;
-    obs::Counter& batches;
-    obs::Counter& coalesced;
     obs::Gauge& queue_depth;
     obs::Histogram& queue_us;   ///< submit -> dispatch, done/failed requests
     obs::Histogram& table_us;   ///< per-request table acquisition share
@@ -324,6 +316,26 @@ class EvalService {
   };
   static Instruments resolve_instruments();
   Instruments obs_ = resolve_instruments();
+
+  /// The counter half of totals(); each also feeds its serve.* registry
+  /// counter. They move only under mutex_.
+  static constexpr std::string_view kCounterNames[] = {
+      "serve.requests_submitted", "serve.requests_completed",
+      "serve.requests_failed",    "serve.requests_cancelled",
+      "serve.requests_rejected",  "serve.quota_rejected",
+      "serve.deadline_expired",   "serve.batches",
+      "serve.coalesced_requests"};
+  obs::InstanceCounter submitted_{"serve.requests_submitted", kCounterNames};
+  obs::InstanceCounter completed_{"serve.requests_completed", kCounterNames};
+  obs::InstanceCounter failed_{"serve.requests_failed", kCounterNames};
+  obs::InstanceCounter cancelled_{"serve.requests_cancelled", kCounterNames};
+  obs::InstanceCounter rejected_{"serve.requests_rejected", kCounterNames};
+  obs::InstanceCounter quota_rejected_{"serve.quota_rejected", kCounterNames};
+  obs::InstanceCounter deadline_expired_{"serve.deadline_expired",
+                                         kCounterNames};
+  obs::InstanceCounter batches_{"serve.batches", kCounterNames};
+  obs::InstanceCounter coalesced_requests_{"serve.coalesced_requests",
+                                           kCounterNames};
 
   mutable std::mutex mutex_;
   std::condition_variable cv_work_;   ///< queue gained work / unpaused / stop
@@ -340,7 +352,7 @@ class EvalService {
   std::uint64_t pending_ = 0;
   bool paused_ = false;
   bool stop_ = false;
-  Totals totals_;
+  std::uint64_t max_queue_depth_ = 0;
   /// Queued (not yet dispatched) requests per client id; entries are erased
   /// at zero, so the map is bounded by queue content.
   std::unordered_map<std::string, std::size_t> client_queued_;

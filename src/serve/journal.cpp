@@ -20,29 +20,6 @@
 namespace hynapse::serve {
 namespace {
 
-/// Counters resolved once (obs naming: serve.journal.*).
-struct JournalInstruments {
-  obs::Counter& appends;
-  obs::Counter& fsyncs;
-  obs::Counter& rotations;
-  obs::Counter& write_errors;
-  obs::Counter& compactions;
-
-  static JournalInstruments& get() {
-    static JournalInstruments* in = [] {
-      auto& r = obs::Registry::global();
-      return new JournalInstruments{
-          r.counter("serve.journal.appends"),
-          r.counter("serve.journal.fsyncs"),
-          r.counter("serve.journal.rotations"),
-          r.counter("serve.journal.write_errors"),
-          r.counter("serve.journal.compactions"),
-      };
-    }();
-    return *in;
-  }
-};
-
 std::string segment_name(const std::string& path, std::size_t n) {
   return path + "." + std::to_string(n);
 }
@@ -77,8 +54,7 @@ RequestJournal::~RequestJournal() {
 void RequestJournal::open_segment_locked(bool write_header) {
   fd_ = ::open(options_.path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
   if (fd_ < 0) {
-    ++stats_.write_errors;
-    JournalInstruments::get().write_errors.add(1);
+    write_errors_.add();
     if (!warned_) {
       std::fprintf(stderr, "[journal] warning: cannot open %s: %s\n",
                    options_.path.c_str(), std::strerror(errno));
@@ -138,8 +114,7 @@ void RequestJournal::append_locked(std::string&& line) {
     const ssize_t n = ::write(fd_, data, left);
     if (n < 0) {
       if (errno == EINTR) continue;
-      ++stats_.write_errors;
-      JournalInstruments::get().write_errors.add(1);
+      write_errors_.add();
       if (!warned_) {
         std::fprintf(stderr, "[journal] warning: write to %s failed: %s\n",
                      options_.path.c_str(), std::strerror(errno));
@@ -152,8 +127,7 @@ void RequestJournal::append_locked(std::string&& line) {
     segment_bytes_ += static_cast<std::uintmax_t>(n);
   }
   ++pending_records_;
-  ++stats_.appends;
-  JournalInstruments::get().appends.add(1);
+  appends_.add();
   if (pending_records_ >= options_.fsync_every) flush_locked();
 }
 
@@ -166,8 +140,7 @@ void RequestJournal::flush_locked() {
   if (fd_ < 0 || pending_records_ == 0) return;
   pending_records_ = 0;
   if (::fsync(fd_) == 0) {
-    ++stats_.fsyncs;
-    JournalInstruments::get().fsyncs.add(1);
+    fsyncs_.add();
   }
 }
 
@@ -188,14 +161,13 @@ void RequestJournal::rotate_locked() {
     }
     std::filesystem::rename(options_.path, segment_name(options_.path, 1), ec);
   }
-  ++stats_.rotations;
-  JournalInstruments::get().rotations.add(1);
+  rotations_.add();
   open_segment_locked(/*write_header=*/true);
 }
 
 JournalStats RequestJournal::stats() const {
-  const std::scoped_lock lock{mutex_};
-  return stats_;
+  return {appends_.value(), fsyncs_.value(), rotations_.value(),
+          write_errors_.value()};
 }
 
 namespace {
@@ -391,7 +363,7 @@ std::optional<CompactionResult> compact_journal(const std::string& path,
       ++result.removed_segments;
     }
   }
-  JournalInstruments::get().compactions.add(1);
+  obs::count("serve.journal.compactions");
   return result;
 }
 

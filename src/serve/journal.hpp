@@ -26,6 +26,7 @@
 #include <string_view>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "serve/protocol.hpp"
 
 namespace hynapse::serve {
@@ -48,6 +49,8 @@ struct JournalOptions {
   bool record_terminals = true;
 };
 
+/// A journal's lifetime counters; each also feeds the registry counter
+/// "serve.journal.<field>", summed over every journal in the process.
 struct JournalStats {
   std::uint64_t appends = 0;
   std::uint64_t fsyncs = 0;
@@ -96,14 +99,25 @@ class RequestJournal {
   void rotate_locked();
   void open_segment_locked(bool write_header);
 
+  /// The registry family also names compact_journal's counter, so a
+  /// scrape lists every journal counter once a journal counted anything.
+  static constexpr std::string_view kCounterNames[] = {
+      "serve.journal.appends", "serve.journal.fsyncs",
+      "serve.journal.rotations", "serve.journal.write_errors",
+      "serve.journal.compactions"};
+
   JournalOptions options_;
   std::uint64_t fingerprint_ = 0;
   mutable std::mutex mutex_;
   int fd_ = -1;
   std::size_t pending_records_ = 0;  // appended since the last fsync
   std::uintmax_t segment_bytes_ = 0;
-  JournalStats stats_;
   bool warned_ = false;
+  obs::InstanceCounter appends_{"serve.journal.appends", kCounterNames};
+  obs::InstanceCounter fsyncs_{"serve.journal.fsyncs", kCounterNames};
+  obs::InstanceCounter rotations_{"serve.journal.rotations", kCounterNames};
+  obs::InstanceCounter write_errors_{"serve.journal.write_errors",
+                                     kCounterNames};
 };
 
 /// One journaled request, as read back by the loader.

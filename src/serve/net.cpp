@@ -23,25 +23,12 @@ namespace hynapse::serve {
 
 namespace {
 
-/// Process-wide transport counters (all TcpServers in a process share
-/// them; the per-server view is TcpServer::stats()).
-struct NetInstruments {
-  obs::Counter& connections;
-  obs::Counter& oversize_lines;
-  obs::Gauge& active;
-
-  static NetInstruments& get() {
-    static NetInstruments* instruments = [] {
-      obs::Registry& r = obs::Registry::global();
-      return new NetInstruments{
-          r.counter("net.connections"),
-          r.counter("net.oversize_lines"),
-          r.gauge("net.active_connections"),
-      };
-    }();
-    return *instruments;
-  }
-};
+/// Connections of every TcpServer in the process, from accept to reap.
+obs::Gauge& active_connections_gauge() {
+  static obs::Gauge& gauge =
+      obs::Registry::global().gauge("net.active_connections");
+  return gauge;
+}
 
 using Clock = std::chrono::steady_clock;
 
@@ -81,12 +68,10 @@ struct TcpServer::Connection {
   std::thread reader;
   std::atomic<bool> draining{false};  ///< stop(): EOF is expected, not a drop
   std::atomic<bool> done{false};      ///< reader exited; ready to reap
-  bool oversize = false;              ///< poisoned by an over-long line
-  /// Session stats already folded into absorbed_ (guarded by the server
-  /// mutex). Set by the reader thread on its way out -- once the session
-  /// is closed its stats are final -- so a stats() call during teardown
-  /// cannot undercount; reap_locked then skips the re-absorb.
-  bool stats_absorbed = false;
+  /// The reader closed the session because the peer went away: no longer
+  /// active, though not reaped yet. (A graceful stop() drains instead and
+  /// stays active until the reap.)
+  std::atomic<bool> hung_up{false};
 };
 
 TcpServer::TcpServer(EvalService& service, TcpServerOptions options)
@@ -183,7 +168,7 @@ void TcpServer::accept_loop() {
           }
           (void)send_all(c->fd, framed.data(), framed.size());
         },
-        options_.session);
+        options_.session, &session_counters_);
 
     {
       const std::scoped_lock lock{mutex_};
@@ -193,10 +178,9 @@ void TcpServer::accept_loop() {
         ::close(fd);
         continue;
       }
-      ++absorbed_.connections;
+      connections_accepted_.add();
       connections_.push_back(conn);
-      NetInstruments::get().connections.add(1);
-      NetInstruments::get().active.add(1);
+      active_connections_gauge().add(1);
     }
     conn->reader = std::thread{[this, conn] { reader_loop(conn); }};
   }
@@ -250,47 +234,23 @@ void TcpServer::reader_loop(const std::shared_ptr<Connection>& conn) {
         const std::scoped_lock wlock{conn->write_mutex};
         (void)send_all(conn->fd, framed.data(), framed.size());
       }
-      conn->oversize = true;
-      NetInstruments::get().oversize_lines.add(1);
+      oversize_lines_.add();
       break;
     }
   }
 
   // A trailing fragment without its newline never parsed; that is the
   // protocol's truncation semantics (tested): no newline, no request.
-  if (conn->draining.load() && clean_eof) {
-    // stop() owns the drain; nothing to cancel. The session stays live
-    // (responses are still streaming), so its stats are NOT final here --
-    // stop() absorbs them through reap_locked after the drain.
-  } else {
+  if (!(conn->draining.load() && clean_eof)) {
     // The peer went away (or poisoned the stream) with the conversation
     // possibly unfinished: connection-scoped cancellation. Queued requests
     // die; running ones finish unobserved. In the draining-but-died case
-    // this also keeps stop() from waiting on work nobody will read.
+    // this also keeps stop() from waiting on work nobody will read. (On a
+    // clean EOF during stop(), stop() owns the drain: nothing to cancel.)
     conn->session->close();
-    // close() made the stats final (no sink, nothing left to cancel):
-    // fold them into absorbed_ NOW, before this thread exits, so a
-    // concurrent stats() never undercounts the teardown window between
-    // the reader finishing and the reaper running.
-    const std::scoped_lock lock{mutex_};
-    absorb_stats_locked(*conn);
+    conn->hung_up.store(true);
   }
-  // done is set after the absorb released mutex_, so reap_locked (which
-  // joins only done readers while holding mutex_) cannot deadlock.
   conn->done.store(true);
-}
-
-void TcpServer::absorb_stats_locked(Connection& conn) {
-  if (conn.stats_absorbed) return;
-  conn.stats_absorbed = true;
-  const Session::Stats s = conn.session->stats();
-  absorbed_.lines += s.lines;
-  absorbed_.responses += s.responses;
-  absorbed_.parse_errors += s.parse_errors;
-  // Sessions closed by a graceful stop() drained first, so anything a
-  // close() actually cancelled traces back to a vanished peer.
-  absorbed_.cancelled_on_disconnect += s.cancelled_on_close;
-  if (conn.oversize) ++absorbed_.oversize_lines;
 }
 
 void TcpServer::reap_locked() {
@@ -301,10 +261,9 @@ void TcpServer::reap_locked() {
       continue;
     }
     if (conn->reader.joinable()) conn->reader.join();
-    absorb_stats_locked(*conn);
     ::close(conn->fd);
     it = connections_.erase(it);
-    NetInstruments::get().active.add(-1);
+    active_connections_gauge().add(-1);
   }
 }
 
@@ -346,19 +305,18 @@ void TcpServer::stop() {
 }
 
 TcpServer::Stats TcpServer::stats() const {
+  Stats s;
+  s.connections = connections_accepted_.value();
+  s.lines = session_counters_.lines.value();
+  s.responses = session_counters_.responses.value();
+  s.parse_errors = session_counters_.parse_errors.value();
+  // Sessions closed by a graceful stop() drained first, so anything a
+  // close() actually cancelled traces back to a vanished peer.
+  s.cancelled_on_disconnect = session_counters_.cancelled_on_close.value();
+  s.oversize_lines = oversize_lines_.value();
   const std::scoped_lock lock{mutex_};
-  Stats s = absorbed_;
   for (const auto& conn : connections_) {
-    // A connection whose reader already folded its final stats into
-    // absorbed_ must not be summed again (or counted as active -- its
-    // socket conversation is over, it just awaits the reaper).
-    if (conn->stats_absorbed) continue;
-    const Session::Stats cs = conn->session->stats();
-    s.lines += cs.lines;
-    s.responses += cs.responses;
-    s.parse_errors += cs.parse_errors;
-    s.cancelled_on_disconnect += cs.cancelled_on_close;
-    ++s.active;
+    if (!conn->hung_up.load()) ++s.active;
   }
   return s;
 }

@@ -63,6 +63,8 @@ class TcpServer {
   /// Idempotent.
   void stop();
 
+  /// Every counter but `active` also feeds a registry counter (net.* for
+  /// connections and oversize_lines, session.* for the session counts).
   struct Stats {
     std::uint64_t connections = 0;      ///< accepted over the lifetime
     std::uint64_t active = 0;           ///< currently connected
@@ -79,24 +81,25 @@ class TcpServer {
 
   void accept_loop();
   void reader_loop(const std::shared_ptr<Connection>& conn);
-  void reap_locked();  ///< joins and absorbs finished connections
-  /// Folds a connection's final Session::Stats into absorbed_ exactly once
-  /// (requires mutex_). Called by the reader thread on its way out -- after
-  /// it closed the session, so the stats cannot change any more -- which
-  /// closes the teardown window where stats() undercounted a dying
-  /// connection; reap_locked calls it again only for connections the
-  /// reader did not absorb (graceful-drain exits, where the session stays
-  /// live until stop() closes it).
-  void absorb_stats_locked(Connection& conn);
+  void reap_locked();  ///< joins and closes finished connections
+
+  static constexpr std::string_view kCounterNames[] = {"net.connections",
+                                                       "net.oversize_lines"};
 
   EvalService& service_;
   const TcpServerOptions options_;
   int listen_fd_ = -1;
   std::uint16_t port_ = 0;
+  /// Every session this server creates counts here. A session is closed
+  /// before its connection is reaped, and the server reaps them all before
+  /// it goes, so late completions never touch these.
+  Session::Counters session_counters_;
+  obs::InstanceCounter connections_accepted_{"net.connections",
+                                             kCounterNames};
+  obs::InstanceCounter oversize_lines_{"net.oversize_lines", kCounterNames};
 
   mutable std::mutex mutex_;
   std::vector<std::shared_ptr<Connection>> connections_;
-  Stats absorbed_;  ///< stats of connections already reaped
   bool stopping_ = false;
   bool stopped_ = false;
 

@@ -12,36 +12,6 @@
 
 namespace hynapse::serve {
 
-namespace {
-
-/// Process-wide session counters (aggregated across transports: REPL and
-/// every TCP connection record into the same instruments).
-struct SessionInstruments {
-  obs::Counter& lines;
-  obs::Counter& responses;
-  obs::Counter& parse_errors;
-  obs::Counter& rejected;
-  obs::Counter& cancelled_on_close;
-  obs::Histogram& serialize_us;  ///< format_response + sink write
-
-  static SessionInstruments& get() {
-    static SessionInstruments* instruments = [] {
-      obs::Registry& r = obs::Registry::global();
-      return new SessionInstruments{
-          r.counter("session.lines"),
-          r.counter("session.responses"),
-          r.counter("session.parse_errors"),
-          r.counter("session.rejected"),
-          r.counter("session.cancelled_on_close"),
-          r.histogram("serve.request.serialize_us"),
-      };
-    }();
-    return *instruments;
-  }
-};
-
-}  // namespace
-
 // Lives behind a shared_ptr because completion callbacks can outlive the
 // Session object: a request still running when the session closes completes
 // later, and its callback must find valid state (and a detached sink).
@@ -57,12 +27,15 @@ struct Session::State {
   /// reconciles them.
   std::unordered_set<std::uint64_t> inflight;
   std::unordered_set<std::uint64_t> completed_early;
-  Stats stats;
 };
 
-Session::Session(EvalService& service, Sink sink, SessionOptions options)
+Session::Session(EvalService& service, Sink sink, SessionOptions options,
+                 Counters* counters)
     : service_{service},
       options_{options},
+      own_counters_{counters == nullptr ? std::make_unique<Counters>()
+                                        : nullptr},
+      counters_{counters == nullptr ? *own_counters_ : *counters},
       state_{std::make_shared<State>()} {
   state_->sink = std::move(sink);
 }
@@ -81,36 +54,23 @@ void Session::emit_error(const std::string& tag, ErrorCode code,
   const std::lock_guard lock{state_->mutex};
   if (state_->open && state_->sink) {
     state_->sink(format_response(r, options_.per_chip));
-    ++state_->stats.responses;
-    SessionInstruments::get().responses.add(1);
+    counters_.responses.add();
   }
 }
 
 std::uint64_t Session::handle_line(std::string_view line) {
-  {
-    const std::lock_guard lock{state_->mutex};
-    ++state_->stats.lines;
-  }
-  SessionInstruments::get().lines.add(1);
+  counters_.lines.add();
 
   RequestError error;
   std::optional<Request> request = parse_request(line, &error);
   if (!request) {
-    {
-      const std::lock_guard lock{state_->mutex};
-      ++state_->stats.parse_errors;
-    }
-    SessionInstruments::get().parse_errors.add(1);
+    counters_.parse_errors.add();
     emit_error({}, error.code, std::move(error.message));
     return 0;
   }
   if (!options_.allow_evaluate && (request->kind == RequestKind::evaluate ||
                                    request->kind == RequestKind::sweep)) {
-    {
-      const std::lock_guard lock{state_->mutex};
-      ++state_->stats.rejected;
-    }
-    SessionInstruments::get().rejected.add(1);
+    counters_.rejected.add();
     emit_error(request->tag, ErrorCode::bad_request,
                "this endpoint serves table builds only"
                " (evaluate/sweep disabled)");
@@ -125,8 +85,12 @@ std::uint64_t Session::handle_line(std::string_view line) {
     ++state->outstanding;
   }
   const bool per_chip = options_.per_chip;
-  EvalService::Completion on_complete = [state,
-                                         per_chip](const Response& response) {
+  // The counters may be gone once the session is closed (a running request
+  // can complete after the Session and its TcpServer): touch them only
+  // while `open`, checked under the state lock.
+  Counters* const counters = &counters_;
+  EvalService::Completion on_complete = [state, per_chip,
+                                         counters](const Response& response) {
     const std::lock_guard lock{state->mutex};
     if (state->inflight.erase(response.id) == 0) {
       state->completed_early.insert(response.id);
@@ -140,11 +104,9 @@ std::uint64_t Session::handle_line(std::string_view line) {
     if (state->open && state->sink && !dropped) {
       // The serialization phase of the request's span: rendering the
       // response line plus handing it to the transport sink.
-      SessionInstruments& instruments = SessionInstruments::get();
-      const obs::Timer timer{instruments.serialize_us};
+      const obs::Timer timer{counters->serialize_us};
       state->sink(format_response(response, per_chip));
-      ++state->stats.responses;
-      instruments.responses.add(1);
+      counters->responses.add();
     }
     --state->outstanding;
     state->cv.notify_all();
@@ -162,9 +124,8 @@ std::uint64_t Session::handle_line(std::string_view line) {
         {
           const std::lock_guard lock{state->mutex};
           --state->outstanding;
-          ++state->stats.rejected;
         }
-        SessionInstruments::get().rejected.add(1);
+        counters_.rejected.add();
         // Structured rejection: queue_full or quota_exceeded, plus the
         // service's retry-after estimate so clients can back off sensibly.
         emit_error(tag, rejection.code, std::move(rejection.message),
@@ -179,10 +140,9 @@ std::uint64_t Session::handle_line(std::string_view line) {
     {
       const std::lock_guard lock{state->mutex};
       --state->outstanding;
-      ++state->stats.rejected;
       state->cv.notify_all();
     }
-    SessionInstruments::get().rejected.add(1);
+    counters_.rejected.add();
     emit_error(tag, ErrorCode::shutting_down, e.what());
     return 0;
   }
@@ -215,16 +175,13 @@ void Session::close() {
   for (const std::uint64_t id : to_cancel) {
     if (service_.cancel(id)) ++cancelled;
   }
-  if (cancelled != 0) {
-    SessionInstruments::get().cancelled_on_close.add(cancelled);
-  }
-  const std::lock_guard lock{state_->mutex};
-  state_->stats.cancelled_on_close += cancelled;
+  if (cancelled != 0) counters_.cancelled_on_close.add(cancelled);
 }
 
 Session::Stats Session::stats() const {
-  const std::lock_guard lock{state_->mutex};
-  return state_->stats;
+  return {counters_.lines.value(), counters_.responses.value(),
+          counters_.parse_errors.value(), counters_.rejected.value(),
+          counters_.cancelled_on_close.value()};
 }
 
 }  // namespace hynapse::serve

@@ -17,6 +17,9 @@
 // Lifecycle: close() detaches the sink (no further emissions), cancels
 // whatever the session still has queued, and counts what was in flight --
 // connection-scoped cancellation for transports whose peer went away.
+// A session counts into Session::Counters: its own, or ones its transport
+// shares across sessions (a TcpServer passes its per-server set, so each
+// event is counted once, straight into the server's totals).
 // drain() blocks until every submitted request has completed, so a
 // transport can shut down gracefully WITHOUT cancelling: stop reading,
 // drain, then close the socket.
@@ -28,6 +31,7 @@
 #include <string>
 #include <string_view>
 
+#include "obs/metrics.hpp"
 #include "serve/eval_service.hpp"
 #include "serve/protocol.hpp"
 
@@ -52,7 +56,27 @@ class Session {
   /// (internally serialized); must not call back into this Session.
   using Sink = std::function<void(std::string_view line)>;
 
-  Session(EvalService& service, Sink sink, SessionOptions options = {});
+  /// What a session counts. Each counter also feeds its session.* registry
+  /// counter (summed over the process); serialize_us is registry-only.
+  struct Counters {
+    static constexpr std::string_view kNames[] = {
+        "session.lines", "session.responses", "session.parse_errors",
+        "session.rejected", "session.cancelled_on_close"};
+    obs::InstanceCounter lines{"session.lines", kNames};
+    obs::InstanceCounter responses{"session.responses", kNames};
+    obs::InstanceCounter parse_errors{"session.parse_errors", kNames};
+    obs::InstanceCounter rejected{"session.rejected", kNames};
+    obs::InstanceCounter cancelled_on_close{"session.cancelled_on_close",
+                                            kNames};
+    /// format_response + sink write, per emitted response.
+    obs::Histogram& serialize_us =
+        obs::Registry::global().histogram("serve.request.serialize_us");
+  };
+
+  /// Counts into `counters` when given (they must outlive the session's
+  /// close()), else into counters of its own.
+  Session(EvalService& service, Sink sink, SessionOptions options = {},
+          Counters* counters = nullptr);
   /// Destruction implies close(): never emits after the Session is gone.
   ~Session();
   Session(const Session&) = delete;
@@ -81,6 +105,8 @@ class Session {
     std::uint64_t rejected = 0;         ///< queue_full / shutting_down / policy
     std::uint64_t cancelled_on_close = 0;  ///< queued requests close() killed
   };
+  /// The counters this session counts into (shared ones include the other
+  /// sessions' counts).
   [[nodiscard]] Stats stats() const;
 
  private:
@@ -93,6 +119,8 @@ class Session {
 
   EvalService& service_;
   const SessionOptions options_;
+  std::unique_ptr<Counters> own_counters_;  ///< null when counters were given
+  Counters& counters_;
   std::shared_ptr<State> state_;
 };
 

@@ -19,6 +19,7 @@
 #include "mc/failure_table.hpp"
 #include "mc/montecarlo.hpp"
 #include "test_helpers.hpp"
+#include "util/fault_injection.hpp"
 
 namespace hynapse::engine {
 namespace {
@@ -494,6 +495,7 @@ TEST_F(TableCacheTest, CacheBuildsOnceThenServesFromDisk) {
   o.is_samples = 1000;
   const mc::FailureAnalyzer analyzer{stack.criteria, stack.sampler, o};
   const TableSpec spec = table_spec(stack, {0.65}, 5);
+  const testing::RegistryBaseline registry;
 
   FailureTableCache cache{dir_};
   TableSource source{};
@@ -526,6 +528,52 @@ TEST_F(TableCacheTest, CacheBuildsOnceThenServesFromDisk) {
   FailureTableCache cache3{dir_};
   expect_rows_identical(cache3.get(spec, analyzer, false, &source), built);
   EXPECT_EQ(source, TableSource::built);
+
+  // One count per event: the registry moved by the three caches' sum.
+  std::uint64_t memory_hits = 0, disk_hits = 0, builds = 0, coalesced = 0;
+  for (const FailureTableCache* c : {&cache, &cache2, &cache3}) {
+    memory_hits += c->stats().memory_hits;
+    disk_hits += c->stats().disk_hits;
+    builds += c->stats().builds;
+    coalesced += c->stats().coalesced;
+  }
+  EXPECT_EQ(builds, 2u);
+  EXPECT_EQ(registry.delta("cache.memory_hits"), memory_hits);
+  EXPECT_EQ(registry.delta("cache.disk_hits"), disk_hits);
+  EXPECT_EQ(registry.delta("cache.builds"), builds);
+  EXPECT_EQ(registry.delta("cache.coalesced"), coalesced);
+}
+
+TEST_F(TableCacheTest, FailedSaveKeepsTheMemo) {
+  // `cache.write_fail` fails every save: both get()'s build and put() must
+  // still memoize; only the CSV is lost.
+  struct Disarm {
+    ~Disarm() { util::FaultInjector::instance().reset(); }
+  } disarm;
+  util::FaultInjector& inject = util::FaultInjector::instance();
+  ASSERT_TRUE(inject.configure("cache.write_fail=always"));
+
+  const mc::CircuitStack& stack = reference_stack();
+  mc::AnalyzerOptions o;
+  o.mc_samples = 1000;
+  o.is_samples = 1000;
+  const mc::FailureAnalyzer analyzer{stack.criteria, stack.sampler, o};
+  const TableSpec spec = table_spec(stack, {0.65}, 5);
+  const std::uint64_t fp = table_fingerprint(spec, o);
+
+  FailureTableCache cache{dir_};
+  TableSource source{};
+  const mc::FailureTable& built = cache.get(spec, analyzer, false, &source);
+  EXPECT_EQ(source, TableSource::built);
+  EXPECT_FALSE(std::filesystem::exists(cache.csv_path(fp)));
+  EXPECT_EQ(&cache.get(spec, analyzer, false, &source), &built);
+  EXPECT_EQ(source, TableSource::memory);
+
+  const mc::FailureTable& put =
+      cache.put(fp + 1, testing::flat_table(0.1, 0.1, 0.1));
+  EXPECT_EQ(cache.lookup(fp + 1), &put);
+  EXPECT_FALSE(std::filesystem::exists(cache.csv_path(fp + 1)));
+  EXPECT_EQ(inject.fired("cache.write_fail"), 2u);
 }
 
 }  // namespace

@@ -195,6 +195,7 @@ TEST_F(ShardTest, MergedShardsBitIdenticalToMonolithicAcrossMatrix) {
   for (const std::size_t shards : {1u, 2u, 5u}) {
     for (const std::size_t threads : {1u, 3u, 8u}) {
       // In-memory cache: every combination builds everything itself.
+      const testing::RegistryBaseline registry;
       FailureTableCache cache{""};
       ShardCoordinator coordinator{cache, threads};
       ShardPlanOptions po;
@@ -207,6 +208,12 @@ TEST_F(ShardTest, MergedShardsBitIdenticalToMonolithicAcrossMatrix) {
       expect_rows_identical(merged, monolithic);
       EXPECT_EQ(coordinator.stats().shards_built, shards);
       EXPECT_EQ(coordinator.stats().merges, 1u);
+      EXPECT_EQ(registry.delta("shard.built"), shards);
+      EXPECT_EQ(registry.delta("shard.merges"), 1u);
+      EXPECT_EQ(registry.delta("shard.merged_rows"),
+                coordinator.stats().merged_rows);
+      EXPECT_EQ(registry.delta("shard.samples_built"),
+                coordinator.stats().samples_built);
     }
   }
 }
@@ -216,6 +223,7 @@ TEST_F(ShardTest, BuildShardMatchesMonolithicSliceAndPersists) {
   const mc::FailureTable monolithic =
       mc::FailureTable::build(analyzer(), s.vdd_grid, s.seed);
 
+  const testing::RegistryBaseline registry;
   FailureTableCache cache{dir_};
   ShardCoordinator coordinator{cache};
   ShardPlanOptions po;
@@ -250,6 +258,12 @@ TEST_F(ShardTest, BuildShardMatchesMonolithicSliceAndPersists) {
   expect_rows_identical(again, shard1);
   EXPECT_EQ(coordinator.stats().shards_built, 1u);
   EXPECT_EQ(coordinator.stats().shards_replayed, 1u);
+  EXPECT_EQ(registry.delta("shard.built"), 1u);
+  EXPECT_EQ(registry.delta("shard.replayed"), 1u);
+  EXPECT_EQ(registry.delta("shard.samples_built"),
+            coordinator.stats().samples_built);
+  EXPECT_EQ(registry.delta("shard.samples_replayed"),
+            coordinator.stats().samples_replayed);
 
   EXPECT_THROW(
       (void)coordinator.build_shard(plan, 2, analyzer(), false, nullptr),
@@ -291,6 +305,7 @@ TEST_F(ShardTest, MergeFromDiskReplaysShardsProducedElsewhere) {
 
   // acquire() prefers replay over rebuilding: all shards exist on disk, so
   // no Monte-Carlo runs and the merged CSV is persisted for future hits.
+  const testing::RegistryBaseline registry;
   ShardCoordinator replayer{cache};
   const mc::FailureTable& acquired = replayer.acquire(plan, analyzer());
   expect_rows_identical(acquired, *merged);
@@ -307,6 +322,11 @@ TEST_F(ShardTest, MergeFromDiskReplaysShardsProducedElsewhere) {
   EXPECT_EQ(late.stats().shards_built, 0u);
   EXPECT_EQ(late.stats().shards_replayed, 0u);
   EXPECT_EQ(late.stats().table_hits, 1u);
+  EXPECT_EQ(registry.delta("shard.built"), 0u);
+  EXPECT_EQ(registry.delta("shard.replayed"), 3u);
+  EXPECT_EQ(registry.delta("shard.table_hits"), 1u);
+  EXPECT_EQ(registry.delta("shard.merges"),
+            replayer.stats().merges + late.stats().merges);
 }
 
 TEST_F(ShardTest, RunnerSweepAndBatchAcceptShardPlans) {

@@ -6,13 +6,16 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <cstdint>
 #include <filesystem>
+#include <map>
 #include <string>
 
 #include "ann/trainer.hpp"
 #include "core/quantized_network.hpp"
 #include "data/digits.hpp"
 #include "mc/failure_table.hpp"
+#include "obs/metrics.hpp"
 
 namespace hynapse::testing {
 
@@ -93,5 +96,26 @@ inline mc::FailureTable flat_table(double read6, double write6,
   }
   return mc::FailureTable{std::move(rows)};
 }
+
+/// The process registry's counters at construction; delta(name) is how far
+/// a counter has moved since -- what a test compares with the per-instance
+/// stats() of the objects it drove.
+class RegistryBaseline {
+ public:
+  RegistryBaseline() {
+    for (const obs::MetricSnapshot& m : obs::Registry::global().snapshot()) {
+      if (m.kind == obs::MetricKind::counter) start_[m.name] = m.count;
+    }
+  }
+
+  [[nodiscard]] std::uint64_t delta(const std::string& name) const {
+    const auto it = start_.find(name);
+    return obs::Registry::global().counter(name).value() -
+           (it == start_.end() ? 0 : it->second);
+  }
+
+ private:
+  std::map<std::string, std::uint64_t> start_;
+};
 
 }  // namespace hynapse::testing

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <random>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -201,6 +202,32 @@ TEST(Registry, GlobalIsSingleton) {
   Registry& a = Registry::global();
   Registry& b = Registry::global();
   EXPECT_EQ(&a, &b);
+}
+
+TEST(InstanceCounter, InstancesCountApartAndTheRegistrySumsThem) {
+  static constexpr std::string_view kFamily[] = {"test.instance.events",
+                                                 "test.instance.other"};
+  const auto listed = [](const char* name) {
+    const std::vector<MetricSnapshot> snap = Registry::global().snapshot();
+    return std::any_of(snap.begin(), snap.end(), [&](const MetricSnapshot& m) {
+      return m.name == name;
+    });
+  };
+  InstanceCounter a{"test.instance.events", kFamily};
+  InstanceCounter b{"test.instance.events", kFamily};
+  // Nothing counted yet: the family is not in a scrape.
+  EXPECT_FALSE(listed("test.instance.events"));
+  EXPECT_FALSE(listed("test.instance.other"));
+
+  a.add(3);
+  b.add();
+  a.add(2);
+  EXPECT_EQ(a.value(), 5u);
+  EXPECT_EQ(b.value(), 1u);
+  EXPECT_EQ(Registry::global().counter("test.instance.events").value(), 6u);
+  // The first add registered the whole family, the untouched member at 0.
+  EXPECT_TRUE(listed("test.instance.other"));
+  EXPECT_EQ(Registry::global().counter("test.instance.other").value(), 0u);
 }
 
 TEST(MetricKindNames, RoundTrip) {

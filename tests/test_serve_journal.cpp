@@ -53,6 +53,7 @@ TEST_F(JournalTest, RoundTripSubmitsAndTerminals) {
   second.mc_samples = 900;
 
   {
+    const testing::RegistryBaseline registry;
     RequestJournal journal{JournalOptions{path()}, 0xdeadbeefcafef00dull};
     journal.record_submit(1, first);
     journal.record_submit(2, second);
@@ -60,6 +61,9 @@ TEST_F(JournalTest, RoundTripSubmitsAndTerminals) {
     journal.flush();
     EXPECT_EQ(journal.stats().appends, 4u);  // header + 3 records
     EXPECT_EQ(journal.stats().write_errors, 0u);
+    EXPECT_EQ(registry.delta("serve.journal.appends"), 4u);
+    EXPECT_EQ(registry.delta("serve.journal.fsyncs"), journal.stats().fsyncs);
+    EXPECT_EQ(registry.delta("serve.journal.write_errors"), 0u);
   }
 
   std::string error;
@@ -159,6 +163,7 @@ TEST_F(JournalTest, RotationShiftsSegmentsAndLoaderReadsOldestFirst) {
   options.fsync_every = 1;
   constexpr std::uint64_t kCount = 24;
   {
+    const testing::RegistryBaseline registry;
     RequestJournal journal{options, 7};
     for (std::uint64_t id = 1; id <= kCount; ++id) {
       journal.record_submit(id, evaluate_request("hybrid2", 0.65));
@@ -166,6 +171,10 @@ TEST_F(JournalTest, RotationShiftsSegmentsAndLoaderReadsOldestFirst) {
     }
     journal.flush();
     EXPECT_GT(journal.stats().rotations, 0u);
+    EXPECT_EQ(registry.delta("serve.journal.rotations"),
+              journal.stats().rotations);
+    EXPECT_EQ(registry.delta("serve.journal.appends"),
+              journal.stats().appends);
   }
   EXPECT_TRUE(fs::exists(path() + std::string{".1"}));
   // Rotation keeps at most keep_segments rotated files.

@@ -30,6 +30,7 @@
 #include "serve/net.hpp"
 #include "serve/protocol.hpp"
 #include "serve/session.hpp"
+#include "test_helpers.hpp"
 #include "util/fault_injection.hpp"
 
 namespace hynapse::serve {
@@ -82,21 +83,6 @@ int raw_connect(std::uint16_t port) {
     return -1;
   }
   return fd;
-}
-
-/// A loopback port with (very probably) no listener: bind ephemeral, note
-/// the port, close. Connecting to it is refused -- the dead-endpoint case.
-std::uint16_t unused_port() {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = 0;
-  ::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr);
-  socklen_t len = sizeof addr;
-  ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len);
-  ::close(fd);
-  return ntohs(addr.sin_port);
 }
 
 /// A worker that dies mid-build: accepts one connection, reads the request
@@ -331,6 +317,7 @@ TEST_F(ServeNetTest, SessionQueueFullRejectionIsStructured) {
 // TcpServer / TcpClient over loopback.
 
 TEST_F(ServeNetTest, ServesConcurrentConnectionsOverLoopback) {
+  const testing::RegistryBaseline registry;
   EvalService service{qnet_, test_, fast_options()};
   TcpServer server{service};
   ASSERT_NE(server.port(), 0u);
@@ -366,6 +353,19 @@ TEST_F(ServeNetTest, ServesConcurrentConnectionsOverLoopback) {
   EXPECT_GE(s.lines, 2u);
   EXPECT_GE(s.responses, 2u);
   EXPECT_EQ(s.cancelled_on_disconnect, 0u);
+
+  // Once stopped, the server's counts are final and every one of them
+  // moved its registry counter by the same amount.
+  server.stop();
+  const TcpServer::Stats fin = server.stats();
+  EXPECT_EQ(fin.active, 0u);
+  EXPECT_EQ(registry.delta("net.connections"), fin.connections);
+  EXPECT_EQ(registry.delta("net.oversize_lines"), fin.oversize_lines);
+  EXPECT_EQ(registry.delta("session.lines"), fin.lines);
+  EXPECT_EQ(registry.delta("session.responses"), fin.responses);
+  EXPECT_EQ(registry.delta("session.parse_errors"), fin.parse_errors);
+  EXPECT_EQ(registry.delta("session.cancelled_on_close"),
+            fin.cancelled_on_disconnect);
 }
 
 TEST_F(ServeNetTest, StatsOpScrapesHealthOverTcp) {
@@ -487,6 +487,7 @@ TEST_F(ServeNetTest, TruncatedFrameIsNeverSubmitted) {
 }
 
 TEST_F(ServeNetTest, DisconnectCancelsThatConnectionsQueuedRequests) {
+  const testing::RegistryBaseline registry;
   ServiceOptions opts = fast_options();
   opts.start_paused = true;  // hold dispatch so everything stays queued
   EvalService service{qnet_, test_, opts};
@@ -510,6 +511,9 @@ TEST_F(ServeNetTest, DisconnectCancelsThatConnectionsQueuedRequests) {
   const EvalService::Totals totals = service.totals();
   EXPECT_EQ(totals.cancelled, 3u);
   EXPECT_EQ(totals.completed, 0u);
+  EXPECT_EQ(registry.delta("session.cancelled_on_close"), 3u);
+  EXPECT_EQ(registry.delta("serve.requests_cancelled"), totals.cancelled);
+  EXPECT_EQ(registry.delta("serve.requests_submitted"), totals.submitted);
 }
 
 TEST_F(ServeNetTest, StopDrainsInFlightResponsesBeforeClosing) {
@@ -547,7 +551,19 @@ TEST_F(ServeNetTest, StopDrainsInFlightResponsesBeforeClosing) {
 // ---------------------------------------------------------------------------
 // The fleet: scatter a shard plan over socket workers, merge bit-identically.
 
+/// Every fleet count moved its fleet.* registry counter by as much.
+void expect_fleet_registry_delta(const testing::RegistryBaseline& registry,
+                                 const engine::FleetStats& st) {
+  EXPECT_EQ(registry.delta("fleet.shards_remote"), st.shards_remote);
+  EXPECT_EQ(registry.delta("fleet.shards_local"), st.shards_local);
+  EXPECT_EQ(registry.delta("fleet.worker_failures"), st.worker_failures);
+  EXPECT_EQ(registry.delta("fleet.retries"), st.retries);
+  EXPECT_EQ(registry.delta("fleet.workers_used"), st.workers_used);
+  EXPECT_EQ(registry.delta("fleet.backoff_waits"), st.backoff_waits);
+}
+
 TEST_F(ServeNetTest, FleetBuildIsBitIdenticalToMonolithic) {
+  const testing::RegistryBaseline registry;
   const ServiceOptions wo = worker_options();
   EvalService w1{qnet_, test_, wo};
   EvalService w2{qnet_, test_, wo};
@@ -586,9 +602,22 @@ TEST_F(ServeNetTest, FleetBuildIsBitIdenticalToMonolithic) {
   s2.stop();
   const mc::FailureTable& again = fleet.build(plan, analyzer);
   EXPECT_EQ(&again, &merged);
+
+  expect_fleet_registry_delta(registry, fleet.stats());
+  // The workers built every shard; both servers' counts add up in the
+  // registry.
+  EXPECT_EQ(registry.delta("shard.built"),
+            w1.totals().shard_builds + w2.totals().shard_builds);
+  EXPECT_EQ(registry.delta("net.connections"),
+            s1.stats().connections + s2.stats().connections);
+  EXPECT_EQ(registry.delta("session.lines"),
+            s1.stats().lines + s2.stats().lines);
+  EXPECT_EQ(registry.delta("session.responses"),
+            s1.stats().responses + s2.stats().responses);
 }
 
 TEST_F(ServeNetTest, FleetFailsOverWhenWorkerDiesMidBuild) {
+  const testing::RegistryBaseline registry;
   const ServiceOptions wo = worker_options();
   EvalService worker_service{qnet_, test_, wo};
   TcpServerOptions so;
@@ -617,9 +646,11 @@ TEST_F(ServeNetTest, FleetFailsOverWhenWorkerDiesMidBuild) {
   EXPECT_EQ(st.shards_remote + st.shards_local, 3u);
   EXPECT_GE(st.worker_failures, 1u);
   EXPECT_GE(st.retries, 1u);
+  expect_fleet_registry_delta(registry, st);
 }
 
 TEST_F(ServeNetTest, FleetWithoutWorkersBuildsEverythingLocally) {
+  const testing::RegistryBaseline registry;
   ServiceOptions wo = worker_options();
   EvalService planner_service{qnet_, test_, wo};
   const engine::ShardPlan plan = planner_service.shard_plan(shard_request(3));
@@ -639,26 +670,8 @@ TEST_F(ServeNetTest, FleetWithoutWorkersBuildsEverythingLocally) {
   EXPECT_EQ(st.shards_local, 3u);
   EXPECT_EQ(st.shards_remote, 0u);
   EXPECT_EQ(st.workers_used, 0u);
-}
-
-TEST_F(ServeNetTest, FleetStrictModeThrowsWhenNoWorkerCanBuild) {
-  ServiceOptions wo = worker_options();
-  EvalService planner_service{qnet_, test_, wo};
-  const engine::ShardPlan plan = planner_service.shard_plan(shard_request(3));
-  const mc::CircuitStack stack;
-  const mc::FailureAnalyzer analyzer{stack.criteria, stack.sampler,
-                                     plan.analyzer_options};
-
-  engine::FailureTableCache cache{""};
-  engine::ShardCoordinator local{cache};
-  engine::FleetOptions fo;
-  fo.workers = {{"127.0.0.1", unused_port()}};  // connection refused
-  fo.connect_timeout_s = 2.0;
-  fo.local_fallback = false;  // strict scatter: no silent local rebuild
-  engine::FleetCoordinator fleet{local, fo};
-  EXPECT_THROW((void)fleet.build(plan, analyzer), std::runtime_error);
-  EXPECT_GE(fleet.stats().worker_failures, 1u);
-  EXPECT_EQ(fleet.stats().shards_local, 0u);
+  expect_fleet_registry_delta(registry, st);
+  EXPECT_EQ(registry.delta("shard.built"), local.stats().shards_built);
 }
 
 // ---------------------------------------------------------------------------
