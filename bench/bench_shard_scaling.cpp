@@ -129,10 +129,8 @@ int main(int argc, char** argv) {
       shard_ao.threads = threads;
       const mc::FailureAnalyzer shard_analyzer{stack.criteria, stack.sampler,
                                              shard_ao};
-      engine::ShardPlanOptions po;
-      po.shard_count = shards;
       const engine::ShardPlan plan =
-          engine::ShardPlanner::plan(spec, shard_ao, po);
+          engine::ShardPlanner::plan(spec, shard_ao, shards);
 
       const Clock::time_point c0 = Clock::now();
       const mc::FailureTable& merged =

@@ -495,9 +495,7 @@ int cmd_shard_plan(Stack& st, std::size_t count, std::size_t samples,
                    std::uint64_t table_seed) {
   const engine::TableSpec spec = shard_spec(st, table_seed);
   const mc::AnalyzerOptions ao = shard_analyzer_options(samples);
-  engine::ShardPlanOptions po;
-  po.shard_count = count;
-  const engine::ShardPlan plan = engine::ShardPlanner::plan(spec, ao, po);
+  const engine::ShardPlan plan = engine::ShardPlanner::plan(spec, ao, count);
 
   std::printf("table fingerprint %s (%zu voltages, %zu samples, seed %llu)\n",
               engine::fingerprint_hex(plan.table_fingerprint).c_str(),
@@ -535,9 +533,7 @@ int cmd_shard_build(Stack& st, std::size_t shard, std::size_t count,
                     std::size_t samples, std::uint64_t table_seed) {
   const engine::TableSpec spec = shard_spec(st, table_seed);
   const mc::AnalyzerOptions ao = shard_analyzer_options(samples);
-  engine::ShardPlanOptions po;
-  po.shard_count = count;
-  const engine::ShardPlan plan = engine::ShardPlanner::plan(spec, ao, po);
+  const engine::ShardPlan plan = engine::ShardPlanner::plan(spec, ao, count);
   if (shard >= plan.shard_count()) {
     std::fprintf(stderr, "error: shard %zu out of range (plan has %zu)\n",
                  shard, plan.shard_count());
@@ -548,7 +544,7 @@ int cmd_shard_build(Stack& st, std::size_t shard, std::size_t count,
   bool replayed = false;
   const auto t0 = std::chrono::steady_clock::now();
   const mc::FailureTable table =
-      coordinator.build_shard(plan, shard, analyzer, false, &replayed);
+      coordinator.build_shard(plan, shard, analyzer, &replayed);
   const double secs =
       std::chrono::duration<double>{std::chrono::steady_clock::now() - t0}
           .count();
@@ -566,9 +562,7 @@ int cmd_shard_merge(Stack& st, std::size_t count, std::size_t samples,
                     std::uint64_t table_seed) {
   const engine::TableSpec spec = shard_spec(st, table_seed);
   const mc::AnalyzerOptions ao = shard_analyzer_options(samples);
-  engine::ShardPlanOptions po;
-  po.shard_count = count;
-  const engine::ShardPlan plan = engine::ShardPlanner::plan(spec, ao, po);
+  const engine::ShardPlan plan = engine::ShardPlanner::plan(spec, ao, count);
   engine::ShardCoordinator coordinator{st.cache()};
   std::vector<std::size_t> missing;
   const std::optional<mc::FailureTable> merged =
@@ -584,7 +578,8 @@ int cmd_shard_merge(Stack& st, std::size_t count, std::size_t samples,
   const std::string path = st.cache().csv_path(plan.table_fingerprint);
   merged->save_csv(path, plan.table_fingerprint);
   // The round-trip guarantee: the merged artifact must re-load under its
-  // own fingerprint (strictly increasing grid, v2 header, valid rates).
+  // own fingerprint (strictly increasing grid, v3 header and column line,
+  // valid rates).
   if (!mc::FailureTable::load_csv(path, plan.table_fingerprint)) {
     std::fprintf(stderr, "error: merged CSV failed validation: %s\n",
                  path.c_str());
@@ -673,9 +668,7 @@ int cmd_fleet_build(Stack& st, std::size_t count, const std::string& workers,
 
   const engine::TableSpec spec = shard_spec(st, table_seed);
   const mc::AnalyzerOptions ao = shard_analyzer_options(samples);
-  engine::ShardPlanOptions po;
-  po.shard_count = count;
-  const engine::ShardPlan plan = engine::ShardPlanner::plan(spec, ao, po);
+  const engine::ShardPlan plan = engine::ShardPlanner::plan(spec, ao, count);
   const mc::FailureAnalyzer analyzer{st.criteria, st.sampler, ao};
   engine::ShardCoordinator local{st.cache()};
   engine::FleetCoordinator fleet{local, fo};

@@ -41,15 +41,17 @@ cleanup() {
 }
 trap cleanup EXIT
 
+# Starts one fleet worker and sets `port`; runs in the script's own shell
+# (never inside $(...)), so the pid lands in pids for the EXIT trap.
 start_worker() {
-  local cache_dir=$1 log=$2 failpoints=$3 port
+  local cache_dir=$1 log=$2 failpoints=$3
+  port=
   HYNAPSE_CACHE_DIR="${cache_dir}" HYNAPSE_FAILPOINTS="${failpoints}" \
     "${cli}" fleet-worker 0 "${samples}" "${seed}" >"${log}" 2>&1 &
   pids+=($!)
   for _ in $(seq 1 100); do
     port=$(sed -n 's/^fleet-worker listening on 127\.0\.0\.1:\([0-9][0-9]*\)$/\1/p' "${log}")
     if [[ -n "${port}" ]]; then
-      echo "${port}"
       return 0
     fi
     sleep 0.1
@@ -64,8 +66,10 @@ echo "== leg 1: fleet build with failpoints armed =="
 # failed response and fails the shard over); the coordinator additionally
 # drops one connection before sending (that worker thread retires and the
 # survivors plus the local pool absorb its work).
-p1=$(start_worker "${work}/worker1" "${work}/worker1.log" "serve.shard_crash=first:1")
-p2=$(start_worker "${work}/worker2" "${work}/worker2.log" "")
+start_worker "${work}/worker1" "${work}/worker1.log" "serve.shard_crash=first:1"
+p1=${port}
+start_worker "${work}/worker2" "${work}/worker2.log" ""
+p2=${port}
 echo "workers on ports ${p1} (shard_crash armed) and ${p2} (clean)"
 
 HYNAPSE_CACHE_DIR="${work}/fleet" \
@@ -94,6 +98,12 @@ for pid in "${pids[@]}"; do
 done
 for pid in "${pids[@]}"; do
   wait "${pid}" 2>/dev/null || true
+done
+for pid in "${pids[@]}"; do
+  if kill -0 "${pid}" 2>/dev/null; then
+    echo "error: fleet worker ${pid} still running after SIGTERM" >&2
+    exit 1
+  fi
 done
 pids=()
 

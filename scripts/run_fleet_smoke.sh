@@ -2,8 +2,10 @@
 # Fleet smoke test: start two `hynapse_cli fleet-worker` processes on
 # loopback, scatter a table build across them with `fleet-build`, build the
 # same provenance single-process, and byte-compare the two merged CSVs --
-# the distributed build must be bit-identical (docs/distributed.md). Used
-# by CI and handy after a local build.
+# the distributed build must be bit-identical (docs/distributed.md). Then
+# stop the workers (each must exit and say so) and run `fleet-build` again:
+# it must answer from the merged CSV without scattering. Used by CI and
+# handy after a local build.
 #
 # Usage: scripts/run_fleet_smoke.sh [build-dir]   (default: build/release)
 set -euo pipefail
@@ -35,16 +37,18 @@ cleanup() {
 trap cleanup EXIT
 
 # Starts one fleet worker on an ephemeral port (isolated cache dir) and
-# echoes the port it reports on stdout.
+# sets `port` to the port it reports on stdout. Runs in the script's own
+# shell (never inside $(...)), so the pid lands in worker_pids and the
+# EXIT trap can stop the worker.
 start_worker() {
-  local cache_dir=$1 log=$2 port
+  local cache_dir=$1 log=$2
+  port=
   HYNAPSE_CACHE_DIR="${cache_dir}" "${cli}" fleet-worker 0 "${samples}" \
     "${seed}" >"${log}" 2>&1 &
   worker_pids+=($!)
   for _ in $(seq 1 100); do
     port=$(sed -n 's/^fleet-worker listening on 127\.0\.0\.1:\([0-9][0-9]*\)$/\1/p' "${log}")
     if [[ -n "${port}" ]]; then
-      echo "${port}"
       return 0
     fi
     sleep 0.1
@@ -55,8 +59,10 @@ start_worker() {
 }
 
 echo "== starting 2 fleet workers on loopback =="
-p1=$(start_worker "${work}/worker1" "${work}/worker1.log")
-p2=$(start_worker "${work}/worker2" "${work}/worker2.log")
+start_worker "${work}/worker1" "${work}/worker1.log"
+p1=${port}
+start_worker "${work}/worker2" "${work}/worker2.log"
+p2=${port}
 echo "workers listening on ports ${p1} and ${p2}"
 
 echo "== fleet build: ${shards} shards over 2 workers =="
@@ -117,14 +123,43 @@ if [[ "${total_shard_builds}" -ne "${shards}" ]]; then
 fi
 echo "stats scrape OK: ${total_shard_builds}/${shards} shard builds accounted for"
 
-# Graceful worker shutdown: SIGTERM, then collect their stats lines.
+# Graceful worker shutdown: SIGTERM, then every worker must have exited
+# and printed its "stopped" line.
 for pid in "${worker_pids[@]}"; do
   kill -TERM "${pid}" 2>/dev/null || true
 done
 for pid in "${worker_pids[@]}"; do
   wait "${pid}" || true
 done
+for pid in "${worker_pids[@]}"; do
+  if kill -0 "${pid}" 2>/dev/null; then
+    echo "error: fleet worker ${pid} still running after SIGTERM" >&2
+    exit 1
+  fi
+done
 worker_pids=()
-grep -h "fleet-worker stopped" "${work}"/worker*.log || true
+for log in "${work}"/worker*.log; do
+  if ! grep "fleet-worker stopped" "${log}"; then
+    echo "error: no 'fleet-worker stopped' line in ${log}" >&2
+    exit 1
+  fi
+done
+
+# The merged CSV is now on disk: a second fleet-build of the same
+# provenance must answer from it -- no worker (they are gone), no local
+# shard build -- and leave the CSV byte for byte as it was.
+echo "== second fleet build: served from the merged CSV =="
+cp "${fleet_csv}" "${work}/first_merge.csv"
+second=$(HYNAPSE_CACHE_DIR="${work}/fleet" "${cli}" fleet-build "${shards}" \
+  --workers "127.0.0.1:${p1},127.0.0.1:${p2}" "${samples}" "${seed}")
+echo "${second}"
+if ! grep -q " 0 remote (from 0 worker(s)), 0 local fallback," <<<"${second}"; then
+  echo "error: second fleet-build scattered instead of replaying the merged CSV" >&2
+  exit 1
+fi
+if ! cmp "${fleet_csv}" "${work}/first_merge.csv"; then
+  echo "error: second fleet-build changed the merged CSV" >&2
+  exit 1
+fi
 
 echo "fleet smoke OK"

@@ -190,11 +190,12 @@ std::size_t FleetCoordinator::worker_loop(const FleetEndpoint& endpoint,
 
 const mc::FailureTable& FleetCoordinator::build(
     const ShardPlan& plan, const mc::FailureAnalyzer& analyzer) {
-  FailureTableCache& cache = local_.cache();
-  if (const mc::FailureTable* memo = cache.lookup(plan.table_fingerprint)) {
-    return *memo;
-  }
+  return local_.cache().get(plan.table_fingerprint,
+                            [&] { return produce(plan, analyzer); });
+}
 
+mc::FailureTable FleetCoordinator::produce(
+    const ShardPlan& plan, const mc::FailureAnalyzer& analyzer) {
   Scatter scatter;
   scatter.attempts.assign(plan.shard_count(), 0);
   scatter.parts.resize(plan.shard_count());
@@ -240,8 +241,7 @@ const mc::FailureTable& FleetCoordinator::build(
     }
     tables.push_back(std::move(*scatter.parts[s]));
   }
-  mc::FailureTable merged = mc::FailureTable::merge(tables);
-  return cache.put(plan.table_fingerprint, std::move(merged));
+  return mc::FailureTable::merge(tables);
 }
 
 FleetStats FleetCoordinator::stats() const {

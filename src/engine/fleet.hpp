@@ -73,11 +73,12 @@ class FleetCoordinator {
   /// it must outlive the coordinator.
   FleetCoordinator(ShardCoordinator& local, FleetOptions options);
 
-  /// Scatters the plan's shards across the workers, merges, persists and
-  /// memoizes the result in the local cache, and returns it -- the fleet
-  /// analogue of ShardCoordinator::acquire (and a memo hit short-circuits
-  /// the same way). Shards no worker produced are built locally. Call from
-  /// one thread at a time.
+  /// FailureTableCache::get of the plan's merged table on the local cache:
+  /// a memo or merged-CSV hit returns at once; otherwise the plan's shards
+  /// are scattered across the workers, shards no worker produced are built
+  /// locally, and the merge is persisted, memoized and returned -- the
+  /// fleet analogue of ShardCoordinator::acquire. Call from one thread at
+  /// a time.
   const mc::FailureTable& build(const ShardPlan& plan,
                                 const mc::FailureAnalyzer& analyzer);
 
@@ -88,7 +89,11 @@ class FleetCoordinator {
   }
 
  private:
-  struct Scatter;  ///< shared work-queue state of one build()
+  struct Scatter;  ///< shared work-queue state of one produce()
+
+  /// The producer behind build(): remote scatter, local leftovers, merge.
+  mc::FailureTable produce(const ShardPlan& plan,
+                           const mc::FailureAnalyzer& analyzer);
 
   /// Serves one worker connection until the queue is empty or the worker
   /// dies; returns the number of shards it completed.

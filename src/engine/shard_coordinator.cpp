@@ -20,78 +20,41 @@ std::uint64_t sample_count(double samples) {
 }  // namespace
 
 const mc::FailureTable& ShardCoordinator::acquire(
-    const ShardPlan& plan, const mc::FailureAnalyzer& analyzer, bool rebuild) {
-  const std::uint64_t fp = plan.table_fingerprint;
-
-  // Fast path outside the latch; memoized references stay valid until a
-  // rebuild replaces the fingerprint.
-  if (!rebuild) {
-    if (const mc::FailureTable* memoized = cache_.lookup(fp)) {
-      table_hits_.add();
-      return *memoized;
-    }
-  }
-
-  // One in-flight merge per table fingerprint. Without this latch, two
-  // concurrent same-plan callers would both merge and both put(): the
-  // second put would destroy the table the first caller just received a
-  // reference to. Coalesced callers re-check the memo and return the
-  // winner's table instead.
-  return table_flight_.run(fp, [&](bool) -> const mc::FailureTable& {
-    if (!rebuild) {
-      if (const mc::FailureTable* memoized = cache_.lookup(fp)) {
-        table_hits_.add();
-        return *memoized;
-      }
-      if (const std::string path = cache_.csv_path(fp); !path.empty()) {
-        if (auto loaded = mc::FailureTable::load_csv(path, fp)) {
-          table_hits_.add();
-          // Already persisted at this very path; memoize only.
-          return cache_.put(fp, std::move(*loaded), /*persist=*/false);
-        }
-      }
-    }
-
+    const ShardPlan& plan, const mc::FailureAnalyzer& analyzer) {
+  return cache_.get(plan.table_fingerprint, [&] {
     // Scatter: every shard is independent -- replayed from its CSV when
     // one exists, built on the pool otherwise. The outer loop fans shards
     // out; each shard build fans its (row x mechanism) jobs out underneath
     // (the pool supports nested regions), so a single-shard plan still
     // uses every thread.
-    const std::size_t total = plan.shard_count();
-    std::vector<std::optional<mc::FailureTable>> shards(total);
+    std::vector<mc::FailureTable> parts(plan.shard_count());
     util::parallel_for(
-        total,
+        parts.size(),
         [&](std::size_t s) {
-          shards[s] = obtain_shard(plan, s, analyzer, rebuild, nullptr);
+          parts[s] = obtain_shard(plan, s, analyzer, nullptr);
         },
         threads_);
-
-    std::vector<mc::FailureTable> parts;
-    parts.reserve(total);
-    for (std::optional<mc::FailureTable>& shard : shards) {
-      parts.push_back(std::move(*shard));
-    }
     mc::FailureTable merged = mc::FailureTable::merge(parts);
     count_merge(merged);
-    return cache_.put(fp, std::move(merged));
+    return merged;
   });
 }
 
 mc::FailureTable ShardCoordinator::build_shard(
     const ShardPlan& plan, std::size_t shard,
-    const mc::FailureAnalyzer& analyzer, bool rebuild, bool* replayed) {
+    const mc::FailureAnalyzer& analyzer, bool* replayed) {
   if (shard >= plan.shard_count()) {
     throw std::invalid_argument{
         "ShardCoordinator: shard " + std::to_string(shard) +
         " out of range for a " + std::to_string(plan.shard_count()) +
         "-shard plan"};
   }
-  return obtain_shard(plan, shard, analyzer, rebuild, replayed);
+  return obtain_shard(plan, shard, analyzer, replayed);
 }
 
 mc::FailureTable ShardCoordinator::obtain_shard(
     const ShardPlan& plan, std::size_t shard,
-    const mc::FailureAnalyzer& analyzer, bool rebuild, bool* replayed) {
+    const mc::FailureAnalyzer& analyzer, bool* replayed) {
   const TableShard& planned = plan.shards[shard];
   const std::string path =
       cache_.shard_csv_path(plan.table_fingerprint, shard, plan.shard_count());
@@ -101,7 +64,7 @@ mc::FailureTable ShardCoordinator::obtain_shard(
   // for the Monte-Carlo, the rest wait and replay the CSV it persisted.
   return shard_flight_.run(
       planned.fingerprint, [&](bool coalesced) -> mc::FailureTable {
-        if ((!rebuild || coalesced) && !path.empty()) {
+        if (!path.empty()) {
           if (auto loaded =
                   mc::FailureTable::load_csv(path, planned.fingerprint)) {
             count_shards(/*built=*/false, 1, *loaded);
@@ -181,7 +144,6 @@ ShardStats ShardCoordinator::stats() const {
           shards_coalesced_.value(),
           merges_.value(),
           merged_rows_.value(),
-          table_hits_.value(),
           samples_built_.value(),
           samples_replayed_.value(),
           worst_ci_half_width_.load(std::memory_order_relaxed)};

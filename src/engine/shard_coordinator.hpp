@@ -5,10 +5,11 @@
 //
 // The coordinator is the seam between "one process builds the whole table"
 // and "shards are built anywhere and meet in a cache directory": acquire()
-// is a drop-in for FailureTableCache::get that transparently prefers
-// merged-CSV hits, then shard-CSV replay, then pool-scattered builds of
-// whatever is missing. Shard builds of the same shard coalesce through a
-// util::SingleFlight keyed on the shard-extended fingerprint, mirroring the
+// is FailureTableCache::get with a sharded producer -- the cache serves
+// memo and merged-CSV hits and single-flights the table, the producer
+// replays shard CSVs and scatters pool builds of whatever is missing.
+// Shard builds of the same shard coalesce through a util::SingleFlight
+// keyed on the shard-extended fingerprint, mirroring the cache's
 // table-level single-flight one layer down.
 //
 // Determinism contract: the merged table is bit-identical to a monolithic
@@ -40,10 +41,8 @@ struct ShardStats {
   std::uint64_t shards_coalesced = 0; ///< callers that rode an in-flight shard
   std::uint64_t merges = 0;           ///< merged-table assemblies
   std::uint64_t merged_rows = 0;      ///< grid rows across all merges
-  std::uint64_t table_hits = 0;       ///< acquire() served before any shard work
-  /// CSV v3 sampling metadata aggregated over every shard that passed
-  /// through this coordinator (zero for v2-era shard CSVs, which predate
-  /// the columns): samples actually spent by local Monte-Carlo builds,
+  /// Sampling metadata aggregated over every shard that passed through
+  /// this coordinator: samples actually spent by local Monte-Carlo builds,
   /// samples recorded in replayed shard CSVs, and the worst per-row
   /// achieved CI half-width seen across all of them.
   std::uint64_t samples_built = 0;
@@ -60,19 +59,14 @@ class ShardCoordinator {
                             std::size_t threads = 0) noexcept
       : cache_{cache}, threads_{threads} {}
 
-  /// The sharded analogue of FailureTableCache::get: returns the plan's
-  /// merged table from the cache memo, else from the merged CSV, else by
-  /// replaying existing shard CSVs and scattering builds of the missing
-  /// shards onto the pool, merging, persisting and memoizing the result.
-  /// With `rebuild`, every shard is rebuilt and all artifacts rewritten --
-  /// invalidating references previously returned for the same plan (the
-  /// same caveat as FailureTableCache::get). Thread-safe; concurrent
-  /// callers of the same plan coalesce on one merge (table-level
-  /// single-flight, so a racing caller can never replace -- and free -- a
-  /// table another caller just received), and on each shard underneath.
+  /// FailureTableCache::get of the plan's merged table: from the cache memo,
+  /// else from the merged CSV, else produced by replaying existing shard
+  /// CSVs and scattering builds of the missing shards onto the pool,
+  /// merging, persisting and memoizing the result. Thread-safe; concurrent
+  /// callers of the same plan coalesce on one merge (the cache's
+  /// single-flight), and on each shard underneath.
   const mc::FailureTable& acquire(const ShardPlan& plan,
-                                  const mc::FailureAnalyzer& analyzer,
-                                  bool rebuild = false);
+                                  const mc::FailureAnalyzer& analyzer);
 
   /// Builds (or replays) ONE shard and persists its CSV -- the per-process
   /// work unit behind `hynapse_cli shard-build` and the serve layer's
@@ -80,7 +74,6 @@ class ShardCoordinator {
   /// non-null, reports whether the CSV was reused instead of built.
   mc::FailureTable build_shard(const ShardPlan& plan, std::size_t shard,
                                const mc::FailureAnalyzer& analyzer,
-                               bool rebuild = false,
                                bool* replayed = nullptr);
 
   /// Merge-only: loads every per-shard CSV of the plan (validated against
@@ -95,11 +88,11 @@ class ShardCoordinator {
   [[nodiscard]] FailureTableCache& cache() const noexcept { return cache_; }
 
  private:
-  /// Loads shard CSV if allowed, else builds; bumps counters, persists new
-  /// builds (best effort).
+  /// Loads the shard CSV if present, else builds; bumps counters, persists
+  /// new builds (best effort).
   mc::FailureTable obtain_shard(const ShardPlan& plan, std::size_t shard,
                                 const mc::FailureAnalyzer& analyzer,
-                                bool rebuild, bool* replayed);
+                                bool* replayed);
 
   /// Counts `shards` shards built here (else replayed from CSV) whose rows
   /// are `table`'s: their sampling metadata and worst CI half-width.
@@ -109,15 +102,13 @@ class ShardCoordinator {
   void count_merge(const mc::FailureTable& merged);
 
   static constexpr std::string_view kCounterNames[] = {
-      "shard.table_hits",  "shard.built",         "shard.replayed",
-      "shard.coalesced",   "shard.merges",        "shard.merged_rows",
-      "shard.samples_built", "shard.samples_replayed"};
+      "shard.built",         "shard.replayed",   "shard.coalesced",
+      "shard.merges",        "shard.merged_rows", "shard.samples_built",
+      "shard.samples_replayed"};
 
   FailureTableCache& cache_;
   std::size_t threads_;
-  util::SingleFlight table_flight_;  ///< one in-flight merge per table fp
   util::SingleFlight shard_flight_;  ///< one in-flight build per shard fp
-  obs::InstanceCounter table_hits_{"shard.table_hits", kCounterNames};
   obs::InstanceCounter shards_built_{"shard.built", kCounterNames};
   obs::InstanceCounter shards_replayed_{"shard.replayed", kCounterNames};
   obs::InstanceCounter shards_coalesced_{"shard.coalesced", kCounterNames};

@@ -21,7 +21,7 @@ std::uint64_t shard_fingerprint(std::uint64_t table_fp, std::size_t shard,
 
 ShardPlan ShardPlanner::plan(const TableSpec& spec,
                              const mc::AnalyzerOptions& opts,
-                             const ShardPlanOptions& options) {
+                             std::size_t shard_count) {
   const std::size_t n = spec.vdd_grid.size();
   if (n == 0) {
     throw std::invalid_argument{"ShardPlanner: empty voltage grid"};
@@ -37,12 +37,7 @@ ShardPlan ShardPlanner::plan(const TableSpec& spec,
     }
   }
 
-  std::size_t requested = options.shard_count;
-  if (requested == 0 && options.max_rows_per_shard != 0) {
-    requested =
-        (n + options.max_rows_per_shard - 1) / options.max_rows_per_shard;
-  }
-  const std::size_t count = clamp_shard_count(requested, n);
+  const std::size_t count = clamp_shard_count(shard_count, n);
 
   ShardPlan plan;
   plan.spec = spec;

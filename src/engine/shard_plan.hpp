@@ -53,15 +53,6 @@ struct TableShard {
   std::uint64_t fingerprint = 0;  ///< shard_fingerprint(parent, index, count)
 };
 
-struct ShardPlanOptions {
-  /// Number of shards; 0 = one shard per voltage (the finest cross-process
-  /// work unit). Clamped to the grid size.
-  std::size_t shard_count = 0;
-  /// When non-zero (and shard_count == 0), pick the smallest shard count
-  /// whose largest shard has at most this many grid rows.
-  std::size_t max_rows_per_shard = 0;
-};
-
 /// A fully resolved scatter plan for one table provenance.
 struct ShardPlan {
   TableSpec spec;
@@ -76,12 +67,14 @@ struct ShardPlan {
 
 class ShardPlanner {
  public:
-  /// Partitions spec.vdd_grid into per-voltage-sub-grid shards. Throws
-  /// std::invalid_argument on an empty or non-strictly-increasing grid
-  /// (the planner is the gatekeeper that keeps merges well-defined).
+  /// Partitions spec.vdd_grid into `shard_count` per-voltage-sub-grid
+  /// shards (clamp_shard_count: 0 = one shard per voltage, the finest
+  /// cross-process work unit). Throws std::invalid_argument on an empty or
+  /// non-strictly-increasing grid (the planner is the gatekeeper that keeps
+  /// merges well-defined).
   [[nodiscard]] static ShardPlan plan(const TableSpec& spec,
                                       const mc::AnalyzerOptions& opts,
-                                      const ShardPlanOptions& options = {});
+                                      std::size_t shard_count = 0);
 };
 
 }  // namespace hynapse::engine

@@ -390,7 +390,8 @@ const mc::FailureTable& FailureTableCache::put(std::uint64_t fingerprint,
   return *stored;
 }
 
-const mc::FailureTable* FailureTableCache::lookup(std::uint64_t fingerprint) {
+const mc::FailureTable* FailureTableCache::memoized(
+    std::uint64_t fingerprint) {
   const std::scoped_lock lock{mutex_};
   const auto it = tables_.find(fingerprint);
   if (it == tables_.end() || !it->second) return nullptr;
@@ -409,22 +410,21 @@ bool FailureTableCache::in_memory(std::uint64_t fingerprint) const {
   return it != tables_.end() && it->second != nullptr;
 }
 
-const mc::FailureTable& FailureTableCache::get(
-    const TableSpec& spec, const mc::FailureAnalyzer& analyzer, bool rebuild,
-    TableSource* source) {
-  const std::uint64_t fp = table_fingerprint(spec, analyzer.options());
-
+const mc::FailureTable& FailureTableCache::get(std::uint64_t fp,
+                                               const Producer& produce,
+                                               bool rebuild,
+                                               TableSource* source) {
   // Fast path: already memoized. Map references survive rehashing, so the
   // returned table stays valid until a rebuild replaces this fingerprint.
   if (!rebuild) {
-    if (const mc::FailureTable* memoized = lookup(fp)) {
+    if (const mc::FailureTable* memo = memoized(fp)) {
       if (source != nullptr) *source = TableSource::memory;
-      return *memoized;
+      return *memo;
     }
   }
 
-  // Slow path: one in-flight load/build per fingerprint; racing callers of
-  // the same table wait here and then hit the memo re-check below.
+  // Slow path: one in-flight load/produce per fingerprint; racing callers
+  // of the same table wait here and then hit the memo re-check below.
   return flight_.run(fp, [&](bool coalesced) -> const mc::FailureTable& {
     // Reports where the table came from; a caller that waited out another
     // caller's flight also counts as coalesced.
@@ -433,9 +433,9 @@ const mc::FailureTable& FailureTableCache::get(
       if (source != nullptr) *source = from;
     };
     if (!rebuild) {
-      if (const mc::FailureTable* memoized = lookup(fp)) {
+      if (const mc::FailureTable* memo = memoized(fp)) {
         settle(TableSource::memory);
-        return *memoized;
+        return *memo;
       }
       if (const std::string path = csv_path(fp); !path.empty()) {
         if (auto loaded = mc::FailureTable::load_csv(path, fp)) {
@@ -446,15 +446,24 @@ const mc::FailureTable& FailureTableCache::get(
       }
     }
 
-    mc::FailureTable table =
-        mc::FailureTable::build(analyzer, spec.vdd_grid, spec.seed);
+    mc::FailureTable table = produce();
     builds_.add();
     settle(TableSource::built);
     // put() memoizes before persisting: a save failure (unwritable cache
     // dir, full disk) must not discard minutes of Monte-Carlo work -- it
     // only costs the disk cache.
-    return put(fp, std::move(table));
+    return put(fp, std::move(table), /*persist=*/true);
   });
+}
+
+const mc::FailureTable& FailureTableCache::get(
+    const TableSpec& spec, const mc::FailureAnalyzer& analyzer, bool rebuild,
+    TableSource* source) {
+  const auto build = [&] {
+    return mc::FailureTable::build(analyzer, spec.vdd_grid, spec.seed);
+  };
+  return get(table_fingerprint(spec, analyzer.options()), build, rebuild,
+             source);
 }
 
 }  // namespace hynapse::engine

@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -57,8 +58,9 @@ struct TableSpec {
 enum class TableSource { memory, disk, built };
 
 /// Running counters over a cache's lifetime (one get() bumps exactly one of
-/// the first three; `coalesced` additionally counts callers that piggybacked
-/// on another caller's in-flight load/build instead of paying for their own).
+/// the first three -- `builds` counts producer runs, whatever the producer;
+/// `coalesced` additionally counts callers that piggybacked on another
+/// caller's in-flight load/build instead of paying for their own).
 /// Each count also feeds the registry counter "cache.<field>", summed over
 /// every cache in the process.
 struct CacheStats {
@@ -71,7 +73,7 @@ struct CacheStats {
 /// One persisted failure-table CSV as found on disk by list_cached_tables.
 struct CachedTableInfo {
   std::string path;
-  std::uint64_t fingerprint = 0;  ///< parsed from the v2 header (0 if absent)
+  std::uint64_t fingerprint = 0;  ///< parsed from the header (0 if absent)
   std::uintmax_t bytes = 0;
   std::size_t rows = 0;  ///< 0 when the file fails validation
   bool valid = false;    ///< load_csv accepted the file
@@ -143,18 +145,30 @@ class FailureTableCache {
   /// string for a purely in-memory cache.
   explicit FailureTableCache(std::string dir);
 
-  /// Returns the table for (spec, analyzer.options()): from memory, else
-  /// from a fingerprint-matching CSV in the cache directory, else by
-  /// running `analyzer` over the grid (persisting the result). With
-  /// `rebuild` set, disk and memory are bypassed and the fresh table
-  /// overwrites both -- invalidating references previously returned for the
-  /// same fingerprint; otherwise references stay valid for the cache's
-  /// lifetime. `source`, when non-null, reports which of the three
-  /// happened. Thread-safe; concurrent callers of the same table coalesce
-  /// onto one load/build (single-flight keyed on the fingerprint), and
-  /// callers of different tables build concurrently. A freshly built table
-  /// is memoized even when persisting its CSV fails (warning to stderr) --
-  /// an unwritable cache directory only costs the disk cache.
+  /// Produces the table of a fingerprint on a miss: FailureTable::build,
+  /// a ShardCoordinator scatter, a FleetCoordinator scatter.
+  using Producer = std::function<mc::FailureTable()>;
+
+  /// Returns the table for `fp`: from memory, else from a fingerprint-
+  /// matching CSV in the cache directory, else by running `produce`
+  /// (persisting the result). With `rebuild` set, disk and memory are
+  /// bypassed and the fresh table overwrites both -- invalidating
+  /// references previously returned for the same fingerprint; otherwise
+  /// references stay valid for the cache's lifetime. `source`, when
+  /// non-null, reports which of the three happened. Thread-safe; concurrent
+  /// callers of the same table coalesce onto one load/produce (single-flight
+  /// keyed on the fingerprint, so a racing caller can never replace -- and
+  /// free -- a table another caller just received), and callers of
+  /// different tables produce concurrently. A produced table is memoized
+  /// even when persisting its CSV fails (warning to stderr) -- an
+  /// unwritable cache directory only costs the disk cache. An exception
+  /// from `produce` propagates and memoizes nothing.
+  const mc::FailureTable& get(std::uint64_t fp, const Producer& produce,
+                              bool rebuild = false,
+                              TableSource* source = nullptr);
+
+  /// get() of the table for (spec, analyzer.options()), produced by running
+  /// `analyzer` over the grid (FailureTable::build).
   const mc::FailureTable& get(const TableSpec& spec,
                               const mc::FailureAnalyzer& analyzer,
                               bool rebuild = false,
@@ -172,18 +186,6 @@ class FailureTableCache {
                                            std::size_t shard,
                                            std::size_t shard_count) const;
 
-  /// Memoizes an externally produced table (a ShardCoordinator merge, a CSV
-  /// replayed from another process) under `fingerprint`, replacing any
-  /// previous entry for it, and persists its CSV when `persist` is set
-  /// (best effort, like get()). Returns the memoized table; the reference
-  /// stays valid until the fingerprint is replaced again.
-  const mc::FailureTable& put(std::uint64_t fingerprint,
-                              mc::FailureTable table, bool persist = true);
-
-  /// The memoized table for a fingerprint, or nullptr (no disk probe, no
-  /// build; counts as a memory hit only when found).
-  [[nodiscard]] const mc::FailureTable* lookup(std::uint64_t fingerprint);
-
   /// The cache directory ("" when in-memory).
   [[nodiscard]] const std::string& dir() const noexcept { return dir_; }
 
@@ -194,6 +196,15 @@ class FailureTableCache {
   [[nodiscard]] bool in_memory(std::uint64_t fingerprint) const;
 
  private:
+  /// The memoized table for a fingerprint, or nullptr; counts a memory hit
+  /// when found.
+  [[nodiscard]] const mc::FailureTable* memoized(std::uint64_t fingerprint);
+
+  /// Memoizes `table` under `fingerprint`, replacing any previous entry,
+  /// and persists its CSV when `persist` is set (best effort).
+  const mc::FailureTable& put(std::uint64_t fingerprint,
+                              mc::FailureTable table, bool persist);
+
   static constexpr std::string_view kCounterNames[] = {
       "cache.memory_hits", "cache.disk_hits", "cache.builds",
       "cache.coalesced"};

@@ -27,68 +27,12 @@ double interp_prob(double p_lo, double p_hi, double t) {
 }
 
 // CSV format v3: first line "# hynapse-failure-table v3 fp=<hex64>",
-// second line the column header, then one row per grid point. v3 adds the
-// `samples`/`ci_half_width` sampling-metadata columns and permits the
-// column line to reorder its fields (the loader maps by name); v2 files
-// (fixed column order, no metadata) still load with zeroed metadata.
-constexpr std::string_view kCsvMagicV3 = "# hynapse-failure-table v3 fp=";
-constexpr std::string_view kCsvMagicV2 = "# hynapse-failure-table v2 fp=";
-constexpr std::string_view kCsvColumnsV2 = "vdd,ra6,wr6,rd6,ra8,wr8,rd8";
-constexpr std::string_view kCsvColumnsV3 =
+// second line the column header, then one row per grid point in columns()
+// order. Earlier versions never match a requested fingerprint (the
+// fingerprint hashes the format version), so only this layout loads.
+constexpr std::string_view kCsvMagic = "# hynapse-failure-table v3 fp=";
+constexpr std::string_view kCsvColumns =
     "vdd,ra6,wr6,rd6,ra8,wr8,rd8,samples,ci_half_width";
-
-/// Canonical v3 column names, indexing the per-row field table below.
-constexpr std::string_view kColumnNames[] = {
-    "vdd", "ra6", "wr6", "rd6", "ra8", "wr8", "rd8", "samples",
-    "ci_half_width"};
-constexpr std::size_t kColumnCount =
-    sizeof(kColumnNames) / sizeof(kColumnNames[0]);
-constexpr std::size_t kBaseColumnCount = 7;  // vdd + the six rates
-
-double* row_field(FailureTableRow& r, std::size_t column) {
-  switch (column) {
-    case 0: return &r.vdd;
-    case 1: return &r.cell6.read_access;
-    case 2: return &r.cell6.write_fail;
-    case 3: return &r.cell6.read_disturb;
-    case 4: return &r.cell8.read_access;
-    case 5: return &r.cell8.write_fail;
-    case 6: return &r.cell8.read_disturb;
-    case 7: return &r.samples;
-    case 8: return &r.ci_half_width;
-    default: return nullptr;
-  }
-}
-
-/// Maps a v3 column-header line to canonical column indices. Rejects
-/// unknown or duplicate names and requires every base column; the metadata
-/// columns are optional (a tool may strip them). nullopt = malformed.
-std::optional<std::vector<std::size_t>> parse_column_order(
-    const std::string& line) {
-  std::vector<std::size_t> order;
-  bool seen[kColumnCount] = {};
-  std::size_t start = 0;
-  while (start <= line.size()) {
-    const std::size_t comma = line.find(',', start);
-    const std::string_view name =
-        std::string_view{line}.substr(start, comma == std::string::npos
-                                                 ? std::string::npos
-                                                 : comma - start);
-    std::size_t idx = kColumnCount;
-    for (std::size_t i = 0; i < kColumnCount; ++i) {
-      if (name == kColumnNames[i]) idx = i;
-    }
-    if (idx == kColumnCount || seen[idx]) return std::nullopt;
-    seen[idx] = true;
-    order.push_back(idx);
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  for (std::size_t i = 0; i < kBaseColumnCount; ++i) {
-    if (!seen[i]) return std::nullopt;
-  }
-  return order;
-}
 
 bool valid_rate(double p) {
   return std::isfinite(p) && p >= 0.0 && p <= 1.0;
@@ -262,14 +206,14 @@ void FailureTable::save_csv(const std::string& path,
   {
     std::ofstream out{tmp, std::ios::trunc};
     if (!out) throw std::runtime_error{"FailureTable: cannot open " + tmp};
-    out << kCsvMagicV3 << std::hex << fingerprint << std::dec << '\n';
-    out << kCsvColumnsV3 << '\n';
+    out << kCsvMagic << std::hex << fingerprint << std::dec << '\n';
+    out << kCsvColumns << '\n';
     out.precision(17);  // exact double round-trip
-    for (const auto& r : rows_) {
-      out << r.vdd << ',' << r.cell6.read_access << ',' << r.cell6.write_fail
-          << ',' << r.cell6.read_disturb << ',' << r.cell8.read_access << ','
-          << r.cell8.write_fail << ',' << r.cell8.read_disturb << ','
-          << r.samples << ',' << r.ci_half_width << '\n';
+    for (const FailureTableRow& r : rows_) {
+      const auto fields = columns(r);
+      out << *fields[0];
+      for (std::size_t f = 1; f < fields.size(); ++f) out << ',' << *fields[f];
+      out << '\n';
     }
     out.flush();
     if (!out) {
@@ -296,21 +240,12 @@ std::optional<FailureTable> FailureTable::load_csv(
   if (!in) return std::nullopt;
   std::string line;
 
-  // Version/fingerprint header. v3 is current; v2 (no sampling-metadata
-  // columns) still loads with zeroed metadata.
-  if (!std::getline(in, line)) return std::nullopt;
-  bool v3 = true;
-  std::string_view magic = kCsvMagicV3;
-  if (line.rfind(kCsvMagicV3, 0) != 0) {
-    if (line.rfind(kCsvMagicV2, 0) != 0) {
-      return std::nullopt;  // missing or pre-v2 header: treat as stale
-    }
-    v3 = false;
-    magic = kCsvMagicV2;
+  if (!std::getline(in, line) || line.rfind(kCsvMagic, 0) != 0) {
+    return std::nullopt;  // missing or old header: treat as stale
   }
   std::uint64_t file_fp = 0;
   {
-    std::istringstream fp{line.substr(magic.size())};
+    std::istringstream fp{line.substr(kCsvMagic.size())};
     fp >> std::hex >> file_fp;
     if (fp.fail()) return std::nullopt;
   }
@@ -318,31 +253,20 @@ std::optional<FailureTable> FailureTable::load_csv(
   if (expected_fingerprint != 0 && file_fp != expected_fingerprint) {
     return std::nullopt;  // a different table (grid/options/seed changed)
   }
-
-  // Column line: v2 is the fixed legacy order; v3 names its columns and may
-  // reorder them (the loader maps by name).
-  if (!std::getline(in, line)) return std::nullopt;
-  std::vector<std::size_t> order;
-  if (v3) {
-    std::optional<std::vector<std::size_t>> parsed = parse_column_order(line);
-    if (!parsed) return std::nullopt;
-    order = std::move(*parsed);
-  } else {
-    if (line != kCsvColumnsV2) return std::nullopt;
-    order = {0, 1, 2, 3, 4, 5, 6};
-  }
+  if (!std::getline(in, line) || line != kCsvColumns) return std::nullopt;
 
   std::vector<FailureTableRow> rows;
   while (std::getline(in, line)) {
     if (line.empty()) continue;
     std::istringstream ss{line};
     FailureTableRow r;
-    for (std::size_t f = 0; f < order.size(); ++f) {
+    const auto fields = columns(r);
+    for (std::size_t f = 0; f < fields.size(); ++f) {
       if (f > 0) {
         char comma = 0;
         if (!(ss >> comma) || comma != ',') return std::nullopt;
       }
-      if (!(ss >> *row_field(r, order[f]))) return std::nullopt;
+      if (!(ss >> *fields[f])) return std::nullopt;
     }
     if (!(ss >> std::ws).eof()) return std::nullopt;
     if (!std::isfinite(r.vdd) || r.vdd <= 0.0) return std::nullopt;

@@ -4,9 +4,12 @@
 // are fed to an ANN functional simulator", Section V).
 #pragma once
 
+#include <array>
+#include <concepts>
 #include <optional>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -29,14 +32,31 @@ struct FailureTableRow {
   double vdd = 0.0;
   BitcellFailureRates cell6;
   BitcellFailureRates cell8;
-  /// CSV v3 sampling metadata: total MC + IS samples spent across this
-  /// row's five estimates, and the worst (largest) CI half-width among
-  /// them. Zero when loaded from a v2 CSV (which predates the columns).
-  /// Stored as doubles so the CSV and wire codecs stay all-numeric; real
-  /// counts are far below 2^53, so the round trip is exact.
+  /// Sampling metadata: total MC + IS samples spent across this row's five
+  /// estimates, and the worst (largest) CI half-width among them. Stored
+  /// as doubles so the CSV and wire codecs stay all-numeric; real counts
+  /// are far below 2^53, so the round trip is exact.
   double samples = 0.0;
   double ci_half_width = 0.0;
 };
+
+/// A row's fields in column order -- vdd, ra6, wr6, rd6, ra8, wr8, rd8,
+/// samples, ci_half_width -- as pointers (to const for a const row). The
+/// one column order of the CSV (FailureTable::save_csv / load_csv) and of
+/// the serve wire's inline shard rows.
+template <class Row>
+  requires std::same_as<std::remove_const_t<Row>, FailureTableRow>
+[[nodiscard]] auto columns(Row& r) noexcept {
+  return std::array{&r.vdd,
+                    &r.cell6.read_access,
+                    &r.cell6.write_fail,
+                    &r.cell6.read_disturb,
+                    &r.cell8.read_access,
+                    &r.cell8.write_fail,
+                    &r.cell8.read_disturb,
+                    &r.samples,
+                    &r.ci_half_width};
+}
 
 /// Contiguous near-equal partition of [0, n) into `shard_count` slices:
 /// the [begin, end) row range of shard `shard`. This is THE partition used
@@ -89,8 +109,7 @@ class FailureTable {
     return rows_;
   }
 
-  /// Sum of the rows' sampling costs -- what the adaptive sampler reduces
-  /// (0 when every row came from a v2 CSV).
+  /// Sum of the rows' sampling costs -- what the adaptive sampler reduces.
   [[nodiscard]] double total_samples() const noexcept;
   /// Worst per-row achieved CI half-width across the table.
   [[nodiscard]] double max_ci_half_width() const noexcept;
@@ -98,13 +117,15 @@ class FailureTable {
   /// CSV round-trip so expensive tables can be cached between bench runs.
   ///
   /// The file starts with a format-version header that embeds `fingerprint`
-  /// (a provenance hash -- see engine::table_fingerprint). load_csv rejects
-  /// files with a missing/old header, a fingerprint differing from
-  /// `expected_fingerprint` (when non-zero), or malformed rows, so a stale
-  /// or foreign cache file can never be silently mistaken for the requested
-  /// table. Data rows must form a strictly increasing vdd grid: duplicate
-  /// or out-of-order voltages are rejected (a doctored or double-merged
-  /// shard CSV would otherwise corrupt later merges and interpolation).
+  /// (a provenance hash -- see engine::table_fingerprint), then the column
+  /// line, then one row per grid point in columns() order. load_csv rejects
+  /// files with a missing/old header, a column line other than the exact
+  /// current one, a fingerprint differing from `expected_fingerprint` (when
+  /// non-zero), or malformed rows, so a stale or foreign cache file can
+  /// never be silently mistaken for the requested table. Data rows must
+  /// form a strictly increasing vdd grid: duplicate or out-of-order
+  /// voltages are rejected (a doctored or double-merged shard CSV would
+  /// otherwise corrupt later merges and interpolation).
   /// `file_fingerprint`, when non-null, receives the header's
   /// fingerprint as soon as it parses -- even if validation fails later
   /// (0 when the header itself is missing/unreadable).

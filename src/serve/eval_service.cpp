@@ -192,10 +192,9 @@ std::uint64_t EvalService::fingerprint(const Request& request) const {
 }
 
 engine::ShardPlan EvalService::shard_plan(const Request& request) const {
-  engine::ShardPlanOptions opts;
-  opts.shard_count = std::max<std::size_t>(request.shard_count, 1);
-  return engine::ShardPlanner::plan(table_spec(request),
-                                    analyzer_options(request), opts);
+  return engine::ShardPlanner::plan(
+      table_spec(request), analyzer_options(request),
+      std::max<std::size_t>(request.shard_count, 1));
 }
 
 std::uint64_t EvalService::enqueue_locked(
@@ -726,7 +725,7 @@ void EvalService::answer_table_shard(const std::vector<SlotPtr>& batch) {
   const Clock::time_point t0 = Clock::now();
   bool replayed = false;
   const mc::FailureTable shard =
-      coordinator_.build_shard(plan, req.shard, analyzer, false, &replayed);
+      coordinator_.build_shard(plan, req.shard, analyzer, &replayed);
   const double table_ms = ms_between(t0, Clock::now());
 
   const engine::TableShard& planned = plan.shards[req.shard];

@@ -114,22 +114,6 @@ concept Is = std::same_as<std::remove_const_t<U>, T>;
 template <class T>
 concept Integer = std::integral<T> && !std::same_as<T, bool>;
 
-/// [vdd, ra6, wf6, rd6, ra8, wf8, rd8, samples, ci_half_width]: a shard row
-/// on the wire; doubles travel as %.17g so a remote merge is bit-identical
-/// to a local one (including the CSV v3 metadata columns).
-template <class Row>
-auto columns(Row& r) {
-  return std::array{&r.vdd,
-                    &r.cell6.read_access,
-                    &r.cell6.write_fail,
-                    &r.cell6.read_disturb,
-                    &r.cell8.read_access,
-                    &r.cell8.write_fail,
-                    &r.cell8.read_disturb,
-                    &r.samples,
-                    &r.ci_half_width};
-}
-
 void fields(Is<Request> auto& r, auto& f) {
   const bool grid =
       r.kind == RequestKind::evaluate || r.kind == RequestKind::sweep;
@@ -250,8 +234,7 @@ void fields(Is<Response> auto& r, auto& f) {
     g.field({"in_memory"}, r.table_in_memory);
   });
   f.object({"shard", r.shard_count != 0}, [&](auto& g) {
-    // Achieved sampling cost/precision of the artifact (CSV v3 metadata;
-    // omitted for v2-era shards, which predate the columns).
+    // Achieved sampling cost/precision of the artifact (omitted when zero).
     const bool metadata = r.shard_samples > 0.0;
     g.field({.name = "index", .required = true}, r.shard_index);
     g.field({.name = "count", .required = true}, r.shard_count);
@@ -345,9 +328,11 @@ class Writer {
   static Json encode(E v) {
     return name_of(v);
   }
+  /// A shard row travels as its mc::columns() in order; doubles travel as
+  /// %.17g, so a remote merge is bit-identical to a local one.
   static Json encode(const mc::FailureTableRow& row) {
     Json j = Json::array();
-    for (const double* column : columns(row)) j.push_back(*column);
+    for (const double* column : mc::columns(row)) j.push_back(*column);
     return j;
   }
   static Json encode(const std::pair<std::uint32_t, std::uint64_t>& bucket) {
@@ -534,12 +519,11 @@ class Reader {
     return true;
   }
   bool decode(const Json& v, mc::FailureTableRow& row) {
-    const auto cols = columns(row);
-    // 9 entries since the CSV v3 metadata columns; 7 accepted for responses
-    // from pre-v3 servers (metadata stays zero).
-    const std::size_t n = v.is_array() ? v.items().size() : 0;
-    if (n != cols.size() && n != 7) return fail_must("rows of 9 numbers");
-    for (std::size_t i = 0; i < n; ++i) {
+    const auto cols = mc::columns(row);
+    if (!v.is_array() || v.items().size() != cols.size()) {
+      return fail_must("rows of 9 numbers");
+    }
+    for (std::size_t i = 0; i < cols.size(); ++i) {
       if (!decode(v.items()[i], *cols[i])) return false;
     }
     return true;

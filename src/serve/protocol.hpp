@@ -244,8 +244,7 @@ struct Response {
   std::size_t shard_count = 0;           ///< 0 for non-shard responses
   std::uint64_t shard_fingerprint = 0;   ///< shard-extended provenance
   /// Achieved sampling metadata of the shard artifact: total samples spent
-  /// across its rows and the worst per-row CI half-width (0 when the shard
-  /// came from a v2-era CSV without the columns).
+  /// across its rows and the worst per-row CI half-width.
   double shard_samples = 0.0;
   double shard_ci_half_width = 0.0;
   /// Inline shard rows (Request::inline_rows); round-trips bit-exactly.

@@ -357,79 +357,84 @@ TEST_F(TableCacheTest, LoadRejectsLegacyAndCorruptFiles) {
     out << body;
     return path;
   };
+  // The current header and column line: every row case below fails at its
+  // row check, not at the header (the control file loads).
+  const std::string v3 =
+      "# hynapse-failure-table v3 fp=0\n"
+      "vdd,ra6,wr6,rd6,ra8,wr8,rd8,samples,ci_half_width\n";
+  EXPECT_TRUE(mc::FailureTable::load_csv(
+                  write("control.csv",
+                        v3 + "0.65,0.01,0.005,0.0005,1e-6,1e-6,0,1000,0.001\n"))
+                  .has_value());
   // Pre-v2 file without the version header (the old cache format).
   EXPECT_FALSE(mc::FailureTable::load_csv(
                    write("legacy.csv",
                          "vdd,ra6,wr6,rd6,ra8,wr8,rd8\n"
                          "0.65,0.01,0.005,0.0005,1e-6,1e-6,0\n"))
                    .has_value());
-  // Truncated row.
+  // A well-formed v2 file: no requested fingerprint can name it (the
+  // fingerprint hashes format version 3), so the v2 layout no longer loads.
   EXPECT_FALSE(mc::FailureTable::load_csv(
-                   write("short.csv",
+                   write("v2.csv",
                          "# hynapse-failure-table v2 fp=0\n"
                          "vdd,ra6,wr6,rd6,ra8,wr8,rd8\n"
-                         "0.65,0.01,0.005\n"))
+                         "0.65,0.01,0.005,0.0005,1e-6,1e-6,0\n"))
+                   .has_value());
+  // Truncated row.
+  EXPECT_FALSE(mc::FailureTable::load_csv(
+                   write("short.csv", v3 + "0.65,0.01,0.005\n"))
+                   .has_value());
+  // A 7-number row (the v2 row shape) under the v3 column line.
+  EXPECT_FALSE(mc::FailureTable::load_csv(
+                   write("seven.csv",
+                         v3 + "0.65,0.01,0.005,0.0005,1e-6,1e-6,0\n"))
                    .has_value());
   // Non-numeric field.
   EXPECT_FALSE(mc::FailureTable::load_csv(
                    write("garbage.csv",
-                         "# hynapse-failure-table v2 fp=0\n"
-                         "vdd,ra6,wr6,rd6,ra8,wr8,rd8\n"
-                         "0.65,abc,0.005,0.0005,1e-6,1e-6,0\n"))
+                         v3 + "0.65,abc,0.005,0.0005,1e-6,1e-6,0,1000,0.001\n"))
                    .has_value());
   // Out-of-range probability.
   EXPECT_FALSE(mc::FailureTable::load_csv(
                    write("range.csv",
-                         "# hynapse-failure-table v2 fp=0\n"
-                         "vdd,ra6,wr6,rd6,ra8,wr8,rd8\n"
-                         "0.65,1.5,0.005,0.0005,1e-6,1e-6,0\n"))
+                         v3 + "0.65,1.5,0.005,0.0005,1e-6,1e-6,0,1000,0.001\n"))
                    .has_value());
   // Trailing garbage after a valid row.
-  EXPECT_FALSE(mc::FailureTable::load_csv(
-                   write("trailing.csv",
-                         "# hynapse-failure-table v2 fp=0\n"
-                         "vdd,ra6,wr6,rd6,ra8,wr8,rd8\n"
-                         "0.65,0.01,0.005,0.0005,1e-6,1e-6,0,extra\n"))
-                   .has_value());
+  EXPECT_FALSE(
+      mc::FailureTable::load_csv(
+          write("trailing.csv",
+                v3 + "0.65,0.01,0.005,0.0005,1e-6,1e-6,0,1000,0.001,extra\n"))
+          .has_value());
   // No data rows.
-  EXPECT_FALSE(mc::FailureTable::load_csv(
-                   write("empty.csv",
-                         "# hynapse-failure-table v2 fp=0\n"
-                         "vdd,ra6,wr6,rd6,ra8,wr8,rd8\n"))
-                   .has_value());
+  EXPECT_FALSE(
+      mc::FailureTable::load_csv(write("empty.csv", v3)).has_value());
   // NaN rate (whether the parser reads "nan" or chokes on it, the row must
   // be rejected -- a NaN would poison every interpolation downstream).
   EXPECT_FALSE(mc::FailureTable::load_csv(
                    write("nan.csv",
-                         "# hynapse-failure-table v2 fp=0\n"
-                         "vdd,ra6,wr6,rd6,ra8,wr8,rd8\n"
-                         "0.65,nan,0.005,0.0005,1e-6,1e-6,0\n"))
+                         v3 + "0.65,nan,0.005,0.0005,1e-6,1e-6,0,1000,0.001\n"))
                    .has_value());
-  // Reordered columns: the header must match the v2 layout exactly, or the
-  // fields would silently land in the wrong mechanisms.
+  // Reordered columns: the column line must match exactly, or the fields
+  // would silently land in the wrong mechanisms.
   EXPECT_FALSE(mc::FailureTable::load_csv(
                    write("reordered.csv",
-                         "# hynapse-failure-table v2 fp=0\n"
-                         "vdd,wr6,ra6,rd6,ra8,wr8,rd8\n"
-                         "0.65,0.01,0.005,0.0005,1e-6,1e-6,0\n"))
+                         "# hynapse-failure-table v3 fp=0\n"
+                         "vdd,wr6,ra6,rd6,ra8,wr8,rd8,samples,ci_half_width\n"
+                         "0.65,0.01,0.005,0.0005,1e-6,1e-6,0,1000,0.001\n"))
                    .has_value());
   // Duplicate-vdd rows: would corrupt a shard merge (the same grid point
   // contributed twice) -- previously accepted silently.
   EXPECT_FALSE(mc::FailureTable::load_csv(
                    write("dup.csv",
-                         "# hynapse-failure-table v2 fp=0\n"
-                         "vdd,ra6,wr6,rd6,ra8,wr8,rd8\n"
-                         "0.65,0.01,0.005,0.0005,1e-6,1e-6,0\n"
-                         "0.65,0.02,0.005,0.0005,1e-6,1e-6,0\n"))
+                         v3 + "0.65,0.01,0.005,0.0005,1e-6,1e-6,0,1000,0.001\n"
+                         "0.65,0.02,0.005,0.0005,1e-6,1e-6,0,1000,0.001\n"))
                    .has_value());
   // Non-monotonic grid: save_csv always writes ascending vdd, so an
   // out-of-order file is tampered or mis-assembled.
   EXPECT_FALSE(mc::FailureTable::load_csv(
                    write("unsorted.csv",
-                         "# hynapse-failure-table v2 fp=0\n"
-                         "vdd,ra6,wr6,rd6,ra8,wr8,rd8\n"
-                         "0.75,0.01,0.005,0.0005,1e-6,1e-6,0\n"
-                         "0.65,0.02,0.005,0.0005,1e-6,1e-6,0\n"))
+                         v3 + "0.75,0.01,0.005,0.0005,1e-6,1e-6,0,1000,0.001\n"
+                         "0.65,0.02,0.005,0.0005,1e-6,1e-6,0,1000,0.001\n"))
                    .has_value());
 }
 
@@ -545,8 +550,8 @@ TEST_F(TableCacheTest, CacheBuildsOnceThenServesFromDisk) {
 }
 
 TEST_F(TableCacheTest, FailedSaveKeepsTheMemo) {
-  // `cache.write_fail` fails every save: both get()'s build and put() must
-  // still memoize; only the CSV is lost.
+  // `cache.write_fail` fails every save: both the analyzer build and a
+  // get(fingerprint, produce) must still memoize; only the CSV is lost.
   struct Disarm {
     ~Disarm() { util::FaultInjector::instance().reset(); }
   } disarm;
@@ -569,9 +574,10 @@ TEST_F(TableCacheTest, FailedSaveKeepsTheMemo) {
   EXPECT_EQ(&cache.get(spec, analyzer, false, &source), &built);
   EXPECT_EQ(source, TableSource::memory);
 
-  const mc::FailureTable& put =
-      cache.put(fp + 1, testing::flat_table(0.1, 0.1, 0.1));
-  EXPECT_EQ(cache.lookup(fp + 1), &put);
+  const auto flat = [] { return testing::flat_table(0.1, 0.1, 0.1); };
+  const mc::FailureTable& produced = cache.get(fp + 1, flat);
+  EXPECT_EQ(&cache.get(fp + 1, flat, false, &source), &produced);
+  EXPECT_EQ(source, TableSource::memory);
   EXPECT_FALSE(std::filesystem::exists(cache.csv_path(fp + 1)));
   EXPECT_EQ(inject.fired("cache.write_fail"), 2u);
 }

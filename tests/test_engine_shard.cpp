@@ -111,9 +111,7 @@ TEST_F(ShardTest, PlannerPartitionsAndClamps) {
 
   // Explicit count: contiguous cover of the grid, shard fingerprints chain
   // off the parent.
-  ShardPlanOptions po;
-  po.shard_count = 2;
-  const ShardPlan two = ShardPlanner::plan(s, ao, po);
+  const ShardPlan two = ShardPlanner::plan(s, ao, 2);
   ASSERT_EQ(two.shard_count(), 2u);
   std::vector<double> reassembled;
   for (const TableShard& shard : two.shards) {
@@ -126,17 +124,7 @@ TEST_F(ShardTest, PlannerPartitionsAndClamps) {
   EXPECT_EQ(reassembled, s.vdd_grid);
 
   // Oversharded: clamped to the grid size.
-  po.shard_count = 100;
-  EXPECT_EQ(ShardPlanner::plan(s, ao, po).shard_count(), s.vdd_grid.size());
-
-  // max_rows_per_shard: smallest count whose shards stay under the cap.
-  po.shard_count = 0;
-  po.max_rows_per_shard = 2;
-  const ShardPlan capped = ShardPlanner::plan(s, ao, po);
-  EXPECT_EQ(capped.shard_count(), 3u);  // ceil(5 / 2)
-  for (const TableShard& shard : capped.shards) {
-    EXPECT_LE(shard.vdd_grid.size(), 2u);
-  }
+  EXPECT_EQ(ShardPlanner::plan(s, ao, 100).shard_count(), s.vdd_grid.size());
 }
 
 TEST_F(ShardTest, PlannerRejectsDegenerateGrids) {
@@ -198,9 +186,7 @@ TEST_F(ShardTest, MergedShardsBitIdenticalToMonolithicAcrossMatrix) {
       const testing::RegistryBaseline registry;
       FailureTableCache cache{""};
       ShardCoordinator coordinator{cache, threads};
-      ShardPlanOptions po;
-      po.shard_count = shards;
-      const ShardPlan plan = ShardPlanner::plan(s, fast_opts(threads), po);
+      const ShardPlan plan = ShardPlanner::plan(s, fast_opts(threads), shards);
       const mc::FailureTable& merged =
           coordinator.acquire(plan, analyzer(threads));
       SCOPED_TRACE("shards=" + std::to_string(shards) +
@@ -226,13 +212,11 @@ TEST_F(ShardTest, BuildShardMatchesMonolithicSliceAndPersists) {
   const testing::RegistryBaseline registry;
   FailureTableCache cache{dir_};
   ShardCoordinator coordinator{cache};
-  ShardPlanOptions po;
-  po.shard_count = 2;
-  const ShardPlan plan = ShardPlanner::plan(s, fast_opts(), po);
+  const ShardPlan plan = ShardPlanner::plan(s, fast_opts(), 2);
 
   bool replayed = true;
   const mc::FailureTable shard1 =
-      coordinator.build_shard(plan, 1, analyzer(), false, &replayed);
+      coordinator.build_shard(plan, 1, analyzer(), &replayed);
   EXPECT_FALSE(replayed);
 
   // The shard's rows are exactly the monolithic rows of its slice.
@@ -253,7 +237,7 @@ TEST_F(ShardTest, BuildShardMatchesMonolithicSliceAndPersists) {
       mc::FailureTable::load_csv(path, plan.shards[1].fingerprint)
           .has_value());
   const mc::FailureTable again =
-      coordinator.build_shard(plan, 1, analyzer(), false, &replayed);
+      coordinator.build_shard(plan, 1, analyzer(), &replayed);
   EXPECT_TRUE(replayed);
   expect_rows_identical(again, shard1);
   EXPECT_EQ(coordinator.stats().shards_built, 1u);
@@ -266,23 +250,21 @@ TEST_F(ShardTest, BuildShardMatchesMonolithicSliceAndPersists) {
             coordinator.stats().samples_replayed);
 
   EXPECT_THROW(
-      (void)coordinator.build_shard(plan, 2, analyzer(), false, nullptr),
+      (void)coordinator.build_shard(plan, 2, analyzer()),
       std::invalid_argument);
 }
 
 TEST_F(ShardTest, MergeFromDiskReplaysShardsProducedElsewhere) {
   const TableSpec s = spec();
-  ShardPlanOptions po;
-  po.shard_count = 3;
-  const ShardPlan plan = ShardPlanner::plan(s, fast_opts(), po);
+  const ShardPlan plan = ShardPlanner::plan(s, fast_opts(), 3);
 
   // "Elsewhere": a different coordinator/cache instance writes the shard
   // CSVs (what separate `hynapse_cli shard-build` processes do).
   {
     FailureTableCache producer_cache{dir_};
     ShardCoordinator producer{producer_cache};
-    (void)producer.build_shard(plan, 0, analyzer(), false, nullptr);
-    (void)producer.build_shard(plan, 2, analyzer(), false, nullptr);
+    (void)producer.build_shard(plan, 0, analyzer());
+    (void)producer.build_shard(plan, 2, analyzer());
   }
 
   FailureTableCache cache{dir_};
@@ -294,7 +276,7 @@ TEST_F(ShardTest, MergeFromDiskReplaysShardsProducedElsewhere) {
   {
     FailureTableCache producer_cache{dir_};
     ShardCoordinator producer{producer_cache};
-    (void)producer.build_shard(plan, 1, analyzer(), false, nullptr);
+    (void)producer.build_shard(plan, 1, analyzer());
   }
   const std::optional<mc::FailureTable> merged =
       coordinator.merge_from_disk(plan, &missing);
@@ -316,24 +298,30 @@ TEST_F(ShardTest, MergeFromDiskReplaysShardsProducedElsewhere) {
                                  plan.table_fingerprint)
           .has_value());
 
-  // And a later acquire hits the merged artifact without shard work.
+  // And a later acquire hits the merged artifact without shard work: from
+  // the memo of the same cache, from the merged CSV for a fresh one.
   ShardCoordinator late{cache};
   (void)late.acquire(plan, analyzer());
   EXPECT_EQ(late.stats().shards_built, 0u);
   EXPECT_EQ(late.stats().shards_replayed, 0u);
-  EXPECT_EQ(late.stats().table_hits, 1u);
+  EXPECT_EQ(cache.stats().memory_hits, 1u);
+  FailureTableCache fresh_cache{dir_};
+  ShardCoordinator fresh{fresh_cache};
+  expect_rows_identical(fresh.acquire(plan, analyzer()), *merged);
+  EXPECT_EQ(fresh.stats().shards_replayed, 0u);
+  EXPECT_EQ(fresh.stats().merges, 0u);
+  EXPECT_EQ(fresh_cache.stats().disk_hits, 1u);
   EXPECT_EQ(registry.delta("shard.built"), 0u);
   EXPECT_EQ(registry.delta("shard.replayed"), 3u);
-  EXPECT_EQ(registry.delta("shard.table_hits"), 1u);
+  EXPECT_EQ(registry.delta("cache.memory_hits"), 1u);
+  EXPECT_EQ(registry.delta("cache.disk_hits"), 1u);
   EXPECT_EQ(registry.delta("shard.merges"),
             replayer.stats().merges + late.stats().merges);
 }
 
 TEST_F(ShardTest, RunnerSweepAndBatchAcceptShardPlans) {
   const TableSpec s = spec();
-  ShardPlanOptions po;
-  po.shard_count = 2;
-  const ShardPlan plan = ShardPlanner::plan(s, fast_opts(), po);
+  const ShardPlan plan = ShardPlanner::plan(s, fast_opts(), 2);
   FailureTableCache cache{""};
   ShardCoordinator coordinator{cache};
 
@@ -404,6 +392,12 @@ TEST_F(ShardTest, PruneRemovesCorruptAndTempDroppingsOnly) {
     out << body;
   };
   write("failure_table_corrupt.csv", "not a table\n");
+  // A v2-era table: well-formed in its day, but no fingerprint can name it
+  // (table_fingerprint hashes the format version), so it is dead weight.
+  write("failure_table_00000000000000aa.csv",
+        "# hynapse-failure-table v2 fp=aa\n"
+        "vdd,ra6,wr6,rd6,ra8,wr8,rd8\n"
+        "0.65,0.01,0.005,0.0005,1e-6,1e-6,0\n");
   write("failure_table_0000.csv.tmp.1234.0", "half a row");
   write("failure_table_1111.csv.tmp.99.0", "being written right now");
   write("unrelated.txt", "kept");
@@ -415,13 +409,15 @@ TEST_F(ShardTest, PruneRemovesCorruptAndTempDroppingsOnly) {
 
   // Dry run reports without deleting.
   const PruneResult dry = prune_cache_dir(dir_, /*dry_run=*/true);
-  EXPECT_EQ(dry.removed.size(), 2u);
+  EXPECT_EQ(dry.removed.size(), 3u);
   EXPECT_GT(dry.bytes_freed, 0u);
   EXPECT_TRUE(std::filesystem::exists(dir_ + "/failure_table_corrupt.csv"));
 
   const PruneResult wet = prune_cache_dir(dir_);
   EXPECT_EQ(wet.removed, dry.removed);
   EXPECT_FALSE(std::filesystem::exists(dir_ + "/failure_table_corrupt.csv"));
+  EXPECT_FALSE(
+      std::filesystem::exists(dir_ + "/failure_table_00000000000000aa.csv"));
   EXPECT_FALSE(
       std::filesystem::exists(dir_ + "/failure_table_0000.csv.tmp.1234.0"));
   // Valid artifacts -- merged and per-shard -- foreign files, and fresh
@@ -454,20 +450,31 @@ TEST_F(ShardTest, ListCachedTablesReportsMtime) {
 }
 
 TEST_F(ShardTest, CachePutAndLookup) {
+  // get(fingerprint, produce): a miss runs the producer once, memoizes and
+  // persists its table; the next get is a memory hit on the same object.
   std::vector<mc::FailureTableRow> rows(1);
   rows[0].vdd = 0.7;
   rows[0].cell6 = {0.03, 0.0, 0.0};
-  mc::FailureTable table{std::move(rows)};
+  std::size_t produced = 0;
+  const auto produce = [&] {
+    ++produced;
+    return mc::FailureTable{rows};
+  };
 
   FailureTableCache cache{dir_};
-  EXPECT_EQ(cache.lookup(0x99), nullptr);
-  const mc::FailureTable& stored = cache.put(0x99, std::move(table));
-  EXPECT_EQ(cache.lookup(0x99), &stored);
+  EXPECT_FALSE(cache.in_memory(0x99));
+  TableSource source{};
+  const mc::FailureTable& stored = cache.get(0x99, produce, false, &source);
+  EXPECT_EQ(source, TableSource::built);
+  EXPECT_EQ(&cache.get(0x99, produce, false, &source), &stored);
+  EXPECT_EQ(source, TableSource::memory);
+  EXPECT_EQ(produced, 1u);
   EXPECT_TRUE(cache.in_memory(0x99));
-  // put persisted the CSV under the fingerprint.
+  // The produced table was persisted under the fingerprint.
   EXPECT_TRUE(mc::FailureTable::load_csv(cache.csv_path(0x99), 0x99)
                   .has_value());
-  EXPECT_EQ(cache.stats().memory_hits, 1u);  // the successful lookup
+  EXPECT_EQ(cache.stats().memory_hits, 1u);  // the second get
+  EXPECT_EQ(cache.stats().builds, 1u);
 }
 
 }  // namespace

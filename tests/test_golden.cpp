@@ -11,7 +11,8 @@
 //   * the `results` of a fixed request trace through serve::EvalService;
 //   * the table fingerprint (cache key) of two served requests, pinned as
 //     the value itself;
-//   * a small-budget mc::FailureTable, fixed-sample and adaptive;
+//   * a small-budget mc::FailureTable, fixed-sample and adaptive, and the
+//     bytes of the fixed-sample table's CSV;
 //   * every field of the per-cell 6T/8T analysis, fixed-sample and
 //     adaptive, and the standby retention rate;
 //   * the wire bytes of serve::format_request / format_response over a
@@ -28,6 +29,8 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -52,6 +55,7 @@ constexpr std::uint64_t kSparseChipAccuracyDigest = 0x7a618513debee869;
 constexpr std::uint64_t kServiceTraceDigest = 0xf28320f74da3ae4a;
 constexpr std::uint64_t kFixedTableDigest = 0xefeeef52a15ae3b0;
 constexpr std::uint64_t kAdaptiveTableDigest = 0xe9c6b155823fbb11;
+constexpr std::uint64_t kFailureTableCsvDigest = 0x1124942b5fc648ba;
 constexpr std::uint64_t kWireCodecDigest = 0x78a7c2e1641062f8;
 constexpr std::uint64_t kCellAnalysisDigest = 0xb6d293296509e1f9;
 constexpr std::uint64_t kServedTableFingerprint = 0x9921063cee5d082c;
@@ -340,14 +344,24 @@ mc::AnalyzerOptions small_adaptive_options() {
   return ao;
 }
 
-/// Digest of a small-budget table over a 3-point grid: every rate plus the
-/// per-row sampling metadata.
-std::uint64_t small_table_digest(const mc::AnalyzerOptions& ao) {
+/// A small-budget table over a 3-point grid.
+mc::FailureTable small_table(const mc::AnalyzerOptions& ao) {
   const mc::CircuitStack& s = mc_stack();
   const mc::FailureAnalyzer analyzer{s.criteria, s.sampler, ao};
   const std::vector<double> grid{0.60, 0.75, 0.90};
-  const mc::FailureTable table = mc::FailureTable::build(analyzer, grid, 7);
+  return mc::FailureTable::build(analyzer, grid, 7);
+}
 
+mc::AnalyzerOptions small_fixed_options() {
+  mc::AnalyzerOptions ao;
+  ao.mc_samples = 600;
+  ao.is_samples = 300;
+  return ao;
+}
+
+/// Digest of small_table(ao): every rate plus the per-row sampling metadata.
+std::uint64_t small_table_digest(const mc::AnalyzerOptions& ao) {
+  const mc::FailureTable table = small_table(ao);
   util::Fnv1a h;
   for (const mc::FailureTableRow& row : table.rows()) {
     h.f64(row.vdd);
@@ -363,11 +377,22 @@ std::uint64_t small_table_digest(const mc::AnalyzerOptions& ao) {
 }
 
 TEST(Golden, FixedSampleFailureTable) {
-  mc::AnalyzerOptions ao;
-  ao.mc_samples = 600;
-  ao.is_samples = 300;
-  expect_golden("kFixedTableDigest", small_table_digest(ao),
+  expect_golden("kFixedTableDigest", small_table_digest(small_fixed_options()),
                 kFixedTableDigest);
+}
+
+// The CSV is the artifact other processes and machines replay: its bytes --
+// header, column line, %.17g rows -- are pinned, not just the parsed rows.
+TEST(Golden, FailureTableCsvBytes) {
+  const testing::ScratchDir scratch;
+  const std::string path = scratch.file("table.csv");
+  small_table(small_fixed_options()).save_csv(path, 0x0123456789abcdef);
+  std::ifstream in{path, std::ios::binary};
+  const std::string bytes{std::istreambuf_iterator<char>{in},
+                          std::istreambuf_iterator<char>{}};
+  util::Fnv1a h;
+  h.str(bytes);
+  expect_golden("kFailureTableCsvDigest", h.digest(), kFailureTableCsvDigest);
 }
 
 TEST(Golden, AdaptiveFailureTable) {

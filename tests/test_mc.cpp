@@ -176,47 +176,6 @@ TEST_F(McTest, FailureTableLoadRejectsGarbage) {
   EXPECT_FALSE(FailureTable::load_csv("/no/such/file.csv").has_value());
 }
 
-TEST_F(McTest, FailureTableLoadsV2CsvWithZeroedMetadata) {
-  // CSV v2 predates the samples/ci_half_width columns; a v2 cache file must
-  // still load, with the metadata zeroed (not rejected, not garbage).
-  const std::string path = scratch_.file("v2table.csv");
-  {
-    std::ofstream out{path};
-    out << "# hynapse-failure-table v2 fp=0000000000000000\n"
-        << "vdd,ra6,wr6,rd6,ra8,wr8,rd8\n"
-        << "0.65,0.01,0.002,0.001,0.0001,0.002,0\n"
-        << "0.8,0.001,0.0005,0.0001,1e-05,0.0004,0\n";
-  }
-  const auto loaded = FailureTable::load_csv(path);
-  ASSERT_TRUE(loaded.has_value());
-  ASSERT_EQ(loaded->rows().size(), 2u);
-  EXPECT_DOUBLE_EQ(loaded->rows()[0].cell6.read_access, 0.01);
-  EXPECT_DOUBLE_EQ(loaded->rows()[1].cell8.write_fail, 0.0004);
-  EXPECT_DOUBLE_EQ(loaded->rows()[0].samples, 0.0);
-  EXPECT_DOUBLE_EQ(loaded->rows()[0].ci_half_width, 0.0);
-  EXPECT_DOUBLE_EQ(loaded->total_samples(), 0.0);
-}
-
-TEST_F(McTest, FailureTableLoadsV3CsvWithReorderedColumns) {
-  // The v3 loader maps columns by name, so a file whose columns were
-  // reordered (e.g. by a spreadsheet round trip) still parses correctly.
-  const std::string path = scratch_.file("v3reorder.csv");
-  {
-    std::ofstream out{path};
-    out << "# hynapse-failure-table v3 fp=0000000000000000\n"
-        << "samples,rd6,vdd,ra6,wr6,ra8,wr8,rd8,ci_half_width\n"
-        << "12000,0.001,0.65,0.01,0.002,0.0001,0.002,0,0.003\n";
-  }
-  const auto loaded = FailureTable::load_csv(path);
-  ASSERT_TRUE(loaded.has_value());
-  ASSERT_EQ(loaded->rows().size(), 1u);
-  EXPECT_DOUBLE_EQ(loaded->rows()[0].vdd, 0.65);
-  EXPECT_DOUBLE_EQ(loaded->rows()[0].cell6.read_access, 0.01);
-  EXPECT_DOUBLE_EQ(loaded->rows()[0].cell6.read_disturb, 0.001);
-  EXPECT_DOUBLE_EQ(loaded->rows()[0].samples, 12000.0);
-  EXPECT_DOUBLE_EQ(loaded->rows()[0].ci_half_width, 0.003);
-}
-
 TEST_F(McTest, FailureTableRejectsBadColumnsAndMetadata) {
   const std::string path = scratch_.file("v3bad.csv");
   const auto write_and_load = [&](const std::string& header,
@@ -240,14 +199,23 @@ TEST_F(McTest, FailureTableRejectsBadColumnsAndMetadata) {
   // Missing a required base column.
   EXPECT_FALSE(
       write_and_load("vdd,ra6,wr6,rd6,ra8,wr8", "0.65,0,0,0,0,0").has_value());
-  // Negative sample count.
+  // Missing the metadata columns, or reordered: the column line must be
+  // the exact current one.
   EXPECT_FALSE(write_and_load("vdd,ra6,wr6,rd6,ra8,wr8,rd8,samples",
-                              "0.65,0,0,0,0,0,0,-5")
+                              "0.65,0,0,0,0,0,0,1000")
                    .has_value());
-  // CI half-width outside [0, 1].
-  EXPECT_FALSE(write_and_load("vdd,ra6,wr6,rd6,ra8,wr8,rd8,ci_half_width",
-                              "0.65,0,0,0,0,0,0,1.5")
+  EXPECT_FALSE(write_and_load(
+                   "samples,rd6,vdd,ra6,wr6,ra8,wr8,rd8,ci_half_width",
+                   "12000,0.001,0.65,0.01,0.002,0.0001,0.002,0,0.003")
                    .has_value());
+  // Under the full column line (the control row loads), the metadata
+  // checks reject a negative sample count and a CI half-width outside
+  // [0, 1].
+  const std::string full =
+      "vdd,ra6,wr6,rd6,ra8,wr8,rd8,samples,ci_half_width";
+  EXPECT_TRUE(write_and_load(full, "0.65,0,0,0,0,0,0,1000,0.5").has_value());
+  EXPECT_FALSE(write_and_load(full, "0.65,0,0,0,0,0,0,-5,0").has_value());
+  EXPECT_FALSE(write_and_load(full, "0.65,0,0,0,0,0,0,0,1.5").has_value());
 }
 
 TEST_F(McTest, FailureTableMergePreservesMetadata) {

@@ -85,6 +85,21 @@ int raw_connect(std::uint16_t port) {
   return fd;
 }
 
+/// A loopback port with (very probably) no listener: bind ephemeral, note
+/// the port, close. Connecting to it is refused -- a worker that is down.
+std::uint16_t closed_port() {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = 0;
+  ::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr);
+  socklen_t len = sizeof addr;
+  ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len);
+  ::close(fd);
+  return ntohs(addr.sin_port);
+}
+
 /// A worker that dies mid-build: accepts one connection, reads the request
 /// line, then drops the socket without answering. The coordinator must fail
 /// the shard over to a live worker.
@@ -672,6 +687,43 @@ TEST_F(ServeNetTest, FleetWithoutWorkersBuildsEverythingLocally) {
   EXPECT_EQ(st.workers_used, 0u);
   expect_fleet_registry_delta(registry, st);
   EXPECT_EQ(registry.delta("shard.built"), local.stats().shards_built);
+}
+
+TEST_F(ServeNetTest, FleetReplaysTheMergedCsvWithoutScattering) {
+  // The merged CSV of a plan is already in the cache dir (an earlier fleet
+  // build, another process): a fresh coordinator answers from it -- no
+  // worker is contacted, no shard is built -- bit-identical to the
+  // monolithic build.
+  const testing::RegistryBaseline registry;
+  EvalService planner_service{qnet_, test_, worker_options()};
+  const engine::ShardPlan plan = planner_service.shard_plan(shard_request(3));
+  const mc::CircuitStack stack;
+  const mc::FailureAnalyzer analyzer{stack.criteria, stack.sampler,
+                                     plan.analyzer_options};
+  const mc::FailureTable mono =
+      mc::FailureTable::build(analyzer, plan.spec.vdd_grid, plan.spec.seed);
+  const testing::ScratchDir scratch;
+  engine::FailureTableCache cache{scratch.path().string()};
+  mono.save_csv(cache.csv_path(plan.table_fingerprint),
+                plan.table_fingerprint);
+
+  engine::ShardCoordinator local{cache};
+  engine::FleetOptions fo;
+  fo.workers = {{"127.0.0.1", closed_port()}};
+  engine::FleetCoordinator fleet{local, fo};
+  expect_rows_bit_identical(fleet.build(plan, analyzer), mono);
+
+  const engine::FleetStats st = fleet.stats();
+  EXPECT_EQ(st.shards_remote, 0u);
+  EXPECT_EQ(st.shards_local, 0u);
+  EXPECT_EQ(st.worker_failures, 0u);
+  EXPECT_EQ(st.retries, 0u);
+  EXPECT_EQ(st.workers_used, 0u);
+  EXPECT_EQ(st.backoff_waits, 0u);
+  EXPECT_EQ(cache.stats().disk_hits, 1u);
+  EXPECT_EQ(cache.stats().builds, 0u);
+  EXPECT_EQ(local.stats().shards_built, 0u);
+  expect_fleet_registry_delta(registry, st);
 }
 
 // ---------------------------------------------------------------------------

@@ -812,19 +812,6 @@ TEST(Protocol, ShardSamplingMetadataRoundTrips) {
   ASSERT_EQ(parsed->shard_rows.size(), 1u);
   EXPECT_EQ(parsed->shard_rows[0].samples, row.samples);
   EXPECT_EQ(parsed->shard_rows[0].ci_half_width, row.ci_half_width);
-
-  // 7-number rows (the pre-metadata wire shape) still parse, with zeroed
-  // metadata -- a fleet can mix old and new workers mid-upgrade.
-  const auto legacy = parse_response(
-      R"({"id":32,"status":"done","shard":{"index":0,"count":1,)"
-      R"("fingerprint":"0","rows":1,)"
-      R"("rows_data":[[0.7,0.001,2e-05,0,1e-08,0,0]]}})",
-      &error);
-  ASSERT_TRUE(legacy.has_value()) << error;
-  ASSERT_EQ(legacy->shard_rows.size(), 1u);
-  EXPECT_DOUBLE_EQ(legacy->shard_rows[0].cell6.read_access, 0.001);
-  EXPECT_DOUBLE_EQ(legacy->shard_rows[0].samples, 0.0);
-  EXPECT_DOUBLE_EQ(legacy->shard_rows[0].ci_half_width, 0.0);
 }
 
 /// Response lines the parser must refuse: every integer field out of its
@@ -861,6 +848,9 @@ const char* const kMalformedResponses[] = {
     R"({"id":1,"status":"done","shard":{"index":0,"count":1}})",
     R"({"id":1,"status":"done","shard":{"index":0,"count":1,)"
     R"("fingerprint":"1","rows_data":[[1,2,3]]}})",
+    // A 7-number row: the wire row is exactly mc::columns(), 9 numbers.
+    R"({"id":1,"status":"done","shard":{"index":0,"count":1,)"
+    R"("fingerprint":"1","rows_data":[[0.7,0.001,2e-05,0,1e-08,0,0]]}})",
     R"({"id":1,"status":"done","health":{"queue_depth":-1}})",
     R"({"id":1,"status":"done","health":{"threads":0.5}})",
     R"({"id":1,"status":"done","health":{"cache_bytes":1e300}})",
