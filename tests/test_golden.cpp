@@ -6,6 +6,8 @@
 //   * per-chip accuracies of all6t, hybrid3 and one per-layer config at two
 //     voltages, through engine::ExperimentRunner::run for every backend (one
 //     digest for all of them);
+//   * every fault delta (layer, word, code) of chips at low vdd, where the
+//     resolve walks most of the power-up stream;
 //   * the same at high vdd, where many chips leave the first layer clean or
 //     touch only a few of its columns;
 //   * the `results` of a fixed request trace through serve::EvalService;
@@ -52,6 +54,7 @@ namespace {
 
 constexpr std::uint64_t kChipAccuracyDigest = 0xee980f8079944b6b;
 constexpr std::uint64_t kSparseChipAccuracyDigest = 0x7a618513debee869;
+constexpr std::uint64_t kLowVddFaultDeltaDigest = 0xea3d8ec00771cde7;
 constexpr std::uint64_t kServiceTraceDigest = 0xf28320f74da3ae4a;
 constexpr std::uint64_t kFixedTableDigest = 0xefeeef52a15ae3b0;
 constexpr std::uint64_t kAdaptiveTableDigest = 0xe9c6b155823fbb11;
@@ -138,6 +141,47 @@ TEST(Golden, ChipAccuraciesAcrossBackends) {
   }
   for (const std::uint64_t d : digests) EXPECT_EQ(d, digests.front());
   expect_golden("kChipAccuracyDigest", digests.front(), kChipAccuracyDigest);
+}
+
+// The fault resolve's exact output at low vdd, delta by delta: an accuracy
+// digest misses a wrong delta that leaves every argmax unchanged. Dense
+// enough that the power-up stream is walked rather than jumped.
+TEST(Golden, LowVddFaultDeltas) {
+  const core::QuantizedNetwork& qnet = golden_qnet();
+  const data::Dataset probe = testing::small_test_set().head(1);
+  const mc::FailureTable table = graded_table();
+  const std::vector<int> msbs{2, 3, 1};
+  const std::vector<core::MemoryConfig> configs{
+      core::MemoryConfig::all_6t(qnet.bank_words()),
+      core::MemoryConfig::uniform_hybrid(qnet.bank_words(), 3),
+      core::MemoryConfig::per_layer(qnet.bank_words(), msbs)};
+  const std::uint64_t fp = core::network_fingerprint(qnet);
+  core::EvalContext ctx;
+  util::Fnv1a h;
+  std::size_t deltas = 0;
+  for (const core::ReadFaultPolicy policy :
+       {core::ReadFaultPolicy::random_per_read,
+        core::ReadFaultPolicy::always_flip,
+        core::ReadFaultPolicy::stuck_at_powerup}) {
+    for (const core::MemoryConfig& config : configs) {
+      for (const double vdd : {0.60, 0.63}) {
+        const core::FaultModel model{table, vdd, policy};
+        for (std::size_t chip = 0; chip < 3; ++chip) {
+          (void)ctx.evaluate_chip(qnet, fp, config, model, probe, 4243, chip);
+          h.u64(ctx.last_deltas().size());
+          for (const core::FaultDelta& d : ctx.last_deltas()) {
+            h.u64(d.layer);
+            h.u64(d.word);
+            h.u64(static_cast<std::uint32_t>(d.code));
+          }
+          deltas += ctx.last_deltas().size();
+        }
+      }
+    }
+  }
+  EXPECT_GT(deltas, 10000u);
+  expect_golden("kLowVddFaultDeltaDigest", h.digest(),
+                kLowVddFaultDeltaDigest);
 }
 
 /// High-vdd table: so few defects that many chips leave layer 0 of the
