@@ -1,18 +1,24 @@
 // Google-benchmark microbenchmarks of the simulation hot paths: device
 // evaluation, bitcell solves, Monte-Carlo sampling throughput, GEMM, fault
-// injection, and end-to-end inference.
+// injection, the low-vdd fault resolve, and end-to-end inference.
 #include <benchmark/benchmark.h>
 
 #include <array>
+#include <cmath>
 #include <string>
+#include <vector>
 
 #include "ann/backends/backend.hpp"
 #include "ann/matrix.hpp"
 #include "ann/mlp.hpp"
 #include "circuit/reference.hpp"
 #include "circuit/lanes.hpp"
+#include "core/delta_eval.hpp"
+#include "core/experiments.hpp"
 #include "core/fault_model.hpp"
+#include "core/quantized_network.hpp"
 #include "core/synaptic_memory.hpp"
+#include "data/digits.hpp"
 #include "mc/circuit_stack.hpp"
 #include "mc/montecarlo.hpp"
 #include "util/rng.hpp"
@@ -256,6 +262,41 @@ void BM_FaultMapSampling(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 100000 * 8);
 }
 BENCHMARK(BM_FaultMapSampling);
+
+// The low-vdd fault resolve of one Table-I chip: a one-image evaluate_chip
+// (fault sampling, power-up walk, resolve, fold, apply, revert; the forward
+// pass of one image is small beside them) on all6t at 0.60 V, against a
+// Fig. 5-shaped synthetic table (8T cells perfect). Each iteration is a new
+// chip.
+void BM_DeltaResolveLowV(benchmark::State& state) {
+  std::vector<mc::FailureTableRow> rows;
+  for (int i = 0; i <= 8; ++i) {
+    mc::FailureTableRow row;
+    row.vdd = 0.60 + 0.05 * i;
+    const double read = 0.08 * std::exp(-(row.vdd - 0.55) / 0.035);
+    row.cell6 = {read, read / 3.0, read / 10.0};
+    rows.push_back(row);
+  }
+  const mc::FailureTable table{std::move(rows)};
+  const core::FaultModel model{table, 0.60};
+  static const core::QuantizedNetwork qnet{
+      ann::Mlp{core::table1_layer_sizes(), 5}, 8};
+  const std::uint64_t fp = core::network_fingerprint(qnet);
+  const core::MemoryConfig config =
+      core::MemoryConfig::all_6t(qnet.bank_words());
+  const data::Dataset image = data::generate_digits(1, 77001);
+  core::EvalContext ctx;
+  std::size_t chip = 0;
+  std::size_t deltas = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        ctx.evaluate_chip(qnet, fp, config, model, image, 2016, chip++));
+    deltas += ctx.last_deltas().size();
+  }
+  state.counters["deltas_per_chip"] =
+      static_cast<double>(deltas) / static_cast<double>(chip);
+}
+BENCHMARK(BM_DeltaResolveLowV)->Unit(benchmark::kMillisecond);
 
 void BM_Inference784(benchmark::State& state) {
   const ann::Mlp net{{784, 128, 64, 10}, 3};

@@ -673,8 +673,6 @@ int cmd_fleet_build(Stack& st, std::size_t count, const std::string& workers,
   engine::ShardCoordinator local{st.cache()};
   engine::FleetCoordinator fleet{local, fo};
 
-  std::printf("scattering %zu shards across %zu worker(s)...\n",
-              plan.shard_count(), fo.workers.size());
   const auto t0 = std::chrono::steady_clock::now();
   const mc::FailureTable& table = fleet.build(plan, analyzer);
   const double secs =
@@ -690,6 +688,13 @@ int cmd_fleet_build(Stack& st, std::size_t count, const std::string& workers,
     return 1;
   }
   const engine::FleetStats fs = fleet.stats();
+  // The cache answers a table it holds (memo or merged CSV) with no scatter.
+  if (fs.shards_remote + fs.shards_local + fs.worker_failures > 0) {
+    std::printf("scattered %zu shards across %zu worker(s)\n",
+                plan.shard_count(), fo.workers.size());
+  } else {
+    std::printf("served from the table cache\n");
+  }
   std::printf("fleet build: %zu shards -> %zu rows in %.2f s -> %s\n",
               plan.shard_count(), table.rows().size(), secs, path.c_str());
   std::printf("  %llu remote (from %llu worker(s)), %llu local fallback, "

@@ -66,8 +66,13 @@ p2=${port}
 echo "workers listening on ports ${p1} and ${p2}"
 
 echo "== fleet build: ${shards} shards over 2 workers =="
-HYNAPSE_CACHE_DIR="${work}/fleet" "${cli}" fleet-build "${shards}" \
-  --workers "127.0.0.1:${p1},127.0.0.1:${p2}" "${samples}" "${seed}"
+first=$(HYNAPSE_CACHE_DIR="${work}/fleet" "${cli}" fleet-build "${shards}" \
+  --workers "127.0.0.1:${p1},127.0.0.1:${p2}" "${samples}" "${seed}")
+echo "${first}"
+if ! grep -q "^scattered ${shards} shards across 2 worker(s)$" <<<"${first}"; then
+  echo "error: first fleet-build did not report its scatter" >&2
+  exit 1
+fi
 
 echo "== single-process build of the same provenance =="
 HYNAPSE_CACHE_DIR="${work}/solo" "${cli}" shard-build 0 1 "${samples}" "${seed}"
@@ -153,7 +158,9 @@ cp "${fleet_csv}" "${work}/first_merge.csv"
 second=$(HYNAPSE_CACHE_DIR="${work}/fleet" "${cli}" fleet-build "${shards}" \
   --workers "127.0.0.1:${p1},127.0.0.1:${p2}" "${samples}" "${seed}")
 echo "${second}"
-if ! grep -q " 0 remote (from 0 worker(s)), 0 local fallback," <<<"${second}"; then
+if ! grep -q "^served from the table cache$" <<<"${second}" ||
+   grep -q "^scattered" <<<"${second}" ||
+   ! grep -q " 0 remote (from 0 worker(s)), 0 local fallback," <<<"${second}"; then
   echo "error: second fleet-build scattered instead of replaying the merged CSV" >&2
   exit 1
 fi

@@ -1,6 +1,8 @@
 #include "core/delta_eval.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cstring>
 #include <stdexcept>
 #include <utility>
@@ -44,35 +46,15 @@ namespace {
   return w < nw ? layer.weight_codes[w] : layer.bias_codes[w - nw];
 }
 
-/// Visits items in ascending key order, where `ends` splits `items` into
-/// runs that are each ascending already: a k-way merge with one cursor per
-/// run (k is at most the word width). Equal keys come out adjacent, in no
-/// particular run order.
-template <typename T, typename Cursor, typename Key, typename Visit>
-void merge_runs(const std::vector<T>& items,
-                const std::vector<std::size_t>& ends,
-                std::vector<Cursor>& cursors, Key key, Visit visit) {
-  cursors.clear();
-  std::size_t begin = 0;
-  for (const std::size_t end : ends) {
-    if (begin < end) cursors.push_back(Cursor{begin, end, key(items[begin])});
-    begin = end;
-  }
-  while (!cursors.empty()) {
-    std::size_t best = 0;
-    for (std::size_t r = 1; r < cursors.size(); ++r) {
-      if (cursors[r].head < cursors[best].head) best = r;
-    }
-    Cursor& c = cursors[best];
-    visit(items[c.pos]);
-    if (++c.pos == c.end) {
-      c = cursors.back();
-      cursors.pop_back();
-    } else {
-      c.head = key(items[c.pos]);
-    }
-  }
-}
+/// How a defective cell reads back, by condition (EvalContext::ReadBack).
+constexpr std::uint8_t kComplement = 1;  ///< the stored bit inverted
+constexpr std::uint8_t kPowerup = 2;     ///< the cell's power-up bit
+constexpr std::uint8_t kRandom = 4;      ///< a fresh read_rng coin per read
+
+/// Average gap between power-up reads below which a bank's power-up stream
+/// is walked whole rather than jumped word to word: about where a
+/// Rng::discard jump starts to beat stepping (its 4096-draw cut-over).
+constexpr std::uint64_t kWalkBelowGap = 4096;
 
 /// Content key of a matrix: its shape and every value's bit pattern, in
 /// four independent multiply-xor lanes. Keys the clean first layer, so a
@@ -126,139 +108,170 @@ void EvalContext::compute_deltas(const QuantizedNetwork& qnet,
   util::Rng read_rng{chip_seed ^ 0x5555aaaa5555aaaaull};
   deltas_.clear();
   maps_.resize(config.num_banks());
-  for (std::size_t b = 0; b < config.num_banks(); ++b) {
-    const BankConfig& bank = config.banks()[b];
-    const QuantizedLayer& layer = qnet.layer(b);
-    const quant::QFormat& fmt = layer.weight_fmt;
-    const std::size_t codes = layer.synapse_count();
-    util::Rng bank_rng = rng.split();
-    maps_[b].resample(bank, model, bank_rng);
-    const std::vector<Defect>& defects = maps_[b].defects();
 
-    // Power-up bits matter only to write-weak cells (store() keeps their
-    // power-up value) and, under stuck_at_powerup, to read-weak cells. The
-    // legacy constructor draws the whole bank image; drawing the same
-    // stream only up to the last consulted word yields identical bits for
-    // every observable cell, and the bank RNG is discarded afterwards.
-    //
-    // Defects arrive as one word-ascending run per bit (FaultMap::defects),
-    // so the consulted words are merged from those runs, not sorted.
-    const bool stuck = model.policy() == ReadFaultPolicy::stuck_at_powerup;
-    const auto needs_powerup = [stuck](const Defect& d) noexcept {
-      return d.condition == CellCondition::write_weak ||
-             (stuck && d.condition == CellCondition::read_weak);
-    };
-    run_words_.clear();
-    run_word_ends_.clear();
-    for (std::size_t i = 0; i < defects.size(); ++i) {
-      const Defect& d = defects[i];
-      if (i > 0 && d.bit != defects[i - 1].bit)
-        run_word_ends_.push_back(run_words_.size());
-      if (d.word < codes && needs_powerup(d)) run_words_.push_back(d.word);
-    }
-    run_word_ends_.push_back(run_words_.size());
-    powerup_words_.clear();
-    merge_runs(
-        run_words_, run_word_ends_, cursors_,
-        [](std::uint32_t w) noexcept { return w; },
-        [this](std::uint32_t w) {
-          if (powerup_words_.empty() || powerup_words_.back() != w)
-            powerup_words_.push_back(w);
-        });
-    powerup_bits_.resize(powerup_words_.size());
-    const std::uint16_t mask =
-        static_cast<std::uint16_t>((1u << bank.word_bits) - 1u);
-    std::uint32_t drawn = 0;  // words already consumed from the bank stream
-    for (std::size_t i = 0; i < powerup_words_.size(); ++i) {
-      const std::uint32_t w = powerup_words_[i];
-      bank_rng.discard(w - drawn);  // exact jump over unobserved words
-      powerup_bits_[i] =
-          static_cast<std::uint16_t>(bank_rng.next_u64()) & mask;
-      drawn = w + 1;
-    }
-    // Power-up lookups come in defect order, so one cursor per run walks
-    // powerup_words_ forward; it restarts where a new bit's run begins.
-    std::size_t cursor = 0;
-    int cursor_bit = -1;
-    const auto powerup_bit = [&](std::uint32_t word, int bit) -> bool {
-      if (bit != cursor_bit) {
-        cursor_bit = bit;
-        cursor = 0;
-      }
-      while (powerup_words_[cursor] < word) ++cursor;
-      return (powerup_bits_[cursor] >> bit) & 1u;
-    };
-
-    // Resolve every defect to its final read-back bit. Conditions are
-    // mutually exclusive per cell and defect cells are unique per
-    // (word, bit), so each defect is an independent bit assignment; only
-    // the read_rng draw order is shared state, and it is preserved above
-    // all else.
-    flips_.clear();
-    flip_ends_.clear();
-    for (std::size_t i = 0; i < defects.size(); ++i) {
-      const Defect& d = defects[i];
-      if (i > 0 && d.bit != defects[i - 1].bit)
-        flip_ends_.push_back(flips_.size());
-      if (d.word >= codes) continue;  // legacy skips before drawing
-      const std::uint32_t bits = fmt.to_bits(clean_code(layer, d.word));
-      const bool stored = (bits >> d.bit) & 1u;
-      bool read_back = stored;
-      switch (d.condition) {
-        case CellCondition::read_weak:
-          switch (model.policy()) {
-            case ReadFaultPolicy::random_per_read:
-              read_back = read_rng.bernoulli(0.5);
-              break;
-            case ReadFaultPolicy::always_flip:
-              read_back = !stored;
-              break;
-            case ReadFaultPolicy::stuck_at_powerup:
-              read_back = powerup_bit(d.word, d.bit);
-              break;
-          }
-          break;
-        case CellCondition::write_weak:
-          read_back = powerup_bit(d.word, d.bit);
-          break;
-        case CellCondition::disturb_weak:
-          read_back = !stored;  // the single evaluation read upsets it
-          break;
-        case CellCondition::ok:
-          break;
-      }
-      if (read_back != stored)
-        flips_.emplace_back(d.word, std::uint32_t{1} << d.bit);
-    }
-
-    flip_ends_.push_back(flips_.size());
-
-    // Fold the flips into one delta per touched word, in ascending word
-    // order. Same-word flips sit in different bits' runs; the merge brings
-    // them together.
-    std::uint32_t word = 0;
-    std::uint32_t flip_mask = 0;
-    const auto flush = [&] {
-      if (flip_mask == 0) return;
-      const std::int32_t code =
-          fmt.from_bits(fmt.to_bits(clean_code(layer, word)) ^ flip_mask);
-      deltas_.push_back(FaultDelta{static_cast<std::uint32_t>(b), word, code});
-    };
-    merge_runs(
-        flips_, flip_ends_, cursors_,
-        [](const std::pair<std::uint32_t, std::uint32_t>& f) noexcept {
-          return f.first;
-        },
-        [&](const std::pair<std::uint32_t, std::uint32_t>& f) {
-          if (f.first != word) {
-            flush();
-            word = f.first;
-            flip_mask = 0;
-          }
-          flip_mask |= f.second;
-        });
-    flush();
+  // Power-up bits matter only to write-weak cells (store() keeps their
+  // power-up value) and, under stuck_at_powerup, to read-weak cells.
+  ReadBack read_back{};
+  read_back[static_cast<std::size_t>(CellCondition::write_weak)] = kPowerup;
+  read_back[static_cast<std::size_t>(CellCondition::disturb_weak)] =
+      kComplement;  // the single evaluation read upsets it
+  std::uint8_t& read_weak =
+      read_back[static_cast<std::size_t>(CellCondition::read_weak)];
+  switch (model.policy()) {
+    case ReadFaultPolicy::random_per_read:
+      read_weak = kRandom;
+      break;
+    case ReadFaultPolicy::always_flip:
+      read_weak = kComplement;
+      break;
+    case ReadFaultPolicy::stuck_at_powerup:
+      read_weak = kPowerup;
+      break;
   }
+
+  for (std::size_t b = 0; b < config.num_banks(); ++b) {
+    util::Rng bank_rng = rng.split();
+    maps_[b].resample(config.banks()[b], model, bank_rng);
+    try {
+      resolve_bank(b, qnet.layer(b), config.banks()[b].word_bits,
+                   maps_[b].defects(), read_back, bank_rng, read_rng);
+    } catch (...) {
+      // The next chip relies on clear bitmaps.
+      std::fill(touched_.begin(), touched_.end(), std::uint64_t{0});
+      std::fill(needed_.begin(), needed_.end(), std::uint64_t{0});
+      std::fill(blocks_.begin(), blocks_.end(), std::uint64_t{0});
+      throw;
+    }
+  }
+}
+
+void EvalContext::resolve_bank(std::size_t b, const QuantizedLayer& layer,
+                               int word_bits,
+                               const std::vector<Defect>& defects,
+                               const ReadBack& read_back, util::Rng& bank_rng,
+                               util::Rng& read_rng) {
+  static_assert(util::kWalkBlock == 64, "one walk block per bitmap word");
+  const quant::QFormat& fmt = layer.weight_fmt;
+  const auto codes = static_cast<std::uint32_t>(layer.synapse_count());
+  const std::size_t words = (std::size_t{codes} + 63) / 64;
+  const std::size_t block_words = (words + 63) / 64;
+  if (touched_.size() < words) {
+    touched_.resize(words);
+    needed_.resize(words);
+    rank_.resize(words);
+  }
+  if (blocks_.size() < block_words) blocks_.resize(block_words);
+
+  // Mark the touched and the power-up words. Words past the stored network
+  // are never read (the legacy loop skips them before drawing).
+  std::uint32_t last_read = 0;
+  std::uint64_t reads = 0;  // power-up reads, one per such defect
+  for (const Defect& d : defects) {
+    if (d.word >= codes) continue;
+    const std::uint32_t w = d.word >> 6;
+    const std::uint64_t bit = std::uint64_t{1} << (d.word & 63);
+    touched_[w] |= bit;
+    blocks_[w >> 6] |= std::uint64_t{1} << (w & 63);
+    if (read_back[static_cast<std::size_t>(d.condition)] & kPowerup) {
+      needed_[w] |= bit;
+      last_read = std::max(last_read, d.word);
+      ++reads;
+    }
+  }
+  // Visits the non-empty bitmap words in ascending order.
+  const auto for_each_word = [&](auto visit) {
+    for (std::size_t i = 0; i < block_words; ++i) {
+      for (std::uint64_t m = blocks_[i]; m != 0; m &= m - 1) {
+        visit(i * 64 + static_cast<std::size_t>(std::countr_zero(m)));
+      }
+    }
+  };
+  std::uint32_t touched_words = 0;
+  for_each_word([&](std::size_t w) {
+    rank_[w] = touched_words;
+    touched_words += static_cast<std::uint32_t>(std::popcount(touched_[w]));
+  });
+  slots_.assign(touched_words, Slot{0, 0, 0});
+  const auto slot = [this](std::uint32_t word) noexcept -> Slot& {
+    const std::uint32_t w = word >> 6;
+    const std::uint64_t below = (std::uint64_t{1} << (word & 63)) - 1;
+    return slots_[rank_[w] + static_cast<std::uint32_t>(
+                                 std::popcount(touched_[w] & below))];
+  };
+
+  // Power-up bits: the legacy constructor draws the whole bank image from
+  // the bank RNG; drawing the same stream only up to the last word read
+  // yields identical bits for every observable cell, and the bank RNG is
+  // dropped afterwards. Dense reads walk the stream on lanes, sparse ones
+  // (or none) jump from word to word.
+  const auto mask = static_cast<std::uint16_t>((1u << word_bits) - 1u);
+  const std::uint64_t span = std::uint64_t{last_read} + 1;
+  if (span < reads * kWalkBelowGap) {
+    bank_rng.walk(span, [&](const util::WalkBlock& draws) {
+      const auto w = static_cast<std::uint32_t>(draws.first / 64);
+      for (std::uint64_t m = needed_[w]; m != 0; m &= m - 1) {
+        const auto k = static_cast<std::uint32_t>(std::countr_zero(m));
+        slot(w * 64 + k).powerup = static_cast<std::uint16_t>(draws[k]) & mask;
+      }
+    });
+  } else {
+    std::uint64_t drawn = 0;  // words already consumed from the stream
+    for_each_word([&](std::size_t w) {
+      for (std::uint64_t m = needed_[w]; m != 0; m &= m - 1) {
+        const std::uint64_t word =
+            w * 64 + static_cast<std::uint64_t>(std::countr_zero(m));
+        bank_rng.discard(word - drawn);  // exact jump over unread words
+        slot(static_cast<std::uint32_t>(word)).powerup =
+            static_cast<std::uint16_t>(bank_rng.next_u64()) & mask;
+        drawn = word + 1;
+      }
+    });
+  }
+
+  // Resolve every defect to its read-back bit. Conditions are mutually
+  // exclusive per cell and defect cells are unique per (word, bit), so each
+  // defect is an independent bit assignment; only read_rng is shared, and
+  // the loop keeps its defect-order draws. The stored bits are read once
+  // per word, below.
+  for (const Defect& d : defects) {
+    if (d.word >= codes) continue;
+    Slot& s = slot(d.word);
+    const std::uint8_t how = read_back[static_cast<std::size_t>(d.condition)];
+    const auto bit = static_cast<std::uint16_t>(1u << d.bit);
+    std::uint16_t value = (how & kComplement) ? bit : 0;
+    if (how & kPowerup) value = s.powerup & bit;
+    if (how & kRandom) {  // bernoulli(0.5), bit for bit
+      value = static_cast<std::uint16_t>(
+          static_cast<std::uint32_t>((read_rng.next_u64() >> 63) ^ 1u)
+          << d.bit);
+    }
+    s.value |= value;
+    s.forced |= (how & (kPowerup | kRandom)) ? bit : 0;
+  }
+
+  // One delta per flipped word, in ascending word order: each bitmap
+  // word's deltas are written branch-free into a batch (a word without
+  // flips is overwritten by the next one) and appended; clears the bitmaps
+  // for the next bank.
+  std::array<FaultDelta, 64> batch;
+  const Slot* next = slots_.data();
+  for_each_word([&](std::size_t w) {
+    FaultDelta* out = batch.data();
+    for (std::uint64_t m = touched_[w]; m != 0; m &= m - 1) {
+      const auto word = static_cast<std::uint32_t>(
+          w * 64 + static_cast<std::size_t>(std::countr_zero(m)));
+      const std::uint32_t stored = fmt.to_bits(clean_code(layer, word));
+      const std::uint32_t flips = next->value ^ (next->forced & stored);
+      ++next;
+      *out = FaultDelta{static_cast<std::uint32_t>(b), word,
+                        fmt.from_bits(stored ^ flips)};
+      out += flips != 0 ? 1 : 0;
+    }
+    deltas_.insert(deltas_.end(), batch.data(), out);
+    touched_[w] = 0;
+    needed_[w] = 0;
+  });
+  std::fill_n(blocks_.begin(), block_words, std::uint64_t{0});
 }
 
 bool EvalContext::collect_dirty_columns(const QuantizedNetwork& qnet) {

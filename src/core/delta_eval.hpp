@@ -7,11 +7,17 @@
 // ~1.4M-word memory image per chip (SynapticMemory construct ->
 // store_network -> load_network -> dequantize -> fresh Mlp), an EvalContext
 //  * samples each bank's FaultMap into reused storage,
-//  * resolves every defect to its final bit value, drawing the read RNG in
-//    exactly the legacy order (bank-major, defect-major) and the power-up
-//    RNG only as far as the last word a defect actually consults,
-//  * folds the per-defect bits into one (layer, word, new-code) delta per
-//    touched word,
+//  * marks the defect words, and the words whose power-up value a defect
+//    reads, in two word bitmaps; a popcount rank per 64-word block numbers
+//    the touched words, so each gets one slot in a defect-sized array,
+//  * reads the power-up words from the bank's stream only as far as the
+//    last one: dense reads walk the stream on discard-jumped SIMD lanes
+//    (util::Rng::walk), sparse ones jump from word to word,
+//  * resolves every defect to its read-back bit, drawing the read RNG in
+//    exactly the legacy order (bank-major, defect-major), and ORs it into
+//    its word's slot,
+//  * emits one (layer, word, new-code) delta per flipped word, in ascending
+//    word order, reading each touched word's clean code once,
 //  * applies the deltas to a shared clean baseline Mlp, runs the workspace
 //    forward pass, and reverts them.
 // Above ~0.80 V a chip touches only a few of the first layer's columns, so a
@@ -19,13 +25,15 @@
 // test slice and recomputes only the columns a chip's layer-0 deltas touch
 // (docs/performance.md, "Clean first-layer reuse").
 // Results are bit-identical to the reference core::evaluate_chip for all three
-// ReadFaultPolicy modes (tests/test_core_delta_eval.cpp pins this); the
+// ReadFaultPolicy modes (tests/test_core_delta_eval.cpp pins this, and
+// Golden.LowVddFaultDeltas pins every low-vdd delta itself); the
 // determinism contract (docs/engine.md) carries over unchanged because a
 // context is fully re-derived from (network, config, model, seed, chip) on
 // every call. After warm-up a context performs no heap allocation per chip
 // (docs/performance.md).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -105,8 +113,19 @@ class EvalContext {
 
  private:
   void bind(const QuantizedNetwork& qnet, std::uint64_t qnet_fp);
+  /// Read-back flags per CellCondition (delta_eval.cpp).
+  using ReadBack = std::array<std::uint8_t, 4>;
+
   void compute_deltas(const QuantizedNetwork& qnet, const MemoryConfig& config,
                       const FaultModel& model, std::uint64_t chip_seed);
+  /// Appends bank b's deltas, in ascending word order, to deltas_: marks
+  /// its defects in the bitmaps, reads the power-up words from bank_rng,
+  /// resolves each defect (read_rng in defect order) and clears the bitmaps
+  /// again.
+  void resolve_bank(std::size_t b, const QuantizedLayer& layer, int word_bits,
+                    const std::vector<Defect>& defects,
+                    const ReadBack& read_back, util::Rng& bank_rng,
+                    util::Rng& read_rng);
   /// Fills dirty_columns_ with the layer-0 columns that deltas_ touches
   /// (ascending) and returns true when the chip reuses the clean first
   /// layer; returns false when it runs the full layer-0 GEMM. Bumps one of
@@ -128,19 +147,25 @@ class EvalContext {
   std::vector<FaultMap> maps_;
   std::vector<FaultDelta> deltas_;
   std::vector<float> saved_;  ///< baseline values shadowed by deltas_
-  // Defect resolve: per-bit runs (each word-ascending) and their merge.
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> flips_;  // (word, bits)
-  std::vector<std::size_t> flip_ends_;     ///< run ends in flips_
-  std::vector<std::uint32_t> run_words_;   ///< power-up words, per-bit runs
-  std::vector<std::size_t> run_word_ends_;
-  std::vector<std::uint32_t> powerup_words_;  ///< merged, unique
-  std::vector<std::uint16_t> powerup_bits_;
-  struct RunCursor {
-    std::size_t pos;
-    std::size_t end;
-    std::uint32_t head;  ///< word at pos
+  // Defect resolve of one bank (compute_deltas). Bitmaps over the bank's
+  // words, all clear between banks: the words with a defect, and those whose
+  // power-up value a defect reads. blocks_ marks the non-empty 64-word
+  // blocks of touched_, rank_ counts the touched words before each of them,
+  // and slots_ holds one entry per touched word, in word order.
+  std::vector<std::uint64_t> touched_;
+  std::vector<std::uint64_t> needed_;
+  std::vector<std::uint64_t> blocks_;
+  std::vector<std::uint32_t> rank_;
+  /// A touched word's read-back: bit i of the word reads back
+  /// `value` bit i where `forced` has it, the stored bit inverted where
+  /// only `value` has it, and the stored bit elsewhere; so its flipped bits
+  /// are value ^ (forced & stored).
+  struct Slot {
+    std::uint16_t powerup;  ///< the word's power-up bits, when read
+    std::uint16_t value;
+    std::uint16_t forced;
   };
-  std::vector<RunCursor> cursors_;
+  std::vector<Slot> slots_;
 
   // Clean first-layer reuse: the cache, its content key (network
   // fingerprint, input fingerprint; every backend computes the same bits,

@@ -19,16 +19,6 @@ double FaultModel::total_rate(bool is_8t) const noexcept {
   return std::min(1.0, r.total());
 }
 
-CellCondition FaultModel::pick_mechanism(bool is_8t, util::Rng& rng) const {
-  const mc::BitcellFailureRates& r = is_8t ? rates8_ : rates6_;
-  const double total = r.total();
-  if (total <= 0.0) return CellCondition::ok;
-  const double u = rng.uniform() * total;
-  if (u < r.read_access) return CellCondition::read_weak;
-  if (u < r.read_access + r.write_fail) return CellCondition::write_weak;
-  return CellCondition::disturb_weak;
-}
-
 FaultMap FaultMap::sample(const BankConfig& bank, const FaultModel& model,
                           util::Rng& rng) {
   FaultMap map;

@@ -58,7 +58,19 @@ class FaultModel {
   /// Given that a cell is defective, picks the mechanism (mutually
   /// exclusive, probabilities proportional to the mechanism rates).
   [[nodiscard]] CellCondition pick_mechanism(bool is_8t,
-                                             util::Rng& rng) const;
+                                             util::Rng& rng) const noexcept {
+    const mc::BitcellFailureRates& r = is_8t ? rates8_ : rates6_;
+    const double total = r.total();
+    if (total <= 0.0) return CellCondition::ok;
+    const double u = rng.uniform() * total;
+    // read_weak below read_access, else write_weak below read_access +
+    // write_fail, else disturb_weak: the cascade without its branches
+    // (mechanisms come in random order, so the branches mispredict).
+    const int past_read = !(u < r.read_access);
+    const int past_write = past_read & !(u < r.read_access + r.write_fail);
+    return static_cast<CellCondition>(
+        static_cast<int>(CellCondition::read_weak) + past_read + past_write);
+  }
 
  private:
   double vdd_;
@@ -91,8 +103,8 @@ class FaultMap {
                 util::Rng& rng);
 
   /// Defects in sampling order: one run per bit position (ascending bit),
-  /// each run in strictly ascending word order. EvalContext merges these
-  /// runs instead of sorting (core/delta_eval.cpp).
+  /// each run in strictly ascending word order. EvalContext marks them in
+  /// word bitmaps instead of sorting (core/delta_eval.cpp).
   [[nodiscard]] const std::vector<Defect>& defects() const noexcept {
     return defects_;
   }

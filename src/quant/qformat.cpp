@@ -6,14 +6,14 @@
 namespace hynapse::quant {
 
 QFormat::QFormat(int total_bits, int frac_bits)
-    : total_bits_{total_bits}, frac_bits_{frac_bits} {
+    : total_bits_{total_bits},
+      frac_bits_{frac_bits},
+      lsb_{std::ldexp(1.0, -frac_bits)} {
   if (total_bits < 2 || total_bits > 16)
     throw std::invalid_argument{"QFormat: total_bits must be in [2,16]"};
   if (frac_bits < 0 || frac_bits >= total_bits)
     throw std::invalid_argument{"QFormat: frac_bits must be in [0,total_bits)"};
 }
-
-double QFormat::lsb() const noexcept { return std::ldexp(1.0, -frac_bits_); }
 
 double QFormat::min_value() const noexcept {
   return -std::ldexp(1.0, int_bits() - 1);
@@ -65,28 +65,8 @@ std::int32_t QFormat::quantize(double value, RoundingMode mode,
   return static_cast<std::int32_t>(rounded);
 }
 
-double QFormat::dequantize(std::int32_t code) const noexcept {
-  return static_cast<double>(code) * lsb();
-}
-
 double QFormat::round_trip(double value) const noexcept {
   return dequantize(quantize(value));
-}
-
-std::uint32_t QFormat::to_bits(std::int32_t code) const noexcept {
-  const std::uint32_t mask = (1u << total_bits_) - 1u;
-  return static_cast<std::uint32_t>(code) & mask;
-}
-
-std::int32_t QFormat::from_bits(std::uint32_t bits) const noexcept {
-  const std::uint32_t mask = (1u << total_bits_) - 1u;
-  bits &= mask;
-  const std::uint32_t sign_bit = 1u << (total_bits_ - 1);
-  if (bits & sign_bit) {
-    return static_cast<std::int32_t>(bits) -
-           static_cast<std::int32_t>(1u << total_bits_);
-  }
-  return static_cast<std::int32_t>(bits);
 }
 
 double QFormat::bit_flip_magnitude(int bit) const {

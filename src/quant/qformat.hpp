@@ -41,8 +41,8 @@ class QFormat {
     return total_bits_ - frac_bits_;
   }
 
-  /// Value of one LSB step.
-  [[nodiscard]] double lsb() const noexcept;
+  /// Value of one LSB step, 2^-frac_bits.
+  [[nodiscard]] double lsb() const noexcept { return lsb_; }
   /// Smallest representable value (-2^(int_bits-1)).
   [[nodiscard]] double min_value() const noexcept;
   /// Largest representable value (2^(int_bits-1) - lsb).
@@ -58,16 +58,27 @@ class QFormat {
                                       util::Rng* rng = nullptr) const;
 
   /// Code -> real value.
-  [[nodiscard]] double dequantize(std::int32_t code) const noexcept;
+  [[nodiscard]] double dequantize(std::int32_t code) const noexcept {
+    return static_cast<double>(code) * lsb_;
+  }
 
   /// Convenience: quantize then dequantize.
   [[nodiscard]] double round_trip(double value) const noexcept;
 
   /// Signed code -> raw two's-complement bit pattern (low `total_bits` bits).
-  [[nodiscard]] std::uint32_t to_bits(std::int32_t code) const noexcept;
+  [[nodiscard]] std::uint32_t to_bits(std::int32_t code) const noexcept {
+    return static_cast<std::uint32_t>(code) & ((1u << total_bits_) - 1u);
+  }
 
   /// Raw bit pattern -> signed code (sign-extends bit total_bits-1).
-  [[nodiscard]] std::int32_t from_bits(std::uint32_t bits) const noexcept;
+  [[nodiscard]] std::int32_t from_bits(std::uint32_t bits) const noexcept {
+    bits &= (1u << total_bits_) - 1u;
+    if (bits & (1u << (total_bits_ - 1))) {
+      return static_cast<std::int32_t>(bits) -
+             static_cast<std::int32_t>(1u << total_bits_);
+    }
+    return static_cast<std::int32_t>(bits);
+  }
 
   /// Magnitude of the value change caused by flipping `bit` (0 = LSB).
   /// For the sign bit this is 2^(total_bits-1) * lsb().
@@ -81,6 +92,7 @@ class QFormat {
  private:
   int total_bits_;
   int frac_bits_;
+  double lsb_;  ///< 2^-frac_bits_, exact
 };
 
 /// Smallest-integer-bits format of `total_bits` that can represent

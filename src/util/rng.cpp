@@ -5,13 +5,11 @@
 #include <cmath>
 #include <vector>
 
+#include "util/rng_walk_kernel.hpp"
+
 namespace hynapse::util {
 
 namespace {
-
-[[nodiscard]] constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
-  return (x << k) | (x >> (64 - k));
-}
 
 // --- discard() support -----------------------------------------------------
 // The xoshiro256** state transition (the part of next_u64 that mutates s_)
@@ -29,7 +27,7 @@ void step(State& s) noexcept {
   s[1] ^= s[2];
   s[0] ^= s[3];
   s[2] ^= t;
-  s[3] = rotl(s[3], 45);
+  s[3] = std::rotl(s[3], 45);
 }
 
 /// T^(2^i) stored column-major: col[k] is the image of basis vector e_k, so
@@ -80,7 +78,38 @@ const std::vector<JumpMatrix>& jump_table() {
   return table;
 }
 
+const detail::WalkKernel* walk_kernel(WalkTier tier) noexcept {
+  switch (tier) {
+    case WalkTier::avx512:
+      return detail::walk_avx512();
+    case WalkTier::avx2:
+      return detail::walk_avx2();
+    case WalkTier::scalar:
+      break;
+  }
+  return nullptr;
+}
+
 }  // namespace
+
+WalkTier walk_tier() noexcept {
+  if (detail::walk_avx512()) return WalkTier::avx512;
+  if (detail::walk_avx2()) return WalkTier::avx2;
+  return WalkTier::scalar;
+}
+
+std::vector<WalkTier> available_walk_tiers() {
+  std::vector<WalkTier> tiers{WalkTier::scalar};
+  for (const WalkTier t : {WalkTier::avx2, WalkTier::avx512}) {
+    if (walk_kernel(t)) tiers.push_back(t);
+  }
+  return tiers;
+}
+
+std::size_t walk_lanes(WalkTier tier) noexcept {
+  const detail::WalkKernel* kernel = walk_kernel(tier);
+  return kernel ? kernel->lanes : 1;
+}
 
 std::uint64_t splitmix64(std::uint64_t& state) noexcept {
   state += 0x9e3779b97f4a7c15ull;
@@ -96,26 +125,6 @@ Rng::Rng(std::uint64_t seed) noexcept {
   // xoshiro256** must not start from the all-zero state; splitmix64 of any
   // seed cannot produce four zero words, but guard anyway.
   if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 1;
-}
-
-std::uint64_t Rng::next_u64() noexcept {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
-
-double Rng::uniform() noexcept {
-  return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
-}
-
-double Rng::uniform(double lo, double hi) noexcept {
-  return lo + (hi - lo) * uniform();
 }
 
 std::uint64_t Rng::uniform_index(std::uint64_t n) noexcept {
@@ -173,6 +182,21 @@ void Rng::discard(std::uint64_t n) {
   s_[1] = s[1];
   s_[2] = s[2];
   s_[3] = s[3];
+}
+
+void Rng::start_round(std::uint64_t* state, std::size_t lanes,
+                      int log2_segment) const {
+  const JumpMatrix& jump = jump_table()[static_cast<std::size_t>(log2_segment)];
+  State s{s_[0], s_[1], s_[2], s_[3]};
+  for (std::size_t j = 0; j < lanes; ++j) {
+    if (j > 0) s = apply(jump, s);
+    for (std::size_t k = 0; k < 4; ++k) state[k * lanes + j] = s[k];
+  }
+}
+
+void Rng::step_round(WalkTier tier, std::uint64_t* state,
+                     std::uint64_t* out) noexcept {
+  walk_kernel(tier)->step(state, out);
 }
 
 Rng Rng::split() noexcept {

@@ -4,7 +4,10 @@
 
 #include <array>
 #include <cmath>
+#include <cstdint>
 #include <set>
+#include <string>
+#include <vector>
 
 namespace hynapse::util {
 namespace {
@@ -97,6 +100,83 @@ TEST(Rng, BernoulliRateMatches) {
   for (int i = 0; i < n; ++i)
     if (rng.bernoulli(0.1)) ++hits;
   EXPECT_NEAR(static_cast<double>(hits) / n, 0.1, 0.005);
+}
+
+TEST(Rng, FairBernoulliIsTheTopBitOfTheDraw) {
+  // The fault resolve draws a random read as !(next_u64() >> 63); it must
+  // be bernoulli(0.5) draw for draw.
+  Rng a{37};
+  Rng b{37};
+  for (int i = 0; i < 1000000; ++i) {
+    ASSERT_EQ(a.bernoulli(0.5), !(b.next_u64() >> 63)) << "draw " << i;
+  }
+}
+
+/// Lengths around every cut of a walk on `lanes` lanes: under one lane
+/// block, around the first round, and long enough for several rounds of
+/// jumped lanes.
+std::vector<std::uint64_t> walk_lengths(std::size_t lanes) {
+  const std::uint64_t round = lanes * kWalkBlock;
+  return {0,         1,         lanes - 1, lanes,      lanes + 1,
+          round - 1, round,     round + 1, 2 * round + 3, 4096,
+          5000,      100003};
+}
+
+TEST(RngWalk, EqualsSequentialDrawsOnEveryTier) {
+  for (const WalkTier tier : available_walk_tiers()) {
+    const std::size_t lanes = walk_lanes(tier);
+    for (const std::uint64_t n : walk_lengths(lanes)) {
+      const std::string where = "tier " +
+                                std::to_string(static_cast<int>(tier)) +
+                                ", n " + std::to_string(n);
+      Rng walked{2016};
+      walked.discard(12345);  // start mid-stream
+      Rng sequential = walked;
+      std::vector<std::uint64_t> expected(n);
+      for (std::uint64_t& x : expected) x = sequential.next_u64();
+
+      std::vector<std::uint64_t> got(n);
+      std::vector<int> seen(n, 0);
+      walked.walk(
+          n,
+          [&](const WalkBlock& block) {
+            ASSERT_EQ(block.first % kWalkBlock, 0u) << where;
+            ASSERT_LE(block.first + block.size, n) << where;
+            ASSERT_TRUE(block.size == kWalkBlock ||
+                        block.first + block.size == n)
+                << where;
+            for (std::size_t k = 0; k < block.size; ++k) {
+              got[block.first + k] = block[k];
+              ++seen[block.first + k];
+            }
+          },
+          tier);
+      for (std::uint64_t i = 0; i < n; ++i) {
+        ASSERT_EQ(seen[i], 1) << where << ", draw " << i;
+        ASSERT_EQ(got[i], expected[i]) << where << ", draw " << i;
+      }
+      // The generator continues where n sequential draws leave it.
+      for (int i = 0; i < 4; ++i) {
+        ASSERT_EQ(walked.next_u64(), sequential.next_u64()) << where;
+      }
+    }
+  }
+}
+
+TEST(RngWalk, TiersReportTheirLanes) {
+  const std::vector<WalkTier> tiers = available_walk_tiers();
+  ASSERT_FALSE(tiers.empty());
+  EXPECT_EQ(tiers.front(), WalkTier::scalar);
+  EXPECT_EQ(tiers.back(), walk_tier());
+  EXPECT_EQ(walk_lanes(WalkTier::scalar), 1u);
+  for (const WalkTier tier : tiers) {
+    if (tier == WalkTier::avx2) {
+      EXPECT_EQ(walk_lanes(tier), 4u);
+    }
+    if (tier == WalkTier::avx512) {
+      EXPECT_EQ(walk_lanes(tier), 8u);
+    }
+  }
 }
 
 TEST(Rng, SplitProducesIndependentStream) {
