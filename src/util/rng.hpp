@@ -37,6 +37,11 @@ enum class WalkTier : std::uint8_t { scalar, avx2, avx512 };
 /// Draws a walk hands to its visitor at once (Rng::walk).
 inline constexpr std::size_t kWalkBlock = 64;
 
+namespace detail {
+/// Lanes of the widest walk tier; bounds a walk's on-stack buffers.
+inline constexpr std::size_t kMaxWalkLanes = 8;
+}  // namespace detail
+
 /// One block of an Rng::walk: block[k] is draw first + k of the walk,
 /// counted from 0, for k < size. `stride` spaces the draws in memory.
 struct WalkBlock {
@@ -123,9 +128,6 @@ class Rng {
   [[nodiscard]] Rng split() noexcept;
 
  private:
-  /// Lanes of the widest tier; bounds a walk's on-stack buffers.
-  static constexpr std::size_t kMaxWalkLanes = 8;
-
   /// Starts a walk round: lane j of `lanes` (state word k at
   /// state[k * lanes + j]) is this generator advanced j << log2_segment
   /// draws.
@@ -143,11 +145,11 @@ class Rng {
 
 template <typename Visit>
 void Rng::walk(std::uint64_t n, Visit&& visit, WalkTier tier) {
-  alignas(64) std::uint64_t out[kWalkBlock * kMaxWalkLanes];
+  alignas(64) std::uint64_t out[kWalkBlock * detail::kMaxWalkLanes];
   std::uint64_t first = 0;
   const std::size_t lanes = walk_lanes(tier);
   if (lanes > 1) {
-    alignas(64) std::uint64_t state[4 * kMaxWalkLanes];
+    alignas(64) std::uint64_t state[4 * detail::kMaxWalkLanes];
     for (;;) {
       // The longest power-of-two lane segment (at least one block) whose
       // round still fits in what is left.

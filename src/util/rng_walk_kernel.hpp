@@ -33,6 +33,7 @@ namespace {
 template <typename V>
 void walk_kernel(std::uint64_t* state, std::uint64_t* out) noexcept {
   constexpr std::size_t kLanes = sizeof(V) / sizeof(std::uint64_t);
+  static_assert(kLanes <= kMaxWalkLanes, "lanes must fit Rng::walk's buffers");
   V s[4];
   for (std::size_t k = 0; k < 4; ++k) {
     std::memcpy(&s[k], state + k * kLanes, sizeof(V));
