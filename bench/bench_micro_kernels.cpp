@@ -11,8 +11,8 @@
 #include "ann/backends/backend.hpp"
 #include "ann/matrix.hpp"
 #include "ann/mlp.hpp"
+#include "circuit/lanes_kernel.hpp"
 #include "circuit/reference.hpp"
-#include "circuit/lanes.hpp"
 #include "core/delta_eval.hpp"
 #include "core/experiments.hpp"
 #include "core/fault_model.hpp"
@@ -21,6 +21,7 @@
 #include "data/digits.hpp"
 #include "mc/circuit_stack.hpp"
 #include "mc/montecarlo.hpp"
+#include "util/isa.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -103,13 +104,13 @@ void BM_McSampleWrite6T(benchmark::State& state) {
 BENCHMARK(BM_McSampleWrite6T);
 
 // Samples as the MC loops decide them: a block drawn in order and decided
-// in one call, on the lane tier given as the benchmark's argument (the
+// in one call, on the ISA tier given as the benchmark's argument (the
 // label names it). Time per sample.
 template <typename Var, typename Draw>
 void batch_bench(benchmark::State& state, mc::Mechanism m, Draw draw) {
   const mc::CircuitStack& s = mc_stack();
-  const auto tier = static_cast<circuit::LaneTier>(state.range(0));
-  state.SetLabel(std::string{circuit::lane_tier_name(tier)});
+  const auto tier = static_cast<util::IsaTier>(state.range(0));
+  state.SetLabel(std::string{util::isa_tier_name(tier)});
   util::Rng rng{9};
   std::array<Var, 256> cells;
   std::array<bool, 256> fails{};
@@ -125,10 +126,14 @@ void batch_bench(benchmark::State& state, mc::Mechanism m, Draw draw) {
           benchmark::Counter::kInvert);
 }
 
-/// One run per lane tier this host runs, scalar included.
-void per_lane_tier(benchmark::internal::Benchmark* b) {
-  for (const circuit::LaneTier tier : circuit::available_lane_tiers()) {
-    b->Arg(static_cast<int>(tier));
+/// One run on the scalar path and one per ISA tier this host runs the
+/// lanes on (none without libmvec).
+void per_isa_tier(benchmark::internal::Benchmark* b) {
+  for (const util::IsaTier tier : util::available_isa_tiers()) {
+    if (tier == util::IsaTier::scalar ||
+        circuit::detail::lane_kernels(tier) != nullptr) {
+      b->Arg(static_cast<int>(tier));
+    }
   }
 }
 
@@ -142,30 +147,30 @@ circuit::Variation8T draw_8t(const mc::VariationSampler& s, util::Rng& rng) {
 void BM_McBatchWrite6T(benchmark::State& state) {
   batch_bench<circuit::Variation6T>(state, mc::Mechanism::write, draw_6t);
 }
-BENCHMARK(BM_McBatchWrite6T)->Apply(per_lane_tier);
+BENCHMARK(BM_McBatchWrite6T)->Apply(per_isa_tier);
 
 void BM_McBatchReadAccess6T(benchmark::State& state) {
   batch_bench<circuit::Variation6T>(state, mc::Mechanism::read_access,
                                     draw_6t);
 }
-BENCHMARK(BM_McBatchReadAccess6T)->Apply(per_lane_tier);
+BENCHMARK(BM_McBatchReadAccess6T)->Apply(per_isa_tier);
 
 void BM_McBatchReadDisturb6T(benchmark::State& state) {
   batch_bench<circuit::Variation6T>(state, mc::Mechanism::read_disturb,
                                     draw_6t);
 }
-BENCHMARK(BM_McBatchReadDisturb6T)->Apply(per_lane_tier);
+BENCHMARK(BM_McBatchReadDisturb6T)->Apply(per_isa_tier);
 
 void BM_McBatchReadAccess8T(benchmark::State& state) {
   batch_bench<circuit::Variation8T>(state, mc::Mechanism::read_access,
                                     draw_8t);
 }
-BENCHMARK(BM_McBatchReadAccess8T)->Apply(per_lane_tier);
+BENCHMARK(BM_McBatchReadAccess8T)->Apply(per_isa_tier);
 
 void BM_McBatchWrite8T(benchmark::State& state) {
   batch_bench<circuit::Variation8T>(state, mc::Mechanism::write, draw_8t);
 }
-BENCHMARK(BM_McBatchWrite8T)->Apply(per_lane_tier);
+BENCHMARK(BM_McBatchWrite8T)->Apply(per_isa_tier);
 
 void BM_Gemm(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -314,8 +319,9 @@ BENCHMARK(BM_Inference784);
 
 int main(int argc, char** argv) {
   benchmark::AddCustomContext(
-      "lane_tier",
-      std::string{circuit::lane_tier_name(circuit::lane_tier())});
+      "isa_tier", std::string{util::isa_tier_name(util::isa_tier())});
+  benchmark::AddCustomContext(
+      "lanes", circuit::detail::lane_kernels(util::isa_tier()) ? "on" : "off");
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

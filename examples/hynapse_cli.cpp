@@ -58,7 +58,7 @@
 #include <vector>
 
 #include "ann/trainer.hpp"
-#include "circuit/lanes.hpp"
+#include "circuit/lanes_kernel.hpp"
 #include "core/experiments.hpp"
 #include "engine/fleet.hpp"
 #include "engine/shard_coordinator.hpp"
@@ -74,6 +74,7 @@
 #include "serve/eval_service.hpp"
 #include "serve/net.hpp"
 #include "serve/protocol.hpp"
+#include "util/isa.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
 
@@ -248,9 +249,9 @@ int cmd_failure_rates(const Stack& st, std::size_t samples) {
   opts.is_samples = samples / 2;
   opts.adaptive = g_adaptive;
   const mc::FailureAnalyzer analyzer{st.criteria, st.sampler, opts};
-  std::printf("lanes: %s\n",
-              circuit::lane_tier_name(circuit::lane_tier())
-                  .data());
+  std::printf("isa tier: %s, lanes: %s\n",
+              util::isa_tier_name(util::isa_tier()).data(),
+              circuit::detail::lane_kernels(util::isa_tier()) ? "on" : "off");
   util::Table t{{"VDD [V]", "6T read access", "6T write", "8T read access"}};
   std::size_t spent = 0;
   for (double vdd : circuit::paper_voltage_grid()) {

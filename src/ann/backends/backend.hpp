@@ -13,9 +13,9 @@
 // Backends:
 //  * simd      — one kernel template (gemm_kernel.hpp) instantiated in
 //    one translation unit per x86 tier (AVX2 in simd_avx2.cpp, AVX-512 in
-//    simd_avx512.cpp), picked by cpuid at runtime, widest first. CMake
-//    option HYNAPSE_SIMD_BACKEND, default ON. Where no tier is built or the
-//    CPU runs none, it falls back to the reference table.
+//    simd_avx512.cpp); it runs the tier of util::isa_tier(). CMake option
+//    HYNAPSE_SIMD_BACKEND, default ON. On the scalar tier it falls back to
+//    the reference table.
 //  * reference — the portable register-tiled kernel. The determinism
 //    oracle: every other backend is measured against it.
 //
@@ -54,10 +54,9 @@ struct KernelOps {
                std::size_t k, std::size_t n);
 };
 
-/// The kernel table for `backend`. Backend::simd is the widest tier this
-/// build has and this CPU runs (AVX-512, then AVX2); when there is none it
-/// returns the reference table (documented fallback; query simd_compiled()
-/// to distinguish).
+/// The kernel table for `backend`. Backend::simd is the table of
+/// util::isa_tier(); on the scalar tier it returns the reference table
+/// (documented fallback; query simd_compiled() to distinguish).
 [[nodiscard]] const KernelOps& kernel_ops(Backend backend) noexcept;
 
 /// The reference table directly (the oracle the tests compare against).

@@ -4,24 +4,23 @@
 
 namespace hynapse::ann::backends {
 
-namespace {
-
-/// The widest simd tier this build has and this CPU runs, or nullptr.
-const KernelOps* simd_ops() noexcept {
-  if (const KernelOps* wide = detail::simd512_kernel_ops()) return wide;
-  return detail::simd_avx2_kernel_ops();
+const KernelOps* detail::simd_kernel_ops(util::IsaTier tier) noexcept {
+  return util::isa_table(tier, simd_avx2_kernel_ops(),
+                         simd_avx512_kernel_ops());
 }
-
-}  // namespace
 
 const KernelOps& kernel_ops(Backend backend) noexcept {
   if (backend == Backend::simd) {
-    if (const KernelOps* ops = simd_ops()) return *ops;
+    if (const KernelOps* ops = detail::simd_kernel_ops(util::isa_tier())) {
+      return *ops;
+    }
   }
   return reference_kernel_ops();
 }
 
-bool simd_compiled() noexcept { return simd_ops() != nullptr; }
+bool simd_compiled() noexcept {
+  return detail::simd_kernel_ops(util::isa_tier()) != nullptr;
+}
 
 std::string_view backend_name(Backend backend) noexcept {
   switch (backend) {

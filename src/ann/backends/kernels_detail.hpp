@@ -4,6 +4,7 @@
 #pragma once
 
 #include "ann/backends/backend.hpp"
+#include "util/isa.hpp"
 
 #if defined(_MSC_VER)
 #define HYNAPSE_RESTRICT __restrict
@@ -13,16 +14,14 @@
 
 namespace hynapse::ann::backends::detail {
 
-/// The AVX2 tier of the simd backend (simd_avx2.cpp), or nullptr when it
-/// was not built (HYNAPSE_SIMD_AVX2 unset) or the running CPU lacks avx2.
-/// Exposed so tests can run it on hosts where Backend::simd picks the
-/// AVX-512 tier.
+/// The simd backend's table for `tier` (util/isa.hpp), or nullptr when this
+/// build has no GEMM tier for it or the CPU does not run it. Backend::simd
+/// is the table of util::isa_tier(); tests pass the narrower tiers too.
+[[nodiscard]] const KernelOps* simd_kernel_ops(util::IsaTier tier) noexcept;
+/// Each tier file's table (simd_avx2.cpp, simd_avx512.cpp), or nullptr when
+/// this build lacks it.
 [[nodiscard]] const KernelOps* simd_avx2_kernel_ops() noexcept;
-
-/// The AVX-512 tier (simd_avx512.cpp), or nullptr when it was not built
-/// (HYNAPSE_SIMD_AVX512 unset) or the running CPU lacks avx512f. Preferred
-/// over the AVX2 tier; never exposed as its own Backend value.
-[[nodiscard]] const KernelOps* simd512_kernel_ops() noexcept;
+[[nodiscard]] const KernelOps* simd_avx512_kernel_ops() noexcept;
 
 /// The portable kernels behind ann::gemm_bt and ann::gemm_at (the backward
 /// pass, which has no SIMD tier; reference.cpp).

@@ -1,10 +1,10 @@
 // AVX2 tier of the simd backend: the GEMM kernel (gemm_kernel.hpp) on
 // 8-float vectors. CMake compiles this TU with -mavx2 -ffp-contract=off and
-// defines HYNAPSE_SIMD_AVX2 only on x86 toolchains that accept the flags;
-// the kernel is offered only when cpuid reports AVX2 at runtime.
+// defines HYNAPSE_ISA_AVX2 only on x86 toolchains that accept the flags;
+// simd_kernel_ops (backends.cpp) offers it only up to util::isa_tier().
 #include "ann/backends/kernels_detail.hpp"
 
-#if defined(HYNAPSE_SIMD_AVX2)
+#if defined(HYNAPSE_ISA_AVX2)
 
 #include <immintrin.h>
 
@@ -43,10 +43,7 @@ struct Avx2 {
 
 }  // namespace
 
-const KernelOps* simd_avx2_kernel_ops() noexcept {
-  static const bool supported = __builtin_cpu_supports("avx2");
-  return supported ? &kGemmOps<Avx2> : nullptr;
-}
+const KernelOps* simd_avx2_kernel_ops() noexcept { return &kGemmOps<Avx2>; }
 
 }  // namespace hynapse::ann::backends::detail
 

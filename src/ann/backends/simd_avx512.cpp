@@ -1,10 +1,11 @@
 // AVX-512 tier of the simd backend: the GEMM kernel (gemm_kernel.hpp) on
 // 16-float vectors. CMake compiles this TU with -mavx512f -ffp-contract=off
-// and defines HYNAPSE_SIMD_AVX512 only on x86 toolchains that accept the
-// flags; the kernel is offered only when cpuid reports AVX-512F at runtime.
+// and defines HYNAPSE_ISA_AVX512 only on x86 toolchains that accept the
+// flags; simd_kernel_ops (backends.cpp) offers it only up to
+// util::isa_tier().
 #include "ann/backends/kernels_detail.hpp"
 
-#if defined(HYNAPSE_SIMD_AVX512)
+#if defined(HYNAPSE_ISA_AVX512)
 
 #include <immintrin.h>
 
@@ -41,9 +42,8 @@ struct Avx512 {
 
 }  // namespace
 
-const KernelOps* simd512_kernel_ops() noexcept {
-  static const bool supported = __builtin_cpu_supports("avx512f");
-  return supported ? &kGemmOps<Avx512> : nullptr;
+const KernelOps* simd_avx512_kernel_ops() noexcept {
+  return &kGemmOps<Avx512>;
 }
 
 }  // namespace hynapse::ann::backends::detail
@@ -52,7 +52,7 @@ const KernelOps* simd512_kernel_ops() noexcept {
 
 namespace hynapse::ann::backends::detail {
 
-const KernelOps* simd512_kernel_ops() noexcept { return nullptr; }
+const KernelOps* simd_avx512_kernel_ops() noexcept { return nullptr; }
 
 }  // namespace hynapse::ann::backends::detail
 

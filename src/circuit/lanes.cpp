@@ -11,18 +11,6 @@ namespace {
 
 using detail::lane_device;
 
-const detail::LaneKernels* kernels_of(LaneTier tier) noexcept {
-  switch (tier) {
-    case LaneTier::avx512:
-      return detail::lanes_avx512();
-    case LaneTier::avx2:
-      return detail::lanes_avx2();
-    case LaneTier::scalar:
-      break;
-  }
-  return nullptr;
-}
-
 /// Samples a kernel call takes at most: the per-device deviations are
 /// gathered into arrays this long.
 constexpr std::size_t kChunk = 256;
@@ -77,37 +65,15 @@ detail::LaneDevice detail::lane_device(const TechCard& c, double w,
           .lambda_clm = c.lambda_clm};
 }
 
-LaneTier lane_tier() noexcept {
-  if (detail::lanes_avx512()) return LaneTier::avx512;
-  if (detail::lanes_avx2()) return LaneTier::avx2;
-  return LaneTier::scalar;
-}
-
-std::vector<LaneTier> available_lane_tiers() {
-  std::vector<LaneTier> tiers{LaneTier::scalar};
-  for (const LaneTier t : {LaneTier::avx2, LaneTier::avx512}) {
-    if (kernels_of(t)) tiers.push_back(t);
-  }
-  return tiers;
-}
-
-std::string_view lane_tier_name(LaneTier tier) noexcept {
-  switch (tier) {
-    case LaneTier::avx512:
-      return "avx512";
-    case LaneTier::avx2:
-      return "avx2";
-    case LaneTier::scalar:
-      break;
-  }
-  return "scalar";
+const detail::LaneKernels* detail::lane_kernels(util::IsaTier tier) noexcept {
+  return util::isa_table(tier, lanes_avx2(), lanes_avx512());
 }
 
 bool write_verdicts_lanes(const Technology& tech, const Sizing6T& sizing,
                           std::span<const Variation6T> cells, double vdd,
                           double c_node, double t_budget,
-                          std::span<LaneVerdict> out, LaneTier tier) {
-  const detail::LaneKernels* kernels = kernels_of(tier);
+                          std::span<LaneVerdict> out, util::IsaTier tier) {
+  const detail::LaneKernels* kernels = detail::lane_kernels(tier);
   if (kernels == nullptr) return false;
   const detail::WriteLaneJob job{
       lane_device(tech.nmos, sizing.w_pg, tech.lmin),
@@ -126,8 +92,8 @@ bool write_verdicts_lanes(const Technology& tech, const Sizing6T& sizing,
 bool read_node_brackets_lanes(const Technology& tech, const Sizing6T& sizing,
                               std::span<const Variation6T> cells, double vdd,
                               double tol, std::span<Bracket> out,
-                              LaneTier tier) {
-  const detail::LaneKernels* kernels = kernels_of(tier);
+                              util::IsaTier tier) {
+  const detail::LaneKernels* kernels = detail::lane_kernels(tier);
   if (kernels == nullptr) return false;
   // Bitcell6T::read_bump_bracket: PD_L in series with PG_L.
   const detail::NodeLaneJob job{lane_device(tech.nmos, sizing.w_pd, tech.lmin),
@@ -145,8 +111,8 @@ bool read_node_brackets_lanes(const Technology& tech, const Sizing6T& sizing,
 bool read_node_brackets_lanes(const Technology& tech, const Sizing8T& sizing,
                               std::span<const Variation8T> cells, double vdd,
                               double tol, std::span<Bracket> out,
-                              LaneTier tier) {
-  const detail::LaneKernels* kernels = kernels_of(tier);
+                              util::IsaTier tier) {
+  const detail::LaneKernels* kernels = detail::lane_kernels(tier);
   if (kernels == nullptr) return false;
   // Bitcell8T::read_node_bracket: RPD in series with RPG.
   const detail::NodeLaneJob job{
@@ -165,8 +131,8 @@ bool read_node_brackets_lanes(const Technology& tech, const Sizing8T& sizing,
 bool trip_brackets_lanes(const Technology& tech, const Sizing6T& sizing,
                          std::span<const Variation6T> cells, Side side,
                          double vdd, double tol, std::span<Bracket> out,
-                         LaneTier tier) {
-  const detail::LaneKernels* kernels = kernels_of(tier);
+                         util::IsaTier tier) {
+  const detail::LaneKernels* kernels = detail::lane_kernels(tier);
   if (kernels == nullptr) return false;
   // Inverter::trip_bracket: the half-cell's pull-down against its pull-up.
   const detail::NodeLaneJob job{lane_device(tech.nmos, sizing.w_pd, tech.lmin),
@@ -186,8 +152,8 @@ bool trip_brackets_lanes(const Technology& tech, const Sizing6T& sizing,
 bool read_currents_lanes(const Technology& tech, const Sizing6T& sizing,
                          std::span<const Variation6T> cells, double vdd,
                          std::span<const double> vn, std::span<double> out,
-                         LaneTier tier) {
-  const detail::LaneKernels* kernels = kernels_of(tier);
+                         util::IsaTier tier) {
+  const detail::LaneKernels* kernels = detail::lane_kernels(tier);
   if (kernels == nullptr) return false;
   currents(*kernels, lane_device(tech.nmos, sizing.w_pg, tech.lmin), vdd,
            cells, [](const Variation6T& v) { return v.pg_l; }, vn, out);
@@ -197,8 +163,8 @@ bool read_currents_lanes(const Technology& tech, const Sizing6T& sizing,
 bool read_currents_lanes(const Technology& tech, const Sizing8T& sizing,
                          std::span<const Variation8T> cells, double vdd,
                          std::span<const double> vn, std::span<double> out,
-                         LaneTier tier) {
-  const detail::LaneKernels* kernels = kernels_of(tier);
+                         util::IsaTier tier) {
+  const detail::LaneKernels* kernels = detail::lane_kernels(tier);
   if (kernels == nullptr) return false;
   currents(*kernels, lane_device(tech.nmos, sizing.w_rpg, tech.lmin), vdd,
            cells, [](const Variation8T& v) { return v.rpg; }, vn, out);

@@ -28,76 +28,68 @@
 // voltages. mc::FailureCriteria widens the brackets and decides against
 // its read band (mc/criteria.hpp).
 //
-// The tier is chosen at runtime from cpuid among the tiers this build has
-// (HYNAPSE_SIMD_BACKEND on x86 with libmvec); on the scalar tier nothing
-// runs on lanes and every sample takes the scalar path.
+// The lanes run on util::isa_tier() (util/isa.hpp) where this build has
+// them for it (HYNAPSE_SIMD_BACKEND on x86 with libmvec); on the scalar
+// tier, or without libmvec, nothing runs on lanes and every sample takes
+// the scalar path.
 #pragma once
 
 #include <cstddef>
 #include <span>
-#include <string_view>
-#include <vector>
 
 #include "circuit/bitcell.hpp"
 #include "circuit/solve.hpp"
 #include "circuit/tech.hpp"
+#include "util/isa.hpp"
 
 namespace hynapse::circuit {
 
-enum class LaneTier { scalar, avx2, avx512 };
-
 /// Half-width of the undecided write band on (Q - QB)/vdd.
 inline constexpr double kWriteLaneBand = 1e-6;
-
-/// The widest tier this build has and this CPU runs.
-[[nodiscard]] LaneTier lane_tier() noexcept;
-/// Every tier this build has and this CPU runs, scalar first.
-[[nodiscard]] std::vector<LaneTier> available_lane_tiers();
-/// "scalar" / "avx2" / "avx512".
-[[nodiscard]] std::string_view lane_tier_name(LaneTier tier) noexcept;
 
 /// A lane's verdict on one sample; undecided ones take the scalar path.
 enum class LaneVerdict : signed char { undecided, pass, fail };
 
 /// out[k] = the lanes' verdict on Bitcell6T{tech, sizing, cells[k]}
 /// .write_fails(vdd, c_node, t_budget). Returns false, leaving out as it
-/// is, on the scalar tier (or when `tier` is not available).
+/// is, when `tier` has no lanes here (the scalar tier, no libmvec, or a
+/// tier this CPU does not run).
 bool write_verdicts_lanes(const Technology& tech, const Sizing6T& sizing,
                           std::span<const Variation6T> cells, double vdd,
                           double c_node, double t_budget,
                           std::span<LaneVerdict> out,
-                          LaneTier tier = lane_tier());
+                          util::IsaTier tier = util::isa_tier());
 
 /// out[k] = a bracket no wider than tol holding, up to the lanes' drift,
 /// the node that throttles the read current of cells[k]: read_bump(vdd) of
 /// a 6T cell, read_node(vdd) of an 8T cell. The iterates are those of
 /// read_bump_bracket / read_node_bracket; a bracket that has not closed
 /// within the lanes' step limit is handed out wider. Returns false,
-/// leaving out as it is, on the scalar tier.
+/// leaving out as it is, when `tier` has no lanes here.
 bool read_node_brackets_lanes(const Technology& tech, const Sizing6T& sizing,
                               std::span<const Variation6T> cells, double vdd,
                               double tol, std::span<Bracket> out,
-                              LaneTier tier = lane_tier());
+                              util::IsaTier tier = util::isa_tier());
 bool read_node_brackets_lanes(const Technology& tech, const Sizing8T& sizing,
                               std::span<const Variation8T> cells, double vdd,
                               double tol, std::span<Bracket> out,
-                              LaneTier tier = lane_tier());
+                              util::IsaTier tier = util::isa_tier());
 
 /// Same for trip_bracket(side, vdd, tol) of 6T cells.
 bool trip_brackets_lanes(const Technology& tech, const Sizing6T& sizing,
                          std::span<const Variation6T> cells, Side side,
                          double vdd, double tol, std::span<Bracket> out,
-                         LaneTier tier = lane_tier());
+                         util::IsaTier tier = util::isa_tier());
 
 /// out[k] = read_current_at(vdd, vn[k]) of cells[k], up to the lanes'
-/// drift. Returns false, leaving out as it is, on the scalar tier.
+/// drift. Returns false, leaving out as it is, when `tier` has no lanes here.
 bool read_currents_lanes(const Technology& tech, const Sizing6T& sizing,
                          std::span<const Variation6T> cells, double vdd,
                          std::span<const double> vn, std::span<double> out,
-                         LaneTier tier = lane_tier());
+                         util::IsaTier tier = util::isa_tier());
 bool read_currents_lanes(const Technology& tech, const Sizing8T& sizing,
                          std::span<const Variation8T> cells, double vdd,
                          std::span<const double> vn, std::span<double> out,
-                         LaneTier tier = lane_tier());
+                         util::IsaTier tier = util::isa_tier());
 
 }  // namespace hynapse::circuit

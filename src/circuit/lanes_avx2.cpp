@@ -1,11 +1,11 @@
 // AVX2 tier of the lanes: 4 lanes on libmvec's _ZGVdN4* functions. CMake
 // compiles this TU with -mavx2 -ffp-contract=off and defines
-// HYNAPSE_LANES_AVX2 only on x86 toolchains with libmvec; the kernels are
-// offered only when cpuid reports AVX2 at runtime.
+// HYNAPSE_ISA_AVX2 only on x86 toolchains with libmvec; lane_kernels
+// (lanes.cpp) offers them only up to util::isa_tier().
 #define HYNAPSE_LANES_KERNEL 1
 #include "circuit/lanes_kernel.hpp"
 
-#if defined(HYNAPSE_LANES_AVX2)
+#if defined(HYNAPSE_ISA_AVX2)
 
 using V4 = double __attribute__((vector_size(32)));
 
@@ -29,10 +29,7 @@ struct LaneMath<V4> {
 
 }  // namespace
 
-const LaneKernels* lanes_avx2() noexcept {
-  static const bool supported = __builtin_cpu_supports("avx2");
-  return supported ? &kLaneKernels<V4> : nullptr;
-}
+const LaneKernels* lanes_avx2() noexcept { return &kLaneKernels<V4>; }
 
 }  // namespace hynapse::circuit::detail
 

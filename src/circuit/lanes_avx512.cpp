@@ -1,11 +1,11 @@
 // AVX-512 tier of the lanes: 8 lanes on libmvec's _ZGVeN8* functions. CMake
 // compiles this TU with -mavx512f -ffp-contract=off and defines
-// HYNAPSE_LANES_AVX512 only on x86 toolchains with libmvec; the kernels are
-// offered only when cpuid reports AVX-512F at runtime.
+// HYNAPSE_ISA_AVX512 only on x86 toolchains with libmvec; lane_kernels
+// (lanes.cpp) offers them only up to util::isa_tier().
 #define HYNAPSE_LANES_KERNEL 1
 #include "circuit/lanes_kernel.hpp"
 
-#if defined(HYNAPSE_LANES_AVX512)
+#if defined(HYNAPSE_ISA_AVX512)
 
 using V8 = double __attribute__((vector_size(64)));
 
@@ -29,10 +29,7 @@ struct LaneMath<V8> {
 
 }  // namespace
 
-const LaneKernels* lanes_avx512() noexcept {
-  static const bool supported = __builtin_cpu_supports("avx512f");
-  return supported ? &kLaneKernels<V8> : nullptr;
-}
+const LaneKernels* lanes_avx512() noexcept { return &kLaneKernels<V8>; }
 
 }  // namespace hynapse::circuit::detail
 

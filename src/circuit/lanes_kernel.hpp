@@ -82,8 +82,10 @@ struct LaneKernels {
                   const double* vn, std::size_t n, double* out);
 };
 
-/// The tier's kernels, or nullptr when this build lacks the tier or the CPU
-/// cannot run it.
+/// The kernels of `tier`, or nullptr when this build has no lanes for it
+/// or the CPU does not run it (lanes.cpp).
+[[nodiscard]] const LaneKernels* lane_kernels(util::IsaTier tier) noexcept;
+/// Each tier file's kernels, or nullptr when this build lacks them.
 [[nodiscard]] const LaneKernels* lanes_avx2() noexcept;
 [[nodiscard]] const LaneKernels* lanes_avx512() noexcept;
 

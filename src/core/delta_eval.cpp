@@ -51,11 +51,6 @@ constexpr std::uint8_t kComplement = 1;  ///< the stored bit inverted
 constexpr std::uint8_t kPowerup = 2;     ///< the cell's power-up bit
 constexpr std::uint8_t kRandom = 4;      ///< a fresh read_rng coin per read
 
-/// Average gap between power-up reads below which a bank's power-up stream
-/// is walked whole rather than jumped word to word: about where a
-/// Rng::discard jump starts to beat stepping (its 4096-draw cut-over).
-constexpr std::uint64_t kWalkBelowGap = 4096;
-
 /// Content key of a matrix: its shape and every value's bit pattern, in
 /// four independent multiply-xor lanes. Keys the clean first layer, so a
 /// different slice that happens to live at the same address never reads a
@@ -101,7 +96,7 @@ void EvalContext::compute_deltas(const QuantizedNetwork& qnet,
                                  const MemoryConfig& config,
                                  const FaultModel& model,
                                  std::uint64_t chip_seed) {
-  // Mirrors the legacy path draw for draw: the chip RNG splits one bank RNG
+  // Mirrors the reference path draw for draw: the chip RNG splits one bank RNG
   // per bank (SynapticMemory's constructor order), and read_rng is consumed
   // bank-major, defect-major exactly as load_network's defect loop does.
   util::Rng rng{chip_seed};
@@ -163,7 +158,7 @@ void EvalContext::resolve_bank(std::size_t b, const QuantizedLayer& layer,
   if (blocks_.size() < block_words) blocks_.resize(block_words);
 
   // Mark the touched and the power-up words. Words past the stored network
-  // are never read (the legacy loop skips them before drawing).
+  // are never read (the reference loop skips them before drawing).
   std::uint32_t last_read = 0;
   std::uint64_t reads = 0;  // power-up reads, one per such defect
   for (const Defect& d : defects) {
@@ -199,14 +194,16 @@ void EvalContext::resolve_bank(std::size_t b, const QuantizedLayer& layer,
                                  std::popcount(touched_[w] & below))];
   };
 
-  // Power-up bits: the legacy constructor draws the whole bank image from
-  // the bank RNG; drawing the same stream only up to the last word read
-  // yields identical bits for every observable cell, and the bank RNG is
-  // dropped afterwards. Dense reads walk the stream on lanes, sparse ones
-  // (or none) jump from word to word.
+  // Power-up bits: SynapticMemory's constructor draws the whole bank image
+  // from the bank RNG; drawing the same stream only up to the last word
+  // read yields identical bits for every observable cell, and the bank RNG
+  // is dropped afterwards. Reads closer than kJumpCutover draws apart on
+  // average walk the stream on lanes; sparser ones (or none) jump from
+  // word to word, since a jump that far beats stepping. Both hand out the
+  // same draws.
   const auto mask = static_cast<std::uint16_t>((1u << word_bits) - 1u);
   const std::uint64_t span = std::uint64_t{last_read} + 1;
-  if (span < reads * kWalkBelowGap) {
+  if (span < reads * util::kJumpCutover) {
     bank_rng.walk(span, [&](const util::WalkBlock& draws) {
       const auto w = static_cast<std::uint32_t>(draws.first / 64);
       for (std::uint64_t m = needed_[w]; m != 0; m &= m - 1) {
@@ -326,7 +323,7 @@ const ann::Matrix& EvalContext::clean_first_layer(
 
 void EvalContext::check_shapes(const QuantizedNetwork& qnet,
                                const MemoryConfig& config) const {
-  // Same shape validation (and messages) as the legacy SynapticMemory path.
+  // Same shape validation (and messages) as the SynapticMemory path.
   if (config.num_banks() != qnet.num_layers())
     throw std::invalid_argument{
         "SynapticMemory::store_network: bank/layer count mismatch"};

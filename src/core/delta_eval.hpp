@@ -14,8 +14,8 @@
 //    last one: dense reads walk the stream on discard-jumped SIMD lanes
 //    (util::Rng::walk), sparse ones jump from word to word,
 //  * resolves every defect to its read-back bit, drawing the read RNG in
-//    exactly the legacy order (bank-major, defect-major), and ORs it into
-//    its word's slot,
+//    exactly the reference order (bank-major, defect-major), and ORs it
+//    into its word's slot,
 //  * emits one (layer, word, new-code) delta per flipped word, in ascending
 //    word order, reading each touched word's clean code once,
 //  * applies the deltas to a shared clean baseline Mlp, runs the workspace
@@ -84,7 +84,7 @@ class EvalContext {
   EvalContext() = default;
 
   /// Accuracy of chip `chip` — same contract and bit-identical result as
-  /// the legacy core::evaluate_chip. `qnet_fp` must be
+  /// the reference core::evaluate_chip. `qnet_fp` must be
   /// network_fingerprint(qnet) (precomputed by the caller once per call).
   /// `backend` selects the GEMM kernel table (ann/backends; identical
   /// results either way).

@@ -37,8 +37,7 @@ struct BatchPoint {
   core::EvalOptions options;
 };
 
-/// One runner submission, replacing the old evaluate_sweep/evaluate_batch
-/// overload matrix: WHAT to evaluate (a heterogeneous vector of
+/// One runner submission: WHAT to evaluate (a heterogeneous vector of
 /// BatchPoints), WHERE failure tables come from (each point's own table or
 /// a shared table via against()), and HOW to run it (thread cap,
 /// precomputed network fingerprint). Named constructors plus chainable
@@ -130,9 +129,9 @@ class ExperimentRunner {
   [[nodiscard]] std::size_t threads() const noexcept { return threads_; }
 
   /// The runner's persistent delta-evaluation context pool: baselines and
-  /// forward-pass workspaces outlive individual evaluate/evaluate_batch
-  /// calls, so a long-lived runner (serve::EvalService) pays the baseline
-  /// dequantize once per worker instead of once per request.
+  /// forward-pass workspaces outlive individual run() calls, so a
+  /// long-lived runner (serve::EvalService) pays the baseline dequantize
+  /// once per worker instead of once per request.
   [[nodiscard]] core::EvalContextPool& contexts() const noexcept {
     return contexts_;
   }

@@ -177,12 +177,12 @@ circuit::LaneVerdict lane_verdict(int decision) {
 }
 
 /// The lanes' verdicts on a block of write samples (an 8T cell writes
-/// through its 6T core). False on the scalar tier.
+/// through its 6T core). False where `tier` has no lanes.
 bool write_lanes(const circuit::Technology& tech,
                  const sram::CycleModel& cycle,
                  const circuit::Sizing6T& sizing,
                  std::span<const circuit::Variation6T> cells, double vdd,
-                 circuit::LaneTier tier, std::span<circuit::LaneVerdict> out) {
+                 util::IsaTier tier, std::span<circuit::LaneVerdict> out) {
   return circuit::write_verdicts_lanes(tech, sizing, cells, vdd,
                                        cycle.c_node(), cycle.write_budget(vdd),
                                        out, tier);
@@ -191,7 +191,7 @@ bool write_lanes(const circuit::Technology& tech,
                  const sram::CycleModel& cycle,
                  const circuit::Sizing8T& sizing,
                  std::span<const circuit::Variation8T> cells, double vdd,
-                 circuit::LaneTier tier, std::span<circuit::LaneVerdict> out) {
+                 util::IsaTier tier, std::span<circuit::LaneVerdict> out) {
   std::array<circuit::Variation6T, kLaneBlock> cores;
   for (std::size_t k = 0; k < cells.size(); ++k) cores[k] = cells[k].core;
   return write_lanes(tech, cycle, sizing.core,
@@ -205,7 +205,7 @@ template <typename Sizing, typename Var>
 bool read_access_lanes(const circuit::Technology& tech,
                        const sram::CycleModel& cycle, const Sizing& sizing,
                        std::span<const Var> cells, double vdd,
-                       circuit::LaneTier tier,
+                       util::IsaTier tier,
                        std::span<circuit::LaneVerdict> out) {
   const std::size_t n = cells.size();
   std::array<circuit::Bracket, kLaneBlock> node;
@@ -241,7 +241,7 @@ bool read_access_lanes(const circuit::Technology& tech,
 bool read_disturb_lanes(const circuit::Technology& tech,
                         const circuit::Sizing6T& sizing,
                         std::span<const circuit::Variation6T> cells,
-                        double vdd, circuit::LaneTier tier,
+                        double vdd, util::IsaTier tier,
                         std::span<circuit::LaneVerdict> out) {
   constexpr double tol = FailureCriteria::kBracketTol;
   const std::size_t n = cells.size();
@@ -261,7 +261,7 @@ bool read_disturb_lanes(const circuit::Technology& tech,
 // An 8T cell has no read-disturb mechanism: fails() answers at once.
 bool read_disturb_lanes(const circuit::Technology&, const circuit::Sizing8T&,
                         std::span<const circuit::Variation8T>, double,
-                        circuit::LaneTier, std::span<circuit::LaneVerdict>) {
+                        util::IsaTier, std::span<circuit::LaneVerdict>) {
   return false;
 }
 
@@ -271,7 +271,7 @@ template <typename Var, typename Sizing>
 void FailureCriteria::fails_block_of(Mechanism m, std::span<const Var> cells,
                                      const Sizing& sizing, double vdd,
                                      std::span<bool> out,
-                                     circuit::LaneTier tier) const {
+                                     util::IsaTier tier) const {
   const bool write = m == Mechanism::write;
   obs::Counter& decisions =
       write ? *write_lane_decisions_ : *read_lane_decisions_;
@@ -316,14 +316,14 @@ void FailureCriteria::fails_block_of(Mechanism m, std::span<const Var> cells,
 void FailureCriteria::fails_block(Mechanism m,
                                   std::span<const circuit::Variation6T> cells,
                                   double vdd, std::span<bool> out,
-                                  circuit::LaneTier tier) const {
+                                  util::IsaTier tier) const {
   fails_block_of(m, cells, sizing6_, vdd, out, tier);
 }
 
 void FailureCriteria::fails_block(Mechanism m,
                                   std::span<const circuit::Variation8T> cells,
                                   double vdd, std::span<bool> out,
-                                  circuit::LaneTier tier) const {
+                                  util::IsaTier tier) const {
   fails_block_of(m, cells, sizing8_, vdd, out, tier);
 }
 

@@ -44,6 +44,7 @@
 #include "circuit/lanes.hpp"
 #include "circuit/tech.hpp"
 #include "sram/timing.hpp"
+#include "util/isa.hpp"
 
 namespace hynapse::obs {
 class Counter;
@@ -115,10 +116,10 @@ class FailureCriteria {
   /// must equal cells.size().
   void fails_block(Mechanism m, std::span<const circuit::Variation6T> cells,
                    double vdd, std::span<bool> out,
-                   circuit::LaneTier tier = circuit::lane_tier()) const;
+                   util::IsaTier tier = util::isa_tier()) const;
   void fails_block(Mechanism m, std::span<const circuit::Variation8T> cells,
                    double vdd, std::span<bool> out,
-                   circuit::LaneTier tier = circuit::lane_tier()) const;
+                   util::IsaTier tier = util::isa_tier()) const;
 
   /// Standby retention limit-state at a (possibly deeply scaled) hold
   /// voltage: positive = the cell loses its state (extension; see
@@ -156,7 +157,7 @@ class FailureCriteria {
   template <typename Var, typename Sizing>
   void fails_block_of(Mechanism m, std::span<const Var> cells,
                       const Sizing& sizing, double vdd, std::span<bool> out,
-                      circuit::LaneTier tier) const;
+                      util::IsaTier tier) const;
 };
 
 }  // namespace hynapse::mc

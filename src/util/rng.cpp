@@ -78,36 +78,14 @@ const std::vector<JumpMatrix>& jump_table() {
   return table;
 }
 
-const detail::WalkKernel* walk_kernel(WalkTier tier) noexcept {
-  switch (tier) {
-    case WalkTier::avx512:
-      return detail::walk_avx512();
-    case WalkTier::avx2:
-      return detail::walk_avx2();
-    case WalkTier::scalar:
-      break;
-  }
-  return nullptr;
-}
-
 }  // namespace
 
-WalkTier walk_tier() noexcept {
-  if (detail::walk_avx512()) return WalkTier::avx512;
-  if (detail::walk_avx2()) return WalkTier::avx2;
-  return WalkTier::scalar;
+const detail::WalkKernel* detail::walk_kernel(IsaTier tier) noexcept {
+  return isa_table(tier, walk_avx2(), walk_avx512());
 }
 
-std::vector<WalkTier> available_walk_tiers() {
-  std::vector<WalkTier> tiers{WalkTier::scalar};
-  for (const WalkTier t : {WalkTier::avx2, WalkTier::avx512}) {
-    if (walk_kernel(t)) tiers.push_back(t);
-  }
-  return tiers;
-}
-
-std::size_t walk_lanes(WalkTier tier) noexcept {
-  const detail::WalkKernel* kernel = walk_kernel(tier);
+std::size_t walk_lanes(IsaTier tier) noexcept {
+  const detail::WalkKernel* kernel = detail::walk_kernel(tier);
   return kernel ? kernel->lanes : 1;
 }
 
@@ -166,10 +144,7 @@ bool Rng::bernoulli(double p) noexcept {
 }
 
 void Rng::discard(std::uint64_t n) {
-  // Below the threshold, sequential stepping beats the ~popcount(n) matrix
-  // applications; above it, the jump is effectively O(1).
-  constexpr std::uint64_t kJumpThreshold = 4096;
-  if (n < kJumpThreshold) {
+  if (n < kJumpCutover) {
     for (; n != 0; --n) (void)next_u64();
     return;
   }
@@ -194,9 +169,9 @@ void Rng::start_round(std::uint64_t* state, std::size_t lanes,
   }
 }
 
-void Rng::step_round(WalkTier tier, std::uint64_t* state,
+void Rng::step_round(IsaTier tier, std::uint64_t* state,
                      std::uint64_t* out) noexcept {
-  walk_kernel(tier)->step(state, out);
+  detail::walk_kernel(tier)->step(state, out);
 }
 
 Rng Rng::split() noexcept {

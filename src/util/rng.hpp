@@ -12,7 +12,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <vector>
+
+#include "util/isa.hpp"
 
 namespace hynapse::util {
 
@@ -20,19 +21,14 @@ namespace hynapse::util {
 /// state. Public because tests and seeding schemes use it directly.
 [[nodiscard]] std::uint64_t splitmix64(std::uint64_t& state) noexcept;
 
-/// The lanes Rng::walk runs on: 4 x 64-bit lanes per AVX2 vector, 8 per
-/// AVX-512 vector, chosen at runtime from cpuid among the tiers this build
-/// has (HYNAPSE_SIMD_BACKEND on x86). The scalar tier walks one draw after
-/// the other.
-enum class WalkTier : std::uint8_t { scalar, avx2, avx512 };
+/// Lanes one Rng::walk round runs on `tier` (util/isa.hpp): 4 x 64-bit
+/// lanes per AVX2 vector, 8 per AVX-512 vector; 1 (one draw after the
+/// other) on the scalar tier and on a tier this build or CPU lacks.
+[[nodiscard]] std::size_t walk_lanes(IsaTier tier) noexcept;
 
-/// The widest tier this build has and this CPU runs.
-[[nodiscard]] WalkTier walk_tier() noexcept;
-/// Every tier this build has and this CPU runs, scalar first.
-[[nodiscard]] std::vector<WalkTier> available_walk_tiers();
-/// Lanes one walk round of `tier` runs (1 on the scalar tier, and on a tier
-/// this build or CPU lacks).
-[[nodiscard]] std::size_t walk_lanes(WalkTier tier) noexcept;
+/// Draws from which Rng::discard jumps rather than steps: about where the
+/// ~popcount(n) jump-matrix applications start to beat stepping.
+inline constexpr std::uint64_t kJumpCutover = 4096;
 
 /// Draws a walk hands to its visitor at once (Rng::walk).
 inline constexpr std::size_t kWalkBlock = 64;
@@ -107,7 +103,7 @@ class Rng {
   /// (same state, same subsequent stream), but in O(popcount(n)) 256-bit
   /// GF(2) matrix applications once n is large: the xoshiro256** state
   /// transition is linear over GF(2), so T^n is composed from lazily built
-  /// T^(2^i) tables. Small n falls back to sequential stepping. Lets sparse
+  /// T^(2^i) tables. n below kJumpCutover is stepped. Lets sparse
   /// consumers (core::EvalContext's power-up reads) skip millions of
   /// unobserved draws without changing any observed value.
   void discard(std::uint64_t n);
@@ -121,7 +117,7 @@ class Rng {
   /// application); what is left when a round no longer fits is drawn in
   /// order. Every tier hands out the same draws.
   template <typename Visit>
-  void walk(std::uint64_t n, Visit&& visit, WalkTier tier = walk_tier());
+  void walk(std::uint64_t n, Visit&& visit, IsaTier tier = isa_tier());
 
   /// Derives an independent child generator; used to give each thread or each
   /// Monte-Carlo chip sample its own stream without correlation.
@@ -135,7 +131,7 @@ class Rng {
                    int log2_segment) const;
   /// Runs kWalkBlock steps of every lane on `tier`: draw t of lane j goes
   /// to out[t * lanes + j].
-  static void step_round(WalkTier tier, std::uint64_t* state,
+  static void step_round(IsaTier tier, std::uint64_t* state,
                          std::uint64_t* out) noexcept;
 
   std::uint64_t s_[4];
@@ -144,7 +140,7 @@ class Rng {
 };
 
 template <typename Visit>
-void Rng::walk(std::uint64_t n, Visit&& visit, WalkTier tier) {
+void Rng::walk(std::uint64_t n, Visit&& visit, IsaTier tier) {
   alignas(64) std::uint64_t out[kWalkBlock * detail::kMaxWalkLanes];
   std::uint64_t first = 0;
   const std::size_t lanes = walk_lanes(tier);

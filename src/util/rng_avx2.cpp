@@ -1,19 +1,16 @@
 // AVX2 tier of Rng::walk: one 4-lane vector. CMake compiles this TU with
-// -mavx2 and defines HYNAPSE_RNG_AVX2 only on x86 toolchains that accept the
-// flag; the kernel is offered only when cpuid reports AVX2 at runtime.
+// -mavx2 and defines HYNAPSE_ISA_AVX2 only on x86 toolchains that accept the
+// flag; walk_kernel (rng.cpp) offers the kernel only up to util::isa_tier().
 #define HYNAPSE_RNG_WALK_KERNEL 1
 #include "util/rng_walk_kernel.hpp"
 
 namespace hynapse::util::detail {
 
-#if defined(HYNAPSE_RNG_AVX2)
+#if defined(HYNAPSE_ISA_AVX2)
 
 using V4 = std::uint64_t __attribute__((vector_size(32)));
 
-const WalkKernel* walk_avx2() noexcept {
-  static const bool supported = __builtin_cpu_supports("avx2");
-  return supported ? &kWalkKernel<V4> : nullptr;
-}
+const WalkKernel* walk_avx2() noexcept { return &kWalkKernel<V4>; }
 
 #else
 

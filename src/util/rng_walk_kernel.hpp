@@ -20,7 +20,10 @@ struct WalkKernel {
   void (*step)(std::uint64_t* state, std::uint64_t* out) noexcept;
 };
 
-/// The tier's kernel, or nullptr when this build or CPU lacks the tier.
+/// The kernel of `tier`, or nullptr when this build has none for it or the
+/// CPU does not run it (rng.cpp).
+[[nodiscard]] const WalkKernel* walk_kernel(IsaTier tier) noexcept;
+/// Each tier file's kernel, or nullptr when this build lacks it.
 [[nodiscard]] const WalkKernel* walk_avx2() noexcept;
 [[nodiscard]] const WalkKernel* walk_avx512() noexcept;
 

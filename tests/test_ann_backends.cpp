@@ -1,23 +1,28 @@
 // Backend seam coverage: the registry (fallback, tier choice and tier
-// name) and the kernels. Every backend's gemm must be
-// bit-identical to gemm_naive — and therefore to the reference backend —
-// across tile remainders, odd shapes, and both serial and pool-parallel row
-// partitioning (ann/backends/backend.hpp); so must the portable gemm_bt and
-// gemm_at kernels of the backward pass. The gemm tests also call every
-// kernel table this host runs directly, so the AVX2 tier is covered where
-// Backend::simd picks the AVX-512 one.
+// name), the one ISA tier every vector subsystem runs, and the kernels.
+// Every backend's gemm must be bit-identical to gemm_naive — and therefore
+// to the reference backend — across tile remainders, odd shapes, and both
+// serial and pool-parallel row partitioning (ann/backends/backend.hpp); so
+// must the portable gemm_bt and gemm_at kernels of the backward pass. The
+// gemm tests also call every kernel table this host runs directly, so the
+// AVX2 tier is covered where Backend::simd picks the AVX-512 one.
 #include "ann/backends/backend.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
-#include <string_view>
+#include <string>
 #include <vector>
 
 #include "ann/backends/kernels_detail.hpp"
 #include "ann/matrix.hpp"
+#include "circuit/lanes.hpp"
+#include "circuit/lanes_kernel.hpp"
+#include "circuit/tech.hpp"
+#include "util/isa.hpp"
 #include "util/rng.hpp"
+#include "util/rng_walk_kernel.hpp"
 
 namespace hynapse::ann {
 namespace {
@@ -64,15 +69,14 @@ struct Table {
   const backends::KernelOps* ops;
 };
 
-/// The reference table and every simd tier this build has and this CPU
+/// The reference table and the simd table of every ISA tier this host
 /// runs.
 std::vector<Table> kernel_tables() {
   std::vector<Table> t{{"reference", &backends::reference_kernel_ops()}};
-  if (const auto* ops = backends::detail::simd_avx2_kernel_ops()) {
-    t.push_back({"simd.avx2", ops});
-  }
-  if (const auto* ops = backends::detail::simd512_kernel_ops()) {
-    t.push_back({"simd.avx512", ops});
+  for (const util::IsaTier tier : util::available_isa_tiers()) {
+    if (const auto* ops = backends::detail::simd_kernel_ops(tier)) {
+      t.push_back({ops->name.data(), ops});
+    }
   }
   return t;
 }
@@ -94,20 +98,83 @@ TEST(Backends, SimdFallsBackToReferenceWhenNotCompiled) {
   }
 }
 
+/// The tier util::isa_tier() must pick, found without it: the widest tier
+/// whose Rng::walk file this build compiled (CMake gives the walk every
+/// tier the compiler accepts) and whose instructions this CPU reports.
+util::IsaTier expected_tier() {
+  util::IsaTier tier = util::IsaTier::scalar;
+#if defined(__x86_64__) || defined(__i386__)
+  if (util::detail::walk_avx2() != nullptr && __builtin_cpu_supports("avx2")) {
+    tier = util::IsaTier::avx2;
+    if (util::detail::walk_avx512() != nullptr &&
+        __builtin_cpu_supports("avx512f")) {
+      tier = util::IsaTier::avx512;
+    }
+  }
+#endif
+  return tier;
+}
+
+/// The GEMM tier file's table for `tier`, or nullptr.
+const backends::KernelOps* gemm_file_ops(util::IsaTier tier) {
+  switch (tier) {
+    case util::IsaTier::avx512:
+      return backends::detail::simd_avx512_kernel_ops();
+    case util::IsaTier::avx2:
+      return backends::detail::simd_avx2_kernel_ops();
+    case util::IsaTier::scalar:
+      break;
+  }
+  return nullptr;
+}
+
 TEST(Backends, SimdPicksTheWidestUsableTier) {
-  const backends::KernelOps* widest = backends::detail::simd512_kernel_ops();
-  if (!widest) widest = backends::detail::simd_avx2_kernel_ops();
+  const backends::KernelOps* widest = gemm_file_ops(expected_tier());
   const backends::KernelOps& ref = backends::reference_kernel_ops();
   EXPECT_EQ(&backends::kernel_ops(Backend::simd), widest ? widest : &ref);
   EXPECT_EQ(backends::simd_compiled(), widest != nullptr);
 
   // The name travels with the table (HealthSummary::backend reports it).
   EXPECT_EQ(ref.name, "reference");
-  const std::string_view expected =
-      backends::detail::simd512_kernel_ops()       ? "avx512"
-      : backends::detail::simd_avx2_kernel_ops() ? "avx2"
-                                                   : "reference";
-  EXPECT_EQ(backends::kernel_ops(Backend::simd).name, expected);
+  for (const util::IsaTier tier : {util::IsaTier::avx2, util::IsaTier::avx512}) {
+    if (const auto* ops = gemm_file_ops(tier)) {
+      EXPECT_EQ(ops->name, util::isa_tier_name(tier));
+    }
+  }
+}
+
+TEST(Isa, EverySubsystemRunsTheOneTier) {
+  const util::IsaTier tier = expected_tier();
+  const auto name = std::string{util::isa_tier_name(tier)};
+  EXPECT_EQ(util::isa_tier(), tier)
+      << "picked " << util::isa_tier_name(util::isa_tier());
+  std::vector<util::IsaTier> tiers{util::IsaTier::scalar};
+  for (const util::IsaTier t : {util::IsaTier::avx2, util::IsaTier::avx512}) {
+    if (t <= tier) tiers.push_back(t);
+  }
+  EXPECT_EQ(util::available_isa_tiers(), tiers);
+  // The GEMM runs the tier's table, or the reference one where it has none.
+  const backends::KernelOps* gemm = gemm_file_ops(tier);
+  EXPECT_EQ(&backends::kernel_ops(Backend::simd),
+            gemm ? gemm : &backends::reference_kernel_ops());
+  EXPECT_EQ(backends::kernel_ops(Backend::simd).name,
+            gemm ? name : "reference");
+  // Rng::walk runs the tier's lanes.
+  const std::size_t walk_lanes = tier == util::IsaTier::avx512 ? 8
+                                 : tier == util::IsaTier::avx2 ? 4
+                                                               : 1;
+  EXPECT_EQ(util::walk_lanes(util::isa_tier()), walk_lanes) << name;
+  // The Monte-Carlo lanes decide on the tier exactly when its tier file is
+  // built (it needs libmvec); a lane call says so by its return value.
+  const circuit::detail::LaneKernels* built =
+      tier == util::IsaTier::avx512 ? circuit::detail::lanes_avx512()
+      : tier == util::IsaTier::avx2 ? circuit::detail::lanes_avx2()
+                                    : nullptr;
+  EXPECT_EQ(circuit::detail::lane_kernels(util::isa_tier()), built) << name;
+  EXPECT_EQ(circuit::read_currents_lanes(circuit::ptm22(), circuit::Sizing6T{},
+                                         {}, 0.8, {}, {}),
+            built != nullptr)
+      << name;
 }
 
 TEST(Backends, GemmMatchesNaiveBitwiseAcrossBackendsAndShapes) {

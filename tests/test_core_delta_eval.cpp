@@ -508,9 +508,10 @@ namespace hynapse::util {
 namespace {
 
 TEST(RngDiscard, MatchesSequentialDraws) {
-  for (const std::uint64_t n :
-       {0ull, 1ull, 7ull, 4095ull, 4096ull, 4097ull, 100000ull,
-        1048576ull, 10000019ull}) {
+  const std::uint64_t lengths[] = {
+      0, 1, 7, kJumpCutover - 1, kJumpCutover, kJumpCutover + 1,
+      100000, 1048576, 10000019};
+  for (const std::uint64_t n : lengths) {
     Rng sequential{42};
     Rng jumped{42};
     for (std::uint64_t i = 0; i < n; ++i) (void)sequential.next_u64();

@@ -5,7 +5,7 @@
 // brackets, the monotone write transient) and the agreement itself on
 // plain, IS-shifted and boundary-clustered samples at every paper voltage,
 // for the per-sample fails and for the block path the sampling loops call
-// (FailureCriteria::fails_block on every lane tier this host runs, which
+// (FailureCriteria::fails_block on every ISA tier this host runs, which
 // decides write and read samples on the lanes of circuit/lanes.hpp).
 //
 // DISABLED_MillionDecisionSweep is the long agreement sweep; run it with
@@ -30,6 +30,7 @@
 #include "circuit/lanes_kernel.hpp"
 #include "mc/circuit_stack.hpp"
 #include "obs/metrics.hpp"
+#include "util/isa.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 
@@ -57,12 +58,17 @@ std::uint64_t read_lane_fallbacks() {
   return counter("mc.read.lane_fallbacks");
 }
 
-bool on_lanes() { return circuit::lane_tier() != circuit::LaneTier::scalar; }
+bool on_lanes() {
+  return circuit::detail::lane_kernels(util::isa_tier()) != nullptr;
+}
 
-/// The kernel table of a lane tier this host runs (not the scalar tier).
-const circuit::detail::LaneKernels* lane_kernels(circuit::LaneTier tier) {
-  return tier == circuit::LaneTier::avx512 ? circuit::detail::lanes_avx512()
-                                           : circuit::detail::lanes_avx2();
+/// ISA tiers this host runs that have lanes (none without libmvec).
+std::size_t tiers_with_lanes() {
+  const std::vector<util::IsaTier> tiers = util::available_isa_tiers();
+  return static_cast<std::size_t>(
+      std::count_if(tiers.begin(), tiers.end(), [](util::IsaTier tier) {
+        return circuit::detail::lane_kernels(tier) != nullptr;
+      }));
 }
 
 // ---- Mosfet::ids derivative overload ---------------------------------------
@@ -189,9 +195,9 @@ TEST(NewtonBracket, LaneBracketsHoldTheBisectionRootOnSampledCells) {
   constexpr double slack = FailureCriteria::kBracketSlack;
   constexpr std::size_t n = 300;
   util::Rng rng{2025};
-  for (const circuit::LaneTier tier : circuit::available_lane_tiers()) {
-    if (tier == circuit::LaneTier::scalar) continue;
-    const char* name = circuit::lane_tier_name(tier).data();
+  for (const util::IsaTier tier : util::available_isa_tiers()) {
+    if (circuit::detail::lane_kernels(tier) == nullptr) continue;
+    const char* name = util::isa_tier_name(tier).data();
     for (const double vdd : circuit::paper_voltage_grid()) {
       std::vector<circuit::Variation6T> cells6(n);
       std::vector<circuit::Variation8T> cells8(n);
@@ -299,10 +305,12 @@ TEST(LaneCurrent, MatchesMosfetIdsOnEveryBranch) {
   }
   const circuit::detail::LaneDevice dev =
       circuit::detail::lane_device(card, w, s.tech.lmin);
-  for (const circuit::LaneTier tier : circuit::available_lane_tiers()) {
-    if (tier == circuit::LaneTier::scalar) continue;
+  for (const util::IsaTier tier : util::available_isa_tiers()) {
+    const circuit::detail::LaneKernels* kernels =
+        circuit::detail::lane_kernels(tier);
+    if (kernels == nullptr) continue;
     std::vector<double> out(n, -1.0);
-    lane_kernels(tier)->current(dev, vdd, dvt.data(), vn.data(), n, out.data());
+    kernels->current(dev, vdd, dvt.data(), vn.data(), n, out.data());
     for (std::size_t k = 0; k < n; ++k) {
       const Point& p = points[k % std::size(points)];
       const double v = vdd - vn[k];
@@ -311,7 +319,7 @@ TEST(LaneCurrent, MatchesMosfetIdsOnEveryBranch) {
           circuit::Mosfet{card, w, s.tech.lmin, p.dvt}.ids(v, v);
       EXPECT_NEAR(out[k], scalar, 1e-12 * std::fabs(scalar))
           << p.branch << ", sample " << k << " on "
-          << circuit::lane_tier_name(tier);
+          << util::isa_tier_name(tier);
     }
   }
 }
@@ -365,7 +373,7 @@ bool fails(const Case& c, const Dvt& x, double vdd) {
 /// FailureCriteria::fails_block for case c on each of `tiers`.
 std::size_t block_disagreements(const Case& c, const std::vector<Dvt>& xs,
                                 const std::vector<bool>& oracle, double vdd,
-                                std::span<const circuit::LaneTier> tiers) {
+                                std::span<const util::IsaTier> tiers) {
   const CircuitStack& s = stack();
   const std::size_t n = xs.size();
   const auto out = std::make_unique<bool[]>(n);
@@ -377,7 +385,7 @@ std::size_t block_disagreements(const Case& c, const std::vector<Dvt>& xs,
     cells8[k] = VariationSampler::pack_8t(xs[k]);
   }
   std::size_t disagreements = 0;
-  for (const circuit::LaneTier tier : tiers) {
+  for (const util::IsaTier tier : tiers) {
     // Every run starts from wrong verdicts, so one it leaves unset shows.
     for (std::size_t k = 0; k < n; ++k) verdicts[k] = !oracle[k];
     if (c.cell8) {
@@ -390,7 +398,7 @@ std::size_t block_disagreements(const Case& c, const std::vector<Dvt>& xs,
       ++disagreements;
       ADD_FAILURE() << c.name << " at " << vdd << " V: sample " << k
                     << " decided against the oracle by fails_block on "
-                    << circuit::lane_tier_name(tier);
+                    << util::isa_tier_name(tier);
     }
   }
   return disagreements;
@@ -462,7 +470,7 @@ Tally agree_on(const Case& c, const std::vector<Dvt>& xs, double vdd) {
   std::vector<bool> oracle;
   Tally t = agree_one_by_one(c, xs, vdd, oracle);
   t.disagreements +=
-      block_disagreements(c, xs, oracle, vdd, circuit::available_lane_tiers());
+      block_disagreements(c, xs, oracle, vdd, util::available_isa_tiers());
   return t;
 }
 
@@ -544,9 +552,9 @@ TEST_P(DecisionAgreement, PlainAndShiftedSamplesMatchTheOracle) {
     EXPECT_EQ(t.decisions, 1000u);
     EXPECT_EQ(t.disagreements, 0u) << c.name;
     // Samples away from the boundary are the lanes' to decide: at most 1%
-    // may fall back on each lane tier.
-    const std::size_t lane_tiers = circuit::available_lane_tiers().size() - 1;
-    EXPECT_LE(lane_fallbacks() - lane_before, lane_tiers * t.decisions / 100)
+    // may fall back on each tier with lanes.
+    EXPECT_LE(lane_fallbacks() - lane_before,
+              tiers_with_lanes() * t.decisions / 100)
         << c.name << " at " << vdd << " V";
   }
   // The 8T read port has no disturb mechanism: the oracle is constant -1.
@@ -598,7 +606,7 @@ TEST_P(DecisionAgreement, SamplesInsideTheLaneBandFallBack) {
   // clear of the scalar margins, but inside the band, so no lane may decide
   // one. For write the metric is (Q - QB)/vdd, which the write band bounds.
   const double vdd = GetParam();
-  const std::size_t lane_tiers = circuit::available_lane_tiers().size() - 1;
+  const std::size_t tiers = tiers_with_lanes();
   std::size_t cases_sampled = 0;
   for (const Case& c : kCases) {
     const bool write = c.m == Mechanism::write;
@@ -614,7 +622,7 @@ TEST_P(DecisionAgreement, SamplesInsideTheLaneBandFallBack) {
       cases_sampled += samples.empty() ? 0 : 1;
       const std::uint64_t after =
           write ? write_lane_fallbacks() : read_lane_fallbacks();
-      EXPECT_EQ(after - before, lane_tiers * samples.size())
+      EXPECT_EQ(after - before, tiers * samples.size())
           << c.name << " at " << vdd << " V, level " << level;
     }
   }
@@ -625,7 +633,7 @@ TEST_P(DecisionAgreement, SamplesInsideTheLaneBandFallBack) {
 TEST_P(DecisionAgreement, WriteLanesDecideAtATighterBand) {
   // The write lanes hand back only verdicts, so their drift from the scalar
   // transient is pinned through them: with the band narrowed from
-  // kWriteLaneBand to 1e-12, every lane tier must decide each sample whose
+  // kWriteLaneBand to 1e-12, every tier with lanes must decide each sample whose
   // scalar margin (Q - QB)/vdd sits at 2e-12 above or below zero (bisected
   // to that level, not jittered), and decide it as write_fails does. A lane
   // margin that drifted by 1e-12 vdd or more would leave some of them
@@ -654,18 +662,20 @@ TEST_P(DecisionAgreement, WriteLanesDecideAtATighterBand) {
           boundary_samples(c, vdd, 16, 1, 37, level, 0.0);
       std::vector<circuit::Variation6T> cells(xs.size());
       std::transform(xs.begin(), xs.end(), cells.begin(), pack6);
-      for (const circuit::LaneTier tier : circuit::available_lane_tiers()) {
-        if (tier == circuit::LaneTier::scalar) continue;
+      for (const util::IsaTier tier : util::available_isa_tiers()) {
+        const circuit::detail::LaneKernels* kernels =
+            circuit::detail::lane_kernels(tier);
+        if (kernels == nullptr) continue;
         std::vector<circuit::LaneVerdict> verdicts(
             cells.size(), circuit::LaneVerdict::undecided);
-        lane_kernels(tier)->write(job, cells.data(), cells.size(), verdicts.data());
+        kernels->write(job, cells.data(), cells.size(), verdicts.data());
         for (std::size_t k = 0; k < cells.size(); ++k) {
           const bool scalar = circuit::Bitcell6T{s.tech, sz, cells[k]}
                                   .write_fails(vdd, s.cycle.c_node(), budget);
           EXPECT_EQ(verdicts[k], scalar ? circuit::LaneVerdict::fail
                                         : circuit::LaneVerdict::pass)
               << c.name << " at " << vdd << " V, level " << level
-              << ", sample " << k << " on " << circuit::lane_tier_name(tier);
+              << ", sample " << k << " on " << util::isa_tier_name(tier);
         }
         decided += cells.size();
       }
@@ -738,18 +748,18 @@ TEST(WritePremise, TransientNeverRaisesQOrLowersQb) {
 
 // ---- the long sweep ------------------------------------------------------------
 
-/// Lane fallbacks of the million-decision sweep on one lane tier, as
+/// Lane fallbacks of the million-decision sweep on one ISA tier, as
 /// measured when they were pinned (AVX-512 host, GCC 12.2, glibc 2.36).
 struct PinnedLaneFallbacks {
-  circuit::LaneTier tier;
+  util::IsaTier tier;
   std::uint64_t write;
   std::uint64_t read;
 };
 
 constexpr PinnedLaneFallbacks kPinnedLaneFallbacks[] = {
-    {circuit::LaneTier::scalar, 0, 0},
-    {circuit::LaneTier::avx2, 44200, 84000},
-    {circuit::LaneTier::avx512, 44200, 84000},
+    {util::IsaTier::scalar, 0, 0},
+    {util::IsaTier::avx2, 44200, 84000},
+    {util::IsaTier::avx512, 44200, 84000},
 };
 
 /// One job of the sweep: samples of one case at one voltage and their
@@ -764,7 +774,7 @@ struct SweepJob {
 TEST(DecisionSweep, DISABLED_MillionDecisionSweep) {
   // ~1M decisions: for every paper voltage and mechanism, plain and
   // IS-shifted samples plus boundary-clustered ones, on all threads, each
-  // decided one by one and then on the block path of each lane tier in
+  // decided one by one and then on the block path of each ISA tier in
   // turn, so the lane counters split by tier. A tier that sends more than
   // 1% more samples to the scalar path than pinned fails: the verdicts
   // would still agree, but the lanes would have lost work to the scalar
@@ -814,7 +824,7 @@ TEST(DecisionSweep, DISABLED_MillionDecisionSweep) {
   EXPECT_GE(sampled.decisions + boundary.decisions, 1000000u);
   EXPECT_EQ(sampled.disagreements, 0u);
   EXPECT_EQ(boundary.disagreements, 0u);
-  for (const circuit::LaneTier tier : circuit::available_lane_tiers()) {
+  for (const util::IsaTier tier : util::available_isa_tiers()) {
     const std::uint64_t oracle_before = oracle_fallbacks();
     const std::uint64_t write_before = write_lane_fallbacks();
     const std::uint64_t read_before = read_lane_fallbacks();
@@ -832,7 +842,7 @@ TEST(DecisionSweep, DISABLED_MillionDecisionSweep) {
         [](std::size_t a, std::size_t b) { return a + b; });
     const std::uint64_t write = write_lane_fallbacks() - write_before;
     const std::uint64_t read = read_lane_fallbacks() - read_before;
-    const char* name = circuit::lane_tier_name(tier).data();
+    const char* name = util::isa_tier_name(tier).data();
     std::printf(
         "%s: block disagreements: %zu, oracle fallbacks: %llu, lane "
         "fallbacks: write %llu, read %llu\n",

@@ -9,6 +9,8 @@
 #include <string>
 #include <vector>
 
+#include "util/isa.hpp"
+
 namespace hynapse::util {
 namespace {
 
@@ -123,12 +125,11 @@ std::vector<std::uint64_t> walk_lengths(std::size_t lanes) {
 }
 
 TEST(RngWalk, EqualsSequentialDrawsOnEveryTier) {
-  for (const WalkTier tier : available_walk_tiers()) {
+  for (const IsaTier tier : available_isa_tiers()) {
     const std::size_t lanes = walk_lanes(tier);
     for (const std::uint64_t n : walk_lengths(lanes)) {
-      const std::string where = "tier " +
-                                std::to_string(static_cast<int>(tier)) +
-                                ", n " + std::to_string(n);
+      const std::string where = std::string{isa_tier_name(tier)} + ", n " +
+                                std::to_string(n);
       Rng walked{2016};
       walked.discard(12345);  // start mid-stream
       Rng sequential = walked;
@@ -164,16 +165,16 @@ TEST(RngWalk, EqualsSequentialDrawsOnEveryTier) {
 }
 
 TEST(RngWalk, TiersReportTheirLanes) {
-  const std::vector<WalkTier> tiers = available_walk_tiers();
+  const std::vector<IsaTier> tiers = available_isa_tiers();
   ASSERT_FALSE(tiers.empty());
-  EXPECT_EQ(tiers.front(), WalkTier::scalar);
-  EXPECT_EQ(tiers.back(), walk_tier());
-  EXPECT_EQ(walk_lanes(WalkTier::scalar), 1u);
-  for (const WalkTier tier : tiers) {
-    if (tier == WalkTier::avx2) {
+  EXPECT_EQ(tiers.front(), IsaTier::scalar);
+  EXPECT_EQ(tiers.back(), isa_tier());
+  EXPECT_EQ(walk_lanes(IsaTier::scalar), 1u);
+  for (const IsaTier tier : tiers) {
+    if (tier == IsaTier::avx2) {
       EXPECT_EQ(walk_lanes(tier), 4u);
     }
-    if (tier == WalkTier::avx512) {
+    if (tier == IsaTier::avx512) {
       EXPECT_EQ(walk_lanes(tier), 8u);
     }
   }
