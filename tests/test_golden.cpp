@@ -18,7 +18,11 @@
 //   * every field of the per-cell 6T/8T analysis, fixed-sample and
 //     adaptive, and the standby retention rate;
 //   * the wire bytes of serve::format_request / format_response over a
-//     hand-built corpus that reaches every key the codec can emit.
+//     hand-built corpus that reaches every key the codec can emit;
+//   * every pixel and label of the synthetic digit sets the service, the
+//     benchmark and the test fixtures draw, plus one non-default option set;
+//   * the weights, biases and final loss of hynapse_served's network after
+//     its exact training recipe (the backward pass's GEMMs included).
 //
 // A deliberate numerical change re-blesses the pins: run
 //   HYNAPSE_BLESS_GOLDEN=1 ./test_golden
@@ -27,18 +31,23 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iterator>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "ann/backends/backend.hpp"
+#include "ann/mlp.hpp"
+#include "ann/trainer.hpp"
 #include "core/delta_eval.hpp"
 #include "core/experiments.hpp"
+#include "data/digits.hpp"
 #include "engine/experiment_runner.hpp"
 #include "mc/circuit_stack.hpp"
 #include "mc/failure_table.hpp"
@@ -63,6 +72,8 @@ constexpr std::uint64_t kWireCodecDigest = 0x78a7c2e1641062f8;
 constexpr std::uint64_t kCellAnalysisDigest = 0xb6d293296509e1f9;
 constexpr std::uint64_t kServedTableFingerprint = 0x9921063cee5d082c;
 constexpr std::uint64_t kServedAdaptiveTableFingerprint = 0xc2d72a0c22dfcd57;
+constexpr std::uint64_t kDigitImagesDigest = 0x2d2ad226b1800205;
+constexpr std::uint64_t kServedNetworkWeightsDigest = 0x765d72632c011f81;
 
 bool blessing() {
   const char* env = std::getenv("HYNAPSE_BLESS_GOLDEN");
@@ -481,6 +492,58 @@ TEST(Golden, CellAnalysis) {
   h.f64(retention.retention_6t(0.50, 5).p);
   h.f64(retention.retention_6t(0.65, 7).p);
   expect_golden("kCellAnalysisDigest", h.digest(), kCellAnalysisDigest);
+}
+
+void digest_floats(util::Fnv1a& h, std::span<const float> vs) {
+  h.u64(vs.size());
+  for (const float v : vs) h.u64(std::bit_cast<std::uint32_t>(v));
+}
+
+// The digit sets hynapse_served trains (2500, 71) and tests (600, 72) on,
+// perfbench's warm_sweep fixture (2000, 77001), the test fixtures' training
+// set (1500, 11), and thick strokes shifted far enough to leave the frame.
+TEST(Golden, DigitImages) {
+  data::DigitGenOptions wide;
+  wide.max_shift_px = 9.0;
+  wide.min_thickness = 2.5;
+  wide.max_thickness = 4.0;
+  wide.pixel_noise = 0.08;
+  struct Set {
+    std::size_t count;
+    std::uint64_t seed;
+    data::DigitGenOptions options;
+  };
+  util::Fnv1a h;
+  for (const Set& set : {Set{2500, 71, {}}, Set{600, 72, {}},
+                         Set{2000, 77001, {}}, Set{1500, 11, {}},
+                         Set{500, 5, wide}}) {
+    const data::Dataset ds =
+        data::generate_digits(set.count, set.seed, set.options);
+    digest_floats(h, ds.images.data());
+    h.u64(ds.labels.size());
+    for (const std::uint8_t label : ds.labels) h.byte(label);
+  }
+  expect_golden("kDigitImagesDigest", h.digest(), kDigitImagesDigest);
+}
+
+// hynapse_served's network (examples/hynapse_served.cpp,
+// train_served_network): every weight and bias after training, and the
+// final loss.
+TEST(Golden, ServedNetworkWeights) {
+  const data::Dataset train = data::generate_digits(2500, 71);
+  ann::Mlp net{{784, 64, 32, 10}, 4};
+  ann::TrainConfig tc;
+  tc.epochs = 5;
+  tc.batch_size = 50;
+  const double loss = ann::train_sgd(net, train.images, train.labels, tc);
+  util::Fnv1a h;
+  for (std::size_t l = 0; l < net.num_weight_layers(); ++l) {
+    digest_floats(h, net.weight(l).data());
+    digest_floats(h, net.bias(l));
+  }
+  h.f64(loss);
+  expect_golden("kServedNetworkWeightsDigest", h.digest(),
+                kServedNetworkWeightsDigest);
 }
 
 /// Requests covering every op and every optional key.
