@@ -1,6 +1,7 @@
 // Google-benchmark microbenchmarks of the simulation hot paths: device
 // evaluation, bitcell solves, Monte-Carlo sampling throughput, GEMM, fault
-// injection, the low-vdd fault resolve, and end-to-end inference.
+// injection, the low-vdd fault resolve, end-to-end inference, and the
+// served network's start-up (digit synthesis and training).
 #include <benchmark/benchmark.h>
 
 #include <array>
@@ -11,6 +12,7 @@
 #include "ann/backends/backend.hpp"
 #include "ann/matrix.hpp"
 #include "ann/mlp.hpp"
+#include "ann/trainer.hpp"
 #include "circuit/lanes_kernel.hpp"
 #include "circuit/reference.hpp"
 #include "core/delta_eval.hpp"
@@ -219,7 +221,7 @@ BENCHMARK_CAPTURE(BM_GemmBackend, simd, ann::backends::Backend::simd)
     ->Arg(130)
     ->Arg(512);
 
-// The backward-pass kernels have one portable implementation each.
+// The backward pass: a transposed copy, then the simd gemm kernel.
 void BM_GemmBt(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   ann::Matrix a{n, n};
@@ -251,6 +253,30 @@ void BM_GemmAt(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
 }
 BENCHMARK(BM_GemmAt)->Arg(128)->Arg(130);
+
+// hynapse_served's start-up (examples/hynapse_served.cpp): rasterizing its
+// 2500 training digits, then training its 784-64-32-10 network on them.
+void BM_GenerateDigits(benchmark::State& state) {
+  for (auto _ : state) {
+    const data::Dataset ds = data::generate_digits(2500, 71);
+    benchmark::DoNotOptimize(ds.images.data().data());
+  }
+  state.SetItemsProcessed(state.iterations() * 2500);
+}
+BENCHMARK(BM_GenerateDigits)->Unit(benchmark::kMillisecond);
+
+void BM_TrainServedNetwork(benchmark::State& state) {
+  const data::Dataset train = data::generate_digits(2500, 71);
+  ann::TrainConfig tc;
+  tc.epochs = 5;
+  tc.batch_size = 50;
+  for (auto _ : state) {
+    ann::Mlp net{{784, 64, 32, 10}, 4};
+    benchmark::DoNotOptimize(
+        ann::train_sgd(net, train.images, train.labels, tc));
+  }
+}
+BENCHMARK(BM_TrainServedNetwork)->Unit(benchmark::kMillisecond);
 
 void BM_FaultMapSampling(benchmark::State& state) {
   std::vector<mc::FailureTableRow> rows(2);

@@ -56,8 +56,9 @@ fi
 if [[ -x "${build_dir}/bench/bench_micro_kernels" ]]; then
   echo "== bench_micro_kernels (reduced iterations) =="
   # Every microbenchmark, BM_DeltaResolveLowV (one low-vdd Table-I chip's
-  # fault resolve) included. Plain-double min_time works on both benchmark
-  # 1.7 (only form accepted) and 1.8+ (deprecated but accepted).
+  # fault resolve) and the served start-up's BM_GenerateDigits and
+  # BM_TrainServedNetwork included. Plain-double min_time works on both
+  # benchmark 1.7 (only form accepted) and 1.8+ (deprecated but accepted).
   "${build_dir}/bench/bench_micro_kernels" --benchmark_min_time=0.01
 else
   echo "== bench_micro_kernels not built (Google Benchmark missing); skipped =="

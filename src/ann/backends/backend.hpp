@@ -3,7 +3,8 @@
 // raw-pointer micro-kernels; callers (ann::gemm / gemm_block, the chip
 // evaluator in core::delta_eval) pick the table once per call and stay
 // allocation-free on the hot path. The backward-pass GEMMs (ann::gemm_bt,
-// ann::gemm_at) have one portable kernel each and no backend.
+// ann::gemm_at) transpose their transposed operand and run the same
+// Backend::simd kernel.
 //
 // Every default in the library is Backend::simd: production always runs
 // the widest tier this build has and this CPU runs. There is no runtime

@@ -1,6 +1,5 @@
 #include "ann/matrix.hpp"
 
-#include <cstring>
 #include <stdexcept>
 
 #include "ann/backends/backend.hpp"
@@ -40,8 +39,7 @@ void check_gemm(std::size_t ar, std::size_t ac, std::size_t br,
 
 // The kernel bodies themselves live in ann/backends/; this TU owns the shape
 // checks and the parallel row partitioning, both of which are
-// backend-independent (every gemm kernel and gemm_bt are row-partitionable
-// bit-for-bit, and gemm_at takes an explicit row range).
+// backend-independent (every gemm kernel is row-partitionable bit for bit).
 void gemm_dispatch(const float* a, const Matrix& b, Matrix& c, std::size_t m,
                    bool parallel, backends::Backend backend) {
   const backends::KernelOps& ops = backends::kernel_ops(backend);
@@ -55,6 +53,18 @@ void gemm_dispatch(const float* a, const Matrix& b, Matrix& c, std::size_t m,
   } else {
     body(0, m);
   }
+}
+
+// The backward pass's transposed operands go through the one gemm kernel as
+// an explicit transpose: every kernel accumulates each element over p in
+// ascending order from 0, one multiply and one add per step, as a
+// transposed-operand kernel would, so the copy moves no bit.
+Matrix transposed(const Matrix& x) {
+  Matrix t{x.cols(), x.rows()};
+  for (std::size_t r = 0; r < x.rows(); ++r) {
+    for (std::size_t c = 0; c < x.cols(); ++c) t.at(c, r) = x.at(r, c);
+  }
+  return t;
 }
 
 }  // namespace
@@ -73,39 +83,17 @@ void gemm_block(const float* a_rows, std::size_t m, const Matrix& b,
 }
 
 void gemm_bt(const Matrix& a, const Matrix& bt, Matrix& c, bool parallel) {
-  // c[i][j] = sum_p a[i][p] * bt[j][p]
   if (a.cols() != bt.cols() || c.rows() != a.rows() || c.cols() != bt.rows())
     throw std::invalid_argument{"gemm_bt: dimension mismatch"};
-  const std::size_t m = a.rows();
-  const std::size_t k = a.cols();
-  const std::size_t n = bt.rows();
-  const auto body = [&](std::size_t r0, std::size_t r1) {
-    backends::detail::gemm_bt_kernel(a.row(r0), bt.row(0), c.row(r0), r1 - r0,
-                                     k, n);
-  };
-  if (parallel && m >= 64) {
-    util::parallel_for_chunks(m, body);
-  } else {
-    body(0, m);
-  }
+  gemm_dispatch(a.row(0), transposed(bt), c, a.rows(), parallel,
+                backends::Backend::simd);
 }
 
 void gemm_at(const Matrix& at, const Matrix& b, Matrix& c, bool parallel) {
-  // c[i][j] = sum_p at[p][i] * b[p][j]; c is (at.cols x b.cols).
   if (at.rows() != b.rows() || c.rows() != at.cols() || c.cols() != b.cols())
     throw std::invalid_argument{"gemm_at: dimension mismatch"};
-  const std::size_t k = at.rows();
-  const std::size_t m = at.cols();
-  const std::size_t n = b.cols();
-  const auto body = [&](std::size_t r0, std::size_t r1) {
-    backends::detail::gemm_at_kernel(at.row(0), b.row(0), c.row(0), r0, r1, m,
-                                     k, n);
-  };
-  if (parallel && m >= 64) {
-    util::parallel_for_chunks(m, body);
-  } else {
-    body(0, m);
-  }
+  const Matrix a = transposed(at);
+  gemm_dispatch(a.row(0), b, c, a.rows(), parallel, backends::Backend::simd);
 }
 
 void gemm_naive(const Matrix& a, const Matrix& b, Matrix& c) {

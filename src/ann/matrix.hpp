@@ -90,15 +90,14 @@ void gemm_block(const float* a_rows, std::size_t m, const Matrix& b, Matrix& c,
                 bool parallel = false,
                 backends::Backend backend = backends::Backend::simd);
 
-/// c = a * b^T (used by the backward pass). Per-element accumulation stays
-/// in ascending p order (a strict-FP dot product cannot be vectorized, so
-/// the kernel takes its ILP from independent output columns). One portable
-/// kernel: the backward pass has no backend.
+/// c = a * b^T (used by the backward pass). Copies b_transposed into b and
+/// runs gemm()'s kernel on the simd backend, so the result is bit-identical
+/// to gemm_naive(a, b).
 void gemm_bt(const Matrix& a, const Matrix& b_transposed, Matrix& c,
              bool parallel = true);
 
-/// c = a^T * b (used for weight gradients). One portable kernel, like
-/// gemm_bt.
+/// c = a^T * b (used for weight gradients). Copies a_transposed into a and
+/// runs gemm()'s kernel, like gemm_bt.
 void gemm_at(const Matrix& a_transposed, const Matrix& b, Matrix& c,
              bool parallel = true);
 

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -79,7 +81,7 @@ std::vector<Polyline> digit_strokes(int digit) {
   }
 }
 
-double dist_to_segment(Point p, Point a, Point b) {
+double dist2_to_segment(Point p, Point a, Point b) {
   const double dx = b.x - a.x;
   const double dy = b.y - a.y;
   const double len2 = dx * dx + dy * dy;
@@ -90,7 +92,16 @@ double dist_to_segment(Point p, Point a, Point b) {
   }
   const double px = a.x + t * dx - p.x;
   const double py = a.y + t * dy - p.y;
-  return std::sqrt(px * px + py * py);
+  return px * px + py * py;
+}
+
+// The pixels [first, last) of one image axis whose centres (index + 0.5)
+// lie in [lo, hi], clipped to the frame; empty when last <= first.
+std::pair<std::size_t, std::size_t> pixel_span(double lo, double hi) {
+  const double side = static_cast<double>(kDigitSide);
+  return {static_cast<std::size_t>(std::clamp(std::ceil(lo - 0.5), 0.0, side)),
+          static_cast<std::size_t>(
+              std::clamp(std::floor(hi - 0.5) + 1.0, 0.0, side))};
 }
 
 struct Affine {
@@ -143,16 +154,37 @@ void render_digit(int digit, std::uint64_t seed, const DigitGenOptions& opt,
   }
   const double thickness_px = thickness * side;  // back to pixels
   const double aa = 0.55;  // anti-aliasing falloff width [px]
-  for (std::size_t row = 0; row < kDigitSide; ++row) {
-    for (std::size_t col = 0; col < kDigitSide; ++col) {
-      const Point p{static_cast<double>(col) + 0.5,
-                    static_cast<double>(row) + 0.5};
-      double d = 1e9;
-      for (const Polyline& line : strokes) {
-        for (std::size_t i = 0; i + 1 < line.size(); ++i) {
-          d = std::min(d, dist_to_segment(p, line[i], line[i + 1]));
+  // Each segment scatters its squared distance into the pixels of its
+  // bounding box grown by the falloff reach (plus a margin far above
+  // rounding); a pixel outside every box is more than thickness_px + aa
+  // from every segment, so it stays dark whichever segment is nearest.
+  // sqrt is correctly rounded and monotone, so sqrt(min d^2) is the
+  // minimum of the per-segment distances, bit for bit.
+  const double reach = thickness_px + aa + 1e-6;
+  std::array<double, kDigitPixels> dist2;
+  dist2.fill(std::numeric_limits<double>::infinity());
+  for (const Polyline& line : strokes) {
+    for (std::size_t i = 0; i + 1 < line.size(); ++i) {
+      const Point a = line[i];
+      const Point b = line[i + 1];
+      const auto [c0, c1] = pixel_span(std::min(a.x, b.x) - reach,
+                                       std::max(a.x, b.x) + reach);
+      const auto [r0, r1] = pixel_span(std::min(a.y, b.y) - reach,
+                                       std::max(a.y, b.y) + reach);
+      for (std::size_t row = r0; row < r1; ++row) {
+        for (std::size_t col = c0; col < c1; ++col) {
+          const Point p{static_cast<double>(col) + 0.5,
+                        static_cast<double>(row) + 0.5};
+          double& d2 = dist2[row * kDigitSide + col];
+          d2 = std::min(d2, dist2_to_segment(p, a, b));
         }
       }
+    }
+  }
+  for (std::size_t row = 0; row < kDigitSide; ++row) {
+    for (std::size_t col = 0; col < kDigitSide; ++col) {
+      // Infinite (so dark) where no segment reaches.
+      const double d = std::sqrt(dist2[row * kDigitSide + col]);
       double v = 0.0;
       if (d < thickness_px) {
         v = intensity;

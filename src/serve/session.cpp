@@ -53,8 +53,10 @@ void Session::emit_error(const std::string& tag, ErrorCode code,
   r.retry_after_ms = retry_after_ms;
   const std::lock_guard lock{state_->mutex};
   if (state_->open && state_->sink) {
-    state_->sink(format_response(r, options_.per_chip));
+    // Counted before the sink: a client that has read the line must find
+    // it in stats().
     counters_.responses.add();
+    state_->sink(format_response(r, options_.per_chip));
   }
 }
 
@@ -105,8 +107,8 @@ std::uint64_t Session::handle_line(std::string_view line) {
       // The serialization phase of the request's span: rendering the
       // response line plus handing it to the transport sink.
       const obs::Timer timer{counters->serialize_us};
+      counters->responses.add();  // before the sink, as in emit_error
       state->sink(format_response(response, per_chip));
-      counters->responses.add();
     }
     --state->outstanding;
     state->cv.notify_all();

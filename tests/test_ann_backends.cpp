@@ -3,9 +3,10 @@
 // Every backend's gemm must be bit-identical to gemm_naive — and therefore
 // to the reference backend — across tile remainders, odd shapes, and both
 // serial and pool-parallel row partitioning (ann/backends/backend.hpp); so
-// must the portable gemm_bt and gemm_at kernels of the backward pass. The
-// gemm tests also call every kernel table this host runs directly, so the
-// AVX2 tier is covered where Backend::simd picks the AVX-512 one.
+// must ann::gemm_bt and ann::gemm_at, the backward pass, which run the same
+// kernel on a transposed copy. The gemm tests also call every kernel table
+// this host runs directly, so the AVX2 tier is covered where Backend::simd
+// picks the AVX-512 one.
 #include "ann/backends/backend.hpp"
 
 #include <gtest/gtest.h>
@@ -252,15 +253,6 @@ TEST(Backends, GemmBtMatchesNaiveBitwiseAcrossShapesAndRowSplits) {
       EXPECT_EQ(c, naive) << "m=" << s.m << " k=" << s.k << " n=" << s.n
                           << " parallel=" << parallel;
     }
-    for (const std::size_t r : row_splits(s.m)) {
-      Matrix c{s.m, s.n};
-      backends::detail::gemm_bt_kernel(a.row(0), bt.row(0), c.row(0), r, s.k,
-                                       s.n);
-      backends::detail::gemm_bt_kernel(a.row(0) + r * s.k, bt.row(0),
-                                       c.row(0) + r * s.n, s.m - r, s.k, s.n);
-      EXPECT_EQ(c, naive) << "m=" << s.m << " k=" << s.k << " n=" << s.n
-                          << " split=" << r;
-    }
   }
 }
 
@@ -277,16 +269,6 @@ TEST(Backends, GemmAtMatchesNaiveBitwiseAcrossShapesAndRowSplits) {
       gemm_at(a, b, c, parallel);
       EXPECT_EQ(c, naive) << "m=" << s.m << " k=" << s.k << " n=" << s.n
                           << " parallel=" << parallel;
-    }
-    // The kernel reads a (m x k) as the k x mt operand at, mt = s.k.
-    for (const std::size_t r : row_splits(s.k)) {
-      Matrix c{s.k, s.n};
-      backends::detail::gemm_at_kernel(a.row(0), b.row(0), c.row(0), 0, r,
-                                       s.k, s.m, s.n);
-      backends::detail::gemm_at_kernel(a.row(0), b.row(0), c.row(0), r, s.k,
-                                       s.k, s.m, s.n);
-      EXPECT_EQ(c, naive) << "m=" << s.m << " k=" << s.k << " n=" << s.n
-                          << " split=" << r;
     }
   }
 }

@@ -2,13 +2,17 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <fstream>
 #include <numeric>
+#include <string_view>
+#include <vector>
 
 #include "data/dataset.hpp"
 #include "data/digits.hpp"
 #include "data/idx.hpp"
 #include "test_helpers.hpp"
+#include "util/rng.hpp"
 
 namespace hynapse::data {
 namespace {
@@ -102,6 +106,192 @@ TEST(Digits, RenderAllClassesDirectly) {
     const double ink = std::accumulate(px.begin(), px.end(), 0.0);
     EXPECT_GT(ink, 10.0) << "digit " << d;
   }
+}
+
+// The per-pixel renderer render_digit replaced, kept as its oracle: every
+// pixel takes the sqrt distance to every stroke segment. Same strokes,
+// transform and draws as digits.cpp.
+namespace oracle {
+
+struct Point {
+  double x;
+  double y;
+};
+
+using Polyline = std::vector<Point>;
+
+Polyline ellipse(double cx, double cy, double rx, double ry) {
+  Polyline p;
+  for (int i = 0; i <= 24; ++i) {
+    const double t = 2.0 * M_PI * static_cast<double>(i) / 24;
+    p.push_back({cx + rx * std::cos(t), cy + ry * std::sin(t)});
+  }
+  return p;
+}
+
+Polyline arc(double cx, double cy, double rx, double ry, double t0,
+             double t1) {
+  Polyline p;
+  for (int i = 0; i <= 16; ++i) {
+    const double t = t0 + (t1 - t0) * static_cast<double>(i) / 16;
+    p.push_back({cx + rx * std::cos(t), cy + ry * std::sin(t)});
+  }
+  return p;
+}
+
+std::vector<Polyline> digit_strokes(int digit) {
+  switch (digit) {
+    case 0:
+      return {ellipse(0.5, 0.5, 0.27, 0.37)};
+    case 1:
+      return {{{0.38, 0.28}, {0.54, 0.13}, {0.54, 0.88}}};
+    case 2:
+      return {arc(0.5, 0.32, 0.25, 0.20, -M_PI, 0.0),
+              {{0.75, 0.32}, {0.70, 0.52}, {0.30, 0.86}},
+              {{0.30, 0.86}, {0.78, 0.86}}};
+    case 3:
+      return {arc(0.47, 0.32, 0.24, 0.19, -M_PI * 0.9, M_PI * 0.45),
+              arc(0.47, 0.67, 0.26, 0.21, -M_PI * 0.45, M_PI * 0.9)};
+    case 4:
+      return {{{0.62, 0.12}, {0.25, 0.62}, {0.80, 0.62}},
+              {{0.62, 0.12}, {0.62, 0.88}}};
+    case 5:
+      return {{{0.72, 0.13}, {0.32, 0.13}, {0.30, 0.47}},
+              arc(0.48, 0.66, 0.25, 0.21, -M_PI * 0.55, M_PI * 0.85)};
+    case 6:
+      return {{{0.66, 0.12}, {0.40, 0.40}, {0.30, 0.62}},
+              ellipse(0.50, 0.67, 0.21, 0.20)};
+    case 7:
+      return {{{0.24, 0.15}, {0.78, 0.15}, {0.42, 0.88}}};
+    case 8:
+      return {ellipse(0.50, 0.32, 0.20, 0.19),
+              ellipse(0.50, 0.69, 0.24, 0.20)};
+    case 9:
+      return {ellipse(0.50, 0.34, 0.21, 0.20),
+              {{0.71, 0.34}, {0.66, 0.62}, {0.52, 0.88}}};
+    default:
+      return {};
+  }
+}
+
+double dist_to_segment(Point p, Point a, Point b) {
+  const double dx = b.x - a.x;
+  const double dy = b.y - a.y;
+  const double len2 = dx * dx + dy * dy;
+  double t = 0.0;
+  if (len2 > 0.0) {
+    t = ((p.x - a.x) * dx + (p.y - a.y) * dy) / len2;
+    t = std::clamp(t, 0.0, 1.0);
+  }
+  const double px = a.x + t * dx - p.x;
+  const double py = a.y + t * dy - p.y;
+  return std::sqrt(px * px + py * py);
+}
+
+void render_digit(int digit, std::uint64_t seed, const DigitGenOptions& opt,
+                  float* out) {
+  util::Rng rng{seed};
+  const double angle = rng.uniform(-opt.max_rotate_rad, opt.max_rotate_rad);
+  const double sx = rng.uniform(opt.min_scale, opt.max_scale);
+  const double sy = rng.uniform(opt.min_scale, opt.max_scale);
+  const double shear = rng.uniform(-opt.max_shear, opt.max_shear);
+  const double side = static_cast<double>(kDigitSide);
+  const double tx = rng.uniform(-opt.max_shift_px, opt.max_shift_px) / side;
+  const double ty = rng.uniform(-opt.max_shift_px, opt.max_shift_px) / side;
+  const double thickness =
+      rng.uniform(opt.min_thickness, opt.max_thickness) / side;
+  const double intensity = rng.uniform(opt.min_intensity, opt.max_intensity);
+  const double c = std::cos(angle);
+  const double s = std::sin(angle);
+  const double m00 = c * sx + (-s) * sx * 0.0;
+  const double m01 = c * shear * sy - s * sy;
+  const double m10 = s * sx;
+  const double m11 = s * shear * sy + c * sy;
+
+  std::vector<Polyline> strokes = digit_strokes(digit);
+  for (Polyline& line : strokes) {
+    for (Point& p : line) {
+      const double x = p.x - 0.5;
+      const double y = p.y - 0.5;
+      p = {m00 * x + m01 * y + 0.5 + tx, m10 * x + m11 * y + 0.5 + ty};
+      p.x = 4.0 + 20.0 * p.x;
+      p.y = 4.0 + 20.0 * p.y;
+    }
+  }
+  const double thickness_px = thickness * side;
+  const double aa = 0.55;
+  for (std::size_t row = 0; row < kDigitSide; ++row) {
+    for (std::size_t col = 0; col < kDigitSide; ++col) {
+      const Point p{static_cast<double>(col) + 0.5,
+                    static_cast<double>(row) + 0.5};
+      double d = 1e9;
+      for (const Polyline& line : strokes) {
+        for (std::size_t i = 0; i + 1 < line.size(); ++i) {
+          d = std::min(d, dist_to_segment(p, line[i], line[i + 1]));
+        }
+      }
+      double v = 0.0;
+      if (d < thickness_px) {
+        v = intensity;
+      } else if (d < thickness_px + aa) {
+        v = intensity * (1.0 - (d - thickness_px) / aa);
+      }
+      v += rng.normal(0.0, opt.pixel_noise);
+      out[row * kDigitSide + col] =
+          static_cast<float>(std::clamp(v, 0.0, 1.0));
+    }
+  }
+}
+
+}  // namespace oracle
+
+// render_digit scatters squared distances over each segment's grown
+// bounding box; it must equal the per-pixel oracle bit for bit, on the
+// default options and on the edges of the box argument.
+TEST(Digits, RasterMatchesPerPixelOracle) {
+  DigitGenOptions thin;  // strokes a hair wide: only the falloff inks
+  thin.min_thickness = 0.0;
+  thin.max_thickness = 1e-3;
+  DigitGenOptions off_frame;  // shifts of up to ~29 px leave the frame
+  off_frame.max_shift_px = 40.0;
+  off_frame.pixel_noise = 0.0;
+  DigitGenOptions noiseless;
+  noiseless.pixel_noise = 0.0;
+  DigitGenOptions dot;  // zero scale: every segment has len2 == 0
+  dot.min_scale = 0.0;
+  dot.max_scale = 0.0;
+  struct Case {
+    const char* name;
+    DigitGenOptions options;
+    std::size_t images;
+  };
+  std::vector<float> got(kDigitPixels);
+  std::vector<float> want(kDigitPixels);
+  util::Rng seeds{2024};
+  std::size_t dark_off_frame = 0;
+  for (const Case& c : {Case{"default", {}, 2000}, Case{"thin", thin, 200},
+                        Case{"off_frame", off_frame, 400},
+                        Case{"noiseless", noiseless, 200},
+                        Case{"dot", dot, 100}}) {
+    for (std::size_t i = 0; i < c.images; ++i) {
+      const int digit = static_cast<int>(i % 10);
+      const std::uint64_t seed = seeds.next_u64();
+      render_digit(digit, seed, c.options, got.data());
+      oracle::render_digit(digit, seed, c.options, want.data());
+      ASSERT_EQ(0, std::memcmp(got.data(), want.data(),
+                               kDigitPixels * sizeof(float)))
+          << c.name << " digit " << digit << " seed " << seed;
+      const double ink = std::accumulate(got.begin(), got.end(), 0.0);
+      if (c.name == std::string_view{"dot"}) {
+        EXPECT_GT(ink, 0.5) << "a zero-length stroke still inks a dot";
+      }
+      if (c.name == std::string_view{"off_frame"} && ink == 0.0) {
+        ++dark_off_frame;
+      }
+    }
+  }
+  // The off-frame case reaches images with no stroke pixel at all.
+  EXPECT_GT(dark_off_frame, 0u);
 }
 
 TEST(Digits, AsciiArtHasExpectedShape) {
